@@ -16,8 +16,8 @@ import numpy as np
 
 from .lgr import barycentric_eval, barycentric_weights, lagrange_diff_matrix, lgr_rule
 from .nlpsolve import SolveReport, SolverOptions, solve
-from .transcription import (MeshPhase, MultiPhaseProblem, NLPProblem,
-                            PhaseSolution, Solution, transcribe)
+from .transcription import (MeshPhase, MultiPhaseProblem, PhaseSolution,
+                            Solution, transcribe)
 
 
 @dataclass
@@ -108,8 +108,6 @@ class RefinementReport:
     iterations: int
     errors: list[np.ndarray]
     solution: Solution
-    nlp: NLPProblem
-    meshes: list[MeshPhase]
     solve_reports: list[SolveReport] = field(default_factory=list)
     history: list[dict] = field(default_factory=list)
 
@@ -139,12 +137,11 @@ def refine_loop(problem: MultiPhaseProblem, meshes: list[MeshPhase],
 
     `guess` is either a point for the first mesh or a callable mapping an
     NLPProblem to one; later meshes warm-start from the previous solution.
+    The solution's phases carry the meshes it was solved on.
     """
     options = options or RefinementOptions()
     solver_options = solver_options or SolverOptions()
     meshes = list(meshes)
-    nlp = transcribe(problem, meshes)
-    z = guess(nlp) if callable(guess) else np.asarray(guess, float)
     reports: list[SolveReport] = []
     history: list[dict] = []
     errors: list[np.ndarray] = [np.full(m.n_intervals, np.inf) for m in meshes]
@@ -152,6 +149,11 @@ def refine_loop(problem: MultiPhaseProblem, meshes: list[MeshPhase],
     done = False
     it = 0
     for it in range(1, options.max_refinements + 1):
+        nlp = transcribe(problem, meshes)
+        if sol is not None:
+            z = nlp.z_from_solution(sol)
+        else:
+            z = guess(nlp) if callable(guess) else np.asarray(guess, float)
         rep = solve(nlp, z, solver_options)
         reports.append(rep)
         sol = nlp.solution_from(rep.x)
@@ -174,11 +176,8 @@ def refine_loop(problem: MultiPhaseProblem, meshes: list[MeshPhase],
             done = reports[-1].converged
             break
         meshes = new_meshes
-        nlp = transcribe(problem, meshes)
-        z = nlp.z_from_solution(sol)
     if history_path is not None:
         with open(history_path, "w") as f:
             json.dump(history, f, indent=1)
     return RefinementReport(converged=done, iterations=it, errors=errors,
-                            solution=sol, nlp=nlp, meshes=meshes,
-                            solve_reports=reports, history=history)
+                            solution=sol, solve_reports=reports, history=history)

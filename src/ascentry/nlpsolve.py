@@ -14,8 +14,6 @@ solvers attach through `register_solver`.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -30,7 +28,6 @@ _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 class SolverOptions:
     tolerance: float = 1e-6
     max_iterations: int = 500
-    fd_step: float = _FD_STEP
     mode: str = "builtin"
     x_scale: np.ndarray | None = None
     log_path: str | None = None
@@ -143,14 +140,6 @@ def color_columns(rows: np.ndarray, cols: np.ndarray, n_cols: int) -> np.ndarray
     return color
 
 
-def _n_threads() -> int:
-    raw = os.environ.get("ASCENTRY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def estimate_jacobian(nlp, point: np.ndarray, sparsity=None,
                       step: float = _FD_STEP) -> sp.csr_matrix:
     """Sparse Jacobian by grouped central differences.
@@ -173,25 +162,15 @@ def estimate_jacobian(nlp, point: np.ndarray, sparsity=None,
     groups = [np.flatnonzero(color == k) for k in range(color.max() + 1)]
     h = step * np.maximum(1.0, np.abs(x))
 
-    def probe(group):
-        e = np.zeros(n)
-        e[group] = h[group]
-        cp = nlp.constraints(x + e)
-        cm = nlp.constraints(x - e)
-        return cp, cm
-
-    workers = min(_n_threads(), len(groups))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(probe, groups))
-    else:
-        results = [probe(g) for g in groups]
-
     vals = np.empty(len(rows))
     col_order = np.argsort(cols, kind="stable")
     sorted_cols = cols[col_order]
     starts = np.searchsorted(sorted_cols, np.arange(n + 1))
-    for g, (cp, cm) in zip(groups, results):
+    for g in groups:
+        e = np.zeros(n)
+        e[g] = h[g]
+        cp = nlp.constraints(x + e)
+        cm = nlp.constraints(x - e)
         if not (np.all(np.isfinite(cp)) and np.all(np.isfinite(cm))):
             bad = int(np.flatnonzero(~np.isfinite(cp - cm))[0])
             raise ValueError(f"non-finite constraint value at row {bad} "
@@ -664,8 +643,9 @@ def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveRep
         rep.violation = max(
             _violation(nlp.constraints(rep.x), nlp.c_lo, nlp.c_hi),
             _violation(rep.x, nlp.z_lo, nlp.z_hi))
-    except Exception:
-        pass
+    except Exception as e:
+        rep.status = "numerical_failure"
+        rep.message = f"final evaluation failed: {e}"
     return rep
 
 
@@ -803,11 +783,6 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
         if dphi > -1e-16:
             dphi = -1e-16
 
-        import os as _os
-        if _os.environ.get("ASCENTRY_SQP_DEBUG"):
-            print(f"DBG it={it} qp={qp.method} rp={qp.primal_res:.2e} rd={qp.dual_res:.2e} "
-                  f"dphi={float(g @ d) - mu * v1:.4e} mu={mu:.3e} ymax={float(np.abs(qp.y).max()):.3e} "
-                  f"v1={v1:.4e} dnorm={step_norm:.3e} delta={delta:.2e}", flush=True)
         t = 1.0
         accepted = False
         f_t = f

@@ -5,7 +5,7 @@ final non-collocated endpoint, control rows at collocation nodes only, then
 t0 and tf; shared integral accumulators sit at the end of the vector.
 Dynamics, path, integrand and cost callbacks are autonomous and batched:
 they map (X, U) with one row per node to one output row per node, and they
-must be pure (the derivative estimator probes them concurrently).
+must be pure: the derivatives at a point are computed once and reused.
 """
 from __future__ import annotations
 
@@ -180,6 +180,60 @@ class _PhaseLayout:
     wts_tau: np.ndarray  # quadrature weights on tau scale: frac_k/2 * w_i
 
 
+@dataclass
+class _JacobianPlan:
+    """Fixed structure of the constraint Jacobian on one mesh.
+
+    `values` holds one value rule per block, in enumeration order; the raw
+    entries they produce map onto the CSR data vector through `first` (the
+    first raw entry of each slot) and `rest`/`rest_slot` (later entries on a
+    taken coordinate, summed onto it in raw order).
+    """
+    values: list
+    first: np.ndarray
+    rest: np.ndarray
+    rest_slot: np.ndarray
+    rows: np.ndarray     # unique coordinates, row-major
+    cols: np.ndarray
+    indptr: np.ndarray
+    quad_cols: list      # per phase: node x/u columns, then t0 and tf
+
+
+@dataclass
+class _PhasePoint:
+    """One phase's node values and node-local partials at a point."""
+    t0: float
+    tf: float
+    F: np.ndarray        # dynamics (nc, nx)
+    Q: list              # integrand values, (nc,) each
+    L: np.ndarray | None  # running cost (nc,)
+    dF: np.ndarray
+    dP: np.ndarray
+    dQ: np.ndarray
+    dL: np.ndarray
+
+
+def _fd_vector(func, x, dim_out):
+    """Dense central difference of a vector function of the vector x."""
+    out = np.zeros((dim_out, len(x)))
+    for j in range(len(x)):
+        h = _FD_STEP * max(1.0, abs(x[j]))
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        out[:, j] = (np.atleast_1d(func(xp)) - np.atleast_1d(func(xm))) / (2.0 * h)
+    return out
+
+
+def _quadrature_rows(wts_tau, pt: _PhasePoint, vals, partials) -> np.ndarray:
+    """Partials of (tf - t0) * sum(w * v) over a phase's quadrature columns
+    (node x/u, then t0 and tf), one row per integrand v."""
+    wts = (pt.tf - pt.t0) * wts_tau
+    s = np.array([float(wts_tau @ v) for v in vals])
+    return np.hstack([(wts[:, None] * partials).reshape(len(vals), -1),
+                      np.column_stack([-s, s])])
+
+
 class NLPProblem:
     """Transcribed sparse NLP with structured derivative assembly."""
 
@@ -191,7 +245,8 @@ class NLPProblem:
         self._build_layout()
         self._build_bounds()
         self._build_constraint_index()
-        self._sparsity = None
+        self._build_jacobian_plan()
+        self._last = None   # (z, gradient, Jacobian) at the last point
 
     # ----- layout -----
 
@@ -474,308 +529,156 @@ class NLPProblem:
                 dL[:, j] = (lp - lm) * inv
         return dF, dP, dQ, dL
 
-    @staticmethod
-    def _fd_vector(func, args, which, dim_out):
-        """Dense central difference of func w.r.t. args[which] (vector or scalar)."""
-        x = args[which]
-        if np.ndim(x) == 0:
-            h = _FD_STEP * max(1.0, abs(float(x)))
-            ap = list(args)
-            am = list(args)
-            ap[which] = x + h
-            am[which] = x - h
-            return ((np.atleast_1d(func(*ap)) - np.atleast_1d(func(*am)))
-                    / (2.0 * h)).reshape(dim_out, 1)
-        out = np.zeros((dim_out, len(x)))
-        for j in range(len(x)):
-            h = _FD_STEP * max(1.0, abs(x[j]))
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            ap = list(args)
-            am = list(args)
-            ap[which] = xp
-            am[which] = xm
-            out[:, j] = (np.atleast_1d(func(*ap)) - np.atleast_1d(func(*am))) / (2.0 * h)
-        return out
+    def _build_jacobian_plan(self):
+        """Enumerate the Jacobian's blocks once for this mesh.
 
-    def objective_gradient(self, z: np.ndarray) -> np.ndarray:
-        g = np.zeros(self.n_var)
-        for p, (ph, lay) in enumerate(zip(self.problem.phases, self.phase_layout)):
-            if ph.cost is None:
-                continue
-            X = self.states(z, p)
-            U = self.controls(z, p)
-            t0, tf = self.times(z, p)
-            L = np.asarray(ph.cost(X[:-1], U)).reshape(-1)
-            _, _, _, dL = self._node_fd(ph, X[:-1], U)
-            wts = (tf - t0) * lay.wts_tau
-            gx = wts[:, None] * dL[:, :ph.nx]
-            gu = wts[:, None] * dL[:, ph.nx:]
-            g[lay.x_off:lay.x_off + lay.nc * ph.nx] += gx.reshape(-1)
-            g[lay.u_off:lay.u_off + lay.nc * ph.nu] += gu.reshape(-1)
-            s = float(lay.wts_tau @ L)
-            g[lay.t0_idx] += -s
-            g[lay.tf_idx] += s
-        return g
+        Each block is a pair of broadcast (rows, cols) index arrays with a
+        value rule: a constant array, or a callable mapping the point and the
+        phase points to values in the block's shape.
+        """
+        rows: list[np.ndarray] = []
+        cols: list[np.ndarray] = []
+        values: list = []
+        quad_cols: list[np.ndarray] = []
+        acc_names = [acc.name for acc in self.problem.accumulators]
 
-    def _structure_per_phase(self, p):
-        """COO pattern pieces for phase p's defect and path rows."""
-        ph, mesh, lay = self.problem.phases[p], self.meshes[p], self.phase_layout[p]
-        rows, cols = [], []
-        row = self._def_row[p]
-        for k, rule in enumerate(lay.rules):
-            s = lay.starts[k]
-            n = rule.n
-            for i in range(n):
-                for c_ in range(ph.nx):
-                    r = row + i * ph.nx + c_
-                    for j in range(n + 1):  # differentiation stencil, own channel
-                        rows.append(r)
-                        cols.append(lay.x_off + (s + j) * ph.nx + c_)
-                    node = s + i
-                    for j in range(ph.nx):  # dynamics coupling at the node
-                        if j != c_:
-                            rows.append(r)
-                            cols.append(lay.x_off + node * ph.nx + j)
-                    for j in range(ph.nu):
-                        rows.append(r)
-                        cols.append(lay.u_off + node * ph.nu + j)
-                    rows.append(r)
-                    cols.append(lay.t0_idx)
-                    rows.append(r)
-                    cols.append(lay.tf_idx)
-            row += n * ph.nx
-        row = self._path_row[p]
-        for _ in ph.path:
-            for i in range(lay.nc):
-                for j in range(ph.nx):
-                    rows.append(row + i)
-                    cols.append(lay.x_off + i * ph.nx + j)
-                for j in range(ph.nu):
-                    rows.append(row + i)
-                    cols.append(lay.u_off + i * ph.nu + j)
-            row += lay.nc
-        return rows, cols
+        def block(r, c, v):
+            r, c = np.broadcast_arrays(r, c)
+            rows.append(r.ravel())
+            cols.append(c.ravel())
+            values.append(v)
 
-    def sparsity(self) -> tuple[np.ndarray, np.ndarray]:
-        """Structural nonzeros of the constraint Jacobian as COO coordinates."""
-        if self._sparsity is not None:
-            return self._sparsity
-        rows: list[int] = []
-        cols: list[int] = []
+        def phase_blocks(p):
+            ph, mesh, lay = self.problem.phases[p], self.meshes[p], self.phase_layout[p]
+            nx, nc = ph.nx, lay.nc
+            node = np.arange(nc)[:, None]
+            node_cols = np.hstack([lay.x_off + node * nx + np.arange(nx),
+                                   lay.u_off + node * ph.nu + np.arange(ph.nu)])
+            def_rows = self._def_row[p] + node * nx + np.arange(nx)
+            frac = np.repeat(mesh.fractions, mesh.degrees)  # per collocation node
+            wts_tau = lay.wts_tau
+            # differentiation stencil: channel-diagonal, constant
+            for k, rule in enumerate(lay.rules):
+                s, n = lay.starts[k], rule.n
+                block(def_rows[s:s + n, :, None],
+                      lay.x_off + (s + np.arange(n + 1)) * nx + np.arange(nx)[:, None],
+                      np.repeat(rule.diff_matrix[:, None, :], nx, axis=1))
+
+            # dynamics coupling at each node, in x and u
+            def dynamics_values(z, pts):
+                scale = (pts[p].tf - pts[p].t0) * frac / 2.0
+                return (-scale)[:, None, None] * pts[p].dF
+
+            # time columns: d/dt0 = +frac/2 F, d/dtf = -frac/2 F
+            def time_values(z, pts):
+                a = (frac / 2.0)[:, None] * pts[p].F
+                return np.stack([a, -a], axis=-1)
+
+            block(def_rows[:, None, :], node_cols[:, :, None], dynamics_values)
+            block(def_rows[:, :, None], [lay.t0_idx, lay.tf_idx], time_values)
+            block(self._path_row[p] + np.arange(len(ph.path))[:, None, None] * nc
+                  + node, node_cols, lambda z, pts: pts[p].dP)
+            quad_cols.append(np.append(node_cols.ravel(), [lay.t0_idx, lay.tf_idx]))
+            if ph.integrands:
+                acc_rows = [self._acc_row + acc_names.index(t.accumulator)
+                            for t in ph.integrands]
+                block(np.array(acc_rows)[:, None], quad_cols[p],
+                      lambda z, pts: -_quadrature_rows(wts_tau, pts[p], pts[p].Q,
+                                                       pts[p].dQ))
+
+        def endpoint(row, m, func, args):
+            """Dense rows of func(*args); each arg is given by its columns,
+            an index array for a vector argument or an int for a scalar."""
+            idx = np.concatenate([np.atleast_1d(a) for a in args])
+            ends = np.cumsum([np.size(a) for a in args])
+
+            def packed(v):
+                return func(*[v[e - np.size(a):e] if np.ndim(a) else v[e - 1]
+                              for a, e in zip(args, ends)])
+
+            block(row + np.arange(m)[:, None], idx,
+                  lambda z, pts: _fd_vector(packed, z[idx], m))
+            return row + m
+
         for p in range(len(self.problem.phases)):
-            r, c = self._structure_per_phase(p)
-            rows.extend(r)
-            cols.extend(c)
-        row = self._acc_row
-        for acc in self.problem.accumulators:
-            rows.append(row)
-            cols.append(self.acc_idx[acc.name])
-            for p, (ph, lay) in enumerate(zip(self.problem.phases,
-                                              self.phase_layout)):
-                if not any(t.accumulator == acc.name for t in ph.integrands):
-                    continue
-                for i in range(lay.nc):
-                    for j in range(ph.nx):
-                        rows.append(row)
-                        cols.append(lay.x_off + i * ph.nx + j)
-                    for j in range(ph.nu):
-                        rows.append(row)
-                        cols.append(lay.u_off + i * ph.nu + j)
-                rows.append(row)
-                cols.append(lay.t0_idx)
-                rows.append(row)
-                cols.append(lay.tf_idx)
-            row += 1
+            phase_blocks(p)
+        for i, acc in enumerate(self.problem.accumulators):
+            block(self._acc_row + i, self.acc_idx[acc.name], np.ones(1))
+        row = self._bc_row
         for bc in self.problem.boundaries:
             ph, lay = self.problem.phases[bc.phase], self.phase_layout[bc.phase]
-            for j in range(len(bc.lo)):
-                r = row + j
-                for c_ in range(ph.nx):
-                    rows.append(r)
-                    cols.append(lay.x_off + c_)
-                    rows.append(r)
-                    cols.append(lay.x_off + (lay.nn - 1) * ph.nx + c_)
-                rows.append(r)
-                cols.append(lay.t0_idx)
-                rows.append(r)
-                cols.append(lay.tf_idx)
-            row += len(bc.lo)
+            x0 = lay.x_off + np.arange(ph.nx)
+            row = endpoint(row, len(bc.lo), bc.func,
+                           [x0, x0 + (lay.nn - 1) * ph.nx, lay.t0_idx, lay.tf_idx])
         for p in self._dur_phases:
             lay = self.phase_layout[p]
-            rows.extend([row, row])
-            cols.extend([lay.t0_idx, lay.tf_idx])
+            block(row, [lay.t0_idx, lay.tf_idx], np.array([-1.0, 1.0]))
             row += 1
         for ln in self.problem.linkages:
             pha, laya = self.problem.phases[ln.a], self.phase_layout[ln.a]
             phb, layb = self.problem.phases[ln.b], self.phase_layout[ln.b]
-            for j in range(len(ln.lo)):
-                r = row + j
-                for c_ in range(pha.nx):
-                    rows.append(r)
-                    cols.append(laya.x_off + (laya.nn - 1) * pha.nx + c_)
-                for c_ in range(phb.nx):
-                    rows.append(r)
-                    cols.append(layb.x_off + c_)
-                rows.append(r)
-                cols.append(laya.tf_idx)
-                rows.append(r)
-                cols.append(layb.t0_idx)
-            row += len(ln.lo)
-        self._sparsity = (np.asarray(rows, dtype=np.int64),
-                          np.asarray(cols, dtype=np.int64))
-        return self._sparsity
+            xa = laya.x_off + (laya.nn - 1) * pha.nx + np.arange(pha.nx)
+            row = endpoint(row, len(ln.lo), ln.func,
+                           [xa, laya.tf_idx, layb.x_off + np.arange(phb.nx),
+                            layb.t0_idx])
+
+        keys = np.concatenate(rows) * self.n_var + np.concatenate(cols)
+        key, first, slot = np.unique(keys, return_index=True, return_inverse=True)
+        rest = np.setdiff1d(np.arange(len(keys)), first)
+        u_rows, u_cols = np.divmod(key, self.n_var)
+        self._plan = _JacobianPlan(
+            values=values, first=first, rest=rest, rest_slot=slot[rest],
+            rows=u_rows, cols=u_cols,
+            indptr=np.searchsorted(u_rows, np.arange(self.n_con + 1)),
+            quad_cols=quad_cols)
+
+    def _phase_point(self, z, p) -> _PhasePoint:
+        ph = self.problem.phases[p]
+        X = self.states(z, p)[:-1]
+        U = self.controls(z, p)
+        t0, tf = self.times(z, p)
+        dF, dP, dQ, dL = self._node_fd(ph, X, U)
+        return _PhasePoint(
+            t0=t0, tf=tf, F=np.atleast_2d(ph.dynamics(X, U)),
+            Q=[np.asarray(t.func(X, U)).reshape(-1) for t in ph.integrands],
+            L=(np.asarray(ph.cost(X, U)).reshape(-1)
+               if ph.cost is not None else None),
+            dF=dF, dP=dP, dQ=dQ, dL=dL)
+
+    def _derivatives(self, z):
+        """(objective gradient, constraint Jacobian) at z from one node probe
+        per phase; the last point's pair is kept, since callbacks are pure."""
+        z = np.asarray(z, dtype=float)
+        if self._last is None or not np.array_equal(self._last[0], z):
+            pts = [self._phase_point(z, p) for p in range(len(self.problem.phases))]
+            plan = self._plan
+            raw = np.concatenate([np.ravel(v(z, pts) if callable(v) else v)
+                                  for v in plan.values])
+            data = raw[plan.first]
+            np.add.at(data, plan.rest_slot, raw[plan.rest])
+            J = sp.csr_matrix((data, plan.cols, plan.indptr),
+                              shape=(self.n_con, self.n_var))
+            g = np.zeros(self.n_var)
+            for pt, lay, cols in zip(pts, self.phase_layout, plan.quad_cols):
+                if pt.L is not None:
+                    g[cols] += _quadrature_rows(
+                        lay.wts_tau, pt, [pt.L], pt.dL[None])[0]
+            self._last = (z.copy(), g, J)
+        return self._last[1], self._last[2]
+
+    def objective_gradient(self, z: np.ndarray) -> np.ndarray:
+        return self._derivatives(z)[0].copy()
+
+    def sparsity(self) -> tuple[np.ndarray, np.ndarray]:
+        """Structural nonzeros of the constraint Jacobian as COO coordinates,
+        each listed once, in row-major order."""
+        return self._plan.rows, self._plan.cols
 
     def jacobian(self, z: np.ndarray) -> sp.csr_matrix:
         """Constraint Jacobian; node-local partials by central differencing,
         everything structural (differentiation stencil, time scaling,
         quadrature weights) assembled analytically from callback values."""
-        rows: list[np.ndarray | list] = []
-        cols: list[np.ndarray | list] = []
-        vals: list[np.ndarray | list] = []
-        acc_cache: dict[int, tuple] = {}
-
-        def add(r, c, v):
-            rows.append(np.asarray(r, dtype=np.int64).reshape(-1))
-            cols.append(np.asarray(c, dtype=np.int64).reshape(-1))
-            vals.append(np.asarray(v, dtype=float).reshape(-1))
-
-        for p, (ph, mesh, lay) in enumerate(zip(self.problem.phases,
-                                                self.meshes, self.phase_layout)):
-            X = self.states(z, p)
-            U = self.controls(z, p)
-            t0, tf = self.times(z, p)
-            F = np.atleast_2d(ph.dynamics(X[:-1], U))
-            P = [np.asarray(pc.func(X[:-1], U)).reshape(-1) for pc in ph.path]
-            Q = [np.asarray(t.func(X[:-1], U)).reshape(-1) for t in ph.integrands]
-            dF, dP, dQ, _ = self._node_fd(ph, X[:-1], U)
-
-            row = self._def_row[p]
-            for k, rule in enumerate(lay.rules):
-                s = lay.starts[k]
-                n = rule.n
-                scale = (tf - t0) * mesh.fractions[k] / 2.0
-                # differentiation stencil: channel-diagonal
-                r_idx = (row + np.arange(n)[:, None, None] * ph.nx
-                         + np.arange(ph.nx)[None, :, None])
-                c_idx = (lay.x_off + (s + np.arange(n + 1))[None, None, :] * ph.nx
-                         + np.arange(ph.nx)[None, :, None])
-                v = np.broadcast_to(rule.diff_matrix[:, None, :],
-                                    (n, ph.nx, n + 1))
-                add(np.broadcast_to(r_idx, v.shape),
-                    np.broadcast_to(c_idx, v.shape), v)
-                # dynamics coupling at each collocation node
-                nodes = s + np.arange(n)
-                r_idx = (row + np.arange(n)[:, None, None] * ph.nx
-                         + np.arange(ph.nx)[None, None, :])
-                cx_idx = (lay.x_off + nodes[:, None, None] * ph.nx
-                          + np.arange(ph.nx)[None, :, None])
-                add(np.broadcast_to(r_idx, (n, ph.nx, ph.nx)),
-                    np.broadcast_to(cx_idx, (n, ph.nx, ph.nx)),
-                    -scale * dF[nodes][:, :ph.nx, :])
-                if ph.nu:
-                    cu_idx = (lay.u_off + nodes[:, None, None] * ph.nu
-                              + np.arange(ph.nu)[None, :, None])
-                    add(np.broadcast_to(r_idx, (n, ph.nu, ph.nx)),
-                        np.broadcast_to(cu_idx, (n, ph.nu, ph.nx)),
-                        -scale * dF[nodes][:, ph.nx:, :])
-                # time columns: d/dt0 = +frac/2 F, d/dtf = -frac/2 F
-                fb = F[nodes].reshape(-1)
-                rr = row + np.arange(n * ph.nx)
-                add(rr, np.full(n * ph.nx, lay.t0_idx),
-                    mesh.fractions[k] / 2.0 * fb)
-                add(rr, np.full(n * ph.nx, lay.tf_idx),
-                    -mesh.fractions[k] / 2.0 * fb)
-                row += n * ph.nx
-
-            row = self._path_row[p]
-            for i_pc in range(len(ph.path)):
-                rr = row + np.arange(lay.nc)
-                for j in range(ph.nx):
-                    add(rr, lay.x_off + np.arange(lay.nc) * ph.nx + j,
-                        dP[i_pc][:, j])
-                for j in range(ph.nu):
-                    add(rr, lay.u_off + np.arange(lay.nc) * ph.nu + j,
-                        dP[i_pc][:, ph.nx + j])
-                row += lay.nc
-
-            acc_cache[p] = (Q, dQ, lay, t0, tf)
-
-        row = self._acc_row
-        for acc in self.problem.accumulators:
-            add([row], [self.acc_idx[acc.name]], [1.0])
-            for p, ph in enumerate(self.problem.phases):
-                terms = [i for i, t in enumerate(ph.integrands)
-                         if t.accumulator == acc.name]
-                if not terms:
-                    continue
-                Q, dQ, lay, t0, tf = acc_cache[p]
-                wts = (tf - t0) * lay.wts_tau
-                for it in terms:
-                    gx = -wts[:, None] * dQ[it][:, :ph.nx]
-                    gu = -wts[:, None] * dQ[it][:, ph.nx:]
-                    rr = np.full(lay.nc * ph.nx, row)
-                    add(rr, lay.x_off + np.arange(lay.nc * ph.nx), gx)
-                    if ph.nu:
-                        add(np.full(lay.nc * ph.nu, row),
-                            lay.u_off + np.arange(lay.nc * ph.nu), gu)
-                    s = float(lay.wts_tau @ Q[it])
-                    add([row, row], [lay.t0_idx, lay.tf_idx], [s, -s])
-            row += 1
-
-        for bc in self.problem.boundaries:
-            ph, lay = self.problem.phases[bc.phase], self.phase_layout[bc.phase]
-            X = self.states(z, bc.phase)
-            t0, tf = self.times(z, bc.phase)
-            args = (X[0].copy(), X[-1].copy(), t0, tf)
-            m = len(bc.lo)
-            d0 = self._fd_vector(bc.func, args, 0, m)
-            d1 = self._fd_vector(bc.func, args, 1, m)
-            dt0 = self._fd_vector(bc.func, args, 2, m)
-            dtf = self._fd_vector(bc.func, args, 3, m)
-            for j in range(m):
-                add(np.full(ph.nx, row + j),
-                    lay.x_off + np.arange(ph.nx), d0[j])
-                add(np.full(ph.nx, row + j),
-                    lay.x_off + (lay.nn - 1) * ph.nx + np.arange(ph.nx), d1[j])
-                add([row + j, row + j], [lay.t0_idx, lay.tf_idx],
-                    [dt0[j, 0], dtf[j, 0]])
-            row += m
-
-        for p in self._dur_phases:
-            lay = self.phase_layout[p]
-            add([row, row], [lay.t0_idx, lay.tf_idx], [-1.0, 1.0])
-            row += 1
-
-        for ln in self.problem.linkages:
-            pha, laya = self.problem.phases[ln.a], self.phase_layout[ln.a]
-            phb, layb = self.problem.phases[ln.b], self.phase_layout[ln.b]
-            Xa = self.states(z, ln.a)
-            Xb = self.states(z, ln.b)
-            _, taf = self.times(z, ln.a)
-            tb0, _ = self.times(z, ln.b)
-            args = (Xa[-1].copy(), taf, Xb[0].copy(), tb0)
-            m = len(ln.lo)
-            da = self._fd_vector(ln.func, args, 0, m)
-            dta = self._fd_vector(ln.func, args, 1, m)
-            db = self._fd_vector(ln.func, args, 2, m)
-            dtb = self._fd_vector(ln.func, args, 3, m)
-            for j in range(m):
-                add(np.full(pha.nx, row + j),
-                    laya.x_off + (laya.nn - 1) * pha.nx + np.arange(pha.nx), da[j])
-                add(np.full(phb.nx, row + j),
-                    layb.x_off + np.arange(phb.nx), db[j])
-                add([row + j, row + j], [laya.tf_idx, layb.t0_idx],
-                    [dta[j, 0], dtb[j, 0]])
-            row += m
-
-        rows_a = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-        cols_a = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-        vals_a = np.concatenate(vals) if vals else np.zeros(0)
-        jac = sp.coo_matrix((vals_a, (rows_a, cols_a)),
-                            shape=(self.n_con, self.n_var))
-        return jac.tocsr()
+        return self._derivatives(z)[1].copy()
 
     # ----- solution handling -----
 
@@ -899,12 +802,6 @@ class Solution:
     @property
     def tf(self) -> float:
         return self.phases[-1].tf
-
-    def phase_of(self, t: float) -> int:
-        for p, ph in enumerate(self.phases):
-            if t <= ph.tf or p == len(self.phases) - 1:
-                return p
-        return len(self.phases) - 1
 
 
 def transcribe(problem: MultiPhaseProblem,

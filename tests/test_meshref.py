@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ascentry import meshref
 from ascentry.meshref import (RefinementOptions, estimate_error, refine,
                               refine_loop)
 from ascentry.transcription import (MeshPhase, MultiPhaseProblem, PhaseDef,
@@ -157,3 +158,21 @@ def test_refine_loop_stops_when_mesh_cannot_change():
     # splitting is still allowed, so three passes run; no infinite loop
     assert rep.iterations <= 3
     assert rep.solution is not None
+
+
+def test_refine_loop_transcribes_only_meshes_it_solves(monkeypatch):
+    built = []
+
+    def counting_transcribe(problem, meshes):
+        built.append(meshes)
+        return transcribe(problem, meshes)
+
+    monkeypatch.setattr(meshref, "transcribe", counting_transcribe)
+    opts = RefinementOptions(mesh_tolerance=1e-6, max_refinements=1)
+    rep = refine_loop(_exp_problem(), [uniform_mesh(1, 3)],
+                      lambda nlp: nlp.clip_to_bounds(np.ones(nlp.n_var)), opts)
+    # the mesh needs refinement, but the one round allowed is spent
+    assert max(e.max() for e in rep.errors) > opts.mesh_tolerance
+    assert len(built) == len(rep.solve_reports) == 1
+    solved = transcribe(_exp_problem(), [ph.mesh for ph in rep.solution.phases])
+    assert len(rep.last_solve.x) == solved.n_var

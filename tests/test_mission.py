@@ -240,6 +240,14 @@ def test_initial_guess_packs_cleanly(cfg, guess_setup):
     assert viol.max() < 100.0
 
 
+def test_guess_jacobian_structure_is_the_declared_sparsity(guess_setup):
+    nlp, z0 = guess_setup
+    J = nlp.jacobian(z0).tocoo()
+    rows, cols = nlp.sparsity()
+    assert J.nnz == 23612
+    assert np.array_equal(J.row, rows) and np.array_equal(J.col, cols)
+
+
 def test_trajectory_table_and_csv(cfg, guess_setup, tmp_path):
     nlp, z0 = guess_setup
     sol = nlp.solution_from(z0)
@@ -258,15 +266,15 @@ def test_trajectory_table_and_csv(cfg, guess_setup, tmp_path):
     assert len(lines) == len(table) + 1
 
 
-def _report_with(sol, nlp):
+def _report_with(sol):
     return RefinementReport(converged=sol is not None, iterations=1,
-                            errors=[], solution=sol, nlp=nlp, meshes=[])
+                            errors=[], solution=sol)
 
 
 def test_summarize_run(cfg, guess_setup):
     nlp, z0 = guess_setup
     sol = nlp.solution_from(z0)
-    run = M.MissionRun(config=cfg, report=_report_with(sol, nlp),
+    run = M.MissionRun(config=cfg, report=_report_with(sol),
                        status="converged")
     res = M.summarize_run(run)
     assert res.converged
@@ -276,7 +284,7 @@ def test_summarize_run(cfg, guess_setup):
     assert res.entry_duration > 300.0
     assert res.heat_load > 0.0 and res.max_qdot > 0.0
 
-    empty = M.MissionRun(config=cfg, report=_report_with(None, None),
+    empty = M.MissionRun(config=cfg, report=_report_with(None),
                          status="infeasible")
     res2 = M.summarize_run(empty)
     assert not res2.converged and math.isnan(res2.objective)
@@ -291,8 +299,7 @@ def test_run_study_branch_semantics(cfg, monkeypatch):
         calls.append((c.limits.qdot_max, c.limits.q_heat_max, warm))
         ok = c.limits.q_heat_max >= 10.0
         rep = RefinementReport(converged=ok, iterations=1, errors=[],
-                               solution="marker" if ok else None, nlp=None,
-                               meshes=[])
+                               solution="marker" if ok else None)
         return M.MissionRun(config=c, report=rep,
                             status="converged" if ok else "infeasible")
 

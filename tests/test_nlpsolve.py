@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ascentry.nlpsolve import (FunctionNLP, SolverOptions, _CompactBFGS,
-                               color_columns, estimate_jacobian,
+from ascentry import nlpsolve
+from ascentry.nlpsolve import (FunctionNLP, SolveReport, SolverOptions,
+                               _CompactBFGS, color_columns, estimate_jacobian,
                                kkt_residuals, register_solver, solve,
                                SOLVER_PLUGINS)
 from ascentry.transcription import (MultiPhaseProblem, PhaseDef, transcribe,
@@ -73,22 +74,6 @@ def test_estimate_jacobian_banded():
     expect = np.diag(2 * x)
     expect[np.arange(1, n), np.arange(n - 1)] = 1.5 * x[:-1] ** 2
     assert np.allclose(J, expect, rtol=1e-6, atol=1e-7)
-
-
-def test_estimate_jacobian_threads_match_serial(monkeypatch):
-    n = 20
-
-    def con(z):
-        return np.cumsum(z ** 2)
-
-    nlp = FunctionNLP(n, lambda z: 0.0, constraints=con,
-                      c_lo=np.zeros(n), c_hi=np.zeros(n))
-    x = np.linspace(-1.0, 1.0, n)
-    monkeypatch.setenv("ASCENTRY_THREADS", "1")
-    serial = estimate_jacobian(nlp, x).toarray()
-    monkeypatch.setenv("ASCENTRY_THREADS", "4")
-    threaded = estimate_jacobian(nlp, x).toarray()
-    assert np.array_equal(serial, threaded)
 
 
 def test_estimate_jacobian_rejects_nonfinite_point():
@@ -249,3 +234,15 @@ def test_transcribed_min_effort_transfer():
     assert rep.converged
     assert abs(rep.objective - 1.0) < 1e-5
     assert np.abs(nlp.controls(rep.x, 0) - 1.0).max() < 1e-4
+
+
+def test_solve_reports_failed_final_evaluation(monkeypatch):
+    def objective(z):
+        raise RuntimeError("objective blew up")
+
+    nlp = FunctionNLP(2, objective)
+    monkeypatch.setattr(nlpsolve, "_solve_core", lambda nlp, x0, options:
+                        SolveReport("converged", 3, 0.0, 0.0, x0.copy()))
+    rep = solve(nlp, np.zeros(2))
+    assert rep.status == "numerical_failure"
+    assert "objective blew up" in rep.message

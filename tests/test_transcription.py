@@ -6,8 +6,9 @@ import pytest
 from ascentry.lgr import lgr_rule
 from ascentry.transcription import (Accumulator, BoundaryConstraint,
                                     EvaluationError, IntegralTerm, Linkage,
-                                    MeshPhase, MultiPhaseProblem, PathConstraint,
-                                    PhaseDef, transcribe, uniform_mesh)
+                                    MeshPhase, MultiPhaseProblem, NLPProblem,
+                                    PathConstraint, PhaseDef, transcribe,
+                                    uniform_mesh)
 
 
 def _double_integrator(tf_lo=2.0, tf_hi=2.0, **kw):
@@ -170,13 +171,13 @@ def test_min_duration_row_only_when_time_free():
     assert free.c_lo[k] == 0.5 and free.c_hi[k] == np.inf
 
 
-def _two_phase_linked():
-    ph0 = _double_integrator(tf_lo=1.0, tf_hi=3.0)
+def _two_phase_linked(cost=None):
+    ph0 = _double_integrator(tf_lo=1.0, tf_hi=3.0, cost=cost)
     ph1 = PhaseDef(
         "cart2", 2, 1,
         lambda X, U: np.column_stack([X[:, 1], U[:, 0]]),
         x_lo=[-50.0, -50.0], x_hi=[50.0, 50.0], u_lo=[-10.0], u_hi=[10.0],
-        t0_lo=1.0, t0_hi=3.0, tf_lo=4.0, tf_hi=4.0)
+        t0_lo=1.0, t0_hi=3.0, tf_lo=4.0, tf_hi=4.0, cost=cost)
     link = Linkage("handoff", 0, 1,
                    lambda xa, ta, xb, tb: np.concatenate([xb - xa, [tb - ta]]),
                    np.zeros(3), np.zeros(3))
@@ -207,10 +208,7 @@ def test_linkage_and_boundary_rows():
     assert nlp.constraints(z2)[link_rows[-1]] == pytest.approx(0.5)
 
 
-def test_jacobian_exact_on_bilinear_problem():
-    # affine dynamics and path make every constraint bilinear in z, so the
-    # central differences underneath the jacobian are exact; compare against
-    # a brute-force dense differencing of the constraint vector
+def _bilinear_one_phase():
     ph = _double_integrator(
         tf_lo=1.0, tf_hi=4.0,
         path=[PathConstraint("lane", lambda X, U: X[:, 0] + 0.3 * U[:, 0],
@@ -221,11 +219,28 @@ def test_jacobian_exact_on_bilinear_problem():
         boundaries=[BoundaryConstraint(
             "ends", 0, lambda x0, xf, t0, tf: np.array([x0[0], xf[0] - 1.0]),
             np.zeros(2), np.zeros(2))])
-    nlp = transcribe(prob, [MeshPhase([0.4, 0.6], [3, 2])])
+    return prob, [MeshPhase([0.4, 0.6], [3, 2])], [(0.0, 2.7)]
+
+
+def _bilinear_two_phase_linked():
+    return (_two_phase_linked(), [uniform_mesh(2, 3), uniform_mesh(1, 4)],
+            [(0.0, 1.4), (1.7, 4.0)])
+
+
+@pytest.mark.parametrize("build", [_bilinear_one_phase,
+                                   _bilinear_two_phase_linked],
+                         ids=["one-phase", "two-phase-linked"])
+def test_jacobian_exact_on_bilinear_problem(build):
+    # affine dynamics, path, boundary and linkage functions make every
+    # constraint bilinear in z, so the central differences underneath the
+    # jacobian are exact; compare against a brute-force dense differencing
+    # of the constraint vector
+    prob, meshes, times = build()
+    nlp = transcribe(prob, meshes)
     rng = np.random.default_rng(0)
     z = rng.uniform(-1.0, 1.0, nlp.n_var)
-    z[nlp.phase_layout[0].t0_idx] = 0.0
-    z[nlp.phase_layout[0].tf_idx] = 2.7
+    for lay, (t0, tf) in zip(nlp.phase_layout, times):
+        z[lay.t0_idx], z[lay.tf_idx] = t0, tf
     J = nlp.jacobian(z).toarray()
     dense = np.zeros_like(J)
     h = 1e-6
@@ -237,19 +252,51 @@ def test_jacobian_exact_on_bilinear_problem():
     assert np.allclose(J, dense, rtol=1e-6, atol=1e-7)
 
 
-def test_jacobian_matches_declared_sparsity():
-    nlp = transcribe(_two_phase_linked(), [uniform_mesh(2, 3),
-                                           uniform_mesh(1, 4)])
-    rng = np.random.default_rng(4)
+def _linked_point(nlp, seed):
+    rng = np.random.default_rng(seed)
     z = nlp.clip_to_bounds(rng.uniform(-1.0, 1.0, nlp.n_var))
     z[nlp.phase_layout[0].t0_idx] = 0.0
     z[nlp.phase_layout[0].tf_idx] = 2.0
     z[nlp.phase_layout[1].t0_idx] = 2.0
     z[nlp.phase_layout[1].tf_idx] = 4.0
-    J = nlp.jacobian(z).tocoo()
-    declared = set(zip(*nlp.sparsity()))
+    return z
+
+
+def test_jacobian_matches_declared_sparsity():
+    nlp = transcribe(_two_phase_linked(), [uniform_mesh(2, 3),
+                                           uniform_mesh(1, 4)])
+    J = nlp.jacobian(_linked_point(nlp, 4)).tocoo()
+    declared = list(zip(*nlp.sparsity()))
     actual = set(zip(J.row.tolist(), J.col.tolist()))
-    assert actual <= declared
+    assert len(set(declared)) == len(declared)
+    assert actual == set(declared)
+
+
+def test_gradient_and_jacobian_share_one_node_probe(monkeypatch):
+    cost = lambda X, U: U[:, 0] ** 2 + X[:, 1] ** 2 * X[:, 0]
+    meshes = [uniform_mesh(2, 3), uniform_mesh(1, 4)]
+    nlp = transcribe(_two_phase_linked(cost), meshes)
+    calls = []
+    node_fd = NLPProblem._node_fd
+    monkeypatch.setattr(NLPProblem, "_node_fd",
+                        lambda self, *a: calls.append(1) or node_fd(self, *a))
+    z = _linked_point(nlp, 5)
+    g = nlp.objective_gradient(z)
+    J = nlp.jacobian(z)
+    assert len(calls) == len(meshes)
+    # results are copies: editing them leaves the kept pair intact
+    g[:] = 0.0
+    J.data[:] = 0.0
+    assert np.any(nlp.objective_gradient(z) != 0.0)
+    assert nlp.jacobian(z).count_nonzero() > 0
+    assert len(calls) == len(meshes)
+    # an in-place edit of the same array is a new point
+    z[nlp.phase_layout[1].u_off] += 0.25
+    z[nlp.phase_layout[0].x_off + 3] -= 0.5
+    fresh = transcribe(_two_phase_linked(cost), meshes)
+    assert np.array_equal(nlp.jacobian(z).toarray(), fresh.jacobian(z).toarray())
+    assert np.array_equal(nlp.objective_gradient(z), fresh.objective_gradient(z))
+    assert len(calls) == 3 * len(meshes)
 
 
 def test_objective_gradient_matches_fd():
