@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator, RegularGridInterpolator
+from scipy.interpolate import PchipInterpolator
 
 
 @dataclass(frozen=True)
@@ -81,25 +81,125 @@ class AtmosphereTable:
         return out[0] if scalar else out
 
 
+class _PchipAxis:
+    """One grid axis with the fixed weights of scipy's PCHIP slope rule.
+
+    Inside: the weighted harmonic mean of the neighbouring secants, zero
+    where they change sign or either is flat.  At each end: the one-sided
+    three-point formula, zeroed where its sign differs from the end
+    secant's, and set to three times that secant where the first two
+    secants change sign and it exceeds that.  Two knots give the secant at
+    both ends, so the interpolant is linear.
+    """
+
+    _EDGE, _NEXT = np.array([0, -1]), np.array([1, -2])  # end, next one in
+
+    def __init__(self, knots):
+        self.knots = knots
+        self.h = h = np.diff(knots)[:, None]
+        if len(h) > 1:
+            self.w1 = 2 * h[1:] + h[:-1]
+            self.w2 = h[1:] + 2 * h[:-1]
+            self.w12 = self.w1 + self.w2
+            h0, h1 = h[self._EDGE], h[self._NEXT]
+            self.h0, self.e1, self.e0 = h0, 2 * h0 + h1, h0 + h1
+
+    def interval(self, q):
+        """Index i with knots[i] <= q < knots[i+1]; the last one from the
+        end knot on."""
+        return np.searchsorted(self.knots[1:-1], q, side="right")
+
+    def slopes(self, m):
+        """Node slopes along axis 0 from the secants m, shape (n-1, k)."""
+        if len(m) == 1:
+            return np.concatenate([m, m])
+        sm = np.sign(m)
+        d = np.empty((len(m) + 1,) + m.shape[1:])
+        # flat entries are discarded; tiny secants overflow to a zero slope
+        with np.errstate(all="ignore"):
+            d[1:-1] = np.where(sm[1:] * sm[:-1] <= 0, 0.0,
+                               1.0 / ((self.w1 / m[:-1] + self.w2 / m[1:]) / self.w12))
+        m0, s0, s1 = m[self._EDGE], sm[self._EDGE], sm[self._NEXT]
+        e = (self.e1 * m0 - self.h0 * m[self._NEXT]) / self.e0
+        flip = np.sign(e) != s0
+        overshoot = (s0 != s1) & (np.abs(e) > 3.0 * np.abs(m0))
+        e[overshoot] = 3.0 * m0[overshoot]
+        e[flip] = 0.0
+        d[self._EDGE] = e
+        return d
+
+
+def _hermite_coefficients(h, y0, d0, d1, slope):
+    """Cubic Hermite coefficients on an interval of width h, highest power
+    first, as scipy's CubicHermiteSpline forms them."""
+    t = (d0 + d1 - 2 * slope) / h
+    return t / h, (slope - d0) / h - t, d0, y0
+
+
+def _hermite(c, s):
+    """c[0] s^3 + c[1] s^2 + c[2] s + c[3], summed in scipy's PPoly order."""
+    s2 = s * s
+    return ((c[3] + c[2] * s) + c[1] * s2) + c[0] * (s2 * s)
+
+
+class _TensorPchip:
+    """Tensor-product PCHIP on an (alpha, mach) grid: along Mach first, then
+    along alpha through the Mach-interpolated column, as scipy's
+    RegularGridInterpolator(method="pchip") does point by point."""
+
+    def __init__(self, alpha: _PchipAxis, mach: _PchipAxis, table):
+        self.alpha = alpha
+        self.mach = mach
+        y = table.T                                   # (n_mach, n_alpha)
+        slope = np.diff(y, axis=0) / mach.h
+        d = mach.slopes(slope)
+        # (n_mach-1, 4, n_alpha): one cubic per Mach interval and alpha row
+        self.coef = np.stack(
+            _hermite_coefficients(mach.h, y[:-1], d[:-1], d[1:], slope), axis=1)
+
+    def __call__(self, a, m):
+        """Values at points a, m inside the hull, both 1-D of one length."""
+        k = self.mach.interval(m)
+        cols = _hermite(self.coef[k].transpose(1, 2, 0), m - self.mach.knots[k])
+        slope = np.diff(cols, axis=0) / self.alpha.h  # (n_alpha-1, n_points)
+        d = self.alpha.slopes(slope)
+        j = self.alpha.interval(a)
+        p = np.arange(len(a))
+        c = _hermite_coefficients(self.alpha.h[j, 0], cols[j, p], d[j, p],
+                                  d[j + 1, p], slope[j, p])
+        return _hermite(c, a - self.alpha.knots[j])
+
+
 class AeroTable:
-    """CL/CD tables on an (alpha_deg, mach) grid, shape-preserving tensor
-    interpolation, queries clamped to the grid hull."""
+    """CL/CD tables on an (alpha_deg, mach) grid, queries clamped to the
+    grid hull.
+
+    Both coefficients interpolate by one rule, a tensor-product PCHIP: the
+    same function as scipy's RegularGridInterpolator(method="pchip"), to
+    round-off, for every table with at least two knots per axis.  An axis
+    with two knots interpolates linearly.  The Mach-axis cubics are fixed
+    with the table and built once; each query evaluates them for all alpha
+    rows at once and then takes the alpha-axis slopes of those columns as
+    one batch.
+    """
 
     def __init__(self, alpha_deg, mach, cl, cd):
         self.alpha_deg = np.asarray(alpha_deg, dtype=float)
         self.mach = np.asarray(mach, dtype=float)
         self.cl_table = np.asarray(cl, dtype=float)
         self.cd_table = np.asarray(cd, dtype=float)
+        for grid in (self.alpha_deg, self.mach):
+            if grid.ndim != 1 or len(grid) < 2:
+                raise ValueError("each grid axis needs at least two knots")
         if self.cl_table.shape != (len(self.alpha_deg), len(self.mach)):
             raise ValueError("CL table shape does not match grids")
         if self.cd_table.shape != self.cl_table.shape:
             raise ValueError("CD table shape does not match CL table")
         if np.any(np.diff(self.alpha_deg) <= 0) or np.any(np.diff(self.mach) <= 0):
             raise ValueError("grids must be strictly increasing")
-        method = "pchip" if min(len(self.alpha_deg), len(self.mach)) >= 4 else "linear"
-        grid = (self.alpha_deg, self.mach)
-        self._cl = RegularGridInterpolator(grid, self.cl_table, method=method)
-        self._cd = RegularGridInterpolator(grid, self.cd_table, method=method)
+        axes = _PchipAxis(self.alpha_deg), _PchipAxis(self.mach)
+        self._cl = _TensorPchip(*axes, self.cl_table)
+        self._cd = _TensorPchip(*axes, self.cd_table)
 
     @classmethod
     def from_csv(cls, cl_path, cd_path) -> "AeroTable":
@@ -120,15 +220,12 @@ class AeroTable:
     def _query(self, interp, alpha_deg, mach):
         a = np.asarray(alpha_deg, dtype=float)
         m = np.asarray(mach, dtype=float)
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(m))):
+        if not (np.isfinite(a).all() and np.isfinite(m).all()):
             raise ValueError("aero queries must be finite")
         scalar = a.ndim == 0 and m.ndim == 0
         a, m = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(m))
-        pts = np.column_stack([
-            np.clip(a, self.alpha_deg[0], self.alpha_deg[-1]),
-            np.clip(m, self.mach[0], self.mach[-1]),
-        ])
-        out = interp(pts)
+        out = interp(np.minimum(np.maximum(a, self.alpha_deg[0]), self.alpha_deg[-1]),
+                     np.minimum(np.maximum(m, self.mach[0]), self.mach[-1]))
         return out[0] if scalar else out
 
     def cl(self, alpha_deg, mach):

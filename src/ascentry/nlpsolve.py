@@ -644,8 +644,9 @@ def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveRep
             _violation(nlp.constraints(rep.x), nlp.c_lo, nlp.c_hi),
             _violation(rep.x, nlp.z_lo, nlp.z_hi))
     except Exception as e:
-        rep.status = "numerical_failure"
-        rep.message = f"final evaluation failed: {e}"
+        if rep.status != "numerical_failure":   # keep the first failure's cause
+            rep.status = "numerical_failure"
+            rep.message = f"final evaluation failed: {e}"
     return rep
 
 
@@ -675,6 +676,7 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
         close_log()
         return SolveReport(status="numerical_failure", iterations=0,
                            objective=np.nan, violation=np.inf, x=x,
+                           multipliers=np.zeros(m), bound_multipliers=np.zeros(n),
                            message=f"initial evaluation failed: {e}")
 
     # equilibrate constraint rows once, from the first Jacobian, so the

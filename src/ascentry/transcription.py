@@ -647,7 +647,9 @@ class NLPProblem:
 
     def _derivatives(self, z):
         """(objective gradient, constraint Jacobian) at z from one node probe
-        per phase; the last point's pair is kept, since callbacks are pure."""
+        per phase; the last point's pair is kept, since callbacks are pure.
+        A non-finite entry raises EvaluationError naming its constraint row,
+        or its variable for the gradient."""
         z = np.asarray(z, dtype=float)
         if self._last is None or not np.array_equal(self._last[0], z):
             pts = [self._phase_point(z, p) for p in range(len(self.problem.phases))]
@@ -663,6 +665,14 @@ class NLPProblem:
                 if pt.L is not None:
                     g[cols] += _quadrature_rows(
                         lay.wts_tau, pt, [pt.L], pt.dL[None])[0]
+            bad = np.flatnonzero(~np.isfinite(data))
+            if len(bad):
+                i = int(np.searchsorted(plan.indptr, bad[0], side="right")) - 1
+                raise EvaluationError("Jacobian row", i, self.con_names[i])
+            bad = np.flatnonzero(~np.isfinite(g))
+            if len(bad):
+                j = int(bad[0])
+                raise EvaluationError("gradient", j, self.var_names[j])
             self._last = (z.copy(), g, J)
         return self._last[1], self._last[2]
 

@@ -248,6 +248,39 @@ def test_guess_jacobian_structure_is_the_declared_sparsity(guess_setup):
     assert np.array_equal(J.row, rows) and np.array_equal(J.col, cols)
 
 
+def test_guess_derivatives_match_directional_differences(cfg, guess_setup):
+    """jacobian @ v and gradient . v against central differences of the
+    constraints and the objective, along seeded directions.  The directions
+    hold fixed every variable near a bound and every incidence state near
+    its aero table's edge: the tables clamp incidence there, so the
+    constraints have a kink and no difference quotient is a derivative (the
+    guess starts the entry glide at 0 deg, the entry table's first row)."""
+    nlp, z0 = guess_setup
+    J = nlp.jacobian(z0)
+    g = nlp.objective_gradient(z0)
+    scale = np.maximum(1.0, np.abs(z0))
+    margin = 1e-4 * scale
+    free = (z0 - nlp.z_lo > margin) & (nlp.z_hi - z0 > margin)
+    for p, ctx in enumerate(M.phase_contexts(cfg)):
+        if ctx.aero is None:
+            continue
+        idx = [i for i, name in enumerate(nlp.var_names)
+               if name.startswith(f"p{p}:") and ":x:alpha:" in name]
+        for edge in np.radians(ctx.aero.alpha_deg[[0, -1]]):
+            free[idx] &= np.abs(z0[idx] - edge) > margin[idx]
+    rng = np.random.default_rng(2104)
+    step = 1e-6
+    for _ in range(3):
+        v = free * scale * rng.standard_normal(nlp.n_var)
+        dc = (nlp.constraints(z0 + step * v)
+              - nlp.constraints(z0 - step * v)) / (2 * step)
+        df = (nlp.objective(z0 + step * v)
+              - nlp.objective(z0 - step * v)) / (2 * step)
+        row_scale = abs(J) @ np.abs(v) + np.abs(dc) + 1e-8
+        assert np.all(np.abs(J @ v - dc) <= 1e-5 * row_scale)
+        assert abs(g @ v - df) <= 1e-5 * (np.abs(g) @ np.abs(v) + abs(df) + 1e-8)
+
+
 def test_trajectory_table_and_csv(cfg, guess_setup, tmp_path):
     nlp, z0 = guess_setup
     sol = nlp.solution_from(z0)

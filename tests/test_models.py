@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
 from ascentry.models import (AeroTable, AtmosphereTable, EarthConstants,
                              ENTRY_ALPHA_EXTENDED, extend_entry_aero,
@@ -141,6 +142,116 @@ def test_aero_from_csv_rejects_mismatched_grids(tmp_path):
 def test_aero_table_shape_validation():
     with pytest.raises(ValueError):
         AeroTable([0.0, 5.0], [1.0, 2.0], np.ones((2, 3)), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("alpha,mach", [([0.0], [1.0, 2.0]),
+                                        ([0.0, 5.0], [1.0])])
+def test_aero_table_needs_two_knots_per_axis(alpha, mach):
+    shape = (len(alpha), len(mach))
+    with pytest.raises(ValueError):
+        AeroTable(alpha, mach, np.ones(shape), np.ones(shape))
+
+
+def _pchip_oracle(t, a, m):
+    """scipy's tensor PCHIP at the clamped points, CL and CD in one pass."""
+    rgi = RegularGridInterpolator((t.alpha_deg, t.mach),
+                                  np.dstack([t.cl_table, t.cd_table]),
+                                  method="pchip")
+    with np.errstate(over="ignore"):  # harmonic mean of tiny secants
+        out = rgi(np.column_stack([np.clip(a, t.alpha_deg[0], t.alpha_deg[-1]),
+                                   np.clip(m, t.mach[0], t.mach[-1])]))
+    return out[:, 0], out[:, 1]
+
+
+def _oracle_points(t, rng, n):
+    """Every knot, n seeded points inside the hull, n/10 on each hull edge
+    and n/10 beyond the hull."""
+    a0, a1, m0, m1 = t.alpha_deg[0], t.alpha_deg[-1], t.mach[0], t.mach[-1]
+    ka, km = np.meshgrid(t.alpha_deg, t.mach, indexing="ij")
+    k = max(n // 10, 1)
+    edge_a, edge_m = rng.uniform(a0, a1, k), rng.uniform(m0, m1, k)
+    a = np.concatenate([ka.ravel(), rng.uniform(a0, a1, n),
+                        np.full(k, a0), np.full(k, a1), edge_a, edge_a,
+                        rng.uniform(a0 - 10.0, a1 + 10.0, k)])
+    m = np.concatenate([km.ravel(), rng.uniform(m0, m1, n),
+                        edge_m, edge_m, np.full(k, m0), np.full(k, m1),
+                        rng.uniform(m0 - 2.0, m1 + 10.0, k)])
+    return a, m
+
+
+@pytest.mark.parametrize("load", [load_boost_aero, load_entry_aero])
+def test_aero_table_matches_scipy_pchip(load):
+    t = load()
+    a, m = _oracle_points(t, np.random.default_rng(12296), 2000)
+    cl, cd = _pchip_oracle(t, a, m)
+    assert np.abs(t.cl(a, m) - cl).max() <= 1e-14
+    assert np.abs(t.cd(a, m) - cd).max() <= 1e-14
+    # points beyond the hull read the hull's value
+    assert t.cl(t.alpha_deg[-1] + 7.0, t.mach[-1] + 3.0) == \
+        t.cl(t.alpha_deg[-1], t.mach[-1])
+
+
+@pytest.mark.parametrize("load", [load_boost_aero, load_entry_aero])
+def test_aero_batch_equals_single_queries(load):
+    t = load()
+    a, m = _oracle_points(t, np.random.default_rng(7), 100)
+    for query in (t.cl, t.cd):
+        one = np.array([query(x, y) for x, y in zip(a, m)])
+        assert np.array_equal(query(a, m), one)
+    # one scalar query with array partner broadcasts
+    assert np.array_equal(t.cl(3.0, m[:5]), t.cl(np.full(5, 3.0), m[:5]))
+
+
+def test_two_knot_axis_interpolates_linearly():
+    mach = np.array([0.5, 1.0, 2.0, 4.0])
+    cl = np.array([[0.1, 0.3, 0.2, 0.4], [0.5, -0.2, 0.9, 0.0]])
+    t = AeroTable([0.0, 10.0], mach, cl, cl + 1.0)
+    for mq in (0.7, 1.5, 3.9):
+        lo, hi = t.cl(0.0, mq), t.cl(10.0, mq)
+        for w in (0.25, 0.5, 0.9):
+            assert t.cl(10.0 * w, mq) == pytest.approx(lo + w * (hi - lo),
+                                                       abs=1e-14)
+
+
+def _table_row(kind, n, draw):
+    vals = st.floats(-3.0, 3.0, allow_nan=False)
+    if kind == "flat":
+        return np.full(n, draw(vals))
+    if kind == "monotone":
+        steps = draw(st.lists(st.floats(0.0, 2.0), min_size=n - 1,
+                              max_size=n - 1))
+        return draw(vals) + draw(st.sampled_from([-1.0, 1.0])) * np.concatenate(
+            [[0.0], np.cumsum(steps)])
+    return np.array(draw(st.lists(vals, min_size=n, max_size=n)))
+
+
+@st.composite
+def _random_tables(draw):
+    def grid(n):
+        gaps = draw(st.lists(st.floats(0.05, 4.0), min_size=n - 1,
+                             max_size=n - 1))
+        return draw(st.floats(-5.0, 5.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+
+    na, nm = draw(st.integers(4, 8)), draw(st.integers(4, 8))
+    kinds = st.sampled_from(["flat", "monotone", "sign-changing"])
+    cl = np.array([_table_row(draw(kinds), nm, draw) for _ in range(na)])
+    # CD's rows run along alpha, so each kind of row meets both axes
+    cd = np.array([_table_row(draw(kinds), na, draw) for _ in range(nm)]).T
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return AeroTable(grid(na), grid(nm), cl, cd), seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_tables())
+def test_random_tables_match_scipy_pchip_and_their_knots(case):
+    t, seed = case
+    a, m = _oracle_points(t, np.random.default_rng(seed), 40)
+    cl, cd = _pchip_oracle(t, a, m)
+    for query, ref, table in ((t.cl, cl, t.cl_table), (t.cd, cd, t.cd_table)):
+        tol = 1e-12 * max(1.0, np.abs(table).max())
+        assert np.abs(query(a, m) - ref).max() <= tol
+        ka, km = np.meshgrid(t.alpha_deg, t.mach, indexing="ij")
+        assert np.abs(query(ka.ravel(), km.ravel()) - table.ravel()).max() <= tol
 
 
 # -- drag polar

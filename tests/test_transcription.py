@@ -356,6 +356,39 @@ def test_nonfinite_callback_is_reported():
     assert "def" in err.value.name
 
 
+def _blows_up_past(limit, value):
+    """inf where value > limit, else value."""
+    return np.where(value > limit, np.inf, value)
+
+
+def test_nonfinite_jacobian_is_reported_by_row():
+    ph = _double_integrator(tf_lo=1.0, tf_hi=4.0)
+    ph.dynamics = lambda X, U: np.column_stack([_blows_up_past(0.5, X[:, 0]),
+                                                U[:, 0]])
+    nlp = transcribe(MultiPhaseProblem([ph]), [uniform_mesh(1, 3)])
+    X = np.zeros((4, 2))
+    X[1, 0] = 0.5 - 1e-9      # the +h probe of node 1 crosses the limit
+    z = nlp.pack([X], [np.zeros((3, 1))], [(0.0, 2.0)])
+    assert np.all(np.isfinite(nlp.constraints(z)))
+    for derivative in (nlp.jacobian, nlp.objective_gradient):
+        with pytest.raises(EvaluationError) as err:
+            derivative(z)
+        assert err.value.name == "p0:cart:def:k0:n1:x0"
+
+
+def test_nonfinite_gradient_is_reported_by_variable():
+    ph = _double_integrator(cost=lambda X, U: _blows_up_past(1.0, U[:, 0]) ** 2)
+    nlp = transcribe(MultiPhaseProblem([ph]), [uniform_mesh(1, 3)])
+    U = np.zeros((3, 1))
+    U[2, 0] = 1.0 - 1e-9
+    z = nlp.pack([np.zeros((4, 2))], [U], [(0.0, 2.0)])
+    assert np.isfinite(nlp.objective(z))
+    with pytest.raises(EvaluationError) as err:
+        nlp.objective_gradient(z)
+    assert err.value.name == "p0:cart:u:u0:n2"
+    assert err.value.index == nlp.var_names.index("p0:cart:u:u0:n2")
+
+
 def test_dump_layout_deterministic(tmp_path):
     def build():
         return transcribe(_two_phase_linked(), [uniform_mesh(2, 3),
