@@ -250,13 +250,13 @@ class _CompactBFGS:
 
 
 class _QPResult:
-    def __init__(self, d, y, iterations, primal_res, dual_res):
+    def __init__(self, d, y, iterations, primal_res, dual_res, converged):
         self.d = d
         self.y = y
         self.iterations = iterations
         self.primal_res = primal_res
         self.dual_res = dual_res
-        self.method = "admm"
+        self.converged = converged  # met its tolerance before its cap
 
 
 def _kkt_solver(bfgs: _CompactBFGS, A: sp.csr_matrix, reg: float):
@@ -385,7 +385,7 @@ def _active_set_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
             r_p = float(viol[hard].max(initial=0.0))
             r_d = float(np.abs(bfgs.mul(d) + q_eff
                                + (A.T @ nu if len(act) else 0.0)).max())
-            return _QPResult(d, y, pivot, r_p, r_d)
+            return _QPResult(d, y, pivot, r_p, r_d, True)
         eq_act = (eq_act & ~rel_lo & ~rel_hi) | ((back_lo | back_hi) & tied)
         act_lo = (act_lo & ~drops_lo & ~rel_lo) | adds_lo | (back_lo & ~tied)
         act_hi = (act_hi & ~drops_hi & ~rel_hi) | adds_hi | (back_hi & ~tied)
@@ -394,15 +394,13 @@ def _active_set_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
     return None
 
 
-def _solve_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
-              l: np.ndarray, u: np.ndarray, y0: np.ndarray,
-              eps: float, max_iter: int, polish: bool,
-              n_soft: int = 0, pi: float = np.inf) -> _QPResult:
-    """min 1/2 d'Bd + q'd  s.t.  l <= Cd <= u; active-set first, then ADMM."""
-    direct = _active_set_qp(bfgs, q, C, l, u, y0, n_soft, pi)
-    if direct is not None:
-        direct.method = "pdas"
-        return direct
+def _admm_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
+             l: np.ndarray, u: np.ndarray, y0: np.ndarray,
+             eps: float, max_iter: int, polish: bool) -> _QPResult:
+    """min 1/2 d'Bd + q'd  s.t.  l <= Cd <= u by ADMM, every row hard.
+
+    The fallback when the active-set pass will not settle.  It has no
+    elastic rows, so it does not depend on the elastic weight."""
     n = len(q)
     m = C.shape[0]
     row_inf = np.maximum(np.abs(C).max(axis=1).toarray().ravel(), 1e-10)
@@ -443,6 +441,7 @@ def _solve_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
     Ksolve = factorize()
     it = 0
     r_p = r_d = np.inf
+    converged = False
     check_every = 25
     while it < max_iter:
         rhs = sigma * x - q + Cs.T @ (rho * z - y)
@@ -463,6 +462,7 @@ def _solve_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
             sc_d = max(np.abs(bfgs.mul(x)).max(), np.abs(q).max(),
                        np.abs(Cs.T @ y).max() if m else 0.0, 1.0)
             if r_p <= eps * sc_p and r_d <= eps * sc_d:
+                converged = True
                 break
             if it % 200 == 0:
                 ratio = np.sqrt((r_p / sc_p) / max(r_d / sc_d, 1e-16))
@@ -476,7 +476,7 @@ def _solve_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
         pol = _polish(bfgs, q, C, l, u, x, y_orig)
         if pol is not None:
             x, y_orig = pol
-    return _QPResult(x, y_orig, it, r_p, r_d)
+    return _QPResult(x, y_orig, it, r_p, r_d, converged)
 
 
 def _polish(bfgs, q, C, l, u, x, y):
@@ -591,17 +591,22 @@ def kkt_residuals(nlp, x, y_con, y_bnd):
         stat = g + y_bnd
     feas = max(_violation(c, nlp.c_lo, nlp.c_hi),
                _violation(x, nlp.z_lo, nlp.z_hi))
-    comp = 0.0
-    for vals, lo, hi, mult in ((c, nlp.c_lo, nlp.c_hi, y_con),
-                               (x, nlp.z_lo, nlp.z_hi, y_bnd)):
-        for i in range(len(vals)):
-            if mult[i] > 0 and np.isfinite(hi[i]):
-                comp = max(comp, mult[i] * abs(hi[i] - vals[i]))
-            elif mult[i] < 0 and np.isfinite(lo[i]):
-                comp = max(comp, -mult[i] * abs(vals[i] - lo[i]))
-            elif mult[i] != 0:
-                comp = max(comp, abs(mult[i]))
+    comp = _complementarity((c, nlp.c_lo, nlp.c_hi, y_con),
+                            (x, nlp.z_lo, nlp.z_hi, y_bnd))
     return float(np.abs(stat).max()), feas, comp
+
+
+def _complementarity(*groups) -> float:
+    """Largest |multiplier| times the gap to the bound it pushes on, over
+    (values, lo, hi, multipliers) groups; against an infinite bound the gap
+    counts as one, so the multiplier itself is the residual."""
+    comp = 0.0
+    for vals, lo, hi, mult in groups:
+        on = mult != 0
+        bound = np.where(mult[on] > 0, hi[on], lo[on])
+        gap = np.where(np.isfinite(bound), np.abs(bound - vals[on]), 1.0)
+        comp = max(comp, float(np.abs(mult[on] * gap).max(initial=0.0)))
+    return comp
 
 
 SOLVER_PLUGINS: dict[str, Callable] = {}
@@ -701,6 +706,9 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
     message = ""
     it = 0
     no_progress = 0
+    accepted_steps = 0
+    rough_steps = 0     # accepted steps from a QP stopped at its cap
+    last_rough = None
 
     for it in range(1, options.max_iterations + 1):
         feas = max(_violation(c, c_lo, c_hi),
@@ -710,19 +718,8 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
         else:
             stat_vec = g + y_bnd
         stat = float(np.abs(stat_vec).max())
-        comp = 0.0
-        for vals, lo, hi, mult in ((c, c_lo, c_hi, y_con),
-                                   (x, nlp.z_lo, nlp.z_hi, y_bnd)):
-            if len(vals) == 0:
-                continue
-            up = mult > 0
-            dn = mult < 0
-            if np.any(up):
-                gap = np.where(np.isfinite(hi[up]), np.abs(hi[up] - vals[up]), 1.0)
-                comp = max(comp, float((mult[up] * gap).max()))
-            if np.any(dn):
-                gap = np.where(np.isfinite(lo[dn]), np.abs(vals[dn] - lo[dn]), 1.0)
-                comp = max(comp, float((-mult[dn] * gap).max()))
+        comp = _complementarity((c, c_lo, c_hi, y_con),
+                                (x, nlp.z_lo, nlp.z_hi, y_bnd))
         # stationarity is scaled by gradient and multiplier size: the dual
         # residual inherits the units of whichever is largest
         ymax = max(float(np.abs(y_con).max()) if m else 0.0,
@@ -751,11 +748,19 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
         if mu > 100.0 * (2.0 * y_prev + 1.0):
             mu = 10.0 * (2.0 * y_prev + 1.0)
         # raise the elastic weight until the subproblem stops leaving
-        # linearized violation behind that a larger weight would remove
+        # linearized violation behind that a larger weight would remove;
+        # active-set first, then ADMM, which ignores the weight and so is
+        # solved at most once per iteration
+        fallback = None
         while True:
-            qp = _solve_qp(bfgs, g, C, l_full, u_full, y0_full, eps_qp,
-                           options.qp_max_iterations, polish,
-                           n_soft=m, pi=mu)
+            qp = _active_set_qp(bfgs, g, C, l_full, u_full, y0_full,
+                                n_soft=m, pi=mu)
+            if qp is None:
+                if fallback is None:
+                    fallback = _admm_qp(bfgs, g, C, l_full, u_full, y0_full,
+                                        eps_qp, options.qp_max_iterations,
+                                        polish)
+                qp = fallback
             v_lin = _violation_l1(c + J @ qp.d, c_lo, c_hi) if m else 0.0
             if v_lin <= max(1e-8, 1e-6 * v1) or mu >= 1e10:
                 break
@@ -818,6 +823,10 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
             continue
 
         no_progress = 0
+        accepted_steps += 1
+        if not qp.converged:
+            rough_steps += 1
+            last_rough = qp
         if t >= 0.99:
             delta = min(delta * 2.0, 1e6)
         elif t < 0.1:
@@ -855,6 +864,11 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
     if status == "converged" and feas > tol:
         status = "max_iterations"
     close_log()
+    if rough_steps and not message:
+        message = (f"{rough_steps} of {accepted_steps} accepted steps came "
+                   "from a QP subproblem that stopped at its iteration cap "
+                   f"(last primal residual {last_rough.primal_res:.3g}, "
+                   f"dual residual {last_rough.dual_res:.3g})")
     stat_final = float(np.abs((g + J.T @ y_con + y_bnd) if m
                               else (g + y_bnd)).max())
     return SolveReport(status=status, iterations=it, objective=f,

@@ -1,4 +1,5 @@
 import numpy as np
+import scipy.sparse as sp
 import pytest
 
 from ascentry import nlpsolve
@@ -265,3 +266,93 @@ def test_nonfinite_derivatives_end_the_solve_as_a_failed_evaluation():
     rep = solve(nlp, z0)
     assert rep.status == "numerical_failure"
     assert "p0:scalar:def:k0:n1:x0" in rep.message
+
+
+def _unreachable_tie():
+    # c(x) = x tied at 1e5 from x0 = 0: the trust box keeps the linearized
+    # row violated, so the elastic weight climbs to its cap every iteration
+    return FunctionNLP(1, lambda z: float(z[0] ** 2), gradient=lambda z: 2 * z,
+                       constraints=lambda z: z.copy(),
+                       c_lo=np.array([1e5]), c_hi=np.array([1e5]),
+                       jacobian=lambda z: np.array([[1.0]]))
+
+
+def test_admm_fallback_runs_once_per_sqp_iteration(monkeypatch):
+    real_admm = nlpsolve._admm_qp
+    options = SolverOptions(max_iterations=3, qp_max_iterations=200)
+    passes = []
+    admm_args = []
+
+    def no_active_set(*args, **kwargs):
+        passes.append(kwargs["pi"])
+        return None
+
+    def counted_admm(*args):
+        admm_args.append(args[6:])
+        return real_admm(*args)
+
+    monkeypatch.setattr(nlpsolve, "_active_set_qp", no_active_set)
+    monkeypatch.setattr(nlpsolve, "_admm_qp", counted_admm)
+    rep = solve(_unreachable_tie(), np.zeros(1), options)
+    assert rep.iterations == 3
+    assert len(admm_args) == rep.iterations
+    # the weight loop still tried the active-set pass at every weight
+    assert len(passes) > 2 * rep.iterations and max(passes) >= 1e10
+    # every step came from an ADMM solve stopped at its cap, and says so
+    assert rep.message.startswith("3 of 3 accepted steps came from a QP "
+                                  "subproblem that stopped at its iteration cap")
+
+    # reference: a fresh fallback at every weight, as if never reused
+    eps, max_iter, polish = admm_args[0]
+    assert all(a == (eps, max_iter, polish) for a in admm_args)
+    monkeypatch.setattr(nlpsolve, "_active_set_qp",
+                        lambda bfgs, q, C, l, u, y0, **kw:
+                        real_admm(bfgs, q, C, l, u, y0, eps, max_iter, polish))
+    fresh = solve(_unreachable_tie(), np.zeros(1), options)
+    assert np.array_equal(rep.x, fresh.x)
+    assert np.array_equal(rep.multipliers, fresh.multipliers)
+    assert np.array_equal(rep.bound_multipliers, fresh.bound_multipliers)
+    assert rep.objective == fresh.objective
+
+
+def test_settled_active_set_steps_leave_the_message_empty():
+    rep = solve(_equality_qp(), np.array([3.0, -1.0]))
+    assert rep.converged and rep.message == ""
+
+
+def _box_qp():
+    # min 1/2|d|^2 - 2 d0  s.t.  d0 + d1 + d2 = 1,  -1 <= d <= 0.5:
+    # d0 sits on its upper bound, d = (0.5, 0.25, 0.25), with multiplier
+    # -0.25 on the sum and 1.75 on d0's bound
+    C = sp.vstack([sp.csr_matrix(np.ones((1, 3))), sp.eye(3)], format="csr")
+    l = np.array([1.0, -1.0, -1.0, -1.0])
+    u = np.array([1.0, 0.5, 0.5, 0.5])
+    return _CompactBFGS(3), np.array([-2.0, 0.0, 0.0]), C, l, u, np.zeros(4)
+
+
+def test_admm_qp_reaches_the_closed_form():
+    qp = nlpsolve._admm_qp(*_box_qp(), eps=1e-9, max_iter=4000, polish=False)
+    assert qp.converged
+    assert np.allclose(qp.d, [0.5, 0.25, 0.25], rtol=0.0, atol=1e-6)
+    assert np.allclose(qp.y, [-0.25, 1.75, 0.0, 0.0], rtol=0.0, atol=1e-6)
+
+
+def test_admm_qp_stopped_at_its_cap_is_not_converged():
+    qp = nlpsolve._admm_qp(*_box_qp(), eps=1e-9, max_iter=5, polish=False)
+    assert qp.iterations == 5
+    assert not qp.converged
+
+
+def test_complementarity_takes_the_bound_each_multiplier_pushes_on():
+    inf = np.inf
+    vals = np.array([0.5, 2.0, 1.0, 3.0, 7.0])
+    lo = np.array([0.0, -inf, 0.0, 1.0, 0.0])
+    hi = np.array([1.0, 3.0, inf, inf, 9.0])
+    mult = np.array([2.0, -0.25, 0.5, -3.0, 0.0])
+    # 2*|1-0.5|, |-0.25| against an infinite lower, 0.5 against an infinite
+    # upper, 3*|3-1|; a zero multiplier counts for nothing
+    assert nlpsolve._complementarity((vals, lo, hi, mult)) == 6.0
+    assert nlpsolve._complementarity((vals[:3], lo[:3], hi[:3], mult[:3]),
+                                     (vals[3:], lo[3:], hi[3:], mult[3:])) == 6.0
+    assert nlpsolve._complementarity((vals[:3], lo[:3], hi[:3], mult[:3])) == 1.0
+    assert nlpsolve._complementarity((np.zeros(0),) * 4) == 0.0
