@@ -15,8 +15,6 @@ from .meshref import RefinementOptions, refine_loop
 from .nlpsolve import SolverOptions
 from .transcription import transcribe
 
-DEG = math.pi / 180.0
-
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NO_CONVERGENCE = 2
@@ -42,19 +40,31 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_limit_list(text: str) -> list[float]:
+def _limit_list(values, where: str) -> list[float]:
+    """Heating-limit values, each positive; null, 'inf' or 'none' lifts it."""
     vals = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
+    for v in values:
+        if v is None or str(v).strip().lower() in ("inf", "none"):
+            vals.append(math.inf)
             continue
-        v = math.inf if part.lower() in ("inf", "none") else float(part)
-        if v <= 0.0:
-            raise M.ConfigError(f"limit values must be positive, got {part}")
-        vals.append(v)
+        try:
+            x = float(v)
+        except (TypeError, ValueError):
+            raise M.ConfigError(f"{where}: {v!r} is not a number") from None
+        if not x > 0.0:
+            raise M.ConfigError(f"{where} values must be positive, got {v}")
+        vals.append(x)
     if not vals:
-        raise M.ConfigError("empty limit list")
+        raise M.ConfigError(f"{where}: empty limit list")
     return vals
+
+
+def _flag_lists(args) -> dict[str, list[float]]:
+    """Heating-limit lists given as flags, keyed like the config's."""
+    return {key: _limit_list([p for p in text.split(",") if p.strip()], flag)
+            for key, flag, text in (("qdot_max", "--qdot-max", args.qdot_max),
+                                    ("q_heat_max", "--q-max", args.q_max))
+            if text is not None}
 
 
 def _load_config(args) -> tuple[str, dict]:
@@ -78,17 +88,38 @@ def _load_config(args) -> tuple[str, dict]:
 
 
 def _mission_config(args, data: dict) -> M.MissionConfig:
-    cfg = M.MissionConfig.from_dict(data)
-    if args.qdot_max is not None:
-        cfg.limits.qdot_max = _parse_limit_list(args.qdot_max)[0]
-    if args.q_max is not None:
-        cfg.limits.q_heat_max = _parse_limit_list(args.q_max)[0]
+    """The config file with the flag overrides laid over its sections; a
+    heating-limit list stands for its first value."""
+    over = {"limits": {key: None if math.isinf(v[0]) else v[0]
+                       for key, v in _flag_lists(args).items()}}
     if args.k is not None:
-        cfg.cost.k = args.k
+        over["cost"] = {"k": args.k}
     if args.max_refinements is not None:
-        cfg.max_refinements = args.max_refinements
-    cfg.validate()
-    return cfg
+        over["refinement"] = {"max_refinements": args.max_refinements}
+    merged = dict(data)
+    for section, values in over.items():
+        body = merged.get(section, {})
+        if isinstance(body, dict):
+            merged[section] = {**body, **values}
+    return M.MissionConfig.from_dict(merged)
+
+
+def _sweep_lists(args, section) -> dict:
+    """qdot_max/q_heat_max value lists; a flag replaces the config's list."""
+    if not isinstance(section, dict):
+        raise M.ConfigError("config section 'sweep' must be an object")
+    sweep = {}
+    for key, values in section.items():
+        if key not in ("qdot_max", "q_heat_max"):
+            raise M.ConfigError(f"unknown key {key!r} in config section 'sweep'")
+        if not isinstance(values, list):
+            raise M.ConfigError(f"sweep.{key} must be a list")
+        sweep[key] = _limit_list(values, f"sweep.{key}")
+    sweep.update(_flag_lists(args))
+    if not sweep:
+        raise M.ConfigError("sweep needs --qdot-max/--q-max lists or a "
+                            "config sweep section")
+    return sweep
 
 
 def _outdir(args) -> Path:
@@ -101,41 +132,33 @@ def _outdir(args) -> Path:
 # plot data families
 
 
+PLOTS = (
+    ("plot_gamma_vs_t.csv", "t,gamma_deg", {"t": 1.0, "gamma": 1.0 / M.DEG}),
+    ("plot_h_v_vs_t.csv", "t,h_km,v_km_s", {"t": 1.0, "h": 1.0, "v": 1.0}),
+    ("plot_qdot_n_vs_t.csv", "t,qdot_MW_m2,n_g",
+     {"t": 1.0, "qdot": 1.0, "n": 1.0}),
+    ("plot_alpha_sigma_vs_t.csv", "t,alpha_deg,sigma_deg",
+     {"t": 1.0, "alpha": 1.0 / M.DEG, "sigma": 1.0 / M.DEG}),
+)
+
+
 def emit_plots(out: Path, table: np.ndarray) -> list[Path]:
     """Per-figure CSV families sampled from the trajectory table."""
-    c = {name: i for i, name in enumerate(M.TRAJECTORY_COLUMNS)}
-
-    def dump(name, cols, header):
-        path = out / name
-        with open(path, "w") as f:
-            f.write(header + "\n")
-            for row in table:
-                f.write(",".join(f"{row[c[col]] * s:.10g}"
-                                 for col, s in cols) + "\n")
-        return path
-
-    return [
-        dump("plot_gamma_vs_t.csv", [("t", 1.0), ("gamma", 1.0 / DEG)],
-             "t,gamma_deg"),
-        dump("plot_h_v_vs_t.csv", [("t", 1.0), ("h", 1.0), ("v", 1.0)],
-             "t,h_km,v_km_s"),
-        dump("plot_qdot_n_vs_t.csv", [("t", 1.0), ("qdot", 1.0), ("n", 1.0)],
-             "t,qdot_MW_m2,n_g"),
-        dump("plot_alpha_sigma_vs_t.csv",
-             [("t", 1.0), ("alpha", 1.0 / DEG), ("sigma", 1.0 / DEG)],
-             "t,alpha_deg,sigma_deg"),
-    ]
+    paths = []
+    for name, header, scales in PLOTS:
+        idx = [M.TRAJECTORY_COLUMNS.index(col) for col in scales]
+        M.write_csv(out / name, header.split(","),
+                    table[:, idx] * np.array(list(scales.values())))
+        paths.append(out / name)
+    return paths
 
 
 def emit_sweep_plots(out: Path, results) -> list[Path]:
-    paths = []
     cost_path = out / "plot_cost_vs_limit.csv"
-    with open(cost_path, "w") as f:
-        f.write("qdot_max_MW_m2,q_heat_max_MJ_m2,objective,status\n")
-        for r in results:
-            f.write(f"{r.qdot_max:.10g},{r.q_heat_max:.10g},"
-                    f"{r.objective:.10g},{r.status}\n")
-    paths.append(cost_path)
+    M.write_csv(cost_path, ("qdot_max_MW_m2", "q_heat_max_MJ_m2", "objective",
+                            "status"),
+                ((r.qdot_max, r.q_heat_max, r.objective, r.status)
+                 for r in results))
 
     # tightest feasible heat load for each heating-rate branch
     frontier: dict[float, float] = {}
@@ -144,12 +167,9 @@ def emit_sweep_plots(out: Path, results) -> list[Path]:
             cur = frontier.get(r.qdot_max, math.inf)
             frontier[r.qdot_max] = min(cur, r.q_heat_max)
     map_path = out / "plot_failure_map.csv"
-    with open(map_path, "w") as f:
-        f.write("qdot_max_MW_m2,min_feasible_q_heat_MJ_m2\n")
-        for qd in sorted(frontier, reverse=True):
-            f.write(f"{qd:.10g},{frontier[qd]:.10g}\n")
-    paths.append(map_path)
-    return paths
+    M.write_csv(map_path, ("qdot_max_MW_m2", "min_feasible_q_heat_MJ_m2"),
+                ((qd, frontier[qd]) for qd in sorted(frontier, reverse=True)))
+    return [cost_path, map_path]
 
 
 # --------------------------------------------------------------------------
@@ -185,16 +205,6 @@ def _cmd_check(args, data: dict) -> int:
     return EXIT_OK
 
 
-def _solver_options(cfg: M.MissionConfig) -> SolverOptions:
-    return SolverOptions(tolerance=cfg.solver_tolerance,
-                         max_iterations=cfg.solver_max_iterations)
-
-
-def _refinement_options(cfg: M.MissionConfig) -> RefinementOptions:
-    return RefinementOptions(mesh_tolerance=cfg.mesh_tolerance,
-                             max_refinements=cfg.max_refinements)
-
-
 def _canonical_setup(problem: str, data: dict):
     prob, meshes = CANONICAL_PROBLEMS[problem]()
     if "mesh" in data:
@@ -211,22 +221,15 @@ def _canonical_setup(problem: str, data: dict):
 
 
 def _write_canonical_outputs(out: Path, report) -> None:
-    sol = report.solution
-    rows = []
-    for ph in sol.phases:
+    phases = report.solution.phases
+    blocks = []
+    for ph in phases:
         tt = np.unique(np.concatenate([ph.state_times(),
                                        np.linspace(ph.t0, ph.tf, 101)]))
-        ys = ph.sample_states(tt)
-        us = ph.sample_controls(tt)
-        rows.append((ph, tt, ys, us))
-    ph0 = rows[0][0]
-    header = ["t"] + list(ph0.state_names) + list(ph0.control_names)
-    with open(out / "trajectory.csv", "w") as f:
-        f.write(",".join(header) + "\n")
-        for _, tt, ys, us in rows:
-            for i in range(len(tt)):
-                vals = [tt[i], *ys[i], *us[i]]
-                f.write(",".join(f"{v:.10g}" for v in vals) + "\n")
+        blocks.append(np.column_stack([tt, ph.sample_states(tt),
+                                       ph.sample_controls(tt)]))
+    header = ["t", *phases[0].state_names, *phases[0].control_names]
+    M.write_csv(out / "trajectory.csv", header, np.vstack(blocks))
 
 
 def _cmd_solve_canonical(args, problem: str, data: dict, out: Path) -> int:
@@ -258,9 +261,7 @@ def _cmd_transcribe_canonical(args, problem: str, data: dict, out: Path) -> int:
 
 def _cmd_solve_mission(args, data: dict, out: Path) -> int:
     cfg = _mission_config(args, data)
-    run = M.solve_mission(cfg, solver_options=_solver_options(cfg),
-                          refinement=_refinement_options(cfg),
-                          history_path=out / "mesh_history.json")
+    run = M.solve_mission(cfg, history_path=out / "mesh_history.json")
     res = M.summarize_run(run)
     summary = {"status": run.status,
                "mesh_converged": run.report.converged,
@@ -287,35 +288,14 @@ def _cmd_solve_mission(args, data: dict, out: Path) -> int:
 def _cmd_sweep(args, problem: str, data: dict, out: Path) -> int:
     if problem != "mission":
         raise M.ConfigError("sweep applies to the mission problem only")
-    cfg = M.MissionConfig.from_dict(data)
-    if args.k is not None:
-        cfg.cost.k = args.k
-    if args.max_refinements is not None:
-        cfg.max_refinements = args.max_refinements
-    cfg.validate()
-    sweep_cfg = data.get("sweep", {})
-    sweep: dict = {}
-    if args.qdot_max is not None:
-        sweep["qdot_max"] = _parse_limit_list(args.qdot_max)
-    elif "qdot_max" in sweep_cfg:
-        sweep["qdot_max"] = [math.inf if v is None else float(v)
-                             for v in sweep_cfg["qdot_max"]]
-    if args.q_max is not None:
-        sweep["q_heat_max"] = _parse_limit_list(args.q_max)
-    elif "q_heat_max" in sweep_cfg:
-        sweep["q_heat_max"] = [math.inf if v is None else float(v)
-                               for v in sweep_cfg["q_heat_max"]]
-    if not sweep:
-        raise M.ConfigError("sweep needs --qdot-max/--q-max lists or a "
-                            "config sweep section")
+    cfg = _mission_config(args, data)
+    sweep = _sweep_lists(args, data.get("sweep", {}))
 
     def progress(r):
         print(f"  qdot_max={r.qdot_max:g} q_heat_max={r.q_heat_max:g}: "
               f"{r.status}, objective {r.objective:.6g}")
 
-    results = M.run_study(cfg, sweep, solver_options=_solver_options(cfg),
-                          refinement=_refinement_options(cfg),
-                          progress=progress)
+    results = M.run_study(cfg, sweep, progress=progress)
     M.study_to_csv(results, out / "study.csv")
     emit_sweep_plots(out, results)
     ok = all(r.converged for r in results)

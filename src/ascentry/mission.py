@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -236,167 +237,44 @@ class MissionConfig:
     # -- serialization
 
     def to_dict(self) -> dict:
-        def num(x):
-            return None if math.isinf(x) else x
-        return {
-            "problem": "mission",
-            "earth": {"mu": self.earth.mu, "re": self.earth.re,
-                      "omega": self.earth.omega, "g0": self.earth.g0},
-            "stages": [{"name": s.name, "burn_time": s.burn_time,
-                        "empty_mass": s.empty_mass, "fuel_mass": s.fuel_mass,
-                        "ref_area": s.ref_area, "isp": s.isp,
-                        "thrust": s.thrust} for s in self.stages],
-            "vehicle": {"fairing_mass": self.fairing_mass,
-                        "payload_mass": self.payload_mass,
-                        "entry_mass": self.entry_mass,
-                        "entry_area": self.entry_area},
-            "times": {"t_s1": self.t_s1, "t_s2": self.t_s2,
-                      "t_fairing": self.t_fairing, "t_s3": self.t_s3},
-            "limits": {"q_max": self.limits.q_max,
-                       "q_split": self.limits.q_split,
-                       "n_max": self.limits.n_max,
-                       "h_atm": self.limits.h_atm,
-                       "h_peak_lo": self.limits.h_peak_lo,
-                       "h_peak_hi": self.limits.h_peak_hi,
-                       "qdot_max": num(self.limits.qdot_max),
-                       "q_heat_max": num(self.limits.q_heat_max)},
-            "cost": {"alpha_bar_boost_deg": self.cost.alpha_bar_boost / DEG,
-                     "alpha_bar_entry_deg": self.cost.alpha_bar_entry / DEG,
-                     "alpha_max_deg": self.cost.alpha_max / DEG,
-                     "u_alpha_max_deg": self.cost.u_alpha_max / DEG,
-                     "u_sigma_max_deg": self.cost.u_sigma_max / DEG,
-                     "k": self.cost.k},
-            "boundary": {"t0": self.bc.t0, "h0": self.bc.h0,
-                         "lon0_deg": self.bc.lon0 / DEG,
-                         "lat0_deg": self.bc.lat0 / DEG,
-                         "v0": self.bc.v0, "m0": self.bc.m0,
-                         "hf": self.bc.hf, "lonf_deg": self.bc.lonf / DEG,
-                         "latf_deg": self.bc.latf / DEG, "vf": self.bc.vf,
-                         "pad_elevation": self.bc.pad_elevation,
-                         "tower_height": self.bc.tower_height},
-            "heating": {"kappa": self.heating.kappa, "rho0": self.heating.rho0,
-                        "v_circ": self.heating.v_circ,
-                        "exp_rho": self.heating.exp_rho,
-                        "exp_v": self.heating.exp_v},
-            "mesh": [list(e) for e in self.mesh],
-            "refinement": {"tolerance": self.mesh_tolerance,
-                           "max_refinements": self.max_refinements},
-            "solver": {"tolerance": self.solver_tolerance,
-                       "max_iterations": self.solver_max_iterations},
-            "guess": {"apogee": self.guess_apogee},
-            "tables": {"atmosphere": self.atmosphere,
-                       "boost_aero": self.boost_aero,
-                       "entry_aero": self.entry_aero},
-        }
+        out: dict = {"problem": "mission"}
+        for f in CONFIG_FIELDS:
+            value = f.dump(attrgetter(f.attr)(self))
+            if f.key is None:
+                out[f.section] = value
+            else:
+                out.setdefault(f.section, {})[f.key] = value
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "MissionConfig":
-        def lim(x):
-            return math.inf if x is None else float(x)
-
-        def section(name):
-            v = data.get(name, {})
-            if not isinstance(v, dict):
-                raise ConfigError(f"config section {name!r} must be an object")
-            return v
-
+        """Defaults overridden by the sections given; unknown sections or
+        keys, non-finite numbers and fractional counts are rejected."""
+        top: dict = {}
+        nested: dict[str, dict] = {}
+        for section, body in data.items():
+            if section in ("problem", "sweep"):
+                continue
+            if section not in _SECTIONS:
+                raise ConfigError(f"unknown config section {section!r}")
+            whole = _ROWS.get((section, None))
+            if whole is not None:
+                items = [(whole, body)]
+            elif not isinstance(body, dict):
+                raise ConfigError(f"config section {section!r} must be an object")
+            else:
+                for key in body:
+                    if (section, key) not in _ROWS:
+                        raise ConfigError(f"unknown key {key!r} in config "
+                                          f"section {section!r}")
+                items = [(_ROWS[section, key], x) for key, x in body.items()]
+            for f, x in items:
+                head, _, leaf = f.attr.rpartition(".")
+                (nested.setdefault(head, {}) if head else top)[leaf] = f.load(x)
         base = cls()
-        try:
-            e = section("earth")
-            earth = EarthConstants(mu=float(e.get("mu", base.earth.mu)),
-                                   re=float(e.get("re", base.earth.re)),
-                                   omega=float(e.get("omega", base.earth.omega)),
-                                   g0=float(e.get("g0", base.earth.g0)))
-            stages = base.stages
-            if "stages" in data:
-                stages = tuple(VehicleStage(str(s["name"]), float(s["burn_time"]),
-                                            float(s["empty_mass"]),
-                                            float(s["fuel_mass"]),
-                                            float(s["ref_area"]), float(s["isp"]),
-                                            float(s["thrust"]))
-                               for s in data["stages"])
-            veh = section("vehicle")
-            tms = section("times")
-            lm = section("limits")
-            limits = PathLimits(
-                q_max=float(lm.get("q_max", base.limits.q_max)),
-                q_split=float(lm.get("q_split", base.limits.q_split)),
-                n_max=float(lm.get("n_max", base.limits.n_max)),
-                h_atm=float(lm.get("h_atm", base.limits.h_atm)),
-                h_peak_lo=float(lm.get("h_peak_lo", base.limits.h_peak_lo)),
-                h_peak_hi=float(lm.get("h_peak_hi", base.limits.h_peak_hi)),
-                qdot_max=lim(lm.get("qdot_max")),
-                q_heat_max=lim(lm.get("q_heat_max")))
-            co = section("cost")
-            cost = CostParams(
-                alpha_bar_boost=float(co.get("alpha_bar_boost_deg", 0.0)) * DEG,
-                alpha_bar_entry=float(co.get("alpha_bar_entry_deg",
-                                             base.cost.alpha_bar_entry / DEG)) * DEG,
-                alpha_max=float(co.get("alpha_max_deg",
-                                       base.cost.alpha_max / DEG)) * DEG,
-                u_alpha_max=float(co.get("u_alpha_max_deg",
-                                         base.cost.u_alpha_max / DEG)) * DEG,
-                u_sigma_max=float(co.get("u_sigma_max_deg",
-                                         base.cost.u_sigma_max / DEG)) * DEG,
-                k=float(co.get("k", base.cost.k)))
-            bd = section("boundary")
-            bc = BoundaryData(
-                t0=float(bd.get("t0", base.bc.t0)),
-                h0=float(bd.get("h0", base.bc.h0)),
-                lon0=float(bd.get("lon0_deg", base.bc.lon0 / DEG)) * DEG,
-                lat0=float(bd.get("lat0_deg", base.bc.lat0 / DEG)) * DEG,
-                v0=float(bd.get("v0", base.bc.v0)),
-                m0=float(bd.get("m0", base.bc.m0)),
-                hf=float(bd.get("hf", base.bc.hf)),
-                lonf=float(bd.get("lonf_deg", base.bc.lonf / DEG)) * DEG,
-                latf=float(bd.get("latf_deg", base.bc.latf / DEG)) * DEG,
-                vf=float(bd.get("vf", base.bc.vf)),
-                pad_elevation=float(bd.get("pad_elevation",
-                                           base.bc.pad_elevation)),
-                tower_height=float(bd.get("tower_height", base.bc.tower_height)))
-            he = section("heating")
-            heating = HeatingParams(
-                kappa=float(he.get("kappa", base.heating.kappa)),
-                rho0=float(he.get("rho0", base.heating.rho0)),
-                v_circ=float(he.get("v_circ", base.heating.v_circ)),
-                exp_rho=float(he.get("exp_rho", base.heating.exp_rho)),
-                exp_v=float(he.get("exp_v", base.heating.exp_v)))
-            mesh = base.mesh
-            if "mesh" in data:
-                mesh = tuple((int(n), int(d)) for n, d in data["mesh"])
-            rf = section("refinement")
-            sv = section("solver")
-            gu = section("guess")
-            tb = section("tables")
-            cfg = cls(earth=earth, stages=stages,
-                      fairing_mass=float(veh.get("fairing_mass",
-                                                 base.fairing_mass)),
-                      payload_mass=float(veh.get("payload_mass",
-                                                 base.payload_mass)),
-                      entry_mass=float(veh.get("entry_mass", base.entry_mass)),
-                      entry_area=float(veh.get("entry_area", base.entry_area)),
-                      t_s1=float(tms.get("t_s1", base.t_s1)),
-                      t_s2=float(tms.get("t_s2", base.t_s2)),
-                      t_fairing=float(tms.get("t_fairing", base.t_fairing)),
-                      t_s3=float(tms.get("t_s3", base.t_s3)),
-                      limits=limits, cost=cost, bc=bc, heating=heating,
-                      mesh=mesh,
-                      mesh_tolerance=float(rf.get("tolerance",
-                                                  base.mesh_tolerance)),
-                      max_refinements=int(rf.get("max_refinements",
-                                                 base.max_refinements)),
-                      solver_tolerance=float(sv.get("tolerance",
-                                                    base.solver_tolerance)),
-                      solver_max_iterations=int(sv.get("max_iterations",
-                                                       base.solver_max_iterations)),
-                      guess_apogee=float(gu.get("apogee", base.guess_apogee)),
-                      atmosphere=tb.get("atmosphere", "builtin"),
-                      boost_aero=tb.get("boost_aero", "builtin"),
-                      entry_aero=tb.get("entry_aero", "builtin"))
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"malformed mission config: {exc}") from exc
+        for head, values in nested.items():
+            top[head] = replace(getattr(base, head), **values)
+        cfg = replace(base, **top)
         cfg.validate()
         return cfg
 
@@ -412,6 +290,158 @@ class MissionConfig:
         if not isinstance(data, dict):
             raise ConfigError("mission config must be a JSON object")
         return cls.from_dict(data)
+
+
+# --------------------------------------------------------------------------
+# config file format
+
+
+def _number(x, where: str) -> float:
+    try:
+        v = float(x)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {x!r}") from None
+    if not math.isfinite(v):
+        raise ConfigError(f"{where} must be finite, got {x!r}")
+    return v
+
+
+def _count(x, where: str) -> int:
+    v = _number(x, where)
+    if not v.is_integer():
+        raise ConfigError(f"{where} must be a whole number, got {x!r}")
+    return int(v)
+
+
+def _load_stages(x, where: str) -> tuple[VehicleStage, ...]:
+    if not isinstance(x, list):
+        raise ConfigError(f"{where} must be a list of stage objects")
+    names = [g.name for g in fields(VehicleStage)]
+    stages = []
+    for i, s in enumerate(x):
+        at = f"{where}[{i}]"
+        if not isinstance(s, dict) or sorted(s) != sorted(names):
+            raise ConfigError(f"{at} must be an object with exactly the keys "
+                              f"{', '.join(names)}")
+        stages.append(VehicleStage(str(s["name"]),
+                                   *(_number(s[n], f"{at}.{n}")
+                                     for n in names[1:])))
+    return tuple(stages)
+
+
+def _load_mesh(x, where: str) -> tuple[tuple[int, int], ...]:
+    if not isinstance(x, list):
+        raise ConfigError(f"{where} must be a list of [intervals, degree]")
+    mesh = []
+    for i, entry in enumerate(x):
+        at = f"{where}[{i}]"
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ConfigError(f"{at} must be an [intervals, degree] pair")
+        mesh.append((_count(entry[0], at), _count(entry[1], at)))
+    return tuple(mesh)
+
+
+@dataclass(frozen=True)
+class ConfigField:
+    """One entry of the config file: `key` of JSON `section` holds the
+    MissionConfig attribute at dotted path `attr`, divided by `unit`.
+
+    kind "number" is a finite float, "limit" a bound written as null when
+    infinite, "count" a whole number, "raw" any JSON value kept as given;
+    "stages" and "mesh" fill a whole section (key None) with a list."""
+
+    section: str
+    key: str | None
+    attr: str
+    unit: float = 1.0
+    kind: str = "number"
+
+    def load(self, x):
+        where = self.section if self.key is None else f"{self.section}.{self.key}"
+        if self.kind == "stages":
+            return _load_stages(x, where)
+        if self.kind == "mesh":
+            return _load_mesh(x, where)
+        if self.kind == "raw":
+            return x
+        if self.kind == "count":
+            return _count(x, where)
+        if self.kind == "limit" and x is None:
+            return math.inf
+        return _number(x, where) * self.unit
+
+    def dump(self, v):
+        if self.kind == "stages":
+            return [{g.name: getattr(s, g.name) for g in fields(VehicleStage)}
+                    for s in v]
+        if self.kind == "mesh":
+            return [list(e) for e in v]
+        if self.kind in ("raw", "count"):
+            return v
+        if self.kind == "limit" and math.isinf(v):
+            return None
+        return v / self.unit
+
+
+CONFIG_FIELDS = (
+    ConfigField("earth", "mu", "earth.mu"),
+    ConfigField("earth", "re", "earth.re"),
+    ConfigField("earth", "omega", "earth.omega"),
+    ConfigField("earth", "g0", "earth.g0"),
+    ConfigField("stages", None, "stages", kind="stages"),
+    ConfigField("vehicle", "fairing_mass", "fairing_mass"),
+    ConfigField("vehicle", "payload_mass", "payload_mass"),
+    ConfigField("vehicle", "entry_mass", "entry_mass"),
+    ConfigField("vehicle", "entry_area", "entry_area"),
+    ConfigField("times", "t_s1", "t_s1"),
+    ConfigField("times", "t_s2", "t_s2"),
+    ConfigField("times", "t_fairing", "t_fairing"),
+    ConfigField("times", "t_s3", "t_s3"),
+    ConfigField("limits", "q_max", "limits.q_max"),
+    ConfigField("limits", "q_split", "limits.q_split"),
+    ConfigField("limits", "n_max", "limits.n_max"),
+    ConfigField("limits", "h_atm", "limits.h_atm"),
+    ConfigField("limits", "h_peak_lo", "limits.h_peak_lo"),
+    ConfigField("limits", "h_peak_hi", "limits.h_peak_hi"),
+    ConfigField("limits", "qdot_max", "limits.qdot_max", kind="limit"),
+    ConfigField("limits", "q_heat_max", "limits.q_heat_max", kind="limit"),
+    ConfigField("cost", "alpha_bar_boost_deg", "cost.alpha_bar_boost", DEG),
+    ConfigField("cost", "alpha_bar_entry_deg", "cost.alpha_bar_entry", DEG),
+    ConfigField("cost", "alpha_max_deg", "cost.alpha_max", DEG),
+    ConfigField("cost", "u_alpha_max_deg", "cost.u_alpha_max", DEG),
+    ConfigField("cost", "u_sigma_max_deg", "cost.u_sigma_max", DEG),
+    ConfigField("cost", "k", "cost.k"),
+    ConfigField("boundary", "t0", "bc.t0"),
+    ConfigField("boundary", "h0", "bc.h0"),
+    ConfigField("boundary", "lon0_deg", "bc.lon0", DEG),
+    ConfigField("boundary", "lat0_deg", "bc.lat0", DEG),
+    ConfigField("boundary", "v0", "bc.v0"),
+    ConfigField("boundary", "m0", "bc.m0"),
+    ConfigField("boundary", "hf", "bc.hf"),
+    ConfigField("boundary", "lonf_deg", "bc.lonf", DEG),
+    ConfigField("boundary", "latf_deg", "bc.latf", DEG),
+    ConfigField("boundary", "vf", "bc.vf"),
+    ConfigField("boundary", "pad_elevation", "bc.pad_elevation"),
+    ConfigField("boundary", "tower_height", "bc.tower_height"),
+    ConfigField("heating", "kappa", "heating.kappa"),
+    ConfigField("heating", "rho0", "heating.rho0"),
+    ConfigField("heating", "v_circ", "heating.v_circ"),
+    ConfigField("heating", "exp_rho", "heating.exp_rho"),
+    ConfigField("heating", "exp_v", "heating.exp_v"),
+    ConfigField("mesh", None, "mesh", kind="mesh"),
+    ConfigField("refinement", "tolerance", "mesh_tolerance"),
+    ConfigField("refinement", "max_refinements", "max_refinements",
+                kind="count"),
+    ConfigField("solver", "tolerance", "solver_tolerance"),
+    ConfigField("solver", "max_iterations", "solver_max_iterations",
+                kind="count"),
+    ConfigField("guess", "apogee", "guess_apogee"),
+    ConfigField("tables", "atmosphere", "atmosphere", kind="raw"),
+    ConfigField("tables", "boost_aero", "boost_aero", kind="raw"),
+    ConfigField("tables", "entry_aero", "entry_aero", kind="raw"),
+)
+_ROWS = {(f.section, f.key): f for f in CONFIG_FIELDS}
+_SECTIONS = {f.section for f in CONFIG_FIELDS}
 
 
 def default_config() -> MissionConfig:
@@ -1120,13 +1150,7 @@ def summarize_run(run: MissionRun) -> StudyResult:
 
 
 def study_to_csv(results, path) -> None:
-    with open(path, "w") as f:
-        f.write(",".join(STUDY_COLUMNS) + "\n")
-        for r in results:
-            row = (r.qdot_max, r.q_heat_max, r.objective, r.peak_altitude,
-                   r.pierce_speed, r.pierce_fpa_deg, r.entry_duration,
-                   r.heat_load, r.max_qdot)
-            f.write(",".join(f"{v:.10g}" for v in row) + f",{r.status}\n")
+    write_csv(path, STUDY_COLUMNS, (astuple(r) for r in results))
 
 
 def run_study(config: MissionConfig, sweep: dict, *,
@@ -1213,7 +1237,13 @@ def trajectory_table(config: MissionConfig, sol: Solution,
 
 
 def write_trajectory_csv(path, table: np.ndarray) -> None:
+    write_csv(path, TRAJECTORY_COLUMNS, table)
+
+
+def write_csv(path, columns, rows) -> None:
+    """Header line, then one line per row: numbers as %.10g, text as given."""
     with open(path, "w") as f:
-        f.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-        for row in table:
-            f.write(",".join(f"{v:.10g}" for v in row) + "\n")
+        f.write(",".join(columns) + "\n")
+        for row in rows:
+            f.write(",".join(v if isinstance(v, str) else f"{v:.10g}"
+                             for v in row) + "\n")

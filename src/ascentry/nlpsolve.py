@@ -6,10 +6,11 @@ regularized KKT systems (with an ADMM fallback when the working set will
 not settle), and an l1 merit function.  Variables are scaled by their
 bound magnitudes (override with x_scale) and constraint rows are
 equilibrated against the first Jacobian; reports are translated back to
-the problem's own units.  Derivatives come either from the problem object
-(structured) or from `estimate_jacobian`, which groups structurally
-orthogonal columns so one probe pair serves a whole group.  External
-solvers attach through `register_solver`.
+the problem's own units.  Derivatives come from the problem object's
+`objective_gradient` and `jacobian`; `FunctionNLP` fills in any it was not
+given by central differences, the Jacobian through `estimate_jacobian`,
+which groups structurally orthogonal columns so one probe pair serves a
+whole group.  External solvers attach through `register_solver`.
 """
 from __future__ import annotations
 
@@ -539,33 +540,13 @@ class _ScaledNLP:
         return self.inner.constraints(self.s * z)
 
     def objective_gradient(self, z):
-        return self.s * _gradient_of(self.inner, self.s * z)
+        return self.s * self.inner.objective_gradient(self.s * z)
 
     def jacobian(self, z):
-        return _jacobian_of(self.inner, self.s * z).multiply(self.s[None, :]).tocsr()
+        return self.inner.jacobian(self.s * z).multiply(self.s[None, :]).tocsr()
 
     def sparsity(self):
         return self.inner.sparsity()
-
-
-def _gradient_of(nlp, x):
-    if hasattr(nlp, "objective_gradient"):
-        return np.asarray(nlp.objective_gradient(x), float)
-    g = np.empty(nlp.n_var)
-    for j in range(nlp.n_var):
-        h = _FD_STEP * max(1.0, abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        g[j] = (nlp.objective(xp) - nlp.objective(xm)) / (2 * h)
-    return g
-
-
-def _jacobian_of(nlp, x):
-    if hasattr(nlp, "jacobian"):
-        return sp.csr_matrix(nlp.jacobian(x))
-    pattern = nlp.sparsity() if hasattr(nlp, "sparsity") else None
-    return estimate_jacobian(nlp, x, pattern)
 
 
 def _violation(c, c_lo, c_hi):
@@ -582,9 +563,9 @@ def _violation_l1(c, c_lo, c_hi):
 
 def kkt_residuals(nlp, x, y_con, y_bnd):
     """Independent stationarity / feasibility / complementarity check."""
-    g = _gradient_of(nlp, x)
+    g = nlp.objective_gradient(x)
     c = nlp.constraints(x)
-    J = _jacobian_of(nlp, x)
+    J = nlp.jacobian(x)
     if nlp.n_con:
         stat = g + J.T @ y_con + y_bnd
     else:
@@ -675,8 +656,8 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
     try:
         f = nlp.objective(x)
         c = nlp.constraints(x)
-        g = _gradient_of(nlp, x)
-        J = _jacobian_of(nlp, x)
+        g = nlp.objective_gradient(x)
+        J = nlp.jacobian(x)
     except Exception as e:
         close_log()
         return SolveReport(status="numerical_failure", iterations=0,
@@ -834,8 +815,8 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
 
         x_new = np.clip(x + t * d, nlp.z_lo, nlp.z_hi)
         try:
-            g_new = _gradient_of(nlp, x_new)
-            J_new = r_diag @ _jacobian_of(nlp, x_new)
+            g_new = nlp.objective_gradient(x_new)
+            J_new = r_diag @ nlp.jacobian(x_new)
         except Exception as e:
             close_log()
             return SolveReport(status="numerical_failure", iterations=it,

@@ -1,0 +1,221 @@
+import json
+import math
+
+import numpy as np
+import pytest
+
+from ascentry import cli
+from ascentry import mission as M
+
+
+class _Captured(Exception):
+    """Raised by the patched solvers to end a command once its input is seen."""
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    """Replace solve_mission and run_study; record what the CLI hands them."""
+    seen = {}
+
+    def fake_solve(config, **kwargs):
+        seen["config"] = config
+        raise _Captured
+
+    def fake_study(config, sweep, **kwargs):
+        seen["config"] = config
+        seen["sweep"] = sweep
+        return []
+
+    monkeypatch.setattr(M, "solve_mission", fake_solve)
+    monkeypatch.setattr(M, "run_study", fake_study)
+    return seen
+
+
+def _write(tmp_path, doc, name="config.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc) if not isinstance(doc, str) else doc)
+    return str(path)
+
+
+def test_check_builtin_config_exits_ok(capsys):
+    assert cli.main(["--command", "check"]) == cli.EXIT_OK
+    assert "configuration valid" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc, message", [
+    (None, "config file not found"),
+    ("{not json", "not valid JSON"),
+    ({"problem": "lunar-landing"}, "unknown problem"),
+    ({"problem": "scalar-energy"}, "sweep applies to the mission problem"),
+])
+def test_bad_input_exits_with_a_config_error(tmp_path, capsys, doc, message):
+    path = (str(tmp_path / "missing.json") if doc is None
+            else _write(tmp_path, doc))
+    command = "sweep" if message.startswith("sweep") else "check"
+    code = cli.main(["--command", command, "--config", path,
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+
+
+def test_transcribe_only_writes_the_mission_layout(tmp_path):
+    out = tmp_path / "out"
+    code = cli.main(["--command", "transcribe-only", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    layout = json.loads((out / "layout.json").read_text())
+    assert (layout["n_var"], layout["n_con"]) == (1607, 1342)
+    assert len(layout["variables"]) == 1607
+    assert len(layout["constraints"]) == 1342
+
+
+def test_canonical_solve_writes_its_outputs(tmp_path):
+    path = _write(tmp_path, {"problem": "scalar-energy",
+                             "solver": {"tolerance": 1e-6}})
+    out = tmp_path / "out"
+    code = cli.main(["--command", "solve", "--config", path,
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["problem"] == "scalar-energy"
+    assert summary["status"] == "converged"
+    assert summary["objective"] == pytest.approx(1.0, rel=1e-5)
+    header = (out / "trajectory.csv").read_text().splitlines()[0]
+    assert header == "t,x,u"
+    assert json.loads((out / "mesh_history.json").read_text())
+
+
+def test_solve_flags_reach_the_mission_config(tmp_path, captured):
+    path = _write(tmp_path, {"limits": {"qdot_max": 5.0, "q_heat_max": 400},
+                             "cost": {"k": 2.0}})
+    with pytest.raises(_Captured):
+        cli.main(["--config", path, "--out", str(tmp_path / "out"),
+                  "--qdot-max", "2,1", "--q-max", "300", "--k", "4.5",
+                  "--max-refinements", "3"])
+    cfg = captured["config"]
+    assert cfg.limits.qdot_max == 2.0
+    assert cfg.limits.q_heat_max == 300.0
+    assert cfg.cost.k == 4.5
+    assert cfg.max_refinements == 3
+    # untouched fields keep the file's or the built-in values
+    assert cfg.limits.q_max == M.MissionConfig().limits.q_max
+
+
+def test_solve_without_flags_uses_the_file(tmp_path, captured):
+    path = _write(tmp_path, {"limits": {"qdot_max": 5.0, "q_heat_max": None},
+                             "refinement": {"max_refinements": 4}})
+    with pytest.raises(_Captured):
+        cli.main(["--config", path, "--out", str(tmp_path / "out")])
+    cfg = captured["config"]
+    assert cfg.limits.qdot_max == 5.0
+    assert math.isinf(cfg.limits.q_heat_max)
+    assert cfg.max_refinements == 4
+
+
+def test_inf_flag_lifts_a_heating_limit(tmp_path, captured):
+    path = _write(tmp_path, {"limits": {"q_heat_max": 400}})
+    with pytest.raises(_Captured):
+        cli.main(["--config", path, "--out", str(tmp_path / "out"),
+                  "--q-max", "inf"])
+    assert math.isinf(captured["config"].limits.q_heat_max)
+
+
+def test_sweep_lists_from_flags(tmp_path, captured):
+    code = cli.main(["--command", "sweep", "--out", str(tmp_path / "out"),
+                     "--qdot-max", "3, 2,1", "--q-max", "inf,300",
+                     "--k", "4.5", "--max-refinements", "2"])
+    assert code == cli.EXIT_OK
+    assert captured["sweep"] == {"qdot_max": [3.0, 2.0, 1.0],
+                                 "q_heat_max": [math.inf, 300.0]}
+    assert captured["config"].cost.k == 4.5
+    assert captured["config"].max_refinements == 2
+    assert (tmp_path / "out" / "study.csv").exists()
+
+
+def test_sweep_lists_from_the_config_section(tmp_path, captured):
+    path = _write(tmp_path, {"cost": {"k": 2.5},
+                             "sweep": {"qdot_max": [None, 2, 1.5],
+                                       "q_heat_max": [None]}})
+    code = cli.main(["--command", "sweep", "--config", path,
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+    assert captured["sweep"] == {"qdot_max": [math.inf, 2.0, 1.5],
+                                 "q_heat_max": [math.inf]}
+    assert captured["config"].cost.k == 2.5
+
+
+def test_sweep_flag_replaces_the_config_list(tmp_path, captured):
+    path = _write(tmp_path, {"sweep": {"qdot_max": [None, 2]}})
+    cli.main(["--command", "sweep", "--config", path,
+              "--out", str(tmp_path / "out"), "--qdot-max", "1.5"])
+    assert captured["sweep"] == {"qdot_max": [1.5]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--command", "sweep"],
+    ["--command", "sweep", "--qdot-max", "2,-1"],
+    ["--command", "sweep", "--q-max", ","],
+    ["--command", "check", "--qdot-max", "0"],
+])
+def test_bad_sweep_lists_exit_with_a_config_error(tmp_path, captured, argv):
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert "sweep" not in captured
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"limits": {"qdot_mx": 1}}, "'qdot_mx'"),
+    ({"limts": {"qdot_max": 1}}, "'limts'"),
+    ({"limits": {"qdot_max": "nan"}}, "limits.qdot_max"),
+    ({"refinement": {"max_refinements": 2.7}}, "refinement.max_refinements"),
+])
+def test_check_rejects_ignored_or_malformed_input(tmp_path, capsys, doc,
+                                                  message):
+    path = _write(tmp_path, doc)
+    assert cli.main(["--command", "check", "--config", path]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep, message", [
+    ({"qdot_mx": [2.0]}, "'qdot_mx'"),
+    ({"qdot_max": [2.0, 0.0]}, "sweep.qdot_max"),
+    ({"qdot_max": [2.0, "nan"]}, "sweep.qdot_max"),
+    ({"q_heat_max": []}, "sweep.q_heat_max"),
+    ({"q_heat_max": 300}, "sweep.q_heat_max"),
+])
+def test_sweep_section_is_checked_like_the_flags(tmp_path, capsys, captured,
+                                                 sweep, message):
+    path = _write(tmp_path, {"sweep": sweep})
+    code = cli.main(["--command", "sweep", "--config", path,
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert "sweep" not in captured
+
+
+def test_plot_files_text_is_pinned(tmp_path):
+    c = {name: i for i, name in enumerate(M.TRAJECTORY_COLUMNS)}
+    table = np.zeros((2, len(M.TRAJECTORY_COLUMNS)))
+    table[:, c["t"]] = [2.52, 1234.5]
+    table[:, c["gamma"]] = [np.pi / 2, -1.0e-3]
+    table[:, c["qdot"]] = [0.0, 2.0 / 3.0]
+    table[:, c["n"]] = [1.0e-9, 11.5]
+    paths = cli.emit_plots(tmp_path, table)
+    assert [p.name for p in paths] == [
+        "plot_gamma_vs_t.csv", "plot_h_v_vs_t.csv", "plot_qdot_n_vs_t.csv",
+        "plot_alpha_sigma_vs_t.csv"]
+    assert paths[0].read_text() == ("t,gamma_deg\n2.52,90\n"
+                                    "1234.5,-0.05729577951\n")
+    assert paths[2].read_text() == ("t,qdot_MW_m2,n_g\n2.52,0,1e-09\n"
+                                    "1234.5,0.6666666667,11.5\n")
+    results = [M.StudyResult(math.inf, 300.0, 114.25, *[0.0] * 6,
+                             "converged"),
+               M.StudyResult(2.0, 300.0, 115.5, *[0.0] * 6, "converged"),
+               M.StudyResult(2.0, 50.0, math.nan, *[math.nan] * 6,
+                             "infeasible")]
+    cost, frontier = cli.emit_sweep_plots(tmp_path, results)
+    assert cost.read_text() == (
+        "qdot_max_MW_m2,q_heat_max_MJ_m2,objective,status\n"
+        "inf,300,114.25,converged\n2,300,115.5,converged\n"
+        "2,50,nan,infeasible\n")
+    assert frontier.read_text() == ("qdot_max_MW_m2,min_feasible_q_heat_MJ_m2"
+                                    "\ninf,300\n2,300\n")

@@ -1,0 +1,155 @@
+"""The mission config file format: pinned bytes, round trips, rejections."""
+import json
+import math
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from ascentry import mission as M
+from ascentry.models import EarthConstants
+from ascentry.pathcost import HeatingParams
+
+DATA = Path(__file__).parent / "data"
+DEG = M.DEG
+
+
+def _every_field_config() -> M.MissionConfig:
+    """A valid config with every file field away from its default."""
+    base = M.MissionConfig()
+    s1, s2, s3 = base.stages
+    return replace(
+        base,
+        earth=EarthConstants(mu=3.986e5, re=6378.137, omega=7.2921159e-5,
+                             g0=9.80665e-3),
+        stages=(replace(s1, name="first", burn_time=56.5),
+                replace(s2, name="second", ref_area=4.3),
+                replace(s3, name="third", empty_mass=640.0)),
+        fairing_mass=410.0, payload_mass=3100.0, entry_mass=900.0,
+        entry_area=0.5, t_s1=56.5, t_s2=117.2, t_fairing=179.0, t_s3=189.2,
+        limits=M.PathLimits(q_max=120.0, q_split=11.0, n_max=11.5,
+                            h_atm=79.0, h_peak_lo=101.0, h_peak_hi=199.0,
+                            qdot_max=2.5, q_heat_max=300.0),
+        cost=M.CostParams(alpha_bar_boost=0.5 * DEG,
+                          alpha_bar_entry=12.0 * DEG, alpha_max=24.0 * DEG,
+                          u_alpha_max=9.0 * DEG, u_sigma_max=29.0 * DEG,
+                          k=4.0),
+        bc=M.BoundaryData(t0=2.5, h0=0.16, lon0=-120.5 * DEG,
+                          lat0=34.5 * DEG, v0=0.041, m0=85700.0, hf=0.01,
+                          lonf=-192.25 * DEG, latf=8.75 * DEG, vf=1.2,
+                          pad_elevation=0.11, tower_height=0.06),
+        heating=HeatingParams(kappa=200.0, rho0=1.2, v_circ=7.9,
+                              exp_rho=0.51, exp_v=3.1),
+        mesh=((5, 3), (4, 5), (4, 4), (2, 4), (3, 4), (3, 5), (6, 4), (8, 3)),
+        mesh_tolerance=5.0e-5, max_refinements=7, solver_tolerance=1.0e-7,
+        solver_max_iterations=300, guess_apogee=120.0,
+        atmosphere="atm.csv", boost_aero=["boost_cl.csv", "boost_cd.csv"],
+        entry_aero=["entry_cl.csv", "entry_cd.csv"])
+
+
+CASES = {"mission_default.json": M.default_config,
+         "mission_every_field.json": _every_field_config}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_to_json_reproduces_the_pinned_file(name, tmp_path):
+    path = tmp_path / name
+    CASES[name]().to_json(path)
+    assert path.read_bytes() == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_from_json_of_the_pinned_file_is_the_config(name):
+    assert M.MissionConfig.from_json(DATA / name) == CASES[name]()
+
+
+def test_defaults_need_no_file():
+    assert M.MissionConfig.from_dict({}) == M.default_config()
+    assert M.MissionConfig.from_dict({"problem": "mission",
+                                      "sweep": {"qdot_max": [1.0]}}) \
+        == M.default_config()
+
+
+@pytest.mark.parametrize("doc, names", [
+    ({"limts": {"q_max": 100.0}}, "'limts'"),
+    ({"limits": {"qdot_mx": 1.5}}, "'qdot_mx'"),
+    ({"cost": {"alpha_max": 20.0}}, "'alpha_max'"),
+    ({"tables": {"atmos": "a.csv"}}, "'atmos'"),
+    ({"stages": [dict(M.MissionConfig().to_dict()["stages"][0], mass=1.0)]},
+     "stages[0]"),
+])
+def test_unknown_sections_and_keys_are_rejected(doc, names):
+    with pytest.raises(M.ConfigError, match="unknown|keys") as err:
+        M.MissionConfig.from_dict(doc)
+    assert names in str(err.value)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("limits", "qdot_max", math.nan),
+    ("limits", "qdot_max", math.inf),
+    ("limits", "q_heat_max", "nan"),
+    ("limits", "q_max", None),
+    ("earth", "mu", math.nan),
+    ("heating", "kappa", math.nan),
+    ("heating", "kappa", -math.inf),
+    ("cost", "alpha_max_deg", math.inf),
+    ("boundary", "m0", "heavy"),
+])
+def test_non_finite_numbers_are_rejected(section, key, value):
+    with pytest.raises(M.ConfigError, match=f"{section}.{key}"):
+        M.MissionConfig.from_dict({section: {key: value}})
+
+
+def test_non_finite_stage_numbers_are_rejected():
+    stages = M.MissionConfig().to_dict()["stages"]
+    stages[1]["isp"] = math.nan
+    with pytest.raises(M.ConfigError, match=r"stages\[1\].isp"):
+        M.MissionConfig.from_dict({"stages": stages})
+
+
+def test_null_lifts_only_the_heating_limits():
+    cfg = M.MissionConfig.from_dict({"limits": {"qdot_max": None,
+                                                "q_heat_max": None}})
+    assert math.isinf(cfg.limits.qdot_max)
+    assert math.isinf(cfg.limits.q_heat_max)
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"mesh": [[4, 4]] * 7 + [[2.7, 4]]}, r"mesh\[7\]"),
+    ({"mesh": [[4, 4.5]] * 8}, r"mesh\[0\]"),
+    ({"solver": {"max_iterations": 2.7}}, "solver.max_iterations"),
+    ({"refinement": {"max_refinements": 2.5}}, "refinement.max_refinements"),
+    ({"refinement": {"max_refinements": math.inf}},
+     "refinement.max_refinements"),
+])
+def test_fractional_counts_are_rejected(doc, where):
+    with pytest.raises(M.ConfigError, match=where):
+        M.MissionConfig.from_dict(doc)
+
+
+def test_whole_counts_may_be_written_as_floats():
+    cfg = M.MissionConfig.from_dict({"mesh": [[4.0, 4]] * 8,
+                                     "solver": {"max_iterations": 30.0}})
+    assert cfg.mesh == ((4, 4),) * 8
+    assert cfg.solver_max_iterations == 30
+    assert isinstance(cfg.solver_max_iterations, int)
+
+
+@pytest.mark.parametrize("doc", [
+    {"mesh": {"phase1": [4, 4]}},
+    {"mesh": [[4, 4, 4]] * 8},
+    {"stages": {"name": "solo"}},
+    {"stages": ["stage1"]},
+])
+def test_malformed_list_sections_are_rejected(doc):
+    with pytest.raises(M.ConfigError):
+        M.MissionConfig.from_dict(doc)
+
+
+def test_readme_documents_every_config_field():
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    section = text.split("## Configuration file", 1)[1].split("\n## ", 1)[0]
+    for f in M.CONFIG_FIELDS:
+        row = (f"| `{f.section}` |" if f.key is None
+               else f"| `{f.section}` | `{f.key}` |")
+        assert row in section, row

@@ -371,3 +371,26 @@ def test_study_to_csv(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "inf" and first[-1] == "converged"
     assert lines[2].split(",")[-1] == "infeasible"
+
+
+def test_csv_text_is_pinned(tmp_path):
+    rows = [M.StudyResult(math.inf, 2.5, 114.2, 1.0 / 3.0, 7.3, -2.5e-7,
+                          123456789012.0, 0.0, 8.3, "converged"),
+            M.StudyResult(2.0, 500.0, float("nan"), 1e-300, -0.0, 1e21,
+                          42.0, 3.0, 0.1 + 0.2, "infeasible")]
+    path = tmp_path / "study.csv"
+    M.study_to_csv(rows, path)
+    assert path.read_text() == (
+        ",".join(M.STUDY_COLUMNS) + "\n"
+        "inf,2.5,114.2,0.3333333333,7.3,-2.5e-07,1.23456789e+11,0,8.3,"
+        "converged\n"
+        "2,500,nan,1e-300,-0,1e+21,42,3,0.3,infeasible\n")
+    table = np.zeros((2, len(M.TRAJECTORY_COLUMNS)))
+    table[0, :3] = [0.0, 1.5, -3.0e-12]
+    table[1, :3] = [2.0, np.pi, 1.0e10]
+    path = tmp_path / "traj.csv"
+    M.write_trajectory_csv(path, table)
+    zeros = "," + ",".join(["0"] * (len(M.TRAJECTORY_COLUMNS) - 3))
+    assert path.read_text() == (",".join(M.TRAJECTORY_COLUMNS) + "\n"
+                                "0,1.5,-3e-12" + zeros + "\n"
+                                "2,3.141592654,1e+10" + zeros + "\n")
