@@ -13,7 +13,7 @@ from . import mission as M
 from .canonical import CANONICAL_PROBLEMS, straight_line_guess
 from .meshref import RefinementOptions, refine_loop
 from .nlpsolve import SolverOptions
-from .transcription import transcribe
+from .transcription import transcribe, uniform_mesh
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -178,6 +178,7 @@ def emit_sweep_plots(out: Path, results) -> list[Path]:
 
 def _cmd_check(args, data: dict) -> int:
     cfg = _mission_config(args, data)
+    M.resolve_tables(cfg)
     tc = M.tower_clear_propagate(cfg)
     g0 = cfg.earth.g0
     print("mission bookkeeping")
@@ -205,18 +206,45 @@ def _cmd_check(args, data: dict) -> int:
     return EXIT_OK
 
 
-def _canonical_setup(problem: str, data: dict):
+def _canonical_section(data: dict, section: str, loaders: dict) -> dict:
+    """The keys given in one canonical-config section, each loaded by the
+    mission file's number checks; unknown keys are rejected."""
+    body = data.get(section, {})
+    if not isinstance(body, dict):
+        raise M.ConfigError(f"config section {section!r} must be an object")
+    for key in body:
+        if key not in loaders:
+            raise M.ConfigError(f"unknown key {key!r} in config section "
+                                f"{section!r}")
+    return {key: loaders[key](x, f"{section}.{key}") for key, x in body.items()}
+
+
+def _canonical_setup(problem: str, data: dict, max_refinements=None):
+    for section in data:
+        if section not in ("problem", "mesh", "solver", "refinement"):
+            raise M.ConfigError(f"unknown config section {section!r}")
     prob, meshes = CANONICAL_PROBLEMS[problem]()
     if "mesh" in data:
-        from .transcription import uniform_mesh
-        meshes = [uniform_mesh(int(n), int(d)) for n, d in data["mesh"]]
-    sv = data.get("solver", {})
-    solver = SolverOptions(tolerance=float(sv.get("tolerance", 1e-8)),
-                           max_iterations=int(sv.get("max_iterations", 200)))
-    rf = data.get("refinement", {})
-    refinement = RefinementOptions(
-        mesh_tolerance=float(rf.get("tolerance", 1e-6)),
-        max_refinements=int(rf.get("max_refinements", 6)))
+        mesh = M._load_mesh(data["mesh"], "mesh")
+        if len(mesh) != len(prob.phases) or any(
+                n < 1 or not 1 <= d <= 40 for n, d in mesh):
+            raise M.ConfigError(f"mesh must list [intervals >= 1, degree 1-40] "
+                                f"for all {len(prob.phases)} phases")
+        meshes = [uniform_mesh(n, d) for n, d in mesh]
+    sv = _canonical_section(data, "solver", {"tolerance": M._number,
+                                             "max_iterations": M._count})
+    rf = _canonical_section(data, "refinement",
+                            {"tolerance": M._number, "max_refinements": M._count})
+    if max_refinements is not None:
+        rf["max_refinements"] = max_refinements
+    try:
+        solver = SolverOptions(tolerance=sv.get("tolerance", 1e-8),
+                               max_iterations=sv.get("max_iterations", 200))
+        refinement = RefinementOptions(
+            mesh_tolerance=rf.get("tolerance", 1e-6),
+            max_refinements=rf.get("max_refinements", 6))
+    except ValueError as exc:
+        raise M.ConfigError(str(exc)) from None
     return prob, meshes, solver, refinement
 
 
@@ -233,9 +261,8 @@ def _write_canonical_outputs(out: Path, report) -> None:
 
 
 def _cmd_solve_canonical(args, problem: str, data: dict, out: Path) -> int:
-    prob, meshes, solver, refinement = _canonical_setup(problem, data)
-    if args.max_refinements is not None:
-        refinement.max_refinements = args.max_refinements
+    prob, meshes, solver, refinement = _canonical_setup(problem, data,
+                                                        args.max_refinements)
     report = refine_loop(prob, meshes, straight_line_guess, refinement, solver,
                          history_path=out / "mesh_history.json")
     rep = report.solve_reports[-1]

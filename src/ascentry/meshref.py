@@ -31,6 +31,8 @@ class RefinementOptions:
     def __post_init__(self):
         if self.mesh_tolerance <= 0:
             raise ValueError("mesh_tolerance must be positive")
+        if self.max_refinements < 1:
+            raise ValueError("max_refinements must be at least 1")
         if self.n_min > self.n_max:
             raise ValueError("n_min must not exceed n_max")
         if self.subdivision < 2:

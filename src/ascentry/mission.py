@@ -496,20 +496,24 @@ def tower_clear_propagate(config: MissionConfig) -> TowerClear:
 
 
 def resolve_tables(config: MissionConfig):
-    """(atmosphere, boost aero, entry aero) honoring file overrides."""
-    if config.atmosphere == "builtin":
-        atm = load_default_atmosphere()
-    else:
-        atm = AtmosphereTable.from_csv(config.atmosphere)
-    if config.boost_aero == "builtin":
-        boost = load_boost_aero()
-    else:
-        boost = AeroTable.from_csv(*config.boost_aero)
-    if config.entry_aero == "builtin":
-        entry = load_entry_aero()
-    else:
-        entry = extend_entry_aero(AeroTable.from_csv(*config.entry_aero))
-    return atm, boost, entry
+    """(atmosphere, boost aero, entry aero) honoring file overrides: a CSV
+    path for the atmosphere, a [cl, cd] pair of CSV paths for each aero
+    table.  A table that cannot be read is a ConfigError naming its key."""
+    def load(key, builtin, read):
+        value = getattr(config, key)
+        if value == "builtin":
+            return builtin()
+        try:
+            return read(value)
+        except (OSError, TypeError, ValueError) as exc:
+            raise ConfigError(f"tables.{key}: cannot load {value!r}: "
+                              f"{exc}") from None
+
+    return (load("atmosphere", load_default_atmosphere, AtmosphereTable.from_csv),
+            load("boost_aero", load_boost_aero,
+                 lambda v: AeroTable.from_csv(*v)),
+            load("entry_aero", load_entry_aero,
+                 lambda v: extend_entry_aero(AeroTable.from_csv(*v))))
 
 
 def phase_contexts(config: MissionConfig) -> list[PhaseContext]:

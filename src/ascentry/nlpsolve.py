@@ -1,39 +1,37 @@
 """Desk-scale sparse NLP solver.
 
-The built-in method is a line-search SQP: damped limited-memory BFGS in
-compact form, an active-set quadratic subproblem solved through sparse
-regularized KKT systems (with an ADMM fallback when the working set will
-not settle), and an l1 merit function.  Variables are scaled by their
-bound magnitudes (override with x_scale) and constraint rows are
-equilibrated against the first Jacobian; reports are translated back to
-the problem's own units.  Derivatives come from the problem object's
-`objective_gradient` and `jacobian`; `FunctionNLP` fills in any it was not
-given by central differences, the Jacobian through `estimate_jacobian`,
-which groups structurally orthogonal columns so one probe pair serves a
-whole group.  External solvers attach through `register_solver`.
+The method is a line-search SQP: damped limited-memory BFGS in compact
+form, an active-set quadratic subproblem solved through sparse regularized
+KKT systems (with an ADMM fallback when the working set will not settle,
+polished by a dense equality solve when the subproblem is small), and an
+l1 merit function.  Variables are scaled by their bound magnitudes and
+constraint rows are equilibrated against the first Jacobian; reports are
+translated back to the problem's own units.  Derivatives come from the
+problem object's `objective_gradient` and `jacobian`; `FunctionNLP` fills
+in any it was not given by the dense central differences of
+`transcription._fd_vector`.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+from .transcription import _fd_vector
+
+QP_MAX_ITERATIONS = 4000   # ADMM iterations per fallback solve
+POLISH_LIMIT = 3000        # largest n + rows(C) the dense polish takes on
 
 
 @dataclass
 class SolverOptions:
     tolerance: float = 1e-6
     max_iterations: int = 500
-    mode: str = "builtin"
-    x_scale: np.ndarray | None = None
     log_path: str | None = None
-    qp_max_iterations: int = 4000
-    polish_limit: int = 3000
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -65,14 +63,12 @@ class FunctionNLP:
     def __init__(self, n_var: int, objective: Callable,
                  z_lo=None, z_hi=None, gradient: Callable | None = None,
                  constraints: Callable | None = None, c_lo=None, c_hi=None,
-                 jacobian: Callable | None = None,
-                 sparsity_pattern=None):
+                 jacobian: Callable | None = None):
         self.n_var = n_var
         self._obj = objective
         self._grad = gradient
         self._con = constraints
         self._jac = jacobian
-        self._pattern = sparsity_pattern
         self.z_lo = np.full(n_var, -np.inf) if z_lo is None else np.asarray(z_lo, float)
         self.z_hi = np.full(n_var, np.inf) if z_hi is None else np.asarray(z_hi, float)
         if constraints is None:
@@ -95,92 +91,12 @@ class FunctionNLP:
     def objective_gradient(self, z):
         if self._grad is not None:
             return np.asarray(self._grad(z), float)
-        g = np.empty(self.n_var)
-        for j in range(self.n_var):
-            h = _FD_STEP * max(1.0, abs(z[j]))
-            zp, zm = z.copy(), z.copy()
-            zp[j] += h
-            zm[j] -= h
-            g[j] = (self._obj(zp) - self._obj(zm)) / (2 * h)
-        return g
+        return _fd_vector(self._obj, z, 1)[0]
 
     def jacobian(self, z):
         if self._jac is not None:
             return sp.csr_matrix(np.atleast_2d(self._jac(z)))
-        return estimate_jacobian(self, z, self.sparsity())
-
-    def sparsity(self):
-        if self._pattern is not None:
-            return self._pattern
-        rows = np.repeat(np.arange(self.n_con), self.n_var)
-        cols = np.tile(np.arange(self.n_var), self.n_con)
-        return rows, cols
-
-
-def color_columns(rows: np.ndarray, cols: np.ndarray, n_cols: int) -> np.ndarray:
-    """Greedy distance-2 coloring: columns sharing a row get distinct colors."""
-    col_rows = [[] for _ in range(n_cols)]
-    for r, c in zip(rows, cols):
-        col_rows[c].append(r)
-    row_cols: dict[int, list[int]] = {}
-    for c in range(n_cols):
-        for r in col_rows[c]:
-            row_cols.setdefault(r, []).append(c)
-    color = np.full(n_cols, -1, dtype=int)
-    for c in range(n_cols):
-        taken = set()
-        for r in col_rows[c]:
-            for c2 in row_cols[r]:
-                if color[c2] >= 0:
-                    taken.add(color[c2])
-        k = 0
-        while k in taken:
-            k += 1
-        color[c] = k
-    color[color < 0] = 0
-    return color
-
-
-def estimate_jacobian(nlp, point: np.ndarray, sparsity=None,
-                      step: float = _FD_STEP) -> sp.csr_matrix:
-    """Sparse Jacobian by grouped central differences.
-
-    Entries outside the given pattern are never formed; a dense pattern is
-    assumed when none is supplied.
-    """
-    x = np.asarray(point, float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("evaluation point must be finite")
-    if sparsity is None:
-        sparsity = nlp.sparsity()
-    rows = np.asarray(sparsity[0], dtype=np.int64)
-    cols = np.asarray(sparsity[1], dtype=np.int64)
-    n = nlp.n_var
-    m = nlp.n_con
-    if m == 0 or len(rows) == 0:
-        return sp.csr_matrix((m, n))
-    color = color_columns(rows, cols, n)
-    groups = [np.flatnonzero(color == k) for k in range(color.max() + 1)]
-    h = step * np.maximum(1.0, np.abs(x))
-
-    vals = np.empty(len(rows))
-    col_order = np.argsort(cols, kind="stable")
-    sorted_cols = cols[col_order]
-    starts = np.searchsorted(sorted_cols, np.arange(n + 1))
-    for g in groups:
-        e = np.zeros(n)
-        e[g] = h[g]
-        cp = nlp.constraints(x + e)
-        cm = nlp.constraints(x - e)
-        if not (np.all(np.isfinite(cp)) and np.all(np.isfinite(cm))):
-            bad = int(np.flatnonzero(~np.isfinite(cp - cm))[0])
-            raise ValueError(f"non-finite constraint value at row {bad} "
-                             "during derivative probe")
-        d = cp - cm
-        for j in g:
-            idx = col_order[starts[j]:starts[j + 1]]
-            vals[idx] = d[rows[idx]] / (2.0 * h[j])
-    return sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(m, n)))
+        return sp.csr_matrix(_fd_vector(self.constraints, z, self.n_con))
 
 
 class _CompactBFGS:
@@ -473,7 +389,7 @@ def _admm_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
                     Ksolve = factorize()
 
     y_orig = E * y
-    if polish and n + m <= 10000:
+    if polish:
         pol = _polish(bfgs, q, C, l, u, x, y_orig)
         if pol is not None:
             x, y_orig = pol
@@ -486,7 +402,7 @@ def _polish(bfgs, q, C, l, u, x, y):
     act_lo = np.flatnonzero(y < -1e-10)
     act_hi = np.flatnonzero(y > 1e-10)
     act = np.concatenate([act_lo, act_hi])
-    if len(act) > 2000 or len(x) > 2000:
+    if len(act) > 2000:
         return None
     b = np.concatenate([l[act_lo], u[act_hi]])
     if not np.all(np.isfinite(b)):
@@ -523,9 +439,7 @@ class _ScaledNLP:
 
     def __init__(self, inner, s: np.ndarray):
         self.inner = inner
-        self.s = np.asarray(s, float)
-        if np.any(self.s <= 0) or len(self.s) != inner.n_var:
-            raise ValueError("x_scale must be positive, one entry per variable")
+        self.s = s
         self.n_var = inner.n_var
         self.n_con = inner.n_con
         self.z_lo = inner.z_lo / self.s
@@ -544,9 +458,6 @@ class _ScaledNLP:
 
     def jacobian(self, z):
         return self.inner.jacobian(self.s * z).multiply(self.s[None, :]).tocsr()
-
-    def sparsity(self):
-        return self.inner.sparsity()
 
 
 def _violation(c, c_lo, c_hi):
@@ -590,16 +501,6 @@ def _complementarity(*groups) -> float:
     return comp
 
 
-SOLVER_PLUGINS: dict[str, Callable] = {}
-
-
-def register_solver(name: str):
-    def deco(fn):
-        SOLVER_PLUGINS[name] = fn
-        return fn
-    return deco
-
-
 def _bound_scale(nlp) -> np.ndarray:
     """Per-variable magnitudes from the box bounds, floored at one."""
     lo = np.where(np.isfinite(nlp.z_lo), np.abs(nlp.z_lo), 0.0)
@@ -609,13 +510,7 @@ def _bound_scale(nlp) -> np.ndarray:
 
 def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveReport:
     options = options or SolverOptions()
-    if options.mode != "builtin":
-        if options.mode not in SOLVER_PLUGINS:
-            raise ValueError(f"unknown solver mode {options.mode!r}")
-        return SOLVER_PLUGINS[options.mode](nlp, x0, options)
-
-    s = (np.asarray(options.x_scale, float) if options.x_scale is not None
-         else _bound_scale(nlp))
+    s = _bound_scale(nlp)
     if np.any(s != 1.0):
         scaled = _ScaledNLP(nlp, s)
         rep = _solve_core(scaled, np.asarray(x0, float) / s, options)
@@ -722,7 +617,7 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
             l_full, u_full, y0_full = bl, bu, y_bnd
         eps_qp = float(np.clip(0.03 * max(stat, feas), 0.05 * tol, 1e-4))
         v1 = _violation_l1(c, c_lo, c_hi)
-        polish = n + C.shape[0] <= options.polish_limit
+        polish = n + C.shape[0] <= POLISH_LIMIT
         # let the penalty recover when history has pushed it far past what
         # the current multipliers justify
         y_prev = float(np.abs(y_con).max()) if m else 0.0
@@ -739,8 +634,7 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
             if qp is None:
                 if fallback is None:
                     fallback = _admm_qp(bfgs, g, C, l_full, u_full, y0_full,
-                                        eps_qp, options.qp_max_iterations,
-                                        polish)
+                                        eps_qp, QP_MAX_ITERATIONS, polish)
                 qp = fallback
             v_lin = _violation_l1(c + J @ qp.d, c_lo, c_hi) if m else 0.0
             if v_lin <= max(1e-8, 1e-6 * v1) or mu >= 1e10:

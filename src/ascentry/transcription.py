@@ -4,8 +4,10 @@ Variable layout, per phase: state rows at every collocation node plus the
 final non-collocated endpoint, control rows at collocation nodes only, then
 t0 and tf; shared integral accumulators sit at the end of the vector.
 Dynamics, path, integrand and cost callbacks are autonomous and batched:
-they map (X, U) with one row per node to one output row per node, and they
-must be pure: the derivatives at a point are computed once and reused.
+they map (X, U) with one row per node to one output row per node, each from
+its own input row alone, since the derivative probe stacks many perturbed
+copies of the nodes into one batch; and they must be pure: the derivatives
+at a point are computed once and reused.
 """
 from __future__ import annotations
 
@@ -207,10 +209,10 @@ class _PhasePoint:
     F: np.ndarray        # dynamics (nc, nx)
     Q: list              # integrand values, (nc,) each
     L: np.ndarray | None  # running cost (nc,)
-    dF: np.ndarray
-    dP: np.ndarray
-    dQ: np.ndarray
-    dL: np.ndarray
+    dF: np.ndarray       # (nc, nx+nu, nx)
+    dP: np.ndarray       # (npath, nc, nx+nu)
+    dQ: np.ndarray       # (nterm, nc, nx+nu)
+    dL: np.ndarray | None  # (nc, nx+nu)
 
 
 def _fd_vector(func, x, dim_out):
@@ -481,54 +483,6 @@ class NLPProblem:
 
     # ----- structured derivatives -----
 
-    def _node_fd(self, ph, X, U):
-        """Per-node central-difference partials of dynamics, paths, integrands
-        and cost with respect to the node's own state/control row.
-
-        Returns dF (nc, nx+nu, nx), dP (npath, nc, nx+nu),
-        dQ (nterm, nc, nx+nu), dL (nc, nx+nu).
-        """
-        nc = X.shape[0]
-        nin = ph.nx + ph.nu
-        dF = np.zeros((nc, nin, ph.nx))
-        dP = np.zeros((len(ph.path), nc, nin))
-        dQ = np.zeros((len(ph.integrands), nc, nin))
-        dL = np.zeros((nc, nin))
-
-        def probe(Xp, Up):
-            f = np.atleast_2d(ph.dynamics(Xp, Up))
-            ps = [np.asarray(pc.func(Xp, Up)).reshape(-1) for pc in ph.path]
-            qs = [np.asarray(t.func(Xp, Up)).reshape(-1) for t in ph.integrands]
-            ls = (np.asarray(ph.cost(Xp, Up)).reshape(-1)
-                  if ph.cost is not None else None)
-            return f, ps, qs, ls
-
-        for j in range(nin):
-            if j < ph.nx:
-                h = _FD_STEP * np.maximum(1.0, np.abs(X[:, j]))
-                Xp, Xm = X.copy(), X.copy()
-                Xp[:, j] += h
-                Xm[:, j] -= h
-                fp, pp, qp, lp = probe(Xp, U)
-                fm, pm, qm, lm = probe(Xm, U)
-            else:
-                ju = j - ph.nx
-                h = _FD_STEP * np.maximum(1.0, np.abs(U[:, ju]))
-                Up, Um = U.copy(), U.copy()
-                Up[:, ju] += h
-                Um[:, ju] -= h
-                fp, pp, qp, lp = probe(X, Up)
-                fm, pm, qm, lm = probe(X, Um)
-            inv = 1.0 / (2.0 * h)
-            dF[:, j, :] = (fp - fm) * inv[:, None]
-            for i in range(len(ph.path)):
-                dP[i, :, j] = (pp[i] - pm[i]) * inv
-            for i in range(len(ph.integrands)):
-                dQ[i, :, j] = (qp[i] - qm[i]) * inv
-            if ph.cost is not None:
-                dL[:, j] = (lp - lm) * inv
-        return dF, dP, dQ, dL
-
     def _build_jacobian_plan(self):
         """Enumerate the Jacobian's blocks once for this mesh.
 
@@ -633,17 +587,40 @@ class NLPProblem:
             quad_cols=quad_cols)
 
     def _phase_point(self, z, p) -> _PhasePoint:
+        """One phase's node values and node-local partials at z.
+
+        Each callback runs once, on one stacked batch: the collocation
+        nodes, then the nodes with column j of [X U] moved by +h, then by
+        -h, for j over the nx+nu columns.  The partials are central
+        differences with `_fd_vector`'s step, scaled by each node's own
+        value, taken for every node at once.
+        """
         ph = self.problem.phases[p]
-        X = self.states(z, p)[:-1]
-        U = self.controls(z, p)
         t0, tf = self.times(z, p)
-        dF, dP, dQ, dL = self._node_fd(ph, X, U)
+        V = np.hstack([self.states(z, p)[:-1], self.controls(z, p)])
+        nc, nin = V.shape
+        n = 2 * nin + 1
+        h = _FD_STEP * np.maximum(1.0, np.abs(V))
+        S = np.repeat(V[None], n, axis=0)
+        j = np.arange(nin)
+        S[1 + j, :, j] += h.T
+        S[1 + nin + j, :, j] -= h.T
+        S = S.reshape(n * nc, nin)
+        X, U = S[:, :ph.nx].copy(), S[:, ph.nx:].copy()
+        funcs = ([pc.func for pc in ph.path] + [t.func for t in ph.integrands]
+                 + ([ph.cost] if ph.cost is not None else []))
+        F = np.reshape(ph.dynamics(X, U), (n, nc, ph.nx))
+        G = np.reshape(np.array([np.reshape(f(X, U), (n, nc)) for f in funcs]),
+                       (len(funcs), n, nc))
+        inv = (1.0 / (2.0 * h)).T
+        dF = ((F[1:nin + 1] - F[nin + 1:]) * inv[:, :, None]).transpose(1, 0, 2)
+        dG = ((G[:, 1:nin + 1] - G[:, nin + 1:]) * inv).transpose(0, 2, 1)
+        npath, nq = len(ph.path), len(ph.integrands)
+        cost = ph.cost is not None
         return _PhasePoint(
-            t0=t0, tf=tf, F=np.atleast_2d(ph.dynamics(X, U)),
-            Q=[np.asarray(t.func(X, U)).reshape(-1) for t in ph.integrands],
-            L=(np.asarray(ph.cost(X, U)).reshape(-1)
-               if ph.cost is not None else None),
-            dF=dF, dP=dP, dQ=dQ, dL=dL)
+            t0=t0, tf=tf, F=F[0], Q=list(G[npath:npath + nq, 0]),
+            L=G[-1, 0] if cost else None, dF=dF, dP=dG[:npath],
+            dQ=dG[npath:npath + nq], dL=dG[-1] if cost else None)
 
     def _derivatives(self, z):
         """(objective gradient, constraint Jacobian) at z from one node probe

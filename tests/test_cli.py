@@ -175,6 +175,53 @@ def test_check_rejects_ignored_or_malformed_input(tmp_path, capsys, doc,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"problem": "scalar-energy", "solver": {"tolerance": 1e-6,
+                                             "max_iterations": 12.9},
+      "refinment": {"max_refinements": 1}}, "'refinment'"),
+    ({"problem": "scalar-energy", "solver": {"max_iterations": 12.9}},
+     "solver.max_iterations"),
+    ({"problem": "exponential", "solver": {"tolerance": "nan"}},
+     "solver.tolerance"),
+    ({"problem": "exponential", "solver": {"tolerance": -1e-6}},
+     "tolerance must be positive"),
+    ({"problem": "exponential", "solver": {"max_iter": 3}}, "'max_iter'"),
+    ({"problem": "exponential", "refinement": {"max_refinements": 0}},
+     "max_refinements"),
+    ({"problem": "exponential", "mesh": [[2, 3], [1, 3]]}, "mesh"),
+    ({"problem": "exponential", "mesh": [[2.5, 3]]}, "mesh[0]"),
+])
+@pytest.mark.parametrize("command", ["solve", "transcribe-only"])
+def test_canonical_config_is_checked_like_the_mission_file(tmp_path, capsys,
+                                                           command, doc,
+                                                           message):
+    path = _write(tmp_path, doc)
+    code = cli.main(["--command", command, "--config", path,
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+
+
+@pytest.mark.parametrize("tables", [
+    {"atmosphere": "missing_atmosphere.csv"},
+    {"boost_aero": ["missing_cl.csv", "missing_cd.csv"]},
+    {"entry_aero": "not_a_pair.csv"},
+])
+@pytest.mark.parametrize("command", ["check", "transcribe-only"])
+def test_unreadable_table_file_is_a_config_error(tmp_path, capsys, command,
+                                                 tables):
+    path = _write(tmp_path, {"tables": {
+        key: str(tmp_path / v) if isinstance(v, str) else
+        [str(tmp_path / f) for f in v] for key, v in tables.items()}})
+    code = cli.main(["--command", command, "--config", path,
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert "configuration error" in err and f"tables.{next(iter(tables))}" in err
+    assert "configuration valid" not in out
+
+
 @pytest.mark.parametrize("sweep, message", [
     ({"qdot_mx": [2.0]}, "'qdot_mx'"),
     ({"qdot_max": [2.0, 0.0]}, "sweep.qdot_max"),

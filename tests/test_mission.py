@@ -248,6 +248,16 @@ def test_guess_jacobian_structure_is_the_declared_sparsity(guess_setup):
     assert np.array_equal(J.row, rows) and np.array_equal(J.col, cols)
 
 
+def test_guess_node_probe_equals_the_per_column_loop(guess_setup,
+                                                    assert_probe_matches_loop):
+    nlp, z0 = guess_setup
+    assert_probe_matches_loop(nlp, z0)
+    scale = np.maximum(1.0, np.abs(z0))
+    rng = np.random.default_rng(2104)
+    assert_probe_matches_loop(nlp, nlp.clip_to_bounds(
+        z0 + 1e-3 * scale * rng.standard_normal(nlp.n_var)))
+
+
 def test_guess_derivatives_match_directional_differences(cfg, guess_setup):
     """jacobian @ v and gradient . v against central differences of the
     constraints and the objective, along seeded directions.  The directions

@@ -4,9 +4,7 @@ import pytest
 
 from ascentry import nlpsolve
 from ascentry.nlpsolve import (FunctionNLP, SolveReport, SolverOptions,
-                               _CompactBFGS, color_columns, estimate_jacobian,
-                               kkt_residuals, register_solver, solve,
-                               SOLVER_PLUGINS)
+                               _CompactBFGS, kkt_residuals, solve)
 from ascentry.transcription import (MultiPhaseProblem, PhaseDef, transcribe,
                                     uniform_mesh)
 
@@ -18,45 +16,7 @@ def test_options_validation():
         SolverOptions(max_iterations=0)
 
 
-def test_unknown_mode_raises():
-    nlp = FunctionNLP(1, lambda z: z[0] ** 2)
-    with pytest.raises(ValueError):
-        solve(nlp, np.zeros(1), SolverOptions(mode="nope"))
-
-
-def test_plugin_dispatch():
-    name = "stub_for_test"
-
-    @register_solver(name)
-    def _stub(nlp, x0, options):
-        from ascentry.nlpsolve import SolveReport
-        return SolveReport(status="converged", iterations=0, objective=0.0,
-                           violation=0.0, x=np.asarray(x0))
-
-    try:
-        rep = solve(FunctionNLP(2, lambda z: 0.0), np.array([1.0, 2.0]),
-                    SolverOptions(mode=name))
-        assert rep.converged and np.all(rep.x == [1.0, 2.0])
-    finally:
-        SOLVER_PLUGINS.pop(name, None)
-
-
-def test_color_columns_tridiagonal():
-    # tridiagonal pattern: three colors suffice and neighbours differ
-    n = 12
-    rows, cols = [], []
-    for i in range(n):
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < n:
-                rows.append(i)
-                cols.append(j)
-    color = color_columns(np.array(rows), np.array(cols), n)
-    assert color.max() <= 2
-    for i in range(n - 1):
-        assert color[i] != color[i + 1]
-
-
-def test_estimate_jacobian_banded():
+def test_function_nlp_differences_a_banded_jacobian():
     n = 9
 
     def con(z):
@@ -64,24 +24,14 @@ def test_estimate_jacobian_banded():
         out[1:] += 0.5 * z[:-1] ** 3
         return out
 
-    rows = np.concatenate([np.arange(n), np.arange(1, n)])
-    cols = np.concatenate([np.arange(n), np.arange(n - 1)])
     nlp = FunctionNLP(n, lambda z: 0.0, constraints=con,
-                      c_lo=np.zeros(n), c_hi=np.zeros(n),
-                      sparsity_pattern=(rows, cols))
+                      c_lo=np.zeros(n), c_hi=np.zeros(n))
     rng = np.random.default_rng(2)
     x = rng.uniform(-2.0, 2.0, n)
-    J = estimate_jacobian(nlp, x).toarray()
+    J = nlp.jacobian(x).toarray()
     expect = np.diag(2 * x)
     expect[np.arange(1, n), np.arange(n - 1)] = 1.5 * x[:-1] ** 2
     assert np.allclose(J, expect, rtol=1e-6, atol=1e-7)
-
-
-def test_estimate_jacobian_rejects_nonfinite_point():
-    nlp = FunctionNLP(2, lambda z: 0.0, constraints=lambda z: z,
-                      c_lo=np.zeros(2), c_hi=np.zeros(2))
-    with pytest.raises(ValueError):
-        estimate_jacobian(nlp, np.array([1.0, np.nan]))
 
 
 def _bfgs_recursion(gamma, pairs, n):
@@ -195,17 +145,6 @@ def test_iteration_log(tmp_path):
     float(first[1]), float(first[2]), float(first[3])
 
 
-def test_x_scale_handles_disparate_magnitudes():
-    def obj(z):
-        return (z[0] / 1e4 - 1.0) ** 2 + (z[1] * 10.0 - 2.0) ** 2
-
-    rep = solve(FunctionNLP(2, obj), np.zeros(2),
-                SolverOptions(x_scale=np.array([1e4, 0.1])))
-    assert rep.converged
-    assert abs(rep.x[0] - 1e4) < 1e-1
-    assert abs(rep.x[1] - 0.2) < 1e-5
-
-
 def test_auto_scaling_from_bounds():
     # same badly scaled objective, but the boxes reveal the magnitudes
     def obj(z):
@@ -279,7 +218,8 @@ def _unreachable_tie():
 
 def test_admm_fallback_runs_once_per_sqp_iteration(monkeypatch):
     real_admm = nlpsolve._admm_qp
-    options = SolverOptions(max_iterations=3, qp_max_iterations=200)
+    monkeypatch.setattr(nlpsolve, "QP_MAX_ITERATIONS", 200)
+    options = SolverOptions(max_iterations=3)
     passes = []
     admm_args = []
 

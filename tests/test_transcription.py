@@ -1,8 +1,11 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ascentry.canonical import CANONICAL_PROBLEMS, straight_line_guess
 from ascentry.lgr import lgr_rule
 from ascentry.transcription import (Accumulator, BoundaryConstraint,
                                     EvaluationError, IntegralTerm, Linkage,
@@ -277,9 +280,9 @@ def test_gradient_and_jacobian_share_one_node_probe(monkeypatch):
     meshes = [uniform_mesh(2, 3), uniform_mesh(1, 4)]
     nlp = transcribe(_two_phase_linked(cost), meshes)
     calls = []
-    node_fd = NLPProblem._node_fd
-    monkeypatch.setattr(NLPProblem, "_node_fd",
-                        lambda self, *a: calls.append(1) or node_fd(self, *a))
+    probe = NLPProblem._phase_point
+    monkeypatch.setattr(NLPProblem, "_phase_point",
+                        lambda self, *a: calls.append(1) or probe(self, *a))
     z = _linked_point(nlp, 5)
     g = nlp.objective_gradient(z)
     J = nlp.jacobian(z)
@@ -297,6 +300,79 @@ def test_gradient_and_jacobian_share_one_node_probe(monkeypatch):
     assert np.array_equal(nlp.jacobian(z).toarray(), fresh.jacobian(z).toarray())
     assert np.array_equal(nlp.objective_gradient(z), fresh.objective_gradient(z))
     assert len(calls) == 3 * len(meshes)
+
+
+def _nonlinear_phase_problem():
+    """One phase with nonlinear dynamics, two path rows, an integrand and a
+    running cost, each mixing states and controls."""
+    ph = PhaseDef(
+        "swing", 2, 2,
+        lambda X, U: np.column_stack([X[:, 1] * np.cos(U[:, 1]),
+                                      np.sin(X[:, 0]) * U[:, 0]
+                                      - 0.1 * X[:, 1] ** 3]),
+        x_lo=[-5.0, -5.0], x_hi=[5.0, 5.0], u_lo=[-2.0, -2.0], u_hi=[2.0, 2.0],
+        t0_lo=0.0, t0_hi=0.0, tf_lo=1.0, tf_hi=3.0,
+        path=[PathConstraint("energy", lambda X, U: X[:, 0] ** 2
+                             + np.exp(0.3 * X[:, 1]), 0.0, 10.0),
+              PathConstraint("load", lambda X, U: U[:, 0] * X[:, 1]
+                             - np.tanh(U[:, 1]), -3.0, 3.0)],
+        integrands=[IntegralTerm("effort", lambda X, U: np.abs(U[:, 0]) ** 1.5
+                                 + X[:, 0] * U[:, 1])],
+        cost=lambda X, U: U[:, 0] ** 2 + np.log1p(X[:, 1] ** 2))
+    prob = MultiPhaseProblem([ph], accumulators=[Accumulator("effort",
+                                                             -50.0, 50.0)])
+    return prob, [MeshPhase([0.3, 0.7], [3, 4])]
+
+
+_PROBE_PROBLEMS = {
+    **CANONICAL_PROBLEMS,
+    "nonlinear-phase": _nonlinear_phase_problem,
+    "two-phase-linked": lambda: (
+        _two_phase_linked(lambda X, U: U[:, 0] ** 2 + X[:, 1] ** 2 * X[:, 0]),
+        [uniform_mesh(2, 3), uniform_mesh(1, 4)]),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(_PROBE_PROBLEMS)),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.floats(min_value=1e-3, max_value=10.0))
+def test_stacked_probe_equals_the_per_column_loop(assert_probe_matches_loop,
+                                                  name, seed, spread):
+    prob, meshes = _PROBE_PROBLEMS[name]()
+    nlp = transcribe(prob, meshes)
+    rng = np.random.default_rng(seed)
+    z = nlp.clip_to_bounds(straight_line_guess(nlp)
+                           + spread * rng.uniform(-1.0, 1.0, nlp.n_var))
+    assert_probe_matches_loop(nlp, z)
+
+
+@pytest.mark.parametrize("name", ["nonlinear-phase", "two-phase-linked"])
+def test_each_callback_runs_once_per_phase_per_derivative_pass(name):
+    prob, meshes = _PROBE_PROBLEMS[name]()
+    calls = Counter()
+
+    def counted(key, func):
+        def wrapped(X, U):
+            calls[key] += 1
+            return func(X, U)
+        return wrapped
+
+    for p, ph in enumerate(prob.phases):
+        ph.dynamics = counted((p, "dynamics"), ph.dynamics)
+        ph.cost = counted((p, "cost"), ph.cost)
+        for pc in ph.path:
+            pc.func = counted((p, pc.name), pc.func)
+        for term in ph.integrands:
+            term.func = counted((p, term.accumulator), term.func)
+    nlp = transcribe(prob, meshes)
+    z = nlp.clip_to_bounds(straight_line_guess(nlp) + 0.1)
+    nlp.objective_gradient(z)
+    nlp.jacobian(z)
+    expected = {(p, key) for p, ph in enumerate(prob.phases)
+                for key in ["dynamics", "cost", *(pc.name for pc in ph.path),
+                            *(t.accumulator for t in ph.integrands)]}
+    assert calls == Counter({key: 1 for key in expected})
 
 
 def test_objective_gradient_matches_fd():
