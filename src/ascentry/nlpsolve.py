@@ -10,6 +10,14 @@ translated back to the problem's own units.  Derivatives come from the
 problem object's `objective_gradient` and `jacobian`; `FunctionNLP` fills
 in any it was not given by the dense central differences of
 `transcription._fd_vector`.
+
+An active-set pass gets `ACTIVE_SET_PIVOTS` = 20 working-set changes, each
+one a sparse KKT factorization.  On the canonical problems and the mission
+every pass that settles does so within 10 pivots (most within one), and
+none settles between pivot 11 and pivot 60, so a budget of twice the
+longest settled pass returns what a longer one would, while a pass that
+cannot settle hands over to the ADMM fallback after 20 factorizations
+rather than 60.
 """
 from __future__ import annotations
 
@@ -23,6 +31,7 @@ import scipy.sparse.linalg as spla
 
 from .transcription import _fd_vector
 
+ACTIVE_SET_PIVOTS = 20     # working-set changes per active-set pass
 QP_MAX_ITERATIONS = 4000   # ADMM iterations per fallback solve
 POLISH_LIMIT = 3000        # largest n + rows(C) the dense polish takes on
 
@@ -176,16 +185,36 @@ class _QPResult:
         self.converged = converged  # met its tolerance before its cap
 
 
+def _kkt_matrix(n: int, A: sp.csr_matrix, d_top: float,
+                d_bot: float) -> sp.csc_matrix:
+    """[d_top*I, A'; A, d_bot*I] in sorted CSC, the arrays sp.bmat builds.
+
+    The left n columns are the diagonal entry over A's column from its CSC
+    form; column n+i is A's row i from its sorted CSR form over the
+    diagonal entry.  Explicit zeros stay, as they do in bmat."""
+    k = A.shape[0]
+    R = sp.csr_matrix(A, copy=True)
+    R.sum_duplicates()
+    Cc = R.tocsc()
+    # np.insert places equal positions in order, so empty rows and columns
+    # still get their diagonal entries in order
+    indices = np.concatenate([
+        np.insert(Cc.indices + n, Cc.indptr[:-1], np.arange(n)),
+        np.insert(R.indices, R.indptr[1:], np.arange(n, n + k))])
+    data = np.concatenate([np.insert(Cc.data, Cc.indptr[:-1], d_top),
+                           np.insert(R.data, R.indptr[1:], d_bot)])
+    indptr = np.concatenate([Cc.indptr + np.arange(n + 1),
+                             Cc.nnz + n + R.indptr[1:] + np.arange(1, k + 1)])
+    return sp.csc_matrix((data, indices, indptr), shape=(n + k, n + k))
+
+
 def _kkt_solver(bfgs: _CompactBFGS, A: sp.csr_matrix, reg: float):
     """Factor [B A'; A -reg*I] with the low-rank Hessian part folded in by
     a Woodbury correction; returns a solve callable or None on breakdown."""
     n = bfgs.n
     k = A.shape[0]
-    blocks = [[sp.eye(n, format="csc") * (bfgs.gamma + 1e-10), A.T],
-              [A, -reg * sp.eye(k, format="csc")]] if k else \
-        [[sp.eye(n, format="csc") * (bfgs.gamma + 1e-10)]]
     try:
-        lu = spla.splu(sp.bmat(blocks, format="csc"))
+        lu = spla.splu(_kkt_matrix(n, A, bfgs.gamma + 1e-10, -reg))
     except RuntimeError:
         return None
     r2 = bfgs.W.shape[1]
@@ -207,8 +236,7 @@ def _kkt_solver(bfgs: _CompactBFGS, A: sp.csr_matrix, reg: float):
 
 def _active_set_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
                    l: np.ndarray, u: np.ndarray, y0: np.ndarray,
-                   n_soft: int = 0, pi: float = np.inf,
-                   max_pivots: int = 60) -> _QPResult | None:
+                   n_soft: int = 0, pi: float = np.inf) -> _QPResult | None:
     """Primal-dual active-set pass over the working set.
 
     The first n_soft rows are elastic with weight pi: one whose multiplier
@@ -238,8 +266,9 @@ def _active_set_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
     sat_lo = np.zeros(m, dtype=bool)
     sat_hi = np.zeros(m, dtype=bool)
 
+    CT = C.T
     seen: set[bytes] = set()
-    for pivot in range(1, max_pivots + 1):
+    for pivot in range(1, ACTIVE_SET_PIVOTS + 1):
         sig = b"".join(np.packbits(msk).tobytes()
                        for msk in (act_lo, act_hi, eq_act, sat_lo, sat_hi))
         if sig in seen:
@@ -253,11 +282,12 @@ def _active_set_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
             pull = np.zeros(m)
             pull[sat_hi] = pi
             pull[sat_lo] = -pi
-            q_eff = q + C.T @ pull
+            q_eff = q + CT @ pull
         reg = 1e-11 * (1.0 + bfgs.gamma)
         solve = _kkt_solver(bfgs, A, reg)
         if solve is None:
             return None
+        AT = A.T
         rhs = np.concatenate([-q_eff, b])
         sol = solve(rhs)
         if not np.all(np.isfinite(sol)):
@@ -269,7 +299,7 @@ def _active_set_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
         prev = np.inf
         for _ in range(4):
             res = rhs - np.concatenate([
-                bfgs.mul(sol[:n]) + (A.T @ sol[n:] if len(act) else 0.0),
+                bfgs.mul(sol[:n]) + (AT @ sol[n:] if len(act) else 0.0),
                 A @ sol[:n]])
             rmax = float(np.abs(res).max())
             if rmax < 1e-13 * (1.0 + np.abs(rhs).max()) or rmax > 0.5 * prev:
@@ -301,7 +331,7 @@ def _active_set_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
                               np.where(np.isfinite(u), r - u, 0.0))
             r_p = float(viol[hard].max(initial=0.0))
             r_d = float(np.abs(bfgs.mul(d) + q_eff
-                               + (A.T @ nu if len(act) else 0.0)).max())
+                               + (AT @ nu if len(act) else 0.0)).max())
             return _QPResult(d, y, pivot, r_p, r_d, True)
         eq_act = (eq_act & ~rel_lo & ~rel_hi) | ((back_lo | back_hi) & tied)
         act_lo = (act_lo & ~drops_lo & ~rel_lo) | adds_lo | (back_lo & ~tied)
@@ -323,6 +353,7 @@ def _admm_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
     row_inf = np.maximum(np.abs(C).max(axis=1).toarray().ravel(), 1e-10)
     E = 1.0 / row_inf
     Cs = sp.diags(E) @ C
+    CsT = Cs.T
     ls = E * l
     us = E * u
     eq = (us - ls) <= 1e-12
@@ -339,7 +370,7 @@ def _admm_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
 
     def factorize():
         K0 = sp.eye(n, format="csc") * (bfgs.gamma + sigma) \
-            + (Cs.T @ sp.diags(rho) @ Cs).tocsc()
+            + (CsT @ sp.diags(rho) @ Cs).tocsc()
         lu = spla.splu(K0)
         if bfgs.W.shape[1]:
             Z = lu.solve(bfgs.W)
@@ -361,7 +392,7 @@ def _admm_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
     converged = False
     check_every = 25
     while it < max_iter:
-        rhs = sigma * x - q + Cs.T @ (rho * z - y)
+        rhs = sigma * x - q + CsT @ (rho * z - y)
         xt = Ksolve(rhs)
         zt = Cs @ xt
         x = alpha * xt + (1 - alpha) * x
@@ -373,11 +404,11 @@ def _admm_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
         if it % check_every == 0 or it == max_iter:
             Cx = Cs @ x
             r_p = np.abs(Cx - z).max() if m else 0.0
-            r_d = np.abs(bfgs.mul(x) + q + Cs.T @ y).max()
+            r_d = np.abs(bfgs.mul(x) + q + CsT @ y).max()
             sc_p = max(np.abs(Cx).max() if m else 0.0,
                        np.abs(z).max() if m else 0.0, 1.0)
             sc_d = max(np.abs(bfgs.mul(x)).max(), np.abs(q).max(),
-                       np.abs(Cs.T @ y).max() if m else 0.0, 1.0)
+                       np.abs(CsT @ y).max() if m else 0.0, 1.0)
             if r_p <= eps * sc_p and r_d <= eps * sc_d:
                 converged = True
                 break

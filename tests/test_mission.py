@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ascentry import mission as M
+from ascentry import nlpsolve
 from ascentry.dynamics import Geo, geo_from_vert, vert_from_geo
 from ascentry.meshref import RefinementReport
 from ascentry.transcription import transcribe
@@ -289,6 +290,20 @@ def test_guess_derivatives_match_directional_differences(cfg, guess_setup):
         row_scale = abs(J) @ np.abs(v) + np.abs(dc) + 1e-8
         assert np.all(np.abs(J @ v - dc) <= 1e-5 * row_scale)
         assert abs(g @ v - df) <= 1e-5 * (np.abs(g) @ np.abs(v) + abs(df) + 1e-8)
+
+
+def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup):
+    # the first SQP iteration on the full mission NLP: every active-set pass
+    # runs out of pivots and the ADMM fallback stops at its cap; the figures
+    # pin the iterate bit for bit
+    nlp, z0 = guess_setup
+    rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
+        tolerance=cfg.solver_tolerance, max_iterations=1))
+    assert rep.status == "max_iterations" and rep.iterations == 1
+    assert rep.objective == 126.38184313318939
+    assert rep.violation == 24.02704409983791
+    assert rep.message.startswith("1 of 1 accepted steps came from a QP "
+                                  "subproblem that stopped at its iteration cap")
 
 
 def test_trajectory_table_and_csv(cfg, guess_setup, tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
 import scipy.sparse as sp
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ascentry import nlpsolve
+from ascentry import canonical, nlpsolve
 from ascentry.nlpsolve import (FunctionNLP, SolveReport, SolverOptions,
                                _CompactBFGS, kkt_residuals, solve)
 from ascentry.transcription import (MultiPhaseProblem, PhaseDef, transcribe,
@@ -296,3 +297,93 @@ def test_complementarity_takes_the_bound_each_multiplier_pushes_on():
                                      (vals[3:], lo[3:], hi[3:], mult[3:])) == 6.0
     assert nlpsolve._complementarity((vals[:3], lo[:3], hi[:3], mult[:3])) == 1.0
     assert nlpsolve._complementarity((np.zeros(0),) * 4) == 0.0
+
+
+@st.composite
+def _kkt_blocks(draw):
+    # k = 0, empty rows and columns, explicit zeros, and rows whose column
+    # indices are shuffled out of order
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(0, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = rng.standard_normal((k, n)) * (rng.random((k, n)) < rng.random())
+    A = sp.csr_matrix(dense)
+    if A.nnz and draw(st.booleans()):
+        A.data[rng.random(A.nnz) < 0.3] = 0.0
+    if draw(st.booleans()):
+        for i in range(k):
+            row = slice(A.indptr[i], A.indptr[i + 1])
+            perm = rng.permutation(A.indptr[i + 1] - A.indptr[i])
+            A.indices[row] = A.indices[row][perm]
+            A.data[row] = A.data[row][perm]
+        A.has_sorted_indices = False
+    d_top = draw(st.floats(1e-6, 1e6))
+    d_bot = -draw(st.floats(0.0, 1e-3))
+    return n, A, d_top, d_bot
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kkt_blocks())
+def test_kkt_matrix_is_the_array_bmat_builds(case):
+    n, A, d_top, d_bot = case
+    k = A.shape[0]
+    blocks = [[sp.eye(n, format="csc") * d_top, A.T],
+              [A, d_bot * sp.eye(k, format="csc")]] if k else \
+        [[sp.eye(n, format="csc") * d_top]]
+    want = sp.bmat(blocks, format="csc")
+    got = nlpsolve._kkt_matrix(n, A, d_top, d_bot)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        have, ref = getattr(got, name), getattr(want, name)
+        assert have.dtype == ref.dtype and have.tobytes() == ref.tobytes(), name
+
+
+def _chain_qp(rows):
+    # min 1/2|d|^2 - d0  s.t.  d_i >= d_(i-1): each pivot activates the one
+    # row the last step violates, so the pass settles after rows + 1 pivots
+    C = sp.diags([-np.ones(rows), np.ones(rows)], [0, 1],
+                 shape=(rows, rows + 1), format="csr")
+    q = np.zeros(rows + 1)
+    q[0] = -1.0
+    return (_CompactBFGS(rows + 1), q, C, np.zeros(rows),
+            np.full(rows, np.inf), np.zeros(rows))
+
+
+def test_active_set_pass_stops_at_its_pivot_budget(monkeypatch):
+    real = nlpsolve._kkt_solver
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(nlpsolve, "_kkt_solver", counted)
+    budget = nlpsolve.ACTIVE_SET_PIVOTS
+    settled = nlpsolve._active_set_qp(*_chain_qp(budget - 1))
+    assert settled.converged and settled.iterations == budget
+    assert np.allclose(settled.d, 1.0 / budget, rtol=0.0, atol=1e-12)
+    calls.clear()
+    assert nlpsolve._active_set_qp(*_chain_qp(3 * budget)) is None
+    assert len(calls) == budget
+
+
+@pytest.mark.parametrize("name", sorted(canonical.CANONICAL_PROBLEMS))
+def test_settled_passes_stay_well_inside_the_pivot_budget(name, monkeypatch):
+    # the budget is twice the longest settled pass seen on real traffic; a
+    # solver change that needs longer passes must revisit it
+    real = nlpsolve._active_set_qp
+    settled = []
+
+    def recorded(*args, **kwargs):
+        qp = real(*args, **kwargs)
+        if qp is not None:
+            settled.append(qp.iterations)
+        return qp
+
+    monkeypatch.setattr(nlpsolve, "_active_set_qp", recorded)
+    problem, meshes = canonical.CANONICAL_PROBLEMS[name]()
+    nlp = transcribe(problem, meshes)
+    rep = solve(nlp, canonical.straight_line_guess(nlp),
+                SolverOptions(tolerance=1e-6))
+    assert rep.converged
+    assert settled and max(settled) <= nlpsolve.ACTIVE_SET_PIVOTS // 2
