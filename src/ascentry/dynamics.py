@@ -77,18 +77,18 @@ def _as_batch(y):
 
 
 def aero_env(ctx: PhaseContext, h, v, alpha):
-    """Density, Mach, dynamic pressure [kPa], lift and drag [kN]."""
+    """Density, Mach, dynamic pressure [kPa], lift and drag [kN], from one
+    atmosphere lookup and one aero lookup."""
     if ctx.atmosphere is None:
         z = np.zeros_like(np.asarray(h, dtype=float))
         return z, z, z, z, z
-    rho = ctx.atmosphere.density(h)
+    rho, a = ctx.atmosphere.lookup(h)
     q = 500.0 * rho * v ** 2
     if ctx.aero is None:
         z = np.zeros_like(q)
         return rho, z, q, z, z
-    mach = v / ctx.atmosphere.sound_speed(h)
-    cl = ctx.aero.cl(np.degrees(alpha), mach)
-    cd = ctx.aero.cd(np.degrees(alpha), mach)
+    mach = v / a
+    cl, cd = ctx.aero.lookup(np.degrees(alpha), mach)
     return rho, mach, q, q * ctx.ref_area * cl, q * ctx.ref_area * cd
 
 
@@ -149,6 +149,16 @@ def angular_rates(y, ctx: PhaseContext):
     non-rotating-frame derivations.
     """
     y, single = _as_batch(y)
+    _, _, _, lift, _ = aero_env(ctx, y[:, Vert.H], y[:, Vert.V],
+                                y[:, Vert.ALPHA])
+    w2, w3 = _frame_rates(y, ctx, lift)
+    if single:
+        return w2[0], w3[0]
+    return w2, w3
+
+
+def _frame_rates(y, ctx: PhaseContext, lift):
+    """angular_rates on a batch whose lift is already known."""
     h, v, th = y[:, Vert.H], y[:, Vert.V], y[:, Vert.THETA]
     e1, e2, e3, eta = (y[:, Vert.E1], y[:, Vert.E2], y[:, Vert.E3],
                        y[:, Vert.ETA])
@@ -157,12 +167,10 @@ def angular_rates(y, ctx: PhaseContext):
     e = ctx.earth
     r = e.re + h
     st, ct = np.sin(th), np.cos(th)
-    _, _, _, lift, _ = aero_env(ctx, h, v, alpha)
 
     a12p = e1 * e2 + e3 * eta
     a12m = e1 * e2 - e3 * eta
     a13p = e1 * e3 + e2 * eta
-    a13m = e1 * e3 - e2 * eta
     a23p = e2 * e3 + e1 * eta
     half = 0.5 - e1 ** 2 - e2 ** 2
     grav = v / r - e.mu / (r ** 2 * v)
@@ -178,8 +186,6 @@ def angular_rates(y, ctx: PhaseContext):
           - 4.0 * e.omega * (st * a13p + ct * half)
           + cent * (ct * a12m - st * a23p)
           - transport * a13p)
-    if single:
-        return w2[0], w3[0]
     return w2, w3
 
 
@@ -199,9 +205,9 @@ def vert_rates(y, u, ctx: PhaseContext):
     e = ctx.earth
     r = e.re + h
     st, ct = np.sin(th), np.cos(th)
-    _, _, _, _, drag = aero_env(ctx, h, v, alpha)
+    _, _, _, lift, drag = aero_env(ctx, h, v, alpha)
     w1 = u[:, 1]
-    w2, w3 = angular_rates(y, ctx)
+    w2, w3 = _frame_rates(y, ctx, lift)
 
     sg = 1.0 - 2.0 * (e2 ** 2 + e3 ** 2)
     out = np.empty_like(y)

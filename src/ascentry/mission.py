@@ -30,7 +30,7 @@ from .models import (AeroTable, AtmosphereTable, EarthConstants,
 from .nlpsolve import SolverOptions
 from .pathcost import (CostWeights, HeatingParams, dynamic_pressure,
                        heating_rate, path_quantities, running_cost_geo,
-                       running_cost_vert)
+                       running_cost_vert, sensed_load)
 from .transcription import (Accumulator, BoundaryConstraint, IntegralTerm,
                             Linkage, MeshPhase, MultiPhaseProblem,
                             PathConstraint, PhaseDef, Solution, transcribe,
@@ -570,8 +570,8 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
 
     def n_of(c, acol):
         def f(X, U):
-            return path_quantities(c, X[:, 0], X[:, 3], X[:, acol],
-                                   c.fixed_mass, hp)[1]
+            _, _, _, lift, drag = aero_env(c, X[:, 0], X[:, 3], X[:, acol])
+            return sensed_load(lift, drag, c.fixed_mass, c.earth.g0)
         return f
 
     def qdot_of(c):
@@ -869,14 +869,24 @@ def _launch_azimuth(bc: BoundaryData) -> float:
     return _bearing(bc.lon0, bc.lat0, bc.lonf, bc.latf)
 
 
-def calibrate_kick(config: MissionConfig, ctx=None, psi0=None) -> float:
-    """Pitch-over kick angle whose gravity turn peaks near guess_apogee."""
+def calibrate_kick(config: MissionConfig, ctx=None,
+                   psi0=None) -> tuple[float, dict]:
+    """Pitch-over kick angle whose gravity turn peaks near guess_apogee,
+    with the ascent propagated from it.
+
+    Each kick is propagated once: brentq evaluates the bracket ends again,
+    and its root is one of the kicks it evaluated, so the root's arc is
+    taken from the propagations already made.
+    """
     ctx = ctx or phase_contexts(config)
     psi0 = _launch_azimuth(config.bc) if psi0 is None else psi0
     target = config.guess_apogee
+    arcs = {}
 
     def apogee(kick):
-        return _propagate_ascent(config, ctx, kick, psi0)["apogee"] - target
+        if kick not in arcs:
+            arcs[kick] = _propagate_ascent(config, ctx, kick, psi0)
+        return arcs[kick]["apogee"] - target
 
     lo, hi = 0.2 * DEG, 12.0 * DEG
     flo = apogee(lo)
@@ -888,7 +898,8 @@ def calibrate_kick(config: MissionConfig, ctx=None, psi0=None) -> float:
         fhi = apogee(hi)
     if fhi > 0.0:
         raise RuntimeError("pitch kick calibration failed to bracket the apogee")
-    return brentq(apogee, lo, hi, xtol=1.0e-5)
+    kick = brentq(apogee, lo, hi, xtol=1.0e-5)
+    return kick, arcs[kick]
 
 
 def _entry_profile(config: MissionConfig, ctx: PhaseContext, y_pierce,
@@ -916,8 +927,10 @@ def _entry_profile(config: MissionConfig, ctx: PhaseContext, y_pierce,
             # spent: drop the lift and fall out ballistically
             return 0.0, 0.0
         h = float(y[Geo.H])
-        q = float(dynamic_pressure(ctx.atmosphere.density(h), v))
-        mach = v / float(ctx.atmosphere.sound_speed(h))
+        rho, a = ctx.atmosphere.lookup(h)
+        q = float(dynamic_pressure(rho, v))
+        mach = v / float(a)
+        cl_trim, cd_trim = ctx.aero.lookup(ab / DEG, mach)
         r = e.re + h
         grav = e.mu / (r * r)
         if gamma > -1.2 * DEG:
@@ -933,15 +946,15 @@ def _entry_profile(config: MissionConfig, ctx: PhaseContext, y_pierce,
                                   -0.045, 0.008))
         need = m * ((grav - v * v / r) * math.cos(gamma)
                     + v * (gamma_ref - gamma) / 40.0)
-        cl_slope = max(float(ctx.aero.cl(ab / DEG, mach)), 0.05) / ab
+        cl_slope = max(float(cl_trim), 0.05) / ab
         cos_bank = max(math.cos(float(y[Geo.SIGMA])), 0.3)
         cl_req = need / (max(q, 0.2) * ctx.ref_area * cos_bank)
         alpha_cmd = float(np.clip(cl_req / cl_slope, 0.0, cw.alpha_max))
         # lateral: the trim glide at q_nom overshoots the field, so weave:
         # crab away from the bearing by the angle whose cosine spends the
         # range surplus, and reverse when the bearing error swings past
-        cd_trim = float(ctx.aero.cd(ab / DEG, mach))
-        est = m * (v * v - 1.8) / (2.0 * ctx.ref_area * cd_trim * q_nom)
+        est = m * (v * v - 1.8) / (2.0 * ctx.ref_area * float(cd_trim)
+                                   * q_nom)
         delta = math.acos(float(np.clip(togo / max(est, 1.0), 0.2, 1.0)))
         err = _wrap_pi(_bearing(float(y[Geo.PHI]), float(y[Geo.THETA]),
                                 bc.lonf, bc.latf) - float(y[Geo.PSI]))
@@ -1006,12 +1019,10 @@ def initial_guess(config: MissionConfig, nlp) -> np.ndarray:
     """Packed first iterate: powered gravity turn, ballistic coast, and a
     feedback-steered glide, clipped into the variable boxes."""
     ctx = phase_contexts(config)
-    kick = calibrate_kick(config, ctx)
-    arc = _propagate_ascent(config, ctx, kick, _launch_azimuth(config.bc))
+    _, arc = calibrate_kick(config, ctx)
     if not arc["complete"]:
         raise RuntimeError("calibrated ascent guess lost its ballistic arc")
     segs = arc["segs"]
-    atm = ctx[0].atmosphere
 
     glide_at, glide_u_at, t_split, t_end = _entry_profile(
         config, ctx[6], arc["y_pierce"], arc["t_pierce"])

@@ -30,6 +30,10 @@ class AtmosphereTable:
     monotone wherever the table is.  Above the last knot (and below the
     first) log-density continues linearly with the boundary slope; sound
     speed is held at its boundary values.
+
+    One PCHIP carries both columns, [log rho, a]: `lookup` returns density
+    and sound speed from one pass, and `density` and `sound_speed` are views
+    of it.  The two boundary log-slopes are fixed with the table.
     """
 
     def __init__(self, h_km: np.ndarray, rho: np.ndarray, a_kms: np.ndarray):
@@ -45,40 +49,42 @@ class AtmosphereTable:
         self.h_km = h
         self.rho_table = rho
         self.a_table = a
-        self._logrho = PchipInterpolator(h, np.log(rho), extrapolate=False)
-        self._dlog = self._logrho.derivative()
-        self._a = PchipInterpolator(h, a, extrapolate=False)
+        self._lo, self._hi = h[0], h[-1]
+        self._pchip = PchipInterpolator(h, np.column_stack([np.log(rho), a]),
+                                        extrapolate=False)
+        self._dlog_lo, self._dlog_hi = \
+            self._pchip.derivative()(h[[0, -1]])[:, 0]
 
     @classmethod
     def from_csv(cls, path) -> "AtmosphereTable":
         data = np.genfromtxt(path, delimiter=",", names=True)
         return cls(data["h_km"], data["rho_kgm3"], data["a_kms"])
 
-    def density(self, h_km) -> np.ndarray:
+    def lookup(self, h_km):
+        """(density, sound speed) at the altitudes h_km, each of h_km's
+        shape; a scalar altitude gives two scalars."""
         h = np.asarray(h_km, dtype=float)
-        if not np.all(np.isfinite(h)):
+        if not np.isfinite(h).all():
             raise ValueError("altitude must be finite")
         scalar = h.ndim == 0
         h = np.atleast_1d(h)
-        lo, hi = self.h_km[0], self.h_km[-1]
-        out = self._logrho(np.clip(h, lo, hi))
+        lo, hi = self._lo, self._hi
+        out = self._pchip(np.minimum(np.maximum(h, lo), hi))
+        logrho, a = out[..., 0], out[..., 1]
         below = h < lo
         above = h > hi
-        if np.any(below):
-            out[below] += self._dlog(lo) * (h[below] - lo)
-        if np.any(above):
-            out[above] += self._dlog(hi) * (h[above] - hi)
-        out = np.exp(out)
-        return out[0] if scalar else out
+        if below.any():
+            logrho[below] += self._dlog_lo * (h[below] - lo)
+        if above.any():
+            logrho[above] += self._dlog_hi * (h[above] - hi)
+        rho = np.exp(logrho)
+        return (rho[0], a[0]) if scalar else (rho, a)
+
+    def density(self, h_km) -> np.ndarray:
+        return self.lookup(h_km)[0]
 
     def sound_speed(self, h_km) -> np.ndarray:
-        h = np.asarray(h_km, dtype=float)
-        if not np.all(np.isfinite(h)):
-            raise ValueError("altitude must be finite")
-        scalar = h.ndim == 0
-        h = np.atleast_1d(h)
-        out = self._a(np.clip(h, self.h_km[0], self.h_km[-1]))
-        return out[0] if scalar else out
+        return self.lookup(h_km)[1]
 
 
 class _PchipAxis:
@@ -89,28 +95,36 @@ class _PchipAxis:
     three-point formula, zeroed where its sign differs from the end
     secant's, and set to three times that secant where the first two
     secants change sign and it exceeds that.  Two knots give the secant at
-    both ends, so the interpolant is linear.
+    both ends, so the interpolant is linear.  Secants and slopes run along
+    axis 0 and carry two trailing axes.
     """
-
-    _EDGE, _NEXT = np.array([0, -1]), np.array([1, -2])  # end, next one in
 
     def __init__(self, knots):
         self.knots = knots
-        self.h = h = np.diff(knots)[:, None]
-        if len(h) > 1:
+        self.inner = knots[1:-1]
+        self.width = np.diff(knots)
+        self.h = h = self.width[:, None, None]
+        n = len(h)                        # secants; n + 1 node slopes
+        if n > 1:
+            # the two end rows and the next row in from each, as views
+            # where the secants are long enough for a strided slice
+            self.ends = slice(None, None, n)
+            self.edge = slice(None, None, n - 1)
+            self.inward = (slice(1, n - 1, n - 3) if n > 3
+                           else np.array([1, n - 2]))
             self.w1 = 2 * h[1:] + h[:-1]
             self.w2 = h[1:] + 2 * h[:-1]
             self.w12 = self.w1 + self.w2
-            h0, h1 = h[self._EDGE], h[self._NEXT]
+            h0, h1 = h[self.edge], h[self.inward]
             self.h0, self.e1, self.e0 = h0, 2 * h0 + h1, h0 + h1
 
     def interval(self, q):
         """Index i with knots[i] <= q < knots[i+1]; the last one from the
         end knot on."""
-        return np.searchsorted(self.knots[1:-1], q, side="right")
+        return self.inner.searchsorted(q, side="right")
 
     def slopes(self, m):
-        """Node slopes along axis 0 from the secants m, shape (n-1, k)."""
+        """Node slopes along axis 0 from the secants m, shape (n-1, k, p)."""
         if len(m) == 1:
             return np.concatenate([m, m])
         sm = np.sign(m)
@@ -119,13 +133,12 @@ class _PchipAxis:
         with np.errstate(all="ignore"):
             d[1:-1] = np.where(sm[1:] * sm[:-1] <= 0, 0.0,
                                1.0 / ((self.w1 / m[:-1] + self.w2 / m[1:]) / self.w12))
-        m0, s0, s1 = m[self._EDGE], sm[self._EDGE], sm[self._NEXT]
-        e = (self.e1 * m0 - self.h0 * m[self._NEXT]) / self.e0
-        flip = np.sign(e) != s0
-        overshoot = (s0 != s1) & (np.abs(e) > 3.0 * np.abs(m0))
-        e[overshoot] = 3.0 * m0[overshoot]
-        e[flip] = 0.0
-        d[self._EDGE] = e
+        m0, s0 = m[self.edge], sm[self.edge]
+        e = (self.e1 * m0 - self.h0 * m[self.inward]) / self.e0
+        cap = 3.0 * m0
+        overshoot = (s0 != sm[self.inward]) & (np.abs(e) > np.abs(cap))
+        d[self.ends] = np.where(np.sign(e) != s0, 0.0,
+                                np.where(overshoot, cap, e))
         return d
 
 
@@ -143,30 +156,35 @@ def _hermite(c, s):
 
 
 class _TensorPchip:
-    """Tensor-product PCHIP on an (alpha, mach) grid: along Mach first, then
-    along alpha through the Mach-interpolated column, as scipy's
-    RegularGridInterpolator(method="pchip") does point by point."""
+    """Tensor-product PCHIP of k stacked tables on an (alpha, mach) grid:
+    along Mach first, then along alpha through the Mach-interpolated
+    columns, as scipy's RegularGridInterpolator(method="pchip") does point
+    by point.  The tables ride along one trailing axis, so every step is
+    one array operation for all of them."""
 
-    def __init__(self, alpha: _PchipAxis, mach: _PchipAxis, table):
+    def __init__(self, alpha: _PchipAxis, mach: _PchipAxis, tables):
         self.alpha = alpha
         self.mach = mach
-        y = table.T                                   # (n_mach, n_alpha)
+        y = tables.transpose(1, 0, 2)                 # (n_mach, n_alpha, k)
         slope = np.diff(y, axis=0) / mach.h
         d = mach.slopes(slope)
-        # (n_mach-1, 4, n_alpha): one cubic per Mach interval and alpha row
-        self.coef = np.stack(
-            _hermite_coefficients(mach.h, y[:-1], d[:-1], d[1:], slope), axis=1)
+        # (4, n_alpha, k, n_mach-1): one cubic per alpha row, table and
+        # Mach interval
+        self.coef = np.ascontiguousarray(np.stack(_hermite_coefficients(
+            mach.h, y[:-1], d[:-1], d[1:], slope)).transpose(0, 2, 3, 1))
+        self.table = np.arange(tables.shape[2])[:, None]
 
     def __call__(self, a, m):
-        """Values at points a, m inside the hull, both 1-D of one length."""
+        """Values (k, p) at p points a, m inside the hull, both 1-D."""
         k = self.mach.interval(m)
-        cols = _hermite(self.coef[k].transpose(1, 2, 0), m - self.mach.knots[k])
-        slope = np.diff(cols, axis=0) / self.alpha.h  # (n_alpha-1, n_points)
+        cols = _hermite(self.coef[..., k], m - self.mach.knots[k])
+        slope = (cols[1:] - cols[:-1]) / self.alpha.h  # (n_alpha-1, k, p)
         d = self.alpha.slopes(slope)
         j = self.alpha.interval(a)
-        p = np.arange(len(a))
-        c = _hermite_coefficients(self.alpha.h[j, 0], cols[j, p], d[j, p],
-                                  d[j + 1, p], slope[j, p])
+        at = j, self.table, np.arange(len(a))
+        nxt = j + 1, self.table, at[2]
+        c = _hermite_coefficients(self.alpha.width[j], cols[at], d[at],
+                                  d[nxt], slope[at])
         return _hermite(c, a - self.alpha.knots[j])
 
 
@@ -180,7 +198,8 @@ class AeroTable:
     with two knots interpolates linearly.  The Mach-axis cubics are fixed
     with the table and built once; each query evaluates them for all alpha
     rows at once and then takes the alpha-axis slopes of those columns as
-    one batch.
+    one batch.  CL and CD are stacked into one interpolant: `lookup`
+    returns both from one pass, and `cl` and `cd` are views of it.
     """
 
     def __init__(self, alpha_deg, mach, cl, cd):
@@ -197,9 +216,11 @@ class AeroTable:
             raise ValueError("CD table shape does not match CL table")
         if np.any(np.diff(self.alpha_deg) <= 0) or np.any(np.diff(self.mach) <= 0):
             raise ValueError("grids must be strictly increasing")
-        axes = _PchipAxis(self.alpha_deg), _PchipAxis(self.mach)
-        self._cl = _TensorPchip(*axes, self.cl_table)
-        self._cd = _TensorPchip(*axes, self.cd_table)
+        self._pchip = _TensorPchip(
+            _PchipAxis(self.alpha_deg), _PchipAxis(self.mach),
+            np.stack([self.cl_table, self.cd_table], axis=-1))
+        self._hull = (self.alpha_deg[0], self.alpha_deg[-1],
+                      self.mach[0], self.mach[-1])
 
     @classmethod
     def from_csv(cls, cl_path, cd_path) -> "AeroTable":
@@ -217,22 +238,30 @@ class AeroTable:
             raise ValueError("CL and CD files must share the same grid")
         return cls(acl, mcl, cl, cd)
 
-    def _query(self, interp, alpha_deg, mach):
+    def lookup(self, alpha_deg, mach):
+        """(CL, CD) at the points (alpha_deg, mach), clamped to the hull.
+
+        Scalars or 1-D arrays, broadcast against each other; two scalars
+        give two scalars.
+        """
         a = np.asarray(alpha_deg, dtype=float)
         m = np.asarray(mach, dtype=float)
         if not (np.isfinite(a).all() and np.isfinite(m).all()):
             raise ValueError("aero queries must be finite")
         scalar = a.ndim == 0 and m.ndim == 0
-        a, m = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(m))
-        out = interp(np.minimum(np.maximum(a, self.alpha_deg[0]), self.alpha_deg[-1]),
-                     np.minimum(np.maximum(m, self.mach[0]), self.mach[-1]))
-        return out[0] if scalar else out
+        a0, a1, m0, m1 = self._hull
+        a = np.minimum(np.maximum(a, a0), a1).reshape(-1)
+        m = np.minimum(np.maximum(m, m0), m1).reshape(-1)
+        if a.shape != m.shape:
+            a, m = np.broadcast_arrays(a, m)
+        cl, cd = self._pchip(a, m)
+        return (cl[0], cd[0]) if scalar else (cl, cd)
 
     def cl(self, alpha_deg, mach):
-        return self._query(self._cl, alpha_deg, mach)
+        return self.lookup(alpha_deg, mach)[0]
 
     def cd(self, alpha_deg, mach):
-        return self._query(self._cd, alpha_deg, mach)
+        return self.lookup(alpha_deg, mach)[1]
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,18 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import PchipInterpolator
 
+from ascentry import dynamics
 from ascentry.dynamics import (GEO_DIM, VERT_DIM, Geo, PhaseContext, Vert,
                                aero_env, angles_to_quat, angular_rates,
                                convert_control, geo_from_vert, geo_rates,
                                quat_to_angles, vert_from_geo, vert_rates)
-from ascentry.models import (EarthConstants, load_boost_aero,
-                             load_default_atmosphere)
+from ascentry.models import (EarthConstants, _TensorPchip, load_boost_aero,
+                             load_default_atmosphere, load_entry_aero)
 
 EARTH = EarthConstants()
 
@@ -105,6 +108,40 @@ def test_aero_env_without_tables_keeps_pressure(boost_ctx):
     rho, mach, q, lift, drag = aero_env(ctx, 10.0, 2.0, 0.1)
     assert q == pytest.approx(500.0 * rho * 4.0, rel=1e-14)
     assert mach == lift == drag == 0.0
+
+
+def _count_calls(monkeypatch, owner, name, counts, key):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("h", [np.array([0.5, 30.0, 260.0]), 12.0])
+def test_aero_env_makes_one_atmosphere_pass_and_one_aero_pass(
+        boost_ctx, monkeypatch, h):
+    passes = Counter()
+    _count_calls(monkeypatch, PchipInterpolator, "__call__", passes, "atm")
+    _count_calls(monkeypatch, _TensorPchip, "__call__", passes, "aero")
+    aero_env(boost_ctx, h, np.full(np.shape(h), 2.0), np.full(np.shape(h), 0.1))
+    assert passes == {"atm": 1, "aero": 1}
+
+
+def test_vert_rates_evaluates_aero_once(monkeypatch):
+    ctx = PhaseContext(earth=EARTH, ref_area=12.0, aero=load_entry_aero(),
+                       atmosphere=load_default_atmosphere(), fixed_mass=900.0)
+    e1, e2, e3, eta = angles_to_quat(np.array([-0.2, -0.05]),
+                                     np.array([0.4, 0.6]), np.array([0.1, 0.3]))
+    y = np.column_stack([[40.0, 55.0], [-2.0, -2.1], [0.4, 0.42], [5.0, 6.5],
+                         e1, e2, e3, eta, [0.2, 0.18]])
+    before = vert_rates(y, np.zeros(4), ctx)
+    calls = Counter()
+    _count_calls(monkeypatch, dynamics, "aero_env", calls, "aero_env")
+    after = vert_rates(y, np.zeros(4), ctx)
+    assert calls["aero_env"] == 1
+    assert np.array_equal(before, after)
 
 
 def test_aero_env_dynamic_pressure_scale(boost_ctx):

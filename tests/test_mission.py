@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -18,10 +19,32 @@ def cfg():
 
 
 @pytest.fixture(scope="module")
-def guess_setup(cfg):
+def guess_propagations():
+    """Every kick the shared guess propagated an ascent from, in order,
+    and every kick the calibration's root finder evaluated."""
+    return {"propagated": [], "brentq": []}
+
+
+@pytest.fixture(scope="module")
+def guess_setup(cfg, guess_propagations):
     """One transcription plus calibrated guess, shared across tests."""
     nlp = transcribe(M.build_mission(cfg), M.default_meshes(cfg))
-    z0 = M.initial_guess(cfg, nlp)
+    propagate, brentq = M._propagate_ascent, M.brentq
+
+    def propagated(config, ctx, kick, psi0):
+        guess_propagations["propagated"].append(kick)
+        return propagate(config, ctx, kick, psi0)
+
+    def counted_brentq(f, *args, **kwargs):
+        def g(kick):
+            guess_propagations["brentq"].append(kick)
+            return f(kick)
+        return brentq(g, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(M, "_propagate_ascent", propagated)
+        mp.setattr(M, "brentq", counted_brentq)
+        z0 = M.initial_guess(cfg, nlp)
     return nlp, z0
 
 
@@ -304,6 +327,28 @@ def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup):
     assert rep.violation == 24.02704409983791
     assert rep.message.startswith("1 of 1 accepted steps came from a QP "
                                   "subproblem that stopped at its iteration cap")
+
+
+def test_guess_is_pinned_bit_for_bit(guess_setup):
+    # recorded before the atmosphere and aero lookups were paired: one
+    # lookup per state must not move a bit of the guess
+    nlp, z0 = guess_setup
+    assert z0.dtype == np.float64 and z0.shape == (1607,)
+    assert nlp.objective(z0) == 194.21456302853537
+    assert hashlib.sha256(z0.tobytes()).hexdigest() == (
+        "9598515135607c01c404e5bce331b104466bd712188b66c3c3d7585642006348")
+
+
+def test_guess_propagates_each_calibrated_kick_once(guess_setup,
+                                                    guess_propagations):
+    # brentq evaluates the bracket ends again and returns one of the kicks
+    # it evaluated; neither those nor the guess's own ascent, from the
+    # root, propagate a kick a second time
+    kicks, evaluated = (guess_propagations["propagated"],
+                        guess_propagations["brentq"])
+    assert len(evaluated) >= 3
+    assert len(kicks) == len(set(kicks))
+    assert set(evaluated) <= set(kicks)
 
 
 def test_trajectory_table_and_csv(cfg, guess_setup, tmp_path):

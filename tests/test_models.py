@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.interpolate import RegularGridInterpolator
+from scipy.interpolate import PchipInterpolator, RegularGridInterpolator
 
 from ascentry.models import (AeroTable, AtmosphereTable, EarthConstants,
                              ENTRY_ALPHA_EXTENDED, extend_entry_aero,
@@ -68,8 +68,44 @@ def test_sound_speed_clamped_outside_table(atm):
 
 
 def test_nonfinite_altitude_rejected(atm):
-    with pytest.raises(ValueError):
-        atm.density(np.nan)
+    for bad in (np.nan, np.inf, -np.inf):
+        for query in (atm.lookup, atm.density, atm.sound_speed):
+            with pytest.raises(ValueError):
+                query(bad)
+            with pytest.raises(ValueError):
+                query(np.array([10.0, bad]))
+
+
+def _atmosphere_oracle(atm, h):
+    """Density and sound speed from two separate scipy PCHIPs: log-density
+    continued linearly with its end slopes, sound speed held."""
+    lo, hi = atm.h_km[0], atm.h_km[-1]
+    logrho = PchipInterpolator(atm.h_km, np.log(atm.rho_table),
+                               extrapolate=False)
+    sound = PchipInterpolator(atm.h_km, atm.a_table, extrapolate=False)
+    inside = np.clip(h, lo, hi)
+    out = logrho(inside)
+    below, above = h < lo, h > hi
+    out[below] += logrho.derivative()(lo) * (h[below] - lo)
+    out[above] += logrho.derivative()(hi) * (h[above] - hi)
+    return np.exp(out), sound(inside)
+
+
+def test_atmosphere_lookup_equals_separate_scipy_pchips(atm):
+    rng = np.random.default_rng(12296)
+    h = np.concatenate([atm.h_km, rng.uniform(0.0, 200.0, 2000),
+                        rng.uniform(-30.0, 0.0, 100),
+                        rng.uniform(200.0, 400.0, 100)])
+    assert atm.h_km[0] == 0.0 and atm.h_km[-1] == 200.0
+    rho, a = atm.lookup(h)
+    rho_ref, a_ref = _atmosphere_oracle(atm, h)
+    assert np.array_equal(rho, rho_ref) and np.array_equal(a, a_ref)
+    assert np.array_equal(atm.density(h), rho)
+    assert np.array_equal(atm.sound_speed(h), a)
+    # one altitude at a time: two scalars, the batch's values
+    singles = [atm.lookup(x) for x in h[::20]]
+    assert all(np.ndim(r) == np.ndim(s) == 0 for r, s in singles)
+    assert np.array_equal(np.array(singles), np.column_stack([rho, a])[::20])
 
 
 def test_atmosphere_constructor_validates():
@@ -184,8 +220,10 @@ def test_aero_table_matches_scipy_pchip(load):
     t = load()
     a, m = _oracle_points(t, np.random.default_rng(12296), 2000)
     cl, cd = _pchip_oracle(t, a, m)
-    assert np.abs(t.cl(a, m) - cl).max() <= 1e-14
-    assert np.abs(t.cd(a, m) - cd).max() <= 1e-14
+    # on the shipped tables the tensor PCHIP is scipy's to the last bit,
+    # and cl and cd are the paired lookup's halves
+    assert np.array_equal(t.lookup(a, m), (cl, cd))
+    assert np.array_equal(t.cl(a, m), cl) and np.array_equal(t.cd(a, m), cd)
     # points beyond the hull read the hull's value
     assert t.cl(t.alpha_deg[-1] + 7.0, t.mach[-1] + 3.0) == \
         t.cl(t.alpha_deg[-1], t.mach[-1])
@@ -198,8 +236,22 @@ def test_aero_batch_equals_single_queries(load):
     for query in (t.cl, t.cd):
         one = np.array([query(x, y) for x, y in zip(a, m)])
         assert np.array_equal(query(a, m), one)
+    singles = [t.lookup(x, y) for x, y in zip(a, m)]
+    assert all(np.ndim(cl) == np.ndim(cd) == 0 for cl, cd in singles)
+    assert np.array_equal(np.array(singles).T, t.lookup(a, m))
     # one scalar query with array partner broadcasts
     assert np.array_equal(t.cl(3.0, m[:5]), t.cl(np.full(5, 3.0), m[:5]))
+    assert np.array_equal(t.lookup(3.0, m[:5]), t.lookup(np.full(5, 3.0), m[:5]))
+
+
+def test_nonfinite_aero_query_rejected():
+    t = load_entry_aero()
+    for bad in (np.nan, np.inf, -np.inf):
+        for query in (t.lookup, t.cl, t.cd):
+            with pytest.raises(ValueError):
+                query(bad, 2.0)
+            with pytest.raises(ValueError):
+                query(np.array([5.0, 6.0]), np.array([2.0, bad]))
 
 
 def test_two_knot_axis_interpolates_linearly():
