@@ -875,18 +875,22 @@ def calibrate_kick(config: MissionConfig, ctx=None,
     with the ascent propagated from it.
 
     Each kick is propagated once: brentq evaluates the bracket ends again,
-    and its root is one of the kicks it evaluated, so the root's arc is
-    taken from the propagations already made.
+    and returns its latest kick or the latest one on the other side of the
+    target, so the arc of the latest kick on each side is kept and the
+    root's arc is taken from it.  A root found in neither is propagated
+    again.
     """
     ctx = ctx or phase_contexts(config)
     psi0 = _launch_azimuth(config.bc) if psi0 is None else psi0
     target = config.guess_apogee
-    arcs = {}
+    misses, arcs = {}, {}           # arcs: (kick, arc) by side of target
 
     def apogee(kick):
-        if kick not in arcs:
-            arcs[kick] = _propagate_ascent(config, ctx, kick, psi0)
-        return arcs[kick]["apogee"] - target
+        if kick not in misses:
+            arc = _propagate_ascent(config, ctx, kick, psi0)
+            misses[kick] = arc["apogee"] - target
+            arcs[misses[kick] < 0.0] = kick, arc
+        return misses[kick]
 
     lo, hi = 0.2 * DEG, 12.0 * DEG
     flo = apogee(lo)
@@ -899,7 +903,10 @@ def calibrate_kick(config: MissionConfig, ctx=None,
     if fhi > 0.0:
         raise RuntimeError("pitch kick calibration failed to bracket the apogee")
     kick = brentq(apogee, lo, hi, xtol=1.0e-5)
-    return kick, arcs[kick]
+    for root, arc in arcs.values():
+        if root == kick:
+            return kick, arc
+    return kick, _propagate_ascent(config, ctx, kick, psi0)
 
 
 def _entry_profile(config: MissionConfig, ctx: PhaseContext, y_pierce,

@@ -99,23 +99,18 @@ class _PchipAxis:
     axis 0 and carry two trailing axes.
     """
 
+    _EDGE, _NEXT = np.array([0, -1]), np.array([1, -2])  # end, next one in
+
     def __init__(self, knots):
         self.knots = knots
         self.inner = knots[1:-1]
         self.width = np.diff(knots)
         self.h = h = self.width[:, None, None]
-        n = len(h)                        # secants; n + 1 node slopes
-        if n > 1:
-            # the two end rows and the next row in from each, as views
-            # where the secants are long enough for a strided slice
-            self.ends = slice(None, None, n)
-            self.edge = slice(None, None, n - 1)
-            self.inward = (slice(1, n - 1, n - 3) if n > 3
-                           else np.array([1, n - 2]))
+        if len(h) > 1:
             self.w1 = 2 * h[1:] + h[:-1]
             self.w2 = h[1:] + 2 * h[:-1]
             self.w12 = self.w1 + self.w2
-            h0, h1 = h[self.edge], h[self.inward]
+            h0, h1 = h[self._EDGE], h[self._NEXT]
             self.h0, self.e1, self.e0 = h0, 2 * h0 + h1, h0 + h1
 
     def interval(self, q):
@@ -133,11 +128,11 @@ class _PchipAxis:
         with np.errstate(all="ignore"):
             d[1:-1] = np.where(sm[1:] * sm[:-1] <= 0, 0.0,
                                1.0 / ((self.w1 / m[:-1] + self.w2 / m[1:]) / self.w12))
-        m0, s0 = m[self.edge], sm[self.edge]
-        e = (self.e1 * m0 - self.h0 * m[self.inward]) / self.e0
+        m0, s0 = m[self._EDGE], sm[self._EDGE]
+        e = (self.e1 * m0 - self.h0 * m[self._NEXT]) / self.e0
         cap = 3.0 * m0
-        overshoot = (s0 != sm[self.inward]) & (np.abs(e) > np.abs(cap))
-        d[self.ends] = np.where(np.sign(e) != s0, 0.0,
+        overshoot = (s0 != sm[self._NEXT]) & (np.abs(e) > np.abs(cap))
+        d[self._EDGE] = np.where(np.sign(e) != s0, 0.0,
                                 np.where(overshoot, cap, e))
         return d
 
@@ -250,10 +245,8 @@ class AeroTable:
             raise ValueError("aero queries must be finite")
         scalar = a.ndim == 0 and m.ndim == 0
         a0, a1, m0, m1 = self._hull
-        a = np.minimum(np.maximum(a, a0), a1).reshape(-1)
-        m = np.minimum(np.maximum(m, m0), m1).reshape(-1)
-        if a.shape != m.shape:
-            a, m = np.broadcast_arrays(a, m)
+        a, m = np.broadcast_arrays(np.minimum(np.maximum(a, a0), a1).reshape(-1),
+                                   np.minimum(np.maximum(m, m0), m1).reshape(-1))
         cl, cd = self._pchip(a, m)
         return (cl[0], cd[0]) if scalar else (cl, cd)
 

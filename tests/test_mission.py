@@ -351,6 +351,31 @@ def test_guess_propagates_each_calibrated_kick_once(guess_setup,
     assert set(evaluated) <= set(kicks)
 
 
+def test_calibrate_kick_returns_the_roots_arc(cfg, monkeypatch):
+    # a stand-in ascent whose apogee falls with the kick; a root moved off
+    # every kick brentq evaluated is propagated once more, not looked up
+    propagated = []
+
+    def ascent(config, ctx, kick, psi0):
+        propagated.append(kick)
+        return {"kick": kick,
+                "apogee": config.guess_apogee - 40.0 * math.tan(kick - 0.09)}
+
+    brentq = M.brentq
+    monkeypatch.setattr(M, "_propagate_ascent", ascent)
+    kick, arc = M.calibrate_kick(cfg, ctx=[None], psi0=0.0)
+    assert arc["kick"] == kick and kick in propagated
+    assert len(propagated) == len(set(propagated)) >= 5
+    n = len(propagated)
+
+    propagated.clear()
+    monkeypatch.setattr(M, "brentq", lambda *a, **k: brentq(*a, **k) + 1e-7)
+    moved, arc = M.calibrate_kick(cfg, ctx=[None], psi0=0.0)
+    assert moved == kick + 1e-7 and arc["kick"] == moved
+    assert propagated == sorted(set(propagated), key=propagated.index)
+    assert len(propagated) == n + 1 and propagated[-1] == moved
+
+
 def test_trajectory_table_and_csv(cfg, guess_setup, tmp_path):
     nlp, z0 = guess_setup
     sol = nlp.solution_from(z0)
