@@ -18,6 +18,19 @@ none settles between pivot 11 and pivot 60, so a budget of twice the
 longest settled pass returns what a longer one would, while a pass that
 cannot settle hands over to the ADMM fallback after 20 factorizations
 rather than 60.
+
+Each iteration raises the elastic weight tenfold, from its current value
+to a cap of 1e10, until the step leaves at most max(1e-8, 1e-6 v1) of
+linearized l1 violation, v1 being the current point's.  When the ADMM
+fallback has answered, stopped at its cap and left more than that, one
+HiGHS LP gives the least linearized violation any step in the trust box
+can reach.  If that exceeds the threshold, no weight can end the climb
+early: a settled pass keeps its step in the box, and the fallback does not
+read the weight.  The climb would then end at the cap with the fallback's
+answer, unless the pass at the cap settled, so the weight takes the
+climb's last value without the passes in between.  The LP runs at most
+once per iteration, and an answer other than HiGHS's optimum leaves the
+climb as it was.
 """
 from __future__ import annotations
 
@@ -28,12 +41,17 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.optimize import linprog
 
 from .transcription import _fd_vector
 
 ACTIVE_SET_PIVOTS = 20     # working-set changes per active-set pass
 QP_MAX_ITERATIONS = 4000   # ADMM iterations per fallback solve
 POLISH_LIMIT = 3000        # largest n + rows(C) the dense polish takes on
+# HiGHS's default primal feasibility tolerance: each row of its answer may
+# miss its sides by this much, so its least l1 violation of m rows is exact
+# to within this times m
+HIGHS_PRIMAL_TOL = 1e-7
 
 
 @dataclass
@@ -427,6 +445,27 @@ def _admm_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
     return _QPResult(x, y_orig, it, r_p, r_d, converged)
 
 
+def _least_violation(J: sp.csr_matrix, lo: np.ndarray, hi: np.ndarray,
+                     bl: np.ndarray, bu: np.ndarray) -> float | None:
+    """Least l1 violation of lo <= J d <= hi over the box bl <= d <= bu.
+
+    One HiGHS LP, min sum(p + n) s.t. lo <= J d + p - n <= hi,
+    bl <= d <= bu, p, n >= 0, with one inequality row per finite side.
+    None when HiGHS reports no optimum."""
+    k, n = J.shape
+    eye = sp.eye(k, format="csr")
+    A = sp.hstack([J, eye, -eye], format="csr")
+    up, dn = np.isfinite(hi), np.isfinite(lo)
+    res = linprog(np.concatenate([np.zeros(n), np.ones(2 * k)]),
+                  A_ub=sp.vstack([A[up], -A[dn]], format="csr"),
+                  b_ub=np.concatenate([hi[up], -lo[dn]]),
+                  bounds=np.column_stack([
+                      np.concatenate([bl, np.zeros(2 * k)]),
+                      np.concatenate([bu, np.full(2 * k, np.inf)])]),
+                  method="highs")
+    return float(res.fun) if res.status == 0 else None
+
+
 def _polish(bfgs, q, C, l, u, x, y):
     """Equality-solve on the active set detected from multiplier signs."""
     m = C.shape[0]
@@ -616,6 +655,8 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
     accepted_steps = 0
     rough_steps = 0     # accepted steps from a QP stopped at its cap
     last_rough = None
+    unreachable = 0     # iterations whose linearized rows the box cannot meet
+    last_unreachable = 0.0
 
     for it in range(1, options.max_iterations + 1):
         feas = max(_violation(c, c_lo, c_hi),
@@ -657,8 +698,14 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
         # raise the elastic weight until the subproblem stops leaving
         # linearized violation behind that a larger weight would remove;
         # active-set first, then ADMM, which ignores the weight and so is
-        # solved at most once per iteration
+        # solved at most once per iteration.  Once a capped ADMM answer
+        # leaves violation, one LP may show that no step in the trust box
+        # gets under the threshold: then only the cap ends the climb, with
+        # the fallback's answer unless the pass at the cap settles, so the
+        # weight takes the climb's last value without its passes
+        thr = max(1e-8, 1e-6 * v1)
         fallback = None
+        lp_tried = False
         while True:
             qp = _active_set_qp(bfgs, g, C, l_full, u_full, y0_full,
                                 n_soft=m, pi=mu)
@@ -668,8 +715,17 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
                                         eps_qp, QP_MAX_ITERATIONS, polish)
                 qp = fallback
             v_lin = _violation_l1(c + J @ qp.d, c_lo, c_hi) if m else 0.0
-            if v_lin <= max(1e-8, 1e-6 * v1) or mu >= 1e10:
+            if v_lin <= thr or mu >= 1e10:
                 break
+            if qp is fallback and not qp.converged and not lp_tried:
+                lp_tried = True
+                v_best = _least_violation(J, c_lo - c, c_hi - c, bl, bu)
+                if v_best is not None and v_best > thr + HIGHS_PRIMAL_TOL * m:
+                    unreachable += 1
+                    last_unreachable = v_best
+                    while mu < 1e10:
+                        mu *= 10.0
+                    break
             mu *= 10.0
         d = qp.d
         y_new_con = qp.y[:m] if m else np.zeros(0)
@@ -775,6 +831,11 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
                    "from a QP subproblem that stopped at its iteration cap "
                    f"(last primal residual {last_rough.primal_res:.3g}, "
                    f"dual residual {last_rough.dual_res:.3g})")
+    if unreachable:
+        message = (f"{message}. " if message else "") + (
+            f"{unreachable} of {it} iterations skipped the elastic-weight "
+            "climb: the trust box admits no step meeting the linearized "
+            f"rows (least l1 violation {last_unreachable:.3g})")
     stat_final = float(np.abs((g + J.T @ y_con + y_bnd) if m
                               else (g + y_bnd)).max())
     return SolveReport(status=status, iterations=it, objective=f,

@@ -315,13 +315,28 @@ def test_guess_derivatives_match_directional_differences(cfg, guess_setup):
         assert abs(g @ v - df) <= 1e-5 * (np.abs(g) @ np.abs(v) + abs(df) + 1e-8)
 
 
-def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup):
-    # the first SQP iteration on the full mission NLP: every active-set pass
-    # runs out of pivots and the ADMM fallback stops at its cap; the figures
-    # pin the iterate bit for bit
+def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup, monkeypatch):
+    # the first SQP iteration on the full mission NLP: the active-set pass
+    # runs out of pivots, the ADMM fallback stops at its cap, and one LP
+    # shows the trust box cannot meet the linearized rows, so no pass runs
+    # at a higher elastic weight; the figures pin the iterate bit for bit
     nlp, z0 = guess_setup
+    real_pass, real_lp = nlpsolve._active_set_qp, nlpsolve.linprog
+    weights, lps = [], []
+
+    def counted_pass(*args, **kwargs):
+        weights.append(kwargs["pi"])
+        return real_pass(*args, **kwargs)
+
+    def counted_lp(*args, **kwargs):
+        lps.append(args)
+        return real_lp(*args, **kwargs)
+
+    monkeypatch.setattr(nlpsolve, "_active_set_qp", counted_pass)
+    monkeypatch.setattr(nlpsolve, "linprog", counted_lp)
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=1))
+    assert len(weights) == 1 and len(lps) == 1
     assert rep.status == "max_iterations" and rep.iterations == 1
     assert rep.objective == 126.38184313318939
     assert rep.violation == 24.02704409983791

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import scipy.sparse as sp
 import pytest
@@ -210,7 +212,7 @@ def test_nonfinite_derivatives_end_the_solve_as_a_failed_evaluation():
 
 def _unreachable_tie():
     # c(x) = x tied at 1e5 from x0 = 0: the trust box keeps the linearized
-    # row violated, so the elastic weight climbs to its cap every iteration
+    # row violated, so the elastic weight ends at its cap every iteration
     return FunctionNLP(1, lambda z: float(z[0] ** 2), gradient=lambda z: 2 * z,
                        constraints=lambda z: z.copy(),
                        c_lo=np.array([1e5]), c_hi=np.array([1e5]),
@@ -237,8 +239,9 @@ def test_admm_fallback_runs_once_per_sqp_iteration(monkeypatch):
     rep = solve(_unreachable_tie(), np.zeros(1), options)
     assert rep.iterations == 3
     assert len(admm_args) == rep.iterations
-    # the weight loop still tried the active-set pass at every weight
-    assert len(passes) > 2 * rep.iterations and max(passes) >= 1e10
+    # the least-violation LP shows the tie out of the trust box's reach, so
+    # the weight loop stops after its first active-set pass
+    assert len(passes) == rep.iterations
     # every step came from an ADMM solve stopped at its cap, and says so
     assert rep.message.startswith("3 of 3 accepted steps came from a QP "
                                   "subproblem that stopped at its iteration cap")
@@ -254,6 +257,121 @@ def test_admm_fallback_runs_once_per_sqp_iteration(monkeypatch):
     assert np.array_equal(rep.multipliers, fresh.multipliers)
     assert np.array_equal(rep.bound_multipliers, fresh.bound_multipliers)
     assert rep.objective == fresh.objective
+
+
+def _counted_linprog(monkeypatch, status=None):
+    """Record every least-violation LP; with a status, HiGHS reports it and
+    no optimum."""
+    real = nlpsolve.linprog
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        if status is not None:
+            return SimpleNamespace(status=status, fun=np.nan)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nlpsolve, "linprog", counted)
+    return calls
+
+
+def _fallback_stays_put(monkeypatch, converged):
+    """An ADMM fallback that returns the zero step, as if stopped at its cap
+    or as if converged."""
+    monkeypatch.setattr(
+        nlpsolve, "_admm_qp",
+        lambda bfgs, q, C, l, u, y0, eps, max_iter, polish:
+        nlpsolve._QPResult(np.zeros(len(q)), np.zeros(len(y0)), max_iter,
+                           1.0, 1.0, converged))
+
+
+def _failing_passes(monkeypatch, settle_after=None):
+    """Active-set passes that fail, or from pass settle_after on run for
+    real; returns the weight of every pass."""
+    real = nlpsolve._active_set_qp
+    weights = []
+
+    def passes(*args, **kwargs):
+        weights.append(kwargs["pi"])
+        if settle_after is not None and len(weights) > settle_after:
+            return real(*args, **kwargs)
+        return None
+
+    monkeypatch.setattr(nlpsolve, "_active_set_qp", passes)
+    return weights
+
+
+@pytest.mark.parametrize("J, lo, hi, bl, bu, least", [
+    # met inside the box
+    ([[1.0, 1.0]], [1.0], [1.0], [-1.0, -1.0], [1.0, 1.0], 0.0),
+    # the tie: 1e5 against a box of +-1e3
+    ([[1.0]], [1e5], [1e5], [-1e3], [1e3], 99_000.0),
+    # one-sided rows, each missed by 3 at the box's nearest corner
+    ([[1.0]], [5.0], [np.inf], [-1.0], [2.0], 3.0),
+    ([[1.0]], [-np.inf], [-4.0], [-1.0], [2.0], 3.0),
+    # a two-sided row short by 2, a row met only at d1 = -1, and a row
+    # with both sides infinite that counts for nothing
+    ([[1.0, 0.0], [0.0, 1.0], [5.0, 5.0]], [3.0, -np.inf, -np.inf],
+     [4.0, -1.0, np.inf], [-1.0, -1.0], [1.0, 1.0], 2.0),
+    ([[1.0]], [-np.inf], [np.inf], [-1.0], [1.0], 0.0),
+])
+def test_least_violation_matches_the_closed_form(J, lo, hi, bl, bu, least):
+    v = nlpsolve._least_violation(sp.csr_matrix(J), np.array(lo),
+                                  np.array(hi), np.array(bl), np.array(bu))
+    assert v == pytest.approx(least, rel=1e-9, abs=1e-9)
+
+
+def test_reachable_linearization_keeps_the_weight_climbing(monkeypatch):
+    # the first pass fails and a capped fallback that stays put leaves the
+    # tie short, but the LP finds the tie within reach, so the weight goes
+    # up and the pass at the next weight settles on it
+    _fallback_stays_put(monkeypatch, converged=False)
+    weights = _failing_passes(monkeypatch, settle_after=1)
+    lp_calls = _counted_linprog(monkeypatch)
+    rep = solve(_equality_qp(), np.zeros(2), SolverOptions(max_iterations=1))
+    assert len(lp_calls) == 1
+    assert weights == [10.0, 100.0]
+    assert np.allclose(rep.x, [0.5, 0.5], rtol=0.0, atol=1e-12)
+    assert "elastic-weight" not in rep.message
+
+
+def test_unknown_lp_status_leaves_the_weight_climb_as_before(monkeypatch):
+    monkeypatch.setattr(nlpsolve, "QP_MAX_ITERATIONS", 200)
+    options = SolverOptions(max_iterations=3)
+    weights = _failing_passes(monkeypatch)
+    skipped = solve(_unreachable_tie(), np.zeros(1), options)
+    weights.clear()
+    lp_calls = _counted_linprog(monkeypatch, status=1)
+    rep = solve(_unreachable_tie(), np.zeros(1), options)
+    # every iteration climbs to the cap, one LP each, and ends where the
+    # skipped climb does
+    assert len(lp_calls) == rep.iterations == 3
+    assert len(weights) > 2 * rep.iterations and max(weights) >= 1e10
+    assert "elastic-weight" not in rep.message
+    assert np.array_equal(rep.x, skipped.x)
+    assert np.array_equal(rep.multipliers, skipped.multipliers)
+    assert rep.objective == skipped.objective
+
+
+def test_least_violation_lp_runs_only_after_a_capped_fallback(monkeypatch):
+    monkeypatch.setattr(nlpsolve, "QP_MAX_ITERATIONS", 200)
+    weights = _failing_passes(monkeypatch)
+    lp_calls = _counted_linprog(monkeypatch)
+    options = SolverOptions(max_iterations=3)
+    rep = solve(_unreachable_tie(), np.zeros(1), options)
+    assert len(lp_calls) == rep.iterations == 3
+    assert rep.message.endswith(
+        ". 3 of 3 iterations skipped the elastic-weight climb: the trust box "
+        "admits no step meeting the linearized rows (least l1 violation "
+        "1.97e+04)")
+    # a fallback that met its tolerance never calls for the LP, even when
+    # it leaves the tie as short as before
+    _fallback_stays_put(monkeypatch, converged=True)
+    weights.clear()
+    lp_calls.clear()
+    rep = solve(_unreachable_tie(), np.zeros(1), options)
+    assert lp_calls == [] and max(weights) >= 1e10
+    assert "elastic-weight" not in rep.message
 
 
 def test_settled_active_set_steps_leave_the_message_empty():
