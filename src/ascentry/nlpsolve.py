@@ -7,9 +7,7 @@ polished by a dense equality solve when the subproblem is small), and an
 l1 merit function.  Variables are scaled by their bound magnitudes and
 constraint rows are equilibrated against the first Jacobian; reports are
 translated back to the problem's own units.  Derivatives come from the
-problem object's `objective_gradient` and `jacobian`; `FunctionNLP` fills
-in any it was not given by the dense central differences of
-`transcription._fd_vector`.
+problem object's `objective_gradient` and `jacobian`.
 
 An active-set pass gets `ACTIVE_SET_PIVOTS` = 20 working-set changes, each
 one a sparse KKT factorization.  On the canonical problems and the mission
@@ -18,6 +16,19 @@ none settles between pivot 11 and pivot 60, so a budget of twice the
 longest settled pass returns what a longer one would, while a pass that
 cannot settle hands over to the ADMM fallback after 20 factorizations
 rather than 60.
+
+The ADMM fallback factors (gamma + sigma) I + Cs' diag(rho) Cs, which is
+symmetric positive definite (gamma >= 1e-6, sigma = 1e-6, every rho > 0),
+so SuperLU orders it symmetrically by minimum degree on A' + A and takes
+the diagonal pivots as they come: LU without pivoting is stable on such a
+matrix.  On the first mission subproblem that gives 78,762 nonzeros in
+L + U against 187,879 under the default COLAMD ordering with partial
+pivoting, about 2.4 times less fill, and a solve with the factor, one per
+fallback iteration, takes about 0.6 of the time.  The active-set KKT matrix
+[B A'; A -reg I] keeps COLAMD with partial pivoting: it is only
+quasi-definite, with reg about 1e-11, and the symmetric ordering there
+moves the mission path (with the COLAMD fallback factor, 10 capped
+iterations from the guess ended at violation 23.01 rather than 20.84).
 
 Each iteration raises the elastic weight tenfold, from its current value
 to a cap of 1e10, until the step leaves at most max(1e-8, 1e-6 v1) of
@@ -36,14 +47,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import linprog
-
-from .transcription import _fd_vector
 
 ACTIVE_SET_PIVOTS = 20     # working-set changes per active-set pass
 QP_MAX_ITERATIONS = 4000   # ADMM iterations per fallback solve
@@ -82,48 +90,6 @@ class SolveReport:
     @property
     def converged(self) -> bool:
         return self.status == "converged"
-
-
-class FunctionNLP:
-    """Wrap plain callables in the interface the solver consumes."""
-
-    def __init__(self, n_var: int, objective: Callable,
-                 z_lo=None, z_hi=None, gradient: Callable | None = None,
-                 constraints: Callable | None = None, c_lo=None, c_hi=None,
-                 jacobian: Callable | None = None):
-        self.n_var = n_var
-        self._obj = objective
-        self._grad = gradient
-        self._con = constraints
-        self._jac = jacobian
-        self.z_lo = np.full(n_var, -np.inf) if z_lo is None else np.asarray(z_lo, float)
-        self.z_hi = np.full(n_var, np.inf) if z_hi is None else np.asarray(z_hi, float)
-        if constraints is None:
-            self.n_con = 0
-            self.c_lo = np.zeros(0)
-            self.c_hi = np.zeros(0)
-        else:
-            self.c_lo = np.atleast_1d(np.asarray(c_lo, float))
-            self.c_hi = np.atleast_1d(np.asarray(c_hi, float))
-            self.n_con = len(self.c_lo)
-
-    def objective(self, z):
-        return float(self._obj(z))
-
-    def constraints(self, z):
-        if self._con is None:
-            return np.zeros(0)
-        return np.atleast_1d(np.asarray(self._con(z), float))
-
-    def objective_gradient(self, z):
-        if self._grad is not None:
-            return np.asarray(self._grad(z), float)
-        return _fd_vector(self._obj, z, 1)[0]
-
-    def jacobian(self, z):
-        if self._jac is not None:
-            return sp.csr_matrix(np.atleast_2d(self._jac(z)))
-        return sp.csr_matrix(_fd_vector(self.constraints, z, self.n_con))
 
 
 class _CompactBFGS:
@@ -389,7 +355,8 @@ def _admm_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
     def factorize():
         K0 = sp.eye(n, format="csc") * (bfgs.gamma + sigma) \
             + (CsT @ sp.diags(rho) @ Cs).tocsc()
-        lu = spla.splu(K0)
+        lu = spla.splu(K0, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
         if bfgs.W.shape[1]:
             Z = lu.solve(bfgs.W)
             G = -bfgs.K + bfgs.W.T @ Z
@@ -409,15 +376,35 @@ def _admm_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
     r_p = r_d = np.inf
     converged = False
     check_every = 25
+    # the iteration below in place: every operation and operand order as in
+    # rhs = sigma x - q + Cs'(rho z - y), x = alpha xt + (1 - alpha) x,
+    # zh = alpha zt + (1 - alpha) z, z = clip(zh + y/rho, ls, us),
+    # y = y + rho (zh - z), up to commuted products and sums
+    rhs = np.empty(n)
+    zh = np.empty(m)
+    w = np.empty(m)
+    z_new = np.empty(m)
     while it < max_iter:
-        rhs = sigma * x - q + CsT @ (rho * z - y)
+        np.multiply(rho, z, out=w)
+        w -= y
+        np.multiply(sigma, x, out=rhs)
+        rhs -= q
+        rhs += CsT @ w
         xt = Ksolve(rhs)
         zt = Cs @ xt
-        x = alpha * xt + (1 - alpha) * x
-        zh = alpha * zt + (1 - alpha) * z
-        z_new = np.clip(zh + y / rho, ls, us)
-        y = y + rho * (zh - z_new)
-        z = z_new
+        xt *= alpha
+        x *= 1 - alpha
+        x += xt
+        zt *= alpha
+        np.multiply(z, 1 - alpha, out=zh)
+        zh += zt
+        np.divide(y, rho, out=w)
+        w += zh
+        np.minimum(np.maximum(w, ls, out=z_new), us, out=z_new)
+        np.subtract(zh, z_new, out=w)
+        w *= rho
+        y += w
+        z, z_new = z_new, z
         it += 1
         if it % check_every == 0 or it == max_iter:
             Cx = Cs @ x

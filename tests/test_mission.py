@@ -338,10 +338,46 @@ def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup, monkeypatch):
         tolerance=cfg.solver_tolerance, max_iterations=1))
     assert len(weights) == 1 and len(lps) == 1
     assert rep.status == "max_iterations" and rep.iterations == 1
-    assert rep.objective == 126.38184313318939
-    assert rep.violation == 24.02704409983791
+    assert rep.objective == 126.38184313317988
+    assert rep.violation == 24.027044099836345
     assert rep.message.startswith("1 of 1 accepted steps came from a QP "
                                   "subproblem that stopped at its iteration cap")
+
+
+def test_admm_factor_of_the_capped_iteration_is_sparse_and_exact(
+        cfg, guess_setup, monkeypatch):
+    # the fallback's matrix is symmetric positive definite; ordered by
+    # minimum degree on A' + A its factor has 78,762 nonzeros, where the
+    # default COLAMD ordering with partial pivoting gives 187,879
+    nlp, z0 = guess_setup
+    real_admm, real_splu = nlpsolve._admm_qp, nlpsolve.spla.splu
+    inside, factors = [], []
+
+    def marked_admm(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_admm(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def recorded_splu(A, *args, **kwargs):
+        lu = real_splu(A, *args, **kwargs)
+        if inside:
+            factors.append((A, lu))
+        return lu
+
+    monkeypatch.setattr(nlpsolve, "_admm_qp", marked_admm)
+    monkeypatch.setattr(nlpsolve.spla, "splu", recorded_splu)
+    nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
+        tolerance=cfg.solver_tolerance, max_iterations=1))
+    assert factors
+    rng = np.random.default_rng(11)
+    for K0, lu in factors:
+        assert K0.shape == (1607, 1607)
+        assert lu.L.nnz + lu.U.nnz < 100_000
+        b = rng.standard_normal(K0.shape[0])
+        res = K0 @ lu.solve(b) - b
+        assert np.abs(res).max() <= 1e-10 * np.abs(b).max()
 
 
 def test_guess_is_pinned_bit_for_bit(guess_setup):

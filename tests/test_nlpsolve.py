@@ -1,4 +1,7 @@
+from __future__ import annotations
+
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -6,10 +9,52 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ascentry import canonical, nlpsolve
-from ascentry.nlpsolve import (FunctionNLP, SolveReport, SolverOptions,
-                               _CompactBFGS, kkt_residuals, solve)
-from ascentry.transcription import (MultiPhaseProblem, PhaseDef, transcribe,
-                                    uniform_mesh)
+from ascentry.nlpsolve import (SolveReport, SolverOptions, _CompactBFGS,
+                               kkt_residuals, solve)
+from ascentry.transcription import (MultiPhaseProblem, PhaseDef, _fd_vector,
+                                    transcribe, uniform_mesh)
+
+
+class FunctionNLP:
+    """Wrap plain callables in the interface the solver consumes."""
+
+    def __init__(self, n_var: int, objective: Callable,
+                 z_lo=None, z_hi=None, gradient: Callable | None = None,
+                 constraints: Callable | None = None, c_lo=None, c_hi=None,
+                 jacobian: Callable | None = None):
+        self.n_var = n_var
+        self._obj = objective
+        self._grad = gradient
+        self._con = constraints
+        self._jac = jacobian
+        self.z_lo = np.full(n_var, -np.inf) if z_lo is None else np.asarray(z_lo, float)
+        self.z_hi = np.full(n_var, np.inf) if z_hi is None else np.asarray(z_hi, float)
+        if constraints is None:
+            self.n_con = 0
+            self.c_lo = np.zeros(0)
+            self.c_hi = np.zeros(0)
+        else:
+            self.c_lo = np.atleast_1d(np.asarray(c_lo, float))
+            self.c_hi = np.atleast_1d(np.asarray(c_hi, float))
+            self.n_con = len(self.c_lo)
+
+    def objective(self, z):
+        return float(self._obj(z))
+
+    def constraints(self, z):
+        if self._con is None:
+            return np.zeros(0)
+        return np.atleast_1d(np.asarray(self._con(z), float))
+
+    def objective_gradient(self, z):
+        if self._grad is not None:
+            return np.asarray(self._grad(z), float)
+        return _fd_vector(self._obj, z, 1)[0]
+
+    def jacobian(self, z):
+        if self._jac is not None:
+            return sp.csr_matrix(np.atleast_2d(self._jac(z)))
+        return sp.csr_matrix(_fd_vector(self.constraints, z, self.n_con))
 
 
 def test_options_validation():
@@ -400,6 +445,30 @@ def test_admm_qp_stopped_at_its_cap_is_not_converged():
     qp = nlpsolve._admm_qp(*_box_qp(), eps=1e-9, max_iter=5, polish=False)
     assert qp.iterations == 5
     assert not qp.converged
+
+
+def test_admm_qp_with_a_bfgs_memory_reaches_the_dense_kkt_solution():
+    # three stored pairs: B = gamma I - W K^-1 W' is no multiple of I, and
+    # every fallback solve goes through the Woodbury correction
+    bfgs, q, C, l, u, y0 = _box_qp()
+    for s, y in [((1.0, 0.0, 0.0), (2.0, 0.5, 0.0)),
+                 ((0.0, 1.0, 1.0), (0.5, 1.5, 1.0)),
+                 ((0.0, 0.0, 1.0), (0.1, 0.4, 3.0))]:
+        bfgs.update(np.array(s), np.array(y))
+    assert len(bfgs.S) == 3
+    B = bfgs.dense()
+    assert not np.allclose(B, B[0, 0] * np.eye(3))
+    # the box QP's active set: the sum row and d0 on its upper bound
+    A = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+    kkt = np.block([[B, A.T], [A, np.zeros((2, 2))]])
+    sol = np.linalg.solve(kkt, np.concatenate([-q, [l[0], u[1]]]))
+    d, nu = sol[:3], sol[3:]
+    assert np.all(np.abs(d[1:]) < 0.5) and nu[1] > 0.0
+    qp = nlpsolve._admm_qp(bfgs, q, C, l, u, y0, eps=1e-9, max_iter=4000,
+                           polish=False)
+    assert qp.converged
+    assert np.allclose(qp.d, d, rtol=0.0, atol=1e-6)
+    assert np.allclose(qp.y, [nu[0], nu[1], 0.0, 0.0], rtol=0.0, atol=1e-6)
 
 
 def test_complementarity_takes_the_bound_each_multiplier_pushes_on():
