@@ -23,6 +23,7 @@ class LGRRule:
     n : number of collocation nodes.
     nodes : (n,) collocation points in [-1, 1), nodes[0] == -1.
     weights : (n,) positive quadrature weights summing to 2.
+    node_bary : (n,) barycentric weights for `nodes`.
     support : (n+1,) interpolation support, nodes plus the endpoint +1.
     support_bary : (n+1,) barycentric weights for `support`.
     diff_matrix : (n, n+1) derivative of the support interpolant at the nodes.
@@ -31,6 +32,7 @@ class LGRRule:
     n: int
     nodes: np.ndarray
     weights: np.ndarray
+    node_bary: np.ndarray
     support: np.ndarray
     support_bary: np.ndarray
     diff_matrix: np.ndarray
@@ -111,5 +113,6 @@ def lgr_rule(n: int) -> LGRRule:
     support = np.concatenate([nodes, [1.0]])
     bary = barycentric_weights(support)
     diff = lagrange_diff_matrix(support)[:n, :]
-    return LGRRule(n=n, nodes=nodes, weights=weights, support=support,
+    return LGRRule(n=n, nodes=nodes, weights=weights,
+                   node_bary=barycentric_weights(nodes), support=support,
                    support_bary=bary, diff_matrix=diff)

@@ -14,29 +14,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lgr import barycentric_eval, barycentric_weights, lagrange_diff_matrix, lgr_rule
+from .lgr import barycentric_eval, lagrange_diff_matrix
 from .nlpsolve import SolveReport, SolverOptions, solve
 from .transcription import (MeshPhase, MultiPhaseProblem, PhaseSolution,
                             Solution, transcribe)
+
+N_MIN = 3        # fewest nodes an interval over tolerance is given
+N_MAX = 10       # degree cap: an interval that would pass it is split
+SUBDIVISION = 2  # equal pieces a split interval becomes
 
 
 @dataclass
 class RefinementOptions:
     mesh_tolerance: float = 1e-4
     max_refinements: int = 10
-    n_min: int = 3
-    n_max: int = 10
-    subdivision: int = 2
 
     def __post_init__(self):
         if self.mesh_tolerance <= 0:
             raise ValueError("mesh_tolerance must be positive")
         if self.max_refinements < 1:
             raise ValueError("max_refinements must be at least 1")
-        if self.n_min > self.n_max:
-            raise ValueError("n_min must not exceed n_max")
-        if self.subdivision < 2:
-            raise ValueError("subdivision factor must be at least 2")
 
 
 def estimate_error(phase_sol: PhaseSolution, dynamics) -> np.ndarray:
@@ -46,12 +43,11 @@ def estimate_error(phase_sol: PhaseSolution, dynamics) -> np.ndarray:
     errors = np.zeros(mesh.n_intervals)
     if span <= 0:
         return errors
-    starts = np.concatenate([[0], np.cumsum(mesh.degrees)])
-    for k in range(mesh.n_intervals):
-        deg = int(mesh.degrees[k])
-        rule = lgr_rule(deg)
-        Xk = phase_sol.states[starts[k]:starts[k] + deg + 1]
-        Uk = phase_sol.controls[starts[k]:starts[k] + deg]
+    for k, rule in enumerate(mesh.rules):
+        deg = rule.n
+        start = mesh.starts[k]
+        Xk = phase_sol.states[start:start + deg + 1]
+        Uk = phase_sol.controls[start:start + deg]
         dt = span * mesh.fractions[k]
         d_all = lagrange_diff_matrix(rule.support)
         dX_support = d_all @ Xk
@@ -63,8 +59,7 @@ def estimate_error(phase_sol: PhaseSolution, dynamics) -> np.ndarray:
         if deg == 1:
             Uq = np.repeat(Uk, len(s), axis=0)
         else:
-            w = barycentric_weights(rule.nodes)
-            Uq = barycentric_eval(rule.nodes, w, Uk, s)
+            Uq = barycentric_eval(rule.nodes, rule.node_bary, Uk, s)
         F = np.atleast_2d(dynamics(Xq, Uq))
         resid = np.abs(dXq * (2.0 / dt) - F)
         scale = 1.0 + np.abs(Xk).max(axis=0)
@@ -88,15 +83,14 @@ def refine(mesh: MeshPhase, errors: np.ndarray,
             degrees.append(deg)
             continue
         inc = max(1, math.ceil(math.log10(errors[k] / options.mesh_tolerance)))
-        target = max(deg + inc, options.n_min)
-        if target <= options.n_max:
+        target = max(deg + inc, N_MIN)
+        if target <= N_MAX:
             fractions.append(frac)
             degrees.append(target)
         else:
-            sub = options.subdivision
-            sub_deg = max(options.n_min, math.ceil(deg / sub))
-            fractions.extend([frac / sub] * sub)
-            degrees.extend([sub_deg] * sub)
+            sub_deg = max(N_MIN, math.ceil(deg / SUBDIVISION))
+            fractions.extend([frac / SUBDIVISION] * SUBDIVISION)
+            degrees.extend([sub_deg] * SUBDIVISION)
         changed = True
     if not changed:
         return mesh, False
@@ -121,10 +115,8 @@ class RefinementReport:
 def _history_entry(iteration, meshes, errors):
     entry = {"iteration": iteration, "phases": []}
     for mesh, errs in zip(meshes, errors):
-        edges = np.concatenate([[0.0], np.cumsum(mesh.fractions)])
-        edges[-1] = 1.0
         entry["phases"].append({
-            "boundaries": edges.tolist(),
+            "boundaries": mesh.edges.tolist(),
             "degrees": mesh.degrees.tolist(),
             "errors": errs.tolist(),
         })

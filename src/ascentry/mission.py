@@ -1098,18 +1098,14 @@ class MissionRun:
 
 
 def solve_mission(config: MissionConfig, *, warm: Solution | None = None,
-                  solver_options: SolverOptions | None = None,
-                  refinement: RefinementOptions | None = None,
                   history_path=None) -> MissionRun:
     config.validate()
     problem = build_mission(config)
     meshes = default_meshes(config)
-    solver_options = solver_options or SolverOptions(
-        tolerance=config.solver_tolerance,
-        max_iterations=config.solver_max_iterations)
-    refinement = refinement or RefinementOptions(
-        mesh_tolerance=config.mesh_tolerance,
-        max_refinements=config.max_refinements)
+    solver_options = SolverOptions(tolerance=config.solver_tolerance,
+                                   max_iterations=config.solver_max_iterations)
+    refinement = RefinementOptions(mesh_tolerance=config.mesh_tolerance,
+                                   max_refinements=config.max_refinements)
     if warm is not None:
         guess = lambda nlp: nlp.clip_to_bounds(nlp.z_from_solution(warm))
     else:
@@ -1176,8 +1172,6 @@ def study_to_csv(results, path) -> None:
 
 
 def run_study(config: MissionConfig, sweep: dict, *,
-              solver_options: SolverOptions | None = None,
-              refinement: RefinementOptions | None = None,
               progress=None) -> list[StudyResult]:
     """Constraint sweep; each branch walks its list tightening the limit and
     stops at the first failed solve, warm-starting along the way.
@@ -1196,9 +1190,7 @@ def run_study(config: MissionConfig, sweep: dict, *,
             cfg = replace(config,
                           limits=replace(config.limits, qdot_max=float(qd),
                                          q_heat_max=float(ql)))
-            run = solve_mission(cfg, warm=warm,
-                                solver_options=solver_options,
-                                refinement=refinement)
+            run = solve_mission(cfg, warm=warm)
             res = summarize_run(run)
             results.append(res)
             if progress is not None:

@@ -211,6 +211,9 @@ class AeroTable:
             raise ValueError("CD table shape does not match CL table")
         if np.any(np.diff(self.alpha_deg) <= 0) or np.any(np.diff(self.mach) <= 0):
             raise ValueError("grids must be strictly increasing")
+        if not all(np.isfinite(a).all() for a in (self.alpha_deg, self.mach,
+                                                  self.cl_table, self.cd_table)):
+            raise ValueError("grid knots and table entries must be finite")
         self._pchip = _TensorPchip(
             _PchipAxis(self.alpha_deg), _PchipAxis(self.mach),
             np.stack([self.cl_table, self.cd_table], axis=-1))

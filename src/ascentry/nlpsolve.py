@@ -119,10 +119,7 @@ class _CompactBFGS:
         self.K = np.block([[self.gamma * StS, L], [L.T, -D]])
 
     def mul(self, v: np.ndarray) -> np.ndarray:
-        out = self.gamma * v
-        if self.W.shape[1]:
-            out = out - self.W @ np.linalg.solve(self.K, self.W.T @ v)
-        return out
+        return self.gamma * v - self.W @ np.linalg.solve(self.K, self.W.T @ v)
 
     def update(self, s: np.ndarray, y: np.ndarray):
         ss = float(s @ s)
@@ -153,10 +150,8 @@ class _CompactBFGS:
             self._refresh()
 
     def dense(self) -> np.ndarray:
-        B = self.gamma * np.eye(self.n)
-        if self.W.shape[1]:
-            B -= self.W @ np.linalg.solve(self.K, self.W.T)
-        return B
+        W = self.W
+        return self.gamma * np.eye(self.n) - W @ np.linalg.solve(self.K, W.T)
 
 
 class _QPResult:
@@ -192,21 +187,13 @@ def _kkt_matrix(n: int, A: sp.csr_matrix, d_top: float,
     return sp.csc_matrix((data, indices, indptr), shape=(n + k, n + k))
 
 
-def _kkt_solver(bfgs: _CompactBFGS, A: sp.csr_matrix, reg: float):
-    """Factor [B A'; A -reg*I] with the low-rank Hessian part folded in by
-    a Woodbury correction; returns a solve callable or None on breakdown."""
-    n = bfgs.n
-    k = A.shape[0]
-    try:
-        lu = spla.splu(_kkt_matrix(n, A, bfgs.gamma + 1e-10, -reg))
-    except RuntimeError:
-        return None
-    r2 = bfgs.W.shape[1]
-    if not r2:
+def _woodbury(lu, U: np.ndarray, K: np.ndarray):
+    """Solve callable for M - U K^-1 U', given the factor `lu` of M, by the
+    Woodbury identity; lu.solve itself when U has no columns."""
+    if not U.shape[1]:
         return lu.solve
-    U = np.vstack([bfgs.W, np.zeros((k, r2))])
     T = lu.solve(U)
-    G = -bfgs.K + U.T @ T
+    G = -K + U.T @ T
     try:
         Gf = np.linalg.inv(G)
     except np.linalg.LinAlgError:
@@ -216,6 +203,18 @@ def _kkt_solver(bfgs: _CompactBFGS, A: sp.csr_matrix, reg: float):
         t = lu.solve(b)
         return t - T @ (Gf @ (U.T @ t))
     return solve
+
+
+def _kkt_solver(bfgs: _CompactBFGS, A: sp.csr_matrix, reg: float):
+    """Factor [B A'; A -reg*I] with the low-rank Hessian part folded in by
+    a Woodbury correction; returns a solve callable or None on breakdown."""
+    try:
+        lu = spla.splu(_kkt_matrix(bfgs.n, A, bfgs.gamma + 1e-10, -reg))
+    except RuntimeError:
+        return None
+    W = bfgs.W
+    return _woodbury(lu, np.vstack([W, np.zeros((A.shape[0], W.shape[1]))]),
+                     bfgs.K)
 
 
 def _active_set_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
@@ -283,7 +282,7 @@ def _active_set_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
         prev = np.inf
         for _ in range(4):
             res = rhs - np.concatenate([
-                bfgs.mul(sol[:n]) + (AT @ sol[n:] if len(act) else 0.0),
+                bfgs.mul(sol[:n]) + AT @ sol[n:],
                 A @ sol[:n]])
             rmax = float(np.abs(res).max())
             if rmax < 1e-13 * (1.0 + np.abs(rhs).max()) or rmax > 0.5 * prev:
@@ -297,7 +296,7 @@ def _active_set_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
         y[act] = nu
         y[sat_lo] = -pi
         y[sat_hi] = pi
-        tol_d = 1e-8 * (1.0 + (np.abs(nu).max() if len(nu) else 0.0))
+        tol_d = 1e-8 * (1.0 + np.abs(nu).max(initial=0.0))
         free = ~(eq_hard | eq_act | act_lo | act_hi | sat_lo | sat_hi)
         adds_lo = free & fin_lo & (l - r > 1e-8)
         adds_hi = free & fin_hi & (r - u > 1e-8) & ~adds_lo
@@ -314,8 +313,7 @@ def _active_set_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
             viol = np.maximum(np.where(np.isfinite(l), l - r, 0.0),
                               np.where(np.isfinite(u), r - u, 0.0))
             r_p = float(viol[hard].max(initial=0.0))
-            r_d = float(np.abs(bfgs.mul(d) + q_eff
-                               + (AT @ nu if len(act) else 0.0)).max())
+            r_d = float(np.abs(bfgs.mul(d) + q_eff + AT @ nu).max())
             return _QPResult(d, y, pivot, r_p, r_d, True)
         eq_act = (eq_act & ~rel_lo & ~rel_hi) | ((back_lo | back_hi) & tied)
         act_lo = (act_lo & ~drops_lo & ~rel_lo) | adds_lo | (back_lo & ~tied)
@@ -357,19 +355,7 @@ def _admm_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
             + (CsT @ sp.diags(rho) @ Cs).tocsc()
         lu = spla.splu(K0, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True))
-        if bfgs.W.shape[1]:
-            Z = lu.solve(bfgs.W)
-            G = -bfgs.K + bfgs.W.T @ Z
-            try:
-                Ginv = np.linalg.inv(G)
-            except np.linalg.LinAlgError:
-                Ginv = np.linalg.pinv(G)
-
-            def solve(b):
-                t = lu.solve(b)
-                return t - Z @ (Ginv @ (bfgs.W.T @ t))
-            return solve
-        return lu.solve
+        return _woodbury(lu, bfgs.W, bfgs.K)
 
     Ksolve = factorize()
     it = 0
@@ -408,12 +394,11 @@ def _admm_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
         it += 1
         if it % check_every == 0 or it == max_iter:
             Cx = Cs @ x
-            r_p = np.abs(Cx - z).max() if m else 0.0
+            r_p = np.abs(Cx - z).max()
             r_d = np.abs(bfgs.mul(x) + q + CsT @ y).max()
-            sc_p = max(np.abs(Cx).max() if m else 0.0,
-                       np.abs(z).max() if m else 0.0, 1.0)
+            sc_p = max(np.abs(Cx).max(), np.abs(z).max(), 1.0)
             sc_d = max(np.abs(bfgs.mul(x)).max(), np.abs(q).max(),
-                       np.abs(CsT @ y).max() if m else 0.0, 1.0)
+                       np.abs(CsT @ y).max(), 1.0)
             if r_p <= eps * sc_p and r_d <= eps * sc_d:
                 converged = True
                 break
@@ -465,7 +450,7 @@ def _polish(bfgs, q, C, l, u, x, y):
     if not np.all(np.isfinite(b)):
         return None
     B = bfgs.dense()
-    A = C[act].toarray() if len(act) else np.zeros((0, len(x)))
+    A = C[act].toarray()
     kkt = np.block([[B, A.T], [A, np.zeros((len(act), len(act)))]])
     rhs = np.concatenate([-q, b])
     try:
@@ -474,13 +459,12 @@ def _polish(bfgs, q, C, l, u, x, y):
         return None
     d = sol[:len(x)]
     nu = sol[len(x):]
-    Cd = C @ d
-    viol = np.maximum(l - Cd, Cd - u)
-    viol = viol[np.isfinite(viol)]
-    old_Cd = C @ x
-    old_viol = np.maximum(l - old_Cd, old_Cd - u)
-    old_viol = old_viol[np.isfinite(old_viol)]
-    if len(viol) and viol.max() > max(1e-9, (old_viol.max() if len(old_viol) else 0.0)):
+
+    def violation(v):
+        Cv = C @ v
+        gap = np.maximum(l - Cv, Cv - u)
+        return gap[np.isfinite(gap)].max(initial=0.0)
+    if violation(d) > max(1e-9, violation(x)):
         return None
     y_new = np.zeros(m)
     y_new[act] = nu
@@ -518,31 +502,30 @@ class _ScaledNLP:
 
 
 def _violation(c, c_lo, c_hi):
-    if len(c) == 0:
-        return 0.0
-    return float(np.maximum(np.maximum(c_lo - c, c - c_hi), 0.0).max())
+    return float(np.maximum(np.maximum(c_lo - c, c - c_hi), 0.0)
+                 .max(initial=0.0))
 
 
 def _violation_l1(c, c_lo, c_hi):
-    if len(c) == 0:
-        return 0.0
     return float(np.maximum(np.maximum(c_lo - c, c - c_hi), 0.0).sum())
 
 
+def _residuals(g, c, J, x, y_con, y_bnd, c_lo, c_hi, z_lo, z_hi):
+    """(stationarity, feasibility, complementarity) of the KKT conditions,
+    in the units of the arguments: the solver's convergence test and
+    `kkt_residuals` both read them from here."""
+    stat = float(np.abs(g + J.T @ y_con + y_bnd).max())
+    feas = max(_violation(c, c_lo, c_hi), _violation(x, z_lo, z_hi))
+    comp = _complementarity((c, c_lo, c_hi, y_con), (x, z_lo, z_hi, y_bnd))
+    return stat, feas, comp
+
+
 def kkt_residuals(nlp, x, y_con, y_bnd):
-    """Independent stationarity / feasibility / complementarity check."""
-    g = nlp.objective_gradient(x)
-    c = nlp.constraints(x)
-    J = nlp.jacobian(x)
-    if nlp.n_con:
-        stat = g + J.T @ y_con + y_bnd
-    else:
-        stat = g + y_bnd
-    feas = max(_violation(c, nlp.c_lo, nlp.c_hi),
-               _violation(x, nlp.z_lo, nlp.z_hi))
-    comp = _complementarity((c, nlp.c_lo, nlp.c_hi, y_con),
-                            (x, nlp.z_lo, nlp.z_hi, y_bnd))
-    return float(np.abs(stat).max()), feas, comp
+    """Independent stationarity / feasibility / complementarity check, from
+    fresh evaluations at x, in the problem's own units."""
+    return _residuals(nlp.objective_gradient(x), nlp.constraints(x),
+                      nlp.jacobian(x), x, y_con, y_bnd,
+                      nlp.c_lo, nlp.c_hi, nlp.z_lo, nlp.z_hi)
 
 
 def _complementarity(*groups) -> float:
@@ -619,11 +602,8 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
 
     # equilibrate constraint rows once, from the first Jacobian, so the
     # merit function and the convergence test see rows of comparable size
-    if m:
-        row_inf = np.abs(J).max(axis=1).toarray().ravel()
-        r_scale = 1.0 / np.maximum(1.0, row_inf)
-    else:
-        r_scale = np.ones(0)
+    row_inf = np.abs(J).max(axis=1).toarray().ravel()
+    r_scale = 1.0 / np.maximum(1.0, row_inf)
     c_lo = r_scale * nlp.c_lo
     c_hi = r_scale * nlp.c_hi
     r_diag = sp.diags(r_scale)
@@ -646,40 +626,29 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
     last_unreachable = 0.0
 
     for it in range(1, options.max_iterations + 1):
-        feas = max(_violation(c, c_lo, c_hi),
-                   _violation(x, nlp.z_lo, nlp.z_hi))
-        if m:
-            stat_vec = g + J.T @ y_con + y_bnd
-        else:
-            stat_vec = g + y_bnd
-        stat = float(np.abs(stat_vec).max())
-        comp = _complementarity((c, c_lo, c_hi, y_con),
-                                (x, nlp.z_lo, nlp.z_hi, y_bnd))
+        stat, feas, comp = _residuals(g, c, J, x, y_con, y_bnd,
+                                      c_lo, c_hi, nlp.z_lo, nlp.z_hi)
         # stationarity is scaled by gradient and multiplier size: the dual
         # residual inherits the units of whichever is largest
-        ymax = max(float(np.abs(y_con).max()) if m else 0.0,
-                   float(np.abs(y_bnd).max()) if n else 0.0)
+        ymax = max(float(np.abs(y_con).max(initial=0.0)),
+                   float(np.abs(y_bnd).max(initial=0.0)))
         if feas <= tol and stat <= tol * max(1.0, np.abs(g).max(), ymax) \
                 and comp <= tol * 10 * max(1.0, ymax):
             status = "converged"
             break
 
-        C = sp.vstack([J, sp.eye(n, format="csr")], format="csr") if m \
-            else sp.eye(n, format="csr")
+        C = sp.vstack([J, sp.eye(n, format="csr")], format="csr")
         bl = np.maximum(nlp.z_lo - x, -delta)
         bu = np.minimum(nlp.z_hi - x, delta)
-        if m:
-            l_full = np.concatenate([c_lo - c, bl])
-            u_full = np.concatenate([c_hi - c, bu])
-            y0_full = np.concatenate([y_con, y_bnd])
-        else:
-            l_full, u_full, y0_full = bl, bu, y_bnd
+        l_full = np.concatenate([c_lo - c, bl])
+        u_full = np.concatenate([c_hi - c, bu])
+        y0_full = np.concatenate([y_con, y_bnd])
         eps_qp = float(np.clip(0.03 * max(stat, feas), 0.05 * tol, 1e-4))
         v1 = _violation_l1(c, c_lo, c_hi)
         polish = n + C.shape[0] <= POLISH_LIMIT
         # let the penalty recover when history has pushed it far past what
         # the current multipliers justify
-        y_prev = float(np.abs(y_con).max()) if m else 0.0
+        y_prev = float(np.abs(y_con).max(initial=0.0))
         if mu > 100.0 * (2.0 * y_prev + 1.0):
             mu = 10.0 * (2.0 * y_prev + 1.0)
         # raise the elastic weight until the subproblem stops leaving
@@ -701,7 +670,7 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
                     fallback = _admm_qp(bfgs, g, C, l_full, u_full, y0_full,
                                         eps_qp, QP_MAX_ITERATIONS, polish)
                 qp = fallback
-            v_lin = _violation_l1(c + J @ qp.d, c_lo, c_hi) if m else 0.0
+            v_lin = _violation_l1(c + J @ qp.d, c_lo, c_hi)
             if v_lin <= thr or mu >= 1e10:
                 break
             if qp is fallback and not qp.converged and not lp_tried:
@@ -715,8 +684,8 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
                     break
             mu *= 10.0
         d = qp.d
-        y_new_con = qp.y[:m] if m else np.zeros(0)
-        y_new_bnd = qp.y[m:] if m else qp.y
+        y_new_con = qp.y[:m]
+        y_new_bnd = qp.y[m:]
 
         step_norm = float(np.abs(d).max())
         if step_norm < 1e-14:
@@ -732,7 +701,7 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
             continue
 
         # ratchet the penalty with the multipliers the subproblem returned
-        y_soft = float(np.abs(y_new_con).max()) if m else 0.0
+        y_soft = float(np.abs(y_new_con).max(initial=0.0))
         mu = min(max(mu, 2.0 * y_soft + 1.0), 1e12)
         phi0 = f + mu * v1
         dphi = float(g @ d) + mu * (v_lin - v1)
@@ -781,10 +750,10 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
         elif t < 0.1:
             delta = max(step_norm, 1e-8)
 
-        x_new = np.clip(x + t * d, nlp.z_lo, nlp.z_hi)
+        # x_t, the line search's clipped trial point, is the accepted step
         try:
-            g_new = nlp.objective_gradient(x_new)
-            J_new = r_diag @ nlp.jacobian(x_new)
+            g_new = nlp.objective_gradient(x_t)
+            J_new = r_diag @ nlp.jacobian(x_t)
         except Exception as e:
             close_log()
             return SolveReport(status="numerical_failure", iterations=it,
@@ -793,14 +762,9 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
                                bound_multipliers=y_bnd,
                                stationarity=stat,
                                message=f"derivative evaluation failed: {e}")
-        s_vec = x_new - x
-        if m:
-            y_grad = (g_new - g) + (J_new - J).T @ y_new_con
-        else:
-            y_grad = g_new - g
-        bfgs.update(s_vec, y_grad)
+        bfgs.update(x_t - x, (g_new - g) + (J_new - J).T @ y_new_con)
 
-        x, f, c, g, J = x_new, f_t, c_t, g_new, J_new
+        x, f, c, g, J = x_t, f_t, c_t, g_new, J_new
         y_con, y_bnd = y_new_con, y_new_bnd
         if writer:
             writer.writerow([it, repr(f), repr(max(_violation(c, c_lo, c_hi),
@@ -808,8 +772,8 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
                              repr(float(np.abs(t * d).max()))])
             log_file.flush()
 
-    feas = max(_violation(c, c_lo, c_hi),
-               _violation(x, nlp.z_lo, nlp.z_hi))
+    stat, feas, _ = _residuals(g, c, J, x, y_con, y_bnd,
+                               c_lo, c_hi, nlp.z_lo, nlp.z_hi)
     if status == "converged" and feas > tol:
         status = "max_iterations"
     close_log()
@@ -823,9 +787,7 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
             f"{unreachable} of {it} iterations skipped the elastic-weight "
             "climb: the trust box admits no step meeting the linearized "
             f"rows (least l1 violation {last_unreachable:.3g})")
-    stat_final = float(np.abs((g + J.T @ y_con + y_bnd) if m
-                              else (g + y_bnd)).max())
     return SolveReport(status=status, iterations=it, objective=f,
                        violation=feas, x=x, multipliers=r_scale * y_con,
-                       bound_multipliers=y_bnd, stationarity=stat_final,
+                       bound_multipliers=y_bnd, stationarity=stat,
                        message=message)

@@ -7,7 +7,9 @@ Dynamics, path, integrand and cost callbacks are autonomous and batched:
 they map (X, U) with one row per node to one output row per node, each from
 its own input row alone, since the derivative probe stacks many perturbed
 copies of the nodes into one batch; and they must be pure: the derivatives
-at a point are computed once and reused.
+at a point are computed once and reused.  A mesh carries its own node
+geometry (rules, interval edges, node taus, quadrature weights), built
+once when the mesh is made, and everything that places nodes reads it.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .lgr import barycentric_eval, barycentric_weights, lgr_rule
+from .lgr import barycentric_eval, lgr_rule
 
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -142,6 +144,14 @@ class MultiPhaseProblem:
 
 @dataclass
 class MeshPhase:
+    """Interval fractions of a phase's [0, 1] scale and interval degrees.
+
+    The node geometry is built once, read-only: `rules` (one LGR rule per
+    interval), `starts` (first state node of each interval), `edges`
+    (interval boundaries, the last exactly 1.0), `coll_taus` and
+    `state_taus` (collocation nodes, then those plus the endpoint 1.0) and
+    `wts_tau` (quadrature weights on the tau scale, frac_k/2 * w_i).
+    """
     fractions: np.ndarray
     degrees: np.ndarray
 
@@ -154,6 +164,19 @@ class MeshPhase:
             raise ValueError("mesh fractions must be positive and sum to 1")
         if np.any(self.degrees < 1):
             raise ValueError("interval degrees must be >= 1")
+        self.rules = tuple(lgr_rule(int(d)) for d in self.degrees)
+        self.starts = np.concatenate([[0], np.cumsum(self.degrees)])[:-1]
+        self.edges = np.concatenate([[0.0], np.cumsum(self.fractions)])
+        self.edges[-1] = 1.0
+        self.coll_taus = np.concatenate([
+            self.edges[k] + (rule.nodes + 1.0) / 2.0 * self.fractions[k]
+            for k, rule in enumerate(self.rules)])
+        self.state_taus = np.concatenate([self.coll_taus, [1.0]])
+        self.wts_tau = np.concatenate([self.fractions[k] / 2.0 * rule.weights
+                                       for k, rule in enumerate(self.rules)])
+        for a in (self.starts, self.edges, self.coll_taus, self.state_taus,
+                  self.wts_tau):
+            a.flags.writeable = False
 
     @property
     def n_intervals(self) -> int:
@@ -177,9 +200,6 @@ class _PhaseLayout:
     tf_idx: int
     nn: int          # state nodes incl final endpoint
     nc: int          # collocation nodes
-    starts: np.ndarray   # first state-node index of each interval
-    rules: list
-    wts_tau: np.ndarray  # quadrature weights on tau scale: frac_k/2 * w_i
 
 
 @dataclass
@@ -259,15 +279,10 @@ class NLPProblem:
         for p, (ph, mesh) in enumerate(zip(self.problem.phases, self.meshes)):
             nc = mesh.n_coll
             nn = nc + 1
-            rules = [lgr_rule(int(d)) for d in mesh.degrees]
-            starts = np.concatenate([[0], np.cumsum(mesh.degrees)])[:-1]
-            wts = np.concatenate([mesh.fractions[k] / 2.0 * rules[k].weights
-                                  for k in range(mesh.n_intervals)])
             lay = _PhaseLayout(x_off=off, u_off=off + nn * ph.nx,
                                t0_idx=off + nn * ph.nx + nc * ph.nu,
                                tf_idx=off + nn * ph.nx + nc * ph.nu + 1,
-                               nn=nn, nc=nc, starts=starts, rules=rules,
-                               wts_tau=wts)
+                               nn=nn, nc=nc)
             self.phase_layout.append(lay)
             for i in range(nn):
                 for name in ph.state_names:
@@ -375,14 +390,9 @@ class NLPProblem:
         return float(z[lay.t0_idx]), float(z[lay.tf_idx])
 
     def node_taus(self, p: int) -> tuple[np.ndarray, np.ndarray]:
-        """(collocation taus, state-node taus) on the phase's [0, 1] scale."""
-        mesh, lay = self.meshes[p], self.phase_layout[p]
-        edges = np.concatenate([[0.0], np.cumsum(mesh.fractions)])
-        colls = []
-        for k, rule in enumerate(lay.rules):
-            colls.append(edges[k] + (rule.nodes + 1.0) / 2.0 * mesh.fractions[k])
-        coll = np.concatenate(colls)
-        return coll, np.concatenate([coll, [1.0]])
+        """(collocation taus, state-node taus) on the phase's [0, 1] scale,
+        the mesh's own read-only arrays."""
+        return self.meshes[p].coll_taus, self.meshes[p].state_taus
 
     def node_times(self, z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         t0, tf = self.times(z, p)
@@ -409,10 +419,10 @@ class NLPProblem:
     # ----- evaluation -----
 
     def _phase_quadrature(self, z, p, func) -> float:
-        lay = self.phase_layout[p]
         t0, tf = self.times(z, p)
         vals = func(self.states(z, p)[:-1], self.controls(z, p))
-        return float((tf - t0) * lay.wts_tau @ np.asarray(vals).reshape(-1))
+        return float((tf - t0) * self.meshes[p].wts_tau
+                     @ np.asarray(vals).reshape(-1))
 
     def objective(self, z: np.ndarray) -> float:
         total = 0.0
@@ -432,8 +442,8 @@ class NLPProblem:
             t0, tf = self.times(z, p)
             F = np.atleast_2d(ph.dynamics(X[:-1], U))
             row = self._def_row[p]
-            for k, rule in enumerate(lay.rules):
-                s = lay.starts[k]
+            for k, rule in enumerate(mesh.rules):
+                s = mesh.starts[k]
                 n = rule.n
                 block = rule.diff_matrix @ X[s:s + n + 1] \
                     - (tf - t0) * mesh.fractions[k] / 2.0 * F[s:s + n]
@@ -476,11 +486,6 @@ class NLPProblem:
             raise EvaluationError("constraint", i, self.con_names[i])
         return c
 
-    def evaluate(self, z: np.ndarray) -> tuple[float, np.ndarray]:
-        if len(z) != self.n_var:
-            raise ValueError("point dimension does not match layout")
-        return self.objective(z), self.constraints(z)
-
     # ----- structured derivatives -----
 
     def _build_jacobian_plan(self):
@@ -510,10 +515,9 @@ class NLPProblem:
                                    lay.u_off + node * ph.nu + np.arange(ph.nu)])
             def_rows = self._def_row[p] + node * nx + np.arange(nx)
             frac = np.repeat(mesh.fractions, mesh.degrees)  # per collocation node
-            wts_tau = lay.wts_tau
             # differentiation stencil: channel-diagonal, constant
-            for k, rule in enumerate(lay.rules):
-                s, n = lay.starts[k], rule.n
+            for k, rule in enumerate(mesh.rules):
+                s, n = mesh.starts[k], rule.n
                 block(def_rows[s:s + n, :, None],
                       lay.x_off + (s + np.arange(n + 1)) * nx + np.arange(nx)[:, None],
                       np.repeat(rule.diff_matrix[:, None, :], nx, axis=1))
@@ -537,8 +541,8 @@ class NLPProblem:
                 acc_rows = [self._acc_row + acc_names.index(t.accumulator)
                             for t in ph.integrands]
                 block(np.array(acc_rows)[:, None], quad_cols[p],
-                      lambda z, pts: -_quadrature_rows(wts_tau, pts[p], pts[p].Q,
-                                                       pts[p].dQ))
+                      lambda z, pts: -_quadrature_rows(mesh.wts_tau, pts[p],
+                                                       pts[p].Q, pts[p].dQ))
 
         def endpoint(row, m, func, args):
             """Dense rows of func(*args); each arg is given by its columns,
@@ -638,10 +642,10 @@ class NLPProblem:
             J = sp.csr_matrix((data, plan.cols, plan.indptr),
                               shape=(self.n_con, self.n_var))
             g = np.zeros(self.n_var)
-            for pt, lay, cols in zip(pts, self.phase_layout, plan.quad_cols):
+            for pt, mesh, cols in zip(pts, self.meshes, plan.quad_cols):
                 if pt.L is not None:
                     g[cols] += _quadrature_rows(
-                        lay.wts_tau, pt, [pt.L], pt.dL[None])[0]
+                        mesh.wts_tau, pt, [pt.L], pt.dL[None])[0]
             bad = np.flatnonzero(~np.isfinite(data))
             if len(bad):
                 i = int(np.searchsorted(plan.indptr, bad[0], side="right")) - 1
@@ -722,15 +726,7 @@ class PhaseSolution:
 
     def state_times(self) -> np.ndarray:
         """Times of the stored state rows (interval endpoints shared)."""
-        edges = np.concatenate([[0.0], np.cumsum(self.mesh.fractions)])
-        edges[-1] = 1.0
-        parts = []
-        for k, d in enumerate(self.mesh.degrees):
-            rule = lgr_rule(int(d))
-            parts.append(edges[k] + 0.5 * (rule.support[:-1] + 1.0)
-                         * self.mesh.fractions[k])
-        parts.append([1.0])
-        return self.t0 + np.concatenate(parts) * (self.tf - self.t0)
+        return self.t0 + self.mesh.state_taus * (self.tf - self.t0)
 
     def _locate(self, tq):
         tq = np.atleast_1d(np.asarray(tq, dtype=float))
@@ -740,40 +736,36 @@ class PhaseSolution:
             raise ValueError(f"query time outside phase span [{self.t0}, {self.tf}]")
         tau = np.clip((tq - self.t0) / span if span > 0 else np.zeros_like(tq),
                       0.0, 1.0)
-        edges = np.concatenate([[0.0], np.cumsum(self.mesh.fractions)])
-        edges[-1] = 1.0
+        edges = self.mesh.edges
         k = np.clip(np.searchsorted(edges, tau, side="right") - 1,
                     0, self.mesh.n_intervals - 1)
         local = 2.0 * (tau - edges[k]) / self.mesh.fractions[k] - 1.0
         return k, np.clip(local, -1.0, 1.0)
 
-    def sample_states(self, tq):
+    def _sample(self, values, tq, support):
+        """Interpolate node rows `values` at the times tq, interval by
+        interval; support(rule) gives the (points, barycentric weights) that
+        an interval's rows sit on.  One point interpolates as a constant."""
         k, s = self._locate(tq)
-        starts = np.concatenate([[0], np.cumsum(self.mesh.degrees)])
-        out = np.empty((len(k), self.states.shape[1]))
+        out = np.empty((len(k), values.shape[1]))
         for kk in np.unique(k):
-            rule = lgr_rule(int(self.mesh.degrees[kk]))
-            rows = slice(starts[kk], starts[kk] + rule.n + 1)
+            points, bary = support(self.mesh.rules[kk])
+            start = self.mesh.starts[kk]
+            rows = values[start:start + len(points)]
             mask = k == kk
-            out[mask] = barycentric_eval(rule.support, rule.support_bary,
-                                         self.states[rows], s[mask])
+            if len(points) == 1:
+                out[mask] = rows[0]
+            else:
+                out[mask] = barycentric_eval(points, bary, rows, s[mask])
         return out
 
+    def sample_states(self, tq):
+        return self._sample(self.states, tq,
+                            lambda rule: (rule.support, rule.support_bary))
+
     def sample_controls(self, tq):
-        k, s = self._locate(tq)
-        starts = np.concatenate([[0], np.cumsum(self.mesh.degrees)])
-        out = np.empty((len(k), self.controls.shape[1]))
-        for kk in np.unique(k):
-            rule = lgr_rule(int(self.mesh.degrees[kk]))
-            rows = slice(starts[kk], starts[kk] + rule.n)
-            mask = k == kk
-            if rule.n == 1:
-                out[mask] = self.controls[rows][0]
-            else:
-                w = barycentric_weights(rule.nodes)
-                out[mask] = barycentric_eval(rule.nodes, w,
-                                             self.controls[rows], s[mask])
-        return out
+        return self._sample(self.controls, tq,
+                            lambda rule: (rule.nodes, rule.node_bary))
 
 
 @dataclass

@@ -21,10 +21,6 @@ def _scalar_phase(**kw):
 def test_options_validation():
     with pytest.raises(ValueError):
         RefinementOptions(mesh_tolerance=0.0)
-    with pytest.raises(ValueError):
-        RefinementOptions(n_min=5, n_max=4)
-    with pytest.raises(ValueError):
-        RefinementOptions(subdivision=1)
 
 
 def test_error_vanishes_on_representable_data():
@@ -153,8 +149,7 @@ def test_refine_loop_stops_when_mesh_cannot_change():
     rep = refine_loop(prob, [uniform_mesh(1, 10)],
                       lambda nlp: nlp.clip_to_bounds(np.ones(nlp.n_var)),
                       RefinementOptions(mesh_tolerance=1e-30,
-                                        max_refinements=3, n_max=10,
-                                        subdivision=2))
+                                        max_refinements=3))
     # splitting is still allowed, so three passes run; no infinite loop
     assert rep.iterations <= 3
     assert rep.solution is not None

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +128,23 @@ def _tower_oracle(cfg, dt=1e-3):
     t_x = 0.5 * (lo + hi)
     _, v_x = step(t_prev, h_prev, v_prev, t_x - t_prev)
     return t_x, v_x, m0 - mdot * t_x
+
+
+def test_aero_table_with_a_blank_cell_is_a_config_error(cfg, tmp_path):
+    # a blank CL cell at alpha -20 deg, Mach 0.8 reads as NaN; it would
+    # poison every lookup around it
+    data = Path(M.__file__).parent / "data"
+    lines = (data / "aero_boost_cl.csv").read_text().splitlines()
+    mach = lines[0].split(",")[1:]
+    row = next(i for i, ln in enumerate(lines) if ln.split(",")[0] == "-20")
+    cells = lines[row].split(",")
+    cells[1 + mach.index("0.8")] = ""
+    lines[row] = ",".join(cells)
+    cl = tmp_path / "cl.csv"
+    cl.write_text("\n".join(lines) + "\n")
+    bad = replace(cfg, boost_aero=[str(cl), str(data / "aero_boost_cd.csv")])
+    with pytest.raises(M.ConfigError, match="tables.boost_aero"):
+        M.resolve_tables(bad)
 
 
 def test_tower_clear_matches_integration(cfg):

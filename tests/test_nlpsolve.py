@@ -151,6 +151,28 @@ def test_equality_qp_solution_and_multiplier():
     assert max(stat, feas, comp) < 1e-4
 
 
+def _valley():
+    """Unconstrained and unbounded: the solve takes the m = 0 path."""
+    return FunctionNLP(2, lambda z: (1 - z[0]) ** 2 + 10 * (z[1] - z[0] ** 2) ** 2,
+                       gradient=lambda z: np.array([
+                           -2 * (1 - z[0]) - 40 * z[0] * (z[1] - z[0] ** 2),
+                           20 * (z[1] - z[0] ** 2)]))
+
+
+@pytest.mark.parametrize("make", [_equality_qp, _valley])
+def test_solver_and_kkt_residuals_share_one_rule(make):
+    # unit-scale problems: no finite bound and no Jacobian entry above one,
+    # so the solver's scaled units are the problem's own
+    nlp = make()
+    assert np.all(nlpsolve._bound_scale(nlp) == 1.0)
+    rep = solve(nlp, np.array([3.0, -1.0]))
+    assert rep.converged
+    stat, feas, _ = kkt_residuals(make(), rep.x, rep.multipliers,
+                                  rep.bound_multipliers)
+    assert rep.stationarity == stat
+    assert rep.violation == feas
+
+
 def test_bound_constrained_lp_corner():
     nlp = FunctionNLP(1, lambda z: -z[0], gradient=lambda z: np.array([-1.0]),
                       z_lo=np.array([0.0]), z_hi=np.array([2.0]))
@@ -469,6 +491,25 @@ def test_admm_qp_with_a_bfgs_memory_reaches_the_dense_kkt_solution():
     assert qp.converged
     assert np.allclose(qp.d, d, rtol=0.0, atol=1e-6)
     assert np.allclose(qp.y, [nu[0], nu[1], 0.0, 0.0], rtol=0.0, atol=1e-6)
+
+
+def test_kkt_solver_with_a_bfgs_memory_matches_the_dense_kkt_solve():
+    # three stored pairs: the Hessian block's low-rank part reaches the
+    # factor through the Woodbury correction
+    bfgs = _CompactBFGS(3)
+    for s, y in [((1.0, 0.0, 0.0), (2.0, 0.5, 0.0)),
+                 ((0.0, 1.0, 1.0), (0.5, 1.5, 1.0)),
+                 ((0.0, 0.0, 1.0), (0.1, 0.4, 3.0))]:
+        bfgs.update(np.array(s), np.array(y))
+    assert len(bfgs.S) == 3
+    A = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, -2.0]])
+    reg = 1e-11 * (1.0 + bfgs.gamma)
+    kkt = np.block([[bfgs.dense() + 1e-10 * np.eye(3), A.T],
+                    [A, -reg * np.eye(2)]])
+    b = np.array([0.3, -1.2, 0.7, 1.0, -0.5])
+    expect = np.linalg.solve(kkt, b)
+    got = nlpsolve._kkt_solver(bfgs, sp.csr_matrix(A), reg)(b)
+    assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
 
 
 def test_complementarity_takes_the_bound_each_multiplier_pushes_on():

@@ -395,8 +395,12 @@ def test_objective_gradient_matches_fd():
     assert np.allclose(g, fd, rtol=2e-5, atol=1e-7)
 
 
-def test_solution_roundtrip_through_same_mesh():
-    mesh = MeshPhase([0.35, 0.65], [4, 3])
+@pytest.mark.parametrize("mesh", [
+    MeshPhase([0.35, 0.65], [4, 3]),
+    # a degree-1 interval: its one control node samples as a constant
+    MeshPhase(np.array([1.0, 2.0, 4.0]) / 7.0, [1, 5, 2]),
+], ids=["4-3", "1-5-2"])
+def test_solution_roundtrip_through_same_mesh(mesh):
     ph = _double_integrator(tf_lo=1.0, tf_hi=5.0)
     nlp = transcribe(MultiPhaseProblem([ph]), [mesh])
     coll, state = nlp.node_taus(0)
@@ -406,6 +410,8 @@ def test_solution_roundtrip_through_same_mesh():
     sol = nlp.solution_from(z)
     z2 = nlp.z_from_solution(sol)
     assert np.allclose(z2, z, rtol=1e-11, atol=1e-12)
+    # the solution places its state rows where the NLP put them, bit for bit
+    assert np.array_equal(sol.phases[0].state_times(), nlp.node_times(z, 0)[1])
 
 
 def test_solution_sampling_rejects_out_of_span():
