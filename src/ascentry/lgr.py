@@ -26,7 +26,9 @@ class LGRRule:
     node_bary : (n,) barycentric weights for `nodes`.
     support : (n+1,) interpolation support, nodes plus the endpoint +1.
     support_bary : (n+1,) barycentric weights for `support`.
-    diff_matrix : (n, n+1) derivative of the support interpolant at the nodes.
+    support_diff : (n+1, n+1) derivative of the support interpolant at the
+        support points.
+    diff_matrix : (n, n+1) its first n rows: the derivative at the nodes.
     """
 
     n: int
@@ -35,6 +37,7 @@ class LGRRule:
     node_bary: np.ndarray
     support: np.ndarray
     support_bary: np.ndarray
+    support_diff: np.ndarray
     diff_matrix: np.ndarray
 
 
@@ -112,7 +115,7 @@ def lgr_rule(n: int) -> LGRRule:
         weights[0] = 2.0 / (n * n)
     support = np.concatenate([nodes, [1.0]])
     bary = barycentric_weights(support)
-    diff = lagrange_diff_matrix(support)[:n, :]
+    diff = lagrange_diff_matrix(support)
     return LGRRule(n=n, nodes=nodes, weights=weights,
                    node_bary=barycentric_weights(nodes), support=support,
-                   support_bary=bary, diff_matrix=diff)
+                   support_bary=bary, support_diff=diff, diff_matrix=diff[:n, :])

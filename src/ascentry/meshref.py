@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lgr import barycentric_eval, lagrange_diff_matrix
+from .lgr import barycentric_eval
 from .nlpsolve import SolveReport, SolverOptions, solve
 from .transcription import (MeshPhase, MultiPhaseProblem, PhaseSolution,
                             Solution, transcribe)
@@ -49,8 +49,7 @@ def estimate_error(phase_sol: PhaseSolution, dynamics) -> np.ndarray:
         Xk = phase_sol.states[start:start + deg + 1]
         Uk = phase_sol.controls[start:start + deg]
         dt = span * mesh.fractions[k]
-        d_all = lagrange_diff_matrix(rule.support)
-        dX_support = d_all @ Xk
+        dX_support = rule.support_diff @ Xk
 
         m_checks = deg + 10
         s = np.linspace(-1.0, 1.0, m_checks + 2)[1:-1]

@@ -551,13 +551,9 @@ def _bound_scale(nlp) -> np.ndarray:
 def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveReport:
     options = options or SolverOptions()
     s = _bound_scale(nlp)
-    if np.any(s != 1.0):
-        scaled = _ScaledNLP(nlp, s)
-        rep = _solve_core(scaled, np.asarray(x0, float) / s, options)
-        rep.x = s * rep.x
-        rep.bound_multipliers = rep.bound_multipliers / s
-    else:
-        rep = _solve_core(nlp, np.asarray(x0, float), options)
+    rep = _solve_core(_ScaledNLP(nlp, s), np.asarray(x0, float) / s, options)
+    rep.x = s * rep.x
+    rep.bound_multipliers = rep.bound_multipliers / s
     # the core works on equilibrated rows; report in the problem's units
     try:
         rep.objective = nlp.objective(rep.x)

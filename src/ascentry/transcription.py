@@ -10,6 +10,13 @@ copies of the nodes into one batch; and they must be pure: the derivatives
 at a point are computed once and reused.  A mesh carries its own node
 geometry (rules, interval edges, node taus, quadrature weights), built
 once when the mesh is made, and everything that places nodes reads it.
+
+Each axis of the NLP is walked once.  `_build_layout` names, bounds and
+places every variable.  `_build_rows` walks the constraint rows once, group
+by group (a phase's defects, each path constraint, each accumulator balance,
+boundary, duration row and linkage), and declares each group's names,
+bounds, value rule and Jacobian blocks side by side; `constraints()` is one
+nominal node pass per phase plus the groups' value rules.
 """
 from __future__ import annotations
 
@@ -132,6 +139,8 @@ class MultiPhaseProblem:
 
     def __post_init__(self):
         names = {a.name for a in self.accumulators}
+        if len(names) < len(self.accumulators):
+            raise ValueError("accumulator names must be unique")
         for p, ph in enumerate(self.phases):
             for term in ph.integrands:
                 if term.accumulator not in names:
@@ -140,6 +149,9 @@ class MultiPhaseProblem:
         for ln in self.linkages:
             if not (0 <= ln.a < len(self.phases) and 0 <= ln.b < len(self.phases)):
                 raise ValueError(f"linkage {ln.name} references invalid phases")
+        for bc in self.boundaries:
+            if not 0 <= bc.phase < len(self.phases):
+                raise ValueError(f"boundary {bc.name} references invalid phase")
 
 
 @dataclass
@@ -235,6 +247,17 @@ class _PhasePoint:
     dL: np.ndarray | None  # (nc, nx+nu)
 
 
+@dataclass
+class _NodeValues:
+    """One phase's nominal node values at a point, as the rows read them."""
+    X: np.ndarray        # states incl. the endpoint (nn, nx)
+    t0: float
+    tf: float
+    F: np.ndarray        # dynamics (nc, nx)
+    P: list              # path values, (nc,) each
+    Q: list              # integrand values, as returned
+
+
 def _fd_vector(func, x, dim_out):
     """Dense central difference of a vector function of the vector x."""
     out = np.zeros((dim_out, len(x)))
@@ -245,6 +268,11 @@ def _fd_vector(func, x, dim_out):
         xm[j] -= h
         out[:, j] = (np.atleast_1d(func(xp)) - np.atleast_1d(func(xm))) / (2.0 * h)
     return out
+
+
+def _quadrature(wts_tau, t0, tf, vals) -> float:
+    """(tf - t0) * sum(w * v): one integrand's quadrature over a phase."""
+    return float((tf - t0) * wts_tau @ np.asarray(vals).reshape(-1))
 
 
 def _quadrature_rows(wts_tau, pt: _PhasePoint, vals, partials) -> np.ndarray:
@@ -265,115 +293,215 @@ class NLPProblem:
         self.problem = problem
         self.meshes = list(meshes)
         self._build_layout()
-        self._build_bounds()
-        self._build_constraint_index()
-        self._build_jacobian_plan()
+        self._build_rows()
         self._last = None   # (z, gradient, Jacobian) at the last point
 
     # ----- layout -----
 
     def _build_layout(self):
+        """Name, bound and place every variable, in one pass."""
         self.phase_layout: list[_PhaseLayout] = []
-        off = 0
-        self.var_names: list[str] = []
+        names: list[str] = []
+        lo: list[np.ndarray] = []
+        hi: list[np.ndarray] = []
         for p, (ph, mesh) in enumerate(zip(self.problem.phases, self.meshes)):
             nc = mesh.n_coll
             nn = nc + 1
+            off = len(names)
             lay = _PhaseLayout(x_off=off, u_off=off + nn * ph.nx,
                                t0_idx=off + nn * ph.nx + nc * ph.nu,
                                tf_idx=off + nn * ph.nx + nc * ph.nu + 1,
                                nn=nn, nc=nc)
             self.phase_layout.append(lay)
-            for i in range(nn):
-                for name in ph.state_names:
-                    self.var_names.append(f"p{p}:{ph.name}:x:{name}:n{i}")
-            for i in range(nc):
-                for name in ph.control_names:
-                    self.var_names.append(f"p{p}:{ph.name}:u:{name}:n{i}")
-            self.var_names.append(f"p{p}:{ph.name}:t0")
-            self.var_names.append(f"p{p}:{ph.name}:tf")
-            off = lay.tf_idx + 1
+            x_lo, x_hi = np.tile(ph.x_lo, (nn, 1)), np.tile(ph.x_hi, (nn, 1))
+            if ph.x0_lo is not None:
+                x_lo[0], x_hi[0] = ph.x0_lo, ph.x0_hi
+            if ph.xf_lo is not None:
+                x_lo[-1], x_hi[-1] = ph.xf_lo, ph.xf_hi
+            names += [f"p{p}:{ph.name}:x:{name}:n{i}"
+                      for i in range(nn) for name in ph.state_names]
+            names += [f"p{p}:{ph.name}:u:{name}:n{i}"
+                      for i in range(nc) for name in ph.control_names]
+            names += [f"p{p}:{ph.name}:t0", f"p{p}:{ph.name}:tf"]
+            lo += [x_lo.ravel(), np.tile(ph.u_lo, nc), [ph.t0_lo, ph.tf_lo]]
+            hi += [x_hi.ravel(), np.tile(ph.u_hi, nc), [ph.t0_hi, ph.tf_hi]]
         self.acc_idx: dict[str, int] = {}
         for acc in self.problem.accumulators:
-            self.acc_idx[acc.name] = off
-            self.var_names.append(f"acc:{acc.name}")
-            off += 1
-        self.n_var = off
+            self.acc_idx[acc.name] = len(names)
+            names.append(f"acc:{acc.name}")
+            lo.append([acc.lo])
+            hi.append([acc.hi])
+        self.var_names = names
+        self.n_var = len(names)
+        self.z_lo = np.concatenate(lo, dtype=float)
+        self.z_hi = np.concatenate(hi, dtype=float)
 
-    def _build_bounds(self):
-        lo = np.empty(self.n_var)
-        hi = np.empty(self.n_var)
-        for ph, lay in zip(self.problem.phases, self.phase_layout):
-            xs = slice(lay.x_off, lay.x_off + lay.nn * ph.nx)
-            lo[xs] = np.tile(ph.x_lo, lay.nn)
-            hi[xs] = np.tile(ph.x_hi, lay.nn)
-            if ph.x0_lo is not None:
-                lo[lay.x_off:lay.x_off + ph.nx] = ph.x0_lo
-                hi[lay.x_off:lay.x_off + ph.nx] = ph.x0_hi
-            if ph.xf_lo is not None:
-                last = lay.x_off + (lay.nn - 1) * ph.nx
-                lo[last:last + ph.nx] = ph.xf_lo
-                hi[last:last + ph.nx] = ph.xf_hi
-            us = slice(lay.u_off, lay.u_off + lay.nc * ph.nu)
-            lo[us] = np.tile(ph.u_lo, lay.nc)
-            hi[us] = np.tile(ph.u_hi, lay.nc)
-            lo[lay.t0_idx], hi[lay.t0_idx] = ph.t0_lo, ph.t0_hi
-            lo[lay.tf_idx], hi[lay.tf_idx] = ph.tf_lo, ph.tf_hi
-        for acc in self.problem.accumulators:
-            lo[self.acc_idx[acc.name]] = acc.lo
-            hi[self.acc_idx[acc.name]] = acc.hi
-        self.z_lo, self.z_hi = lo, hi
+    def _build_rows(self):
+        """Declare every constraint row once, group by group: its names, its
+        bounds, a value rule (z, nodes) -> values over the nominal node pass,
+        and its Jacobian blocks.  A block is a pair of broadcast (rows, cols)
+        index arrays with a value: a constant array, or a rule (z, pts) ->
+        values in the block's shape over the phase points.
 
-    def _build_constraint_index(self):
+        The groups, in row order: per phase its defects and each path
+        constraint, then the accumulator balances, the boundaries, the
+        duration rows and the linkages.  No rule holds the NLPProblem, so it
+        is freed by reference counting alone.
+        """
         names: list[str] = []
-        c_lo: list[float] = []
-        c_hi: list[float] = []
-        self._def_row: list[int] = []
-        self._path_row: list[int] = []
-        for p, (ph, mesh, lay) in enumerate(zip(self.problem.phases,
-                                                self.meshes, self.phase_layout)):
-            self._def_row.append(len(names))
-            for k in range(mesh.n_intervals):
-                for i in range(mesh.degrees[k]):
-                    for sn in ph.state_names:
-                        names.append(f"p{p}:{ph.name}:def:k{k}:n{i}:{sn}")
-            c_lo.extend([0.0] * lay.nc * ph.nx)
-            c_hi.extend([0.0] * lay.nc * ph.nx)
-            self._path_row.append(len(names))
-            for pc in ph.path:
-                for i in range(lay.nc):
-                    names.append(f"p{p}:{ph.name}:path:{pc.name}:n{i}")
-                c_lo.extend([pc.lo] * lay.nc)
-                c_hi.extend([pc.hi] * lay.nc)
-        self._acc_row = len(names)
+        lo: list[np.ndarray] = []
+        hi: list[np.ndarray] = []
+        row_values: list = []
+        rows: list[np.ndarray] = []
+        cols: list[np.ndarray] = []
+        values: list = []
+        quad_cols: list[np.ndarray] = []
+
+        def group(new_names, g_lo, g_hi, value):
+            """Declare rows with their bounds and value rule; their first row."""
+            first = len(names)
+            names.extend(new_names)
+            lo.append(np.broadcast_to(np.asarray(g_lo, float), len(new_names)))
+            hi.append(np.broadcast_to(np.asarray(g_hi, float), len(new_names)))
+            row_values.append((slice(first, len(names)), value))
+            return first
+
+        def block(r, c, v):
+            r, c = np.broadcast_arrays(r, c)
+            rows.append(r.ravel())
+            cols.append(c.ravel())
+            values.append(v)
+
+        def phase_rows(p):
+            ph, mesh, lay = self.problem.phases[p], self.meshes[p], self.phase_layout[p]
+            nx, nc = ph.nx, lay.nc
+            node = np.arange(nc)[:, None]
+            node_cols = np.hstack([lay.x_off + node * nx + np.arange(nx),
+                                   lay.u_off + node * ph.nu + np.arange(ph.nu)])
+            quad_cols.append(np.append(node_cols.ravel(), [lay.t0_idx, lay.tf_idx]))
+            frac = np.repeat(mesh.fractions, mesh.degrees)  # per collocation node
+            stencils = []   # per interval: matrix, state rows, node rows, fraction
+
+            def defects(z, nodes):
+                nd = nodes[p]
+                dt = nd.tf - nd.t0
+                return np.concatenate([
+                    (D @ nd.X[xs] - dt * f / 2.0 * nd.F[fs]).ravel()
+                    for D, xs, fs, f in stencils])
+
+            # dynamics coupling at each node, in x and u
+            def dynamics_values(z, pts):
+                scale = (pts[p].tf - pts[p].t0) * frac / 2.0
+                return (-scale)[:, None, None] * pts[p].dF
+
+            # time columns: d/dt0 = +frac/2 F, d/dtf = -frac/2 F
+            def time_values(z, pts):
+                a = (frac / 2.0)[:, None] * pts[p].F
+                return np.stack([a, -a], axis=-1)
+
+            def_rows = group([f"p{p}:{ph.name}:def:k{k}:n{i}:{sn}"
+                              for k in range(mesh.n_intervals)
+                              for i in range(mesh.degrees[k])
+                              for sn in ph.state_names],
+                             0.0, 0.0, defects) + node * nx + np.arange(nx)
+            # differentiation stencil: channel-diagonal, constant
+            for rule, s, f in zip(mesh.rules, mesh.starts, mesh.fractions):
+                n = rule.n
+                stencils.append((rule.diff_matrix, slice(s, s + n + 1),
+                                 slice(s, s + n), f))
+                block(def_rows[s:s + n, :, None],
+                      lay.x_off + (s + np.arange(n + 1)) * nx + np.arange(nx)[:, None],
+                      np.repeat(rule.diff_matrix[:, None, :], nx, axis=1))
+            block(def_rows[:, None, :], node_cols[:, :, None], dynamics_values)
+            block(def_rows[:, :, None], [lay.t0_idx, lay.tf_idx], time_values)
+            for i, pc in enumerate(ph.path):
+                row = group([f"p{p}:{ph.name}:path:{pc.name}:n{j}"
+                             for j in range(nc)],
+                            pc.lo, pc.hi, lambda z, nodes, i=i: nodes[p].P[i])
+                block(row + node, node_cols, lambda z, pts, i=i: pts[p].dP[i])
+
+        def balance_rows(acc):
+            col = self.acc_idx[acc.name]
+            meshes = self.meshes
+            feeds = [(p, j) for p, ph in enumerate(self.problem.phases)
+                     for j, term in enumerate(ph.integrands)
+                     if term.accumulator == acc.name]
+
+            def balance(z, nodes):
+                total = 0.0
+                for p, j in feeds:
+                    total += _quadrature(meshes[p].wts_tau, nodes[p].t0,
+                                         nodes[p].tf, nodes[p].Q[j])
+                return z[col] - total
+
+            row = group([f"acc:{acc.name}:balance"], 0.0, 0.0, balance)
+            block(row, col, np.ones(1))
+            for p, j in feeds:
+                block(row, quad_cols[p],
+                      lambda z, pts, p=p, j=j: -_quadrature_rows(
+                          meshes[p].wts_tau, pts[p], pts[p].Q[j:j + 1],
+                          pts[p].dQ[j:j + 1]))
+
+        def endpoint(label, func, args, g_lo, g_hi):
+            """Rows func(*args) with dense differenced blocks; each arg is
+            given by its columns, an index array for a vector argument or an
+            int for a scalar."""
+            idx = np.concatenate([np.atleast_1d(a) for a in args])
+            ends = np.cumsum([np.size(a) for a in args])
+            m = len(g_lo)
+
+            def packed(v):
+                out = np.atleast_1d(func(*[
+                    v[e - np.size(a):e] if np.ndim(a) else v[e - 1]
+                    for a, e in zip(args, ends)]))
+                if out.shape != (m,):
+                    raise ValueError(f"{label} returns shape {out.shape} "
+                                     f"for its {m} bounds")
+                return out
+
+            row = group([f"{label}:{j}" for j in range(m)], g_lo, g_hi,
+                        lambda z, nodes: packed(z[idx]))
+            block(row + np.arange(m)[:, None], idx,
+                  lambda z, pts: _fd_vector(packed, z[idx], m))
+
+        for p in range(len(self.problem.phases)):
+            phase_rows(p)
         for acc in self.problem.accumulators:
-            names.append(f"acc:{acc.name}:balance")
-            c_lo.append(0.0)
-            c_hi.append(0.0)
-        self._bc_row = len(names)
+            balance_rows(acc)
         for bc in self.problem.boundaries:
-            for j in range(len(bc.lo)):
-                names.append(f"bc:{bc.name}:{j}")
-            c_lo.extend(bc.lo.tolist())
-            c_hi.extend(bc.hi.tolist())
-        self._dur_row = len(names)
-        self._dur_phases = []
-        for p, ph in enumerate(self.problem.phases):
+            ph, lay = self.problem.phases[bc.phase], self.phase_layout[bc.phase]
+            x0 = lay.x_off + np.arange(ph.nx)
+            endpoint(f"bc:{bc.name}", bc.func,
+                     [x0, x0 + (lay.nn - 1) * ph.nx, lay.t0_idx, lay.tf_idx],
+                     bc.lo, bc.hi)
+        for p, (ph, lay) in enumerate(zip(self.problem.phases, self.phase_layout)):
             if ph.min_duration > 0.0 and (ph.t0_lo < ph.t0_hi or ph.tf_lo < ph.tf_hi):
-                self._dur_phases.append(p)
-                names.append(f"p{p}:{ph.name}:duration")
-                c_lo.append(ph.min_duration)
-                c_hi.append(np.inf)
-        self._link_row = len(names)
+                ends = [lay.t0_idx, lay.tf_idx]
+                row = group([f"p{p}:{ph.name}:duration"], ph.min_duration, np.inf,
+                            lambda z, nodes, ends=ends: z[ends[1]] - z[ends[0]])
+                block(row, ends, np.array([-1.0, 1.0]))
         for ln in self.problem.linkages:
-            for j in range(len(ln.lo)):
-                names.append(f"link:{ln.name}:{j}")
-            c_lo.extend(ln.lo.tolist())
-            c_hi.extend(ln.hi.tolist())
+            pha, laya = self.problem.phases[ln.a], self.phase_layout[ln.a]
+            phb, layb = self.problem.phases[ln.b], self.phase_layout[ln.b]
+            xa = laya.x_off + (laya.nn - 1) * pha.nx + np.arange(pha.nx)
+            endpoint(f"link:{ln.name}", ln.func,
+                     [xa, laya.tf_idx, layb.x_off + np.arange(phb.nx), layb.t0_idx],
+                     ln.lo, ln.hi)
+
         self.con_names = names
-        self.c_lo = np.array(c_lo)
-        self.c_hi = np.array(c_hi)
+        self.c_lo = np.concatenate(lo)
+        self.c_hi = np.concatenate(hi)
         self.n_con = len(names)
+        self._row_values = row_values
+        keys = np.concatenate(rows) * self.n_var + np.concatenate(cols)
+        key, first, slot = np.unique(keys, return_index=True, return_inverse=True)
+        rest = np.setdiff1d(np.arange(len(keys)), first)
+        u_rows, u_cols = np.divmod(key, self.n_var)
+        self._plan = _JacobianPlan(
+            values=values, first=first, rest=rest, rest_slot=slot[rest],
+            rows=u_rows, cols=u_cols,
+            indptr=np.searchsorted(u_rows, np.arange(self.n_con + 1)),
+            quad_cols=quad_cols)
 
     # ----- views -----
 
@@ -418,68 +546,33 @@ class NLPProblem:
 
     # ----- evaluation -----
 
-    def _phase_quadrature(self, z, p, func) -> float:
-        t0, tf = self.times(z, p)
-        vals = func(self.states(z, p)[:-1], self.controls(z, p))
-        return float((tf - t0) * self.meshes[p].wts_tau
-                     @ np.asarray(vals).reshape(-1))
-
     def objective(self, z: np.ndarray) -> float:
         total = 0.0
-        for p, ph in enumerate(self.problem.phases):
+        for p, (ph, mesh) in enumerate(zip(self.problem.phases, self.meshes)):
             if ph.cost is not None:
-                total += self._phase_quadrature(z, p, ph.cost)
+                t0, tf = self.times(z, p)
+                total += _quadrature(mesh.wts_tau, t0, tf, ph.cost(
+                    self.states(z, p)[:-1], self.controls(z, p)))
         if not np.isfinite(total):
             raise EvaluationError("objective", -1, "objective")
         return total
 
+    def _node_values(self, z, p) -> _NodeValues:
+        """Phase p's nominal node pass: dynamics, path and integrands."""
+        ph = self.problem.phases[p]
+        X = self.states(z, p)
+        U = self.controls(z, p)
+        t0, tf = self.times(z, p)
+        return _NodeValues(
+            X=X, t0=t0, tf=tf, F=np.atleast_2d(ph.dynamics(X[:-1], U)),
+            P=[np.asarray(pc.func(X[:-1], U)).reshape(-1) for pc in ph.path],
+            Q=[t.func(X[:-1], U) for t in ph.integrands])
+
     def constraints(self, z: np.ndarray) -> np.ndarray:
+        nodes = [self._node_values(z, p) for p in range(len(self.problem.phases))]
         c = np.empty(self.n_con)
-        for p, (ph, mesh, lay) in enumerate(zip(self.problem.phases,
-                                                self.meshes, self.phase_layout)):
-            X = self.states(z, p)
-            U = self.controls(z, p)
-            t0, tf = self.times(z, p)
-            F = np.atleast_2d(ph.dynamics(X[:-1], U))
-            row = self._def_row[p]
-            for k, rule in enumerate(mesh.rules):
-                s = mesh.starts[k]
-                n = rule.n
-                block = rule.diff_matrix @ X[s:s + n + 1] \
-                    - (tf - t0) * mesh.fractions[k] / 2.0 * F[s:s + n]
-                c[row:row + n * ph.nx] = block.reshape(-1)
-                row += n * ph.nx
-            row = self._path_row[p]
-            for pc in ph.path:
-                c[row:row + lay.nc] = np.asarray(pc.func(X[:-1], U)).reshape(-1)
-                row += lay.nc
-        row = self._acc_row
-        for acc in self.problem.accumulators:
-            total = 0.0
-            for p, ph in enumerate(self.problem.phases):
-                for term in ph.integrands:
-                    if term.accumulator == acc.name:
-                        total += self._phase_quadrature(z, p, term.func)
-            c[row] = z[self.acc_idx[acc.name]] - total
-            row += 1
-        for bc in self.problem.boundaries:
-            X = self.states(z, bc.phase)
-            t0, tf = self.times(z, bc.phase)
-            vals = np.atleast_1d(bc.func(X[0], X[-1], t0, tf))
-            c[row:row + len(vals)] = vals
-            row += len(vals)
-        for p in self._dur_phases:
-            t0, tf = self.times(z, p)
-            c[row] = tf - t0
-            row += 1
-        for ln in self.problem.linkages:
-            Xa = self.states(z, ln.a)
-            Xb = self.states(z, ln.b)
-            _, taf = self.times(z, ln.a)
-            tb0, _ = self.times(z, ln.b)
-            vals = np.atleast_1d(ln.func(Xa[-1], taf, Xb[0], tb0))
-            c[row:row + len(vals)] = vals
-            row += len(vals)
+        for rows, value in self._row_values:
+            c[rows] = value(z, nodes)
         bad = np.flatnonzero(~np.isfinite(c))
         if len(bad):
             i = int(bad[0])
@@ -487,108 +580,6 @@ class NLPProblem:
         return c
 
     # ----- structured derivatives -----
-
-    def _build_jacobian_plan(self):
-        """Enumerate the Jacobian's blocks once for this mesh.
-
-        Each block is a pair of broadcast (rows, cols) index arrays with a
-        value rule: a constant array, or a callable mapping the point and the
-        phase points to values in the block's shape.
-        """
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        values: list = []
-        quad_cols: list[np.ndarray] = []
-        acc_names = [acc.name for acc in self.problem.accumulators]
-
-        def block(r, c, v):
-            r, c = np.broadcast_arrays(r, c)
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-            values.append(v)
-
-        def phase_blocks(p):
-            ph, mesh, lay = self.problem.phases[p], self.meshes[p], self.phase_layout[p]
-            nx, nc = ph.nx, lay.nc
-            node = np.arange(nc)[:, None]
-            node_cols = np.hstack([lay.x_off + node * nx + np.arange(nx),
-                                   lay.u_off + node * ph.nu + np.arange(ph.nu)])
-            def_rows = self._def_row[p] + node * nx + np.arange(nx)
-            frac = np.repeat(mesh.fractions, mesh.degrees)  # per collocation node
-            # differentiation stencil: channel-diagonal, constant
-            for k, rule in enumerate(mesh.rules):
-                s, n = mesh.starts[k], rule.n
-                block(def_rows[s:s + n, :, None],
-                      lay.x_off + (s + np.arange(n + 1)) * nx + np.arange(nx)[:, None],
-                      np.repeat(rule.diff_matrix[:, None, :], nx, axis=1))
-
-            # dynamics coupling at each node, in x and u
-            def dynamics_values(z, pts):
-                scale = (pts[p].tf - pts[p].t0) * frac / 2.0
-                return (-scale)[:, None, None] * pts[p].dF
-
-            # time columns: d/dt0 = +frac/2 F, d/dtf = -frac/2 F
-            def time_values(z, pts):
-                a = (frac / 2.0)[:, None] * pts[p].F
-                return np.stack([a, -a], axis=-1)
-
-            block(def_rows[:, None, :], node_cols[:, :, None], dynamics_values)
-            block(def_rows[:, :, None], [lay.t0_idx, lay.tf_idx], time_values)
-            block(self._path_row[p] + np.arange(len(ph.path))[:, None, None] * nc
-                  + node, node_cols, lambda z, pts: pts[p].dP)
-            quad_cols.append(np.append(node_cols.ravel(), [lay.t0_idx, lay.tf_idx]))
-            if ph.integrands:
-                acc_rows = [self._acc_row + acc_names.index(t.accumulator)
-                            for t in ph.integrands]
-                block(np.array(acc_rows)[:, None], quad_cols[p],
-                      lambda z, pts: -_quadrature_rows(mesh.wts_tau, pts[p],
-                                                       pts[p].Q, pts[p].dQ))
-
-        def endpoint(row, m, func, args):
-            """Dense rows of func(*args); each arg is given by its columns,
-            an index array for a vector argument or an int for a scalar."""
-            idx = np.concatenate([np.atleast_1d(a) for a in args])
-            ends = np.cumsum([np.size(a) for a in args])
-
-            def packed(v):
-                return func(*[v[e - np.size(a):e] if np.ndim(a) else v[e - 1]
-                              for a, e in zip(args, ends)])
-
-            block(row + np.arange(m)[:, None], idx,
-                  lambda z, pts: _fd_vector(packed, z[idx], m))
-            return row + m
-
-        for p in range(len(self.problem.phases)):
-            phase_blocks(p)
-        for i, acc in enumerate(self.problem.accumulators):
-            block(self._acc_row + i, self.acc_idx[acc.name], np.ones(1))
-        row = self._bc_row
-        for bc in self.problem.boundaries:
-            ph, lay = self.problem.phases[bc.phase], self.phase_layout[bc.phase]
-            x0 = lay.x_off + np.arange(ph.nx)
-            row = endpoint(row, len(bc.lo), bc.func,
-                           [x0, x0 + (lay.nn - 1) * ph.nx, lay.t0_idx, lay.tf_idx])
-        for p in self._dur_phases:
-            lay = self.phase_layout[p]
-            block(row, [lay.t0_idx, lay.tf_idx], np.array([-1.0, 1.0]))
-            row += 1
-        for ln in self.problem.linkages:
-            pha, laya = self.problem.phases[ln.a], self.phase_layout[ln.a]
-            phb, layb = self.problem.phases[ln.b], self.phase_layout[ln.b]
-            xa = laya.x_off + (laya.nn - 1) * pha.nx + np.arange(pha.nx)
-            row = endpoint(row, len(ln.lo), ln.func,
-                           [xa, laya.tf_idx, layb.x_off + np.arange(phb.nx),
-                            layb.t0_idx])
-
-        keys = np.concatenate(rows) * self.n_var + np.concatenate(cols)
-        key, first, slot = np.unique(keys, return_index=True, return_inverse=True)
-        rest = np.setdiff1d(np.arange(len(keys)), first)
-        u_rows, u_cols = np.divmod(key, self.n_var)
-        self._plan = _JacobianPlan(
-            values=values, first=first, rest=rest, rest_slot=slot[rest],
-            rows=u_rows, cols=u_cols,
-            indptr=np.searchsorted(u_rows, np.arange(self.n_con + 1)),
-            quad_cols=quad_cols)
 
     def _phase_point(self, z, p) -> _PhasePoint:
         """One phase's node values and node-local partials at z.

@@ -408,6 +408,21 @@ def test_guess_is_pinned_bit_for_bit(guess_setup):
         "9598515135607c01c404e5bce331b104466bd712188b66c3c3d7585642006348")
 
 
+def test_mission_nlp_at_the_guess_is_pinned_bit_for_bit(guess_setup):
+    # recorded before each axis of the NLP was declared in one pass: the
+    # names, bounds, values and Jacobian at the guess must not move a bit
+    nlp, z0 = guess_setup
+    J = nlp.jacobian(z0)
+    assert (nlp.n_var, nlp.n_con, J.nnz) == (1607, 1342, 23612)
+    h = hashlib.sha256("\n".join(nlp.var_names + nlp.con_names).encode())
+    for a in (nlp.z_lo, nlp.z_hi, nlp.c_lo, nlp.c_hi,
+              np.float64(nlp.objective(z0)), nlp.constraints(z0),
+              nlp.objective_gradient(z0), J.indptr, J.indices, J.data):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == (
+        "7441d21aab8d218b03b1270767a96d450abac3bed577e902ad582e2b09d6eac5")
+
+
 def test_guess_propagates_each_calibrated_kick_once(guess_setup,
                                                     guess_propagations):
     # brentq evaluates the bracket ends again and returns one of the kicks

@@ -252,7 +252,8 @@ def test_solve_reports_failed_final_evaluation(monkeypatch):
 
     nlp = FunctionNLP(2, objective)
     monkeypatch.setattr(nlpsolve, "_solve_core", lambda nlp, x0, options:
-                        SolveReport("converged", 3, 0.0, 0.0, x0.copy()))
+                        SolveReport("converged", 3, 0.0, 0.0, x0.copy(),
+                                    bound_multipliers=np.zeros(2)))
     rep = solve(nlp, np.zeros(2))
     assert rep.status == "numerical_failure"
     assert "objective blew up" in rep.message

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -55,6 +57,22 @@ def test_problem_rejects_dangling_linkage():
                    np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
         MultiPhaseProblem([ph], linkages=[link])
+
+
+def test_problem_rejects_duplicate_accumulator():
+    ph = _double_integrator(
+        integrands=[IntegralTerm("effort", lambda X, U: U[:, 0])])
+    with pytest.raises(ValueError, match="unique"):
+        MultiPhaseProblem([ph], accumulators=[Accumulator("effort", 0.0, 1.0),
+                                              Accumulator("effort", 0.0, 2.0)])
+
+
+@pytest.mark.parametrize("phase", [-1, 1])
+def test_problem_rejects_boundary_on_invalid_phase(phase):
+    bc = BoundaryConstraint("start", phase, lambda x0, xf, t0, tf: x0,
+                            np.zeros(2), np.zeros(2))
+    with pytest.raises(ValueError, match="boundary start"):
+        MultiPhaseProblem([_double_integrator()], boundaries=[bc])
 
 
 def test_variable_layout_counts():
@@ -230,9 +248,33 @@ def _bilinear_two_phase_linked():
             [(0.0, 1.4), (1.7, 4.0)])
 
 
+def _bilinear_two_phase_accumulated():
+    """Two accumulators fed from both phases, the first phase feeding both
+    and the second feeding one twice; two path rows, a duration row on each
+    free-time phase, a boundary and a linkage."""
+    prob = _two_phase_linked()
+    ph0, ph1 = prob.phases
+    ph0.min_duration = ph1.min_duration = 0.5
+    ph0.path = [PathConstraint("lane", lambda X, U: X[:, 0] + 0.3 * U[:, 0],
+                               -5.0, 5.0),
+                PathConstraint("pace", lambda X, U: X[:, 1] - 2.0 * U[:, 0],
+                               -9.0, 9.0)]
+    ph0.integrands = [IntegralTerm("effort", lambda X, U: U[:, 0]),
+                      IntegralTerm("travel", lambda X, U: X[:, 1] + 0.5)]
+    ph1.integrands = [IntegralTerm("travel", lambda X, U: 2.0 * X[:, 1]),
+                      IntegralTerm("travel", lambda X, U: X[:, 0] - U[:, 0])]
+    prob = MultiPhaseProblem(prob.phases, prob.linkages, prob.boundaries,
+                             [Accumulator("effort", -50.0, 50.0),
+                              Accumulator("travel", -50.0, 50.0)])
+    return prob, [MeshPhase([0.3, 0.7], [2, 3]), uniform_mesh(2, 2)], \
+        [(0.0, 1.4), (1.7, 4.0)]
+
+
 @pytest.mark.parametrize("build", [_bilinear_one_phase,
-                                   _bilinear_two_phase_linked],
-                         ids=["one-phase", "two-phase-linked"])
+                                   _bilinear_two_phase_linked,
+                                   _bilinear_two_phase_accumulated],
+                         ids=["one-phase", "two-phase-linked",
+                              "two-phase-accumulated"])
 def test_jacobian_exact_on_bilinear_problem(build):
     # affine dynamics, path, boundary and linkage functions make every
     # constraint bilinear in z, so the central differences underneath the
@@ -263,6 +305,40 @@ def _linked_point(nlp, seed):
     z[nlp.phase_layout[1].t0_idx] = 2.0
     z[nlp.phase_layout[1].tf_idx] = 4.0
     return z
+
+
+def test_transcribed_nlp_is_freed_by_reference_counting():
+    # no value rule or Jacobian block holds the NLP itself, so it goes with
+    # its last reference, without waiting for the cyclic collector
+    prob, meshes, _ = _bilinear_two_phase_accumulated()
+    gc.disable()
+    try:
+        nlp = transcribe(prob, meshes)
+        z = _linked_point(nlp, 3)
+        nlp.constraints(z)
+        nlp.jacobian(z)
+        ref = weakref.ref(nlp)
+        del nlp
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("kind", ["bc:start_at_rest", "link:handoff"])
+def test_endpoint_output_must_match_its_bounds(kind):
+    # one value short of the bounds: constraints() and jacobian() each
+    # raise, naming the group, rather than leave a row unset or broadcast
+    prob = _two_phase_linked()
+    if kind.startswith("bc:"):
+        prob.boundaries[0].func = lambda x0, xf, t0, tf: x0[:1]
+    else:
+        prob.linkages[0].func = lambda xa, ta, xb, tb: xb - xa
+    meshes = [uniform_mesh(1, 3), uniform_mesh(1, 3)]
+    z = _linked_point(transcribe(prob, meshes), 6)
+    with pytest.raises(ValueError, match=kind):
+        transcribe(prob, meshes).constraints(z)
+    with pytest.raises(ValueError, match=kind):
+        transcribe(prob, meshes).jacobian(z)
 
 
 def test_jacobian_matches_declared_sparsity():
