@@ -1,13 +1,23 @@
 """Desk-scale sparse NLP solver.
 
-The method is a line-search SQP: damped limited-memory BFGS in compact
-form, an active-set quadratic subproblem solved through sparse regularized
-KKT systems (with an ADMM fallback when the working set will not settle,
-polished by a dense equality solve when the subproblem is small), and an
-l1 merit function.  Variables are scaled by their bound magnitudes and
-constraint rows are equilibrated against the first Jacobian; reports are
-translated back to the problem's own units.  Derivatives come from the
-problem object's `objective_gradient` and `jacobian`.
+The method is a line-search Newton SQP: the Hessian of the Lagrangian at
+the current multipliers, an active-set quadratic subproblem solved through
+sparse regularized KKT systems (with an ADMM fallback when the working set
+will not settle, polished by a dense equality solve when the subproblem is
+small), and an l1 merit function.  Variables are scaled by their bound
+magnitudes and constraint rows are equilibrated against the first
+Jacobian; reports are translated back to the problem's own units.
+Derivatives come from the problem object's `objective_gradient`,
+`jacobian` and `hessian(z, y)`, the last once per iteration.
+
+The subproblem's Hessian B is that Hessian in the scaled units, with the
+rows and columns of box-fixed variables zeroed (their step is held at 0, so
+those entries change no subproblem's answer), plus delta I: delta is the
+least value on the ladder 0, 1e-8 b, 1e-7 b, ... (b the largest |B| entry,
+at least 1) for which the symmetric factor of B + delta I, tested with a
+further 1e-12 b on the diagonal, has no negative or zero pivot.  So every
+subproblem is convex.  On a linear-quadratic problem the Hessian is exact
+and the first step is the Newton step.
 
 An active-set pass gets `ACTIVE_SET_PIVOTS` = 20 working-set changes, each
 one a sparse KKT factorization.  On the canonical problems and the mission
@@ -17,14 +27,15 @@ longest settled pass returns what a longer one would, while a pass that
 cannot settle hands over to the ADMM fallback after 20 factorizations
 rather than 60.
 
-The ADMM fallback factors (gamma + sigma) I + Cs' diag(rho) Cs, which is
-symmetric positive definite (gamma >= 1e-6, sigma = 1e-6, every rho > 0),
+The ADMM fallback factors B + sigma I + Cs' diag(rho) Cs, which is
+symmetric positive definite (B semidefinite, sigma = 1e-6, every rho > 0),
 so SuperLU orders it symmetrically by minimum degree on A' + A and takes
 the diagonal pivots as they come: LU without pivoting is stable on such a
-matrix.  On the first mission subproblem that gives 78,762 nonzeros in
-L + U against 187,879 under the default COLAMD ordering with partial
-pivoting, about 2.4 times less fill, and a solve with the factor, one per
-fallback iteration, takes about 0.6 of the time.  The active-set KKT matrix
+matrix.  On the first mission subproblem (with B a multiple of I) that
+gave 78,762 nonzeros in L + U against 187,879 under the default COLAMD
+ordering with partial pivoting, about 2.4 times less fill, and a solve with
+the factor, one per fallback iteration, took about 0.6 of the time.  The
+shift's pivot test uses the same factor.  The active-set KKT matrix
 [B A'; A -reg I] keeps COLAMD with partial pivoting: it is only
 quasi-definite, with reg about 1e-11, and the symmetric ordering there
 moves the mission path (with the COLAMD fallback factor, 10 capped
@@ -92,68 +103,6 @@ class SolveReport:
         return self.status == "converged"
 
 
-class _CompactBFGS:
-    """Damped limited-memory BFGS, B = gamma*I - W K^-1 W^T."""
-
-    def __init__(self, n: int, memory: int = 20):
-        self.n = n
-        self.memory = memory
-        self.S: list[np.ndarray] = []
-        self.Y: list[np.ndarray] = []
-        self.gamma = 1.0
-        self._refresh()
-
-    def _refresh(self):
-        k = len(self.S)
-        if k == 0:
-            self.W = np.zeros((self.n, 0))
-            self.K = np.zeros((0, 0))
-            return
-        S = np.column_stack(self.S)
-        Y = np.column_stack(self.Y)
-        StS = S.T @ S
-        StY = S.T @ Y
-        L = np.tril(StY, -1)
-        D = np.diag(np.diag(StY))
-        self.W = np.hstack([self.gamma * S, Y])
-        self.K = np.block([[self.gamma * StS, L], [L.T, -D]])
-
-    def mul(self, v: np.ndarray) -> np.ndarray:
-        return self.gamma * v - self.W @ np.linalg.solve(self.K, self.W.T @ v)
-
-    def update(self, s: np.ndarray, y: np.ndarray):
-        ss = float(s @ s)
-        if ss < 1e-300:
-            return
-        Bs = self.mul(s)
-        sBs = float(s @ Bs)
-        sy = float(s @ y)
-        # Powell damping keeps the approximation positive definite
-        if sy < 0.2 * sBs:
-            theta = 0.8 * sBs / max(sBs - sy, 1e-300)
-            y = theta * y + (1.0 - theta) * Bs
-            sy = float(s @ y)
-        if sy <= 1e-12 * max(1.0, ss):
-            return
-        self.S.append(s.copy())
-        self.Y.append(y.copy())
-        if len(self.S) > self.memory:
-            self.S.pop(0)
-            self.Y.pop(0)
-        self.gamma = float(np.clip((y @ y) / sy, 1e-6, 1e8))
-        self._refresh()
-        try:
-            np.linalg.solve(self.K, np.eye(self.K.shape[0]))
-        except np.linalg.LinAlgError:
-            self.S.pop()
-            self.Y.pop()
-            self._refresh()
-
-    def dense(self) -> np.ndarray:
-        W = self.W
-        return self.gamma * np.eye(self.n) - W @ np.linalg.solve(self.K, W.T)
-
-
 class _QPResult:
     def __init__(self, d, y, iterations, primal_res, dual_res, converged):
         self.d = d
@@ -164,60 +113,83 @@ class _QPResult:
         self.converged = converged  # met its tolerance before its cap
 
 
-def _kkt_matrix(n: int, A: sp.csr_matrix, d_top: float,
-                d_bot: float) -> sp.csc_matrix:
-    """[d_top*I, A'; A, d_bot*I] in sorted CSC, the arrays sp.bmat builds.
+def _symmetric_lu(M: sp.spmatrix):
+    """SuperLU factor of a symmetric matrix, ordered by minimum degree on
+    M' + M, with the diagonal pivots taken as they come."""
+    return spla.splu(sp.csc_matrix(M), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
-    The left n columns are the diagonal entry over A's column from its CSC
-    form; column n+i is A's row i from its sorted CSR form over the
-    diagonal entry.  Explicit zeros stay, as they do in bmat."""
-    k = A.shape[0]
+
+def _shift(B: sp.spmatrix) -> float:
+    """The least delta on the ladder 0, 1e-8 b, 1e-7 b, ... (b the largest
+    |B| entry, at least 1) such that B + delta I has no negative or zero
+    pivot in its symmetric factor.  The factor tested is of
+    B + (delta + 1e-12 b) I, so that a singular positive-semidefinite B
+    passes at 0.  The ladder ends: past the Gershgorin bound the matrix is
+    diagonally dominant."""
+    if not np.all(np.isfinite(B.data)):
+        raise ValueError("non-finite Hessian entry")
+    b = max(1.0, float(np.abs(B.data).max(initial=0.0)))
+    eye = sp.identity(B.shape[0], format="csc")
+    delta = 0.0
+    while True:
+        try:
+            pivots = _symmetric_lu(B + (delta + 1e-12 * b) * eye).U.diagonal()
+            if np.all(pivots > 0.0):
+                return delta
+        except RuntimeError:    # an exactly zero pivot
+            pass
+        delta = max(10.0 * delta, 1e-8 * b)
+
+
+def _hessian_block(B: sp.spmatrix) -> sp.csc_matrix:
+    """B + 1e-10 I in sorted CSC: the Hessian block of the active-set KKT
+    matrix, built once per pass."""
+    T = sp.csc_matrix(B + 1e-10 * sp.identity(B.shape[0], format="csc"))
+    T.sort_indices()
+    return T
+
+
+def _kkt_matrix(T: sp.csc_matrix, A: sp.csr_matrix, d_bot: float) -> sp.csc_matrix:
+    """[T, A'; A, d_bot*I] in sorted CSC, the arrays sp.bmat builds, for T
+    in sorted CSC.
+
+    Column j < n is T's column j over A's column j from its CSC form;
+    column n+i is A's row i from its sorted CSR form over the diagonal
+    entry.  Explicit zeros stay, as they do in bmat."""
+    n, k = T.shape[0], A.shape[0]
     R = sp.csr_matrix(A, copy=True)
     R.sum_duplicates()
     Cc = R.tocsc()
-    # np.insert places equal positions in order, so empty rows and columns
-    # still get their diagonal entries in order
+    # entry e of T's column c goes after the A entries of the columns
+    # before c; entry e of A's column c after T's entries up to column c
+    left = T.nnz + Cc.nnz
+    pos_t = np.arange(T.nnz) + np.repeat(Cc.indptr[:-1], np.diff(T.indptr))
+    pos_a = np.arange(Cc.nnz) + np.repeat(T.indptr[1:], np.diff(Cc.indptr))
+    indices = np.empty(left, dtype=T.indices.dtype)
+    data = np.empty(left)
+    indices[pos_t], data[pos_t] = T.indices, T.data
+    indices[pos_a], data[pos_a] = Cc.indices + n, Cc.data
+    # np.insert places equal positions in order, so empty rows still get
+    # their diagonal entries in order
     indices = np.concatenate([
-        np.insert(Cc.indices + n, Cc.indptr[:-1], np.arange(n)),
-        np.insert(R.indices, R.indptr[1:], np.arange(n, n + k))])
-    data = np.concatenate([np.insert(Cc.data, Cc.indptr[:-1], d_top),
-                           np.insert(R.data, R.indptr[1:], d_bot)])
-    indptr = np.concatenate([Cc.indptr + np.arange(n + 1),
-                             Cc.nnz + n + R.indptr[1:] + np.arange(1, k + 1)])
+        indices, np.insert(R.indices, R.indptr[1:], np.arange(n, n + k))])
+    data = np.concatenate([data, np.insert(R.data, R.indptr[1:], d_bot)])
+    indptr = np.concatenate([T.indptr + Cc.indptr,
+                             left + R.indptr[1:] + np.arange(1, k + 1)])
     return sp.csc_matrix((data, indices, indptr), shape=(n + k, n + k))
 
 
-def _woodbury(lu, U: np.ndarray, K: np.ndarray):
-    """Solve callable for M - U K^-1 U', given the factor `lu` of M, by the
-    Woodbury identity; lu.solve itself when U has no columns."""
-    if not U.shape[1]:
-        return lu.solve
-    T = lu.solve(U)
-    G = -K + U.T @ T
+def _kkt_solver(T: sp.csc_matrix, A: sp.csr_matrix, reg: float):
+    """Factor [T A'; A -reg*I], T from `_hessian_block`; returns a solve
+    callable or None on breakdown."""
     try:
-        Gf = np.linalg.inv(G)
-    except np.linalg.LinAlgError:
-        Gf = np.linalg.pinv(G)
-
-    def solve(b):
-        t = lu.solve(b)
-        return t - T @ (Gf @ (U.T @ t))
-    return solve
-
-
-def _kkt_solver(bfgs: _CompactBFGS, A: sp.csr_matrix, reg: float):
-    """Factor [B A'; A -reg*I] with the low-rank Hessian part folded in by
-    a Woodbury correction; returns a solve callable or None on breakdown."""
-    try:
-        lu = spla.splu(_kkt_matrix(bfgs.n, A, bfgs.gamma + 1e-10, -reg))
+        return spla.splu(_kkt_matrix(T, A, -reg)).solve
     except RuntimeError:
         return None
-    W = bfgs.W
-    return _woodbury(lu, np.vstack([W, np.zeros((A.shape[0], W.shape[1]))]),
-                     bfgs.K)
 
 
-def _active_set_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
+def _active_set_qp(B: sp.spmatrix, q: np.ndarray, C: sp.csr_matrix,
                    l: np.ndarray, u: np.ndarray, y0: np.ndarray,
                    n_soft: int = 0, pi: float = np.inf) -> _QPResult | None:
     """Primal-dual active-set pass over the working set.
@@ -250,6 +222,8 @@ def _active_set_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
     sat_hi = np.zeros(m, dtype=bool)
 
     CT = C.T
+    T = _hessian_block(B)
+    reg = 1e-11 * (1.0 + float(np.abs(B.diagonal()).max(initial=0.0)))
     seen: set[bytes] = set()
     for pivot in range(1, ACTIVE_SET_PIVOTS + 1):
         sig = b"".join(np.packbits(msk).tobytes()
@@ -266,8 +240,7 @@ def _active_set_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
             pull[sat_hi] = pi
             pull[sat_lo] = -pi
             q_eff = q + CT @ pull
-        reg = 1e-11 * (1.0 + bfgs.gamma)
-        solve = _kkt_solver(bfgs, A, reg)
+        solve = _kkt_solver(T, A, reg)
         if solve is None:
             return None
         AT = A.T
@@ -282,7 +255,7 @@ def _active_set_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
         prev = np.inf
         for _ in range(4):
             res = rhs - np.concatenate([
-                bfgs.mul(sol[:n]) + AT @ sol[n:],
+                B @ sol[:n] + AT @ sol[n:],
                 A @ sol[:n]])
             rmax = float(np.abs(res).max())
             if rmax < 1e-13 * (1.0 + np.abs(rhs).max()) or rmax > 0.5 * prev:
@@ -313,7 +286,7 @@ def _active_set_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
             viol = np.maximum(np.where(np.isfinite(l), l - r, 0.0),
                               np.where(np.isfinite(u), r - u, 0.0))
             r_p = float(viol[hard].max(initial=0.0))
-            r_d = float(np.abs(bfgs.mul(d) + q_eff + AT @ nu).max())
+            r_d = float(np.abs(B @ d + q_eff + AT @ nu).max())
             return _QPResult(d, y, pivot, r_p, r_d, True)
         eq_act = (eq_act & ~rel_lo & ~rel_hi) | ((back_lo | back_hi) & tied)
         act_lo = (act_lo & ~drops_lo & ~rel_lo) | adds_lo | (back_lo & ~tied)
@@ -323,7 +296,7 @@ def _active_set_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
     return None
 
 
-def _admm_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
+def _admm_qp(B: sp.spmatrix, q: np.ndarray, C: sp.csr_matrix,
              l: np.ndarray, u: np.ndarray, y0: np.ndarray,
              eps: float, max_iter: int, polish: bool) -> _QPResult:
     """min 1/2 d'Bd + q'd  s.t.  l <= Cd <= u by ADMM, every row hard.
@@ -351,11 +324,9 @@ def _admm_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
     y = y0 / np.maximum(E, 1e-300)
 
     def factorize():
-        K0 = sp.eye(n, format="csc") * (bfgs.gamma + sigma) \
-            + (CsT @ sp.diags(rho) @ Cs).tocsc()
-        lu = spla.splu(K0, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
-        return _woodbury(lu, bfgs.W, bfgs.K)
+        K0 = (B + sigma * sp.identity(n, format="csc")
+              + CsT @ sp.diags(rho) @ Cs).tocsc()
+        return _symmetric_lu(K0).solve
 
     Ksolve = factorize()
     it = 0
@@ -395,9 +366,10 @@ def _admm_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
         if it % check_every == 0 or it == max_iter:
             Cx = Cs @ x
             r_p = np.abs(Cx - z).max()
-            r_d = np.abs(bfgs.mul(x) + q + CsT @ y).max()
+            Bx = B @ x
+            r_d = np.abs(Bx + q + CsT @ y).max()
             sc_p = max(np.abs(Cx).max(), np.abs(z).max(), 1.0)
-            sc_d = max(np.abs(bfgs.mul(x)).max(), np.abs(q).max(),
+            sc_d = max(np.abs(Bx).max(), np.abs(q).max(),
                        np.abs(CsT @ y).max(), 1.0)
             if r_p <= eps * sc_p and r_d <= eps * sc_d:
                 converged = True
@@ -411,7 +383,7 @@ def _admm_qp(bfgs: _CompactBFGS, q: np.ndarray, C: sp.csr_matrix,
 
     y_orig = E * y
     if polish:
-        pol = _polish(bfgs, q, C, l, u, x, y_orig)
+        pol = _polish(B, q, C, l, u, x, y_orig)
         if pol is not None:
             x, y_orig = pol
     return _QPResult(x, y_orig, it, r_p, r_d, converged)
@@ -438,7 +410,7 @@ def _least_violation(J: sp.csr_matrix, lo: np.ndarray, hi: np.ndarray,
     return float(res.fun) if res.status == 0 else None
 
 
-def _polish(bfgs, q, C, l, u, x, y):
+def _polish(B, q, C, l, u, x, y):
     """Equality-solve on the active set detected from multiplier signs."""
     m = C.shape[0]
     act_lo = np.flatnonzero(y < -1e-10)
@@ -449,9 +421,8 @@ def _polish(bfgs, q, C, l, u, x, y):
     b = np.concatenate([l[act_lo], u[act_hi]])
     if not np.all(np.isfinite(b)):
         return None
-    B = bfgs.dense()
     A = C[act].toarray()
-    kkt = np.block([[B, A.T], [A, np.zeros((len(act), len(act)))]])
+    kkt = np.block([[B.toarray(), A.T], [A, np.zeros((len(act), len(act)))]])
     rhs = np.concatenate([-q, b])
     try:
         sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
@@ -468,8 +439,8 @@ def _polish(bfgs, q, C, l, u, x, y):
         return None
     y_new = np.zeros(m)
     y_new[act] = nu
-    old_stat = np.abs(bfgs.mul(x) + q + C.T @ y).max()
-    new_stat = np.abs(bfgs.mul(d) + q + C.T @ y_new).max()
+    old_stat = np.abs(B @ x + q + C.T @ y).max()
+    new_stat = np.abs(B @ d + q + C.T @ y_new).max()
     if new_stat > old_stat:
         return None
     return d, y_new
@@ -499,6 +470,12 @@ class _ScaledNLP:
 
     def jacobian(self, z):
         return self.inner.jacobian(self.s * z).multiply(self.s[None, :]).tocsr()
+
+    def hessian(self, z, y):
+        """S H S, H the inner Hessian at s*z."""
+        H = sp.csr_matrix(self.inner.hessian(self.s * z, y))
+        H.data *= self.s[H.indices] * np.repeat(self.s, np.diff(H.indptr))
+        return H
 
 
 def _violation(c, c_lo, c_hi):
@@ -584,6 +561,13 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
         if log_file:
             log_file.close()
 
+    def failure(message):
+        close_log()
+        return SolveReport(status="numerical_failure", iterations=it,
+                           objective=f, violation=feas, x=x,
+                           multipliers=r_scale * y_con, bound_multipliers=y_bnd,
+                           stationarity=stat, message=message)
+
     try:
         f = nlp.objective(x)
         c = nlp.constraints(x)
@@ -606,7 +590,9 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
     c = r_scale * c
     J = r_diag @ J
 
-    bfgs = _CompactBFGS(n)
+    # a box-fixed variable's step is held at 0, so its Hessian row and
+    # column change no subproblem's answer
+    fixed = nlp.z_lo == nlp.z_hi
     y_con = np.zeros(m)
     y_bnd = np.zeros(n)
     mu = 10.0
@@ -632,6 +618,17 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
                 and comp <= tol * 10 * max(1.0, ymax):
             status = "converged"
             break
+
+        # the Lagrangian Hessian at the current multipliers, in the scaled
+        # units, fixed rows and columns zeroed, shifted to be semidefinite
+        try:
+            B = nlp.hessian(x, r_scale * y_con).tocoo()
+            B.data[fixed[B.row] | fixed[B.col]] = 0.0
+            B = B.tocsr()
+            B.eliminate_zeros()
+            B = B + _shift(B) * sp.identity(n, format="csr")
+        except Exception as e:
+            return failure(f"Hessian evaluation failed: {e}")
 
         C = sp.vstack([J, sp.eye(n, format="csr")], format="csr")
         bl = np.maximum(nlp.z_lo - x, -delta)
@@ -659,11 +656,11 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
         fallback = None
         lp_tried = False
         while True:
-            qp = _active_set_qp(bfgs, g, C, l_full, u_full, y0_full,
+            qp = _active_set_qp(B, g, C, l_full, u_full, y0_full,
                                 n_soft=m, pi=mu)
             if qp is None:
                 if fallback is None:
-                    fallback = _admm_qp(bfgs, g, C, l_full, u_full, y0_full,
+                    fallback = _admm_qp(B, g, C, l_full, u_full, y0_full,
                                         eps_qp, QP_MAX_ITERATIONS, polish)
                 qp = fallback
             v_lin = _violation_l1(c + J @ qp.d, c_lo, c_hi)
@@ -751,14 +748,7 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
             g_new = nlp.objective_gradient(x_t)
             J_new = r_diag @ nlp.jacobian(x_t)
         except Exception as e:
-            close_log()
-            return SolveReport(status="numerical_failure", iterations=it,
-                               objective=f, violation=feas, x=x,
-                               multipliers=r_scale * y_con,
-                               bound_multipliers=y_bnd,
-                               stationarity=stat,
-                               message=f"derivative evaluation failed: {e}")
-        bfgs.update(x_t - x, (g_new - g) + (J_new - J).T @ y_new_con)
+            return failure(f"derivative evaluation failed: {e}")
 
         x, f, c, g, J = x_t, f_t, c_t, g_new, J_new
         y_con, y_bnd = y_new_con, y_new_bnd

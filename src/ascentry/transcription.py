@@ -15,8 +15,27 @@ Each axis of the NLP is walked once.  `_build_layout` names, bounds and
 places every variable.  `_build_rows` walks the constraint rows once, group
 by group (a phase's defects, each path constraint, each accumulator balance,
 boundary, duration row and linkage), and declares each group's names,
-bounds, value rule and Jacobian blocks side by side; `constraints()` is one
-nominal node pass per phase plus the groups' value rules.
+bounds, value rule, Jacobian blocks and Hessian terms side by side;
+`constraints()` is one nominal node pass per phase plus the groups' value
+rules.
+
+`hessian(z, y)` is the sparse Hessian of f + y.c, row group by row group:
+- defects: the dynamics weighted by their multipliers times
+  -(tf - t0) frac/2 in the node blocks, and a t0/tf border from the
+  dynamics partials (the defects are linear in tf - t0, so no tf-tf term)
+- path constraints: their functions weighted by their multipliers in the
+  node blocks
+- accumulator balances: the integrands weighted by the balance multiplier
+  times -(tf - t0) and the quadrature weights, and a border from the
+  integrand partials
+- the cost (not a row): weighted by (tf - t0) times the quadrature weights,
+  and a border from its partials
+- boundaries and linkages: a dense block over the group's columns, by
+  second differences of the multiplier-weighted function
+- duration rows: linear, nothing
+The node blocks, one (nx+nu) block per collocation node, come from one
+stacked second-difference probe per phase, in which a callback runs only
+if one of its rows carries a nonzero weight.
 """
 from __future__ import annotations
 
@@ -30,6 +49,7 @@ import scipy.sparse as sp
 from .lgr import barycentric_eval, lgr_rule
 
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+_FD2_STEP = float(np.finfo(float).eps) ** 0.25   # second differences
 
 
 class EvaluationError(RuntimeError):
@@ -215,8 +235,8 @@ class _PhaseLayout:
 
 
 @dataclass
-class _JacobianPlan:
-    """Fixed structure of the constraint Jacobian on one mesh.
+class _SparsePlan:
+    """Fixed structure of a sparse derivative matrix on one mesh.
 
     `values` holds one value rule per block, in enumeration order; the raw
     entries they produce map onto the CSR data vector through `first` (the
@@ -230,7 +250,26 @@ class _JacobianPlan:
     rows: np.ndarray     # unique coordinates, row-major
     cols: np.ndarray
     indptr: np.ndarray
-    quad_cols: list      # per phase: node x/u columns, then t0 and tf
+    shape: tuple
+
+    @classmethod
+    def build(cls, rows, cols, values, shape) -> "_SparsePlan":
+        keys = np.concatenate(rows) * shape[1] + np.concatenate(cols)
+        key, first, slot = np.unique(keys, return_index=True, return_inverse=True)
+        rest = np.setdiff1d(np.arange(len(keys)), first)
+        u_rows, u_cols = np.divmod(key, shape[1])
+        return cls(values=values, first=first, rest=rest, rest_slot=slot[rest],
+                   rows=u_rows, cols=u_cols,
+                   indptr=np.searchsorted(u_rows, np.arange(shape[0] + 1)),
+                   shape=shape)
+
+    def assemble(self, *args) -> sp.csr_matrix:
+        """The matrix from the value rules applied to args."""
+        raw = np.concatenate([np.ravel(v(*args) if callable(v) else v)
+                              for v in self.values])
+        data = raw[self.first]
+        np.add.at(data, self.rest_slot, raw[self.rest])
+        return sp.csr_matrix((data, self.cols, self.indptr), shape=self.shape)
 
 
 @dataclass
@@ -270,6 +309,63 @@ def _fd_vector(func, x, dim_out):
     return out
 
 
+def _per_node(label, values, nodes) -> np.ndarray:
+    """A path function's values, checked to hold one per node, flat."""
+    values = np.asarray(values)
+    if values.size != nodes:
+        raise ValueError(f"{label} returns {values.size} values for {nodes} nodes")
+    return values.reshape(-1)
+
+
+def _cross_stencil(V):
+    """Second-difference stencil of each row of V, (rows, n): for every
+    pair i <= j of columns, the row with columns i and j moved by (+h, +h),
+    (+h, -h), (-h, +h) and (-h, -h), h = _FD2_STEP * max(1, |v|), so
+    2n(n+1) points per row.  Returns the points, (4, pairs, rows, n), and
+    the map from weighted second differences, (pairs, rows), to each row's
+    symmetric Hessian, (rows, n, n).  The weights go on after differencing
+    (`_weighted_cross`), so an output that does not move across the four
+    points adds exactly nothing, whatever its size."""
+    nr, n = V.shape
+    h = _FD2_STEP * np.maximum(1.0, np.abs(V))
+    I, J = np.triu_indices(n)
+    k = np.arange(len(I))
+    S = np.empty((4, len(I), nr, n))
+    S[...] = V
+    for s, (a, b) in enumerate([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]):
+        S[s, k, :, I] += a * h[:, I].T
+        S[s, k, :, J] += b * h[:, J].T
+    denom = 4.0 * h[:, I] * h[:, J]
+
+    def hessian(d):
+        d = d.T / denom
+        H = np.empty((nr, n, n))
+        H[:, I, J] = d
+        H[:, J, I] = d
+        return H
+    return S, hessian
+
+
+def _weighted_cross(vals, w) -> np.ndarray:
+    """Weighted second differences, (pairs, rows), of outputs at the cross
+    stencil's points, (4, pairs, rows, out), with weights (rows, out).  A
+    non-finite output gives a non-finite difference, quietly: the caller
+    reports it."""
+    with np.errstate(invalid="ignore"):
+        return np.einsum("pko,ko->pk", vals[0] - vals[1] - vals[2] + vals[3], w)
+
+
+def _weighted_hessian(func, v, w) -> np.ndarray:
+    """Hessian of w . func(v) over the vector v by the cross stencil; zero,
+    without a call, when w is."""
+    if not np.any(w):
+        return np.zeros((len(v), len(v)))
+    S, hessian = _cross_stencil(v[None])
+    vals = np.array([func(p) for p in S.reshape(-1, len(v))])
+    return hessian(_weighted_cross(vals.reshape(S.shape[:-1] + (len(w),)),
+                                   w[None]))[0]
+
+
 def _quadrature(wts_tau, t0, tf, vals) -> float:
     """(tf - t0) * sum(w * v): one integrand's quadrature over a phase."""
     return float((tf - t0) * wts_tau @ np.asarray(vals).reshape(-1))
@@ -294,7 +390,7 @@ class NLPProblem:
         self.meshes = list(meshes)
         self._build_layout()
         self._build_rows()
-        self._last = None   # (z, gradient, Jacobian) at the last point
+        self._last = None   # (z, gradient, Jacobian, phase points) at the last point
 
     # ----- layout -----
 
@@ -339,9 +435,12 @@ class NLPProblem:
     def _build_rows(self):
         """Declare every constraint row once, group by group: its names, its
         bounds, a value rule (z, nodes) -> values over the nominal node pass,
-        and its Jacobian blocks.  A block is a pair of broadcast (rows, cols)
-        index arrays with a value: a constant array, or a rule (z, pts) ->
-        values in the block's shape over the phase points.
+        its Jacobian blocks and its Hessian terms.  A Jacobian block is a
+        pair of broadcast (rows, cols) index arrays with a value: a constant
+        array, or a rule (z, pts) -> values in the block's shape over the
+        phase points.  A Hessian block is the same with a rule
+        (z, y, pts, node_hessians) -> values; a node term is a callback of a
+        phase with a rule (z, y) -> its node weights in the Lagrangian.
 
         The groups, in row order: per phase its defects and each path
         constraint, then the accumulator balances, the boundaries, the
@@ -355,6 +454,11 @@ class NLPProblem:
         rows: list[np.ndarray] = []
         cols: list[np.ndarray] = []
         values: list = []
+        h_rows: list[np.ndarray] = []
+        h_cols: list[np.ndarray] = []
+        h_values: list = []
+        node_terms: list[list] = [[] for _ in self.problem.phases]
+        node_cols_of: list[np.ndarray] = []
         quad_cols: list[np.ndarray] = []
 
         def group(new_names, g_lo, g_hi, value):
@@ -372,6 +476,19 @@ class NLPProblem:
             cols.append(c.ravel())
             values.append(v)
 
+        def hblock(r, c, v, mirror=False):
+            """A Hessian block; with mirror, also at (c, r), same values."""
+            r, c = (a.ravel() for a in np.broadcast_arrays(r, c))
+            h_rows.append(np.concatenate([r, c]) if mirror else r)
+            h_cols.append(np.concatenate([c, r]) if mirror else c)
+            h_values.append((lambda *a: np.tile(np.ravel(v(*a)), 2))
+                            if mirror else v)
+
+        def border(a):
+            """A t0 partial a, one row per node, as a block over [t0, tf]:
+            every node term scales with tf - t0, so the tf partial is -a."""
+            return np.stack([a, -a], axis=-1)
+
         def phase_rows(p):
             ph, mesh, lay = self.problem.phases[p], self.meshes[p], self.phase_layout[p]
             nx, nc = ph.nx, lay.nc
@@ -379,7 +496,10 @@ class NLPProblem:
             node_cols = np.hstack([lay.x_off + node * nx + np.arange(nx),
                                    lay.u_off + node * ph.nu + np.arange(ph.nu)])
             quad_cols.append(np.append(node_cols.ravel(), [lay.t0_idx, lay.tf_idx]))
+            node_cols_of.append(node_cols)
             frac = np.repeat(mesh.fractions, mesh.degrees)  # per collocation node
+            wts = mesh.wts_tau
+            t0, tf = lay.t0_idx, lay.tf_idx
             stencils = []   # per interval: matrix, state rows, node rows, fraction
 
             def defects(z, nodes):
@@ -396,8 +516,7 @@ class NLPProblem:
 
             # time columns: d/dt0 = +frac/2 F, d/dtf = -frac/2 F
             def time_values(z, pts):
-                a = (frac / 2.0)[:, None] * pts[p].F
-                return np.stack([a, -a], axis=-1)
+                return border((frac / 2.0)[:, None] * pts[p].F)
 
             def_rows = group([f"p{p}:{ph.name}:def:k{k}:n{i}:{sn}"
                               for k in range(mesh.n_intervals)
@@ -414,11 +533,31 @@ class NLPProblem:
                       np.repeat(rule.diff_matrix[:, None, :], nx, axis=1))
             block(def_rows[:, None, :], node_cols[:, :, None], dynamics_values)
             block(def_rows[:, :, None], [lay.t0_idx, lay.tf_idx], time_values)
+            # the node blocks sum every node term of the phase; the defects
+            # weigh the dynamics by -(tf - t0) frac/2 times their multipliers
+            hblock(node_cols[:, :, None], node_cols[:, None, :],
+                   lambda z, y, pts, hs: hs[p])
+            node_terms[p].append((
+                f"p{p}:{ph.name}:dynamics", lambda ph: ph.dynamics,
+                lambda z, y: (-(z[tf] - z[t0]) * frac / 2.0)[:, None] * y[def_rows]))
+            hblock(node_cols[:, :, None], [t0, tf],
+                   lambda z, y, pts, hs: border((frac / 2.0)[:, None] * np.einsum(
+                       "kjs,ks->kj", pts[p].dF, y[def_rows])), mirror=True)
+            # the cost, not a row: (tf - t0) times the quadrature weights
+            if ph.cost is not None:
+                node_terms[p].append((f"p{p}:{ph.name}:cost", lambda ph: ph.cost,
+                                      lambda z, y: (z[tf] - z[t0]) * wts))
+                hblock(node_cols[:, :, None], [t0, tf],
+                       lambda z, y, pts, hs: border(-wts[:, None] * pts[p].dL),
+                       mirror=True)
             for i, pc in enumerate(ph.path):
-                row = group([f"p{p}:{ph.name}:path:{pc.name}:n{j}"
-                             for j in range(nc)],
-                            pc.lo, pc.hi, lambda z, nodes, i=i: nodes[p].P[i])
+                label = f"p{p}:{ph.name}:path:{pc.name}"
+                row = group([f"{label}:n{j}" for j in range(nc)], pc.lo, pc.hi,
+                            lambda z, nodes, i=i, label=label:
+                            _per_node(label, nodes[p].P[i], nc))
                 block(row + node, node_cols, lambda z, pts, i=i: pts[p].dP[i])
+                node_terms[p].append((label, lambda ph, i=i: ph.path[i].func,
+                                      lambda z, y, row=row: y[row:row + nc]))
 
         def balance_rows(acc):
             col = self.acc_idx[acc.name]
@@ -441,6 +580,18 @@ class NLPProblem:
                       lambda z, pts, p=p, j=j: -_quadrature_rows(
                           meshes[p].wts_tau, pts[p], pts[p].Q[j:j + 1],
                           pts[p].dQ[j:j + 1]))
+                # the integrand weighed by -(tf - t0) times the quadrature
+                # weights and the balance multiplier
+                wts = meshes[p].wts_tau
+                t0, tf = quad_cols[p][-2:]
+                ph = self.problem.phases[p]
+                node_terms[p].append((
+                    f"p{p}:{ph.name}:integrand:{acc.name}",
+                    lambda ph, j=j: ph.integrands[j].func,
+                    lambda z, y, wts=wts, t0=t0, tf=tf: -y[row] * (z[tf] - z[t0]) * wts))
+                hblock(node_cols_of[p][:, :, None], [t0, tf],
+                       lambda z, y, pts, hs, p=p, j=j, wts=wts: border(
+                           y[row] * wts[:, None] * pts[p].dQ[j]), mirror=True)
 
         def endpoint(label, func, args, g_lo, g_hi):
             """Rows func(*args) with dense differenced blocks; each arg is
@@ -463,6 +614,8 @@ class NLPProblem:
                         lambda z, nodes: packed(z[idx]))
             block(row + np.arange(m)[:, None], idx,
                   lambda z, pts: _fd_vector(packed, z[idx], m))
+            hblock(idx[:, None], idx, lambda z, y, pts, hs: _weighted_hessian(
+                packed, z[idx], y[row:row + m]))
 
         for p in range(len(self.problem.phases)):
             phase_rows(p)
@@ -493,15 +646,12 @@ class NLPProblem:
         self.c_hi = np.concatenate(hi)
         self.n_con = len(names)
         self._row_values = row_values
-        keys = np.concatenate(rows) * self.n_var + np.concatenate(cols)
-        key, first, slot = np.unique(keys, return_index=True, return_inverse=True)
-        rest = np.setdiff1d(np.arange(len(keys)), first)
-        u_rows, u_cols = np.divmod(key, self.n_var)
-        self._plan = _JacobianPlan(
-            values=values, first=first, rest=rest, rest_slot=slot[rest],
-            rows=u_rows, cols=u_cols,
-            indptr=np.searchsorted(u_rows, np.arange(self.n_con + 1)),
-            quad_cols=quad_cols)
+        self._quad_cols = quad_cols
+        self._node_terms = node_terms
+        self._plan = _SparsePlan.build(rows, cols, values,
+                                       (self.n_con, self.n_var))
+        self._hplan = _SparsePlan.build(h_rows, h_cols, h_values,
+                                        (self.n_var, self.n_var))
 
     # ----- views -----
 
@@ -602,11 +752,12 @@ class NLPProblem:
         S[1 + nin + j, :, j] -= h.T
         S = S.reshape(n * nc, nin)
         X, U = S[:, :ph.nx].copy(), S[:, ph.nx:].copy()
-        funcs = ([pc.func for pc in ph.path] + [t.func for t in ph.integrands]
-                 + ([ph.cost] if ph.cost is not None else []))
+        funcs = [t.func for t in ph.integrands] + ([ph.cost] if ph.cost is not None else [])
         F = np.reshape(ph.dynamics(X, U), (n, nc, ph.nx))
-        G = np.reshape(np.array([np.reshape(f(X, U), (n, nc)) for f in funcs]),
-                       (len(funcs), n, nc))
+        G = np.reshape(np.array(
+            [_per_node(f"p{p}:{ph.name}:path:{pc.name}", pc.func(X, U), n * nc)
+             for pc in ph.path] + [np.reshape(f(X, U), n * nc) for f in funcs]),
+            (len(ph.path) + len(funcs), n, nc))
         inv = (1.0 / (2.0 * h)).T
         dF = ((F[1:nin + 1] - F[nin + 1:]) * inv[:, :, None]).transpose(1, 0, 2)
         dG = ((G[:, 1:nin + 1] - G[:, nin + 1:]) * inv).transpose(0, 2, 1)
@@ -617,35 +768,54 @@ class NLPProblem:
             L=G[-1, 0] if cost else None, dF=dF, dP=dG[:npath],
             dQ=dG[npath:npath + nq], dL=dG[-1] if cost else None)
 
+    def _phase_hessian(self, z, y, p) -> np.ndarray:
+        """Phase p's node blocks of the Hessian of f + y.c at z, (nc, n, n)
+        with n = nx+nu: at each node, the Hessian of the node terms' weighted
+        sum.  Every node term with a nonzero weight runs once, on one stacked
+        batch of the cross stencil's 2n(n+1) points per node."""
+        ph = self.problem.phases[p]
+        V = np.hstack([self.states(z, p)[:-1], self.controls(z, p)])
+        nc, nin = V.shape
+        terms = [(label, select(ph), w) for label, select, rule in self._node_terms[p]
+                 for w in [rule(z, y)] if np.any(w)]
+        if not terms:
+            return np.zeros((nc, nin, nin))
+        S, hessian = _cross_stencil(V)
+        batch = S.reshape(-1, nin)
+        X, U = batch[:, :ph.nx].copy(), batch[:, ph.nx:].copy()
+        d = 0.0
+        for label, func, w in terms:
+            w = w.reshape(nc, -1)
+            out = np.asarray(func(X, U))
+            if out.size != len(batch) * w.shape[1]:
+                raise ValueError(f"{label} returns {out.size} values for "
+                                 f"{len(batch)} nodes")
+            d = d + _weighted_cross(out.reshape(S.shape[:-1] + (w.shape[1],)), w)
+        return hessian(d)
+
     def _derivatives(self, z):
         """(objective gradient, constraint Jacobian) at z from one node probe
-        per phase; the last point's pair is kept, since callbacks are pure.
-        A non-finite entry raises EvaluationError naming its constraint row,
-        or its variable for the gradient."""
+        per phase; the last point's pair is kept, with the phase points,
+        since callbacks are pure.  A non-finite entry raises EvaluationError
+        naming its constraint row, or its variable for the gradient."""
         z = np.asarray(z, dtype=float)
         if self._last is None or not np.array_equal(self._last[0], z):
             pts = [self._phase_point(z, p) for p in range(len(self.problem.phases))]
-            plan = self._plan
-            raw = np.concatenate([np.ravel(v(z, pts) if callable(v) else v)
-                                  for v in plan.values])
-            data = raw[plan.first]
-            np.add.at(data, plan.rest_slot, raw[plan.rest])
-            J = sp.csr_matrix((data, plan.cols, plan.indptr),
-                              shape=(self.n_con, self.n_var))
+            J = self._plan.assemble(z, pts)
             g = np.zeros(self.n_var)
-            for pt, mesh, cols in zip(pts, self.meshes, plan.quad_cols):
+            for pt, mesh, cols in zip(pts, self.meshes, self._quad_cols):
                 if pt.L is not None:
                     g[cols] += _quadrature_rows(
                         mesh.wts_tau, pt, [pt.L], pt.dL[None])[0]
-            bad = np.flatnonzero(~np.isfinite(data))
+            bad = np.flatnonzero(~np.isfinite(J.data))
             if len(bad):
-                i = int(np.searchsorted(plan.indptr, bad[0], side="right")) - 1
+                i = int(np.searchsorted(J.indptr, bad[0], side="right")) - 1
                 raise EvaluationError("Jacobian row", i, self.con_names[i])
             bad = np.flatnonzero(~np.isfinite(g))
             if len(bad):
                 j = int(bad[0])
                 raise EvaluationError("gradient", j, self.var_names[j])
-            self._last = (z.copy(), g, J)
+            self._last = (z.copy(), g, J, pts)
         return self._last[1], self._last[2]
 
     def objective_gradient(self, z: np.ndarray) -> np.ndarray:
@@ -661,6 +831,24 @@ class NLPProblem:
         everything structural (differentiation stencil, time scaling,
         quadrature weights) assembled analytically from callback values."""
         return self._derivatives(z)[1].copy()
+
+    def hessian(self, z: np.ndarray, y: np.ndarray) -> sp.csr_matrix:
+        """Sparse Hessian of the Lagrangian f + y.c at z, both triangles, in
+        the problem's units, on the pattern the row groups declare (the same
+        at every point): node blocks by second differences of each
+        phase's weighted node terms, the t0/tf borders from the first
+        partials of the derivative pass, and dense endpoint blocks.  A
+        non-finite entry raises EvaluationError naming its variable."""
+        z = np.asarray(z, dtype=float)
+        y = np.asarray(y, dtype=float)
+        self._derivatives(z)
+        hs = [self._phase_hessian(z, y, p) for p in range(len(self.problem.phases))]
+        H = self._hplan.assemble(z, y, self._last[3], hs)
+        bad = np.flatnonzero(~np.isfinite(H.data))
+        if len(bad):
+            i = int(np.searchsorted(H.indptr, bad[0], side="right")) - 1
+            raise EvaluationError("Hessian row", i, self.var_names[i])
+        return H
 
     # ----- solution handling -----
 

@@ -300,16 +300,12 @@ def test_guess_node_probe_equals_the_per_column_loop(guess_setup,
         z0 + 1e-3 * scale * rng.standard_normal(nlp.n_var)))
 
 
-def test_guess_derivatives_match_directional_differences(cfg, guess_setup):
-    """jacobian @ v and gradient . v against central differences of the
-    constraints and the objective, along seeded directions.  The directions
-    hold fixed every variable near a bound and every incidence state near
-    its aero table's edge: the tables clamp incidence there, so the
-    constraints have a kink and no difference quotient is a derivative (the
-    guess starts the entry glide at 0 deg, the entry table's first row)."""
-    nlp, z0 = guess_setup
-    J = nlp.jacobian(z0)
-    g = nlp.objective_gradient(z0)
+def _smooth_directions(cfg, nlp, z0):
+    """(scale, mask) of the guess's variables that directions may move:
+    none near a bound, and no incidence state near its aero table's edge,
+    where the tables clamp incidence, so the constraints have a kink and no
+    difference quotient is a derivative (the guess starts the entry glide at
+    0 deg, the entry table's first row)."""
     scale = np.maximum(1.0, np.abs(z0))
     margin = 1e-4 * scale
     free = (z0 - nlp.z_lo > margin) & (nlp.z_hi - z0 > margin)
@@ -320,6 +316,17 @@ def test_guess_derivatives_match_directional_differences(cfg, guess_setup):
                if name.startswith(f"p{p}:") and ":x:alpha:" in name]
         for edge in np.radians(ctx.aero.alpha_deg[[0, -1]]):
             free[idx] &= np.abs(z0[idx] - edge) > margin[idx]
+    return scale, free
+
+
+def test_guess_derivatives_match_directional_differences(cfg, guess_setup):
+    """jacobian @ v and gradient . v against central differences of the
+    constraints and the objective, along seeded directions that hold fixed
+    every variable near a bound or a table edge."""
+    nlp, z0 = guess_setup
+    J = nlp.jacobian(z0)
+    g = nlp.objective_gradient(z0)
+    scale, free = _smooth_directions(cfg, nlp, z0)
     rng = np.random.default_rng(2104)
     step = 1e-6
     for _ in range(3):
@@ -333,8 +340,37 @@ def test_guess_derivatives_match_directional_differences(cfg, guess_setup):
         assert abs(g @ v - df) <= 1e-5 * (np.abs(g) @ np.abs(v) + abs(df) + 1e-8)
 
 
+def test_guess_hessian_matches_differences_of_the_lagrangian_gradient(
+        cfg, guess_setup):
+    """hessian @ v at the guess, with seeded multipliers on every row,
+    against central differences of the Lagrangian gradient along directions
+    that hold fixed every variable near a bound or a table edge.  The aero
+    tables are C1 piecewise cubics, so second differences that straddle a
+    table knot disagree by a few percent on a few rows; the whole vector
+    agrees to 1e-4."""
+    nlp, z0 = guess_setup
+    scale, free = _smooth_directions(cfg, nlp, z0)
+    rng = np.random.default_rng(2104)
+    y = rng.standard_normal(nlp.n_con)
+    H = nlp.hessian(z0, y)
+    assert (abs(H - H.T)).max() == 0.0
+
+    def gradient(w):
+        return nlp.objective_gradient(w) + nlp.jacobian(w).T @ y
+
+    step = 1e-4
+    for _ in range(3):
+        v = free * scale * rng.standard_normal(nlp.n_var)
+        fd = (gradient(z0 + step * v) - gradient(z0 - step * v)) / (2 * step)
+        err = np.abs(H @ v - fd)
+        row_scale = abs(H) @ np.abs(v) + np.abs(fd)
+        assert np.linalg.norm(err) <= 1e-4 * np.linalg.norm(row_scale)
+        assert np.all(err <= 0.1 * (row_scale + 1e-9 * row_scale.max()))
+
+
 def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup, monkeypatch):
-    # the first SQP iteration on the full mission NLP: the active-set pass
+    # the first SQP iteration on the full mission NLP, with the cost's
+    # Hessian at the guess shifted to be semidefinite: the active-set pass
     # runs out of pivots, the ADMM fallback stops at its cap, and one LP
     # shows the trust box cannot meet the linearized rows, so no pass runs
     # at a higher elastic weight; the figures pin the iterate bit for bit
@@ -356,8 +392,8 @@ def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup, monkeypatch):
         tolerance=cfg.solver_tolerance, max_iterations=1))
     assert len(weights) == 1 and len(lps) == 1
     assert rep.status == "max_iterations" and rep.iterations == 1
-    assert rep.objective == 126.38184313317988
-    assert rep.violation == 24.027044099836345
+    assert rep.objective == 177.82154156738994
+    assert rep.violation == 20.545215039896448
     assert rep.message.startswith("1 of 1 accepted steps came from a QP "
                                   "subproblem that stopped at its iteration cap")
 

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ascentry import canonical, nlpsolve
-from ascentry.nlpsolve import (SolveReport, SolverOptions, _CompactBFGS,
-                               kkt_residuals, solve)
+from ascentry.nlpsolve import (SolveReport, SolverOptions, kkt_residuals,
+                               solve)
 from ascentry.transcription import (MultiPhaseProblem, PhaseDef, _fd_vector,
                                     transcribe, uniform_mesh)
 
@@ -56,6 +56,12 @@ class FunctionNLP:
             return sp.csr_matrix(np.atleast_2d(self._jac(z)))
         return sp.csr_matrix(_fd_vector(self.constraints, z, self.n_con))
 
+    def hessian(self, z, y):
+        """Central differences of the Lagrangian gradient, symmetrized."""
+        H = _fd_vector(lambda v: self.objective_gradient(v)
+                       + self.jacobian(v).T @ y, z, self.n_var)
+        return sp.csr_matrix(0.5 * (H + H.T))
+
 
 def test_options_validation():
     with pytest.raises(ValueError):
@@ -80,44 +86,6 @@ def test_function_nlp_differences_a_banded_jacobian():
     expect = np.diag(2 * x)
     expect[np.arange(1, n), np.arange(n - 1)] = 1.5 * x[:-1] ** 2
     assert np.allclose(J, expect, rtol=1e-6, atol=1e-7)
-
-
-def _bfgs_recursion(gamma, pairs, n):
-    """Textbook BFGS recursion from gamma*I over the given pairs."""
-    B = gamma * np.eye(n)
-    for s, y in pairs:
-        Bs = B @ s
-        B = B - np.outer(Bs, Bs) / float(s @ Bs) + np.outer(y, y) / float(s @ y)
-    return B
-
-
-def test_compact_bfgs_matches_dense_recursion():
-    rng = np.random.default_rng(8)
-    n = 6
-    bf = _CompactBFGS(n, memory=10)
-    for _ in range(7):
-        s = rng.normal(size=n)
-        y = rng.normal(size=n) + 0.5 * s
-        bf.update(s, y)
-    B = bf.dense()
-    # the compact form is the full recursion over the stored pairs
-    ref = _bfgs_recursion(bf.gamma, list(zip(bf.S, bf.Y)), n)
-    assert np.allclose(B, ref, rtol=1e-8, atol=1e-9)
-    assert np.allclose(B, B.T, atol=1e-10)
-    assert np.linalg.eigvalsh(B).min() > 0
-    v = rng.normal(size=n)
-    assert np.allclose(bf.mul(v), B @ v, rtol=1e-9, atol=1e-10)
-    # secant equation for the most recent (damped) pair
-    assert np.allclose(B @ bf.S[-1], bf.Y[-1], rtol=1e-7, atol=1e-8)
-
-
-def test_compact_bfgs_rejects_degenerate_pairs():
-    bf = _CompactBFGS(3)
-    bf.update(np.zeros(3), np.ones(3))
-    assert len(bf.S) == 0
-    # opposing curvature gets damped, not discarded
-    bf.update(np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]))
-    assert len(bf.S) == 1
 
 
 def test_rosenbrock():
@@ -318,8 +286,8 @@ def test_admm_fallback_runs_once_per_sqp_iteration(monkeypatch):
     eps, max_iter, polish = admm_args[0]
     assert all(a == (eps, max_iter, polish) for a in admm_args)
     monkeypatch.setattr(nlpsolve, "_active_set_qp",
-                        lambda bfgs, q, C, l, u, y0, **kw:
-                        real_admm(bfgs, q, C, l, u, y0, eps, max_iter, polish))
+                        lambda B, q, C, l, u, y0, **kw:
+                        real_admm(B, q, C, l, u, y0, eps, max_iter, polish))
     fresh = solve(_unreachable_tie(), np.zeros(1), options)
     assert np.array_equal(rep.x, fresh.x)
     assert np.array_equal(rep.multipliers, fresh.multipliers)
@@ -348,7 +316,7 @@ def _fallback_stays_put(monkeypatch, converged):
     or as if converged."""
     monkeypatch.setattr(
         nlpsolve, "_admm_qp",
-        lambda bfgs, q, C, l, u, y0, eps, max_iter, polish:
+        lambda B, q, C, l, u, y0, eps, max_iter, polish:
         nlpsolve._QPResult(np.zeros(len(q)), np.zeros(len(y0)), max_iter,
                            1.0, 1.0, converged))
 
@@ -454,7 +422,7 @@ def _box_qp():
     C = sp.vstack([sp.csr_matrix(np.ones((1, 3))), sp.eye(3)], format="csr")
     l = np.array([1.0, -1.0, -1.0, -1.0])
     u = np.array([1.0, 0.5, 0.5, 0.5])
-    return _CompactBFGS(3), np.array([-2.0, 0.0, 0.0]), C, l, u, np.zeros(4)
+    return sp.identity(3), np.array([-2.0, 0.0, 0.0]), C, l, u, np.zeros(4)
 
 
 def test_admm_qp_reaches_the_closed_form():
@@ -470,46 +438,36 @@ def test_admm_qp_stopped_at_its_cap_is_not_converged():
     assert not qp.converged
 
 
-def test_admm_qp_with_a_bfgs_memory_reaches_the_dense_kkt_solution():
-    # three stored pairs: B = gamma I - W K^-1 W' is no multiple of I, and
-    # every fallback solve goes through the Woodbury correction
-    bfgs, q, C, l, u, y0 = _box_qp()
-    for s, y in [((1.0, 0.0, 0.0), (2.0, 0.5, 0.0)),
-                 ((0.0, 1.0, 1.0), (0.5, 1.5, 1.0)),
-                 ((0.0, 0.0, 1.0), (0.1, 0.4, 3.0))]:
-        bfgs.update(np.array(s), np.array(y))
-    assert len(bfgs.S) == 3
-    B = bfgs.dense()
-    assert not np.allclose(B, B[0, 0] * np.eye(3))
+# positive definite, no multiple of I, every variable coupled
+_COUPLED = np.array([[2.0, 0.5, 0.0], [0.5, 1.5, 0.4], [0.0, 0.4, 3.0]])
+
+
+def test_admm_qp_with_a_coupled_hessian_reaches_the_dense_kkt_solution():
+    _, q, C, l, u, y0 = _box_qp()
+    B = sp.csr_matrix(_COUPLED)
+    assert np.linalg.eigvalsh(_COUPLED).min() > 0.0
     # the box QP's active set: the sum row and d0 on its upper bound
     A = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
-    kkt = np.block([[B, A.T], [A, np.zeros((2, 2))]])
+    kkt = np.block([[_COUPLED, A.T], [A, np.zeros((2, 2))]])
     sol = np.linalg.solve(kkt, np.concatenate([-q, [l[0], u[1]]]))
     d, nu = sol[:3], sol[3:]
     assert np.all(np.abs(d[1:]) < 0.5) and nu[1] > 0.0
-    qp = nlpsolve._admm_qp(bfgs, q, C, l, u, y0, eps=1e-9, max_iter=4000,
+    qp = nlpsolve._admm_qp(B, q, C, l, u, y0, eps=1e-9, max_iter=4000,
                            polish=False)
     assert qp.converged
     assert np.allclose(qp.d, d, rtol=0.0, atol=1e-6)
     assert np.allclose(qp.y, [nu[0], nu[1], 0.0, 0.0], rtol=0.0, atol=1e-6)
 
 
-def test_kkt_solver_with_a_bfgs_memory_matches_the_dense_kkt_solve():
-    # three stored pairs: the Hessian block's low-rank part reaches the
-    # factor through the Woodbury correction
-    bfgs = _CompactBFGS(3)
-    for s, y in [((1.0, 0.0, 0.0), (2.0, 0.5, 0.0)),
-                 ((0.0, 1.0, 1.0), (0.5, 1.5, 1.0)),
-                 ((0.0, 0.0, 1.0), (0.1, 0.4, 3.0))]:
-        bfgs.update(np.array(s), np.array(y))
-    assert len(bfgs.S) == 3
+def test_kkt_solver_with_a_coupled_hessian_matches_the_dense_kkt_solve():
     A = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, -2.0]])
-    reg = 1e-11 * (1.0 + bfgs.gamma)
-    kkt = np.block([[bfgs.dense() + 1e-10 * np.eye(3), A.T],
+    reg = 1e-11 * (1.0 + 3.0)
+    kkt = np.block([[_COUPLED + 1e-10 * np.eye(3), A.T],
                     [A, -reg * np.eye(2)]])
     b = np.array([0.3, -1.2, 0.7, 1.0, -0.5])
     expect = np.linalg.solve(kkt, b)
-    got = nlpsolve._kkt_solver(bfgs, sp.csr_matrix(A), reg)(b)
+    got = nlpsolve._kkt_solver(nlpsolve._hessian_block(sp.csr_matrix(_COUPLED)),
+                               sp.csr_matrix(A), reg)(b)
     assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
 
 
@@ -528,39 +486,49 @@ def test_complementarity_takes_the_bound_each_multiplier_pushes_on():
     assert nlpsolve._complementarity((np.zeros(0),) * 4) == 0.0
 
 
+def _sparse(draw, rng, shape):
+    """A random sparse matrix: empty rows and columns, and maybe explicit
+    zeros and rows whose column indices are shuffled out of order."""
+    dense = rng.standard_normal(shape) * (rng.random(shape) < rng.random())
+    M = sp.csr_matrix(dense)
+    if M.nnz and draw(st.booleans()):
+        M.data[rng.random(M.nnz) < 0.3] = 0.0
+    if draw(st.booleans()):
+        for i in range(shape[0]):
+            row = slice(M.indptr[i], M.indptr[i + 1])
+            perm = rng.permutation(M.indptr[i + 1] - M.indptr[i])
+            M.indices[row] = M.indices[row][perm]
+            M.data[row] = M.data[row][perm]
+        M.has_sorted_indices = False
+    return M
+
+
 @st.composite
 def _kkt_blocks(draw):
-    # k = 0, empty rows and columns, explicit zeros, and rows whose column
-    # indices are shuffled out of order
+    # k = 0 too; B symmetric or not, a multiple of I or not
     n = draw(st.integers(1, 7))
     k = draw(st.integers(0, 7))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dense = rng.standard_normal((k, n)) * (rng.random((k, n)) < rng.random())
-    A = sp.csr_matrix(dense)
-    if A.nnz and draw(st.booleans()):
-        A.data[rng.random(A.nnz) < 0.3] = 0.0
     if draw(st.booleans()):
-        for i in range(k):
-            row = slice(A.indptr[i], A.indptr[i + 1])
-            perm = rng.permutation(A.indptr[i + 1] - A.indptr[i])
-            A.indices[row] = A.indices[row][perm]
-            A.data[row] = A.data[row][perm]
-        A.has_sorted_indices = False
-    d_top = draw(st.floats(1e-6, 1e6))
+        B = draw(st.floats(1e-6, 1e6)) * sp.identity(n, format="csc")
+    else:
+        B = _sparse(draw, rng, (n, n))
+        if draw(st.booleans()):
+            B = sp.csr_matrix(B + B.T)
+    A = _sparse(draw, rng, (k, n))
     d_bot = -draw(st.floats(0.0, 1e-3))
-    return n, A, d_top, d_bot
+    return B, A, d_bot
 
 
 @settings(max_examples=200, deadline=None)
 @given(_kkt_blocks())
 def test_kkt_matrix_is_the_array_bmat_builds(case):
-    n, A, d_top, d_bot = case
-    k = A.shape[0]
-    blocks = [[sp.eye(n, format="csc") * d_top, A.T],
-              [A, d_bot * sp.eye(k, format="csc")]] if k else \
-        [[sp.eye(n, format="csc") * d_top]]
+    B, A, d_bot = case
+    n, k = B.shape[0], A.shape[0]
+    top = B + 1e-10 * sp.identity(n, format="csc")
+    blocks = [[top, A.T], [A, d_bot * sp.eye(k, format="csc")]] if k else [[top]]
     want = sp.bmat(blocks, format="csc")
-    got = nlpsolve._kkt_matrix(n, A, d_top, d_bot)
+    got = nlpsolve._kkt_matrix(nlpsolve._hessian_block(B), A, d_bot)
     assert got.shape == want.shape
     for name in ("indptr", "indices", "data"):
         have, ref = getattr(got, name), getattr(want, name)
@@ -574,7 +542,7 @@ def _chain_qp(rows):
                  shape=(rows, rows + 1), format="csr")
     q = np.zeros(rows + 1)
     q[0] = -1.0
-    return (_CompactBFGS(rows + 1), q, C, np.zeros(rows),
+    return (sp.identity(rows + 1), q, C, np.zeros(rows),
             np.full(rows, np.inf), np.zeros(rows))
 
 
@@ -616,3 +584,43 @@ def test_settled_passes_stay_well_inside_the_pivot_budget(name, monkeypatch):
                 SolverOptions(tolerance=1e-6))
     assert rep.converged
     assert settled and max(settled) <= nlpsolve.ACTIVE_SET_PIVOTS // 2
+
+
+def test_shift_leaves_a_semidefinite_hessian_alone():
+    # singular and positive semidefinite, with an empty row and column
+    rng = np.random.default_rng(5)
+    F = rng.standard_normal((3, 6))
+    F[:, 4] = 0.0
+    B = sp.csr_matrix(F.T @ F)
+    assert np.linalg.eigvalsh(B.toarray()).min() > -1e-12
+    assert nlpsolve._shift(B) == 0.0
+    assert nlpsolve._shift(sp.csr_matrix((4, 4))) == 0.0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_shift_removes_the_negative_eigenvalues(seed):
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+    lam = np.concatenate([-10.0 ** rng.uniform(-6, 3, 2), rng.uniform(0, 5, 5)])
+    B = sp.csr_matrix((Q * lam) @ Q.T)
+    delta = nlpsolve._shift(B)
+    assert delta >= -lam.min()
+    assert np.linalg.eigvalsh(B.toarray() + delta * np.eye(7)).min() >= 0.0
+    # a rung of the ladder, and the lowest that does: the rung below
+    # leaves a negative eigenvalue
+    first = 1e-8 * abs(B).max()
+    rung = np.log10(delta / first)
+    assert rung == pytest.approx(round(rung), abs=1e-9)
+    if rung > 0.5:
+        assert np.linalg.eigvalsh(B.toarray() + delta / 10 * np.eye(7)).min() < 0
+
+
+@pytest.mark.parametrize("name", sorted(canonical.CANONICAL_PROBLEMS))
+def test_canonical_default_mesh_converges_in_newton_steps(name):
+    # the canonical problems are linear-quadratic, so the Newton step on
+    # the exact Hessian is the answer, whatever the start
+    problem, meshes = canonical.CANONICAL_PROBLEMS[name]()
+    nlp = transcribe(problem, meshes)
+    rep = solve(nlp, canonical.straight_line_guess(nlp),
+                SolverOptions(tolerance=1e-6))
+    assert rep.converged and rep.iterations <= 3

@@ -451,6 +451,150 @@ def test_each_callback_runs_once_per_phase_per_derivative_pass(name):
     assert calls == Counter({key: 1 for key in expected})
 
 
+def _bilinear_point(build, seed):
+    """A build's NLP and a seeded point with the build's phase times."""
+    prob, meshes, times = build()
+    nlp = transcribe(prob, meshes)
+    z = np.random.default_rng(seed).uniform(-1.0, 1.0, nlp.n_var)
+    for lay, (t0, tf) in zip(nlp.phase_layout, times):
+        z[lay.t0_idx], z[lay.tf_idx] = t0, tf
+    return nlp, z
+
+
+def _guessed_point(make, seed, spread=0.3):
+    prob, meshes = make()
+    nlp = transcribe(prob, meshes)
+    rng = np.random.default_rng(seed)
+    return nlp, nlp.clip_to_bounds(straight_line_guess(nlp)
+                                   + spread * rng.uniform(-1.0, 1.0, nlp.n_var))
+
+
+_HESSIAN_CASES = {
+    **{name: lambda seed, make=make: _guessed_point(make, seed)
+       for name, make in CANONICAL_PROBLEMS.items()},
+    "one-phase": lambda seed: _bilinear_point(_bilinear_one_phase, seed),
+    "two-phase-linked": lambda seed: _bilinear_point(_bilinear_two_phase_linked,
+                                                     seed),
+    "two-phase-accumulated": lambda seed: _bilinear_point(
+        _bilinear_two_phase_accumulated, seed),
+}
+
+
+def assert_hessian_matches_lagrangian_differences(nlp, z, y, v, step, rtol,
+                                                  atol):
+    """hessian(z, y) @ v against central differences of the Lagrangian
+    gradient along v, entry by entry, relative to the entry's scale; atol
+    covers the rounding floor of second differences, where an entry that is
+    exactly zero (a linear term) reads as noise, and the noise of the
+    differenced first derivatives."""
+    def gradient(w):
+        return nlp.objective_gradient(w) + nlp.jacobian(w).T @ y
+
+    H = nlp.hessian(z, y)
+    assert (abs(H - H.T)).max() == 0.0
+    fd = (gradient(z + step * v) - gradient(z - step * v)) / (2.0 * step)
+    scale = abs(H) @ np.abs(v) + np.abs(fd)
+    assert np.all(np.abs(H @ v - fd) <= rtol * scale + atol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_HESSIAN_CASES)),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_hessian_matches_differences_of_the_lagrangian_gradient(name, seed):
+    nlp, z = _HESSIAN_CASES[name](seed)
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(nlp.n_con)
+    v = rng.standard_normal(nlp.n_var)
+    assert_hessian_matches_lagrangian_differences(nlp, z, y, v, 1e-4, 1e-5,
+                                                  1e-6)
+
+
+_PATTERN_CASES = {**_HESSIAN_CASES, "nonlinear-phase": lambda seed: _guessed_point(
+    _nonlinear_phase_problem, seed)}
+
+
+@pytest.mark.parametrize("name", sorted(_PATTERN_CASES))
+def test_hessian_pattern_covers_every_entry(name):
+    # every entry of the Lagrangian gradient's dense differences sits on
+    # the declared pattern, the one every hessian() stores
+    nlp, z = _PATTERN_CASES[name](7)
+    y = np.random.default_rng(7).standard_normal(nlp.n_con)
+    H = nlp.hessian(z, y).tocoo()
+    declared = np.zeros((nlp.n_var, nlp.n_var), dtype=bool)
+    declared[H.row, H.col] = True
+    assert H.nnz == declared.sum()
+    other = nlp.hessian(z + 0.01, np.zeros(nlp.n_con)).tocoo()
+    assert np.array_equal(other.row, H.row) and np.array_equal(other.col, H.col)
+    step = 1e-4
+    dense = np.zeros((nlp.n_var, nlp.n_var))
+    for j in range(nlp.n_var):
+        zp, zm = z.copy(), z.copy()
+        zp[j] += step
+        zm[j] -= step
+        dense[:, j] = (nlp.objective_gradient(zp) + nlp.jacobian(zp).T @ y
+                       - nlp.objective_gradient(zm)
+                       - nlp.jacobian(zm).T @ y) / (2.0 * step)
+    assert np.abs(dense[~declared]).max(initial=0.0) <= 1e-6 * np.abs(dense).max()
+
+
+def test_hessian_runs_only_the_callbacks_with_weight():
+    # with every multiplier zero only the cost is probed, once per phase;
+    # one path multiplier brings in that path function alone
+    prob, meshes = _nonlinear_phase_problem()
+    calls = Counter()
+
+    def counted(key, func):
+        def wrapped(X, U):
+            calls[key] += 1
+            return func(X, U)
+        return wrapped
+
+    ph = prob.phases[0]
+    ph.dynamics = counted("dynamics", ph.dynamics)
+    ph.cost = counted("cost", ph.cost)
+    for pc in ph.path:
+        pc.func = counted(pc.name, pc.func)
+    ph.integrands[0].func = counted("effort", ph.integrands[0].func)
+    nlp = transcribe(prob, meshes)
+    z = nlp.clip_to_bounds(straight_line_guess(nlp) + 0.1)
+    y = np.zeros(nlp.n_con)
+    nlp.jacobian(z)
+    calls.clear()
+    H0 = nlp.hessian(z, y)
+    assert calls == Counter({"cost": 1})
+    y[nlp.con_names.index("p0:swing:path:load:n2")] = 1.5
+    calls.clear()
+    H1 = nlp.hessian(z, y)
+    assert calls == Counter({"cost": 1, "load": 1})
+    # the load's Hessian at node 2 alone, scaled by its multiplier
+    cols = [nlp.var_names.index(f"p0:swing:{k}:n2")
+            for k in ("x:x0", "x:x1", "u:u0", "u:u1")]
+    diff = (H1 - H0).toarray()
+    assert np.abs(np.delete(np.delete(diff, cols, 0), cols, 1)).max() == 0.0
+    x1, u0, u1 = z[cols[1]], z[cols[2]], z[cols[3]]
+    t = np.tanh(u1)
+    expect = np.zeros((4, 4))
+    expect[1, 2] = expect[2, 1] = 1.5
+    expect[3, 3] = -1.5 * (-2.0 * t * (1.0 - t ** 2))
+    assert np.allclose(diff[np.ix_(cols, cols)], expect, rtol=1e-6, atol=1e-6)
+
+
+def test_path_output_must_hold_one_value_per_node():
+    # a path function that returns one value, not one per node: each of
+    # constraints(), jacobian() and hessian() raises, naming the group
+    ph = _double_integrator(path=[PathConstraint(
+        "total", lambda X, U: np.sum(X[:, 0]), -5.0, 5.0)])
+    prob = MultiPhaseProblem([ph])
+    meshes = [uniform_mesh(2, 3)]
+    nlp = transcribe(prob, meshes)
+    z = nlp.pack([np.ones((7, 2))], [np.zeros((6, 1))], [(0.0, 2.0)])
+    y = np.ones(nlp.n_con)
+    for evaluate in (lambda n: n.constraints(z), lambda n: n.jacobian(z),
+                     lambda n: n.hessian(z, y)):
+        with pytest.raises(ValueError, match="path:total returns 1 values"):
+            evaluate(transcribe(prob, meshes))
+
+
 def test_objective_gradient_matches_fd():
     ph = _double_integrator(
         tf_lo=1.0, tf_hi=4.0,
@@ -545,6 +689,21 @@ def test_nonfinite_gradient_is_reported_by_variable():
         nlp.objective_gradient(z)
     assert err.value.name == "p0:cart:u:u0:n2"
     assert err.value.index == nlp.var_names.index("p0:cart:u:u0:n2")
+
+
+def test_nonfinite_hessian_is_reported_by_variable():
+    # the second-difference probe steps further than the first-derivative
+    # probe, so only the Hessian reaches past the limit
+    ph = _double_integrator(cost=lambda X, U: _blows_up_past(1.0, U[:, 0]) ** 2)
+    nlp = transcribe(MultiPhaseProblem([ph]), [uniform_mesh(1, 3)])
+    U = np.zeros((3, 1))
+    U[2, 0] = 1.0 - 5e-5
+    z = nlp.pack([np.zeros((4, 2))], [U], [(0.0, 2.0)])
+    assert np.all(np.isfinite(nlp.objective_gradient(z)))
+    with pytest.raises(EvaluationError) as err:
+        nlp.hessian(z, np.zeros(nlp.n_con))
+    # the first row with a non-finite entry: node 2's state, against u0
+    assert err.value.name == "p0:cart:x:x0:n2"
 
 
 def test_dump_layout_deterministic(tmp_path):
