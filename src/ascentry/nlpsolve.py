@@ -1,14 +1,13 @@
 """Desk-scale sparse NLP solver.
 
 The method is a line-search Newton SQP: the Hessian of the Lagrangian at
-the current multipliers, an active-set quadratic subproblem solved through
-sparse regularized KKT systems (with an ADMM fallback when the working set
-will not settle, polished by a dense equality solve when the subproblem is
-small), and an l1 merit function.  Variables are scaled by their bound
-magnitudes and constraint rows are equilibrated against the first
-Jacobian; reports are translated back to the problem's own units.
-Derivatives come from the problem object's `objective_gradient`,
-`jacobian` and `hessian(z, y)`, the last once per iteration.
+the current multipliers, one elastic quadratic subproblem per iteration
+solved by a primal-dual interior-point method, and an l1 merit function.
+Variables are scaled by their bound magnitudes and constraint rows are
+equilibrated against the first Jacobian; reports are translated back to
+the problem's own units.  Derivatives come from the problem object's
+`objective_gradient`, `jacobian` and `hessian(z, y)`, the last once per
+iteration.
 
 The subproblem's Hessian B is that Hessian in the scaled units, with the
 rows and columns of box-fixed variables zeroed (their step is held at 0, so
@@ -19,40 +18,35 @@ further 1e-12 b on the diagonal, has no negative or zero pivot.  So every
 subproblem is convex.  On a linear-quadratic problem the Hessian is exact
 and the first step is the Newton step.
 
-An active-set pass gets `ACTIVE_SET_PIVOTS` = 20 working-set changes, each
-one a sparse KKT factorization.  On the canonical problems and the mission
-every pass that settles does so within 10 pivots (most within one), and
-none settles between pivot 11 and pivot 60, so a budget of twice the
-longest settled pass returns what a longer one would, while a pass that
-cannot settle hands over to the ADMM fallback after 20 factorizations
-rather than 60.
+The subproblem is elastic in every row:
 
-The ADMM fallback factors B + sigma I + Cs' diag(rho) Cs, which is
-symmetric positive definite (B semidefinite, sigma = 1e-6, every rho > 0),
-so SuperLU orders it symmetrically by minimum degree on A' + A and takes
-the diagonal pivots as they come: LU without pivoting is stable on such a
-matrix.  On the first mission subproblem (with B a multiple of I) that
-gave 78,762 nonzeros in L + U against 187,879 under the default COLAMD
-ordering with partial pivoting, about 2.4 times less fill, and a solve with
-the factor, one per fallback iteration, took about 0.6 of the time.  The
-shift's pivot test uses the same factor.  The active-set KKT matrix
-[B A'; A -reg I] keeps COLAMD with partial pivoting: it is only
-quasi-definite, with reg about 1e-11, and the symmetric ordering there
-moves the mission path (with the COLAMD fallback factor, 10 capped
-iterations from the guess ended at violation 23.01 rather than 20.84).
+    min 1/2 d'Bd + g'd + W sum(p + n)
+    s.t. c_lo - c <= J d + p - n <= c_hi - c,  bl <= d <= bu,  p, n >= 0,
 
-Each iteration raises the elastic weight tenfold, from its current value
-to a cap of 1e10, until the step leaves at most max(1e-8, 1e-6 v1) of
-linearized l1 violation, v1 being the current point's.  When the ADMM
-fallback has answered, stopped at its cap and left more than that, one
-HiGHS LP gives the least linearized violation any step in the trust box
-can reach.  If that exceeds the threshold, no weight can end the climb
-early: a settled pass keeps its step in the box, and the fallback does not
-read the weight.  The climb would then end at the cap with the fallback's
-answer, unless the pass at the cap settled, so the weight takes the
-climb's last value without the passes in between.  The LP runs at most
-once per iteration, and an answer other than HiGHS's optimum leaves the
-climb as it was.
+with the box the trust region cut by the variable bounds, so it has a
+solution however the box cuts across the linearized rows.  The weight is
+fixed, W = `ELASTIC_WEIGHT` = 1e10, above the multipliers the solver has
+met: where the box can meet the linearized rows the answer is the hard-row
+step (p = n = 0), and where it cannot, the step that leaves the least
+violation, its violated rows' multipliers at +-W.  That is the answer an
+elastic-weight climb from 10 to a cap of 1e10 ends on in either case, in
+one solve.  The merit weight follows the returned multipliers.
+
+`_elastic_qp` solves it by Mehrotra's predictor-corrector (SIAM J. Optim.
+2(4), 1992).  Eliminating p, n and the row slacks leaves the quasi-definite
+matrix [B_f + Sigma, J'; J, -D] with D > 0 (Vanderbei, SIAM J. Optim. 5,
+1995), which `_symmetric_lu` factors without pivoting; its U has exactly
+one negative pivot per row.  Where that factor, refined, misses K by more
+than 1e-10, a partially pivoted factor of K takes over for the iteration.
+A corrected step that does not cut the complementarity gives way to a
+centring step.  The objective is divided by s = s_q^(2/3) W^(1/3),
+s_q = max(1, |g|, max |B|), so that neither the weight nor the quadratic
+part swamps the other: unscaled, the first mission subproblem did not
+converge in 60 iterations, and scaled by W, 4 of 400 small random QPs
+(weights 10 to 1e10) did not, against none with s.  A subproblem stops at
+relative KKT residuals and average complementarity of `QP_TOLERANCE`, or
+at `QP_ITERATIONS` with its last iterate flagged, and the report's message
+counts the accepted steps that came from one.
 """
 from __future__ import annotations
 
@@ -62,15 +56,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.optimize import linprog
 
-ACTIVE_SET_PIVOTS = 20     # working-set changes per active-set pass
-QP_MAX_ITERATIONS = 4000   # ADMM iterations per fallback solve
-POLISH_LIMIT = 3000        # largest n + rows(C) the dense polish takes on
-# HiGHS's default primal feasibility tolerance: each row of its answer may
-# miss its sides by this much, so its least l1 violation of m rows is exact
-# to within this times m
-HIGHS_PRIMAL_TOL = 1e-7
+ELASTIC_WEIGHT = 1e10   # the price of a unit of linearized row violation
+QP_TOLERANCE = 1e-9     # relative KKT residuals of a converged subproblem,
+                        # and its mean complementarity in objective units
+QP_ITERATIONS = 60      # interior-point iterations per subproblem
 
 
 @dataclass
@@ -104,9 +94,11 @@ class SolveReport:
 
 
 class _QPResult:
-    def __init__(self, d, y, iterations, primal_res, dual_res, converged):
+    def __init__(self, d, y, y_bnd, iterations, primal_res, dual_res,
+                 converged):
         self.d = d
         self.y = y
+        self.y_bnd = y_bnd
         self.iterations = iterations
         self.primal_res = primal_res
         self.dual_res = dual_res
@@ -142,308 +134,214 @@ def _shift(B: sp.spmatrix) -> float:
         delta = max(10.0 * delta, 1e-8 * b)
 
 
-def _hessian_block(B: sp.spmatrix) -> sp.csc_matrix:
-    """B + 1e-10 I in sorted CSC: the Hessian block of the active-set KKT
-    matrix, built once per pass."""
-    T = sp.csc_matrix(B + 1e-10 * sp.identity(B.shape[0], format="csc"))
-    T.sort_indices()
-    return T
+def _elastic_qp(B: sp.spmatrix, g: np.ndarray, J: sp.spmatrix,
+                lo: np.ndarray, hi: np.ndarray, bl: np.ndarray,
+                bu: np.ndarray) -> _QPResult:
+    """The elastic subproblem
 
+        min 1/2 d'Bd + g'd + W sum(p + n)
+        s.t. lo <= J d + p - n <= hi,  bl <= d <= bu,  p, n >= 0,
 
-def _kkt_matrix(T: sp.csc_matrix, A: sp.csr_matrix, d_bot: float) -> sp.csc_matrix:
-    """[T, A'; A, d_bot*I] in sorted CSC, the arrays sp.bmat builds, for T
-    in sorted CSC.
+    W = `ELASTIC_WEIGHT`, by Mehrotra's primal-dual predictor-corrector
+    method, for B positive semidefinite and a finite box.  Returns the
+    step d, the row multipliers y (|y| <= W) and the box multipliers
+    y_bnd, signed as in `_residuals`: B d + g + J'y + y_bnd = 0.
 
-    Column j < n is T's column j over A's column j from its CSC form;
-    column n+i is A's row i from its sorted CSR form over the diagonal
-    entry.  Explicit zeros stay, as they do in bmat."""
-    n, k = T.shape[0], A.shape[0]
-    R = sp.csr_matrix(A, copy=True)
-    R.sum_duplicates()
-    Cc = R.tocsc()
-    # entry e of T's column c goes after the A entries of the columns
-    # before c; entry e of A's column c after T's entries up to column c
-    left = T.nnz + Cc.nnz
-    pos_t = np.arange(T.nnz) + np.repeat(Cc.indptr[:-1], np.diff(T.indptr))
-    pos_a = np.arange(Cc.nnz) + np.repeat(T.indptr[1:], np.diff(Cc.indptr))
-    indices = np.empty(left, dtype=T.indices.dtype)
-    data = np.empty(left)
-    indices[pos_t], data[pos_t] = T.indices, T.data
-    indices[pos_a], data[pos_a] = Cc.indices + n, Cc.data
-    # np.insert places equal positions in order, so empty rows still get
-    # their diagonal entries in order
-    indices = np.concatenate([
-        indices, np.insert(R.indices, R.indptr[1:], np.arange(n, n + k))])
-    data = np.concatenate([data, np.insert(R.data, R.indptr[1:], d_bot)])
-    indptr = np.concatenate([T.indptr + Cc.indptr,
-                             left + R.indptr[1:] + np.arange(1, k + 1)])
-    return sp.csc_matrix((data, indices, indptr), shape=(n + k, n + k))
-
-
-def _kkt_solver(T: sp.csc_matrix, A: sp.csr_matrix, reg: float):
-    """Factor [T A'; A -reg*I], T from `_hessian_block`; returns a solve
-    callable or None on breakdown."""
-    try:
-        return spla.splu(_kkt_matrix(T, A, -reg)).solve
-    except RuntimeError:
-        return None
-
-
-def _active_set_qp(B: sp.spmatrix, q: np.ndarray, C: sp.csr_matrix,
-                   l: np.ndarray, u: np.ndarray, y0: np.ndarray,
-                   n_soft: int = 0, pi: float = np.inf) -> _QPResult | None:
-    """Primal-dual active-set pass over the working set.
-
-    The first n_soft rows are elastic with weight pi: one whose multiplier
-    would pass pi leaves the working set and pulls the objective through an
-    l1 term instead, so the subproblem stays feasible no matter how the
-    trust box cuts across the linearized rows.  Remaining rows are hard.
-    Rows enter the working set when the trial step violates them, leave it
-    when their multiplier takes the wrong sign, and released rows return
-    once the step crosses back over their target.  Returns None when the
-    sets will not settle so the caller can fall back to the splitting
-    method.
+    The unknowns are x = (d_f, p, n, s): d_f the variables the box does not
+    fix, and a slack s in [lo, hi] for each row that is not tied, so every
+    row reads J d + p - n - s = b (b the tie's value, or 0).  A row with no
+    finite side binds nothing and is left out, and a fixed variable's bound
+    multiplier comes from stationarity.  Each finite bound on x is one
+    complementarity pair (gap w, multiplier z >= 0), all in one stacked
+    vector.  The gaps are iterates of their own, tied to x by a residual,
+    so the fraction-to-boundary rule keeps them positive in floating point.
     """
-    n = len(q)
-    m = C.shape[0]
-    soft = np.zeros(m, dtype=bool)
-    soft[:n_soft] = True
-    tied = np.isfinite(l) & (u - l <= 1e-12)
-    eq_hard = tied & ~soft
-    fin_lo = np.isfinite(l) & ~tied
-    fin_hi = np.isfinite(u) & ~tied
-    eq_act = tied & soft
-    act_lo = fin_lo & (y0 < -1e-12)
-    act_hi = fin_hi & (y0 > 1e-12) & ~act_lo
-    # rows already violated by the zero step start out active
-    act_lo |= fin_lo & (l > 0.0) & ~act_hi
-    act_hi |= fin_hi & (u < 0.0) & ~act_lo
-    sat_lo = np.zeros(m, dtype=bool)
-    sat_hi = np.zeros(m, dtype=bool)
+    free = bl < bu
+    rows = np.flatnonzero(np.isfinite(lo) | np.isfinite(hi))
+    lo_r, hi_r = lo[rows], hi[rows]
+    tied = lo_r == hi_r
+    slack = np.flatnonzero(~tied)
+    nf, mr = int(free.sum()), len(rows)
+    at = nf + 2 * mr            # the first slack in x
+    N = at + len(slack)
+    Jf = sp.csr_matrix(J)[rows][:, free]
+    JfT = Jf.T.tocsr()
 
-    CT = C.T
-    T = _hessian_block(B)
-    reg = 1e-11 * (1.0 + float(np.abs(B.diagonal()).max(initial=0.0)))
-    seen: set[bytes] = set()
-    for pivot in range(1, ACTIVE_SET_PIVOTS + 1):
-        sig = b"".join(np.packbits(msk).tobytes()
-                       for msk in (act_lo, act_hi, eq_act, sat_lo, sat_hi))
-        if sig in seen:
-            return None
-        seen.add(sig)
-        act = np.flatnonzero(eq_hard | eq_act | act_lo | act_hi)
-        b = np.where(eq_hard | eq_act | act_lo, l, u)[act]
-        A = C[act]
-        q_eff = q
-        if sat_lo.any() or sat_hi.any():
-            pull = np.zeros(m)
-            pull[sat_hi] = pi
-            pull[sat_lo] = -pi
-            q_eff = q + CT @ pull
-        solve = _kkt_solver(T, A, reg)
-        if solve is None:
-            return None
-        AT = A.T
-        rhs = np.concatenate([-q_eff, b])
+    # the objective over its scale s, a third of the way (on the log
+    # scale) from the quadratic part's magnitude to the weight
+    s_q = max(1.0, float(np.abs(g).max(initial=0.0)),
+              float(np.abs(B.data).max(initial=0.0)))
+    scale = s_q ** (2.0 / 3.0) * ELASTIC_WEIGHT ** (1.0 / 3.0)
+    Q = sp.csr_matrix(B)[free][:, free] / scale
+    cost = np.concatenate([g[free] / scale,
+                           np.full(2 * mr, ELASTIC_WEIGHT / scale),
+                           np.zeros(len(slack))])
+    b = np.where(tied, lo_r, 0.0)
+
+    has_lo = np.isfinite(lo_r[slack])
+    has_hi = np.isfinite(hi_r[slack])
+    idx = np.concatenate([np.arange(nf), np.arange(nf),
+                          nf + np.arange(2 * mr), at + np.flatnonzero(has_lo),
+                          at + np.flatnonzero(has_hi)])
+    bnd = np.concatenate([bl[free], bu[free], np.zeros(2 * mr),
+                          lo_r[slack][has_lo], hi_r[slack][has_hi]])
+    sg = np.concatenate([np.ones(nf), -np.ones(nf), np.ones(2 * mr),
+                         np.ones(int(has_lo.sum())),
+                         -np.ones(int(has_hi.sum()))])
+
+    def row_values(x):
+        r = Jf @ x[:nf] + x[nf:nf + mr] - x[nf + mr:at]
+        r[slack] -= x[at:]
+        return r
+
+    # K = [Q + Sigma_d, Jf'; Jf, -D]: the pattern once, the diagonal each
+    # iteration.  The factor is of K + diag(reg), the refinement against K
+    reg = np.concatenate([np.full(nf, 1e-9 * s_q / scale), np.full(mr, -1e-9)])
+    K = sp.bmat([[Q + sp.identity(nf), Jf.T], [Jf, -sp.identity(mr)]],
+                format="csc")
+    K.sum_duplicates()
+    K.sort_indices()
+    diag = np.flatnonzero(K.indices == np.repeat(np.arange(nf + mr),
+                                                 np.diff(K.indptr)))
+    K_diag = np.concatenate([Q.diagonal(), np.zeros(mr)])
+
+    def refined(solve, rhs):
+        """solve(rhs) refined against K while the residual falls, at most
+        three times and not past 1e-14 of rhs, and its residual."""
         sol = solve(rhs)
-        if not np.all(np.isfinite(sol)):
-            return None
-        # refine against the unregularized system so the step does not
-        # inherit the reg*nu error on its working rows; stagnation means
-        # those rows conflict, keep the compromise and let the elastic
-        # transitions clear the conflict
-        prev = np.inf
-        for _ in range(4):
-            res = rhs - np.concatenate([
-                B @ sol[:n] + AT @ sol[n:],
-                A @ sol[:n]])
-            rmax = float(np.abs(res).max())
-            if rmax < 1e-13 * (1.0 + np.abs(rhs).max()) or rmax > 0.5 * prev:
+        res = rhs - K @ sol
+        for _ in range(3):
+            if np.abs(res).max() <= 1e-14 * np.abs(rhs).max():
                 break
-            prev = rmax
-            sol = sol + solve(res)
-        d = sol[:n]
-        nu = sol[n:]
-        r = C @ d
-        y = np.zeros(m)
-        y[act] = nu
-        y[sat_lo] = -pi
-        y[sat_hi] = pi
-        tol_d = 1e-8 * (1.0 + np.abs(nu).max(initial=0.0))
-        free = ~(eq_hard | eq_act | act_lo | act_hi | sat_lo | sat_hi)
-        adds_lo = free & fin_lo & (l - r > 1e-8)
-        adds_hi = free & fin_hi & (r - u > 1e-8) & ~adds_lo
-        drops_lo = act_lo & (y > tol_d)
-        drops_hi = act_hi & (y < -tol_d)
-        rel_lo = soft & (act_lo | eq_act) & (y < -pi - tol_d)
-        rel_hi = soft & (act_hi | eq_act) & (y > pi + tol_d) & ~rel_lo
-        back_lo = sat_lo & (r > l + 1e-8)
-        back_hi = sat_hi & (r < u - 1e-8)
-        if not (adds_lo.any() or adds_hi.any() or drops_lo.any()
-                or drops_hi.any() or rel_lo.any() or rel_hi.any()
-                or back_lo.any() or back_hi.any()):
-            hard = ~soft
-            viol = np.maximum(np.where(np.isfinite(l), l - r, 0.0),
-                              np.where(np.isfinite(u), r - u, 0.0))
-            r_p = float(viol[hard].max(initial=0.0))
-            r_d = float(np.abs(B @ d + q_eff + AT @ nu).max())
-            return _QPResult(d, y, pivot, r_p, r_d, True)
-        eq_act = (eq_act & ~rel_lo & ~rel_hi) | ((back_lo | back_hi) & tied)
-        act_lo = (act_lo & ~drops_lo & ~rel_lo) | adds_lo | (back_lo & ~tied)
-        act_hi = (act_hi & ~drops_hi & ~rel_hi) | adds_hi | (back_hi & ~tied)
-        sat_lo = (sat_lo & ~back_lo) | rel_lo
-        sat_hi = (sat_hi & ~back_hi) | rel_hi
-    return None
+            better = sol + solve(res)
+            res_better = rhs - K @ better
+            if not np.abs(res_better).max() < np.abs(res).max():
+                break
+            sol, res = better, res_better
+        return sol, res
 
+    def newton(lu, pivoted, Sigma, R_x, R_y):
+        """(dx, dy) from [Q + Sigma, A'; A, 0] (dx, dy) = (R_x, R_y), A the
+        rows' matrix, with p, n and s eliminated.  The symmetric factor's
+        answer stands if it solves K to 1e-10; otherwise, where pivots
+        without row exchanges lost it, a partially pivoted factor of K
+        answers, made once per iteration."""
+        S_p, S_n, S_s = Sigma[nf:nf + mr], Sigma[nf + mr:at], Sigma[at:]
+        R_p, R_n, R_s = R_x[nf:nf + mr], R_x[nf + mr:at], R_x[at:]
+        rhs_y = R_y - R_p / S_p + R_n / S_n
+        rhs_y[slack] += R_s / S_s
+        rhs = np.concatenate([R_x[:nf], rhs_y])
+        if lu is not None:
+            sol, res = refined(lu.solve, rhs)
+        if lu is None or np.abs(res).max() > 1e-10 * np.abs(rhs).max():
+            if not pivoted:
+                pivoted.append(spla.splu(sp.csc_matrix(K)))
+            sol, _ = refined(pivoted[0].solve, rhs)
+        dy = sol[nf:]
+        return np.concatenate([sol[:nf], (R_p - dy) / S_p, (R_n + dy) / S_n,
+                               (R_s + dy[slack]) / S_s]), dy
 
-def _admm_qp(B: sp.spmatrix, q: np.ndarray, C: sp.csr_matrix,
-             l: np.ndarray, u: np.ndarray, y0: np.ndarray,
-             eps: float, max_iter: int, polish: bool) -> _QPResult:
-    """min 1/2 d'Bd + q'd  s.t.  l <= Cd <= u by ADMM, every row hard.
+    x = np.zeros(N)
+    y = np.zeros(mr)
+    w = np.ones(len(idx))
+    z = np.ones(len(idx))
 
-    The fallback when the active-set pass will not settle.  It has no
-    elastic rows, so it does not depend on the elastic weight."""
-    n = len(q)
-    m = C.shape[0]
-    row_inf = np.maximum(np.abs(C).max(axis=1).toarray().ravel(), 1e-10)
-    E = 1.0 / row_inf
-    Cs = sp.diags(E) @ C
-    CsT = Cs.T
-    ls = E * l
-    us = E * u
-    eq = (us - ls) <= 1e-12
-    loose = np.isinf(ls) & np.isinf(us)
-    rho = np.full(m, 0.1)
-    rho[eq] = 1e3 * 0.1
-    rho[loose] = 1e-6
-    sigma = 1e-6
-    alpha = 1.6
+    def boundary_step(dw, dz):
+        v, dv = np.concatenate([w, z]), np.concatenate([dw, dz])
+        down = dv < 0.0
+        return min(1.0, float((-v[down] / dv[down]).min(initial=np.inf)))
 
-    x = np.zeros(n)
-    z = np.zeros(m)
-    y = y0 / np.maximum(E, 1e-300)
+    def dual_residual(r_x):
+        """Each stationarity residual against the largest term it sums,
+        floored at one unit of the problem's objective."""
+        terms = np.maximum.reduce([
+            np.abs(cost[:nf]), abs(Q) @ np.abs(x[:nf]), abs(JfT) @ np.abs(y),
+            np.bincount(idx, z, N)[:nf], np.full(nf, 1.0 / scale)])
+        return max(float((np.abs(r_x[:nf]) / terms).max(initial=0.0)),
+                   np.abs(r_x[nf:]).max(initial=0.0) * scale / ELASTIC_WEIGHT)
 
-    def factorize():
-        K0 = (B + sigma * sp.identity(n, format="csc")
-              + CsT @ sp.diags(rho) @ Cs).tocsc()
-        return _symmetric_lu(K0).solve
-
-    Ksolve = factorize()
-    it = 0
-    r_p = r_d = np.inf
     converged = False
-    check_every = 25
-    # the iteration below in place: every operation and operand order as in
-    # rhs = sigma x - q + Cs'(rho z - y), x = alpha xt + (1 - alpha) x,
-    # zh = alpha zt + (1 - alpha) z, z = clip(zh + y/rho, ls, us),
-    # y = y + rho (zh - z), up to commuted products and sums
-    rhs = np.empty(n)
-    zh = np.empty(m)
-    w = np.empty(m)
-    z_new = np.empty(m)
-    while it < max_iter:
-        np.multiply(rho, z, out=w)
-        w -= y
-        np.multiply(sigma, x, out=rhs)
-        rhs -= q
-        rhs += CsT @ w
-        xt = Ksolve(rhs)
-        zt = Cs @ xt
-        xt *= alpha
-        x *= 1 - alpha
-        x += xt
-        zt *= alpha
-        np.multiply(z, 1 - alpha, out=zh)
-        zh += zt
-        np.divide(y, rho, out=w)
-        w += zh
-        np.minimum(np.maximum(w, ls, out=z_new), us, out=z_new)
-        np.subtract(zh, z_new, out=w)
-        w *= rho
-        y += w
-        z, z_new = z_new, z
-        it += 1
-        if it % check_every == 0 or it == max_iter:
-            Cx = Cs @ x
-            r_p = np.abs(Cx - z).max()
-            Bx = B @ x
-            r_d = np.abs(Bx + q + CsT @ y).max()
-            sc_p = max(np.abs(Cx).max(), np.abs(z).max(), 1.0)
-            sc_d = max(np.abs(Bx).max(), np.abs(q).max(),
-                       np.abs(CsT @ y).max(), 1.0)
-            if r_p <= eps * sc_p and r_d <= eps * sc_d:
-                converged = True
-                break
-            if it % 200 == 0:
-                ratio = np.sqrt((r_p / sc_p) / max(r_d / sc_d, 1e-16))
-                ratio = float(np.clip(ratio, 1e-3, 1e3))
-                if ratio > 5.0 or ratio < 0.2:
-                    rho = np.clip(rho * ratio, 1e-8, 1e8)
-                    Ksolve = factorize()
+    for it in range(QP_ITERATIONS + 1):
+        ATy = np.concatenate([JfT @ y, y, -y, -y[slack]])
+        Qd = Q @ x[:nf]
+        r_x = cost + ATy - np.bincount(idx, sg * z, N)
+        r_x[:nf] += Qd
+        r_y = row_values(x) - b
+        r_w = w - sg * (x[idx] - bnd)
+        mu = float(w @ z) / max(len(idx), 1)
+        primal = max(np.abs(r_y).max(initial=0.0),
+                     np.abs(r_w).max(initial=0.0)) / max(
+            1.0, np.abs(b).max(initial=0.0), np.abs(x).max(initial=0.0))
+        if max(primal, mu * scale) <= QP_TOLERANCE \
+                and dual_residual(r_x) <= QP_TOLERANCE:
+            converged = True
+            break
+        if it == QP_ITERATIONS:
+            break
+        Sigma = np.bincount(idx, z / w, N)
+        D = 1.0 / Sigma[nf:nf + mr] + 1.0 / Sigma[nf + mr:at]
+        D[slack] += 1.0 / Sigma[at:]
+        K.data[diag] = K_diag + np.concatenate([Sigma[:nf], -D]) + reg
+        try:
+            lu = _symmetric_lu(K)
+        except RuntimeError:    # a pivot lost to cancellation
+            lu = None
+        K.data[diag] -= reg
+        pivoted = []
 
-    y_orig = E * y
-    if polish:
-        pol = _polish(B, q, C, l, u, x, y_orig)
-        if pol is not None:
-            x, y_orig = pol
-    return _QPResult(x, y_orig, it, r_p, r_d, converged)
+        def direction(rc):
+            R_x = np.bincount(idx, sg * (rc + z * r_w) / w, N) - r_x
+            dx, dy = newton(lu, pivoted, Sigma, R_x, -r_y)
+            dw = sg * dx[idx] - r_w
+            return dx, dy, dw, (rc - z * dw) / w
 
+        dx, dy, dw, dz = direction(-w * z)
+        if it == 0:
+            # Mehrotra's start: the affine step's target from the neutral
+            # point, its gaps and multipliers shifted to be positive and
+            # then toward each other (by one where their products vanish)
+            x += dx
+            y += dy
+            w += dw
+            z += dz
+            w += max(-1.5 * w.min(initial=0.0), 0.0)
+            z += max(-1.5 * z.min(initial=0.0), 0.0)
+            wz = float(w @ z)
+            if wz > 0.0:
+                w, z = w + 0.5 * wz / z.sum(), z + 0.5 * wz / w.sum()
+            else:
+                w, z = w + 1.0, z + 1.0
+            continue
+        a = boundary_step(dw, dz)
+        mu_aff = float((w + a * dw) @ (z + a * dz)) / len(idx)
+        sigma = (mu_aff / mu) ** 3
+        dx, dy, dw, dz = direction(sigma * mu - w * z - dw * dz)
+        a = 0.995 * boundary_step(dw, dz)
+        # a corrected step that does not cut w'z by a tenth of its length
+        # gives way to a centring step, shortened until it does: Mehrotra's
+        # corrector alone can cycle where the objective is flat
+        if (w + a * dw) @ (z + a * dz) > (1.0 - 0.1 * a) * (w @ z):
+            sigma = max(sigma, 0.1)
+            dx, dy, dw, dz = direction(sigma * mu - w * z)
+            a = 0.995 * boundary_step(dw, dz)
+            while a > 1e-4 and (w + a * dw) @ (z + a * dz) \
+                    > (1.0 - 0.1 * a * (1.0 - sigma)) * (w @ z):
+                a *= 0.5
+        if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dz))):
+            break
+        x += a * dx
+        y += a * dy
+        w += a * dw
+        z += a * dz
 
-def _least_violation(J: sp.csr_matrix, lo: np.ndarray, hi: np.ndarray,
-                     bl: np.ndarray, bu: np.ndarray) -> float | None:
-    """Least l1 violation of lo <= J d <= hi over the box bl <= d <= bu.
-
-    One HiGHS LP, min sum(p + n) s.t. lo <= J d + p - n <= hi,
-    bl <= d <= bu, p, n >= 0, with one inequality row per finite side.
-    None when HiGHS reports no optimum."""
-    k, n = J.shape
-    eye = sp.eye(k, format="csr")
-    A = sp.hstack([J, eye, -eye], format="csr")
-    up, dn = np.isfinite(hi), np.isfinite(lo)
-    res = linprog(np.concatenate([np.zeros(n), np.ones(2 * k)]),
-                  A_ub=sp.vstack([A[up], -A[dn]], format="csr"),
-                  b_ub=np.concatenate([hi[up], -lo[dn]]),
-                  bounds=np.column_stack([
-                      np.concatenate([bl, np.zeros(2 * k)]),
-                      np.concatenate([bu, np.full(2 * k, np.inf)])]),
-                  method="highs")
-    return float(res.fun) if res.status == 0 else None
-
-
-def _polish(B, q, C, l, u, x, y):
-    """Equality-solve on the active set detected from multiplier signs."""
-    m = C.shape[0]
-    act_lo = np.flatnonzero(y < -1e-10)
-    act_hi = np.flatnonzero(y > 1e-10)
-    act = np.concatenate([act_lo, act_hi])
-    if len(act) > 2000:
-        return None
-    b = np.concatenate([l[act_lo], u[act_hi]])
-    if not np.all(np.isfinite(b)):
-        return None
-    A = C[act].toarray()
-    kkt = np.block([[B.toarray(), A.T], [A, np.zeros((len(act), len(act)))]])
-    rhs = np.concatenate([-q, b])
-    try:
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    except np.linalg.LinAlgError:
-        return None
-    d = sol[:len(x)]
-    nu = sol[len(x):]
-
-    def violation(v):
-        Cv = C @ v
-        gap = np.maximum(l - Cv, Cv - u)
-        return gap[np.isfinite(gap)].max(initial=0.0)
-    if violation(d) > max(1e-9, violation(x)):
-        return None
-    y_new = np.zeros(m)
-    y_new[act] = nu
-    old_stat = np.abs(B @ x + q + C.T @ y).max()
-    new_stat = np.abs(B @ d + q + C.T @ y_new).max()
-    if new_stat > old_stat:
-        return None
-    return d, y_new
+    d = np.zeros(len(g))
+    d[free] = np.clip(x[:nf], bl[free], bu[free])
+    y_con = np.zeros(len(lo))
+    y_con[rows] = scale * y
+    y_bnd = -(B @ d + g + J.T @ y_con)
+    y_bnd[free] = scale * (z[nf:2 * nf] - z[:nf])
+    return _QPResult(d, y_con, y_bnd, it, primal, dual_residual(r_x),
+                     converged)
 
 
 class _ScaledNLP:
@@ -604,8 +502,6 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
     accepted_steps = 0
     rough_steps = 0     # accepted steps from a QP stopped at its cap
     last_rough = None
-    unreachable = 0     # iterations whose linearized rows the box cannot meet
-    last_unreachable = 0.0
 
     for it in range(1, options.max_iterations + 1):
         stat, feas, comp = _residuals(g, c, J, x, y_con, y_bnd,
@@ -630,55 +526,18 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
         except Exception as e:
             return failure(f"Hessian evaluation failed: {e}")
 
-        C = sp.vstack([J, sp.eye(n, format="csr")], format="csr")
         bl = np.maximum(nlp.z_lo - x, -delta)
         bu = np.minimum(nlp.z_hi - x, delta)
-        l_full = np.concatenate([c_lo - c, bl])
-        u_full = np.concatenate([c_hi - c, bu])
-        y0_full = np.concatenate([y_con, y_bnd])
-        eps_qp = float(np.clip(0.03 * max(stat, feas), 0.05 * tol, 1e-4))
         v1 = _violation_l1(c, c_lo, c_hi)
-        polish = n + C.shape[0] <= POLISH_LIMIT
         # let the penalty recover when history has pushed it far past what
         # the current multipliers justify
         y_prev = float(np.abs(y_con).max(initial=0.0))
         if mu > 100.0 * (2.0 * y_prev + 1.0):
             mu = 10.0 * (2.0 * y_prev + 1.0)
-        # raise the elastic weight until the subproblem stops leaving
-        # linearized violation behind that a larger weight would remove;
-        # active-set first, then ADMM, which ignores the weight and so is
-        # solved at most once per iteration.  Once a capped ADMM answer
-        # leaves violation, one LP may show that no step in the trust box
-        # gets under the threshold: then only the cap ends the climb, with
-        # the fallback's answer unless the pass at the cap settles, so the
-        # weight takes the climb's last value without its passes
-        thr = max(1e-8, 1e-6 * v1)
-        fallback = None
-        lp_tried = False
-        while True:
-            qp = _active_set_qp(B, g, C, l_full, u_full, y0_full,
-                                n_soft=m, pi=mu)
-            if qp is None:
-                if fallback is None:
-                    fallback = _admm_qp(B, g, C, l_full, u_full, y0_full,
-                                        eps_qp, QP_MAX_ITERATIONS, polish)
-                qp = fallback
-            v_lin = _violation_l1(c + J @ qp.d, c_lo, c_hi)
-            if v_lin <= thr or mu >= 1e10:
-                break
-            if qp is fallback and not qp.converged and not lp_tried:
-                lp_tried = True
-                v_best = _least_violation(J, c_lo - c, c_hi - c, bl, bu)
-                if v_best is not None and v_best > thr + HIGHS_PRIMAL_TOL * m:
-                    unreachable += 1
-                    last_unreachable = v_best
-                    while mu < 1e10:
-                        mu *= 10.0
-                    break
-            mu *= 10.0
+        qp = _elastic_qp(B, g, J, c_lo - c, c_hi - c, bl, bu)
         d = qp.d
-        y_new_con = qp.y[:m]
-        y_new_bnd = qp.y[m:]
+        v_lin = _violation_l1(c + J @ d, c_lo, c_hi)
+        y_new_con, y_new_bnd = qp.y, qp.y_bnd
 
         step_norm = float(np.abs(d).max())
         if step_norm < 1e-14:
@@ -768,11 +627,6 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
                    "from a QP subproblem that stopped at its iteration cap "
                    f"(last primal residual {last_rough.primal_res:.3g}, "
                    f"dual residual {last_rough.dual_res:.3g})")
-    if unreachable:
-        message = (f"{message}. " if message else "") + (
-            f"{unreachable} of {it} iterations skipped the elastic-weight "
-            "climb: the trust box admits no step meeting the linearized "
-            f"rows (least l1 violation {last_unreachable:.3g})")
     return SolveReport(status=status, iterations=it, objective=f,
                        violation=feas, x=x, multipliers=r_scale * y_con,
                        bound_multipliers=y_bnd, stationarity=stat,

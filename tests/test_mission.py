@@ -368,70 +368,87 @@ def test_guess_hessian_matches_differences_of_the_lagrangian_gradient(
         assert np.all(err <= 0.1 * (row_scale + 1e-9 * row_scale.max()))
 
 
-def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup, monkeypatch):
+def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup):
     # the first SQP iteration on the full mission NLP, with the cost's
-    # Hessian at the guess shifted to be semidefinite: the active-set pass
-    # runs out of pivots, the ADMM fallback stops at its cap, and one LP
-    # shows the trust box cannot meet the linearized rows, so no pass runs
-    # at a higher elastic weight; the figures pin the iterate bit for bit
+    # Hessian at the guess shifted to be semidefinite: the trust box cannot
+    # meet the linearized rows, so the elastic step leaves violation at the
+    # weight's price; the figures pin the iterate bit for bit
     nlp, z0 = guess_setup
-    real_pass, real_lp = nlpsolve._active_set_qp, nlpsolve.linprog
-    weights, lps = [], []
-
-    def counted_pass(*args, **kwargs):
-        weights.append(kwargs["pi"])
-        return real_pass(*args, **kwargs)
-
-    def counted_lp(*args, **kwargs):
-        lps.append(args)
-        return real_lp(*args, **kwargs)
-
-    monkeypatch.setattr(nlpsolve, "_active_set_qp", counted_pass)
-    monkeypatch.setattr(nlpsolve, "linprog", counted_lp)
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=1))
-    assert len(weights) == 1 and len(lps) == 1
     assert rep.status == "max_iterations" and rep.iterations == 1
-    assert rep.objective == 177.82154156738994
-    assert rep.violation == 20.545215039896448
-    assert rep.message.startswith("1 of 1 accepted steps came from a QP "
-                                  "subproblem that stopped at its iteration cap")
+    assert rep.objective == 186.90341317858397
+    assert rep.violation == 46.747444025388134
+    assert rep.message == ""
 
 
-def test_admm_factor_of_the_capped_iteration_is_sparse_and_exact(
-        cfg, guess_setup, monkeypatch):
-    # the fallback's matrix is symmetric positive definite; ordered by
-    # minimum degree on A' + A its factor has 78,762 nonzeros, where the
-    # default COLAMD ordering with partial pivoting gives 187,879
-    nlp, z0 = guess_setup
-    real_admm, real_splu = nlpsolve._admm_qp, nlpsolve.spla.splu
-    inside, factors = [], []
+def _capped_subproblems(cfg, nlp, z0, monkeypatch):
+    """The capped iteration's subproblem: its arguments, its answer, the
+    symmetric factors its iterations made and the pivoted ones."""
+    real_qp, real_lu = nlpsolve._elastic_qp, nlpsolve._symmetric_lu
+    real_splu = nlpsolve.spla.splu
+    inside, factors, pivoted, solves = [], [], [], []
 
-    def marked_admm(*args, **kwargs):
+    def marked(*args):
         inside.append(True)
         try:
-            return real_admm(*args, **kwargs)
+            qp = real_qp(*args)
         finally:
             inside.pop()
+        solves.append((args, qp))
+        return qp
 
-    def recorded_splu(A, *args, **kwargs):
-        lu = real_splu(A, *args, **kwargs)
+    def recorded(M):
+        lu = real_lu(M)
         if inside:
-            factors.append((A, lu))
+            factors.append(lu)
         return lu
 
-    monkeypatch.setattr(nlpsolve, "_admm_qp", marked_admm)
+    def recorded_splu(A, **kwargs):
+        if inside and not kwargs:
+            pivoted.append(A)
+        return real_splu(A, **kwargs)
+
+    monkeypatch.setattr(nlpsolve, "_elastic_qp", marked)
+    monkeypatch.setattr(nlpsolve, "_symmetric_lu", recorded)
     monkeypatch.setattr(nlpsolve.spla, "splu", recorded_splu)
     nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=1))
-    assert factors
-    rng = np.random.default_rng(11)
-    for K0, lu in factors:
-        assert K0.shape == (1607, 1607)
+    [(args, qp)] = solves
+    return args, qp, factors, pivoted
+
+
+def test_qp_factors_of_the_capped_iteration_have_the_kkt_inertia(
+        cfg, guess_setup, monkeypatch):
+    # every interior-point iteration factors the quasi-definite
+    # [B_f + Sigma, J'; J, -D] without pivoting: one negative pivot per row
+    # and one positive per free variable, the inertia a barrier method's
+    # correction reads, and a factor sparse enough to repeat 20-odd times;
+    # refined, it solves K to 1e-10 every time, so no pivoted factor is made
+    nlp, z0 = guess_setup
+    (B, g, J, lo, hi, bl, bu), qp, factors, pivoted = _capped_subproblems(
+        cfg, nlp, z0, monkeypatch)
+    assert qp.converged and len(factors) == qp.iterations
+    assert pivoted == []
+    n_free = int(np.sum(bl < bu))
+    assert J.shape[0] == 1342 and n_free < nlp.n_var
+    for lu in factors:
+        pivots = lu.U.diagonal()
+        assert np.sum(pivots < 0.0) == 1342
+        assert np.sum(pivots > 0.0) == n_free
         assert lu.L.nnz + lu.U.nnz < 100_000
-        b = rng.standard_normal(K0.shape[0])
-        res = K0 @ lu.solve(b) - b
-        assert np.abs(res).max() <= 1e-10 * np.abs(b).max()
+
+
+def test_first_step_stays_in_the_trust_box(cfg, guess_setup, monkeypatch):
+    # the subproblem's box is the trust region cut by the variable bounds;
+    # its step keeps to it, where the hard-row splitting it replaces
+    # left it in 182 components
+    nlp, z0 = guess_setup
+    (B, g, J, lo, hi, bl, bu), qp, _, _ = _capped_subproblems(
+        cfg, nlp, z0, monkeypatch)
+    assert qp.converged
+    assert np.all(bl <= qp.d) and np.all(qp.d <= bu)
+    assert np.abs(qp.d).max() <= 1e3
 
 
 def test_guess_is_pinned_bit_for_bit(guess_setup):

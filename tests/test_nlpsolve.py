@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -248,93 +247,36 @@ def test_nonfinite_derivatives_end_the_solve_as_a_failed_evaluation():
 
 def _unreachable_tie():
     # c(x) = x tied at 1e5 from x0 = 0: the trust box keeps the linearized
-    # row violated, so the elastic weight ends at its cap every iteration
+    # row violated, so its multiplier is the elastic weight every iteration
     return FunctionNLP(1, lambda z: float(z[0] ** 2), gradient=lambda z: 2 * z,
                        constraints=lambda z: z.copy(),
                        c_lo=np.array([1e5]), c_hi=np.array([1e5]),
                        jacobian=lambda z: np.array([[1.0]]))
 
 
-def test_admm_fallback_runs_once_per_sqp_iteration(monkeypatch):
-    real_admm = nlpsolve._admm_qp
-    monkeypatch.setattr(nlpsolve, "QP_MAX_ITERATIONS", 200)
-    options = SolverOptions(max_iterations=3)
-    passes = []
-    admm_args = []
+def test_unreachable_tie_steps_to_the_box_edge_at_the_weight(monkeypatch):
+    # one subproblem per iteration; each step sits on the trust box's edge
+    # toward the tie, and the row's multiplier is the elastic weight
+    real = nlpsolve._elastic_qp
+    solves = []
 
-    def no_active_set(*args, **kwargs):
-        passes.append(kwargs["pi"])
-        return None
+    def recorded(*args):
+        qp = real(*args)
+        solves.append((args, qp))
+        return qp
 
-    def counted_admm(*args):
-        admm_args.append(args[6:])
-        return real_admm(*args)
-
-    monkeypatch.setattr(nlpsolve, "_active_set_qp", no_active_set)
-    monkeypatch.setattr(nlpsolve, "_admm_qp", counted_admm)
-    rep = solve(_unreachable_tie(), np.zeros(1), options)
-    assert rep.iterations == 3
-    assert len(admm_args) == rep.iterations
-    # the least-violation LP shows the tie out of the trust box's reach, so
-    # the weight loop stops after its first active-set pass
-    assert len(passes) == rep.iterations
-    # every step came from an ADMM solve stopped at its cap, and says so
-    assert rep.message.startswith("3 of 3 accepted steps came from a QP "
-                                  "subproblem that stopped at its iteration cap")
-
-    # reference: a fresh fallback at every weight, as if never reused
-    eps, max_iter, polish = admm_args[0]
-    assert all(a == (eps, max_iter, polish) for a in admm_args)
-    monkeypatch.setattr(nlpsolve, "_active_set_qp",
-                        lambda B, q, C, l, u, y0, **kw:
-                        real_admm(B, q, C, l, u, y0, eps, max_iter, polish))
-    fresh = solve(_unreachable_tie(), np.zeros(1), options)
-    assert np.array_equal(rep.x, fresh.x)
-    assert np.array_equal(rep.multipliers, fresh.multipliers)
-    assert np.array_equal(rep.bound_multipliers, fresh.bound_multipliers)
-    assert rep.objective == fresh.objective
-
-
-def _counted_linprog(monkeypatch, status=None):
-    """Record every least-violation LP; with a status, HiGHS reports it and
-    no optimum."""
-    real = nlpsolve.linprog
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        if status is not None:
-            return SimpleNamespace(status=status, fun=np.nan)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(nlpsolve, "linprog", counted)
-    return calls
-
-
-def _fallback_stays_put(monkeypatch, converged):
-    """An ADMM fallback that returns the zero step, as if stopped at its cap
-    or as if converged."""
-    monkeypatch.setattr(
-        nlpsolve, "_admm_qp",
-        lambda B, q, C, l, u, y0, eps, max_iter, polish:
-        nlpsolve._QPResult(np.zeros(len(q)), np.zeros(len(y0)), max_iter,
-                           1.0, 1.0, converged))
-
-
-def _failing_passes(monkeypatch, settle_after=None):
-    """Active-set passes that fail, or from pass settle_after on run for
-    real; returns the weight of every pass."""
-    real = nlpsolve._active_set_qp
-    weights = []
-
-    def passes(*args, **kwargs):
-        weights.append(kwargs["pi"])
-        if settle_after is not None and len(weights) > settle_after:
-            return real(*args, **kwargs)
-        return None
-
-    monkeypatch.setattr(nlpsolve, "_active_set_qp", passes)
-    return weights
+    monkeypatch.setattr(nlpsolve, "_elastic_qp", recorded)
+    rep = solve(_unreachable_tie(), np.zeros(1), SolverOptions(max_iterations=3))
+    assert rep.iterations == len(solves) == 3
+    for (B, g, J, lo, hi, bl, bu), qp in solves:
+        assert qp.converged
+        assert qp.d[0] == pytest.approx(bu[0], rel=1e-12)
+        assert qp.y[0] == pytest.approx(-nlpsolve.ELASTIC_WEIGHT, rel=1e-9)
+    # the first step is the whole trust box, 1e3 in the scaled units
+    assert rep.x[0] == pytest.approx(1e3 + 2e3 + 4e3, rel=1e-12)
+    assert abs(rep.multipliers[0]) == pytest.approx(nlpsolve.ELASTIC_WEIGHT,
+                                                    rel=1e-9)
+    assert rep.message == ""
 
 
 @pytest.mark.parametrize("J, lo, hi, bl, bu, least", [
@@ -352,65 +294,18 @@ def _failing_passes(monkeypatch, settle_after=None):
     ([[1.0]], [-np.inf], [np.inf], [-1.0], [1.0], 0.0),
 ])
 def test_least_violation_matches_the_closed_form(J, lo, hi, bl, bu, least):
-    v = nlpsolve._least_violation(sp.csr_matrix(J), np.array(lo),
-                                  np.array(hi), np.array(bl), np.array(bu))
-    assert v == pytest.approx(least, rel=1e-9, abs=1e-9)
+    # with no objective, the elastic step leaves the least l1 violation of
+    # the rows that any step in the box can
+    J, lo, hi = sp.csr_matrix(J), np.array(lo), np.array(hi)
+    n = J.shape[1]
+    qp = nlpsolve._elastic_qp(sp.csr_matrix((n, n)), np.zeros(n), J, lo, hi,
+                              np.array(bl), np.array(bu))
+    assert qp.converged
+    assert nlpsolve._violation_l1(J @ qp.d, lo, hi) == pytest.approx(
+        least, rel=1e-9, abs=1e-9)
 
 
-def test_reachable_linearization_keeps_the_weight_climbing(monkeypatch):
-    # the first pass fails and a capped fallback that stays put leaves the
-    # tie short, but the LP finds the tie within reach, so the weight goes
-    # up and the pass at the next weight settles on it
-    _fallback_stays_put(monkeypatch, converged=False)
-    weights = _failing_passes(monkeypatch, settle_after=1)
-    lp_calls = _counted_linprog(monkeypatch)
-    rep = solve(_equality_qp(), np.zeros(2), SolverOptions(max_iterations=1))
-    assert len(lp_calls) == 1
-    assert weights == [10.0, 100.0]
-    assert np.allclose(rep.x, [0.5, 0.5], rtol=0.0, atol=1e-12)
-    assert "elastic-weight" not in rep.message
-
-
-def test_unknown_lp_status_leaves_the_weight_climb_as_before(monkeypatch):
-    monkeypatch.setattr(nlpsolve, "QP_MAX_ITERATIONS", 200)
-    options = SolverOptions(max_iterations=3)
-    weights = _failing_passes(monkeypatch)
-    skipped = solve(_unreachable_tie(), np.zeros(1), options)
-    weights.clear()
-    lp_calls = _counted_linprog(monkeypatch, status=1)
-    rep = solve(_unreachable_tie(), np.zeros(1), options)
-    # every iteration climbs to the cap, one LP each, and ends where the
-    # skipped climb does
-    assert len(lp_calls) == rep.iterations == 3
-    assert len(weights) > 2 * rep.iterations and max(weights) >= 1e10
-    assert "elastic-weight" not in rep.message
-    assert np.array_equal(rep.x, skipped.x)
-    assert np.array_equal(rep.multipliers, skipped.multipliers)
-    assert rep.objective == skipped.objective
-
-
-def test_least_violation_lp_runs_only_after_a_capped_fallback(monkeypatch):
-    monkeypatch.setattr(nlpsolve, "QP_MAX_ITERATIONS", 200)
-    weights = _failing_passes(monkeypatch)
-    lp_calls = _counted_linprog(monkeypatch)
-    options = SolverOptions(max_iterations=3)
-    rep = solve(_unreachable_tie(), np.zeros(1), options)
-    assert len(lp_calls) == rep.iterations == 3
-    assert rep.message.endswith(
-        ". 3 of 3 iterations skipped the elastic-weight climb: the trust box "
-        "admits no step meeting the linearized rows (least l1 violation "
-        "1.97e+04)")
-    # a fallback that met its tolerance never calls for the LP, even when
-    # it leaves the tie as short as before
-    _fallback_stays_put(monkeypatch, converged=True)
-    weights.clear()
-    lp_calls.clear()
-    rep = solve(_unreachable_tie(), np.zeros(1), options)
-    assert lp_calls == [] and max(weights) >= 1e10
-    assert "elastic-weight" not in rep.message
-
-
-def test_settled_active_set_steps_leave_the_message_empty():
+def test_converged_subproblem_steps_leave_the_message_empty():
     rep = solve(_equality_qp(), np.array([3.0, -1.0]))
     assert rep.converged and rep.message == ""
 
@@ -419,56 +314,62 @@ def _box_qp():
     # min 1/2|d|^2 - 2 d0  s.t.  d0 + d1 + d2 = 1,  -1 <= d <= 0.5:
     # d0 sits on its upper bound, d = (0.5, 0.25, 0.25), with multiplier
     # -0.25 on the sum and 1.75 on d0's bound
-    C = sp.vstack([sp.csr_matrix(np.ones((1, 3))), sp.eye(3)], format="csr")
-    l = np.array([1.0, -1.0, -1.0, -1.0])
-    u = np.array([1.0, 0.5, 0.5, 0.5])
-    return sp.identity(3), np.array([-2.0, 0.0, 0.0]), C, l, u, np.zeros(4)
+    return (sp.identity(3, format="csr"), np.array([-2.0, 0.0, 0.0]),
+            sp.csr_matrix(np.ones((1, 3))), np.array([1.0]), np.array([1.0]),
+            np.full(3, -1.0), np.full(3, 0.5))
 
 
-def test_admm_qp_reaches_the_closed_form():
-    qp = nlpsolve._admm_qp(*_box_qp(), eps=1e-9, max_iter=4000, polish=False)
+def test_elastic_qp_reaches_the_closed_form():
+    qp = nlpsolve._elastic_qp(*_box_qp())
     assert qp.converged
-    assert np.allclose(qp.d, [0.5, 0.25, 0.25], rtol=0.0, atol=1e-6)
-    assert np.allclose(qp.y, [-0.25, 1.75, 0.0, 0.0], rtol=0.0, atol=1e-6)
+    assert np.allclose(qp.d, [0.5, 0.25, 0.25], rtol=0.0, atol=1e-8)
+    assert np.allclose(qp.y, [-0.25], rtol=0.0, atol=1e-8)
+    assert np.allclose(qp.y_bnd, [1.75, 0.0, 0.0], rtol=0.0, atol=1e-8)
 
 
-def test_admm_qp_stopped_at_its_cap_is_not_converged():
-    qp = nlpsolve._admm_qp(*_box_qp(), eps=1e-9, max_iter=5, polish=False)
-    assert qp.iterations == 5
+def test_elastic_qp_stopped_at_its_cap_is_not_converged(monkeypatch):
+    monkeypatch.setattr(nlpsolve, "QP_ITERATIONS", 3)
+    qp = nlpsolve._elastic_qp(*_box_qp())
+    assert qp.iterations == 3
     assert not qp.converged
+    # the solve takes such steps, and says so
+    rep = solve(_equality_qp(), np.array([3.0, -1.0]),
+                SolverOptions(max_iterations=2))
+    assert rep.message.startswith("2 of 2 accepted steps came from a QP "
+                                  "subproblem that stopped at its iteration cap")
+
+
+def test_elastic_qp_does_not_cycle_on_an_interior_optimum(monkeypatch):
+    # one variable, its optimum -g/B inside the box and the row; Mehrotra's
+    # corrector alone bounces between the box's edges until the cap here
+    monkeypatch.setattr(nlpsolve, "ELASTIC_WEIGHT", 1e5)
+    qp = nlpsolve._elastic_qp(
+        sp.csr_matrix([[52.6374]]), np.array([6.5967]),
+        sp.csr_matrix([[0.6384]]), np.array([-1.3325]), np.array([np.inf]),
+        np.array([-0.5207]), np.array([0.8575]))
+    assert qp.converged and qp.iterations < 30
+    assert qp.d[0] == pytest.approx(-6.5967 / 52.6374, rel=1e-9)
+    assert np.abs(qp.y).max() < 1e-8 and np.abs(qp.y_bnd).max() < 1e-8
 
 
 # positive definite, no multiple of I, every variable coupled
 _COUPLED = np.array([[2.0, 0.5, 0.0], [0.5, 1.5, 0.4], [0.0, 0.4, 3.0]])
 
 
-def test_admm_qp_with_a_coupled_hessian_reaches_the_dense_kkt_solution():
-    _, q, C, l, u, y0 = _box_qp()
-    B = sp.csr_matrix(_COUPLED)
+def test_elastic_qp_with_a_coupled_hessian_reaches_the_dense_kkt_solution():
+    _, g, J, lo, hi, bl, bu = _box_qp()
     assert np.linalg.eigvalsh(_COUPLED).min() > 0.0
     # the box QP's active set: the sum row and d0 on its upper bound
     A = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
     kkt = np.block([[_COUPLED, A.T], [A, np.zeros((2, 2))]])
-    sol = np.linalg.solve(kkt, np.concatenate([-q, [l[0], u[1]]]))
+    sol = np.linalg.solve(kkt, np.concatenate([-g, [lo[0], bu[0]]]))
     d, nu = sol[:3], sol[3:]
     assert np.all(np.abs(d[1:]) < 0.5) and nu[1] > 0.0
-    qp = nlpsolve._admm_qp(B, q, C, l, u, y0, eps=1e-9, max_iter=4000,
-                           polish=False)
+    qp = nlpsolve._elastic_qp(sp.csr_matrix(_COUPLED), g, J, lo, hi, bl, bu)
     assert qp.converged
-    assert np.allclose(qp.d, d, rtol=0.0, atol=1e-6)
-    assert np.allclose(qp.y, [nu[0], nu[1], 0.0, 0.0], rtol=0.0, atol=1e-6)
-
-
-def test_kkt_solver_with_a_coupled_hessian_matches_the_dense_kkt_solve():
-    A = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, -2.0]])
-    reg = 1e-11 * (1.0 + 3.0)
-    kkt = np.block([[_COUPLED + 1e-10 * np.eye(3), A.T],
-                    [A, -reg * np.eye(2)]])
-    b = np.array([0.3, -1.2, 0.7, 1.0, -0.5])
-    expect = np.linalg.solve(kkt, b)
-    got = nlpsolve._kkt_solver(nlpsolve._hessian_block(sp.csr_matrix(_COUPLED)),
-                               sp.csr_matrix(A), reg)(b)
-    assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
+    assert np.allclose(qp.d, d, rtol=0.0, atol=1e-8)
+    assert np.allclose(qp.y, nu[:1], rtol=0.0, atol=1e-8)
+    assert np.allclose(qp.y_bnd, [nu[1], 0.0, 0.0], rtol=0.0, atol=1e-8)
 
 
 def test_complementarity_takes_the_bound_each_multiplier_pushes_on():
@@ -486,104 +387,82 @@ def test_complementarity_takes_the_bound_each_multiplier_pushes_on():
     assert nlpsolve._complementarity((np.zeros(0),) * 4) == 0.0
 
 
-def _sparse(draw, rng, shape):
-    """A random sparse matrix: empty rows and columns, and maybe explicit
-    zeros and rows whose column indices are shuffled out of order."""
-    dense = rng.standard_normal(shape) * (rng.random(shape) < rng.random())
-    M = sp.csr_matrix(dense)
-    if M.nnz and draw(st.booleans()):
-        M.data[rng.random(M.nnz) < 0.3] = 0.0
-    if draw(st.booleans()):
-        for i in range(shape[0]):
-            row = slice(M.indptr[i], M.indptr[i + 1])
-            perm = rng.permutation(M.indptr[i + 1] - M.indptr[i])
-            M.indices[row] = M.indices[row][perm]
-            M.data[row] = M.data[row][perm]
-        M.has_sorted_indices = False
-    return M
-
-
 @st.composite
-def _kkt_blocks(draw):
-    # k = 0 too; B symmetric or not, a multiple of I or not
-    n = draw(st.integers(1, 7))
-    k = draw(st.integers(0, 7))
+def _elastic_subproblems(draw):
+    """A small convex QP of the SQP's shape: B positive semidefinite (zero
+    too), tied, ranged and one-sided rows, a finite box around zero with
+    some variables fixed, and an elastic weight from 10 to 1e10."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        B = draw(st.floats(1e-6, 1e6)) * sp.identity(n, format="csc")
-    else:
-        B = _sparse(draw, rng, (n, n))
-        if draw(st.booleans()):
-            B = sp.csr_matrix(B + B.T)
-    A = _sparse(draw, rng, (k, n))
-    d_bot = -draw(st.floats(0.0, 1e-3))
-    return B, A, d_bot
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 6))
+    F = rng.standard_normal((draw(st.integers(0, n)), n))
+    B = sp.csr_matrix(draw(st.sampled_from([0.0, 0.1, 1.0, 10.0])) * F.T @ F)
+    g = draw(st.sampled_from([0.0, 0.1, 1.0, 10.0])) * rng.standard_normal(n)
+    J = sp.csr_matrix(rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.7))
+    center = 3.0 * rng.standard_normal(m)
+    kind = rng.integers(0, 4, m)    # tied, ranged, lower side, upper side
+    lo = np.where(kind == 3, -np.inf, center - (kind == 1))
+    hi = np.where(kind == 2, np.inf, center + (kind == 1))
+    delta = draw(st.sampled_from([0.01, 1.0, 100.0]))
+    bl = -delta * rng.uniform(0.1, 1.0, n)
+    bu = delta * rng.uniform(0.1, 1.0, n)
+    fixed = rng.random(n) < 0.2
+    bl[fixed] = bu[fixed] = 0.0
+    weight = 10.0 ** draw(st.integers(1, 10))
+    return weight, (B, g, J, lo, hi, bl, bu)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_kkt_blocks())
-def test_kkt_matrix_is_the_array_bmat_builds(case):
-    B, A, d_bot = case
-    n, k = B.shape[0], A.shape[0]
-    top = B + 1e-10 * sp.identity(n, format="csc")
-    blocks = [[top, A.T], [A, d_bot * sp.eye(k, format="csc")]] if k else [[top]]
-    want = sp.bmat(blocks, format="csc")
-    got = nlpsolve._kkt_matrix(nlpsolve._hessian_block(B), A, d_bot)
-    assert got.shape == want.shape
-    for name in ("indptr", "indices", "data"):
-        have, ref = getattr(got, name), getattr(want, name)
-        assert have.dtype == ref.dtype and have.tobytes() == ref.tobytes(), name
-
-
-def _chain_qp(rows):
-    # min 1/2|d|^2 - d0  s.t.  d_i >= d_(i-1): each pivot activates the one
-    # row the last step violates, so the pass settles after rows + 1 pivots
-    C = sp.diags([-np.ones(rows), np.ones(rows)], [0, 1],
-                 shape=(rows, rows + 1), format="csr")
-    q = np.zeros(rows + 1)
-    q[0] = -1.0
-    return (sp.identity(rows + 1), q, C, np.zeros(rows),
-            np.full(rows, np.inf), np.zeros(rows))
-
-
-def test_active_set_pass_stops_at_its_pivot_budget(monkeypatch):
-    real = nlpsolve._kkt_solver
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(nlpsolve, "_kkt_solver", counted)
-    budget = nlpsolve.ACTIVE_SET_PIVOTS
-    settled = nlpsolve._active_set_qp(*_chain_qp(budget - 1))
-    assert settled.converged and settled.iterations == budget
-    assert np.allclose(settled.d, 1.0 / budget, rtol=0.0, atol=1e-12)
-    calls.clear()
-    assert nlpsolve._active_set_qp(*_chain_qp(3 * budget)) is None
-    assert len(calls) == budget
+@given(_elastic_subproblems())
+def test_elastic_qp_meets_the_elastic_kkt_conditions(case):
+    weight, (B, g, J, lo, hi, bl, bu) = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nlpsolve, "ELASTIC_WEIGHT", weight)
+        qp = nlpsolve._elastic_qp(B, g, J, lo, hi, bl, bu)
+    assert qp.converged
+    d, y, y_bnd = qp.d, qp.y, qp.y_bnd
+    tol = 1e-7
+    # stationarity, against the largest term it sums
+    terms = max(1.0, np.abs(g).max(), (abs(B) @ np.abs(d)).max(),
+                (abs(J).T @ np.abs(y)).max(initial=0.0), np.abs(y_bnd).max())
+    assert np.abs(B @ d + g + J.T @ y + y_bnd).max() <= tol * terms
+    # the box holds; |y| <= weight, and a row is left violated only where
+    # its multiplier is the weight, on the violated side
+    assert np.all(bl <= d) and np.all(d <= bu)
+    assert np.all(np.abs(y) <= weight * (1 + tol))
+    r = J @ d
+    size = max(1.0, np.abs(r).max(initial=0.0))
+    short = np.maximum(np.maximum(lo - r, r - hi), 0.0)
+    assert np.all(short * (weight - np.abs(y)) <= tol * weight * size)
+    met = short <= tol * size
+    assert np.all(np.sign(y[~met]) == np.where(r > hi, 1.0, -1.0)[~met])
+    # complementarity: on the rows met and the box, each multiplier pushes
+    # only on the side its row or variable sits on
+    ymax = max(1.0, np.abs(y).max(initial=0.0), np.abs(y_bnd).max())
+    assert nlpsolve._complementarity((r[met], lo[met], hi[met], y[met]),
+                                     (d, bl, bu, y_bnd)) <= tol * ymax * size
 
 
 @pytest.mark.parametrize("name", sorted(canonical.CANONICAL_PROBLEMS))
-def test_settled_passes_stay_well_inside_the_pivot_budget(name, monkeypatch):
-    # the budget is twice the longest settled pass seen on real traffic; a
-    # solver change that needs longer passes must revisit it
-    real = nlpsolve._active_set_qp
-    settled = []
+def test_canonical_subproblems_converge(name, monkeypatch):
+    # every subproblem of a default-mesh solve meets its tolerance, well
+    # inside the iteration cap
+    real = nlpsolve._elastic_qp
+    solved = []
 
-    def recorded(*args, **kwargs):
-        qp = real(*args, **kwargs)
-        if qp is not None:
-            settled.append(qp.iterations)
+    def recorded(*args):
+        qp = real(*args)
+        solved.append(qp)
         return qp
 
-    monkeypatch.setattr(nlpsolve, "_active_set_qp", recorded)
+    monkeypatch.setattr(nlpsolve, "_elastic_qp", recorded)
     problem, meshes = canonical.CANONICAL_PROBLEMS[name]()
     nlp = transcribe(problem, meshes)
     rep = solve(nlp, canonical.straight_line_guess(nlp),
                 SolverOptions(tolerance=1e-6))
-    assert rep.converged
-    assert settled and max(settled) <= nlpsolve.ACTIVE_SET_PIVOTS // 2
+    assert rep.converged and rep.message == ""
+    assert solved and all(qp.converged for qp in solved)
+    assert max(qp.iterations for qp in solved) <= nlpsolve.QP_ITERATIONS // 2
 
 
 def test_shift_leaves_a_semidefinite_hessian_alone():
