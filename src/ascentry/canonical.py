@@ -14,7 +14,7 @@ def scalar_energy_problem() -> tuple[MultiPhaseProblem, list[MeshPhase]]:
     """min int u^2 with xdot = u, x(0) = 0, x(1) = 1; optimum u = 1, J = 1."""
     ph = PhaseDef(
         name="scalar", nx=1, nu=1,
-        dynamics=lambda X, U: U,
+        node=lambda X, U: U,
         x_lo=np.array([-10.0]), x_hi=np.array([10.0]),
         u_lo=np.array([-10.0]), u_hi=np.array([10.0]),
         t0_lo=0.0, t0_hi=0.0, tf_lo=1.0, tf_hi=1.0,
@@ -32,7 +32,7 @@ def double_integrator_problem() -> tuple[MultiPhaseProblem, list[MeshPhase]]:
     """
     ph = PhaseDef(
         name="slew", nx=2, nu=1,
-        dynamics=lambda X, U: np.column_stack([X[:, 1], U[:, 0]]),
+        node=lambda X, U: np.column_stack([X[:, 1], U[:, 0]]),
         x_lo=np.full(2, -50.0), x_hi=np.full(2, 50.0),
         u_lo=np.array([-50.0]), u_hi=np.array([50.0]),
         t0_lo=0.0, t0_hi=0.0, tf_lo=1.0, tf_hi=1.0,
@@ -52,7 +52,7 @@ def exponential_problem() -> tuple[MultiPhaseProblem, list[MeshPhase]]:
     """
     ph = PhaseDef(
         name="exp", nx=1, nu=1,
-        dynamics=lambda X, U: X + U,
+        node=lambda X, U: X + U,
         x_lo=np.array([-10.0]), x_hi=np.array([10.0]),
         u_lo=np.array([-10.0]), u_hi=np.array([10.0]),
         t0_lo=0.0, t0_hi=0.0, tf_lo=1.0, tf_hi=1.0,

@@ -103,6 +103,13 @@ def _mass_of(y, ctx, dim):
 def geo_rates(y, u, ctx: PhaseContext):
     """Geodetic state rates; y columns follow Geo, u = (u_alpha, u_sigma)."""
     y, single = _as_batch(y)
+    lift, drag = aero_env(ctx, y[:, Geo.H], y[:, Geo.V], y[:, Geo.ALPHA])[3:]
+    out = geo_core(y, u, ctx, lift, drag)
+    return out[0] if single else out
+
+
+def geo_core(y, u, ctx: PhaseContext, lift, drag):
+    """geo_rates on a batch whose lift and drag are already known."""
     u = np.atleast_2d(np.asarray(u, dtype=float))
     h, v = y[:, Geo.H], y[:, Geo.V]
     th, gam, psi = y[:, Geo.THETA], y[:, Geo.GAMMA], y[:, Geo.PSI]
@@ -113,7 +120,6 @@ def geo_rates(y, u, ctx: PhaseContext):
     sg, cg = np.sin(gam), np.cos(gam)
     st, ct = np.sin(th), np.cos(th)
     sp, cp = np.sin(psi), np.cos(psi)
-    _, _, _, lift, drag = aero_env(ctx, h, v, alpha)
     thrust = ctx.thrust
     trans = thrust * np.sin(alpha) + lift
 
@@ -136,7 +142,7 @@ def geo_rates(y, u, ctx: PhaseContext):
     out[:, Geo.SIGMA] = u[:, 1]
     if y.shape[1] > GEO_DIM:
         out[:, Geo.M] = -thrust / (ctx.isp * e.g0)
-    return out[0] if single else out
+    return out
 
 
 def angular_rates(y, ctx: PhaseContext):
@@ -196,6 +202,13 @@ def vert_rates(y, u, ctx: PhaseContext):
     norm is invariant only where they vanish.
     """
     y, single = _as_batch(y)
+    lift, drag = aero_env(ctx, y[:, Vert.H], y[:, Vert.V], y[:, Vert.ALPHA])[3:]
+    out = vert_core(y, u, ctx, lift, drag)
+    return out[0] if single else out
+
+
+def vert_core(y, u, ctx: PhaseContext, lift, drag):
+    """vert_rates on a batch whose lift and drag are already known."""
     u = np.atleast_2d(np.asarray(u, dtype=float))
     h, v, th = y[:, Vert.H], y[:, Vert.V], y[:, Vert.THETA]
     e1, e2, e3, eta = (y[:, Vert.E1], y[:, Vert.E2], y[:, Vert.E3],
@@ -205,7 +218,6 @@ def vert_rates(y, u, ctx: PhaseContext):
     e = ctx.earth
     r = e.re + h
     st, ct = np.sin(th), np.cos(th)
-    _, _, _, lift, drag = aero_env(ctx, h, v, alpha)
     w1 = u[:, 1]
     w2, w3 = _frame_rates(y, ctx, lift)
 
@@ -225,7 +237,7 @@ def vert_rates(y, u, ctx: PhaseContext):
     out[:, Vert.ALPHA] = u[:, 0]
     if y.shape[1] > VERT_DIM:
         out[:, Vert.M] = -ctx.thrust / (ctx.isp * e.g0)
-    return out[0] if single else out
+    return out
 
 
 def quat_to_angles(e1, e2, e3, eta):

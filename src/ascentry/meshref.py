@@ -36,8 +36,9 @@ class RefinementOptions:
             raise ValueError("max_refinements must be at least 1")
 
 
-def estimate_error(phase_sol: PhaseSolution, dynamics) -> np.ndarray:
-    """Scaled dynamics-residual estimate, one value per mesh interval."""
+def estimate_error(phase_sol: PhaseSolution, node) -> np.ndarray:
+    """Scaled dynamics-residual estimate, one value per mesh interval; of the
+    phase's node callback it reads the rates columns alone."""
     mesh = phase_sol.mesh
     span = phase_sol.tf - phase_sol.t0
     errors = np.zeros(mesh.n_intervals)
@@ -59,7 +60,7 @@ def estimate_error(phase_sol: PhaseSolution, dynamics) -> np.ndarray:
             Uq = np.repeat(Uk, len(s), axis=0)
         else:
             Uq = barycentric_eval(rule.nodes, rule.node_bary, Uk, s)
-        F = np.atleast_2d(dynamics(Xq, Uq))
+        F = np.reshape(node(Xq, Uq), (len(s), -1))[:, :Xk.shape[1]]
         resid = np.abs(dXq * (2.0 / dt) - F)
         scale = 1.0 + np.abs(Xk).max(axis=0)
         errors[k] = (resid / scale[None, :]).max()
@@ -150,7 +151,7 @@ def refine_loop(problem: MultiPhaseProblem, meshes: list[MeshPhase],
         rep = solve(nlp, z, solver_options)
         reports.append(rep)
         sol = nlp.solution_from(rep.x)
-        errors = [estimate_error(sol.phases[p], problem.phases[p].dynamics)
+        errors = [estimate_error(sol.phases[p], problem.phases[p].node)
                   for p in range(len(problem.phases))]
         history.append(_history_entry(it, meshes, errors))
         worst = max((e.max() for e in errors if len(e)), default=0.0)

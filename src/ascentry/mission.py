@@ -21,8 +21,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .dynamics import (GEO_DIM, Geo, PhaseContext, Vert, aero_env,
-                       angles_to_quat, geo_from_vert, geo_rates,
-                       vert_from_geo, vert_rates)
+                       angles_to_quat, geo_core, geo_from_vert, geo_rates,
+                       vert_core, vert_from_geo, vert_rates)
 from .meshref import RefinementOptions, RefinementReport, refine_loop
 from .models import (AeroTable, AtmosphereTable, EarthConstants,
                      extend_entry_aero, load_boost_aero,
@@ -563,21 +563,27 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
                           -SLACK_BOUND, -SLACK_BOUND])
     u_vert_hi = -u_vert_lo
 
-    def q_of(c):
+    def node(c, core, acol, outputs=()):
+        """A phase's node callback: the rates, then one column per name in
+        outputs, q (kPa), n (g) or qdot (MW/m^2), all from one aero_env
+        call; h and v are columns 0 and 3 of either state."""
         def f(X, U):
-            return dynamic_pressure(c.atmosphere.density(X[:, 0]), X[:, 3])
+            rho, _, q, lift, drag = aero_env(c, X[:, 0], X[:, 3], X[:, acol])
+            cols = {"q": q}
+            if "n" in outputs:
+                cols["n"] = sensed_load(lift, drag, c.fixed_mass, c.earth.g0)
+            if "qdot" in outputs:
+                cols["qdot"] = heating_rate(rho, X[:, 3], hp)
+            return np.column_stack([core(X, U, c, lift, drag)]
+                                   + [cols[k] for k in outputs])
         return f
 
-    def n_of(c, acol):
-        def f(X, U):
-            _, _, _, lift, drag = aero_env(c, X[:, 0], X[:, 3], X[:, acol])
-            return sensed_load(lift, drag, c.fixed_mass, c.earth.g0)
-        return f
-
-    def qdot_of(c):
-        def f(X, U):
-            return heating_rate(c.atmosphere.density(X[:, 0]), X[:, 3], hp)
-        return f
+    # the entry phases' heating limit, when set, and their node outputs:
+    # the load, the pressure, the heating rate per path row, then the
+    # heat-load integrand
+    heat_row = ([PathConstraint("qdot_max", -np.inf, lm.qdot_max)]
+                if math.isfinite(lm.qdot_max) else [])
+    entry_outputs = ("n", "q") + ("qdot",) * len(heat_row) + ("qdot",)
 
     def geo_cost(w):
         return lambda X, U: running_cost_geo(X, U, w)
@@ -598,10 +604,10 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
                               (7, 1.0, 1.0), (8, 0.0, 0.0),
                               (9, bc.m0, bc.m0)])
     phases.append(PhaseDef(
-        "boost1", 10, 4, lambda X, U, c=ctx[0]: vert_rates(X, U, c),
+        "boost1", 10, 4, node(ctx[0], vert_core, Vert.ALPHA, ("q",)),
         x_lo, x_hi, u_vert_lo, u_vert_hi, bc.t0, bc.t0, t1, t1,
         x0_lo=x0_lo, x0_hi=x0_hi,
-        path=[PathConstraint("q_max", q_of(ctx[0]), -np.inf, lm.q_max)],
+        path=[PathConstraint("q_max", -np.inf, lm.q_max)],
         cost=vert_cost(w_boost),
         state_names=VERT_STATE_NAMES + ("m",), control_names=VERT_CONTROL_NAMES))
 
@@ -619,7 +625,7 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
             x_lo[0], x_hi[0], x_hi[3] = 20.0, 220.0, 8.5
         x0_lo, x0_hi = _pins(9, [(8, mpin, mpin)])
         phases.append(PhaseDef(
-            name, 9, 2, lambda X, U, c=ctx[p]: geo_rates(X, U, c),
+            name, 9, 2, node(ctx[p], geo_core, Geo.ALPHA),
             x_lo, x_hi, -u_geo, u_geo, span[0], span[0], span[1], span[1],
             x0_lo=x0_lo, x0_hi=x0_hi, cost=geo_cost(w_boost),
             state_names=GEO_STATE_NAMES + ("m",),
@@ -631,7 +637,7 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
     x_hi = np.array([230.0, -1.8, 0.75, 9.0, 1.5690, 0.5, cw.alpha_max,
                      math.pi, 4800.0])
     phases.append(PhaseDef(
-        "exo_burn", 9, 2, lambda X, U, c=ctx[3]: geo_rates(X, U, c),
+        "exo_burn", 9, 2, node(ctx[3], geo_core, Geo.ALPHA),
         x_lo, x_hi, -u_geo, u_geo, t3, t3, t4, t4, cost=geo_cost(w_boost),
         state_names=GEO_STATE_NAMES + ("m",), control_names=GEO_CONTROL_NAMES))
 
@@ -643,7 +649,7 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
     xf_lo, xf_hi = _pins(8, [(0, lm.h_peak_lo, lm.h_peak_hi),
                              (4, 0.0, 0.0), (6, 0.0, 0.0), (7, 0.0, 0.0)])
     phases.append(PhaseDef(
-        "coast_up", 8, 2, lambda X, U, c=ctx[4]: geo_rates(X, U, c),
+        "coast_up", 8, 2, node(ctx[4], geo_core, Geo.ALPHA),
         coast_lo, coast_hi, -u_geo, u_geo, t4, t4, t4 + 10.0, 2600.0,
         xf_lo=xf_lo, xf_hi=xf_hi, cost=geo_cost(w_coast), min_duration=5.0,
         state_names=GEO_STATE_NAMES, control_names=GEO_CONTROL_NAMES))
@@ -653,7 +659,7 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
                              (4, 0.0, 0.0), (6, 0.0, 0.0), (7, 0.0, 0.0)])
     xf_lo, xf_hi = _pins(8, [(0, lm.h_atm, lm.h_atm)])
     phases.append(PhaseDef(
-        "coast_down", 8, 2, lambda X, U, c=ctx[5]: geo_rates(X, U, c),
+        "coast_down", 8, 2, node(ctx[5], geo_core, Geo.ALPHA),
         coast_lo, coast_hi, -u_geo, u_geo, t4 + 10.0, 2600.0, t4 + 20.0, 4200.0,
         x0_lo=x0_lo, x0_hi=x0_hi, xf_lo=xf_lo, xf_hi=xf_hi,
         cost=geo_cost(w_coast), min_duration=5.0,
@@ -664,16 +670,13 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
     x_hi = np.array([lm.h_atm + 1.0, -1.8, 0.75, 8.5, 0.35, 0.5,
                      cw.alpha_max, math.pi])
     x0_lo, x0_hi = _pins(8, [(0, lm.h_atm, lm.h_atm)])
-    path7 = [PathConstraint("n_max", n_of(ctx[6], Geo.ALPHA), -np.inf, lm.n_max),
-             PathConstraint("q_split", q_of(ctx[6]), -np.inf, lm.q_split)]
-    if math.isfinite(lm.qdot_max):
-        path7.append(PathConstraint("qdot_max", qdot_of(ctx[6]),
-                                    -np.inf, lm.qdot_max))
     phases.append(PhaseDef(
-        "entry_glide", 8, 2, lambda X, U, c=ctx[6]: geo_rates(X, U, c),
+        "entry_glide", 8, 2, node(ctx[6], geo_core, Geo.ALPHA, entry_outputs),
         x_lo, x_hi, -u_geo, u_geo, t4 + 20.0, 4200.0, t4 + 30.0, 6500.0,
         x0_lo=x0_lo, x0_hi=x0_hi,
-        path=path7, integrands=[IntegralTerm("heat_load", qdot_of(ctx[6]))],
+        path=[PathConstraint("n_max", -np.inf, lm.n_max),
+              PathConstraint("q_split", -np.inf, lm.q_split)] + heat_row,
+        integrands=[IntegralTerm("heat_load")],
         cost=geo_cost(w_glide), min_duration=5.0,
         state_names=GEO_STATE_NAMES, control_names=GEO_CONTROL_NAMES))
 
@@ -685,58 +688,45 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
     xf_lo, xf_hi = _pins(9, [(0, bc.hf, bc.hf), (1, bc.lonf, bc.lonf),
                              (2, bc.latf, bc.latf), (3, bc.vf, bc.vf),
                              (4, 0.0, 0.0), (7, 0.0, 0.0), (8, 0.0, 0.0)])
-    path8 = [PathConstraint("n_max", n_of(ctx[7], Vert.ALPHA), -np.inf,
-                            lm.n_max),
-             PathConstraint("q_floor", q_of(ctx[7]), lm.q_split, np.inf)]
-    if math.isfinite(lm.qdot_max):
-        path8.append(PathConstraint("qdot_max", qdot_of(ctx[7]),
-                                    -np.inf, lm.qdot_max))
     phases.append(PhaseDef(
-        "entry_dive", 9, 4, lambda X, U, c=ctx[7]: vert_rates(X, U, c),
+        "entry_dive", 9, 4, node(ctx[7], vert_core, Vert.ALPHA, entry_outputs),
         x_lo, x_hi, u_vert_lo, u_vert_hi, t4 + 30.0, 6500.0, t4 + 60.0, 9000.0,
         xf_lo=xf_lo, xf_hi=xf_hi,
-        path=path8, integrands=[IntegralTerm("heat_load", qdot_of(ctx[7]))],
+        path=[PathConstraint("n_max", -np.inf, lm.n_max),
+              PathConstraint("q_floor", lm.q_split, np.inf)] + heat_row,
+        integrands=[IntegralTerm("heat_load")],
         cost=vert_cost(w_dive), min_duration=30.0,
         state_names=VERT_STATE_NAMES, control_names=VERT_CONTROL_NAMES))
 
-    # linkages; channels pinned on both sides of a boundary are dropped so
-    # the constraint block keeps full row rank
+    # linkages, on stacks of endpoint pairs; channels pinned on both sides
+    # of a boundary are dropped so the constraint block keeps full row rank
     fm = config.fairing_mass
 
     def stage1_handoff(xa, ta, xb, tb):
-        return geo_from_vert(xa)[:GEO_DIM] - xb[:GEO_DIM]
+        return geo_from_vert(xa)[:, :GEO_DIM] - xb[:, :GEO_DIM]
 
     def geo_handoff(xa, ta, xb, tb):
-        return xa[:GEO_DIM] - xb[:GEO_DIM]
+        return xa[:, :GEO_DIM] - xb[:, :GEO_DIM]
 
     def fairing_jettison(xa, ta, xb, tb):
-        out = np.empty(9)
-        out[:8] = xa[:GEO_DIM] - xb[:GEO_DIM]
-        out[8] = xb[8] - (xa[8] - fm)
-        return out
+        return np.column_stack([xa[:, :GEO_DIM] - xb[:, :GEO_DIM],
+                                xb[:, 8] - (xa[:, 8] - fm)])
 
     sep_keep = np.array([Geo.H, Geo.PHI, Geo.THETA, Geo.V, Geo.PSI])
 
     def payload_separation(xa, ta, xb, tb):
-        out = np.empty(6)
-        out[:5] = xa[sep_keep] - xb[sep_keep]
-        out[5] = tb - ta
-        return out
+        return np.column_stack([xa[:, sep_keep] - xb[:, sep_keep], tb - ta])
 
     pierce_keep = np.array([Geo.PHI, Geo.THETA, Geo.V, Geo.GAMMA, Geo.PSI,
                             Geo.ALPHA, Geo.SIGMA])
 
     def atmosphere_pierce(xa, ta, xb, tb):
-        out = np.empty(8)
-        out[:7] = xa[pierce_keep] - xb[pierce_keep]
-        out[7] = tb - ta
-        return out
+        return np.column_stack([xa[:, pierce_keep] - xb[:, pierce_keep],
+                                tb - ta])
 
     def vertical_handoff(xa, ta, xb, tb):
-        out = np.empty(9)
-        out[:8] = xa[:GEO_DIM] - geo_from_vert(xb)[:GEO_DIM]
-        out[8] = tb - ta
-        return out
+        return np.column_stack([xa[:, :GEO_DIM] - geo_from_vert(xb)[:, :GEO_DIM],
+                                tb - ta])
 
     def link(name, a, b, f, n):
         return Linkage(name, a, b, f, np.zeros(n), np.zeros(n))
@@ -750,8 +740,8 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
                 link("bank_to_vertical", 6, 7, vertical_handoff, 9)]
 
     def unit_quat(x0, xf, t0, tf):
-        return (x0[Vert.E1] ** 2 + x0[Vert.E2] ** 2 + x0[Vert.E3] ** 2
-                + x0[Vert.ETA] ** 2 - 1.0)
+        return (x0[:, Vert.E1] ** 2 + x0[:, Vert.E2] ** 2 + x0[:, Vert.E3] ** 2
+                + x0[:, Vert.ETA] ** 2 - 1.0)[:, None]
 
     boundaries = [BoundaryConstraint("dive_unit_quat", 7, unit_quat, 0.0, 0.0)]
     accumulators = [Accumulator("heat_load", 0.0, lm.q_heat_max)]

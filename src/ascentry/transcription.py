@@ -3,13 +3,18 @@
 Variable layout, per phase: state rows at every collocation node plus the
 final non-collocated endpoint, control rows at collocation nodes only, then
 t0 and tf; shared integral accumulators sit at the end of the vector.
-Dynamics, path, integrand and cost callbacks are autonomous and batched:
-they map (X, U) with one row per node to one output row per node, each from
-its own input row alone, since the derivative probe stacks many perturbed
-copies of the nodes into one batch; and they must be pure: the derivatives
-at a point are computed once and reused.  A mesh carries its own node
-geometry (rules, interval edges, node taus, quadrature weights), built
-once when the mesh is made, and everything that places nodes reads it.
+
+Callbacks are autonomous, pure and batched: each maps a stack of points,
+one row per point, to one output row per point, each from its own input row
+alone, since the derivative probes stack many perturbed copies of a point
+into one call; the derivatives at a point are computed once and reused.  A
+phase's `node(X, U)` returns its rates, path values and integrands as the
+columns of one output, so they share one pass over the nodes (see
+`PhaseDef`); its `cost` is a callback of its own, so the objective runs
+without the node.  Boundary and linkage functions take stacks of endpoint
+rows.  A mesh carries its own node geometry (rules, interval edges, node
+taus, quadrature weights), built once when the mesh is made, and everything
+that places nodes reads it.
 
 Each axis of the NLP is walked once.  `_build_layout` names, bounds and
 places every variable.  `_build_rows` walks the constraint rows once, group
@@ -20,10 +25,10 @@ bounds, value rule, Jacobian blocks and Hessian terms side by side;
 rules.
 
 `hessian(z, y)` is the sparse Hessian of f + y.c, row group by row group:
-- defects: the dynamics weighted by their multipliers times
+- defects: the rates weighted by their multipliers times
   -(tf - t0) frac/2 in the node blocks, and a t0/tf border from the
-  dynamics partials (the defects are linear in tf - t0, so no tf-tf term)
-- path constraints: their functions weighted by their multipliers in the
+  rate partials (the defects are linear in tf - t0, so no tf-tf term)
+- path constraints: their columns weighted by their multipliers in the
   node blocks
 - accumulator balances: the integrands weighted by the balance multiplier
   times -(tf - t0) and the quadrature weights, and a border from the
@@ -34,8 +39,8 @@ rules.
   second differences of the multiplier-weighted function
 - duration rows: linear, nothing
 The node blocks, one (nx+nu) block per collocation node, come from one
-stacked second-difference probe per phase, in which a callback runs only
-if one of its rows carries a nonzero weight.
+stacked second-difference probe per phase, in which the node callback and
+the cost each run only if one of their columns carries a nonzero weight.
 """
 from __future__ import annotations
 
@@ -63,16 +68,16 @@ class EvaluationError(RuntimeError):
 
 @dataclass
 class PathConstraint:
+    """Bounds on one column of the node output, at every node."""
     name: str
-    func: Callable
     lo: float
     hi: float
 
 
 @dataclass
 class IntegralTerm:
+    """One column of the node output, integrated into an accumulator."""
     accumulator: str
-    func: Callable
 
 
 @dataclass
@@ -84,10 +89,14 @@ class Accumulator:
 
 @dataclass
 class PhaseDef:
+    """One phase.  node(X, U), states (n, nx) and controls (n, nu), returns
+    (n, nx + len(path) + len(integrands)): the state rates, then one column
+    per path constraint, then one per integrand.  cost(X, U) returns the
+    running cost, (n,)."""
     name: str
     nx: int
     nu: int
-    dynamics: Callable
+    node: Callable
     x_lo: np.ndarray
     x_hi: np.ndarray
     u_lo: np.ndarray
@@ -123,12 +132,14 @@ class PhaseDef:
 
 @dataclass
 class Linkage:
-    """Constraint tying phase a's terminal endpoint to phase b's start."""
+    """Constraint tying phase a's terminal endpoint to phase b's start:
+    func(xa, ta, xb, tb), on a's final states (n, nx_a) and times (n,) and
+    b's initial ones, returns (n, len(lo)), one row per endpoint pair."""
 
     name: str
     a: int
     b: int
-    func: Callable  # (xa_end, ta_f, xb_start, tb_0) -> vector
+    func: Callable
     lo: np.ndarray
     hi: np.ndarray
 
@@ -139,9 +150,11 @@ class Linkage:
 
 @dataclass
 class BoundaryConstraint:
+    """Constraint on one phase's endpoints: func(x0, xf, t0, tf), on initial
+    and final states (n, nx) and times (n,), returns (n, len(lo))."""
     name: str
     phase: int
-    func: Callable  # (x0, xf, t0, tf) -> vector
+    func: Callable
     lo: np.ndarray
     hi: np.ndarray
 
@@ -274,47 +287,28 @@ class _SparsePlan:
 
 @dataclass
 class _PhasePoint:
-    """One phase's node values and node-local partials at a point."""
+    """One phase's node values at a point, with the node-local partials in
+    the derivative pass.  G holds one row per path column, then one per
+    integrand, then in the derivative pass the cost, if any."""
     t0: float
     tf: float
-    F: np.ndarray        # dynamics (nc, nx)
-    Q: list              # integrand values, (nc,) each
-    L: np.ndarray | None  # running cost (nc,)
-    dF: np.ndarray       # (nc, nx+nu, nx)
-    dP: np.ndarray       # (npath, nc, nx+nu)
-    dQ: np.ndarray       # (nterm, nc, nx+nu)
-    dL: np.ndarray | None  # (nc, nx+nu)
+    F: np.ndarray        # rates (nc, nx)
+    G: np.ndarray        # (rows, nc)
+    dF: np.ndarray | None = None  # (nc, nx+nu, nx)
+    dG: np.ndarray | None = None  # (rows, nc, nx+nu)
 
 
-@dataclass
-class _NodeValues:
-    """One phase's nominal node values at a point, as the rows read them."""
-    X: np.ndarray        # states incl. the endpoint (nn, nx)
-    t0: float
-    tf: float
-    F: np.ndarray        # dynamics (nc, nx)
-    P: list              # path values, (nc,) each
-    Q: list              # integrand values, as returned
-
-
-def _fd_vector(func, x, dim_out):
-    """Dense central difference of a vector function of the vector x."""
-    out = np.zeros((dim_out, len(x)))
-    for j in range(len(x)):
-        h = _FD_STEP * max(1.0, abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        out[:, j] = (np.atleast_1d(func(xp)) - np.atleast_1d(func(xm))) / (2.0 * h)
-    return out
-
-
-def _per_node(label, values, nodes) -> np.ndarray:
-    """A path function's values, checked to hold one per node, flat."""
-    values = np.asarray(values)
-    if values.size != nodes:
-        raise ValueError(f"{label} returns {values.size} values for {nodes} nodes")
-    return values.reshape(-1)
+def _probe_stencil(V):
+    """Central-difference stencil of each row of V, (rows, n): the row, then
+    the row with column j moved by +h, then by -h, for j over the columns,
+    h = _FD_STEP * max(1, |v|).  Returns the points, (2n+1, rows, n), and h."""
+    n = V.shape[1]
+    h = _FD_STEP * np.maximum(1.0, np.abs(V))
+    S = np.repeat(V[None], 2 * n + 1, axis=0)
+    j = np.arange(n)
+    S[1 + j, :, j] += h.T
+    S[1 + n + j, :, j] -= h.T
+    return S, h
 
 
 def _cross_stencil(V):
@@ -353,17 +347,6 @@ def _weighted_cross(vals, w) -> np.ndarray:
     reports it."""
     with np.errstate(invalid="ignore"):
         return np.einsum("pko,ko->pk", vals[0] - vals[1] - vals[2] + vals[3], w)
-
-
-def _weighted_hessian(func, v, w) -> np.ndarray:
-    """Hessian of w . func(v) over the vector v by the cross stencil; zero,
-    without a call, when w is."""
-    if not np.any(w):
-        return np.zeros((len(v), len(v)))
-    S, hessian = _cross_stencil(v[None])
-    vals = np.array([func(p) for p in S.reshape(-1, len(v))])
-    return hessian(_weighted_cross(vals.reshape(S.shape[:-1] + (len(w),)),
-                                   w[None]))[0]
 
 
 def _quadrature(wts_tau, t0, tf, vals) -> float:
@@ -434,13 +417,14 @@ class NLPProblem:
 
     def _build_rows(self):
         """Declare every constraint row once, group by group: its names, its
-        bounds, a value rule (z, nodes) -> values over the nominal node pass,
-        its Jacobian blocks and its Hessian terms.  A Jacobian block is a
-        pair of broadcast (rows, cols) index arrays with a value: a constant
-        array, or a rule (z, pts) -> values in the block's shape over the
-        phase points.  A Hessian block is the same with a rule
-        (z, y, pts, node_hessians) -> values; a node term is a callback of a
-        phase with a rule (z, y) -> its node weights in the Lagrangian.
+        bounds, a value rule (z, nodes) -> values over the nominal phase
+        points, its Jacobian blocks and its Hessian terms.  A Jacobian block
+        is a pair of broadcast (rows, cols) index arrays with a value: a
+        constant array, or a rule (z, pts) -> values in the block's shape
+        over the phase points of the derivative pass.  A Hessian block is
+        the same with a rule (z, y, pts, node_hessians) -> values; a node
+        term is a phase's node output columns (None for its cost) with a
+        rule (z, y) -> their node weights in the Lagrangian.
 
         The groups, in row order: per phase its defects and each path
         constraint, then the accumulator balances, the boundaries, the
@@ -503,14 +487,14 @@ class NLPProblem:
             stencils = []   # per interval: matrix, state rows, node rows, fraction
 
             def defects(z, nodes):
-                nd = nodes[p]
-                dt = nd.tf - nd.t0
+                X = z[lay.x_off:lay.x_off + lay.nn * nx].reshape(lay.nn, nx)
+                dt = nodes[p].tf - nodes[p].t0
                 return np.concatenate([
-                    (D @ nd.X[xs] - dt * f / 2.0 * nd.F[fs]).ravel()
+                    (D @ X[xs] - dt * f / 2.0 * nodes[p].F[fs]).ravel()
                     for D, xs, fs, f in stencils])
 
-            # dynamics coupling at each node, in x and u
-            def dynamics_values(z, pts):
+            # rate coupling at each node, in x and u
+            def rate_values(z, pts):
                 scale = (pts[p].tf - pts[p].t0) * frac / 2.0
                 return (-scale)[:, None, None] * pts[p].dF
 
@@ -531,91 +515,101 @@ class NLPProblem:
                 block(def_rows[s:s + n, :, None],
                       lay.x_off + (s + np.arange(n + 1)) * nx + np.arange(nx)[:, None],
                       np.repeat(rule.diff_matrix[:, None, :], nx, axis=1))
-            block(def_rows[:, None, :], node_cols[:, :, None], dynamics_values)
+            block(def_rows[:, None, :], node_cols[:, :, None], rate_values)
             block(def_rows[:, :, None], [lay.t0_idx, lay.tf_idx], time_values)
             # the node blocks sum every node term of the phase; the defects
-            # weigh the dynamics by -(tf - t0) frac/2 times their multipliers
+            # weigh the rates by -(tf - t0) frac/2 times their multipliers
             hblock(node_cols[:, :, None], node_cols[:, None, :],
                    lambda z, y, pts, hs: hs[p])
             node_terms[p].append((
-                f"p{p}:{ph.name}:dynamics", lambda ph: ph.dynamics,
+                slice(0, nx),
                 lambda z, y: (-(z[tf] - z[t0]) * frac / 2.0)[:, None] * y[def_rows]))
             hblock(node_cols[:, :, None], [t0, tf],
                    lambda z, y, pts, hs: border((frac / 2.0)[:, None] * np.einsum(
                        "kjs,ks->kj", pts[p].dF, y[def_rows])), mirror=True)
             # the cost, not a row: (tf - t0) times the quadrature weights
             if ph.cost is not None:
-                node_terms[p].append((f"p{p}:{ph.name}:cost", lambda ph: ph.cost,
-                                      lambda z, y: (z[tf] - z[t0]) * wts))
+                node_terms[p].append((None, lambda z, y: (z[tf] - z[t0]) * wts))
                 hblock(node_cols[:, :, None], [t0, tf],
-                       lambda z, y, pts, hs: border(-wts[:, None] * pts[p].dL),
+                       lambda z, y, pts, hs: border(-wts[:, None] * pts[p].dG[-1]),
                        mirror=True)
             for i, pc in enumerate(ph.path):
-                label = f"p{p}:{ph.name}:path:{pc.name}"
-                row = group([f"{label}:n{j}" for j in range(nc)], pc.lo, pc.hi,
-                            lambda z, nodes, i=i, label=label:
-                            _per_node(label, nodes[p].P[i], nc))
-                block(row + node, node_cols, lambda z, pts, i=i: pts[p].dP[i])
-                node_terms[p].append((label, lambda ph, i=i: ph.path[i].func,
+                row = group([f"p{p}:{ph.name}:path:{pc.name}:n{j}" for j in range(nc)],
+                            pc.lo, pc.hi, lambda z, nodes, i=i: nodes[p].G[i])
+                block(row + node, node_cols, lambda z, pts, i=i: pts[p].dG[i])
+                node_terms[p].append((slice(nx + i, nx + i + 1),
                                       lambda z, y, row=row: y[row:row + nc]))
 
         def balance_rows(acc):
             col = self.acc_idx[acc.name]
             meshes = self.meshes
-            feeds = [(p, j) for p, ph in enumerate(self.problem.phases)
+            # each feed: a phase and its integrand's row of the G arrays
+            feeds = [(p, len(ph.path) + j) for p, ph in enumerate(self.problem.phases)
                      for j, term in enumerate(ph.integrands)
                      if term.accumulator == acc.name]
 
             def balance(z, nodes):
                 total = 0.0
-                for p, j in feeds:
+                for p, r in feeds:
                     total += _quadrature(meshes[p].wts_tau, nodes[p].t0,
-                                         nodes[p].tf, nodes[p].Q[j])
+                                         nodes[p].tf, nodes[p].G[r])
                 return z[col] - total
 
             row = group([f"acc:{acc.name}:balance"], 0.0, 0.0, balance)
             block(row, col, np.ones(1))
-            for p, j in feeds:
+            for p, r in feeds:
                 block(row, quad_cols[p],
-                      lambda z, pts, p=p, j=j: -_quadrature_rows(
-                          meshes[p].wts_tau, pts[p], pts[p].Q[j:j + 1],
-                          pts[p].dQ[j:j + 1]))
+                      lambda z, pts, p=p, r=r: -_quadrature_rows(
+                          meshes[p].wts_tau, pts[p], pts[p].G[r:r + 1],
+                          pts[p].dG[r:r + 1]))
                 # the integrand weighed by -(tf - t0) times the quadrature
                 # weights and the balance multiplier
                 wts = meshes[p].wts_tau
                 t0, tf = quad_cols[p][-2:]
-                ph = self.problem.phases[p]
+                k = self.problem.phases[p].nx + r
                 node_terms[p].append((
-                    f"p{p}:{ph.name}:integrand:{acc.name}",
-                    lambda ph, j=j: ph.integrands[j].func,
+                    slice(k, k + 1),
                     lambda z, y, wts=wts, t0=t0, tf=tf: -y[row] * (z[tf] - z[t0]) * wts))
                 hblock(node_cols_of[p][:, :, None], [t0, tf],
-                       lambda z, y, pts, hs, p=p, j=j, wts=wts: border(
-                           y[row] * wts[:, None] * pts[p].dQ[j]), mirror=True)
+                       lambda z, y, pts, hs, p=p, r=r, wts=wts: border(
+                           y[row] * wts[:, None] * pts[p].dG[r]), mirror=True)
 
         def endpoint(label, func, args, g_lo, g_hi):
             """Rows func(*args) with dense differenced blocks; each arg is
             given by its columns, an index array for a vector argument or an
-            int for a scalar."""
+            int for a scalar.  Each evaluation is one call on a stack: the
+            point, its probe stencil or its cross stencil."""
             idx = np.concatenate([np.atleast_1d(a) for a in args])
             ends = np.cumsum([np.size(a) for a in args])
-            m = len(g_lo)
+            n, m = len(idx), len(g_lo)
 
-            def packed(v):
-                out = np.atleast_1d(func(*[
-                    v[e - np.size(a):e] if np.ndim(a) else v[e - 1]
+            def packed(S):
+                """func on the points S, (..., n) -> (..., m)."""
+                V = S.reshape(-1, n)
+                out = np.asarray(func(*[
+                    V[:, e - np.size(a):e] if np.ndim(a) else V[:, e - 1]
                     for a, e in zip(args, ends)]))
-                if out.shape != (m,):
+                if out.shape != (len(V), m):
                     raise ValueError(f"{label} returns shape {out.shape} "
-                                     f"for its {m} bounds")
-                return out
+                                     f"for {len(V)} points of its {m} bounds")
+                return out.reshape(S.shape[:-1] + (m,))
+
+            def jacobian(z, pts):
+                S, h = _probe_stencil(z[idx][None])
+                out = packed(S)[:, 0]
+                return ((out[1:n + 1] - out[n + 1:]) / (2.0 * h.T)).T
+
+            def hessian(z, y, pts, hs):
+                w = y[row:row + m]
+                if not np.any(w):
+                    return np.zeros((n, n))
+                S, to_hessian = _cross_stencil(z[idx][None])
+                return to_hessian(_weighted_cross(packed(S), w[None]))[0]
 
             row = group([f"{label}:{j}" for j in range(m)], g_lo, g_hi,
                         lambda z, nodes: packed(z[idx]))
-            block(row + np.arange(m)[:, None], idx,
-                  lambda z, pts: _fd_vector(packed, z[idx], m))
-            hblock(idx[:, None], idx, lambda z, y, pts, hs: _weighted_hessian(
-                packed, z[idx], y[row:row + m]))
+            block(row + np.arange(m)[:, None], idx, jacobian)
+            hblock(idx[:, None], idx, hessian)
 
         for p in range(len(self.problem.phases)):
             phase_rows(p)
@@ -707,19 +701,24 @@ class NLPProblem:
             raise EvaluationError("objective", -1, "objective")
         return total
 
-    def _node_values(self, z, p) -> _NodeValues:
-        """Phase p's nominal node pass: dynamics, path and integrands."""
+    def _per_node(self, p, what, X, U) -> np.ndarray:
+        """Phase p's callback `what`, "node" or "cost", on a stack of nodes,
+        checked to hold one output row per node: (nodes, nx + npath + nint)
+        for the node, (nodes, 1) for the cost."""
         ph = self.problem.phases[p]
-        X = self.states(z, p)
-        U = self.controls(z, p)
-        t0, tf = self.times(z, p)
-        return _NodeValues(
-            X=X, t0=t0, tf=tf, F=np.atleast_2d(ph.dynamics(X[:-1], U)),
-            P=[np.asarray(pc.func(X[:-1], U)).reshape(-1) for pc in ph.path],
-            Q=[t.func(X[:-1], U) for t in ph.integrands])
+        width = ph.nx + len(ph.path) + len(ph.integrands) if what == "node" else 1
+        out = np.asarray(getattr(ph, what)(X, U))
+        if out.size != len(X) * width:
+            raise ValueError(f"p{p}:{ph.name}:{what} returns {out.size} values "
+                             f"for {len(X)} nodes, not {width} per node")
+        return out.reshape(len(X), width)
 
     def constraints(self, z: np.ndarray) -> np.ndarray:
-        nodes = [self._node_values(z, p) for p in range(len(self.problem.phases))]
+        nodes = []   # one nominal node pass per phase
+        for p, ph in enumerate(self.problem.phases):
+            N = self._per_node(p, "node", self.states(z, p)[:-1], self.controls(z, p))
+            nodes.append(_PhasePoint(*self.times(z, p), F=N[:, :ph.nx],
+                                     G=N[:, ph.nx:].T.copy()))
         c = np.empty(self.n_con)
         for rows, value in self._row_values:
             c[rows] = value(z, nodes)
@@ -734,63 +733,55 @@ class NLPProblem:
     def _phase_point(self, z, p) -> _PhasePoint:
         """One phase's node values and node-local partials at z.
 
-        Each callback runs once, on one stacked batch: the collocation
-        nodes, then the nodes with column j of [X U] moved by +h, then by
-        -h, for j over the nx+nu columns.  The partials are central
-        differences with `_fd_vector`'s step, scaled by each node's own
-        value, taken for every node at once.
+        The node callback and the cost each run once, on the collocation
+        nodes' probe stencil stacked into one batch.  The partials are
+        central differences taken for every node at once.
         """
         ph = self.problem.phases[p]
         t0, tf = self.times(z, p)
         V = np.hstack([self.states(z, p)[:-1], self.controls(z, p)])
         nc, nin = V.shape
-        n = 2 * nin + 1
-        h = _FD_STEP * np.maximum(1.0, np.abs(V))
-        S = np.repeat(V[None], n, axis=0)
-        j = np.arange(nin)
-        S[1 + j, :, j] += h.T
-        S[1 + nin + j, :, j] -= h.T
-        S = S.reshape(n * nc, nin)
+        S, h = _probe_stencil(V)
+        S = S.reshape(-1, nin)
         X, U = S[:, :ph.nx].copy(), S[:, ph.nx:].copy()
-        funcs = [t.func for t in ph.integrands] + ([ph.cost] if ph.cost is not None else [])
-        F = np.reshape(ph.dynamics(X, U), (n, nc, ph.nx))
-        G = np.reshape(np.array(
-            [_per_node(f"p{p}:{ph.name}:path:{pc.name}", pc.func(X, U), n * nc)
-             for pc in ph.path] + [np.reshape(f(X, U), n * nc) for f in funcs]),
-            (len(ph.path) + len(funcs), n, nc))
+        N = self._per_node(p, "node", X, U)
+        if ph.cost is not None:
+            N = np.hstack([N, self._per_node(p, "cost", X, U)])
+        N = N.reshape(2 * nin + 1, nc, -1)
+        F = N[:, :, :ph.nx]
+        # one row per path column, integrand and cost, in C order: the
+        # quadratures' dot products sum in an order that depends on it
+        G = np.ascontiguousarray(N[:, :, ph.nx:].transpose(2, 0, 1))
         inv = (1.0 / (2.0 * h)).T
         dF = ((F[1:nin + 1] - F[nin + 1:]) * inv[:, :, None]).transpose(1, 0, 2)
         dG = ((G[:, 1:nin + 1] - G[:, nin + 1:]) * inv).transpose(0, 2, 1)
-        npath, nq = len(ph.path), len(ph.integrands)
-        cost = ph.cost is not None
-        return _PhasePoint(
-            t0=t0, tf=tf, F=F[0], Q=list(G[npath:npath + nq, 0]),
-            L=G[-1, 0] if cost else None, dF=dF, dP=dG[:npath],
-            dQ=dG[npath:npath + nq], dL=dG[-1] if cost else None)
+        return _PhasePoint(t0=t0, tf=tf, F=F[0], G=G[:, 0], dF=dF, dG=dG)
 
     def _phase_hessian(self, z, y, p) -> np.ndarray:
         """Phase p's node blocks of the Hessian of f + y.c at z, (nc, n, n)
         with n = nx+nu: at each node, the Hessian of the node terms' weighted
-        sum.  Every node term with a nonzero weight runs once, on one stacked
-        batch of the cross stencil's 2n(n+1) points per node."""
+        sum.  The node callback runs if a node term on its columns has a
+        nonzero weight, the cost if its term does, each once, on one stacked
+        batch of the cross stencil's 2n(n+1) points per node.  The terms'
+        second differences are summed term by term, in declaration order,
+        and a term whose weights are all zero is left out."""
         ph = self.problem.phases[p]
         V = np.hstack([self.states(z, p)[:-1], self.controls(z, p)])
         nc, nin = V.shape
-        terms = [(label, select(ph), w) for label, select, rule in self._node_terms[p]
+        terms = [(cols, w) for cols, rule in self._node_terms[p]
                  for w in [rule(z, y)] if np.any(w)]
         if not terms:
             return np.zeros((nc, nin, nin))
         S, hessian = _cross_stencil(V)
         batch = S.reshape(-1, nin)
         X, U = batch[:, :ph.nx].copy(), batch[:, ph.nx:].copy()
+        if any(cols is not None for cols, _ in terms):
+            N = self._per_node(p, "node", X, U).reshape(S.shape[:-1] + (-1,))
         d = 0.0
-        for label, func, w in terms:
-            w = w.reshape(nc, -1)
-            out = np.asarray(func(X, U))
-            if out.size != len(batch) * w.shape[1]:
-                raise ValueError(f"{label} returns {out.size} values for "
-                                 f"{len(batch)} nodes")
-            d = d + _weighted_cross(out.reshape(S.shape[:-1] + (w.shape[1],)), w)
+        for cols, w in terms:
+            out = (N[..., cols] if cols is not None else
+                   self._per_node(p, "cost", X, U).reshape(S.shape[:-1] + (1,)))
+            d = d + _weighted_cross(out, w.reshape(nc, -1))
         return hessian(d)
 
     def _derivatives(self, z):
@@ -803,10 +794,11 @@ class NLPProblem:
             pts = [self._phase_point(z, p) for p in range(len(self.problem.phases))]
             J = self._plan.assemble(z, pts)
             g = np.zeros(self.n_var)
-            for pt, mesh, cols in zip(pts, self.meshes, self._quad_cols):
-                if pt.L is not None:
+            for ph, pt, mesh, cols in zip(self.problem.phases, pts, self.meshes,
+                                          self._quad_cols):
+                if ph.cost is not None:
                     g[cols] += _quadrature_rows(
-                        mesh.wts_tau, pt, [pt.L], pt.dL[None])[0]
+                        mesh.wts_tau, pt, pt.G[-1:], pt.dG[-1:])[0]
             bad = np.flatnonzero(~np.isfinite(J.data))
             if len(bad):
                 i = int(np.searchsorted(J.indptr, bad[0], side="right")) - 1

@@ -32,7 +32,7 @@ def test_error_vanishes_on_representable_data():
     X = ((state * tf) ** 2)[:, None]
     U = (2.0 * coll * tf)[:, None]
     sol = nlp.solution_from(nlp.pack([X], [U], [(0.0, tf)]))
-    errs = estimate_error(sol.phases[0], ph.dynamics)
+    errs = estimate_error(sol.phases[0], ph.node)
     assert errs.shape == (2,)
     assert errs.max() < 1e-10
 
@@ -47,10 +47,14 @@ def test_error_localizes_to_bad_interval():
     X = (ts ** 2 + np.where(ts > 1.0, (ts - 1.0) ** 8, 0.0))[:, None]
     U = (2.0 * tc + np.where(tc > 1.0, 8.0 * (tc - 1.0) ** 7, 0.0))[:, None]
     sol = nlp.solution_from(nlp.pack([X], [U], [(0.0, 2.0)]))
-    errs = estimate_error(sol.phases[0], ph.dynamics)
+    errs = estimate_error(sol.phases[0], ph.node)
     assert errs[0] < 1e-9
     assert errs[1] > 1e-3
     assert errs[1] > 1e4 * errs[0]
+    # of a node callback with path and integrand columns past the rates,
+    # the estimate reads the rates alone
+    wide = lambda X, U: np.column_stack([U, np.full(len(X), 1e9), X ** 3])
+    assert np.array_equal(estimate_error(sol.phases[0], wide), errs)
 
 
 def test_refine_raises_degree_by_overshoot_magnitude():

@@ -224,29 +224,34 @@ def test_heating_limit_toggles_path_rows(cfg):
 
 def test_linkage_residuals_vanish_when_consistent(cfg):
     prob = M.build_mission(cfg)
-    lk = {l.name: l for l in prob.linkages}
+    funcs = {l.name: l.func for l in prob.linkages}
+
+    def lk(name, xa, ta, xb, tb):
+        # the linkage on a stack of one endpoint pair
+        return funcs[name](xa[None], np.array([ta]), xb[None], np.array([tb]))[0]
+
     geo = np.array([30.0, -2.1, 0.6, 2.0, 0.3, 1.2, 0.05, -0.3, 40000.0])
     vert = vert_from_geo(geo)
-    assert np.abs(lk["stage1_sep"].func(vert, 56.4, geo[:8], 56.4)).max() < 1e-12
+    assert np.abs(lk("stage1_sep", vert, 56.4, geo[:8], 56.4)).max() < 1e-12
 
     gm = np.append(geo[:8], 5500.0)
     dropped = gm.copy()
     dropped[8] -= cfg.fairing_mass
-    assert np.abs(lk["fairing_drop"].func(gm, 179.1, dropped, 179.1)).max() == 0.0
+    assert np.abs(lk("fairing_drop", gm, 179.1, dropped, 179.1)).max() == 0.0
 
     # separation at the peak keeps position, speed and heading; the pitch
     # channels are free to jump with the mass change
     other = geo[:8].copy()
     other[Geo.GAMMA] += 0.2
     other[Geo.ALPHA] -= 0.1
-    r = lk["payload_sep"].func(geo[:8], 900.0, other, 900.0)
+    r = lk("payload_sep", geo[:8], 900.0, other, 900.0)
     assert len(r) == 6 and np.abs(r).max() == 0.0
 
     below = vert_from_geo(geo[:8])
-    r = lk["bank_to_vertical"].func(geo[:8], 1200.0, below, 1200.0)
+    r = lk("bank_to_vertical", geo[:8], 1200.0, below, 1200.0)
     assert np.abs(r).max() < 1e-12
-    assert abs(lk["bank_to_vertical"].func(geo[:8], 1200.0, below,
-                                           1201.0)[8] - 1.0) < 1e-12
+    assert abs(lk("bank_to_vertical", geo[:8], 1200.0, below,
+                  1201.0)[8] - 1.0) < 1e-12
 
 
 def test_phase_contexts_match_vehicle(cfg):
@@ -380,6 +385,55 @@ def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup):
     assert rep.objective == 186.90341317858397
     assert rep.violation == 46.747444025388134
     assert rep.message == ""
+
+
+def test_four_capped_sqp_iterations_from_the_guess(cfg, guess_setup):
+    # from the second iteration on the multipliers are nonzero, so every
+    # node and endpoint block of the Hessian runs; recorded while each path
+    # row, integrand and endpoint point had a callback call of its own, the
+    # iterate must not move a bit
+    nlp, z0 = guess_setup
+    rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
+        tolerance=cfg.solver_tolerance, max_iterations=4))
+    assert rep.status == "max_iterations" and rep.iterations == 4
+    assert rep.objective == 182.7917437860942
+    assert rep.violation == 27.23391796512287
+    assert hashlib.sha256(rep.x.tobytes()).hexdigest() == (
+        "6f568246533f5ea7ece4ae4aba3bbbd7d8762f9d2aa20f1cf5df61e7eabb44de")
+
+
+def test_mission_hessian_at_the_guess_is_pinned_bit_for_bit(guess_setup):
+    # seeded multipliers on every row, recorded while each path row,
+    # integrand and endpoint point had a callback call of its own
+    nlp, z0 = guess_setup
+    y = np.random.default_rng(2104).standard_normal(nlp.n_con)
+    H = nlp.hessian(z0, y)
+    digests = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+               for a in (H.data, H.indices, H.indptr)]
+    assert digests == [
+        "ff66ba1cbf6e01a0e5fb7b7d608d506995a2bd9265cfd3d3d8578c56641c544f",
+        "00cce37417097d00cd8fc3614c469221bc33171be82ccfaa46abc267e44e1838",
+        "b75036e4d20c34ff7296ca1b74d58b451d8b58302570225257c299b0742468e8"]
+
+
+def test_each_evaluation_looks_the_environment_up_once_per_phase(
+        cfg, guess_setup, monkeypatch):
+    # five phases fly through the air: each evaluation makes one atmosphere
+    # and one aero lookup in each of them, shared by the rates, the path
+    # rows and the heating integrand
+    _, z0 = guess_setup
+    nlp = transcribe(M.build_mission(cfg), M.default_meshes(cfg))
+    calls = {"atmosphere": 0, "aero": 0}
+    for key, table in (("atmosphere", M.AtmosphereTable), ("aero", M.AeroTable)):
+        def counted(self, *args, key=key, lookup=table.lookup):
+            calls[key] += 1
+            return lookup(self, *args)
+        monkeypatch.setattr(table, "lookup", counted)
+    for evaluate in (nlp.constraints, nlp.jacobian,
+                     lambda z: nlp.hessian(z, np.ones(nlp.n_con))):
+        calls.update(atmosphere=0, aero=0)
+        evaluate(z0)
+        assert calls == {"atmosphere": 5, "aero": 5}
 
 
 def _capped_subproblems(cfg, nlp, z0, monkeypatch):

@@ -10,8 +10,20 @@ from hypothesis import given, settings, strategies as st
 from ascentry import canonical, nlpsolve
 from ascentry.nlpsolve import (SolveReport, SolverOptions, kkt_residuals,
                                solve)
-from ascentry.transcription import (MultiPhaseProblem, PhaseDef, _fd_vector,
+from ascentry.transcription import (_FD_STEP, MultiPhaseProblem, PhaseDef,
                                     transcribe, uniform_mesh)
+
+
+def _fd_vector(func, x, dim_out):
+    """Dense central difference of a vector function of the vector x."""
+    out = np.zeros((dim_out, len(x)))
+    for j in range(len(x)):
+        h = _FD_STEP * max(1.0, abs(x[j]))
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        out[:, j] = (np.atleast_1d(func(xp)) - np.atleast_1d(func(xm))) / (2.0 * h)
+    return out
 
 
 class FunctionNLP:
@@ -197,7 +209,7 @@ def test_auto_scaling_from_bounds():
 def test_transcribed_min_effort_transfer():
     # min int u^2 with xdot = u, x(0)=0, x(1)=1: u* = 1, J* = 1
     ph = PhaseDef(
-        name="scalar", nx=1, nu=1, dynamics=lambda X, U: U,
+        name="scalar", nx=1, nu=1, node=lambda X, U: U,
         x_lo=np.array([-10.0]), x_hi=np.array([10.0]),
         u_lo=np.array([-10.0]), u_hi=np.array([10.0]),
         t0_lo=0.0, t0_hi=0.0, tf_lo=1.0, tf_hi=1.0,
@@ -231,7 +243,7 @@ def test_nonfinite_derivatives_end_the_solve_as_a_failed_evaluation():
     # just below, so the constraints are finite and one probe is not
     ph = PhaseDef(
         name="scalar", nx=1, nu=1,
-        dynamics=lambda X, U: np.where(X > 0.5, np.inf, U),
+        node=lambda X, U: np.where(X > 0.5, np.inf, U),
         x_lo=np.array([-10.0]), x_hi=np.array([10.0]),
         u_lo=np.array([-10.0]), u_hi=np.array([10.0]),
         t0_lo=0.0, t0_hi=0.0, tf_lo=1.0, tf_hi=1.0,

@@ -16,11 +16,21 @@ from ascentry.transcription import (Accumulator, BoundaryConstraint,
                                     uniform_mesh)
 
 
-def _double_integrator(tf_lo=2.0, tf_hi=2.0, **kw):
-    """x'' = u on t in [0, tf]."""
+def _node(*columns):
+    """A node callback from its column functions, (X, U) -> (n,) or (n, k)
+    each: the rates, then each path row's and each integrand's."""
+    return lambda X, U: np.column_stack([f(X, U) for f in columns])
+
+
+def _cart_rates(X, U):
+    return np.column_stack([X[:, 1], U[:, 0]])
+
+
+def _double_integrator(tf_lo=2.0, tf_hi=2.0, columns=(), **kw):
+    """x'' = u on t in [0, tf]; columns computes the node's path and
+    integrand columns, in order."""
     return PhaseDef(
-        "cart", 2, 1,
-        lambda X, U: np.column_stack([X[:, 1], U[:, 0]]),
+        "cart", 2, 1, _node(_cart_rates, *columns),
         x_lo=[-50.0, -50.0], x_hi=[50.0, 50.0],
         u_lo=[-10.0], u_hi=[10.0],
         t0_lo=0.0, t0_hi=0.0, tf_lo=tf_lo, tf_hi=tf_hi, **kw)
@@ -45,8 +55,8 @@ def test_phase_bound_dimension_check():
 
 
 def test_problem_rejects_unknown_accumulator():
-    ph = _double_integrator(
-        integrands=[IntegralTerm("missing", lambda X, U: U[:, 0])])
+    ph = _double_integrator(integrands=[IntegralTerm("missing")],
+                            columns=[lambda X, U: U[:, 0]])
     with pytest.raises(ValueError):
         MultiPhaseProblem([ph])
 
@@ -60,8 +70,8 @@ def test_problem_rejects_dangling_linkage():
 
 
 def test_problem_rejects_duplicate_accumulator():
-    ph = _double_integrator(
-        integrands=[IntegralTerm("effort", lambda X, U: U[:, 0])])
+    ph = _double_integrator(integrands=[IntegralTerm("effort")],
+                            columns=[lambda X, U: U[:, 0]])
     with pytest.raises(ValueError, match="unique"):
         MultiPhaseProblem([ph], accumulators=[Accumulator("effort", 0.0, 1.0),
                                               Accumulator("effort", 0.0, 2.0)])
@@ -146,8 +156,8 @@ def test_objective_quadrature_exact_for_low_degree():
 def test_accumulator_balance_row():
     tf = 2.0
     mesh = uniform_mesh(3, 4)
-    ph = _double_integrator(
-        integrands=[IntegralTerm("effort", lambda X, U: U[:, 0] ** 2)])
+    ph = _double_integrator(integrands=[IntegralTerm("effort")],
+                            columns=[lambda X, U: U[:, 0] ** 2])
     prob = MultiPhaseProblem([ph], accumulators=[Accumulator("effort",
                                                              0.0, 100.0)])
     nlp = transcribe(prob, [mesh])
@@ -164,8 +174,8 @@ def test_accumulator_balance_row():
 
 def test_path_rows_evaluate_at_collocation_nodes():
     mesh = uniform_mesh(2, 3)
-    ph = _double_integrator(
-        path=[PathConstraint("speed", lambda X, U: X[:, 1], -1.0, 1.0)])
+    ph = _double_integrator(path=[PathConstraint("speed", -1.0, 1.0)],
+                            columns=[lambda X, U: X[:, 1]])
     nlp = transcribe(MultiPhaseProblem([ph]), [mesh])
     coll, state = nlp.node_taus(0)
     X = np.column_stack([state, np.sin(state)])
@@ -195,12 +205,11 @@ def test_min_duration_row_only_when_time_free():
 def _two_phase_linked(cost=None):
     ph0 = _double_integrator(tf_lo=1.0, tf_hi=3.0, cost=cost)
     ph1 = PhaseDef(
-        "cart2", 2, 1,
-        lambda X, U: np.column_stack([X[:, 1], U[:, 0]]),
+        "cart2", 2, 1, _cart_rates,
         x_lo=[-50.0, -50.0], x_hi=[50.0, 50.0], u_lo=[-10.0], u_hi=[10.0],
         t0_lo=1.0, t0_hi=3.0, tf_lo=4.0, tf_hi=4.0, cost=cost)
     link = Linkage("handoff", 0, 1,
-                   lambda xa, ta, xb, tb: np.concatenate([xb - xa, [tb - ta]]),
+                   lambda xa, ta, xb, tb: np.column_stack([xb - xa, tb - ta]),
                    np.zeros(3), np.zeros(3))
     bc = BoundaryConstraint("start_at_rest", 0,
                             lambda x0, xf, t0, tf: x0, np.zeros(2), np.zeros(2))
@@ -232,13 +241,14 @@ def test_linkage_and_boundary_rows():
 def _bilinear_one_phase():
     ph = _double_integrator(
         tf_lo=1.0, tf_hi=4.0,
-        path=[PathConstraint("lane", lambda X, U: X[:, 0] + 0.3 * U[:, 0],
-                             -5.0, 5.0)],
-        integrands=[IntegralTerm("effort", lambda X, U: U[:, 0])])
+        path=[PathConstraint("lane", -5.0, 5.0)],
+        integrands=[IntegralTerm("effort")],
+        columns=[lambda X, U: X[:, 0] + 0.3 * U[:, 0], lambda X, U: U[:, 0]])
     prob = MultiPhaseProblem(
         [ph], accumulators=[Accumulator("effort", -50.0, 50.0)],
         boundaries=[BoundaryConstraint(
-            "ends", 0, lambda x0, xf, t0, tf: np.array([x0[0], xf[0] - 1.0]),
+            "ends", 0,
+            lambda x0, xf, t0, tf: np.column_stack([x0[:, 0], xf[:, 0] - 1.0]),
             np.zeros(2), np.zeros(2))])
     return prob, [MeshPhase([0.4, 0.6], [3, 2])], [(0.0, 2.7)]
 
@@ -255,14 +265,18 @@ def _bilinear_two_phase_accumulated():
     prob = _two_phase_linked()
     ph0, ph1 = prob.phases
     ph0.min_duration = ph1.min_duration = 0.5
-    ph0.path = [PathConstraint("lane", lambda X, U: X[:, 0] + 0.3 * U[:, 0],
-                               -5.0, 5.0),
-                PathConstraint("pace", lambda X, U: X[:, 1] - 2.0 * U[:, 0],
-                               -9.0, 9.0)]
-    ph0.integrands = [IntegralTerm("effort", lambda X, U: U[:, 0]),
-                      IntegralTerm("travel", lambda X, U: X[:, 1] + 0.5)]
-    ph1.integrands = [IntegralTerm("travel", lambda X, U: 2.0 * X[:, 1]),
-                      IntegralTerm("travel", lambda X, U: X[:, 0] - U[:, 0])]
+    ph0.path = [PathConstraint("lane", -5.0, 5.0),
+                PathConstraint("pace", -9.0, 9.0)]
+    ph0.integrands = [IntegralTerm("effort"), IntegralTerm("travel")]
+    ph0.node = _node(_cart_rates,
+                     lambda X, U: X[:, 0] + 0.3 * U[:, 0],
+                     lambda X, U: X[:, 1] - 2.0 * U[:, 0],
+                     lambda X, U: U[:, 0],
+                     lambda X, U: X[:, 1] + 0.5)
+    ph1.integrands = [IntegralTerm("travel"), IntegralTerm("travel")]
+    ph1.node = _node(_cart_rates,
+                     lambda X, U: 2.0 * X[:, 1],
+                     lambda X, U: X[:, 0] - U[:, 0])
     prob = MultiPhaseProblem(prob.phases, prob.linkages, prob.boundaries,
                              [Accumulator("effort", -50.0, 50.0),
                               Accumulator("travel", -50.0, 50.0)])
@@ -330,7 +344,7 @@ def test_endpoint_output_must_match_its_bounds(kind):
     # raise, naming the group, rather than leave a row unset or broadcast
     prob = _two_phase_linked()
     if kind.startswith("bc:"):
-        prob.boundaries[0].func = lambda x0, xf, t0, tf: x0[:1]
+        prob.boundaries[0].func = lambda x0, xf, t0, tf: x0[:, :1]
     else:
         prob.linkages[0].func = lambda xa, ta, xb, tb: xb - xa
     meshes = [uniform_mesh(1, 3), uniform_mesh(1, 3)]
@@ -383,17 +397,17 @@ def _nonlinear_phase_problem():
     running cost, each mixing states and controls."""
     ph = PhaseDef(
         "swing", 2, 2,
-        lambda X, U: np.column_stack([X[:, 1] * np.cos(U[:, 1]),
-                                      np.sin(X[:, 0]) * U[:, 0]
-                                      - 0.1 * X[:, 1] ** 3]),
+        _node(lambda X, U: np.column_stack([X[:, 1] * np.cos(U[:, 1]),
+                                            np.sin(X[:, 0]) * U[:, 0]
+                                            - 0.1 * X[:, 1] ** 3]),
+              lambda X, U: X[:, 0] ** 2 + np.exp(0.3 * X[:, 1]),
+              lambda X, U: U[:, 0] * X[:, 1] - np.tanh(U[:, 1]),
+              lambda X, U: np.abs(U[:, 0]) ** 1.5 + X[:, 0] * U[:, 1]),
         x_lo=[-5.0, -5.0], x_hi=[5.0, 5.0], u_lo=[-2.0, -2.0], u_hi=[2.0, 2.0],
         t0_lo=0.0, t0_hi=0.0, tf_lo=1.0, tf_hi=3.0,
-        path=[PathConstraint("energy", lambda X, U: X[:, 0] ** 2
-                             + np.exp(0.3 * X[:, 1]), 0.0, 10.0),
-              PathConstraint("load", lambda X, U: U[:, 0] * X[:, 1]
-                             - np.tanh(U[:, 1]), -3.0, 3.0)],
-        integrands=[IntegralTerm("effort", lambda X, U: np.abs(U[:, 0]) ** 1.5
-                                 + X[:, 0] * U[:, 1])],
+        path=[PathConstraint("energy", 0.0, 10.0),
+              PathConstraint("load", -3.0, 3.0)],
+        integrands=[IntegralTerm("effort")],
         cost=lambda X, U: U[:, 0] ** 2 + np.log1p(X[:, 1] ** 2))
     prob = MultiPhaseProblem([ph], accumulators=[Accumulator("effort",
                                                              -50.0, 50.0)])
@@ -435,20 +449,47 @@ def test_each_callback_runs_once_per_phase_per_derivative_pass(name):
         return wrapped
 
     for p, ph in enumerate(prob.phases):
-        ph.dynamics = counted((p, "dynamics"), ph.dynamics)
+        ph.node = counted((p, "node"), ph.node)
         ph.cost = counted((p, "cost"), ph.cost)
-        for pc in ph.path:
-            pc.func = counted((p, pc.name), pc.func)
-        for term in ph.integrands:
-            term.func = counted((p, term.accumulator), term.func)
     nlp = transcribe(prob, meshes)
     z = nlp.clip_to_bounds(straight_line_guess(nlp) + 0.1)
     nlp.objective_gradient(z)
     nlp.jacobian(z)
-    expected = {(p, key) for p, ph in enumerate(prob.phases)
-                for key in ["dynamics", "cost", *(pc.name for pc in ph.path),
-                            *(t.accumulator for t in ph.integrands)]}
+    expected = {(p, key) for p in range(len(prob.phases))
+                for key in ["node", "cost"]}
     assert calls == Counter({key: 1 for key in expected})
+
+
+def test_each_endpoint_callback_runs_once_per_derivative_pass():
+    # the Jacobian's probes and the Hessian's cross stencil each go to a
+    # boundary or linkage function as one stack of points
+    prob, meshes = _PROBE_PROBLEMS["two-phase-linked"]()
+    calls = Counter()
+    points = []
+
+    def counted(key, func):
+        def wrapped(*args):
+            calls[key] += 1
+            points.append(len(args[0]))
+            return func(*args)
+        return wrapped
+
+    for group in (*prob.linkages, *prob.boundaries):
+        group.func = counted(group.name, group.func)
+    nlp = transcribe(prob, meshes)
+    z = _linked_point(nlp, 8)
+    nlp.jacobian(z)
+    assert calls == Counter({"handoff": 1, "start_at_rest": 1})
+    # a linkage over 2 + 1 + 2 + 1 columns, a boundary over 2 + 2 + 1 + 1:
+    # the point, then its 2 * 6 probes
+    assert sorted(points) == [2 * 6 + 1, 2 * 6 + 1]
+    calls.clear()
+    nlp.hessian(z, np.zeros(nlp.n_con))
+    assert calls == Counter()
+    points.clear()
+    nlp.hessian(z, np.ones(nlp.n_con))
+    assert calls == Counter({"handoff": 1, "start_at_rest": 1})
+    assert sorted(points) == [2 * 6 * 7, 2 * 6 * 7]
 
 
 def _bilinear_point(build, seed):
@@ -539,7 +580,8 @@ def test_hessian_pattern_covers_every_entry(name):
 
 def test_hessian_runs_only_the_callbacks_with_weight():
     # with every multiplier zero only the cost is probed, once per phase;
-    # one path multiplier brings in that path function alone
+    # one path multiplier brings in the node callback, and of its columns
+    # that path row's alone
     prob, meshes = _nonlinear_phase_problem()
     calls = Counter()
 
@@ -550,11 +592,8 @@ def test_hessian_runs_only_the_callbacks_with_weight():
         return wrapped
 
     ph = prob.phases[0]
-    ph.dynamics = counted("dynamics", ph.dynamics)
+    ph.node = counted("node", ph.node)
     ph.cost = counted("cost", ph.cost)
-    for pc in ph.path:
-        pc.func = counted(pc.name, pc.func)
-    ph.integrands[0].func = counted("effort", ph.integrands[0].func)
     nlp = transcribe(prob, meshes)
     z = nlp.clip_to_bounds(straight_line_guess(nlp) + 0.1)
     y = np.zeros(nlp.n_con)
@@ -565,7 +604,7 @@ def test_hessian_runs_only_the_callbacks_with_weight():
     y[nlp.con_names.index("p0:swing:path:load:n2")] = 1.5
     calls.clear()
     H1 = nlp.hessian(z, y)
-    assert calls == Counter({"cost": 1, "load": 1})
+    assert calls == Counter({"cost": 1, "node": 1})
     # the load's Hessian at node 2 alone, scaled by its multiplier
     cols = [nlp.var_names.index(f"p0:swing:{k}:n2")
             for k in ("x:x0", "x:x1", "u:u0", "u:u1")]
@@ -580,18 +619,23 @@ def test_hessian_runs_only_the_callbacks_with_weight():
 
 
 def test_path_output_must_hold_one_value_per_node():
-    # a path function that returns one value, not one per node: each of
-    # constraints(), jacobian() and hessian() raises, naming the group
-    ph = _double_integrator(path=[PathConstraint(
-        "total", lambda X, U: np.sum(X[:, 0]), -5.0, 5.0)])
+    # a path column that holds one value, not one per node: each of
+    # constraints(), jacobian() and hessian() raises, naming the phase's
+    # node callback and the nodes of its stack: 6, or 6 with 2 * 3 probes
+    # each (the Hessian starts with the derivative pass)
+    ph = _double_integrator(path=[PathConstraint("total", -5.0, 5.0)])
+    ph.node = lambda X, U: np.append(_cart_rates(X, U), np.sum(X[:, 0]))
     prob = MultiPhaseProblem([ph])
     meshes = [uniform_mesh(2, 3)]
     nlp = transcribe(prob, meshes)
     z = nlp.pack([np.ones((7, 2))], [np.zeros((6, 1))], [(0.0, 2.0)])
     y = np.ones(nlp.n_con)
-    for evaluate in (lambda n: n.constraints(z), lambda n: n.jacobian(z),
-                     lambda n: n.hessian(z, y)):
-        with pytest.raises(ValueError, match="path:total returns 1 values"):
+    for evaluate, nodes in ((lambda n: n.constraints(z), 6),
+                            (lambda n: n.jacobian(z), 42),
+                            (lambda n: n.hessian(z, y), 42)):
+        with pytest.raises(ValueError, match=(
+                f"p0:cart:node returns {2 * nodes + 1} values for {nodes} "
+                f"nodes, not 3 per node")):
             evaluate(transcribe(prob, meshes))
 
 
@@ -650,7 +694,7 @@ def test_nonfinite_callback_is_reported():
         return out
 
     ph = _double_integrator()
-    ph.dynamics = bad_dyn
+    ph.node = bad_dyn
     nlp = transcribe(MultiPhaseProblem([ph]), [uniform_mesh(1, 3)])
     z = nlp.pack([np.zeros((4, 2))], [np.zeros((3, 1))], [(0.0, 2.0)])
     with pytest.raises(EvaluationError) as err:
@@ -665,8 +709,8 @@ def _blows_up_past(limit, value):
 
 def test_nonfinite_jacobian_is_reported_by_row():
     ph = _double_integrator(tf_lo=1.0, tf_hi=4.0)
-    ph.dynamics = lambda X, U: np.column_stack([_blows_up_past(0.5, X[:, 0]),
-                                                U[:, 0]])
+    ph.node = lambda X, U: np.column_stack([_blows_up_past(0.5, X[:, 0]),
+                                            U[:, 0]])
     nlp = transcribe(MultiPhaseProblem([ph]), [uniform_mesh(1, 3)])
     X = np.zeros((4, 2))
     X[1, 0] = 0.5 - 1e-9      # the +h probe of node 1 crosses the limit
