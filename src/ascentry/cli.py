@@ -5,6 +5,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -260,56 +261,35 @@ def _write_canonical_outputs(out: Path, report) -> None:
     M.write_csv(out / "trajectory.csv", header, np.vstack(blocks))
 
 
-def _cmd_solve_canonical(args, problem: str, data: dict, out: Path) -> int:
-    prob, meshes, solver, refinement = _canonical_setup(problem, data,
-                                                        args.max_refinements)
-    report = refine_loop(prob, meshes, straight_line_guess, refinement, solver,
-                         history_path=out / "mesh_history.json")
-    rep = report.solve_reports[-1]
-    summary = {"problem": problem, "status": rep.status,
-               "objective": rep.objective, "violation": rep.violation,
+def _cmd_solve(args, problem: str, data: dict, out: Path) -> int:
+    history = out / "mesh_history.json"
+    if problem == "mission":
+        cfg = _mission_config(args, data)
+        report = M.solve_mission(cfg, history_path=history)
+    else:
+        prob, meshes, solver, refinement = _canonical_setup(
+            problem, data, args.max_refinements)
+        report = refine_loop(prob, meshes, straight_line_guess, refinement,
+                             solver, history_path=history)
+    last = report.last_solve
+    summary = {"problem": problem, "status": report.status,
+               "objective": last.objective, "violation": last.violation,
                "mesh_converged": report.converged,
                "refinement_iterations": report.iterations}
-    with open(out / "summary.json", "w") as f:
-        json.dump(summary, f, indent=1)
-        f.write("\n")
-    _write_canonical_outputs(out, report)
-    print(f"{problem}: {rep.status}, objective {rep.objective:.8g}")
-    return EXIT_OK if rep.converged and report.converged else EXIT_NO_CONVERGENCE
-
-
-def _cmd_transcribe_canonical(args, problem: str, data: dict, out: Path) -> int:
-    prob, meshes, _, _ = _canonical_setup(problem, data)
-    nlp = transcribe(prob, meshes)
-    nlp.dump_layout(out / "layout.json")
-    print(f"{problem}: {nlp.n_var} variables, {nlp.n_con} constraints")
-    return EXIT_OK
-
-
-def _cmd_solve_mission(args, data: dict, out: Path) -> int:
-    cfg = _mission_config(args, data)
-    run = M.solve_mission(cfg, history_path=out / "mesh_history.json")
-    res = M.summarize_run(run)
-    summary = {"status": run.status,
-               "mesh_converged": run.report.converged,
-               "refinement_iterations": run.report.iterations,
-               "objective": res.objective,
-               "heat_load_MJ_m2": res.heat_load,
-               "max_qdot_MW_m2": res.max_qdot,
-               "peak_altitude_km": res.peak_altitude,
-               "pierce_speed_km_s": res.pierce_speed,
-               "pierce_fpa_deg": res.pierce_fpa_deg,
-               "entry_duration_s": res.entry_duration}
-    with open(out / "summary.json", "w") as f:
-        json.dump(summary, f, indent=1)
-        f.write("\n")
-    if run.solution is not None:
-        table = M.trajectory_table(cfg, run.solution)
+    if problem == "mission":
+        # the study row's flight figures, between its limits and its status
+        row = dict(zip(M.STUDY_COLUMNS, astuple(M.summarize_run(cfg, report))))
+        summary.update((key, row[key]) for key in M.STUDY_COLUMNS[3:-1])
+        table = M.trajectory_table(cfg, report.solution)
         M.write_trajectory_csv(out / "trajectory.csv", table)
         emit_plots(out, table)
-    print(f"mission: {run.status}, objective {res.objective:.6g}, "
-          f"heat load {res.heat_load:.6g} MJ/m^2")
-    return EXIT_OK if run.converged else EXIT_NO_CONVERGENCE
+    else:
+        _write_canonical_outputs(out, report)
+    with open(out / "summary.json", "w") as f:
+        json.dump(summary, f, indent=1)
+        f.write("\n")
+    print(f"{problem}: {report.status}, objective {last.objective:.8g}")
+    return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
 def _cmd_sweep(args, problem: str, data: dict, out: Path) -> int:
@@ -331,12 +311,15 @@ def _cmd_sweep(args, problem: str, data: dict, out: Path) -> int:
     return EXIT_OK if ok else EXIT_NO_CONVERGENCE
 
 
-def _cmd_transcribe_mission(args, data: dict, out: Path) -> int:
-    cfg = _mission_config(args, data)
-    prob = M.build_mission(cfg)
-    nlp = transcribe(prob, M.default_meshes(cfg))
+def _cmd_transcribe(args, problem: str, data: dict, out: Path) -> int:
+    if problem == "mission":
+        cfg = _mission_config(args, data)
+        prob, meshes = M.build_mission(cfg), M.default_meshes(cfg)
+    else:
+        prob, meshes, _, _ = _canonical_setup(problem, data)
+    nlp = transcribe(prob, meshes)
     nlp.dump_layout(out / "layout.json")
-    print(f"mission: {nlp.n_var} variables, {nlp.n_con} constraints")
+    print(f"{problem}: {nlp.n_var} variables, {nlp.n_con} constraints")
     return EXIT_OK
 
 
@@ -350,14 +333,10 @@ def main(argv=None) -> int:
             return _cmd_check(args, data)
         out = _outdir(args)
         if args.command == "solve":
-            if problem == "mission":
-                return _cmd_solve_mission(args, data, out)
-            return _cmd_solve_canonical(args, problem, data, out)
+            return _cmd_solve(args, problem, data, out)
         if args.command == "sweep":
             return _cmd_sweep(args, problem, data, out)
-        if problem == "mission":
-            return _cmd_transcribe_mission(args, data, out)
-        return _cmd_transcribe_canonical(args, problem, data, out)
+        return _cmd_transcribe(args, problem, data, out)
     except M.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -145,8 +145,9 @@ def geo_core(y, u, ctx: PhaseContext, lift, drag):
     return out
 
 
-def angular_rates(y, ctx: PhaseContext):
-    """LVLH angular velocity components (w2, w3) of the velocity frame.
+def _frame_rates(y, ctx: PhaseContext, lift):
+    """LVLH angular velocity components (w2, w3) of the velocity frame, on
+    a batch whose lift is already known.
 
     Written so that the Euler-parameter formulation reproduces the geodetic
     one exactly: the transverse force T sin(alpha) + L enters w3 only, and
@@ -154,17 +155,6 @@ def angular_rates(y, ctx: PhaseContext):
     -(4 v / r) tan(theta) (e1 e2 + e3 eta) (.) absent from textbook
     non-rotating-frame derivations.
     """
-    y, single = _as_batch(y)
-    _, _, _, lift, _ = aero_env(ctx, y[:, Vert.H], y[:, Vert.V],
-                                y[:, Vert.ALPHA])
-    w2, w3 = _frame_rates(y, ctx, lift)
-    if single:
-        return w2[0], w3[0]
-    return w2, w3
-
-
-def _frame_rates(y, ctx: PhaseContext, lift):
-    """angular_rates on a batch whose lift is already known."""
     h, v, th = y[:, Vert.H], y[:, Vert.V], y[:, Vert.THETA]
     e1, e2, e3, eta = (y[:, Vert.E1], y[:, Vert.E2], y[:, Vert.E3],
                        y[:, Vert.ETA])
@@ -270,7 +260,8 @@ def convert_control(y, w1, ctx: PhaseContext):
     e1, e2, e3, eta = (y[:, Vert.E1], y[:, Vert.E2], y[:, Vert.E3],
                        y[:, Vert.ETA])
     w1 = np.atleast_1d(np.asarray(w1, dtype=float))
-    w2, w3 = angular_rates(y, ctx)
+    lift = aero_env(ctx, y[:, Vert.H], y[:, Vert.V], y[:, Vert.ALPHA])[3]
+    w2, w3 = _frame_rates(y, ctx, lift)
     ratio = (0.5 - e2 ** 2 - e3 ** 2) / ((e1 ** 2 + eta ** 2)
                                          * (e2 ** 2 + e3 ** 2))
     us = w1 - ratio * (w2 * (e2 * e1 - e3 * eta) + w3 * (e3 * e1 + e2 * eta))

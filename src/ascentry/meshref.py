@@ -111,6 +111,16 @@ class RefinementReport:
     def last_solve(self) -> SolveReport:
         return self.solve_reports[-1]
 
+    @property
+    def status(self) -> str:
+        """The run's verdict: "converged" only when the last solve converged
+        on a mesh that meets tolerance, "max_refinements" when it converged
+        but the rounds ran out, otherwise the last solve's status."""
+        if self.converged:
+            return "converged"
+        return "max_refinements" if self.last_solve.converged \
+            else self.last_solve.status
+
 
 def _history_entry(iteration, meshes, errors):
     entry = {"iteration": iteration, "phases": []}
@@ -160,16 +170,10 @@ def refine_loop(problem: MultiPhaseProblem, meshes: list[MeshPhase],
         if worst <= options.mesh_tolerance:
             done = rep.converged
             break
-        new_meshes = []
-        changed = False
-        for p, mesh in enumerate(meshes):
-            nm, ch = refine(mesh, errors[p], options)
-            new_meshes.append(nm)
-            changed = changed or ch
-        if not changed:
-            done = reports[-1].converged
-            break
-        meshes = new_meshes
+        # an interval over tolerance always changes, so every round that
+        # gets here solves a new mesh
+        meshes = [refine(mesh, errs, options)[0]
+                  for mesh, errs in zip(meshes, errors)]
     if history_path is not None:
         with open(history_path, "w") as f:
             json.dump(history, f, indent=1)

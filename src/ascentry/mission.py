@@ -21,8 +21,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .dynamics import (GEO_DIM, Geo, PhaseContext, Vert, aero_env,
-                       angles_to_quat, geo_core, geo_from_vert, geo_rates,
-                       vert_core, vert_from_geo, vert_rates)
+                       geo_core, geo_from_vert, geo_rates, vert_core,
+                       vert_from_geo, vert_rates)
 from .meshref import RefinementOptions, RefinementReport, refine_loop
 from .models import (AeroTable, AtmosphereTable, EarthConstants,
                      extend_entry_aero, load_boost_aero,
@@ -139,10 +139,7 @@ class MissionConfig:
     payload_mass: float = 3000.0
     entry_mass: float = 907.186
     entry_area: float = 0.48387
-    t_s1: float = 56.4
-    t_s2: float = 117.1
     t_fairing: float = 179.1
-    t_s3: float = 189.1
     limits: PathLimits = field(default_factory=PathLimits)
     cost: CostParams = field(default_factory=CostParams)
     bc: BoundaryData = field(default_factory=BoundaryData)
@@ -158,6 +155,21 @@ class MissionConfig:
     entry_aero: object = "builtin"
 
     # -- derived bookkeeping
+
+    @property
+    def t_s1(self) -> float:
+        """First-stage separation: the stage burn times run from ignition."""
+        return self.stages[0].burn_time
+
+    @property
+    def t_s2(self) -> float:
+        """Second-stage separation."""
+        return self.t_s1 + self.stages[1].burn_time
+
+    @property
+    def t_s3(self) -> float:
+        """Third-stage burnout."""
+        return self.t_s2 + self.stages[2].burn_time
 
     @property
     def ignition_mass(self) -> float:
@@ -186,11 +198,7 @@ class MissionConfig:
             raise ConfigError("exactly three booster stages are required")
         if not 0.0 < self.bc.t0 < self.t_s1 < self.t_s2 < self.t_fairing < self.t_s3:
             bad.append("staging times must satisfy t0 < t_s1 < t_s2 < t_fairing < t_s3")
-        marks = (self.t_s1, self.t_s2 - self.t_s1, self.t_s3 - self.t_s2)
-        for s, span in zip(self.stages, marks):
-            if abs(s.burn_time - span) > 1.0e-6:
-                bad.append(f"{s.name} burn time {s.burn_time} does not match "
-                           f"the staging timeline span {span:.6g}")
+        for s in self.stages:
             ideal = s.thrust * s.burn_time / (s.isp * self.earth.g0)
             if abs(ideal - s.fuel_mass) > 0.01 * s.fuel_mass:
                 bad.append(f"{s.name} fuel load {s.fuel_mass} is inconsistent "
@@ -393,10 +401,7 @@ CONFIG_FIELDS = (
     ConfigField("vehicle", "payload_mass", "payload_mass"),
     ConfigField("vehicle", "entry_mass", "entry_mass"),
     ConfigField("vehicle", "entry_area", "entry_area"),
-    ConfigField("times", "t_s1", "t_s1"),
-    ConfigField("times", "t_s2", "t_s2"),
     ConfigField("times", "t_fairing", "t_fairing"),
-    ConfigField("times", "t_s3", "t_s3"),
     ConfigField("limits", "q_max", "limits.q_max"),
     ConfigField("limits", "q_split", "limits.q_split"),
     ConfigField("limits", "n_max", "limits.n_max"),
@@ -1033,21 +1038,9 @@ def initial_guess(config: MissionConfig, nlp) -> np.ndarray:
     for p, (t0, tf) in enumerate(times):
         coll_tau, state_tau = nlp.node_taus(p)
         ts = t0 + state_tau * (tf - t0)
-        if p <= 5:
-            ys = segs[p].sol(ts).T
-            if p >= 4:
-                ys = ys[:, :GEO_DIM]
-        else:
-            ys = glide_at(ts)
-        if p == 0:
+        ys = segs[p].sol(ts).T if p <= 5 else glide_at(ts)
+        if p in (0, 7):
             ys = vert_from_geo(ys)
-        elif p == 7:
-            geo = ys
-            e1, e2, e3, eta = angles_to_quat(geo[:, Geo.GAMMA],
-                                             geo[:, Geo.PSI],
-                                             geo[:, Geo.SIGMA])
-            ys = np.column_stack([geo[:, :4], e1, e2, e3, eta,
-                                  geo[:, Geo.ALPHA]])
         states.append(ys)
         nu = nlp.problem.phases[p].nu
         if p == 6:
@@ -1072,23 +1065,8 @@ def initial_guess(config: MissionConfig, nlp) -> np.ndarray:
 # solving and studies
 
 
-@dataclass
-class MissionRun:
-    config: MissionConfig
-    report: RefinementReport
-    status: str
-
-    @property
-    def solution(self) -> Solution | None:
-        return self.report.solution
-
-    @property
-    def converged(self) -> bool:
-        return self.status == "converged"
-
-
 def solve_mission(config: MissionConfig, *, warm: Solution | None = None,
-                  history_path=None) -> MissionRun:
+                  history_path=None) -> RefinementReport:
     config.validate()
     problem = build_mission(config)
     meshes = default_meshes(config)
@@ -1100,11 +1078,8 @@ def solve_mission(config: MissionConfig, *, warm: Solution | None = None,
         guess = lambda nlp: nlp.clip_to_bounds(nlp.z_from_solution(warm))
     else:
         guess = lambda nlp: initial_guess(config, nlp)
-    report = refine_loop(problem, meshes, guess, refinement, solver_options,
-                         history_path=history_path)
-    last = report.solve_reports[-1] if report.solve_reports else None
-    status = last.status if last is not None else "numerical_failure"
-    return MissionRun(config=config, report=report, status=status)
+    return refine_loop(problem, meshes, guess, refinement, solver_options,
+                       history_path=history_path)
 
 
 @dataclass
@@ -1131,14 +1106,12 @@ STUDY_COLUMNS = ("qdot_max_MW_m2", "q_heat_max_MJ_m2", "objective",
                  "status")
 
 
-def summarize_run(run: MissionRun) -> StudyResult:
-    lm = run.config.limits
-    sol = run.solution
-    if sol is None:
-        nan = float("nan")
-        return StudyResult(lm.qdot_max, lm.q_heat_max, nan, nan, nan, nan,
-                           nan, nan, nan, run.status)
-    atm = resolve_tables(run.config)[0]
+def summarize_run(config: MissionConfig,
+                  report: RefinementReport) -> StudyResult:
+    """One study row from a solved mission; its status is the run's."""
+    lm = config.limits
+    sol = report.solution
+    atm = resolve_tables(config)[0]
     peak = float(sol.phases[5].states[0, Geo.H])
     pierce = sol.phases[6].states[0]
     duration = float(sol.phases[7].tf - sol.phases[6].t0)
@@ -1148,13 +1121,13 @@ def summarize_run(run: MissionRun) -> StudyResult:
         tt = np.unique(np.concatenate([np.linspace(ph.t0, ph.tf, 400),
                                        ph.state_times()]))
         ys = ph.sample_states(tt)
-        qd = heating_rate(atm.density(ys[:, 0]), ys[:, 3], run.config.heating)
+        qd = heating_rate(atm.density(ys[:, 0]), ys[:, 3], config.heating)
         max_qd = max(max_qd, float(np.max(qd)))
     return StudyResult(lm.qdot_max, lm.q_heat_max, float(sol.objective),
                        peak, float(pierce[Geo.V]),
                        float(pierce[Geo.GAMMA]) / DEG, duration,
                        float(sol.accumulators.get("heat_load", math.nan)),
-                       max_qd, run.status)
+                       max_qd, report.status)
 
 
 def study_to_csv(results, path) -> None:
@@ -1164,7 +1137,8 @@ def study_to_csv(results, path) -> None:
 def run_study(config: MissionConfig, sweep: dict, *,
               progress=None) -> list[StudyResult]:
     """Constraint sweep; each branch walks its list tightening the limit and
-    stops at the first failed solve, warm-starting along the way.
+    stops at the first run that does not converge, warm-starting along the
+    way.
 
     sweep holds "qdot_max" and/or "q_heat_max" value lists.  With both, every
     qdot value opens a branch over the heat-load list (row-major order)."""
@@ -1180,14 +1154,14 @@ def run_study(config: MissionConfig, sweep: dict, *,
             cfg = replace(config,
                           limits=replace(config.limits, qdot_max=float(qd),
                                          q_heat_max=float(ql)))
-            run = solve_mission(cfg, warm=warm)
-            res = summarize_run(run)
+            report = solve_mission(cfg, warm=warm)
+            res = summarize_run(cfg, report)
             results.append(res)
             if progress is not None:
                 progress(res)
-            if not run.converged:
+            if not report.converged:
                 break
-            warm = run.solution
+            warm = report.solution
     return results
 
 

@@ -547,8 +547,6 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
                 if feas > tol:
                     status = "infeasible"
                     message = "no step available from an infeasible point"
-                else:
-                    status = "converged" if stat <= 10 * tol else "max_iterations"
                 break
             continue
 
@@ -619,8 +617,6 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
 
     stat, feas, _ = _residuals(g, c, J, x, y_con, y_bnd,
                                c_lo, c_hi, nlp.z_lo, nlp.z_hi)
-    if status == "converged" and feas > tol:
-        status = "max_iterations"
     close_log()
     if rough_steps and not message:
         message = (f"{rough_steps} of {accepted_steps} accepted steps came "

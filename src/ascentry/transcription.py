@@ -945,14 +945,6 @@ class Solution:
     accumulators: dict[str, float]
     objective: float
 
-    @property
-    def t0(self) -> float:
-        return self.phases[0].t0
-
-    @property
-    def tf(self) -> float:
-        return self.phases[-1].tf
-
 
 def transcribe(problem: MultiPhaseProblem,
                meshes: Sequence[MeshPhase]) -> NLPProblem:

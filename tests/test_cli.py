@@ -6,6 +6,8 @@ import pytest
 
 from ascentry import cli
 from ascentry import mission as M
+from ascentry.meshref import RefinementReport
+from ascentry.nlpsolve import SolveReport
 
 
 class _Captured(Exception):
@@ -83,6 +85,45 @@ def test_canonical_solve_writes_its_outputs(tmp_path):
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header == "t,x,u"
     assert json.loads((out / "mesh_history.json").read_text())
+
+
+def test_canonical_solve_out_of_rounds_exits_unconverged(tmp_path):
+    path = _write(tmp_path, {"problem": "exponential",
+                             "refinement": {"max_refinements": 1}})
+    out = tmp_path / "out"
+    code = cli.main(["--command", "solve", "--config", path,
+                     "--out", str(out)])
+    assert code == cli.EXIT_NO_CONVERGENCE
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "max_refinements"
+    assert summary["mesh_converged"] is False
+    assert summary["refinement_iterations"] == 1
+
+
+def test_mission_solve_on_an_unconverged_mesh_exits_unconverged(tmp_path,
+                                                                monkeypatch):
+    # the last solve converged, but the mesh still misses its tolerance
+    last = SolveReport(status="converged", iterations=7, objective=114.5,
+                       violation=1e-9, x=np.zeros(0))
+    report = RefinementReport(converged=False, iterations=10, errors=[],
+                              solution=None, solve_reports=[last])
+    row = M.StudyResult(math.inf, math.inf, 114.5, 115.0, 7.3, -3.0, 1800.0,
+                        4000.0, 8.0, report.status)
+    monkeypatch.setattr(M, "solve_mission", lambda cfg, **kw: report)
+    monkeypatch.setattr(M, "summarize_run", lambda cfg, rep: row)
+    monkeypatch.setattr(M, "trajectory_table", lambda cfg, sol: np.zeros(
+        (2, len(M.TRAJECTORY_COLUMNS))))
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out)]) == cli.EXIT_NO_CONVERGENCE
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["problem"] == "mission"
+    assert summary["status"] == "max_refinements"
+    assert (summary["objective"], summary["violation"]) == (114.5, 1e-9)
+    assert summary["mesh_converged"] is False
+    assert summary["refinement_iterations"] == 10
+    assert summary["peak_altitude_km"] == 115.0
+    assert summary["heat_load_MJ_m2"] == 4000.0
+    assert (out / "trajectory.csv").exists()
 
 
 def test_solve_flags_reach_the_mission_config(tmp_path, captured):

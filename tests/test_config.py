@@ -26,7 +26,7 @@ def _every_field_config() -> M.MissionConfig:
                 replace(s2, name="second", ref_area=4.3),
                 replace(s3, name="third", empty_mass=640.0)),
         fairing_mass=410.0, payload_mass=3100.0, entry_mass=900.0,
-        entry_area=0.5, t_s1=56.5, t_s2=117.2, t_fairing=179.0, t_s3=189.2,
+        entry_area=0.5, t_fairing=179.0,
         limits=M.PathLimits(q_max=120.0, q_split=11.0, n_max=11.5,
                             h_atm=79.0, h_peak_lo=101.0, h_peak_hi=199.0,
                             qdot_max=2.5, q_heat_max=300.0),

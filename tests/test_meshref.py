@@ -6,6 +6,7 @@ import pytest
 from ascentry import meshref
 from ascentry.meshref import (RefinementOptions, estimate_error, refine,
                               refine_loop)
+from ascentry.nlpsolve import SolveReport
 from ascentry.transcription import (MeshPhase, MultiPhaseProblem, PhaseDef,
                                     transcribe, uniform_mesh)
 
@@ -175,3 +176,29 @@ def test_refine_loop_transcribes_only_meshes_it_solves(monkeypatch):
     assert len(built) == len(rep.solve_reports) == 1
     solved = transcribe(_exp_problem(), [ph.mesh for ph in rep.solution.phases])
     assert len(rep.last_solve.x) == solved.n_var
+
+
+def _failed_solve(nlp, z, options):
+    return SolveReport(status="numerical_failure", iterations=0,
+                       objective=np.nan, violation=np.inf, x=z)
+
+
+@pytest.mark.parametrize("max_refinements, failing, status", [
+    (6, False, "converged"),            # the mesh meets tolerance
+    (1, False, "max_refinements"),      # the solve converged, rounds ran out
+    (6, True, "numerical_failure"),     # the solve failed
+])
+def test_refine_loop_status_names_how_the_run_ended(monkeypatch,
+                                                    max_refinements, failing,
+                                                    status):
+    if failing:
+        monkeypatch.setattr(meshref, "solve", _failed_solve)
+    rep = refine_loop(_exp_problem(), [uniform_mesh(1, 3)],
+                      lambda nlp: nlp.clip_to_bounds(np.ones(nlp.n_var)),
+                      RefinementOptions(mesh_tolerance=1e-6,
+                                        max_refinements=max_refinements))
+    assert rep.status == status
+    assert rep.converged == (status == "converged")
+    assert rep.last_solve.converged == (not failing)
+    if failing:
+        assert rep.iterations == 1

@@ -79,7 +79,11 @@ def test_stage_rejects_nonpositive_fields():
 
 @pytest.mark.parametrize("mutate", [
     lambda c: replace(c, stages=c.stages[:2]),
-    lambda c: replace(c, t_s1=130.0),
+    # a longer second-stage burn, fuel matched, separates after the fairing
+    lambda c: replace(c, stages=(c.stages[0],
+                                 replace(c.stages[1], burn_time=125.0,
+                                         fuel_mass=50445.0),
+                                 c.stages[2])),
     lambda c: replace(c, limits=replace(c.limits, q_split=200.0)),
     lambda c: replace(c, limits=replace(c.limits, h_peak_lo=10.0)),
     lambda c: replace(c, entry_mass=5000.0),
@@ -585,47 +589,49 @@ def test_trajectory_table_and_csv(cfg, guess_setup, tmp_path):
     assert len(lines) == len(table) + 1
 
 
-def _report_with(sol):
-    return RefinementReport(converged=sol is not None, iterations=1,
-                            errors=[], solution=sol)
+def _report_with(sol, mesh_met, solve_status):
+    last = nlpsolve.SolveReport(status=solve_status, iterations=1,
+                                objective=1.0, violation=0.0, x=np.zeros(0))
+    return RefinementReport(converged=mesh_met and last.converged,
+                            iterations=1, errors=[], solution=sol,
+                            solve_reports=[last])
 
 
 def test_summarize_run(cfg, guess_setup):
     nlp, z0 = guess_setup
     sol = nlp.solution_from(z0)
-    run = M.MissionRun(config=cfg, report=_report_with(sol),
-                       status="converged")
-    res = M.summarize_run(run)
+    res = M.summarize_run(cfg, _report_with(sol, True, "converged"))
     assert res.converged
+    assert res.qdot_max == cfg.limits.qdot_max
     assert res.peak_altitude == pytest.approx(cfg.guess_apogee, abs=15.0)
     assert 6.0 < res.pierce_speed < 8.0
     assert res.pierce_fpa_deg < 0.0
     assert res.entry_duration > 300.0
     assert res.heat_load > 0.0 and res.max_qdot > 0.0
 
-    empty = M.MissionRun(config=cfg, report=_report_with(None),
-                         status="infeasible")
-    res2 = M.summarize_run(empty)
-    assert not res2.converged and math.isnan(res2.objective)
-    assert res2.qdot_max == cfg.limits.qdot_max
+    # the row's status is the run's verdict, not the last solve's
+    out = M.summarize_run(cfg, _report_with(sol, False, "converged"))
+    assert out.status == "max_refinements" and not out.converged
+    assert out.peak_altitude == res.peak_altitude
 
 
-def test_run_study_branch_semantics(cfg, monkeypatch):
+def _study_with(monkeypatch, cfg, failing):
+    """run_study over two branches of three cells, with stub solves that
+    converge for heat loads of 10 and more and end as `failing` below;
+    returns the solves' (qdot_max, q_heat_max, warm start), the rows and
+    the rows handed to progress."""
     calls = []
 
-    def fake_solve(c, *, warm=None, solver_options=None, refinement=None,
-                   history_path=None):
+    def fake_solve(c, *, warm=None, history_path=None):
         calls.append((c.limits.qdot_max, c.limits.q_heat_max, warm))
-        ok = c.limits.q_heat_max >= 10.0
-        rep = RefinementReport(converged=ok, iterations=1, errors=[],
-                               solution="marker" if ok else None)
-        return M.MissionRun(config=c, report=rep,
-                            status="converged" if ok else "infeasible")
+        if c.limits.q_heat_max >= 10.0:
+            return _report_with("marker", True, "converged")
+        return _report_with(None, **failing)
 
-    def fake_summary(run):
-        lm = run.config.limits
+    def fake_summary(c, report):
+        lm = c.limits
         return M.StudyResult(lm.qdot_max, lm.q_heat_max, 1.0, 115.0, 7.3,
-                             -3.0, 1800.0, 4000.0, 8.0, run.status)
+                             -3.0, 1800.0, 4000.0, 8.0, report.status)
 
     monkeypatch.setattr(M, "solve_mission", fake_solve)
     monkeypatch.setattr(M, "summarize_run", fake_summary)
@@ -633,6 +639,12 @@ def test_run_study_branch_semantics(cfg, monkeypatch):
     results = M.run_study(cfg, {"qdot_max": [3.0, 2.0],
                                 "q_heat_max": [20.0, 5.0, 1.0]},
                           progress=seen.append)
+    return calls, results, seen
+
+
+def test_run_study_branch_semantics(cfg, monkeypatch):
+    calls, results, seen = _study_with(
+        monkeypatch, cfg, {"mesh_met": True, "solve_status": "infeasible"})
     # each heating branch stops at its first failure; 1.0 is never tried
     assert [(c[0], c[1]) for c in calls] == [(3.0, 20.0), (3.0, 5.0),
                                              (2.0, 20.0), (2.0, 5.0)]
@@ -642,6 +654,17 @@ def test_run_study_branch_semantics(cfg, monkeypatch):
 
     with pytest.raises(M.ConfigError):
         M.run_study(cfg, {})
+
+
+def test_run_study_stops_a_branch_whose_mesh_misses_tolerance(cfg,
+                                                              monkeypatch):
+    # the last solve converged, but the refinement rounds ran out
+    calls, results, _ = _study_with(
+        monkeypatch, cfg, {"mesh_met": False, "solve_status": "converged"})
+    assert [(c[0], c[1]) for c in calls] == [(3.0, 20.0), (3.0, 5.0),
+                                             (2.0, 20.0), (2.0, 5.0)]
+    assert [r.status for r in results] == ["converged",
+                                           "max_refinements"] * 2
 
 
 def test_study_to_csv(tmp_path):
