@@ -114,10 +114,13 @@ class RefinementReport:
     @property
     def status(self) -> str:
         """The run's verdict: "converged" only when the last solve converged
-        on a mesh that meets tolerance, "max_refinements" when it converged
+        on a mesh that meets tolerance, "numerical_failure" when an interval
+        error is not finite, "max_refinements" when the last solve converged
         but the rounds ran out, otherwise the last solve's status."""
         if self.converged:
             return "converged"
+        if not all(np.all(np.isfinite(e)) for e in self.errors):
+            return "numerical_failure"
         return "max_refinements" if self.last_solve.converged \
             else self.last_solve.status
 
@@ -165,7 +168,9 @@ def refine_loop(problem: MultiPhaseProblem, meshes: list[MeshPhase],
                   for p in range(len(problem.phases))]
         history.append(_history_entry(it, meshes, errors))
         worst = max((e.max() for e in errors if len(e)), default=0.0)
-        if rep.status == "numerical_failure":
+        # an error that is not finite gives refine no magnitude to act on
+        if rep.status == "numerical_failure" \
+                or not all(np.all(np.isfinite(e)) for e in errors):
             break
         if worst <= options.mesh_tolerance:
             done = rep.converged

@@ -36,8 +36,11 @@ one solve.  The merit weight follows the returned multipliers.
 2(4), 1992).  Eliminating p, n and the row slacks leaves the quasi-definite
 matrix [B_f + Sigma, J'; J, -D] with D > 0 (Vanderbei, SIAM J. Optim. 5,
 1995), which `_symmetric_lu` factors without pivoting; its U has exactly
-one negative pivot per row.  Where that factor, refined, misses K by more
-than 1e-10, a partially pivoted factor of K takes over for the iteration.
+one negative pivot per row.  K's pattern is the same in every iteration of
+a subproblem, so its first factor makes the one minimum-degree order and
+the later ones factor K, permuted into that order, as it stands
+(`_ordered_lu`).  Where that factor, refined, misses K by more than 1e-10,
+a partially pivoted factor of K takes over for the iteration.
 A corrected step that does not cut the complementarity gives way to a
 centring step.  The objective is divided by s = s_q^(2/3) W^(1/3),
 s_q = max(1, |g|, max |B|), so that neither the weight nor the quadratic
@@ -105,11 +108,35 @@ class _QPResult:
         self.converged = converged  # met its tolerance before its cap
 
 
-def _symmetric_lu(M: sp.spmatrix):
+def _symmetric_lu(M: sp.spmatrix, permc_spec: str = "MMD_AT_PLUS_A"):
     """SuperLU factor of a symmetric matrix, ordered by minimum degree on
-    M' + M, with the diagonal pivots taken as they come."""
-    return spla.splu(sp.csc_matrix(M), permc_spec="MMD_AT_PLUS_A",
+    M' + M (or, with "NATURAL", as it stands), with the diagonal pivots
+    taken as they come."""
+    return spla.splu(sp.csc_matrix(M), permc_spec=permc_spec,
                      diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+
+
+def _ordered_lu(K: sp.csc_matrix, perm: np.ndarray):
+    """factor(M) for matrices M on K's pattern (canonical CSC, both
+    triangles): the symmetric factor of P M P' in the natural order, P the
+    symmetric permutation that moves row and column i to perm[i] (a first
+    factor's `perm_c`), and its solve of M.  The permuted pattern, and where
+    each of its entries sits in M.data, are worked out here once."""
+    n = K.shape[0]
+    rows = perm[K.indices]
+    cols = np.repeat(perm, np.diff(K.indptr))
+    src = np.lexsort((rows, cols))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+    PMP = sp.csc_matrix((K.data[src], rows[src], indptr), shape=K.shape)
+    inv = np.empty_like(perm)   # a scatter: argsort would add 0.2 MB of RSS
+    inv[perm] = np.arange(n)
+
+    def factor(M):
+        M.data.take(src, out=PMP.data)
+        lu = _symmetric_lu(PMP, "NATURAL")
+        return lu, lambda rhs: lu.solve(rhs.take(inv)).take(perm)
+
+    return factor
 
 
 def _shift(B: sp.spmatrix) -> float:
@@ -220,20 +247,20 @@ def _elastic_qp(B: sp.spmatrix, g: np.ndarray, J: sp.spmatrix,
             sol, res = better, res_better
         return sol, res
 
-    def newton(lu, pivoted, Sigma, R_x, R_y):
+    def newton(solve, pivoted, Sigma, R_x, R_y):
         """(dx, dy) from [Q + Sigma, A'; A, 0] (dx, dy) = (R_x, R_y), A the
         rows' matrix, with p, n and s eliminated.  The symmetric factor's
-        answer stands if it solves K to 1e-10; otherwise, where pivots
-        without row exchanges lost it, a partially pivoted factor of K
-        answers, made once per iteration."""
+        answer (its solve, or None where it failed) stands if it solves K
+        to 1e-10; otherwise, where pivots without row exchanges lost it, a
+        partially pivoted factor of K answers, made once per iteration."""
         S_p, S_n, S_s = Sigma[nf:nf + mr], Sigma[nf + mr:at], Sigma[at:]
         R_p, R_n, R_s = R_x[nf:nf + mr], R_x[nf + mr:at], R_x[at:]
         rhs_y = R_y - R_p / S_p + R_n / S_n
         rhs_y[slack] += R_s / S_s
         rhs = np.concatenate([R_x[:nf], rhs_y])
-        if lu is not None:
-            sol, res = refined(lu.solve, rhs)
-        if lu is None or np.abs(res).max() > 1e-10 * np.abs(rhs).max():
+        if solve is not None:
+            sol, res = refined(solve, rhs)
+        if solve is None or np.abs(res).max() > 1e-10 * np.abs(rhs).max():
             if not pivoted:
                 pivoted.append(spla.splu(sp.csc_matrix(K)))
             sol, _ = refined(pivoted[0].solve, rhs)
@@ -261,6 +288,7 @@ def _elastic_qp(B: sp.spmatrix, g: np.ndarray, J: sp.spmatrix,
                    np.abs(r_x[nf:]).max(initial=0.0) * scale / ELASTIC_WEIGHT)
 
     converged = False
+    reorder = None      # factor() in the order of the first symmetric factor
     for it in range(QP_ITERATIONS + 1):
         ATy = np.concatenate([JfT @ y, y, -y, -y[slack]])
         Qd = Q @ x[:nf]
@@ -282,16 +310,22 @@ def _elastic_qp(B: sp.spmatrix, g: np.ndarray, J: sp.spmatrix,
         D = 1.0 / Sigma[nf:nf + mr] + 1.0 / Sigma[nf + mr:at]
         D[slack] += 1.0 / Sigma[at:]
         K.data[diag] = K_diag + np.concatenate([Sigma[:nf], -D]) + reg
-        try:
-            lu = _symmetric_lu(K)
-        except RuntimeError:    # a pivot lost to cancellation
-            lu = None
-        K.data[diag] -= reg
+        # the last iteration's factors go before the next is made
+        lu = solve = None
         pivoted = []
+        try:
+            if reorder is None:
+                lu = _symmetric_lu(K)
+                reorder, solve = _ordered_lu(K, lu.perm_c), lu.solve
+            else:
+                lu, solve = reorder(K)
+        except RuntimeError:    # a pivot lost to cancellation
+            pass
+        K.data[diag] -= reg
 
         def direction(rc):
             R_x = np.bincount(idx, sg * (rc + z * r_w) / w, N) - r_x
-            dx, dy = newton(lu, pivoted, Sigma, R_x, -r_y)
+            dx, dy = newton(solve, pivoted, Sigma, R_x, -r_y)
             dw = sg * dx[idx] - r_w
             return dx, dy, dw, (rc - z * dw) / w
 

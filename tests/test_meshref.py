@@ -202,3 +202,18 @@ def test_refine_loop_status_names_how_the_run_ended(monkeypatch,
     assert rep.last_solve.converged == (not failing)
     if failing:
         assert rep.iterations == 1
+
+
+def test_refine_loop_stops_on_an_interval_error_that_is_not_finite(
+        monkeypatch):
+    # refine has no magnitude to raise a degree by: the loop ends after
+    # the round that found it, not converged, and says the evaluation failed
+    monkeypatch.setattr(meshref, "estimate_error", lambda sol, node: np.full(
+        sol.mesh.n_intervals, np.nan))
+    rep = refine_loop(_exp_problem(), [uniform_mesh(1, 3)],
+                      lambda nlp: nlp.clip_to_bounds(np.ones(nlp.n_var)),
+                      RefinementOptions(mesh_tolerance=1e-6,
+                                        max_refinements=6))
+    assert rep.iterations == 1 and not rep.converged
+    assert rep.last_solve.converged
+    assert rep.status == "numerical_failure"

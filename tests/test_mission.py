@@ -381,29 +381,30 @@ def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup):
     # the first SQP iteration on the full mission NLP, with the cost's
     # Hessian at the guess shifted to be semidefinite: the trust box cannot
     # meet the linearized rows, so the elastic step leaves violation at the
-    # weight's price; the figures pin the iterate bit for bit
+    # weight's price; the figures pin the iterate bit for bit, recorded
+    # since each subproblem's factors share one minimum-degree order
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=1))
     assert rep.status == "max_iterations" and rep.iterations == 1
-    assert rep.objective == 186.90341317858397
-    assert rep.violation == 46.747444025388134
+    assert rep.objective == 186.90341317858363
+    assert rep.violation == 46.74744402538796
     assert rep.message == ""
 
 
 def test_four_capped_sqp_iterations_from_the_guess(cfg, guess_setup):
     # from the second iteration on the multipliers are nonzero, so every
-    # node and endpoint block of the Hessian runs; recorded while each path
-    # row, integrand and endpoint point had a callback call of its own, the
-    # iterate must not move a bit
+    # node and endpoint block of the Hessian runs; the iterate must not move
+    # a bit.  Recorded since each subproblem's factors share one
+    # minimum-degree order, which moved x by up to 1.9e-12 relative
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=4))
     assert rep.status == "max_iterations" and rep.iterations == 4
-    assert rep.objective == 182.7917437860942
-    assert rep.violation == 27.23391796512287
+    assert rep.objective == 182.79174378610924
+    assert rep.violation == 27.233917965136314
     assert hashlib.sha256(rep.x.tobytes()).hexdigest() == (
-        "6f568246533f5ea7ece4ae4aba3bbbd7d8762f9d2aa20f1cf5df61e7eabb44de")
+        "ec6e666a1921cb1d2eb540ad5149ffe7bf39585676ad2a7f1481b06274ad3e02")
 
 
 def test_mission_hessian_at_the_guess_is_pinned_bit_for_bit(guess_setup):
@@ -456,8 +457,8 @@ def _capped_subproblems(cfg, nlp, z0, monkeypatch):
         solves.append((args, qp))
         return qp
 
-    def recorded(M):
-        lu = real_lu(M)
+    def recorded(M, *args):
+        lu = real_lu(M, *args)
         if inside:
             factors.append(lu)
         return lu
@@ -495,6 +496,35 @@ def test_qp_factors_of_the_capped_iteration_have_the_kkt_inertia(
         assert np.sum(pivots < 0.0) == 1342
         assert np.sum(pivots > 0.0) == n_free
         assert lu.L.nnz + lu.U.nnz < 100_000
+
+
+def test_capped_iteration_orders_its_subproblem_once(cfg, guess_setup,
+                                                     monkeypatch):
+    # K keeps its pattern through the subproblem: its first factor makes
+    # the one minimum-degree order, every later one reuses it
+    nlp, z0 = guess_setup
+    real_qp, real_splu = nlpsolve._elastic_qp, nlpsolve.spla.splu
+    inside, orders, solves = [], [], []
+
+    def marked(*args):
+        inside.append(True)
+        try:
+            solves.append(real_qp(*args))
+        finally:
+            inside.pop()
+        return solves[-1]
+
+    def recorded_splu(A, **kwargs):
+        if inside:
+            orders.append(kwargs.get("permc_spec"))
+        return real_splu(A, **kwargs)
+
+    monkeypatch.setattr(nlpsolve, "_elastic_qp", marked)
+    monkeypatch.setattr(nlpsolve.spla, "splu", recorded_splu)
+    nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
+        tolerance=cfg.solver_tolerance, max_iterations=1))
+    [qp] = solves
+    assert orders == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (qp.iterations - 1)
 
 
 def test_first_step_stays_in_the_trust_box(cfg, guess_setup, monkeypatch):

@@ -364,6 +364,71 @@ def test_elastic_qp_does_not_cycle_on_an_interior_optimum(monkeypatch):
     assert np.abs(qp.y).max() < 1e-8 and np.abs(qp.y_bnd).max() < 1e-8
 
 
+def test_elastic_qp_falls_back_to_the_pivoted_factor(monkeypatch):
+    # a symmetric factor that fails every time: each iteration tries to
+    # order K afresh, and the partially pivoted factor answers instead
+    ordered, pivoted = [], []
+    real_splu = nlpsolve.spla.splu
+
+    def lost(M, *args):
+        ordered.append(args)
+        raise RuntimeError("Factor is exactly singular")
+
+    def recorded_splu(A, **kwargs):
+        pivoted.append(kwargs)
+        return real_splu(A, **kwargs)
+
+    monkeypatch.setattr(nlpsolve, "_symmetric_lu", lost)
+    monkeypatch.setattr(nlpsolve.spla, "splu", recorded_splu)
+    qp = nlpsolve._elastic_qp(*_box_qp())
+    assert qp.converged
+    assert np.allclose(qp.d, [0.5, 0.25, 0.25], rtol=0.0, atol=1e-8)
+    assert np.allclose(qp.y, [-0.25], rtol=0.0, atol=1e-8)
+    assert np.allclose(qp.y_bnd, [1.75, 0.0, 0.0], rtol=0.0, atol=1e-8)
+    assert ordered == [()] * qp.iterations
+    assert pivoted == [{}] * qp.iterations
+
+
+def _quasi_definite_sequence(n, m, steps, seed):
+    """[Q + Sigma, J'; J, -D] on one pattern, its values drawn afresh at
+    each step: Q = F'F with F's pattern fixed, Sigma and D positive."""
+    rng = np.random.default_rng(seed)
+    F = sp.random(n, n, density=0.15, random_state=rng, format="csr")
+    J = sp.random(m, n, density=0.2, random_state=rng, format="csr")
+    for _ in range(steps):
+        F.data = rng.standard_normal(F.nnz)
+        J.data = rng.standard_normal(J.nnz)
+        K = sp.bmat([[F.T @ F + sp.diags(rng.uniform(1e-3, 1e3, n)), J.T],
+                     [J, -sp.diags(rng.uniform(1e-6, 1.0, m))]], format="csc")
+        K.sum_duplicates()
+        K.sort_indices()
+        yield K
+
+
+def test_ordered_factor_matches_a_freshly_ordered_one():
+    # one minimum-degree order, from the sequence's first matrix, serves
+    # every later one: the same fill, the same pivot signs (n positive, m
+    # negative) and the same solve as ordering each matrix afresh
+    n, m = 40, 25
+    Ks = list(_quasi_definite_sequence(n, m, 6, seed=3))
+    first = nlpsolve._symmetric_lu(Ks[0])
+    factor = nlpsolve._ordered_lu(Ks[0], first.perm_c)
+    rng = np.random.default_rng(4)
+    for K in Ks:
+        assert np.array_equal(K.indptr, Ks[0].indptr)
+        assert np.array_equal(K.indices, Ks[0].indices)
+        fresh = nlpsolve._symmetric_lu(K)
+        lu, solve = factor(K)
+        assert lu.L.nnz + lu.U.nnz == fresh.L.nnz + fresh.U.nnz
+        signs = np.sign(lu.U.diagonal())
+        assert np.array_equal(signs, np.sign(fresh.U.diagonal()))
+        assert np.sum(signs < 0) == m and np.sum(signs > 0) == n
+        b = rng.standard_normal(n + m)
+        x, x_fresh = solve(b), fresh.solve(b)
+        assert np.abs(x - x_fresh).max() <= 1e-12 * np.abs(x_fresh).max()
+        assert np.abs(K @ x - b).max() <= 1e-9 * np.abs(b).max()
+
+
 # positive definite, no multiple of I, every variable coupled
 _COUPLED = np.array([[2.0, 0.5, 0.0], [0.5, 1.5, 0.4], [0.0, 0.4, 3.0]])
 
