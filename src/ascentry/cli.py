@@ -41,31 +41,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _limit_list(values, where: str) -> list[float]:
-    """Heating-limit values, each positive; null, 'inf' or 'none' lifts it."""
-    vals = []
-    for v in values:
-        if v is None or str(v).strip().lower() in ("inf", "none"):
-            vals.append(math.inf)
-            continue
-        try:
-            x = float(v)
-        except (TypeError, ValueError):
-            raise M.ConfigError(f"{where}: {v!r} is not a number") from None
-        if not x > 0.0:
-            raise M.ConfigError(f"{where} values must be positive, got {v}")
-        vals.append(x)
-    if not vals:
-        raise M.ConfigError(f"{where}: empty limit list")
-    return vals
-
-
 def _flag_lists(args) -> dict[str, list[float]]:
-    """Heating-limit lists given as flags, keyed like the config's."""
-    return {key: _limit_list([p for p in text.split(",") if p.strip()], flag)
-            for key, flag, text in (("qdot_max", "--qdot-max", args.qdot_max),
-                                    ("q_heat_max", "--q-max", args.q_max))
-            if text is not None}
+    """The heating-limit flags, loaded as the config's sweep lists: 'inf'
+    or 'none' stands for null, which lifts the limit."""
+    return M.load_sweep({
+        key: [None if p.strip().lower() in ("inf", "none") else p
+              for p in text.split(",") if p.strip()]
+        for key, text in (("qdot_max", args.qdot_max),
+                          ("q_heat_max", args.q_max)) if text is not None})
 
 
 def _load_config(args) -> tuple[str, dict]:
@@ -82,51 +65,69 @@ def _load_config(args) -> tuple[str, dict]:
     if not isinstance(data, dict):
         raise M.ConfigError("config must be a JSON object")
     problem = data.get("problem", "mission")
-    if problem != "mission" and problem not in CANONICAL_PROBLEMS:
+    if not isinstance(problem, str) or (problem != "mission"
+                                        and problem not in CANONICAL_PROBLEMS):
         known = ", ".join(["mission"] + sorted(CANONICAL_PROBLEMS))
         raise M.ConfigError(f"unknown problem {problem!r}; known: {known}")
     return problem, data
 
 
-def _mission_config(args, data: dict) -> M.MissionConfig:
-    """The config file with the flag overrides laid over its sections; a
-    heating-limit list stands for its first value."""
+def _with_flags(args, data: dict,
+                sections=("limits", "cost", "refinement")) -> dict:
+    """The config file with the flags laid over those of `sections` they
+    set; a heating-limit list stands for its first value."""
     over = {"limits": {key: None if math.isinf(v[0]) else v[0]
-                       for key, v in _flag_lists(args).items()}}
-    if args.k is not None:
-        over["cost"] = {"k": args.k}
-    if args.max_refinements is not None:
-        over["refinement"] = {"max_refinements": args.max_refinements}
+                       for key, v in _flag_lists(args).items()},
+            "cost": {} if args.k is None else {"k": args.k},
+            "refinement": {} if args.max_refinements is None
+            else {"max_refinements": args.max_refinements}}
     merged = dict(data)
-    for section, values in over.items():
+    for section in sections:
         body = merged.get(section, {})
-        if isinstance(body, dict):
-            merged[section] = {**body, **values}
-    return M.MissionConfig.from_dict(merged)
+        if over[section] and isinstance(body, dict):
+            merged[section] = {**body, **over[section]}
+    return merged
 
 
-def _sweep_lists(args, section) -> dict:
-    """qdot_max/q_heat_max value lists; a flag replaces the config's list."""
-    if not isinstance(section, dict):
-        raise M.ConfigError("config section 'sweep' must be an object")
-    sweep = {}
-    for key, values in section.items():
-        if key not in ("qdot_max", "q_heat_max"):
-            raise M.ConfigError(f"unknown key {key!r} in config section 'sweep'")
-        if not isinstance(values, list):
-            raise M.ConfigError(f"sweep.{key} must be a list")
-        sweep[key] = _limit_list(values, f"sweep.{key}")
-    sweep.update(_flag_lists(args))
-    if not sweep:
-        raise M.ConfigError("sweep needs --qdot-max/--q-max lists or a "
-                            "config sweep section")
-    return sweep
+def _mission_config(args, data: dict) -> M.MissionConfig:
+    return M.MissionConfig.from_dict(_with_flags(args, data))
 
 
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+# --------------------------------------------------------------------------
+# output files: the only writers in the package
+
+
+def write_csv(path, columns, rows) -> None:
+    """Header line, then one line per row: numbers as %.10g, text as given."""
+    with open(path, "w") as f:
+        f.write(",".join(columns) + "\n")
+        for row in rows:
+            f.write(",".join(v if isinstance(v, str) else f"{v:.10g}"
+                             for v in row) + "\n")
+
+
+def _finite(doc):
+    """`doc` with every non-finite number replaced by None (JSON null)."""
+    if isinstance(doc, dict):
+        return {key: _finite(v) for key, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite(v) for v in doc]
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return None
+    return doc
+
+
+def write_json(path, doc, indent=None, end="") -> None:
+    """Strict JSON: a non-finite number is written as null."""
+    with open(path, "w") as f:
+        json.dump(_finite(doc), f, indent=indent, allow_nan=False)
+        f.write(end)
 
 
 # --------------------------------------------------------------------------
@@ -148,18 +149,18 @@ def emit_plots(out: Path, table: np.ndarray) -> list[Path]:
     paths = []
     for name, header, scales in PLOTS:
         idx = [M.TRAJECTORY_COLUMNS.index(col) for col in scales]
-        M.write_csv(out / name, header.split(","),
-                    table[:, idx] * np.array(list(scales.values())))
+        write_csv(out / name, header.split(","),
+                  table[:, idx] * np.array(list(scales.values())))
         paths.append(out / name)
     return paths
 
 
 def emit_sweep_plots(out: Path, results) -> list[Path]:
     cost_path = out / "plot_cost_vs_limit.csv"
-    M.write_csv(cost_path, ("qdot_max_MW_m2", "q_heat_max_MJ_m2", "objective",
-                            "status"),
-                ((r.qdot_max, r.q_heat_max, r.objective, r.status)
-                 for r in results))
+    write_csv(cost_path, ("qdot_max_MW_m2", "q_heat_max_MJ_m2", "objective",
+                          "status"),
+              ((r.qdot_max, r.q_heat_max, r.objective, r.status)
+               for r in results))
 
     # tightest feasible heat load for each heating-rate branch
     frontier: dict[float, float] = {}
@@ -168,8 +169,8 @@ def emit_sweep_plots(out: Path, results) -> list[Path]:
             cur = frontier.get(r.qdot_max, math.inf)
             frontier[r.qdot_max] = min(cur, r.q_heat_max)
     map_path = out / "plot_failure_map.csv"
-    M.write_csv(map_path, ("qdot_max_MW_m2", "min_feasible_q_heat_MJ_m2"),
-                ((qd, frontier[qd]) for qd in sorted(frontier, reverse=True)))
+    write_csv(map_path, ("qdot_max_MW_m2", "min_feasible_q_heat_MJ_m2"),
+              ((qd, frontier[qd]) for qd in sorted(frontier, reverse=True)))
     return [cost_path, map_path]
 
 
@@ -207,45 +208,25 @@ def _cmd_check(args, data: dict) -> int:
     return EXIT_OK
 
 
-def _canonical_section(data: dict, section: str, loaders: dict) -> dict:
-    """The keys given in one canonical-config section, each loaded by the
-    mission file's number checks; unknown keys are rejected."""
-    body = data.get(section, {})
-    if not isinstance(body, dict):
-        raise M.ConfigError(f"config section {section!r} must be an object")
-    for key in body:
-        if key not in loaders:
-            raise M.ConfigError(f"unknown key {key!r} in config section "
-                                f"{section!r}")
-    return {key: loaders[key](x, f"{section}.{key}") for key, x in body.items()}
+# a test problem's defaults for the mission's solver and refinement rows
+CANONICAL_DEFAULTS = {"solver_tolerance": 1e-8, "solver_max_iterations": 200,
+                      "mesh_tolerance": 1e-6, "max_refinements": 6}
 
 
-def _canonical_setup(problem: str, data: dict, max_refinements=None):
-    for section in data:
-        if section not in ("problem", "mesh", "solver", "refinement"):
-            raise M.ConfigError(f"unknown config section {section!r}")
+def _canonical_setup(args, problem: str, data: dict):
+    """A test problem with its `mesh`, `solver` and `refinement` sections,
+    loaded by the mission's rows; any other section is an error."""
     prob, meshes = CANONICAL_PROBLEMS[problem]()
-    if "mesh" in data:
-        mesh = M._load_mesh(data["mesh"], "mesh")
-        if len(mesh) != len(prob.phases) or any(
-                n < 1 or not 1 <= d <= 40 for n, d in mesh):
-            raise M.ConfigError(f"mesh must list [intervals >= 1, degree 1-40] "
-                                f"for all {len(prob.phases)} phases")
-        meshes = [uniform_mesh(n, d) for n, d in mesh]
-    sv = _canonical_section(data, "solver", {"tolerance": M._number,
-                                             "max_iterations": M._count})
-    rf = _canonical_section(data, "refinement",
-                            {"tolerance": M._number, "max_refinements": M._count})
-    if max_refinements is not None:
-        rf["max_refinements"] = max_refinements
-    try:
-        solver = SolverOptions(tolerance=sv.get("tolerance", 1e-8),
-                               max_iterations=sv.get("max_iterations", 200))
-        refinement = RefinementOptions(
-            mesh_tolerance=rf.get("tolerance", 1e-6),
-            max_refinements=rf.get("max_refinements", 6))
-    except ValueError as exc:
-        raise M.ConfigError(str(exc)) from None
+    given = {**CANONICAL_DEFAULTS,
+             **M.load_fields(_with_flags(args, data, ("refinement",)),
+                             {"mesh", "solver", "refinement"})}
+    if "mesh" in given:
+        M.check_mesh(given["mesh"], len(prob.phases))
+        meshes = [uniform_mesh(n, d) for n, d in given["mesh"]]
+    solver = SolverOptions(tolerance=given["solver_tolerance"],
+                           max_iterations=given["solver_max_iterations"])
+    refinement = RefinementOptions(mesh_tolerance=given["mesh_tolerance"],
+                                   max_refinements=given["max_refinements"])
     return prob, meshes, solver, refinement
 
 
@@ -258,19 +239,19 @@ def _write_canonical_outputs(out: Path, report) -> None:
         blocks.append(np.column_stack([tt, ph.sample_states(tt),
                                        ph.sample_controls(tt)]))
     header = ["t", *phases[0].state_names, *phases[0].control_names]
-    M.write_csv(out / "trajectory.csv", header, np.vstack(blocks))
+    write_csv(out / "trajectory.csv", header, np.vstack(blocks))
 
 
 def _cmd_solve(args, problem: str, data: dict, out: Path) -> int:
-    history = out / "mesh_history.json"
     if problem == "mission":
         cfg = _mission_config(args, data)
-        report = M.solve_mission(cfg, history_path=history)
+        report = M.solve_mission(cfg)
     else:
-        prob, meshes, solver, refinement = _canonical_setup(
-            problem, data, args.max_refinements)
+        prob, meshes, solver, refinement = _canonical_setup(args, problem,
+                                                            data)
         report = refine_loop(prob, meshes, straight_line_guess, refinement,
-                             solver, history_path=history)
+                             solver)
+    write_json(out / "mesh_history.json", report.history, indent=1)
     last = report.last_solve
     summary = {"problem": problem, "status": report.status,
                "objective": last.objective, "violation": last.violation,
@@ -281,13 +262,11 @@ def _cmd_solve(args, problem: str, data: dict, out: Path) -> int:
         row = dict(zip(M.STUDY_COLUMNS, astuple(M.summarize_run(cfg, report))))
         summary.update((key, row[key]) for key in M.STUDY_COLUMNS[3:-1])
         table = M.trajectory_table(cfg, report.solution)
-        M.write_trajectory_csv(out / "trajectory.csv", table)
+        write_csv(out / "trajectory.csv", M.TRAJECTORY_COLUMNS, table)
         emit_plots(out, table)
     else:
         _write_canonical_outputs(out, report)
-    with open(out / "summary.json", "w") as f:
-        json.dump(summary, f, indent=1)
-        f.write("\n")
+    write_json(out / "summary.json", summary, indent=1, end="\n")
     print(f"{problem}: {report.status}, objective {last.objective:.8g}")
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
@@ -296,14 +275,18 @@ def _cmd_sweep(args, problem: str, data: dict, out: Path) -> int:
     if problem != "mission":
         raise M.ConfigError("sweep applies to the mission problem only")
     cfg = _mission_config(args, data)
-    sweep = _sweep_lists(args, data.get("sweep", {}))
+    sweep = {**M.load_sweep(data.get("sweep", {})), **_flag_lists(args)}
+    if not sweep:
+        raise M.ConfigError("sweep needs --qdot-max/--q-max lists or a "
+                            "config sweep section")
 
     def progress(r):
         print(f"  qdot_max={r.qdot_max:g} q_heat_max={r.q_heat_max:g}: "
               f"{r.status}, objective {r.objective:.6g}")
 
     results = M.run_study(cfg, sweep, progress=progress)
-    M.study_to_csv(results, out / "study.csv")
+    write_csv(out / "study.csv", M.STUDY_COLUMNS,
+              (astuple(r) for r in results))
     emit_sweep_plots(out, results)
     ok = all(r.converged for r in results)
     print(f"sweep: {sum(r.converged for r in results)}/{len(results)} "
@@ -316,9 +299,9 @@ def _cmd_transcribe(args, problem: str, data: dict, out: Path) -> int:
         cfg = _mission_config(args, data)
         prob, meshes = M.build_mission(cfg), M.default_meshes(cfg)
     else:
-        prob, meshes, _, _ = _canonical_setup(problem, data)
+        prob, meshes, _, _ = _canonical_setup(args, problem, data)
     nlp = transcribe(prob, meshes)
-    nlp.dump_layout(out / "layout.json")
+    write_json(out / "layout.json", nlp.layout())
     print(f"{problem}: {nlp.n_var} variables, {nlp.n_con} constraints")
     return EXIT_OK
 

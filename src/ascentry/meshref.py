@@ -8,7 +8,6 @@ of the parent's points so the total collocation count never shrinks.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -125,21 +124,20 @@ class RefinementReport:
             else self.last_solve.status
 
 
-def _history_entry(iteration, meshes, errors):
-    entry = {"iteration": iteration, "phases": []}
-    for mesh, errs in zip(meshes, errors):
-        entry["phases"].append({
-            "boundaries": mesh.edges.tolist(),
-            "degrees": mesh.degrees.tolist(),
-            "errors": errs.tolist(),
-        })
-    return entry
+def _history_entry(iteration, meshes, errors, sqp):
+    """One round: each phase's mesh and interval errors, and the solve's
+    per-iteration rows (`SolveReport.log`)."""
+    return {"iteration": iteration,
+            "phases": [{"boundaries": mesh.edges.tolist(),
+                        "degrees": mesh.degrees.tolist(),
+                        "errors": errs.tolist()}
+                       for mesh, errs in zip(meshes, errors)],
+            "sqp": sqp}
 
 
 def refine_loop(problem: MultiPhaseProblem, meshes: list[MeshPhase],
                 guess, options: RefinementOptions | None = None,
-                solver_options: SolverOptions | None = None,
-                history_path=None) -> RefinementReport:
+                solver_options: SolverOptions | None = None) -> RefinementReport:
     """Solve / estimate / refine until every interval meets tolerance.
 
     `guess` is either a point for the first mesh or a callable mapping an
@@ -166,7 +164,7 @@ def refine_loop(problem: MultiPhaseProblem, meshes: list[MeshPhase],
         sol = nlp.solution_from(rep.x)
         errors = [estimate_error(sol.phases[p], problem.phases[p].node)
                   for p in range(len(problem.phases))]
-        history.append(_history_entry(it, meshes, errors))
+        history.append(_history_entry(it, meshes, errors, rep.log))
         worst = max((e.max() for e in errors if len(e)), default=0.0)
         # an error that is not finite gives refine no magnitude to act on
         if rep.status == "numerical_failure" \
@@ -179,8 +177,5 @@ def refine_loop(problem: MultiPhaseProblem, meshes: list[MeshPhase],
         # gets here solves a new mesh
         meshes = [refine(mesh, errs, options)[0]
                   for mesh, errs in zip(meshes, errors)]
-    if history_path is not None:
-        with open(history_path, "w") as f:
-            json.dump(history, f, indent=1)
     return RefinementReport(converged=done, iterations=it, errors=errors,
                             solution=sol, solve_reports=reports, history=history)

@@ -10,11 +10,9 @@ rest use the geodetic angles.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -193,9 +191,14 @@ class MissionConfig:
         return self.stages[2].empty_mass + self.payload_mass
 
     def validate(self) -> None:
+        """Each field's own range rule (its `CONFIG_FIELDS` row), the mesh
+        rule, then the bookkeeping that ties fields together."""
         bad: list[str] = []
         if len(self.stages) != 3:
             raise ConfigError("exactly three booster stages are required")
+        for f in CONFIG_FIELDS:
+            f.check(attrgetter(f.attr)(self))
+        check_mesh(self.mesh, 8)
         if not 0.0 < self.bc.t0 < self.t_s1 < self.t_s2 < self.t_fairing < self.t_s3:
             bad.append("staging times must satisfy t0 < t_s1 < t_s2 < t_fairing < t_s3")
         for s in self.stages:
@@ -218,8 +221,6 @@ class MissionConfig:
             bad.append("n_max and h_atm must be positive")
         if not lm.h_atm <= lm.h_peak_lo < lm.h_peak_hi:
             bad.append("peak altitude window must sit above the atmosphere edge")
-        if lm.qdot_max <= 0.0 or lm.q_heat_max <= 0.0:
-            bad.append("heating limits must be positive (inf disables)")
         c = self.cost
         if min(c.alpha_max, c.u_alpha_max, c.u_sigma_max) <= 0.0 or c.k <= 0.0:
             bad.append("cost normalizations and k must be positive")
@@ -227,16 +228,6 @@ class MissionConfig:
             bad.append("initial speed/mass out of range")
         if self.bc.m0 > self.ignition_mass:
             bad.append("initial mass exceeds the ignition mass budget")
-        if len(self.mesh) != 8:
-            bad.append("mesh must list (intervals, degree) for all 8 phases")
-        else:
-            for p, (n, d) in enumerate(self.mesh):
-                if n < 1 or not 1 <= d <= 40:
-                    bad.append(f"mesh entry {p} out of range")
-        if self.mesh_tolerance <= 0.0 or self.solver_tolerance <= 0.0:
-            bad.append("tolerances must be positive")
-        if self.max_refinements < 1 or self.solver_max_iterations < 1:
-            bad.append("iteration limits must be at least 1")
         if not self.guess_apogee >= lm.h_peak_lo:
             bad.append("guess apogee must sit inside the peak window")
         if bad:
@@ -256,29 +247,13 @@ class MissionConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MissionConfig":
-        """Defaults overridden by the sections given; unknown sections or
-        keys, non-finite numbers and fractional counts are rejected."""
+        """Defaults overridden by the sections given (see `load_fields`);
+        the "sweep" section is left to `load_sweep`."""
         top: dict = {}
         nested: dict[str, dict] = {}
-        for section, body in data.items():
-            if section in ("problem", "sweep"):
-                continue
-            if section not in _SECTIONS:
-                raise ConfigError(f"unknown config section {section!r}")
-            whole = _ROWS.get((section, None))
-            if whole is not None:
-                items = [(whole, body)]
-            elif not isinstance(body, dict):
-                raise ConfigError(f"config section {section!r} must be an object")
-            else:
-                for key in body:
-                    if (section, key) not in _ROWS:
-                        raise ConfigError(f"unknown key {key!r} in config "
-                                          f"section {section!r}")
-                items = [(_ROWS[section, key], x) for key, x in body.items()]
-            for f, x in items:
-                head, _, leaf = f.attr.rpartition(".")
-                (nested.setdefault(head, {}) if head else top)[leaf] = f.load(x)
+        for attr, value in load_fields(data, _SECTIONS | {"sweep"}).items():
+            head, _, leaf = attr.rpartition(".")
+            (nested.setdefault(head, {}) if head else top)[leaf] = value
         base = cls()
         for head, values in nested.items():
             top[head] = replace(getattr(base, head), **values)
@@ -286,25 +261,14 @@ class MissionConfig:
         cfg.validate()
         return cfg
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=1)
-            f.write("\n")
-
-    @classmethod
-    def from_json(cls, path) -> "MissionConfig":
-        with open(path) as f:
-            data = json.load(f)
-        if not isinstance(data, dict):
-            raise ConfigError("mission config must be a JSON object")
-        return cls.from_dict(data)
-
 
 # --------------------------------------------------------------------------
 # config file format
 
 
 def _number(x, where: str) -> float:
+    if isinstance(x, bool):
+        raise ConfigError(f"{where} must be a number, got {x!r}")
     try:
         v = float(x)
     except (TypeError, ValueError):
@@ -354,18 +318,25 @@ class ConfigField:
     """One entry of the config file: `key` of JSON `section` holds the
     MissionConfig attribute at dotted path `attr`, divided by `unit`.
 
-    kind "number" is a finite float, "limit" a bound written as null when
-    infinite, "count" a whole number, "raw" any JSON value kept as given;
-    "stages" and "mesh" fill a whole section (key None) with a list."""
+    kind "number" is a finite float, "limit" a positive bound written as
+    null when infinite, "count" a whole number, "raw" any JSON value kept as
+    given; "stages" and "mesh" fill a whole section (key None) with a list.
+    `option` names the SolverOptions or RefinementOptions field whose
+    constructor owns the value's range."""
 
     section: str
     key: str | None
     attr: str
     unit: float = 1.0
     kind: str = "number"
+    option: tuple | None = None
 
-    def load(self, x):
-        where = self.section if self.key is None else f"{self.section}.{self.key}"
+    @property
+    def where(self) -> str:
+        return self.section if self.key is None else f"{self.section}.{self.key}"
+
+    def load(self, x, where: str | None = None):
+        where = where or self.where
         if self.kind == "stages":
             return _load_stages(x, where)
         if self.kind == "mesh":
@@ -373,10 +344,26 @@ class ConfigField:
         if self.kind == "raw":
             return x
         if self.kind == "count":
-            return _count(x, where)
-        if self.kind == "limit" and x is None:
-            return math.inf
-        return _number(x, where) * self.unit
+            v = _count(x, where)
+        elif self.kind == "limit" and x is None:
+            v = math.inf
+        else:
+            v = _number(x, where) * self.unit
+        self.check(v, where)
+        return v
+
+    def check(self, v, where: str | None = None) -> None:
+        """The value's range rule, if the row has one."""
+        where = where or self.where
+        if self.kind == "limit" and not v > 0.0:
+            raise ConfigError(f"{where} must be positive (null lifts it), "
+                              f"got {v!r}")
+        if self.option is not None:
+            owner, name = self.option
+            try:
+                owner(**{name: v})
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
 
     def dump(self, v):
         if self.kind == "stages":
@@ -434,12 +421,14 @@ CONFIG_FIELDS = (
     ConfigField("heating", "exp_rho", "heating.exp_rho"),
     ConfigField("heating", "exp_v", "heating.exp_v"),
     ConfigField("mesh", None, "mesh", kind="mesh"),
-    ConfigField("refinement", "tolerance", "mesh_tolerance"),
+    ConfigField("refinement", "tolerance", "mesh_tolerance",
+                option=(RefinementOptions, "mesh_tolerance")),
     ConfigField("refinement", "max_refinements", "max_refinements",
-                kind="count"),
-    ConfigField("solver", "tolerance", "solver_tolerance"),
+                kind="count", option=(RefinementOptions, "max_refinements")),
+    ConfigField("solver", "tolerance", "solver_tolerance",
+                option=(SolverOptions, "tolerance")),
     ConfigField("solver", "max_iterations", "solver_max_iterations",
-                kind="count"),
+                kind="count", option=(SolverOptions, "max_iterations")),
     ConfigField("guess", "apogee", "guess_apogee"),
     ConfigField("tables", "atmosphere", "atmosphere", kind="raw"),
     ConfigField("tables", "boost_aero", "boost_aero", kind="raw"),
@@ -447,6 +436,58 @@ CONFIG_FIELDS = (
 )
 _ROWS = {(f.section, f.key): f for f in CONFIG_FIELDS}
 _SECTIONS = {f.section for f in CONFIG_FIELDS}
+
+
+def load_fields(data: dict, sections) -> dict:
+    """{MissionConfig attribute path: value} for every key `data` gives,
+    each loaded by its `CONFIG_FIELDS` row.  A section outside `sections`
+    (besides "problem") or an unknown key is rejected; "problem" and
+    "sweep" are left to the caller."""
+    for section in data:
+        if section != "problem" and section not in sections:
+            raise ConfigError(f"unknown config section {section!r}")
+    values = {}
+    for section, body in data.items():
+        if section not in _SECTIONS:
+            continue
+        whole = _ROWS.get((section, None))
+        if whole is not None:
+            values[whole.attr] = whole.load(body)
+            continue
+        if not isinstance(body, dict):
+            raise ConfigError(f"config section {section!r} must be an object")
+        for key in body:
+            if (section, key) not in _ROWS:
+                raise ConfigError(f"unknown key {key!r} in config section "
+                                  f"{section!r}")
+        for key, x in body.items():
+            values[_ROWS[section, key].attr] = _ROWS[section, key].load(x)
+    return values
+
+
+def load_sweep(section) -> dict[str, list[float]]:
+    """The "sweep" section: non-empty lists of heating limits, each value
+    loaded by its `limits` row (null lifts the limit)."""
+    if not isinstance(section, dict):
+        raise ConfigError("config section 'sweep' must be an object")
+    sweep = {}
+    for key, values in section.items():
+        row = _ROWS.get(("limits", key))
+        if row is None or row.kind != "limit":
+            raise ConfigError(f"unknown key {key!r} in config section 'sweep'")
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"sweep.{key} must be a non-empty list")
+        sweep[key] = [row.load(v, f"sweep.{key}") for v in values]
+    return sweep
+
+
+def check_mesh(mesh, n_phases: int) -> None:
+    """The mesh rule of every problem: one [intervals, degree] pair per
+    phase, intervals at least 1 and degree 1-40."""
+    if len(mesh) != n_phases or any(n < 1 or not 1 <= d <= 40
+                                    for n, d in mesh):
+        raise ConfigError("mesh must list one [intervals >= 1, degree 1-40] "
+                          "pair per phase")
 
 
 def default_config() -> MissionConfig:
@@ -1065,8 +1106,8 @@ def initial_guess(config: MissionConfig, nlp) -> np.ndarray:
 # solving and studies
 
 
-def solve_mission(config: MissionConfig, *, warm: Solution | None = None,
-                  history_path=None) -> RefinementReport:
+def solve_mission(config: MissionConfig, *,
+                  warm: Solution | None = None) -> RefinementReport:
     config.validate()
     problem = build_mission(config)
     meshes = default_meshes(config)
@@ -1078,8 +1119,7 @@ def solve_mission(config: MissionConfig, *, warm: Solution | None = None,
         guess = lambda nlp: nlp.clip_to_bounds(nlp.z_from_solution(warm))
     else:
         guess = lambda nlp: initial_guess(config, nlp)
-    return refine_loop(problem, meshes, guess, refinement, solver_options,
-                       history_path=history_path)
+    return refine_loop(problem, meshes, guess, refinement, solver_options)
 
 
 @dataclass
@@ -1128,10 +1168,6 @@ def summarize_run(config: MissionConfig,
                        float(pierce[Geo.GAMMA]) / DEG, duration,
                        float(sol.accumulators.get("heat_load", math.nan)),
                        max_qd, report.status)
-
-
-def study_to_csv(results, path) -> None:
-    write_csv(path, STUDY_COLUMNS, (astuple(r) for r in results))
 
 
 def run_study(config: MissionConfig, sweep: dict, *,
@@ -1212,16 +1248,3 @@ def trajectory_table(config: MissionConfig, sol: Solution,
             qq = np.full(len(tt), heat)
         rows.append(np.column_stack([tt, geo, mass, q, n, qd, qq]))
     return np.vstack(rows)
-
-
-def write_trajectory_csv(path, table: np.ndarray) -> None:
-    write_csv(path, TRAJECTORY_COLUMNS, table)
-
-
-def write_csv(path, columns, rows) -> None:
-    """Header line, then one line per row: numbers as %.10g, text as given."""
-    with open(path, "w") as f:
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(v if isinstance(v, str) else f"{v:.10g}"
-                             for v in row) + "\n")

@@ -53,7 +53,6 @@ counts the accepted steps that came from one.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +69,6 @@ QP_ITERATIONS = 60      # interior-point iterations per subproblem
 class SolverOptions:
     tolerance: float = 1e-6
     max_iterations: int = 500
-    log_path: str | None = None
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -90,6 +88,9 @@ class SolveReport:
     bound_multipliers: np.ndarray = field(default_factory=lambda: np.zeros(0))
     stationarity: float = np.inf
     message: str = ""
+    # one row per SQP iteration that tried a step: iteration, objective,
+    # feasibility and the accepted step's max norm (0 when rejected)
+    log: list[dict] = field(default_factory=list)
 
     @property
     def converged(self) -> bool:
@@ -482,23 +483,18 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
     m = nlp.n_con
     x = np.clip(np.asarray(x0, float), nlp.z_lo, nlp.z_hi)
 
-    log_file = None
-    writer = None
-    if options.log_path:
-        log_file = open(options.log_path, "w", newline="")
-        writer = csv.writer(log_file)
-        writer.writerow(["iteration", "objective", "feasibility", "step_norm"])
+    log: list[dict] = []
 
-    def close_log():
-        if log_file:
-            log_file.close()
+    def record(objective, feasibility, step_norm):
+        log.append({"iteration": it, "objective": float(objective),
+                    "feasibility": float(feasibility),
+                    "step_norm": float(step_norm)})
 
     def failure(message):
-        close_log()
         return SolveReport(status="numerical_failure", iterations=it,
                            objective=f, violation=feas, x=x,
                            multipliers=r_scale * y_con, bound_multipliers=y_bnd,
-                           stationarity=stat, message=message)
+                           stationarity=stat, message=message, log=log)
 
     try:
         f = nlp.objective(x)
@@ -506,7 +502,6 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
         g = nlp.objective_gradient(x)
         J = nlp.jacobian(x)
     except Exception as e:
-        close_log()
         return SolveReport(status="numerical_failure", iterations=0,
                            objective=np.nan, violation=np.inf, x=x,
                            multipliers=np.zeros(m), bound_multipliers=np.zeros(n),
@@ -615,9 +610,7 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
             delta = max(delta * 0.25, 1e-8)
             no_progress += 1
             y_con, y_bnd = y_new_con, y_new_bnd
-            if writer:
-                writer.writerow([it, repr(f), repr(feas), 0.0])
-                log_file.flush()
+            record(f, feas, 0.0)
             if no_progress >= 8:
                 status = "infeasible" if feas > np.sqrt(tol) else "max_iterations"
                 message = "line search stalled"
@@ -643,15 +636,12 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
 
         x, f, c, g, J = x_t, f_t, c_t, g_new, J_new
         y_con, y_bnd = y_new_con, y_new_bnd
-        if writer:
-            writer.writerow([it, repr(f), repr(max(_violation(c, c_lo, c_hi),
-                                                   _violation(x, nlp.z_lo, nlp.z_hi))),
-                             repr(float(np.abs(t * d).max()))])
-            log_file.flush()
+        record(f, max(_violation(c, c_lo, c_hi),
+                      _violation(x, nlp.z_lo, nlp.z_hi)),
+               np.abs(t * d).max())
 
     stat, feas, _ = _residuals(g, c, J, x, y_con, y_bnd,
                                c_lo, c_hi, nlp.z_lo, nlp.z_hi)
-    close_log()
     if rough_steps and not message:
         message = (f"{rough_steps} of {accepted_steps} accepted steps came "
                    "from a QP subproblem that stopped at its iteration cap "
@@ -660,4 +650,4 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
     return SolveReport(status=status, iterations=it, objective=f,
                        violation=feas, x=x, multipliers=r_scale * y_con,
                        bound_multipliers=y_bnd, stationarity=stat,
-                       message=message)
+                       message=message, log=log)

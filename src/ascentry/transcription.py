@@ -44,7 +44,6 @@ the cost each run only if one of their columns carries a nonzero weight.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -871,17 +870,16 @@ class NLPProblem:
         z = self.pack(states, controls, times, sol.accumulators)
         return self.clip_to_bounds(z)
 
-    def dump_layout(self, path):
+    def layout(self) -> dict:
+        """Sizes, variable and row names, and the Jacobian pattern."""
         rows, cols = self.sparsity()
-        doc = {
+        return {
             "n_var": self.n_var,
             "n_con": self.n_con,
             "variables": self.var_names,
             "constraints": self.con_names,
             "sparsity": {"rows": rows.tolist(), "cols": cols.tolist()},
         }
-        with open(path, "w") as f:
-            json.dump(doc, f)
 
 
 @dataclass

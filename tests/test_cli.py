@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ascentry import cli
+from ascentry import meshref
 from ascentry import mission as M
 from ascentry.meshref import RefinementReport
 from ascentry.nlpsolve import SolveReport
@@ -49,6 +50,7 @@ def test_check_builtin_config_exits_ok(capsys):
     ("{not json", "not valid JSON"),
     ({"problem": "lunar-landing"}, "unknown problem"),
     ({"problem": "scalar-energy"}, "sweep applies to the mission problem"),
+    ({"problem": ["x"]}, "unknown problem"),
 ])
 def test_bad_input_exits_with_a_config_error(tmp_path, capsys, doc, message):
     path = (str(tmp_path / "missing.json") if doc is None
@@ -84,7 +86,37 @@ def test_canonical_solve_writes_its_outputs(tmp_path):
     assert summary["objective"] == pytest.approx(1.0, rel=1e-5)
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header == "t,x,u"
-    assert json.loads((out / "mesh_history.json").read_text())
+    history = json.loads((out / "mesh_history.json").read_text())
+    assert [entry["iteration"] for entry in history] == \
+        list(range(1, summary["refinement_iterations"] + 1))
+    for entry in history:
+        assert entry["sqp"]
+        assert set(entry["sqp"][0]) == {"iteration", "objective",
+                                        "feasibility", "step_norm"}
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_written_json_is_strict_when_a_number_is_not_finite(tmp_path,
+                                                            monkeypatch):
+    # an interval error that is not finite ends the run as numerical_failure
+    monkeypatch.setattr(meshref, "estimate_error",
+                        lambda phase, node: np.full(phase.mesh.n_intervals,
+                                                    np.nan))
+    path = _write(tmp_path, {"problem": "scalar-energy"})
+    out = tmp_path / "out"
+    code = cli.main(["--command", "solve", "--config", path,
+                     "--out", str(out)])
+    assert code == cli.EXIT_NO_CONVERGENCE
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert summary["status"] == "numerical_failure"
+    history = json.loads((out / "mesh_history.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert history[0]["phases"][0]["errors"] == [None, None]
+    assert history[0]["sqp"]
 
 
 def test_canonical_solve_out_of_rounds_exits_unconverged(tmp_path):
@@ -208,6 +240,9 @@ def test_bad_sweep_lists_exit_with_a_config_error(tmp_path, captured, argv):
     ({"limts": {"qdot_max": 1}}, "'limts'"),
     ({"limits": {"qdot_max": "nan"}}, "limits.qdot_max"),
     ({"refinement": {"max_refinements": 2.7}}, "refinement.max_refinements"),
+    ({"limits": {"n_max": True}}, "limits.n_max must be a number"),
+    ({"solver": {"max_iterations": True}},
+     "solver.max_iterations must be a number"),
 ])
 def test_check_rejects_ignored_or_malformed_input(tmp_path, capsys, doc,
                                                   message):
@@ -242,6 +277,13 @@ def test_canonical_config_is_checked_like_the_mission_file(tmp_path, capsys,
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "configuration error" in err and message in err
+    # the mission file reads the same sections through the same rows
+    mission = _write(tmp_path, {k: v for k, v in doc.items()
+                                if k != "problem"}, "mission.json")
+    code = cli.main(["--command", command, "--config", mission,
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("tables", [
@@ -269,6 +311,7 @@ def test_unreadable_table_file_is_a_config_error(tmp_path, capsys, command,
     ({"qdot_max": [2.0, "nan"]}, "sweep.qdot_max"),
     ({"q_heat_max": []}, "sweep.q_heat_max"),
     ({"q_heat_max": 300}, "sweep.q_heat_max"),
+    ({"qdot_max": [True]}, "sweep.qdot_max must be a number"),
 ])
 def test_sweep_section_is_checked_like_the_flags(tmp_path, capsys, captured,
                                                  sweep, message):

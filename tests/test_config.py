@@ -52,15 +52,15 @@ CASES = {"mission_default.json": M.default_config,
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_to_json_reproduces_the_pinned_file(name, tmp_path):
-    path = tmp_path / name
-    CASES[name]().to_json(path)
-    assert path.read_bytes() == (DATA / name).read_bytes()
+def test_to_json_reproduces_the_pinned_file(name):
+    text = json.dumps(CASES[name]().to_dict(), indent=1) + "\n"
+    assert text.encode() == (DATA / name).read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_from_json_of_the_pinned_file_is_the_config(name):
-    assert M.MissionConfig.from_json(DATA / name) == CASES[name]()
+    data = json.loads((DATA / name).read_text())
+    assert M.MissionConfig.from_dict(data) == CASES[name]()
 
 
 def test_defaults_need_no_file():
@@ -125,6 +125,32 @@ def test_null_lifts_only_the_heating_limits():
 def test_fractional_counts_are_rejected(doc, where):
     with pytest.raises(M.ConfigError, match=where):
         M.MissionConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("doc, where, rule", [
+    ({"solver": {"tolerance": 0.0}}, "solver.tolerance",
+     "tolerance must be positive"),
+    ({"solver": {"max_iterations": 0}}, "solver.max_iterations",
+     "max_iterations must be at least 1"),
+    ({"refinement": {"tolerance": -1e-4}}, "refinement.tolerance",
+     "mesh_tolerance must be positive"),
+    ({"refinement": {"max_refinements": -2}}, "refinement.max_refinements",
+     "max_refinements must be at least 1"),
+])
+def test_option_ranges_are_the_options_own(doc, where, rule):
+    # the options classes own the rule; the loader names the key
+    with pytest.raises(M.ConfigError) as err:
+        M.MissionConfig.from_dict(doc)
+    assert str(err.value) == f"{where}: {rule}"
+
+
+@pytest.mark.parametrize("limit", ["qdot_max", "q_heat_max"])
+def test_heating_limits_must_be_positive(limit):
+    with pytest.raises(M.ConfigError, match=f"limits.{limit} must be positive"):
+        M.MissionConfig.from_dict({"limits": {limit: 0.0}})
+    with pytest.raises(M.ConfigError, match=f"limits.{limit} must be positive"):
+        replace(M.MissionConfig(), limits=replace(
+            M.PathLimits(), **{limit: -1.0})).validate()
 
 
 def test_whole_counts_may_be_written_as_floats():

@@ -135,17 +135,17 @@ def test_refine_loop_reaches_tolerance():
     assert phase["degrees"] == [3]
 
 
-def test_refine_loop_writes_history_file(tmp_path):
-    path = tmp_path / "history.json"
+def test_refine_loop_history_holds_each_rounds_sqp_rows():
     rep = refine_loop(_exp_problem(), [uniform_mesh(1, 3)],
                       lambda nlp: nlp.clip_to_bounds(np.ones(nlp.n_var)),
                       RefinementOptions(mesh_tolerance=1e-6,
-                                        max_refinements=6),
-                      history_path=str(path))
-    data = json.loads(path.read_text())
+                                        max_refinements=6))
+    data = json.loads(json.dumps(rep.history))
     assert isinstance(data, list) and len(data) == rep.iterations
-    assert set(data[0]) == {"iteration", "phases"}
+    assert set(data[0]) == {"iteration", "phases", "sqp"}
     assert set(data[0]["phases"][0]) == {"boundaries", "degrees", "errors"}
+    for entry, solve_report in zip(data, rep.solve_reports):
+        assert entry["sqp"] == solve_report.log and entry["sqp"]
 
 
 def test_refine_loop_stops_when_mesh_cannot_change():

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ascentry import cli
 from ascentry import mission as M
 from ascentry import nlpsolve
 from ascentry.dynamics import Geo, geo_from_vert, vert_from_geo
@@ -171,14 +172,13 @@ def test_tower_clear_needs_liftoff_thrust(cfg):
         M.tower_clear_propagate(weak)
 
 
-def test_json_roundtrip(cfg, tmp_path):
-    path = tmp_path / "mission.json"
-    cfg.to_json(path)
-    back = M.MissionConfig.from_json(path)
+def test_json_roundtrip(cfg):
+    text = json.dumps(cfg.to_dict(), indent=1)
+    back = M.MissionConfig.from_dict(json.loads(text))
     assert back.to_dict() == cfg.to_dict()
     # inf limits survive through the null encoding
     assert math.isinf(back.limits.qdot_max)
-    assert json.loads(path.read_text())["limits"]["qdot_max"] is None
+    assert json.loads(text)["limits"]["qdot_max"] is None
 
 
 def test_from_dict_partial_override(cfg):
@@ -613,7 +613,7 @@ def test_trajectory_table_and_csv(cfg, guess_setup, tmp_path):
     assert np.all(table[:, 10] >= 0.0)        # dynamic pressure
     assert np.all(np.diff(table[:, 13]) >= -1e-9)   # heat load accumulates
     path = tmp_path / "traj.csv"
-    M.write_trajectory_csv(path, table)
+    cli.write_csv(path, M.TRAJECTORY_COLUMNS, table)
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(M.TRAJECTORY_COLUMNS)
     assert len(lines) == len(table) + 1
@@ -652,7 +652,7 @@ def _study_with(monkeypatch, cfg, failing):
     the rows handed to progress."""
     calls = []
 
-    def fake_solve(c, *, warm=None, history_path=None):
+    def fake_solve(c, *, warm=None):
         calls.append((c.limits.qdot_max, c.limits.q_heat_max, warm))
         if c.limits.q_heat_max >= 10.0:
             return _report_with("marker", True, "converged")
@@ -704,7 +704,7 @@ def test_study_to_csv(tmp_path):
                           float("nan"), float("nan"), float("nan"),
                           float("nan"), float("nan"), "infeasible")]
     path = tmp_path / "study.csv"
-    M.study_to_csv(rows, path)
+    cli.write_csv(path, M.STUDY_COLUMNS, (astuple(r) for r in rows))
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(M.STUDY_COLUMNS)
     first = lines[1].split(",")
@@ -718,7 +718,7 @@ def test_csv_text_is_pinned(tmp_path):
             M.StudyResult(2.0, 500.0, float("nan"), 1e-300, -0.0, 1e21,
                           42.0, 3.0, 0.1 + 0.2, "infeasible")]
     path = tmp_path / "study.csv"
-    M.study_to_csv(rows, path)
+    cli.write_csv(path, M.STUDY_COLUMNS, (astuple(r) for r in rows))
     assert path.read_text() == (
         ",".join(M.STUDY_COLUMNS) + "\n"
         "inf,2.5,114.2,0.3333333333,7.3,-2.5e-07,1.23456789e+11,0,8.3,"
@@ -728,7 +728,7 @@ def test_csv_text_is_pinned(tmp_path):
     table[0, :3] = [0.0, 1.5, -3.0e-12]
     table[1, :3] = [2.0, np.pi, 1.0e10]
     path = tmp_path / "traj.csv"
-    M.write_trajectory_csv(path, table)
+    cli.write_csv(path, M.TRAJECTORY_COLUMNS, table)
     zeros = "," + ",".join(["0"] * (len(M.TRAJECTORY_COLUMNS) - 3))
     assert path.read_text() == (",".join(M.TRAJECTORY_COLUMNS) + "\n"
                                 "0,1.5,-3e-12" + zeros + "\n"

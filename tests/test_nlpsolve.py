@@ -182,16 +182,17 @@ def test_deterministic_repeat():
     assert np.array_equal(a.x, b.x)
 
 
-def test_iteration_log(tmp_path):
-    path = tmp_path / "iters.csv"
-    solve(_equality_qp(), np.array([3.0, -1.0]),
-          SolverOptions(log_path=str(path)))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,objective,feasibility,step_norm"
-    assert len(lines) >= 2
-    first = lines[1].split(",")
-    assert int(first[0]) == 1
-    float(first[1]), float(first[2]), float(first[3])
+def test_iteration_log():
+    rep = solve(_equality_qp(), np.array([3.0, -1.0]))
+    assert rep.converged and rep.log
+    assert all(set(row) == {"iteration", "objective", "feasibility",
+                            "step_norm"} for row in rep.log)
+    its = [row["iteration"] for row in rep.log]
+    assert its[0] == 1 and its == sorted(set(its)) and its[-1] <= rep.iterations
+    # each row is taken after its step: the last is the solver's answer
+    last = rep.log[-1]
+    assert last["objective"] == pytest.approx(rep.objective, abs=1e-12)
+    assert last["feasibility"] <= 1e-6 < rep.log[0]["step_norm"]
 
 
 def test_auto_scaling_from_bounds():
