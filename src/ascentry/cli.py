@@ -44,11 +44,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _flag_lists(args) -> dict[str, list[float]]:
     """The heating-limit flags, loaded as the config's sweep lists: 'inf'
     or 'none' stands for null, which lifts the limit."""
-    return M.load_sweep({
-        key: [None if p.strip().lower() in ("inf", "none") else p
-              for p in text.split(",") if p.strip()]
-        for key, text in (("qdot_max", args.qdot_max),
-                          ("q_heat_max", args.q_max)) if text is not None})
+    lists = {}
+    for key, flag, text in (("qdot_max", "--qdot-max", args.qdot_max),
+                            ("q_heat_max", "--q-max", args.q_max)):
+        if text is not None:
+            parts = [p.strip() for p in text.split(",") if p.strip()]
+            try:
+                lists[key] = [None if p.lower() in ("inf", "none")
+                              else float(p) for p in parts]
+            except ValueError:
+                raise M.ConfigError(f"{flag} must list numbers, got "
+                                    f"{text!r}") from None
+    return M.load_sweep(lists)
 
 
 def _load_config(args) -> tuple[str, dict]:

@@ -67,13 +67,16 @@ def estimate_error(phase_sol: PhaseSolution, node) -> np.ndarray:
 
 
 def refine(mesh: MeshPhase, errors: np.ndarray,
-           options: RefinementOptions) -> tuple[MeshPhase, bool]:
-    """Apply the degree-raise / split rule; second output False at a fixed point."""
+           options: RefinementOptions) -> MeshPhase:
+    """Apply the degree-raise / split rule; `mesh` itself where every
+    interval meets tolerance (a rebuilt mesh would renormalize its
+    fractions)."""
     if len(errors) != mesh.n_intervals:
         raise ValueError("one error per interval required")
+    if np.all(errors <= options.mesh_tolerance):
+        return mesh
     fractions: list[float] = []
     degrees: list[int] = []
-    changed = False
     for k in range(mesh.n_intervals):
         frac = float(mesh.fractions[k])
         deg = int(mesh.degrees[k])
@@ -90,11 +93,8 @@ def refine(mesh: MeshPhase, errors: np.ndarray,
             sub_deg = max(N_MIN, math.ceil(deg / SUBDIVISION))
             fractions.extend([frac / SUBDIVISION] * SUBDIVISION)
             degrees.extend([sub_deg] * SUBDIVISION)
-        changed = True
-    if not changed:
-        return mesh, False
     fr = np.asarray(fractions)
-    return MeshPhase(fr / fr.sum(), np.asarray(degrees)), True
+    return MeshPhase(fr / fr.sum(), np.asarray(degrees))
 
 
 @dataclass
@@ -140,8 +140,8 @@ def refine_loop(problem: MultiPhaseProblem, meshes: list[MeshPhase],
                 solver_options: SolverOptions | None = None) -> RefinementReport:
     """Solve / estimate / refine until every interval meets tolerance.
 
-    `guess` is either a point for the first mesh or a callable mapping an
-    NLPProblem to one; later meshes warm-start from the previous solution.
+    `guess` maps the first mesh's NLPProblem to a start point; later meshes
+    warm-start from the previous solution.
     The solution's phases carry the meshes it was solved on.
     """
     options = options or RefinementOptions()
@@ -155,10 +155,7 @@ def refine_loop(problem: MultiPhaseProblem, meshes: list[MeshPhase],
     it = 0
     for it in range(1, options.max_refinements + 1):
         nlp = transcribe(problem, meshes)
-        if sol is not None:
-            z = nlp.z_from_solution(sol)
-        else:
-            z = guess(nlp) if callable(guess) else np.asarray(guess, float)
+        z = guess(nlp) if sol is None else nlp.z_from_solution(sol)
         rep = solve(nlp, z, solver_options)
         reports.append(rep)
         sol = nlp.solution_from(rep.x)
@@ -175,7 +172,7 @@ def refine_loop(problem: MultiPhaseProblem, meshes: list[MeshPhase],
             break
         # an interval over tolerance always changes, so every round that
         # gets here solves a new mesh
-        meshes = [refine(mesh, errs, options)[0]
+        meshes = [refine(mesh, errs, options)
                   for mesh, errs in zip(meshes, errors)]
     return RefinementReport(converged=done, iterations=it, errors=errors,
                             solution=sol, solve_reports=reports, history=history)

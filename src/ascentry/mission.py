@@ -267,12 +267,10 @@ class MissionConfig:
 
 
 def _number(x, where: str) -> float:
-    if isinstance(x, bool):
+    """A JSON number: a boolean or a string is not one, even "12"."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ConfigError(f"{where} must be a number, got {x!r}")
-    try:
-        v = float(x)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, got {x!r}") from None
+    v = float(x)
     if not math.isfinite(v):
         raise ConfigError(f"{where} must be finite, got {x!r}")
     return v
@@ -295,7 +293,10 @@ def _load_stages(x, where: str) -> tuple[VehicleStage, ...]:
         if not isinstance(s, dict) or sorted(s) != sorted(names):
             raise ConfigError(f"{at} must be an object with exactly the keys "
                               f"{', '.join(names)}")
-        stages.append(VehicleStage(str(s["name"]),
+        if not isinstance(s["name"], str):
+            raise ConfigError(f"{at}.name must be a string, "
+                              f"got {s['name']!r}")
+        stages.append(VehicleStage(s["name"],
                                    *(_number(s[n], f"{at}.{n}")
                                      for n in names[1:])))
     return tuple(stages)
@@ -1163,7 +1164,8 @@ def summarize_run(config: MissionConfig,
         ys = ph.sample_states(tt)
         qd = heating_rate(atm.density(ys[:, 0]), ys[:, 3], config.heating)
         max_qd = max(max_qd, float(np.max(qd)))
-    return StudyResult(lm.qdot_max, lm.q_heat_max, float(sol.objective),
+    return StudyResult(lm.qdot_max, lm.q_heat_max,
+                       float(report.last_solve.objective),
                        peak, float(pierce[Geo.V]),
                        float(pierce[Geo.GAMMA]) / DEG, duration,
                        float(sol.accumulators.get("heat_load", math.nan)),
@@ -1209,20 +1211,17 @@ TRAJECTORY_COLUMNS = ("t", "h", "phi", "theta", "v", "gamma", "psi", "alpha",
                       "sigma", "m", "q", "n", "qdot", "Q")
 
 
-def trajectory_table(config: MissionConfig, sol: Solution,
-                     hz: float = 1.0) -> np.ndarray:
+def trajectory_table(config: MissionConfig, sol: Solution) -> np.ndarray:
     """Sampled history, one row per stamp: the per-phase collocation nodes
-    merged with a uniform grid, angles in radians, heat load accumulated
+    merged with the whole seconds, angles in radians, heat load accumulated
     over the entry phases."""
     ctx = phase_contexts(config)
     hp = config.heating
     rows = []
     heat = 0.0
     for p, ph in enumerate(sol.phases):
-        tt = np.unique(np.concatenate(
-            [ph.state_times(),
-             np.arange(math.ceil(ph.t0 * hz), math.floor(ph.tf * hz) + 1) / hz
-             if hz > 0 else np.empty(0)]))
+        tt = np.unique(np.concatenate([ph.state_times(), np.arange(
+            math.ceil(ph.t0), math.floor(ph.tf) + 1.0)]))
         ys = ph.sample_states(tt)
         if p in (0, 7):
             geo = geo_from_vert(ys)

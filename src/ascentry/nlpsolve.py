@@ -3,9 +3,10 @@
 The method is a line-search Newton SQP: the Hessian of the Lagrangian at
 the current multipliers, one elastic quadratic subproblem per iteration
 solved by a primal-dual interior-point method, and an l1 merit function.
-Variables are scaled by their bound magnitudes and constraint rows are
-equilibrated against the first Jacobian; reports are translated back to
-the problem's own units.  Derivatives come from the problem object's
+One function, `solve`, scales the variables by their bound magnitudes and
+the rows against the first Jacobian, iterates in those units, and reports
+in the problem's own, with the objective and violation the last iterate
+was judged on.  Derivatives come from the problem object's
 `objective_gradient`, `jacobian` and `hessian(z, y)`, the last once per
 iteration.
 
@@ -379,38 +380,6 @@ def _elastic_qp(B: sp.spmatrix, g: np.ndarray, J: sp.spmatrix,
                      converged)
 
 
-class _ScaledNLP:
-    """Right-scale variables: x = s * xhat."""
-
-    def __init__(self, inner, s: np.ndarray):
-        self.inner = inner
-        self.s = s
-        self.n_var = inner.n_var
-        self.n_con = inner.n_con
-        self.z_lo = inner.z_lo / self.s
-        self.z_hi = inner.z_hi / self.s
-        self.c_lo = inner.c_lo
-        self.c_hi = inner.c_hi
-
-    def objective(self, z):
-        return self.inner.objective(self.s * z)
-
-    def constraints(self, z):
-        return self.inner.constraints(self.s * z)
-
-    def objective_gradient(self, z):
-        return self.s * self.inner.objective_gradient(self.s * z)
-
-    def jacobian(self, z):
-        return self.inner.jacobian(self.s * z).multiply(self.s[None, :]).tocsr()
-
-    def hessian(self, z, y):
-        """S H S, H the inner Hessian at s*z."""
-        H = sp.csr_matrix(self.inner.hessian(self.s * z, y))
-        H.data *= self.s[H.indices] * np.repeat(self.s, np.diff(H.indptr))
-        return H
-
-
 def _violation(c, c_lo, c_hi):
     return float(np.maximum(np.maximum(c_lo - c, c - c_hi), 0.0)
                  .max(initial=0.0))
@@ -460,73 +429,65 @@ def _bound_scale(nlp) -> np.ndarray:
 
 def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveReport:
     options = options or SolverOptions()
-    s = _bound_scale(nlp)
-    rep = _solve_core(_ScaledNLP(nlp, s), np.asarray(x0, float) / s, options)
-    rep.x = s * rep.x
-    rep.bound_multipliers = rep.bound_multipliers / s
-    # the core works on equilibrated rows; report in the problem's units
-    try:
-        rep.objective = nlp.objective(rep.x)
-        rep.violation = max(
-            _violation(nlp.constraints(rep.x), nlp.c_lo, nlp.c_hi),
-            _violation(rep.x, nlp.z_lo, nlp.z_hi))
-    except Exception as e:
-        if rep.status != "numerical_failure":   # keep the first failure's cause
-            rep.status = "numerical_failure"
-            rep.message = f"final evaluation failed: {e}"
-    return rep
-
-
-def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
     tol = options.tolerance
-    n = nlp.n_var
-    m = nlp.n_con
-    x = np.clip(np.asarray(x0, float), nlp.z_lo, nlp.z_hi)
+    n, m = nlp.n_var, nlp.n_con
+    # the iterates are x = z / s, s the bound scale: the problem is evaluated
+    # at s * x, and its gradient, Jacobian columns and Hessian scaled by s
+    s = _bound_scale(nlp)
+    z_lo, z_hi = nlp.z_lo / s, nlp.z_hi / s
+    x = np.clip(np.asarray(x0, float) / s, z_lo, z_hi)
+
+    def derivatives(x):
+        return (s * nlp.objective_gradient(s * x),
+                nlp.jacobian(s * x).multiply(s[None, :]).tocsr())
 
     log: list[dict] = []
+    it, f, J = 0, np.nan, None
+    r_scale, y_con, y_bnd = np.ones(m), np.zeros(m), np.zeros(n)
 
     def record(objective, feasibility, step_norm):
         log.append({"iteration": it, "objective": float(objective),
                     "feasibility": float(feasibility),
                     "step_norm": float(step_norm)})
 
-    def failure(message):
-        return SolveReport(status="numerical_failure", iterations=it,
-                           objective=f, violation=feas, x=x,
-                           multipliers=r_scale * y_con, bound_multipliers=y_bnd,
-                           stationarity=stat, message=message, log=log)
+    def report(status, message):
+        # at x, in the problem's units, from the evaluations x was judged on
+        if J is None:   # the start point did not evaluate
+            stat = violation = np.inf
+        else:
+            stat = _residuals(g, c, J, x, y_con, y_bnd,
+                              c_lo, c_hi, z_lo, z_hi)[0]
+            violation = max(_violation(c_raw, nlp.c_lo, nlp.c_hi),
+                            _violation(s * x, nlp.z_lo, nlp.z_hi))
+        return SolveReport(status=status, iterations=it, objective=f,
+                           violation=violation, x=s * x,
+                           multipliers=r_scale * y_con,
+                           bound_multipliers=y_bnd / s, stationarity=stat,
+                           message=message, log=log)
 
     try:
-        f = nlp.objective(x)
-        c = nlp.constraints(x)
-        g = nlp.objective_gradient(x)
-        J = nlp.jacobian(x)
+        f, c_raw, (g, J) = (nlp.objective(s * x), nlp.constraints(s * x),
+                            derivatives(x))
     except Exception as e:
-        return SolveReport(status="numerical_failure", iterations=0,
-                           objective=np.nan, violation=np.inf, x=x,
-                           multipliers=np.zeros(m), bound_multipliers=np.zeros(n),
-                           message=f"initial evaluation failed: {e}")
+        return report("numerical_failure", f"initial evaluation failed: {e}")
 
     # equilibrate constraint rows once, from the first Jacobian, so the
-    # merit function and the convergence test see rows of comparable size
+    # merit function and the convergence test see rows of comparable size;
+    # c_raw keeps the rows in the problem's units for the report
     row_inf = np.abs(J).max(axis=1).toarray().ravel()
     r_scale = 1.0 / np.maximum(1.0, row_inf)
     c_lo = r_scale * nlp.c_lo
     c_hi = r_scale * nlp.c_hi
     r_diag = sp.diags(r_scale)
-    c = r_scale * c
+    c = r_scale * c_raw
     J = r_diag @ J
 
     # a box-fixed variable's step is held at 0, so its Hessian row and
     # column change no subproblem's answer
-    fixed = nlp.z_lo == nlp.z_hi
-    y_con = np.zeros(m)
-    y_bnd = np.zeros(n)
+    fixed = z_lo == z_hi
     mu = 10.0
     delta = 1e3
-    status = "max_iterations"
-    message = ""
-    it = 0
+    status, message = "max_iterations", ""
     no_progress = 0
     accepted_steps = 0
     rough_steps = 0     # accepted steps from a QP stopped at its cap
@@ -534,7 +495,7 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
 
     for it in range(1, options.max_iterations + 1):
         stat, feas, comp = _residuals(g, c, J, x, y_con, y_bnd,
-                                      c_lo, c_hi, nlp.z_lo, nlp.z_hi)
+                                      c_lo, c_hi, z_lo, z_hi)
         # stationarity is scaled by gradient and multiplier size: the dual
         # residual inherits the units of whichever is largest
         ymax = max(float(np.abs(y_con).max(initial=0.0)),
@@ -544,19 +505,23 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
             status = "converged"
             break
 
-        # the Lagrangian Hessian at the current multipliers, in the scaled
-        # units, fixed rows and columns zeroed, shifted to be semidefinite
+        # the Lagrangian Hessian at the current multipliers, S H S in the
+        # scaled units, fixed rows and columns zeroed, shifted to be
+        # semidefinite
         try:
-            B = nlp.hessian(x, r_scale * y_con).tocoo()
+            H = sp.csr_matrix(nlp.hessian(s * x, r_scale * y_con))
+            H.data *= s[H.indices] * np.repeat(s, np.diff(H.indptr))
+            B = H.tocoo()
             B.data[fixed[B.row] | fixed[B.col]] = 0.0
             B = B.tocsr()
             B.eliminate_zeros()
             B = B + _shift(B) * sp.identity(n, format="csr")
         except Exception as e:
-            return failure(f"Hessian evaluation failed: {e}")
+            return report("numerical_failure",
+                          f"Hessian evaluation failed: {e}")
 
-        bl = np.maximum(nlp.z_lo - x, -delta)
-        bu = np.minimum(nlp.z_hi - x, delta)
+        bl = np.maximum(z_lo - x, -delta)
+        bu = np.minimum(z_hi - x, delta)
         v1 = _violation_l1(c, c_lo, c_hi)
         # let the penalty recover when history has pushed it far past what
         # the current multipliers justify
@@ -589,16 +554,15 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
 
         t = 1.0
         accepted = False
-        f_t = f
-        c_t = c
         x_floor = 1e-15 * (1.0 + float(np.abs(x).max()))
         for _ in range(40):
             if t * step_norm < x_floor:
                 break  # a step below float resolution proves nothing
-            x_t = np.clip(x + t * d, nlp.z_lo, nlp.z_hi)
+            x_t = np.clip(x + t * d, z_lo, z_hi)
             try:
-                f_t = nlp.objective(x_t)
-                c_t = r_scale * nlp.constraints(x_t)
+                f_t = nlp.objective(s * x_t)
+                c_raw_t = nlp.constraints(s * x_t)
+                c_t = r_scale * c_raw_t
                 phi_t = f_t + mu * _violation_l1(c_t, c_lo, c_hi)
             except Exception:
                 phi_t = np.inf
@@ -629,25 +593,19 @@ def _solve_core(nlp, x0: np.ndarray, options: SolverOptions) -> SolveReport:
 
         # x_t, the line search's clipped trial point, is the accepted step
         try:
-            g_new = nlp.objective_gradient(x_t)
-            J_new = r_diag @ nlp.jacobian(x_t)
+            g_new, J_new = derivatives(x_t)
         except Exception as e:
-            return failure(f"derivative evaluation failed: {e}")
+            return report("numerical_failure",
+                          f"derivative evaluation failed: {e}")
 
-        x, f, c, g, J = x_t, f_t, c_t, g_new, J_new
+        x, f, c, c_raw, g, J = x_t, f_t, c_t, c_raw_t, g_new, r_diag @ J_new
         y_con, y_bnd = y_new_con, y_new_bnd
-        record(f, max(_violation(c, c_lo, c_hi),
-                      _violation(x, nlp.z_lo, nlp.z_hi)),
+        record(f, max(_violation(c, c_lo, c_hi), _violation(x, z_lo, z_hi)),
                np.abs(t * d).max())
 
-    stat, feas, _ = _residuals(g, c, J, x, y_con, y_bnd,
-                               c_lo, c_hi, nlp.z_lo, nlp.z_hi)
     if rough_steps and not message:
         message = (f"{rough_steps} of {accepted_steps} accepted steps came "
                    "from a QP subproblem that stopped at its iteration cap "
                    f"(last primal residual {last_rough.primal_res:.3g}, "
                    f"dual residual {last_rough.dual_res:.3g})")
-    return SolveReport(status=status, iterations=it, objective=f,
-                       violation=feas, x=x, multipliers=r_scale * y_con,
-                       bound_multipliers=y_bnd, stationarity=stat,
-                       message=message, log=log)
+    return report(status, message)

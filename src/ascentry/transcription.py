@@ -853,8 +853,7 @@ class NLPProblem:
                 controls=self.controls(z, p).copy(),
                 state_names=ph.state_names, control_names=ph.control_names))
         accs = {name: float(z[i]) for name, i in self.acc_idx.items()}
-        return Solution(phases=phases, accumulators=accs,
-                        objective=self.objective(z))
+        return Solution(phases=phases, accumulators=accs)
 
     def z_from_solution(self, sol: "Solution") -> np.ndarray:
         """Sample an existing solution onto this problem's mesh (warm start)."""
@@ -941,7 +940,6 @@ class PhaseSolution:
 class Solution:
     phases: list[PhaseSolution]
     accumulators: dict[str, float]
-    objective: float
 
 
 def transcribe(problem: MultiPhaseProblem,

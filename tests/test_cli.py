@@ -235,6 +235,18 @@ def test_bad_sweep_lists_exit_with_a_config_error(tmp_path, captured, argv):
     assert "sweep" not in captured
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--command", "check", "--qdot-max", "abc"], "--qdot-max"),
+    (["--command", "sweep", "--q-max", "300,x"], "--q-max"),
+])
+def test_flag_text_that_is_not_a_number_names_the_flag(tmp_path, capsys,
+                                                       captured, argv, flag):
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert f"configuration error: {flag} must list numbers" \
+        in capsys.readouterr().err
+    assert "sweep" not in captured
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"limits": {"qdot_mx": 1}}, "'qdot_mx'"),
     ({"limts": {"qdot_max": 1}}, "'limts'"),
@@ -242,6 +254,9 @@ def test_bad_sweep_lists_exit_with_a_config_error(tmp_path, captured, argv):
     ({"refinement": {"max_refinements": 2.7}}, "refinement.max_refinements"),
     ({"limits": {"n_max": True}}, "limits.n_max must be a number"),
     ({"solver": {"max_iterations": True}},
+     "solver.max_iterations must be a number"),
+    ({"limits": {"n_max": " 12 "}}, "limits.n_max must be a number"),
+    ({"solver": {"max_iterations": "7"}},
      "solver.max_iterations must be a number"),
 ])
 def test_check_rejects_ignored_or_malformed_input(tmp_path, capsys, doc,
@@ -312,6 +327,7 @@ def test_unreadable_table_file_is_a_config_error(tmp_path, capsys, command,
     ({"q_heat_max": []}, "sweep.q_heat_max"),
     ({"q_heat_max": 300}, "sweep.q_heat_max"),
     ({"qdot_max": [True]}, "sweep.qdot_max must be a number"),
+    ({"qdot_max": ["1.5"]}, "sweep.qdot_max must be a number"),
 ])
 def test_sweep_section_is_checked_like_the_flags(tmp_path, capsys, captured,
                                                  sweep, message):

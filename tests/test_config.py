@@ -107,6 +107,24 @@ def test_non_finite_stage_numbers_are_rejected():
         M.MissionConfig.from_dict({"stages": stages})
 
 
+@pytest.mark.parametrize("doc, where", [
+    ({"limits": {"n_max": " 12 "}}, "limits.n_max"),
+    ({"solver": {"max_iterations": "7"}}, "solver.max_iterations"),
+    ({"mesh": [[4, "4"]] * 8}, r"mesh\[0\]"),
+])
+def test_strings_are_not_numbers(doc, where):
+    with pytest.raises(M.ConfigError, match=f"{where} must be a number"):
+        M.MissionConfig.from_dict(doc)
+
+
+def test_stage_names_must_be_strings():
+    stages = M.MissionConfig().to_dict()["stages"]
+    stages[1]["name"] = [1, 2]
+    with pytest.raises(M.ConfigError,
+                       match=r"stages\[1\].name must be a string"):
+        M.MissionConfig.from_dict({"stages": stages})
+
+
 def test_null_lifts_only_the_heating_limits():
     cfg = M.MissionConfig.from_dict({"limits": {"qdot_max": None,
                                                 "q_heat_max": None}})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ascentry import meshref
+from ascentry.canonical import straight_line_guess
 from ascentry.meshref import (RefinementOptions, estimate_error, refine,
                               refine_loop)
 from ascentry.nlpsolve import SolveReport
@@ -60,23 +61,23 @@ def test_error_localizes_to_bad_interval():
 
 def test_refine_raises_degree_by_overshoot_magnitude():
     mesh = MeshPhase([1.0], [3])
-    out, changed = refine(mesh, np.array([1e-2]), RefinementOptions())
-    assert changed
+    out = refine(mesh, np.array([1e-2]), RefinementOptions())
+    assert out is not mesh
     # two decades over a 1e-4 tolerance: degree climbs by two
     assert out.degrees.tolist() == [5]
     assert out.fractions.tolist() == [1.0]
 
 
 def test_refine_respects_minimum_degree():
-    out, _ = refine(MeshPhase([1.0], [1]), np.array([2e-4]),
-                    RefinementOptions())
+    out = refine(MeshPhase([1.0], [1]), np.array([2e-4]),
+                 RefinementOptions())
     assert out.degrees.tolist() == [3]
 
 
 def test_refine_splits_at_degree_cap():
     mesh = MeshPhase([1.0], [10])
-    out, changed = refine(mesh, np.array([1e-3]), RefinementOptions())
-    assert changed
+    out = refine(mesh, np.array([1e-3]), RefinementOptions())
+    assert out is not mesh
     assert out.degrees.tolist() == [5, 5]
     assert np.allclose(out.fractions, [0.5, 0.5])
     # collocation points never shrink on a split
@@ -85,7 +86,7 @@ def test_refine_splits_at_degree_cap():
 
 def test_refine_renormalizes_fractions():
     mesh = MeshPhase([0.5, 0.5], [10, 3])
-    out, _ = refine(mesh, np.array([1e-3, 0.0]), RefinementOptions())
+    out = refine(mesh, np.array([1e-3, 0.0]), RefinementOptions())
     assert out.degrees.tolist() == [5, 5, 3]
     assert np.allclose(out.fractions, [0.25, 0.25, 0.5])
     assert out.fractions.sum() == pytest.approx(1.0, abs=1e-15)
@@ -93,9 +94,8 @@ def test_refine_renormalizes_fractions():
 
 def test_refine_fixed_point_below_tolerance():
     mesh = MeshPhase([0.4, 0.6], [4, 4])
-    out, changed = refine(mesh, np.array([0.0, 5e-5]), RefinementOptions())
-    assert not changed
-    assert out is mesh
+    # the same object: a rebuilt mesh would renormalize the fractions
+    assert refine(mesh, np.array([0.0, 5e-5]), RefinementOptions()) is mesh
 
 
 def test_refine_requires_matching_error_length():
@@ -217,3 +217,17 @@ def test_refine_loop_stops_on_an_interval_error_that_is_not_finite(
     assert rep.iterations == 1 and not rep.converged
     assert rep.last_solve.converged
     assert rep.status == "numerical_failure"
+
+
+def test_refine_loop_returns_a_start_point_that_does_not_evaluate():
+    # the cost sqrt(u - 1) is not finite at the guess's zero controls: the
+    # solve fails there, and the run says so instead of raising
+    def cost(X, U):
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(U[:, 0] - 1.0)
+
+    prob = MultiPhaseProblem([_scalar_phase(cost=cost)])
+    rep = refine_loop(prob, [uniform_mesh(1, 3)], straight_line_guess)
+    assert rep.status == "numerical_failure"
+    assert rep.iterations == 1 and rep.last_solve.iterations == 0
+    assert "initial evaluation failed" in rep.last_solve.message

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ascentry import canonical, nlpsolve
-from ascentry.nlpsolve import (SolveReport, SolverOptions, kkt_residuals,
-                               solve)
+from ascentry.nlpsolve import SolverOptions, kkt_residuals, solve
 from ascentry.transcription import (_FD_STEP, MultiPhaseProblem, PhaseDef,
                                     transcribe, uniform_mesh)
 
@@ -226,17 +225,50 @@ def test_transcribed_min_effort_transfer():
     assert np.abs(nlp.controls(rep.x, 0) - 1.0).max() < 1e-4
 
 
-def test_solve_reports_failed_final_evaluation(monkeypatch):
+def _badly_scaled():
+    """Bounds up to 2e4 and a row with a coefficient of 3e3: neither the
+    variables nor the row are in the solver's scaled units, and the row
+    binds at the optimum."""
+    return FunctionNLP(
+        2, lambda z: (z[0] / 1e4 - 1.0) ** 2 + (10.0 * z[1] - 2.0) ** 2,
+        z_lo=np.array([0.0, -1.0]), z_hi=np.array([2e4, 1.0]),
+        gradient=lambda z: np.array([2e-4 * (z[0] / 1e4 - 1.0),
+                                     20.0 * (10.0 * z[1] - 2.0)]),
+        constraints=lambda z: np.array([3e3 * z[1] + z[0] ** 2 / 2e4]),
+        c_lo=np.array([-np.inf]), c_hi=np.array([5e3]),
+        jacobian=lambda z: np.array([[z[0] / 1e4, 3e3]]))
+
+
+@pytest.mark.parametrize("max_iterations, status", [
+    (2, "max_iterations"), (500, "converged")])
+def test_report_holds_the_last_iterates_values_in_problem_units(
+        max_iterations, status):
+    nlp = _badly_scaled()
+    assert nlpsolve._bound_scale(nlp).max() == 2e4
+    rep = solve(nlp, np.array([5e3, 0.0]),
+                SolverOptions(max_iterations=max_iterations))
+    assert rep.status == status
+    assert rep.objective == nlp.objective(rep.x)
+    assert rep.violation == max(
+        nlpsolve._violation(nlp.constraints(rep.x), nlp.c_lo, nlp.c_hi),
+        nlpsolve._violation(rep.x, nlp.z_lo, nlp.z_hi))
+    if rep.converged:
+        assert nlp.constraints(rep.x)[0] == pytest.approx(5e3, rel=1e-6)
+
+
+def test_failed_initial_evaluation_reports_the_clipped_start():
     def objective(z):
         raise RuntimeError("objective blew up")
 
-    nlp = FunctionNLP(2, objective)
-    monkeypatch.setattr(nlpsolve, "_solve_core", lambda nlp, x0, options:
-                        SolveReport("converged", 3, 0.0, 0.0, x0.copy(),
-                                    bound_multipliers=np.zeros(2)))
-    rep = solve(nlp, np.zeros(2))
-    assert rep.status == "numerical_failure"
-    assert "objective blew up" in rep.message
+    nlp = FunctionNLP(2, objective, z_lo=np.array([0.0, -1.0]),
+                      z_hi=np.array([2e4, 1.0]))
+    x0 = np.array([3e4, 0.3])
+    rep = solve(nlp, x0)
+    assert rep.status == "numerical_failure" and rep.iterations == 0
+    assert "initial evaluation failed: objective blew up" in rep.message
+    np.testing.assert_allclose(rep.x, [2e4, 0.3], rtol=1e-15, atol=0.0)
+    assert np.isnan(rep.objective) and rep.violation == np.inf
+    assert not rep.log
 
 
 def test_nonfinite_derivatives_end_the_solve_as_a_failed_evaluation():
