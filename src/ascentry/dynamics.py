@@ -2,9 +2,9 @@
 
 Two interchangeable formulations: geodetic angles (flight path gamma,
 azimuth psi, bank sigma), singular in vertical flight, and an Euler-parameter
-form that stays regular there.  All rate functions are batched: states are
-(n, dim) arrays, one row per evaluation point, and a single (dim,) state is
-accepted and returned as such.
+form that stays regular there.  Every function takes and returns stacks:
+states are (n, dim) arrays, one row per evaluation point, and altitudes,
+speeds and angles are 1-D arrays of one length.
 
 Units: km, km/s, s, kg, kN, kPa, rad.  The only unit conversion in the force
 model is dynamic pressure, q[kPa] = 500 rho[kg/m^3] v[km/s]^2.
@@ -70,20 +70,19 @@ class PhaseContext:
     fixed_mass: float | None = None
 
 
-def _as_batch(y):
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    return (np.atleast_2d(y), single)
+def dynamic_pressure(rho, v):
+    # rho [kg/m^3] x v [km/s]^2 -> kPa carries a factor 500 (1e6/2/1e3)
+    return 500.0 * rho * v ** 2
 
 
 def aero_env(ctx: PhaseContext, h, v, alpha):
     """Density, Mach, dynamic pressure [kPa], lift and drag [kN], from one
     atmosphere lookup and one aero lookup."""
     if ctx.atmosphere is None:
-        z = np.zeros_like(np.asarray(h, dtype=float))
+        z = np.zeros_like(h)
         return z, z, z, z, z
     rho, a = ctx.atmosphere.lookup(h)
-    q = 500.0 * rho * v ** 2
+    q = dynamic_pressure(rho, v)
     if ctx.aero is None:
         z = np.zeros_like(q)
         return rho, z, q, z, z
@@ -102,15 +101,13 @@ def _mass_of(y, ctx, dim):
 
 def geo_rates(y, u, ctx: PhaseContext):
     """Geodetic state rates; y columns follow Geo, u = (u_alpha, u_sigma)."""
-    y, single = _as_batch(y)
     lift, drag = aero_env(ctx, y[:, Geo.H], y[:, Geo.V], y[:, Geo.ALPHA])[3:]
-    out = geo_core(y, u, ctx, lift, drag)
-    return out[0] if single else out
+    return geo_core(y, u, ctx, lift, drag)
 
 
 def geo_core(y, u, ctx: PhaseContext, lift, drag):
     """geo_rates on a batch whose lift and drag are already known."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
+    u = np.atleast_2d(u)
     h, v = y[:, Geo.H], y[:, Geo.V]
     th, gam, psi = y[:, Geo.THETA], y[:, Geo.GAMMA], y[:, Geo.PSI]
     alpha, sigma = y[:, Geo.ALPHA], y[:, Geo.SIGMA]
@@ -191,15 +188,13 @@ def vert_rates(y, u, ctx: PhaseContext):
     u1, u2 are the defect slacks on the e2/e3 kinematics; the quaternion
     norm is invariant only where they vanish.
     """
-    y, single = _as_batch(y)
     lift, drag = aero_env(ctx, y[:, Vert.H], y[:, Vert.V], y[:, Vert.ALPHA])[3:]
-    out = vert_core(y, u, ctx, lift, drag)
-    return out[0] if single else out
+    return vert_core(y, u, ctx, lift, drag)
 
 
 def vert_core(y, u, ctx: PhaseContext, lift, drag):
     """vert_rates on a batch whose lift and drag are already known."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
+    u = np.atleast_2d(u)
     h, v, th = y[:, Vert.H], y[:, Vert.V], y[:, Vert.THETA]
     e1, e2, e3, eta = (y[:, Vert.E1], y[:, Vert.E2], y[:, Vert.E3],
                        y[:, Vert.ETA])
@@ -233,8 +228,6 @@ def vert_core(y, u, ctx: PhaseContext, lift, drag):
 def quat_to_angles(e1, e2, e3, eta):
     """(gamma, psi, sigma) from Euler parameters; psi/sigma degenerate at
     exactly vertical flight and come back as 0 there."""
-    e1, e2, e3, eta = np.broadcast_arrays(*(np.asarray(x, dtype=float)
-                                            for x in (e1, e2, e3, eta)))
     gamma = np.arctan2(0.5 - e2 ** 2 - e3 ** 2,
                        np.sqrt((e1 ** 2 + eta ** 2) * (e2 ** 2 + e3 ** 2)))
     psi = np.arctan2(e1 * e2 + e3 * eta, e1 * e3 - e2 * eta)
@@ -245,8 +238,6 @@ def quat_to_angles(e1, e2, e3, eta):
 def angles_to_quat(gamma, psi, sigma):
     """Euler parameters realizing (gamma, psi, sigma); inverse of
     quat_to_angles up to quaternion sign."""
-    gamma, psi, sigma = np.broadcast_arrays(*(np.asarray(x, dtype=float)
-                                              for x in (gamma, psi, sigma)))
     a = np.sqrt(np.clip((1.0 + np.sin(gamma)) / 2.0, 0.0, None))
     b = np.sqrt(np.clip((1.0 - np.sin(gamma)) / 2.0, 0.0, None))
     u = (psi - sigma) / 2.0 - np.pi / 4.0
@@ -254,41 +245,23 @@ def angles_to_quat(gamma, psi, sigma):
     return a * np.cos(u), b * np.cos(w), b * np.sin(w), a * np.sin(u)
 
 
-def convert_control(y, w1, ctx: PhaseContext):
-    """Equivalent bank rate u_sigma for a vertical-flight state and w1."""
-    y, single = _as_batch(y)
-    e1, e2, e3, eta = (y[:, Vert.E1], y[:, Vert.E2], y[:, Vert.E3],
-                       y[:, Vert.ETA])
-    w1 = np.atleast_1d(np.asarray(w1, dtype=float))
-    lift = aero_env(ctx, y[:, Vert.H], y[:, Vert.V], y[:, Vert.ALPHA])[3]
-    w2, w3 = _frame_rates(y, ctx, lift)
-    ratio = (0.5 - e2 ** 2 - e3 ** 2) / ((e1 ** 2 + eta ** 2)
-                                         * (e2 ** 2 + e3 ** 2))
-    us = w1 - ratio * (w2 * (e2 * e1 - e3 * eta) + w3 * (e3 * e1 + e2 * eta))
-    return us[0] if single else us
-
-
 def geo_from_vert(y):
-    """Map a vertical-flight state row (or batch) to the geodetic layout."""
-    y, single = _as_batch(y)
+    """Map a stack of vertical-flight states to the geodetic layout."""
     gamma, psi, sigma = quat_to_angles(y[:, Vert.E1], y[:, Vert.E2],
                                        y[:, Vert.E3], y[:, Vert.ETA])
     cols = [y[:, Vert.H], y[:, Vert.PHI], y[:, Vert.THETA], y[:, Vert.V],
             gamma, psi, y[:, Vert.ALPHA], sigma]
     if y.shape[1] > VERT_DIM:
         cols.append(y[:, Vert.M])
-    out = np.column_stack(cols)
-    return out[0] if single else out
+    return np.column_stack(cols)
 
 
 def vert_from_geo(y):
-    """Map a geodetic state row (or batch) to the vertical-flight layout."""
-    y, single = _as_batch(y)
+    """Map a stack of geodetic states to the vertical-flight layout."""
     e1, e2, e3, eta = angles_to_quat(y[:, Geo.GAMMA], y[:, Geo.PSI],
                                      y[:, Geo.SIGMA])
     cols = [y[:, Geo.H], y[:, Geo.PHI], y[:, Geo.THETA], y[:, Geo.V],
             e1, e2, e3, eta, y[:, Geo.ALPHA]]
     if y.shape[1] > GEO_DIM:
         cols.append(y[:, Geo.M])
-    out = np.column_stack(cols)
-    return out[0] if single else out
+    return np.column_stack(cols)

@@ -65,24 +65,17 @@ def lagrange_diff_matrix(points: np.ndarray) -> np.ndarray:
 
 def barycentric_eval(points: np.ndarray, bary: np.ndarray,
                      values: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    """Evaluate the interpolant of `values` (rows follow `points`) at `xq`.
-
-    `values` may be 1-D or (len(points), m); result follows that shape with
-    the query axis first.  Queries landing on a support point return the data
-    value exactly.
+    """Evaluate the interpolant of `values`, (len(points), m) with rows
+    following `points`, at the 1-D array `xq`; the result is (len(xq), m).
+    Queries landing on a support point return the data value exactly.
     """
-    pts = np.asarray(points, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    xq = np.atleast_1d(np.asarray(xq, dtype=float))
-    diff = xq[:, None] - pts[None, :]
+    diff = xq[:, None] - points[None, :]
     exact_q, exact_p = np.nonzero(diff == 0.0)
     diff[exact_q, exact_p] = 1.0
     w = bary[None, :] / diff
-    num = w @ vals
-    den = np.sum(w, axis=1)
-    out = num / (den[:, None] if vals.ndim > 1 else den)
+    out = (w @ values) / np.sum(w, axis=1)[:, None]
     if len(exact_q):
-        out[exact_q] = vals[exact_p]
+        out[exact_q] = values[exact_p]
     return out
 
 

@@ -823,7 +823,7 @@ def _propagate_ascent(config: MissionConfig, ctx, kick: float,
     segs: dict[int, object] = {}
 
     def rhs(c):
-        return lambda t, y: np.asarray(geo_rates(y, u0, c), float)
+        return lambda t, y: geo_rates(y[None], u0, c)[0]
 
     spans = [(bc.t0, config.t_s1), (config.t_s1, config.t_s2),
              (config.t_s2, config.t_fairing), (config.t_fairing, config.t_s3)]
@@ -971,10 +971,10 @@ def _entry_profile(config: MissionConfig, ctx: PhaseContext, y_pierce,
             # spent: drop the lift and fall out ballistically
             return 0.0, 0.0
         h = float(y[Geo.H])
-        rho, a = ctx.atmosphere.lookup(h)
-        q = float(dynamic_pressure(rho, v))
-        mach = v / float(a)
-        cl_trim, cd_trim = ctx.aero.lookup(ab / DEG, mach)
+        rho, a = ctx.atmosphere.lookup(y[[Geo.H]])
+        q = dynamic_pressure(rho, y[[Geo.V]])[0]
+        cl, cd = ctx.aero.lookup(np.array([ab / DEG]), y[[Geo.V]] / a)
+        cl_trim, cd_trim = cl[0], cd[0]
         r = e.re + h
         grav = e.mu / (r * r)
         if gamma > -1.2 * DEG:
@@ -1021,7 +1021,7 @@ def _entry_profile(config: MissionConfig, ctx: PhaseContext, y_pierce,
                     -cw.u_sigma_max, cw.u_sigma_max)])
 
         def f(yy):
-            return np.asarray(geo_rates(yy, u, ctx), dtype=float)
+            return geo_rates(yy[None], u, ctx)[0]
 
         k1 = f(y)
         k2 = f(y + 0.5 * dt * k1)
@@ -1047,12 +1047,12 @@ def _entry_profile(config: MissionConfig, ctx: PhaseContext, y_pierce,
     t_total = max(float(t_rel[-1]), t_split + 40.0)
 
     def states_at(t):
-        tq = np.atleast_1d(np.asarray(t, dtype=float)) - t_pierce
+        tq = t - t_pierce
         return np.column_stack([np.interp(tq, t_rel, Y[:, j])
                                 for j in range(GEO_DIM)])
 
     def controls_at(t):
-        tq = np.atleast_1d(np.asarray(t, dtype=float)) - t_pierce
+        tq = t - t_pierce
         return np.column_stack([np.interp(tq, t_rel, U[:, j])
                                 for j in range(2)])
 
@@ -1117,7 +1117,7 @@ def solve_mission(config: MissionConfig, *,
     refinement = RefinementOptions(mesh_tolerance=config.mesh_tolerance,
                                    max_refinements=config.max_refinements)
     if warm is not None:
-        guess = lambda nlp: nlp.clip_to_bounds(nlp.z_from_solution(warm))
+        guess = lambda nlp: nlp.z_from_solution(warm)
     else:
         guess = lambda nlp: initial_guess(config, nlp)
     return refine_loop(problem, meshes, guess, refinement, solver_options)

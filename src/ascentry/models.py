@@ -61,24 +61,20 @@ class AtmosphereTable:
         return cls(data["h_km"], data["rho_kgm3"], data["a_kms"])
 
     def lookup(self, h_km):
-        """(density, sound speed) at the altitudes h_km, each of h_km's
-        shape; a scalar altitude gives two scalars."""
-        h = np.asarray(h_km, dtype=float)
-        if not np.isfinite(h).all():
+        """(density, sound speed) at the 1-D array of altitudes h_km, each
+        of h_km's length."""
+        if not np.isfinite(h_km).all():
             raise ValueError("altitude must be finite")
-        scalar = h.ndim == 0
-        h = np.atleast_1d(h)
         lo, hi = self._lo, self._hi
-        out = self._pchip(np.minimum(np.maximum(h, lo), hi))
+        out = self._pchip(np.minimum(np.maximum(h_km, lo), hi))
         logrho, a = out[..., 0], out[..., 1]
-        below = h < lo
-        above = h > hi
+        below = h_km < lo
+        above = h_km > hi
         if below.any():
-            logrho[below] += self._dlog_lo * (h[below] - lo)
+            logrho[below] += self._dlog_lo * (h_km[below] - lo)
         if above.any():
-            logrho[above] += self._dlog_hi * (h[above] - hi)
-        rho = np.exp(logrho)
-        return (rho[0], a[0]) if scalar else (rho, a)
+            logrho[above] += self._dlog_hi * (h_km[above] - hi)
+        return np.exp(logrho), a
 
     def density(self, h_km) -> np.ndarray:
         return self.lookup(h_km)[0]
@@ -184,8 +180,8 @@ class _TensorPchip:
 
 
 class AeroTable:
-    """CL/CD tables on an (alpha_deg, mach) grid, queries clamped to the
-    grid hull.
+    """CL/CD tables on an (alpha_deg, mach) grid, queried at stacks of
+    points, two 1-D arrays of one length, clamped to the grid hull.
 
     Both coefficients interpolate by one rule, a tensor-product PCHIP: the
     same function as scipy's RegularGridInterpolator(method="pchip"), to
@@ -237,21 +233,14 @@ class AeroTable:
         return cls(acl, mcl, cl, cd)
 
     def lookup(self, alpha_deg, mach):
-        """(CL, CD) at the points (alpha_deg, mach), clamped to the hull.
-
-        Scalars or 1-D arrays, broadcast against each other; two scalars
-        give two scalars.
-        """
-        a = np.asarray(alpha_deg, dtype=float)
-        m = np.asarray(mach, dtype=float)
-        if not (np.isfinite(a).all() and np.isfinite(m).all()):
+        """(CL, CD) at the points (alpha_deg[i], mach[i]), clamped to the
+        hull; alpha_deg and mach are 1-D arrays of one length."""
+        if not (np.isfinite(alpha_deg).all() and np.isfinite(mach).all()):
             raise ValueError("aero queries must be finite")
-        scalar = a.ndim == 0 and m.ndim == 0
         a0, a1, m0, m1 = self._hull
-        a, m = np.broadcast_arrays(np.minimum(np.maximum(a, a0), a1).reshape(-1),
-                                   np.minimum(np.maximum(m, m0), m1).reshape(-1))
-        cl, cd = self._pchip(a, m)
-        return (cl[0], cd[0]) if scalar else (cl, cd)
+        cl, cd = self._pchip(np.minimum(np.maximum(alpha_deg, a0), a1),
+                             np.minimum(np.maximum(mach, m0), m1))
+        return cl, cd
 
     def cl(self, alpha_deg, mach):
         return self.lookup(alpha_deg, mach)[0]
@@ -268,7 +257,7 @@ class DragPolarFit:
     k: float
 
     def cd(self, cl):
-        return self.cd0 + self.k * np.asarray(cl, dtype=float) ** 2
+        return self.cd0 + self.k * cl ** 2
 
 
 def fit_drag_polar(cl, cd) -> DragPolarFit:
@@ -303,8 +292,8 @@ def extend_entry_aero(raw: AeroTable) -> AeroTable:
     cd = np.empty_like(cl)
     for j in range(cl.shape[1]):
         fit = fit_drag_polar(raw.cl_table[:, j], raw.cd_table[:, j])
-        cd[:, j] = [fit.cd0, fit.cd(cl[1, j]), cd10[j], cd15[j], cd20[j],
-                    fit.cd(cl25[j])]
+        cd5, cd25 = fit.cd(cl[[1, 5], j])
+        cd[:, j] = [fit.cd0, cd5, cd10[j], cd15[j], cd20[j], cd25]
     return AeroTable(np.array(ENTRY_ALPHA_EXTENDED), raw.mach, cl, cd)
 
 

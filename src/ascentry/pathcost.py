@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Geo, PhaseContext, Vert, aero_env
+# dynamic_pressure belongs to the force model; it is a path quantity here too
+from .dynamics import Geo, PhaseContext, Vert, aero_env, dynamic_pressure
 from .models import EarthConstants
 
 
@@ -26,20 +27,13 @@ class HeatingParams:
     exp_v: float = 3.15
 
 
-def dynamic_pressure(rho, v):
-    # rho [kg/m^3] x v [km/s]^2 -> kPa carries a factor 500 (1e6/2/1e3)
-    return 500.0 * np.asarray(rho, dtype=float) * np.asarray(v, dtype=float) ** 2
-
-
 def heating_rate(rho, v, hp: HeatingParams):
-    rho = np.asarray(rho, dtype=float)
-    v = np.asarray(v, dtype=float)
     return hp.kappa * (rho / hp.rho0) ** hp.exp_rho * (v / hp.v_circ) ** hp.exp_v
 
 
 def sensed_load(lift, drag, mass, g0):
     """Aerodynamic load factor in g units."""
-    return np.hypot(lift, drag) / (np.asarray(mass, dtype=float) * g0)
+    return np.hypot(lift, drag) / (mass * g0)
 
 
 def path_quantities(ctx: PhaseContext, h, v, alpha, mass, hp: HeatingParams):
@@ -60,8 +54,7 @@ def phugoid_gain(k: float) -> float:
 
 def phugoid_penalty(sin_gamma, k: float):
     c = phugoid_gain(k)
-    s = np.asarray(sin_gamma, dtype=float)
-    return (c / (1.0 + np.exp(-k * s)) - c / 2.0) ** 2
+    return (c / (1.0 + np.exp(-k * sin_gamma)) - c / 2.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -81,8 +74,6 @@ class CostWeights:
 
 
 def running_cost_geo(y, u, w: CostWeights):
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    u = np.atleast_2d(np.asarray(u, dtype=float))
     out = (u[:, 0] / w.u_alpha_max) ** 2 + (u[:, 1] / w.u_sigma_max) ** 2
     if w.include_alpha:
         out = out + ((y[:, Geo.ALPHA] - w.alpha_bar) / w.alpha_max) ** 2
@@ -91,8 +82,6 @@ def running_cost_geo(y, u, w: CostWeights):
 
 def running_cost_vert(y, u, w: CostWeights):
     # w1 takes the place of the bank rate in the vertical-flight phases
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    u = np.atleast_2d(np.asarray(u, dtype=float))
     out = (u[:, 0] / w.u_alpha_max) ** 2 + (u[:, 1] / w.u_sigma_max) ** 2
     if w.include_alpha:
         out = out + ((y[:, Vert.ALPHA] - w.alpha_bar) / w.alpha_max) ** 2

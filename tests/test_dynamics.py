@@ -8,11 +8,14 @@ from scipy.interpolate import PchipInterpolator
 
 from ascentry import dynamics
 from ascentry.dynamics import (GEO_DIM, VERT_DIM, Geo, PhaseContext, Vert,
-                               aero_env, angles_to_quat, convert_control,
+                               aero_env, angles_to_quat, geo_core,
                                geo_from_vert, geo_rates, quat_to_angles,
-                               vert_from_geo, vert_rates)
+                               vert_core, vert_from_geo, vert_rates)
 from ascentry.models import (EarthConstants, _TensorPchip, load_boost_aero,
                              load_default_atmosphere, load_entry_aero)
+from ascentry.pathcost import (CostWeights, HeatingParams, dynamic_pressure,
+                               heating_rate, phugoid_penalty, running_cost_geo,
+                               running_cost_vert)
 
 EARTH = EarthConstants()
 
@@ -57,15 +60,15 @@ def _exo_oracle(h, phi, theta, v, gam, psi):
 ])
 def test_exo_geodetic_rates_match_scalar_oracle(exo_ctx, state):
     h, phi, theta, v, gam, psi = state
-    y = np.array([h, phi, theta, v, gam, psi, 0.0, 0.0])
-    got = geo_rates(y, np.zeros(2), exo_ctx)
+    y = np.array([[h, phi, theta, v, gam, psi, 0.0, 0.0]])
+    got = geo_rates(y, np.zeros(2), exo_ctx)[0]
     want = _exo_oracle(*state)
     assert np.allclose(got[:6], want, rtol=1e-12, atol=1e-18)
 
 
 def test_exo_rates_frozen_values(exo_ctx):
-    y = np.array([95.0, -2.2, 0.55, 7.4, 0.01, -1.9, 0.0, 0.0])
-    got = geo_rates(y, np.zeros(2), exo_ctx)
+    y = np.array([[95.0, -2.2, 0.55, 7.4, 0.01, -1.9, 0.0, 0.0]])
+    got = geo_rates(y, np.zeros(2), exo_ctx)[0]
     want = [0.07399876667283332, -0.0012688645401829032,
             -0.00036955999253641747, -8.991694158436209e-05,
             -0.0002565969723302486, -0.0005885489154976054]
@@ -79,8 +82,8 @@ def test_circular_equatorial_orbit_is_an_equilibrium():
     ctx = PhaseContext(earth=e, fixed_mass=1000.0)
     r = e.re + 300.0
     v = math.sqrt(e.mu / r)
-    y = np.array([300.0, 0.1, 0.0, v, 0.0, math.pi / 2, 0.0, 0.0])
-    dy = geo_rates(y, np.zeros(2), ctx)
+    y = np.array([[300.0, 0.1, 0.0, v, 0.0, math.pi / 2, 0.0, 0.0]])
+    dy = geo_rates(y, np.zeros(2), ctx)[0]
     assert abs(dy[Geo.H]) < 1e-14
     assert abs(dy[Geo.V]) < 1e-14
     assert abs(dy[Geo.GAMMA]) < 1e-15
@@ -88,8 +91,8 @@ def test_circular_equatorial_orbit_is_an_equilibrium():
 
 
 def test_mass_flow_rate(boost_ctx):
-    y = np.array([30.0, -2.1, 0.6, 1.5, 0.4, -1.9, 0.02, 0.0, 30000.0])
-    dy = geo_rates(y, np.zeros(2), boost_ctx)
+    y = np.array([[30.0, -2.1, 0.6, 1.5, 0.4, -1.9, 0.02, 0.0, 30000.0]])
+    dy = geo_rates(y, np.zeros(2), boost_ctx)[0]
     # thrust / (isp g0), in kg/s
     assert dy[Geo.M] == pytest.approx(-403.56338, abs=1e-4)
     assert dy[Geo.M] == pytest.approx(
@@ -98,16 +101,18 @@ def test_mass_flow_rate(boost_ctx):
 
 def test_aero_env_exo_is_all_zero():
     ctx = PhaseContext(earth=EARTH, fixed_mass=10.0)
-    rho, mach, q, lift, drag = aero_env(ctx, 120.0, 7.5, 0.2)
-    assert rho == mach == q == lift == drag == 0.0
+    out = aero_env(ctx, np.array([120.0, 90.0]), np.array([7.5, 7.0]),
+                   np.array([0.2, 0.1]))
+    assert np.array_equal(out, np.zeros((5, 2)))
 
 
 def test_aero_env_without_tables_keeps_pressure(boost_ctx):
     ctx = PhaseContext(earth=EARTH, atmosphere=boost_ctx.atmosphere,
                        fixed_mass=10.0)
-    rho, mach, q, lift, drag = aero_env(ctx, 10.0, 2.0, 0.1)
+    rho, mach, q, lift, drag = aero_env(ctx, np.array([10.0]), np.array([2.0]),
+                                        np.array([0.1]))
     assert q == pytest.approx(500.0 * rho * 4.0, rel=1e-14)
-    assert mach == lift == drag == 0.0
+    assert np.array_equal([mach, lift, drag], np.zeros((3, 1)))
 
 
 def _count_calls(monkeypatch, owner, name, counts, key):
@@ -119,7 +124,8 @@ def _count_calls(monkeypatch, owner, name, counts, key):
     monkeypatch.setattr(owner, name, counted)
 
 
-@pytest.mark.parametrize("h", [np.array([0.5, 30.0, 260.0]), 12.0])
+@pytest.mark.parametrize("h", [np.array([0.5, 30.0, 260.0]),
+                               pytest.param(np.array([12.0]), id="12.0")])
 def test_aero_env_makes_one_atmosphere_pass_and_one_aero_pass(
         boost_ctx, monkeypatch, h):
     passes = Counter()
@@ -145,7 +151,8 @@ def test_vert_rates_evaluates_aero_once(monkeypatch):
 
 
 def test_aero_env_dynamic_pressure_scale(boost_ctx):
-    rho, _, q, _, _ = aero_env(boost_ctx, 0.0, 1.0, 0.0)
+    rho, _, q, _, _ = aero_env(boost_ctx, np.array([0.0]), np.array([1.0]),
+                               np.array([0.0]))
     # q[kPa] = 500 rho v^2 carries the kg/m^3 * km^2/s^2 conversion
     assert q == pytest.approx(500.0 * rho, rel=1e-14)
 
@@ -158,12 +165,20 @@ def test_batched_rates_match_row_by_row(boost_ctx):
         rng.uniform(-1.0, 1.4, 8), rng.uniform(-3.0, 3.0, 8),
         rng.uniform(-0.1, 0.35, 8), rng.uniform(-1.2, 1.2, 8),
         rng.uniform(15000.0, 80000.0, 8)])
-    U = rng.uniform(-0.1, 0.1, (8, 2))
-    batch = geo_rates(Y, U, boost_ctx)
-    assert batch.shape == Y.shape
-    for i in range(8):
-        assert np.allclose(batch[i], geo_rates(Y[i], U[i], boost_ctx),
-                           rtol=1e-14)
+    U = rng.uniform(-0.1, 0.1, (8, 4))
+    V = vert_from_geo(Y)
+    # each row of a stack is that row evaluated as a one-row stack, bit for
+    # bit: the contract the stacked derivative probes rely on
+    stacks = [(lambda y, u: geo_rates(y, u[:, :2], boost_ctx), Y),
+              (lambda y, u: vert_rates(y, u, boost_ctx), V),
+              (lambda y, u: vert_from_geo(y), Y),
+              (lambda y, u: geo_from_vert(y), V)]
+    for f, states in stacks:
+        batch = f(states, U)
+        assert batch.shape[0] == 8
+        for i in range(8):
+            assert np.array_equal(f(states[i:i + 1], U[i:i + 1]),
+                                  batch[i:i + 1])
 
 
 angles = st.tuples(
@@ -201,7 +216,7 @@ def test_quaternion_norm_invariant_with_zero_slacks(abc, w1, ualpha):
     ctx = PhaseContext(earth=EARTH, fixed_mass=907.186)
     e1, e2, e3, eta = angles_to_quat(gamma, psi, sigma)
     y = np.array([60.0, -2.0, 0.4, 3.0, e1, e2, e3, eta, 0.1])
-    dy = vert_rates(y, np.array([ualpha, w1, 0.0, 0.0]), ctx)
+    dy = vert_rates(y[None], np.array([ualpha, w1, 0.0, 0.0]), ctx)[0]
     norm_rate = 2.0 * float(y[4:8] @ dy[4:8])
     assert abs(norm_rate) < 1e-12
 
@@ -210,7 +225,7 @@ def test_defect_slacks_break_norm_invariance():
     ctx = PhaseContext(earth=EARTH, fixed_mass=907.186)
     e1, e2, e3, eta = angles_to_quat(0.2, 1.0, 0.1)
     y = np.array([60.0, -2.0, 0.4, 3.0, e1, e2, e3, eta, 0.1])
-    dy = vert_rates(y, np.array([0.0, 0.0, 1e-3, -1e-3]), ctx)
+    dy = vert_rates(y[None], np.array([0.0, 0.0, 1e-3, -1e-3]), ctx)[0]
     norm_rate = 2.0 * float(y[4:8] @ dy[4:8])
     assert abs(norm_rate) > 1e-7
 
@@ -237,12 +252,24 @@ def test_state_conversion_roundtrip():
     assert np.allclose(geo_from_vert(vert9), geo8, rtol=1e-10, atol=1e-10)
 
 
+def _bank_rate(y, w1, ctx: PhaseContext):
+    """Bank rate u_sigma of the geodetic form equivalent to w1 at the
+    vertical-flight states y."""
+    e1, e2, e3, eta = (y[:, Vert.E1], y[:, Vert.E2], y[:, Vert.E3],
+                       y[:, Vert.ETA])
+    lift = aero_env(ctx, y[:, Vert.H], y[:, Vert.V], y[:, Vert.ALPHA])[3]
+    w2, w3 = dynamics._frame_rates(y, ctx, lift)
+    ratio = (0.5 - e2 ** 2 - e3 ** 2) / ((e1 ** 2 + eta ** 2)
+                                         * (e2 ** 2 + e3 ** 2))
+    return w1 - ratio * (w2 * (e2 * e1 - e3 * eta) + w3 * (e3 * e1 + e2 * eta))
+
+
 def test_position_velocity_rates_agree_between_formulations(boost_ctx):
     rng = np.random.default_rng(3)
     geo, vert = _paired_states(rng, 25)
     w1 = rng.uniform(-0.5, 0.5, 25)
     ualpha = rng.uniform(-0.15, 0.15, 25)
-    us = convert_control(vert, w1, boost_ctx)
+    us = _bank_rate(vert, w1, boost_ctx)
     gdot = geo_rates(geo, np.column_stack([ualpha, us]), boost_ctx)
     vdot = vert_rates(vert, np.column_stack(
         [ualpha, w1, np.zeros(25), np.zeros(25)]), boost_ctx)
@@ -256,7 +283,7 @@ def test_angle_rates_match_quaternion_flow(boost_ctx):
     rng = np.random.default_rng(5)
     geo, vert = _paired_states(rng, 12)
     w1 = rng.uniform(-0.3, 0.3, 12)
-    us = convert_control(vert, w1, boost_ctx)
+    us = _bank_rate(vert, w1, boost_ctx)
     gdot = geo_rates(geo, np.column_stack([np.zeros(12), us]), boost_ctx)
     vdot = vert_rates(vert, np.column_stack(
         [np.zeros(12), w1, np.zeros(12), np.zeros(12)]), boost_ctx)
@@ -274,16 +301,68 @@ def test_vertical_flight_rates_stay_finite():
     ctx = PhaseContext(earth=EARTH, thrust=2224.1, isp=282.0, ref_area=4.307,
                        aero=load_boost_aero(),
                        atmosphere=load_default_atmosphere())
-    y = np.array([0.167, math.radians(-120.63), math.radians(34.58), 0.04,
-                  0.0, 1e-4, 1e-4, 1.0, 0.0, 85743.0])
+    y = np.array([[0.167, math.radians(-120.63), math.radians(34.58), 0.04,
+                   0.0, 1e-4, 1e-4, 1.0, 0.0, 85743.0]])
     dy = vert_rates(y, np.zeros(4), ctx)
     assert np.all(np.isfinite(dy))
 
 
 def test_fixed_mass_fallback(exo_ctx):
-    y8 = np.array([100.0, -2.0, 0.3, 7.0, 0.05, -1.9, 0.0, 0.0])
+    y8 = np.array([[100.0, -2.0, 0.3, 7.0, 0.05, -1.9, 0.0, 0.0]])
     dy = geo_rates(y8, np.zeros(2), exo_ctx)
-    assert dy.shape == (GEO_DIM,)
+    assert dy.shape == (1, GEO_DIM)
     # exo rates carry no mass dependence, so the fallback only fixes shape
-    y9 = np.concatenate([y8, [exo_ctx.fixed_mass]])
-    assert np.allclose(geo_rates(y9, np.zeros(2), exo_ctx)[:GEO_DIM], dy)
+    y9 = np.column_stack([y8, [exo_ctx.fixed_mass]])
+    assert np.allclose(geo_rates(y9, np.zeros(2), exo_ctx)[:, :GEO_DIM], dy)
+
+
+def test_table_free_pieces_carry_a_complex_stack(boost_ctx):
+    # complex-step derivatives need every piece that takes no table lookup
+    # to keep an imaginary part: no cast to float anywhere on the way
+    rng = np.random.default_rng(14)
+    geo, vert = _paired_states(rng, 6)
+    tiny = 1e-30j
+    yg = geo + tiny * rng.standard_normal(geo.shape)
+    yv = vert + tiny * rng.standard_normal(vert.shape)
+    ug = rng.uniform(-0.1, 0.1, (6, 2)) + tiny
+    uv = rng.uniform(-0.1, 0.1, (6, 4)) + tiny
+    lift, drag = rng.uniform(1.0, 50.0, (2, 6)) + tiny
+    rho, v = rng.uniform(1e-5, 1.0, 6) + tiny, geo[:, Geo.V] + tiny
+    w = CostWeights(alpha_bar=0.2, alpha_max=0.42, u_alpha_max=0.17,
+                    u_sigma_max=0.52, k=3.0)
+    got = {
+        "geo_core": (geo_core(yg, ug, boost_ctx, lift, drag),
+                     geo_core(geo, ug.real, boost_ctx, lift.real, drag.real)),
+        "vert_core": (vert_core(yv, uv, boost_ctx, lift, drag),
+                      vert_core(vert, uv.real, boost_ctx, lift.real,
+                                drag.real)),
+        "dynamic_pressure": (dynamic_pressure(rho, v),
+                             dynamic_pressure(rho.real, v.real)),
+        "heating_rate": (heating_rate(rho, v, HeatingParams()),
+                         heating_rate(rho.real, v.real, HeatingParams())),
+        "phugoid_penalty": (phugoid_penalty(np.sin(yg[:, Geo.GAMMA]), 3.0),
+                            phugoid_penalty(np.sin(geo[:, Geo.GAMMA]), 3.0)),
+        "running_cost_geo": (running_cost_geo(yg, ug, w),
+                             running_cost_geo(geo, ug.real, w)),
+        "running_cost_vert": (running_cost_vert(yv, uv, w),
+                              running_cost_vert(vert, uv.real, w)),
+    }
+    for name, (z, x) in got.items():
+        assert np.iscomplexobj(z) and np.any(z.imag != 0.0), name
+        assert np.allclose(z.real, x, rtol=1e-13, atol=0.0), name
+
+    # a complex step in v gives the h-rate's slope in v, sin(gamma), as a
+    # central difference does
+    h = 1e-30
+    real_u = ug.real
+    step = geo.astype(complex)
+    step[:, Geo.V] += 1j * h
+    slope = geo_core(step, real_u, boost_ctx, lift.real, drag.real)[:, Geo.H]
+    d = 1e-6 * geo[:, Geo.V]
+    up, down = geo.copy(), geo.copy()
+    up[:, Geo.V] += d
+    down[:, Geo.V] -= d
+    central = (geo_core(up, real_u, boost_ctx, lift.real, drag.real)
+               - geo_core(down, real_u, boost_ctx, lift.real, drag.real))[
+        :, Geo.H] / (2.0 * d)
+    assert np.allclose(slope.imag / h, central, rtol=1e-8, atol=0.0)

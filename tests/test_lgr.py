@@ -81,17 +81,18 @@ def test_rule_rejects_out_of_range_order(bad):
 def test_barycentric_eval_reproduces_polynomial_off_nodes():
     rule = lgr_rule(6)
     coeffs = np.array([0.3, -1.2, 0.8, 2.0, -0.5])
-    vals = np.polyval(coeffs, rule.support)
+    vals = np.polyval(coeffs, rule.support)[:, None]
     xq = np.linspace(-1.0, 1.0, 37)
     w = barycentric_weights(rule.support)
     got = barycentric_eval(rule.support, w, vals, xq)
-    assert np.allclose(got, np.polyval(coeffs, xq), atol=1e-12)
+    assert got.shape == (37, 1)
+    assert np.allclose(got[:, 0], np.polyval(coeffs, xq), atol=1e-12)
 
 
 def test_barycentric_eval_exact_at_nodes():
     x = np.array([-1.0, -0.4, 0.3, 1.0])
     w = barycentric_weights(x)
-    f = np.array([2.0, -1.0, 0.5, 3.0])
+    f = np.array([[2.0, -1.0, 0.5, 3.0]]).T
     assert np.allclose(barycentric_eval(x, w, f, x), f)
 
 

@@ -235,7 +235,7 @@ def test_linkage_residuals_vanish_when_consistent(cfg):
         return funcs[name](xa[None], np.array([ta]), xb[None], np.array([tb]))[0]
 
     geo = np.array([30.0, -2.1, 0.6, 2.0, 0.3, 1.2, 0.05, -0.3, 40000.0])
-    vert = vert_from_geo(geo)
+    vert = vert_from_geo(geo[None])[0]
     assert np.abs(lk("stage1_sep", vert, 56.4, geo[:8], 56.4)).max() < 1e-12
 
     gm = np.append(geo[:8], 5500.0)
@@ -251,7 +251,7 @@ def test_linkage_residuals_vanish_when_consistent(cfg):
     r = lk("payload_sep", geo[:8], 900.0, other, 900.0)
     assert len(r) == 6 and np.abs(r).max() == 0.0
 
-    below = vert_from_geo(geo[:8])
+    below = vert_from_geo(geo[None, :8])[0]
     r = lk("bank_to_vertical", geo[:8], 1200.0, below, 1200.0)
     assert np.abs(r).max() < 1e-12
     assert abs(lk("bank_to_vertical", geo[:8], 1200.0, below,

@@ -15,6 +15,11 @@ def atm():
     return load_default_atmosphere()
 
 
+def _at(query, *point):
+    """query at one point, passed as a one-row stack."""
+    return query(*(np.array([x]) for x in point))[0]
+
+
 def test_earth_constants_are_kilometer_second_units():
     e = EarthConstants()
     assert 3.9e5 < e.mu < 4.0e5
@@ -29,7 +34,7 @@ def test_density_reproduces_table_knots(atm):
 
 
 def test_sea_level_density(atm):
-    assert abs(atm.density(0.0) - 1.224999) < 1e-6
+    assert abs(_at(atm.density, 0.0) - 1.224999) < 1e-6
 
 
 def test_density_monotone_decreasing(atm):
@@ -41,7 +46,7 @@ def test_density_monotone_decreasing(atm):
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=-2.0, max_value=300.0))
 def test_density_positive_everywhere(h):
-    rho = load_default_atmosphere().density(h)
+    rho = _at(load_default_atmosphere().density, h)
     assert rho > 0.0
     assert np.isfinite(rho)
 
@@ -55,7 +60,7 @@ def test_extrapolation_is_log_linear_and_continuous(atm):
     slopes = (logr - np.log(atm.rho_table[-1])) / steps
     assert np.allclose(slopes, slopes[0], rtol=1e-10)
     assert slopes[0] < 0.0
-    assert abs(atm.density(hi) / atm.rho_table[-1] - 1.0) < 1e-12
+    assert abs(_at(atm.density, hi) / atm.rho_table[-1] - 1.0) < 1e-12
     lo = atm.h_km[0]
     logr = np.log(atm.density(lo - steps))
     slopes = (np.log(atm.rho_table[0]) - logr) / steps
@@ -63,15 +68,15 @@ def test_extrapolation_is_log_linear_and_continuous(atm):
 
 
 def test_sound_speed_clamped_outside_table(atm):
-    assert np.isclose(atm.sound_speed(-5.0), atm.a_table[0], rtol=1e-12)
-    assert np.isclose(atm.sound_speed(500.0), atm.a_table[-1], rtol=1e-12)
+    assert np.allclose(atm.sound_speed(np.array([-5.0, 500.0])),
+                       atm.a_table[[0, -1]], rtol=1e-12)
 
 
 def test_nonfinite_altitude_rejected(atm):
     for bad in (np.nan, np.inf, -np.inf):
         for query in (atm.lookup, atm.density, atm.sound_speed):
             with pytest.raises(ValueError):
-                query(bad)
+                query(np.array([bad]))
             with pytest.raises(ValueError):
                 query(np.array([10.0, bad]))
 
@@ -102,10 +107,11 @@ def test_atmosphere_lookup_equals_separate_scipy_pchips(atm):
     assert np.array_equal(rho, rho_ref) and np.array_equal(a, a_ref)
     assert np.array_equal(atm.density(h), rho)
     assert np.array_equal(atm.sound_speed(h), a)
-    # one altitude at a time: two scalars, the batch's values
-    singles = [atm.lookup(x) for x in h[::20]]
-    assert all(np.ndim(r) == np.ndim(s) == 0 for r, s in singles)
-    assert np.array_equal(np.array(singles), np.column_stack([rho, a])[::20])
+    # each altitude as a one-row stack: the stack's row, bit for bit
+    for i in range(0, len(h), 20):
+        one = atm.lookup(h[i:i + 1])
+        assert [x.shape for x in one] == [(1,), (1,)]
+        assert one[0][0] == rho[i] and one[1][0] == a[i]
 
 
 def test_atmosphere_constructor_validates():
@@ -121,13 +127,13 @@ def test_atmosphere_constructor_validates():
 def test_boost_table_reproduces_grid_entry():
     t = load_boost_aero()
     # row alpha=-25, column mach=1.0 of the shipped file
-    assert abs(t.cl(-25.0, 1.0) + 1.6) < 1e-9
+    assert abs(_at(t.cl, -25.0, 1.0) + 1.6) < 1e-9
 
 
 def test_boost_queries_clamp_to_hull():
     t = load_boost_aero()
-    assert t.cl(40.0, 1.0) == t.cl(t.alpha_deg[-1], 1.0)
-    assert t.cd(0.0, 100.0) == t.cd(0.0, t.mach[-1])
+    assert _at(t.cl, 40.0, 1.0) == _at(t.cl, t.alpha_deg[-1], 1.0)
+    assert _at(t.cd, 0.0, 100.0) == _at(t.cd, 0.0, t.mach[-1])
 
 
 def test_boost_drag_positive_on_grid():
@@ -139,8 +145,8 @@ def test_boost_drag_positive_on_grid():
 def test_raw_entry_table_has_three_incidence_rows():
     raw = load_entry_aero_raw()
     assert list(raw.alpha_deg) == [10.0, 15.0, 20.0]
-    assert abs(raw.cl(10.0, 2.0) - 0.42) < 1e-9
-    assert abs(raw.cd(10.0, 2.0) - 0.116344) < 1e-9
+    assert abs(_at(raw.cl, 10.0, 2.0) - 0.42) < 1e-9
+    assert abs(_at(raw.cd, 10.0, 2.0) - 0.116344) < 1e-9
 
 
 def test_extended_entry_grid():
@@ -151,19 +157,20 @@ def test_extended_entry_grid():
 def test_extended_entry_peak_lift_to_drag_incidence():
     """The glide trim point must be the best lift-to-drag incidence."""
     t = load_entry_aero()
+    # the trim incidence first, then the ones it must beat
+    a = np.array([11.86, 10.5, 11.0, 12.8, 14.0, 20.0])
     for mach in (5.0, 12.0, 24.0):
-        ratio = lambda a: t.cl(a, mach) / t.cd(a, mach)
-        best = ratio(11.86)
-        for a in (10.5, 11.0, 12.8, 14.0, 20.0):
-            assert best > ratio(a)
+        m = np.full(len(a), mach)
+        ratio = t.cl(a, m) / t.cd(a, m)
+        assert np.all(ratio[0] > ratio[1:])
 
 
 def test_extend_entry_preserves_raw_rows():
     raw = load_entry_aero_raw()
     ext = extend_entry_aero(raw)
-    for a in raw.alpha_deg:
-        for m in raw.mach:
-            assert abs(ext.cl(a, m) - raw.cl(a, m)) < 5e-3
+    a, m = (g.ravel() for g in np.meshgrid(raw.alpha_deg, raw.mach,
+                                           indexing="ij"))
+    assert np.abs(ext.cl(a, m) - raw.cl(a, m)).max() < 5e-3
 
 
 def test_aero_from_csv_rejects_mismatched_grids(tmp_path):
@@ -225,23 +232,23 @@ def test_aero_table_matches_scipy_pchip(load):
     assert np.array_equal(t.lookup(a, m), (cl, cd))
     assert np.array_equal(t.cl(a, m), cl) and np.array_equal(t.cd(a, m), cd)
     # points beyond the hull read the hull's value
-    assert t.cl(t.alpha_deg[-1] + 7.0, t.mach[-1] + 3.0) == \
-        t.cl(t.alpha_deg[-1], t.mach[-1])
+    assert _at(t.cl, t.alpha_deg[-1] + 7.0, t.mach[-1] + 3.0) == \
+        _at(t.cl, t.alpha_deg[-1], t.mach[-1])
 
 
 @pytest.mark.parametrize("load", [load_boost_aero, load_entry_aero])
 def test_aero_batch_equals_single_queries(load):
+    # each row of a stack is the same point queried as a one-row stack, bit
+    # for bit: the contract the stacked derivative probes rely on
     t = load()
     a, m = _oracle_points(t, np.random.default_rng(7), 100)
-    for query in (t.cl, t.cd):
-        one = np.array([query(x, y) for x, y in zip(a, m)])
-        assert np.array_equal(query(a, m), one)
-    singles = [t.lookup(x, y) for x, y in zip(a, m)]
-    assert all(np.ndim(cl) == np.ndim(cd) == 0 for cl, cd in singles)
-    assert np.array_equal(np.array(singles).T, t.lookup(a, m))
-    # one scalar query with array partner broadcasts
-    assert np.array_equal(t.cl(3.0, m[:5]), t.cl(np.full(5, 3.0), m[:5]))
-    assert np.array_equal(t.lookup(3.0, m[:5]), t.lookup(np.full(5, 3.0), m[:5]))
+    cl, cd = t.lookup(a, m)
+    for i in range(len(a)):
+        one = t.lookup(a[i:i + 1], m[i:i + 1])
+        assert [x.shape for x in one] == [(1,), (1,)]
+        assert one[0][0] == cl[i] and one[1][0] == cd[i]
+        assert _at(t.cl, a[i], m[i]) == cl[i]
+        assert _at(t.cd, a[i], m[i]) == cd[i]
 
 
 def test_nonfinite_aero_query_rejected():
@@ -249,7 +256,7 @@ def test_nonfinite_aero_query_rejected():
     for bad in (np.nan, np.inf, -np.inf):
         for query in (t.lookup, t.cl, t.cd):
             with pytest.raises(ValueError):
-                query(bad, 2.0)
+                query(np.array([bad]), np.array([2.0]))
             with pytest.raises(ValueError):
                 query(np.array([5.0, 6.0]), np.array([2.0, bad]))
 
@@ -258,11 +265,11 @@ def test_two_knot_axis_interpolates_linearly():
     mach = np.array([0.5, 1.0, 2.0, 4.0])
     cl = np.array([[0.1, 0.3, 0.2, 0.4], [0.5, -0.2, 0.9, 0.0]])
     t = AeroTable([0.0, 10.0], mach, cl, cl + 1.0)
+    w = np.array([0.0, 1.0, 0.25, 0.5, 0.9])
     for mq in (0.7, 1.5, 3.9):
-        lo, hi = t.cl(0.0, mq), t.cl(10.0, mq)
-        for w in (0.25, 0.5, 0.9):
-            assert t.cl(10.0 * w, mq) == pytest.approx(lo + w * (hi - lo),
-                                                       abs=1e-14)
+        got = t.cl(10.0 * w, np.full(len(w), mq))
+        lo, hi = got[0], got[1]
+        assert got[2:] == pytest.approx(lo + w[2:] * (hi - lo), abs=1e-14)
 
 
 def _table_row(kind, n, draw):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ascentry import dynamics, mission
 from ascentry.dynamics import PhaseContext
 from ascentry.models import (EarthConstants, load_default_atmosphere,
                              load_entry_aero)
@@ -17,6 +18,9 @@ def test_dynamic_pressure_unit_factor():
     # 1 kg/m^3 at 1 km/s is half a megapascal
     assert dynamic_pressure(1.0, 1.0) == 500.0
     assert dynamic_pressure(1.225, 2.0) == pytest.approx(2450.0)
+    # one formula: the dynamics own it, the path costs and mission reuse it
+    assert dynamic_pressure is dynamics.dynamic_pressure
+    assert mission.dynamic_pressure is dynamics.dynamic_pressure
 
 
 def test_dynamic_pressure_quadratic_in_speed():
@@ -66,13 +70,13 @@ def test_path_quantities_consistent_with_parts():
     ctx = PhaseContext(earth=e, ref_area=0.48387, aero=load_entry_aero(),
                        atmosphere=load_default_atmosphere(),
                        fixed_mass=907.186)
-    h, v, alpha = 40.0, 3.0, 0.2
+    h, v, alpha = np.array([40.0]), np.array([3.0]), np.array([0.2])
     q, n, qdot = path_quantities(ctx, h, v, alpha, 907.186, HeatingParams())
     rho = ctx.atmosphere.density(h)
     assert q == pytest.approx(dynamic_pressure(rho, v), rel=1e-14)
     assert qdot == pytest.approx(heating_rate(rho, v, HeatingParams()),
                                  rel=1e-14)
-    assert n > 0.0
+    assert n[0] > 0.0
 
 
 def test_phugoid_gain_anchors():
@@ -122,21 +126,21 @@ def _weights(**kw):
 
 def test_running_cost_geo_hand_value():
     w = _weights()
-    y = np.zeros(9)
-    y[6] = w.alpha_bar          # on-trim incidence contributes nothing
-    u = np.array([w.u_alpha_max / 2.0, -w.u_sigma_max])
+    y = np.zeros((1, 9))
+    y[0, 6] = w.alpha_bar       # on-trim incidence contributes nothing
+    u = np.array([[w.u_alpha_max / 2.0, -w.u_sigma_max]])
     got = running_cost_geo(y, u, w)
     assert got[0] == pytest.approx(0.25 + 1.0, rel=1e-12)
 
 
 def test_running_cost_geo_alpha_term_optional():
     w = _weights(include_alpha=False)
-    y = np.zeros(9)
-    y[6] = 0.3
-    assert running_cost_geo(y, np.zeros(2), w)[0] == 0.0
+    y = np.zeros((1, 9))
+    y[0, 6] = 0.3
+    assert running_cost_geo(y, np.zeros((1, 2)), w)[0] == 0.0
     w_on = _weights()
     expect = ((0.3 - w_on.alpha_bar) / w_on.alpha_max) ** 2
-    assert running_cost_geo(y, np.zeros(2), w_on)[0] == pytest.approx(
+    assert running_cost_geo(y, np.zeros((1, 2)), w_on)[0] == pytest.approx(
         expect, rel=1e-12)
 
 
@@ -145,11 +149,12 @@ def test_running_cost_vert_adds_phugoid_only_with_k():
     w0 = _weights()
     wk = _weights(k=3.0)
     gamma = -0.7
-    e1, e2, e3, eta = angles_to_quat(gamma, 1.1, 0.2)
-    y = np.zeros(10)
-    y[4:8] = [e1, e2, e3, eta]
-    y[8] = w0.alpha_bar
-    u = np.zeros(4)
+    e1, e2, e3, eta = angles_to_quat(np.array([gamma]), np.array([1.1]),
+                                     np.array([0.2]))
+    y = np.zeros((1, 10))
+    y[:, 4:8] = np.column_stack([e1, e2, e3, eta])
+    y[0, 8] = w0.alpha_bar
+    u = np.zeros((1, 4))
     base = running_cost_vert(y, u, w0)[0]
     assert base == 0.0
     got = running_cost_vert(y, u, wk)[0]
@@ -159,9 +164,9 @@ def test_running_cost_vert_adds_phugoid_only_with_k():
 
 def test_running_cost_vert_uses_w1_slot():
     w = _weights(include_alpha=False)
-    u = np.array([0.0, w.u_sigma_max, 5.0, -5.0])
+    u = np.array([[0.0, w.u_sigma_max, 5.0, -5.0]])
     # slots 2 and 3 are defect slacks and must not be charged
-    assert running_cost_vert(np.zeros(10), u, w)[0] == pytest.approx(
+    assert running_cost_vert(np.zeros((1, 10)), u, w)[0] == pytest.approx(
         1.0, rel=1e-12)
 
 
@@ -172,6 +177,6 @@ def test_running_costs_batch():
     U = rng.normal(size=(6, 4)) * 0.05
     out = running_cost_vert(Y, U, w)
     assert out.shape == (6,)
+    # each row of the stack is that row evaluated as a one-row stack
     for i in range(6):
-        assert out[i] == pytest.approx(
-            float(running_cost_vert(Y[i], U[i], w)[0]), rel=1e-12)
+        assert running_cost_vert(Y[i:i + 1], U[i:i + 1], w)[0] == out[i]
