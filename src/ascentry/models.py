@@ -2,6 +2,11 @@
 
 Units here and everywhere downstream: altitude km, speed km/s, density
 kg/m^3, sound speed km/s, angles of attack in the aero tables in degrees.
+
+Every table interpolates by one rule, the PCHIP of Fritsch & Carlson
+(SIAM J. Numer. Anal. 17(2), 1980) with scipy's slopes: beyond its end
+knots each axis evaluates its end interval's cubic, as scipy's PCHIPs do
+by default, so every lookup is C1 across each table edge.
 """
 from __future__ import annotations
 
@@ -9,7 +14,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 
 @dataclass(frozen=True)
@@ -27,13 +31,13 @@ class AtmosphereTable:
 
     Density is interpolated as a shape-preserving cubic in log(rho), so the
     lookup is positive everywhere, reproduces the table at its knots, and is
-    monotone wherever the table is.  Above the last knot (and below the
-    first) log-density continues linearly with the boundary slope; sound
-    speed is held at its boundary values.
+    monotone wherever the table is.  Beyond the end knots both columns
+    follow the end cubics; on the shipped table (0-200 km) density falls
+    from -28.6 km to 370.8 km, past every phase's altitude box.
 
     One PCHIP carries both columns, [log rho, a]: `lookup` returns density
     and sound speed from one pass, and `density` and `sound_speed` are views
-    of it.  The two boundary log-slopes are fixed with the table.
+    of it.
     """
 
     def __init__(self, h_km: np.ndarray, rho: np.ndarray, a_kms: np.ndarray):
@@ -49,11 +53,10 @@ class AtmosphereTable:
         self.h_km = h
         self.rho_table = rho
         self.a_table = a
-        self._lo, self._hi = h[0], h[-1]
-        self._pchip = PchipInterpolator(h, np.column_stack([np.log(rho), a]),
-                                        extrapolate=False)
-        self._dlog_lo, self._dlog_hi = \
-            self._pchip.derivative()(h[[0, -1]])[:, 0]
+        self._axis = _PchipAxis(h)
+        y = np.column_stack([np.log(rho), a])[:, :, None]
+        # (4, 2, n-1): one cubic per column and interval
+        self._coef = np.ascontiguousarray(self._axis.cubics(y)[..., 0].transpose(0, 2, 1))
 
     @classmethod
     def from_csv(cls, path) -> "AtmosphereTable":
@@ -65,15 +68,8 @@ class AtmosphereTable:
         of h_km's length."""
         if not np.isfinite(h_km).all():
             raise ValueError("altitude must be finite")
-        lo, hi = self._lo, self._hi
-        out = self._pchip(np.minimum(np.maximum(h_km, lo), hi))
-        logrho, a = out[..., 0], out[..., 1]
-        below = h_km < lo
-        above = h_km > hi
-        if below.any():
-            logrho[below] += self._dlog_lo * (h_km[below] - lo)
-        if above.any():
-            logrho[above] += self._dlog_hi * (h_km[above] - hi)
+        i = self._axis.interval(h_km)
+        logrho, a = _hermite(self._coef[..., i], h_km - self.h_km[i])
         return np.exp(logrho), a
 
     def density(self, h_km) -> np.ndarray:
@@ -110,8 +106,8 @@ class _PchipAxis:
             self.h0, self.e1, self.e0 = h0, 2 * h0 + h1, h0 + h1
 
     def interval(self, q):
-        """Index i with knots[i] <= q < knots[i+1]; the last one from the
-        end knot on."""
+        """Index i with knots[i] <= q < knots[i+1]; the first one below the
+        knots and the last from the end knot on: the end cubics continue."""
         return self.inner.searchsorted(q, side="right")
 
     def slopes(self, m):
@@ -131,6 +127,12 @@ class _PchipAxis:
         d[self._EDGE] = np.where(np.sign(e) != s0, 0.0,
                                 np.where(overshoot, cap, e))
         return d
+
+    def cubics(self, y):
+        """Coefficients (4, n-1, k, p) of the PCHIP through y, (n, k, p)."""
+        slope = np.diff(y, axis=0) / self.h
+        d = self.slopes(slope)
+        return np.stack(_hermite_coefficients(self.h, y[:-1], d[:-1], d[1:], slope))
 
 
 def _hermite_coefficients(h, y0, d0, d1, slope):
@@ -156,17 +158,15 @@ class _TensorPchip:
     def __init__(self, alpha: _PchipAxis, mach: _PchipAxis, tables):
         self.alpha = alpha
         self.mach = mach
-        y = tables.transpose(1, 0, 2)                 # (n_mach, n_alpha, k)
-        slope = np.diff(y, axis=0) / mach.h
-        d = mach.slopes(slope)
         # (4, n_alpha, k, n_mach-1): one cubic per alpha row, table and
         # Mach interval
-        self.coef = np.ascontiguousarray(np.stack(_hermite_coefficients(
-            mach.h, y[:-1], d[:-1], d[1:], slope)).transpose(0, 2, 3, 1))
+        self.coef = np.ascontiguousarray(
+            mach.cubics(tables.transpose(1, 0, 2)).transpose(0, 2, 3, 1))
         self.table = np.arange(tables.shape[2])[:, None]
 
     def __call__(self, a, m):
-        """Values (k, p) at p points a, m inside the hull, both 1-D."""
+        """Values (k, p) at p points a, m, both 1-D; off the grid each axis
+        evaluates its end interval's cubic."""
         k = self.mach.interval(m)
         cols = _hermite(self.coef[..., k], m - self.mach.knots[k])
         slope = (cols[1:] - cols[:-1]) / self.alpha.h  # (n_alpha-1, k, p)
@@ -181,16 +181,17 @@ class _TensorPchip:
 
 class AeroTable:
     """CL/CD tables on an (alpha_deg, mach) grid, queried at stacks of
-    points, two 1-D arrays of one length, clamped to the grid hull.
+    points, two 1-D arrays of one length.
 
     Both coefficients interpolate by one rule, a tensor-product PCHIP: the
-    same function as scipy's RegularGridInterpolator(method="pchip"), to
-    round-off, for every table with at least two knots per axis.  An axis
-    with two knots interpolates linearly.  The Mach-axis cubics are fixed
-    with the table and built once; each query evaluates them for all alpha
-    rows at once and then takes the alpha-axis slopes of those columns as
-    one batch.  CL and CD are stacked into one interpolant: `lookup`
-    returns both from one pass, and `cl` and `cd` are views of it.
+    same function as scipy's RegularGridInterpolator(method="pchip",
+    fill_value=None), to round-off, on and off the grid, for every table
+    with at least two knots per axis.  An axis with two knots interpolates
+    linearly.  The Mach-axis cubics are fixed with the table and built
+    once; each query evaluates them for all alpha rows at once and then
+    takes the alpha-axis slopes of those columns as one batch.  CL and CD
+    are stacked into one interpolant: `lookup` returns both from one pass,
+    and `cl` and `cd` are views of it.
     """
 
     def __init__(self, alpha_deg, mach, cl, cd):
@@ -213,8 +214,6 @@ class AeroTable:
         self._pchip = _TensorPchip(
             _PchipAxis(self.alpha_deg), _PchipAxis(self.mach),
             np.stack([self.cl_table, self.cd_table], axis=-1))
-        self._hull = (self.alpha_deg[0], self.alpha_deg[-1],
-                      self.mach[0], self.mach[-1])
 
     @classmethod
     def from_csv(cls, cl_path, cd_path) -> "AeroTable":
@@ -233,14 +232,11 @@ class AeroTable:
         return cls(acl, mcl, cl, cd)
 
     def lookup(self, alpha_deg, mach):
-        """(CL, CD) at the points (alpha_deg[i], mach[i]), clamped to the
-        hull; alpha_deg and mach are 1-D arrays of one length."""
+        """(CL, CD) at the points (alpha_deg[i], mach[i]); alpha_deg and
+        mach are 1-D arrays of one length."""
         if not (np.isfinite(alpha_deg).all() and np.isfinite(mach).all()):
             raise ValueError("aero queries must be finite")
-        a0, a1, m0, m1 = self._hull
-        cl, cd = self._pchip(np.minimum(np.maximum(alpha_deg, a0), a1),
-                             np.minimum(np.maximum(mach, m0), m1))
-        return cl, cd
+        return tuple(self._pchip(alpha_deg, mach))
 
     def cl(self, alpha_deg, mach):
         return self.lookup(alpha_deg, mach)[0]

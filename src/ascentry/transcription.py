@@ -91,7 +91,9 @@ class PhaseDef:
     """One phase.  node(X, U), states (n, nx) and controls (n, nu), returns
     (n, nx + len(path) + len(integrands)): the state rates, then one column
     per path constraint, then one per integrand.  cost(X, U) returns the
-    running cost, (n,)."""
+    running cost, (n,).  The endpoint bounds x0_lo/x0_hi and xf_lo/xf_hi
+    tighten the state box x_lo/x_hi at the first and the last node, channel
+    by channel; an infinite one leaves the box as it is."""
     name: str
     nx: int
     nu: int
@@ -392,10 +394,9 @@ class NLPProblem:
                                nn=nn, nc=nc)
             self.phase_layout.append(lay)
             x_lo, x_hi = np.tile(ph.x_lo, (nn, 1)), np.tile(ph.x_hi, (nn, 1))
-            if ph.x0_lo is not None:
-                x_lo[0], x_hi[0] = ph.x0_lo, ph.x0_hi
-            if ph.xf_lo is not None:
-                x_lo[-1], x_hi[-1] = ph.xf_lo, ph.xf_hi
+            for k, a, b in ((0, ph.x0_lo, ph.x0_hi), (-1, ph.xf_lo, ph.xf_hi)):
+                if a is not None:
+                    x_lo[k], x_hi[k] = np.maximum(x_lo[k], a), np.minimum(x_hi[k], b)
             names += [f"p{p}:{ph.name}:x:{name}:n{i}"
                       for i in range(nn) for name in ph.state_names]
             names += [f"p{p}:{ph.name}:u:{name}:n{i}"

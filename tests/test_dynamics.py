@@ -4,15 +4,15 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.interpolate import PchipInterpolator
 
 from ascentry import dynamics
 from ascentry.dynamics import (GEO_DIM, VERT_DIM, Geo, PhaseContext, Vert,
                                aero_env, angles_to_quat, geo_core,
                                geo_from_vert, geo_rates, quat_to_angles,
                                vert_core, vert_from_geo, vert_rates)
-from ascentry.models import (EarthConstants, _TensorPchip, load_boost_aero,
-                             load_default_atmosphere, load_entry_aero)
+from ascentry.models import (AtmosphereTable, EarthConstants, _TensorPchip,
+                             load_boost_aero, load_default_atmosphere,
+                             load_entry_aero)
 from ascentry.pathcost import (CostWeights, HeatingParams, dynamic_pressure,
                                heating_rate, phugoid_penalty, running_cost_geo,
                                running_cost_vert)
@@ -129,7 +129,7 @@ def _count_calls(monkeypatch, owner, name, counts, key):
 def test_aero_env_makes_one_atmosphere_pass_and_one_aero_pass(
         boost_ctx, monkeypatch, h):
     passes = Counter()
-    _count_calls(monkeypatch, PchipInterpolator, "__call__", passes, "atm")
+    _count_calls(monkeypatch, AtmosphereTable, "lookup", passes, "atm")
     _count_calls(monkeypatch, _TensorPchip, "__call__", passes, "aero")
     aero_env(boost_ctx, h, np.full(np.shape(h), 2.0), np.full(np.shape(h), 0.1))
     assert passes == {"atm": 1, "aero": 1}

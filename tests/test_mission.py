@@ -10,9 +10,10 @@ import pytest
 from ascentry import cli
 from ascentry import mission as M
 from ascentry import nlpsolve
+from ascentry import transcription as T
 from ascentry.dynamics import Geo, geo_from_vert, vert_from_geo
 from ascentry.meshref import RefinementReport
-from ascentry.transcription import transcribe
+from ascentry.transcription import _FD_STEP, transcribe
 
 
 @pytest.fixture(scope="module")
@@ -309,33 +310,25 @@ def test_guess_node_probe_equals_the_per_column_loop(guess_setup,
         z0 + 1e-3 * scale * rng.standard_normal(nlp.n_var)))
 
 
-def _smooth_directions(cfg, nlp, z0):
+def _smooth_directions(nlp, z0):
     """(scale, mask) of the guess's variables that directions may move:
-    none near a bound, and no incidence state near its aero table's edge,
-    where the tables clamp incidence, so the constraints have a kink and no
-    difference quotient is a derivative (the guess starts the entry glide at
-    0 deg, the entry table's first row)."""
+    none near a bound.  Incidences on an aero table's edge move too (the
+    guess starts the entry glide at 0 deg, the entry table's first row): the
+    tables are C1 across their edges."""
     scale = np.maximum(1.0, np.abs(z0))
     margin = 1e-4 * scale
     free = (z0 - nlp.z_lo > margin) & (nlp.z_hi - z0 > margin)
-    for p, ctx in enumerate(M.phase_contexts(cfg)):
-        if ctx.aero is None:
-            continue
-        idx = [i for i, name in enumerate(nlp.var_names)
-               if name.startswith(f"p{p}:") and ":x:alpha:" in name]
-        for edge in np.radians(ctx.aero.alpha_deg[[0, -1]]):
-            free[idx] &= np.abs(z0[idx] - edge) > margin[idx]
     return scale, free
 
 
-def test_guess_derivatives_match_directional_differences(cfg, guess_setup):
+def test_guess_derivatives_match_directional_differences(guess_setup):
     """jacobian @ v and gradient . v against central differences of the
     constraints and the objective, along seeded directions that hold fixed
-    every variable near a bound or a table edge."""
+    every variable near a bound."""
     nlp, z0 = guess_setup
     J = nlp.jacobian(z0)
     g = nlp.objective_gradient(z0)
-    scale, free = _smooth_directions(cfg, nlp, z0)
+    scale, free = _smooth_directions(nlp, z0)
     rng = np.random.default_rng(2104)
     step = 1e-6
     for _ in range(3):
@@ -349,16 +342,54 @@ def test_guess_derivatives_match_directional_differences(cfg, guess_setup):
         assert abs(g @ v - df) <= 1e-5 * (np.abs(g) @ np.abs(v) + abs(df) + 1e-8)
 
 
+def test_guess_jacobian_does_not_depend_on_the_difference_step(
+        cfg, guess_setup, monkeypatch):
+    # the node probes' central differences with 10 and 0.1 times the step
+    # move no Jacobian row by more than 1e-4 of its largest entry, as on a
+    # C1 model; a clamp at a table edge moved 38-41 entry-glide n_max rows by
+    # up to 0.56.  The two rows left above 1e-6 sit at entry-glide node 0,
+    # whose altitude is pinned on the 80 km atmosphere knot, where the
+    # PCHIP's curvature jumps
+    _, z0 = guess_setup
+
+    def jacobian():
+        # a fresh NLP: the last point's derivatives are kept with it
+        return transcribe(M.build_mission(cfg),
+                          M.default_meshes(cfg)).jacobian(z0)
+
+    J = jacobian()
+    row_max = abs(J).max(axis=1).toarray().ravel()
+    for factor in (10.0, 0.1):
+        monkeypatch.setattr(T, "_FD_STEP", factor * _FD_STEP)
+        moved = abs(jacobian() - J).max(axis=1).toarray().ravel()
+        assert np.all(moved <= 1e-4 * row_max)
+
+
+def test_every_mission_state_bound_lies_in_its_phase_box(guess_setup):
+    # endpoint pins tighten the phase box and never widen it: node 0 of
+    # boost2 and boost3 keeps its box on every state but the pinned mass,
+    # and the entry glide's node-0 incidence its [0, alpha_max]
+    nlp, _ = guess_setup
+    for ph, lay in zip(nlp.problem.phases, nlp.phase_layout):
+        states = slice(lay.x_off, lay.u_off)
+        lo = nlp.z_lo[states].reshape(lay.nn, ph.nx)
+        hi = nlp.z_hi[states].reshape(lay.nn, ph.nx)
+        assert np.all(ph.x_lo <= lo) and np.all(lo <= hi)
+        assert np.all(hi <= ph.x_hi)
+    i = nlp.var_names.index("p6:entry_glide:x:alpha:n0")
+    assert (nlp.z_lo[i], nlp.z_hi[i]) == (0.0, nlp.problem.phases[6].x_hi[Geo.ALPHA])
+
+
 def test_guess_hessian_matches_differences_of_the_lagrangian_gradient(
-        cfg, guess_setup):
+        guess_setup):
     """hessian @ v at the guess, with seeded multipliers on every row,
     against central differences of the Lagrangian gradient along directions
-    that hold fixed every variable near a bound or a table edge.  The aero
-    tables are C1 piecewise cubics, so second differences that straddle a
-    table knot disagree by a few percent on a few rows; the whole vector
-    agrees to 1e-4."""
+    that hold fixed every variable near a bound.  The tables are C1
+    piecewise cubics, so second differences that straddle a table knot
+    disagree by a few percent on a few rows; the whole vector agrees to
+    1e-4."""
     nlp, z0 = guess_setup
-    scale, free = _smooth_directions(cfg, nlp, z0)
+    scale, free = _smooth_directions(nlp, z0)
     rng = np.random.default_rng(2104)
     y = rng.standard_normal(nlp.n_con)
     H = nlp.hessian(z0, y)
@@ -382,41 +413,42 @@ def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup):
     # Hessian at the guess shifted to be semidefinite: the trust box cannot
     # meet the linearized rows, so the elastic step leaves violation at the
     # weight's price; the figures pin the iterate bit for bit, recorded
-    # since each subproblem's factors share one minimum-degree order
+    # since the aero tables continue on their end cubics and the endpoint
+    # pins tighten the phase boxes
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=1))
     assert rep.status == "max_iterations" and rep.iterations == 1
-    assert rep.objective == 186.90341317858363
-    assert rep.violation == 46.74744402538796
+    assert rep.objective == 187.3280695904842
+    assert rep.violation == 54.50270115997618
     assert rep.message == ""
 
 
 def test_four_capped_sqp_iterations_from_the_guess(cfg, guess_setup):
     # from the second iteration on the multipliers are nonzero, so every
     # node and endpoint block of the Hessian runs; the iterate must not move
-    # a bit.  Recorded since each subproblem's factors share one
-    # minimum-degree order, which moved x by up to 1.9e-12 relative
+    # a bit.  Recorded since the aero tables continue on their end cubics
+    # and the endpoint pins tighten the phase boxes
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=4))
     assert rep.status == "max_iterations" and rep.iterations == 4
-    assert rep.objective == 182.79174378610924
-    assert rep.violation == 27.233917965136314
+    assert rep.objective == 186.27338713763072
+    assert rep.violation == 44.791976423173836
     assert hashlib.sha256(rep.x.tobytes()).hexdigest() == (
-        "ec6e666a1921cb1d2eb540ad5149ffe7bf39585676ad2a7f1481b06274ad3e02")
+        "1a6ba76d398cfc7802ab98c25a51be4f6ae6d17dc53d72ce232ca177a26938f9")
 
 
 def test_mission_hessian_at_the_guess_is_pinned_bit_for_bit(guess_setup):
-    # seeded multipliers on every row, recorded while each path row,
-    # integrand and endpoint point had a callback call of its own
+    # seeded multipliers on every row, recorded since the aero tables
+    # continue on their end cubics
     nlp, z0 = guess_setup
     y = np.random.default_rng(2104).standard_normal(nlp.n_con)
     H = nlp.hessian(z0, y)
     digests = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
                for a in (H.data, H.indices, H.indptr)]
     assert digests == [
-        "ff66ba1cbf6e01a0e5fb7b7d608d506995a2bd9265cfd3d3d8578c56641c544f",
+        "cffb89e253c942d6a2ac33ee551a76aab6a6c314c75806452c8f9643a31b0740",
         "00cce37417097d00cd8fc3614c469221bc33171be82ccfaa46abc267e44e1838",
         "b75036e4d20c34ff7296ca1b74d58b451d8b58302570225257c299b0742468e8"]
 
@@ -540,18 +572,20 @@ def test_first_step_stays_in_the_trust_box(cfg, guess_setup, monkeypatch):
 
 
 def test_guess_is_pinned_bit_for_bit(guess_setup):
-    # recorded before the atmosphere and aero lookups were paired: one
-    # lookup per state must not move a bit of the guess
+    # recorded since the aero tables continue on their end cubics: three
+    # boost3 collocation nodes above Mach 20 (at most Mach 23.25) read CD
+    # 0.20802-0.20904 where the clamp held 0.208
     nlp, z0 = guess_setup
     assert z0.dtype == np.float64 and z0.shape == (1607,)
-    assert nlp.objective(z0) == 194.21456302853537
+    assert nlp.objective(z0) == 194.21595570910353
     assert hashlib.sha256(z0.tobytes()).hexdigest() == (
-        "9598515135607c01c404e5bce331b104466bd712188b66c3c3d7585642006348")
+        "70d28d5ba4161708c383334fb1bc255c3c347602e8f5fa4ec8877f7789188150")
 
 
 def test_mission_nlp_at_the_guess_is_pinned_bit_for_bit(guess_setup):
-    # recorded before each axis of the NLP was declared in one pass: the
-    # names, bounds, values and Jacobian at the guess must not move a bit
+    # recorded since the aero tables continue on their end cubics and the
+    # endpoint pins tighten the phase boxes: the names, bounds, values and
+    # Jacobian at the guess must not move a bit
     nlp, z0 = guess_setup
     J = nlp.jacobian(z0)
     assert (nlp.n_var, nlp.n_con, J.nnz) == (1607, 1342, 23612)
@@ -561,7 +595,7 @@ def test_mission_nlp_at_the_guess_is_pinned_bit_for_bit(guess_setup):
               nlp.objective_gradient(z0), J.indptr, J.indices, J.data):
         h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest() == (
-        "7441d21aab8d218b03b1270767a96d450abac3bed577e902ad582e2b09d6eac5")
+        "a54b87e01f440365024c1f8df8327e73984bf9d9c4adec6e52d80c4827cade9b")
 
 
 def test_guess_propagates_each_calibrated_kick_once(guess_setup,

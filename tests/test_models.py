@@ -38,7 +38,10 @@ def test_sea_level_density(atm):
 
 
 def test_density_monotone_decreasing(atm):
-    h = np.linspace(0.0, 200.0, 801)
+    # every altitude box of a mission phase, -0.01 km (the entry dive's
+    # floor) to 230 km, reaches 30 km past the table's top knot; density
+    # keeps falling there on the end interval's cubic
+    h = np.linspace(-0.01, 230.0, 23002)
     rho = atm.density(h)
     assert np.all(np.diff(rho) < 0)
 
@@ -51,25 +54,32 @@ def test_density_positive_everywhere(h):
     assert np.isfinite(rho)
 
 
-def test_extrapolation_is_log_linear_and_continuous(atm):
-    # above the top knot log-density must continue as a straight line that
-    # meets the table value at the boundary
-    hi = atm.h_km[-1]
-    steps = np.array([5.0, 10.0, 20.0, 40.0])
-    logr = np.log(atm.density(hi + steps))
-    slopes = (logr - np.log(atm.rho_table[-1])) / steps
-    assert np.allclose(slopes, slopes[0], rtol=1e-10)
-    assert slopes[0] < 0.0
-    assert abs(_at(atm.density, hi) / atm.rho_table[-1] - 1.0) < 1e-12
-    lo = atm.h_km[0]
-    logr = np.log(atm.density(lo - steps))
-    slopes = (np.log(atm.rho_table[0]) - logr) / steps
-    assert np.allclose(slopes, slopes[0], rtol=1e-10)
+def _assert_c1_across(f, edge, step):
+    """The one-sided difference quotients of each output of f (a tuple of
+    arrays) inside and beyond the edge agree: no jump and no kink there."""
+    below, at, above = (np.array(f(edge + k * step)) for k in (-1.0, 0.0, 1.0))
+    inside, beyond = (at - below) / step, (above - at) / step
+    # the quotients differ by step * f'' and by rounding of order eps f / step,
+    # both far below 1e-6 of the value per unit at the steps used here
+    assert np.all(np.abs(beyond - inside)
+                  <= 1e-4 * (np.abs(inside) + np.abs(beyond)) + 1e-6 * np.abs(at))
 
 
-def test_sound_speed_clamped_outside_table(atm):
-    assert np.allclose(atm.sound_speed(np.array([-5.0, 500.0])),
-                       atm.a_table[[0, -1]], rtol=1e-12)
+def test_density_is_c1_across_its_end_knots(atm):
+    # beyond each end knot log-density continues on the end interval's
+    # cubic, so density keeps its value and slope, and falls past the top
+    edges = atm.h_km[[0, -1]]
+    _assert_c1_across(lambda h: (atm.density(h),), edges, 1e-5)
+    assert np.allclose(atm.density(edges), atm.rho_table[[0, -1]], rtol=1e-12)
+    assert _at(atm.density, edges[-1] + 1e-5) < atm.rho_table[-1]
+
+
+def test_sound_speed_is_c1_across_its_end_knots(atm):
+    # sound speed is no longer held beyond the knots: it continues on the
+    # end interval's cubic, keeping its value and slope at each end knot
+    edges = atm.h_km[[0, -1]]
+    _assert_c1_across(lambda h: (atm.sound_speed(h),), edges, 1e-5)
+    assert np.allclose(atm.sound_speed(edges), atm.a_table[[0, -1]], rtol=1e-12)
 
 
 def test_nonfinite_altitude_rejected(atm):
@@ -82,18 +92,11 @@ def test_nonfinite_altitude_rejected(atm):
 
 
 def _atmosphere_oracle(atm, h):
-    """Density and sound speed from two separate scipy PCHIPs: log-density
-    continued linearly with its end slopes, sound speed held."""
-    lo, hi = atm.h_km[0], atm.h_km[-1]
-    logrho = PchipInterpolator(atm.h_km, np.log(atm.rho_table),
-                               extrapolate=False)
-    sound = PchipInterpolator(atm.h_km, atm.a_table, extrapolate=False)
-    inside = np.clip(h, lo, hi)
-    out = logrho(inside)
-    below, above = h < lo, h > hi
-    out[below] += logrho.derivative()(lo) * (h[below] - lo)
-    out[above] += logrho.derivative()(hi) * (h[above] - hi)
-    return np.exp(out), sound(inside)
+    """Density and sound speed from two separate scipy PCHIPs, each
+    continued on its end cubics beyond the knots (scipy's default)."""
+    logrho = PchipInterpolator(atm.h_km, np.log(atm.rho_table))
+    sound = PchipInterpolator(atm.h_km, atm.a_table)
+    return np.exp(logrho(h)), sound(h)
 
 
 def test_atmosphere_lookup_equals_separate_scipy_pchips(atm):
@@ -130,10 +133,20 @@ def test_boost_table_reproduces_grid_entry():
     assert abs(_at(t.cl, -25.0, 1.0) + 1.6) < 1e-9
 
 
-def test_boost_queries_clamp_to_hull():
-    t = load_boost_aero()
-    assert _at(t.cl, 40.0, 1.0) == _at(t.cl, t.alpha_deg[-1], 1.0)
-    assert _at(t.cd, 0.0, 100.0) == _at(t.cd, 0.0, t.mach[-1])
+@pytest.mark.parametrize("load", [load_boost_aero, load_entry_aero])
+def test_aero_table_is_c1_across_its_edges(load):
+    # along each edge of the grid, at every knot and midpoint of the other
+    # axis, CL and CD keep their values and their slopes across the edge:
+    # beyond it each axis continues on its end interval's cubic
+    t = load()
+    for edge_axis, along in ((t.alpha_deg, t.mach), (t.mach, t.alpha_deg)):
+        other = np.concatenate([along, 0.5 * (along[1:] + along[:-1])])
+        for edge in edge_axis[[0, -1]]:
+            def f(x):
+                e = np.full(len(other), x)
+                pts = (e, other) if edge_axis is t.alpha_deg else (other, e)
+                return t.lookup(*pts)
+            _assert_c1_across(f, edge, 1e-6 * max(1.0, abs(edge)))
 
 
 def test_boost_drag_positive_on_grid():
@@ -196,13 +209,14 @@ def test_aero_table_needs_two_knots_per_axis(alpha, mach):
 
 
 def _pchip_oracle(t, a, m):
-    """scipy's tensor PCHIP at the clamped points, CL and CD in one pass."""
+    """scipy's tensor PCHIP, continued on its end cubics beyond the grid,
+    CL and CD in one pass."""
     rgi = RegularGridInterpolator((t.alpha_deg, t.mach),
                                   np.dstack([t.cl_table, t.cd_table]),
-                                  method="pchip")
+                                  method="pchip", bounds_error=False,
+                                  fill_value=None)
     with np.errstate(over="ignore"):  # harmonic mean of tiny secants
-        out = rgi(np.column_stack([np.clip(a, t.alpha_deg[0], t.alpha_deg[-1]),
-                                   np.clip(m, t.mach[0], t.mach[-1])]))
+        out = rgi(np.column_stack([a, m]))
     return out[:, 0], out[:, 1]
 
 
@@ -228,12 +242,10 @@ def test_aero_table_matches_scipy_pchip(load):
     a, m = _oracle_points(t, np.random.default_rng(12296), 2000)
     cl, cd = _pchip_oracle(t, a, m)
     # on the shipped tables the tensor PCHIP is scipy's to the last bit,
-    # and cl and cd are the paired lookup's halves
+    # inside the hull and beyond it, and cl and cd are the paired lookup's
+    # halves
     assert np.array_equal(t.lookup(a, m), (cl, cd))
     assert np.array_equal(t.cl(a, m), cl) and np.array_equal(t.cd(a, m), cd)
-    # points beyond the hull read the hull's value
-    assert _at(t.cl, t.alpha_deg[-1] + 7.0, t.mach[-1] + 3.0) == \
-        _at(t.cl, t.alpha_deg[-1], t.mach[-1])
 
 
 @pytest.mark.parametrize("load", [load_boost_aero, load_entry_aero])

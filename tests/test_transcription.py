@@ -99,6 +99,22 @@ def test_variable_layout_counts():
     assert len(set(nlp.con_names)) == nlp.n_con
 
 
+def test_endpoint_pins_tighten_the_phase_box():
+    # x0 pins the position and leaves the speed free; xf caps the speed
+    # above the box and the position inside it: each endpoint channel keeps
+    # the tighter of its box and its pin
+    ph = _double_integrator(x0_lo=[1.0, -np.inf], x0_hi=[1.0, np.inf],
+                            xf_lo=[-np.inf, -80.0], xf_hi=[20.0, 60.0])
+    nlp = transcribe(MultiPhaseProblem([ph]), [uniform_mesh(2, 3)])
+    nn = nlp.phase_layout[0].nn
+    lo = nlp.z_lo[:2 * nn].reshape(nn, 2)
+    hi = nlp.z_hi[:2 * nn].reshape(nn, 2)
+    assert np.array_equal(lo[0], [1.0, -50.0]) and np.array_equal(hi[0], [1.0, 50.0])
+    assert np.array_equal(lo[-1], [-50.0, -50.0])
+    assert np.array_equal(hi[-1], [20.0, 50.0])
+    assert np.all(lo[1:-1] == -50.0) and np.all(hi[1:-1] == 50.0)
+
+
 def test_node_taus_cover_unit_interval():
     mesh = MeshPhase([0.3, 0.3, 0.4], [2, 5, 3])
     nlp = transcribe(MultiPhaseProblem([_double_integrator()]), [mesh])
