@@ -19,6 +19,14 @@ further 1e-12 b on the diagonal, has no negative or zero pivot.  So every
 subproblem is convex.  On a linear-quadratic problem the Hessian is exact
 and the first step is the Newton step.
 
+After an accepted step, the bound multiplier of a box-fixed variable is
+its stationarity residual where the step landed: y_bnd = -(g + J'y) on
+those columns, at the new g and J.  The subproblem's own value is taken at
+the old point against B, whose fixed rows and columns are zeroed, so it
+misses H[fixed, :] d, and a converged Newton step would read as
+unconverged until one more subproblem refreshed it.  Only the convergence
+test and the report read y_bnd, so the iterates do not depend on it.
+
 The subproblem is elastic in every row:
 
     min 1/2 d'Bd + g'd + W sum(p + n)
@@ -114,7 +122,7 @@ def _symmetric_lu(M: sp.spmatrix, permc_spec: str = "MMD_AT_PLUS_A"):
     """SuperLU factor of a symmetric matrix, ordered by minimum degree on
     M' + M (or, with "NATURAL", as it stands), with the diagonal pivots
     taken as they come."""
-    return spla.splu(sp.csc_matrix(M), permc_spec=permc_spec,
+    return spla.splu(M.tocsc(), permc_spec=permc_spec,
                      diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
@@ -223,16 +231,23 @@ def _elastic_qp(B: sp.spmatrix, g: np.ndarray, J: sp.spmatrix,
         r[slack] -= x[at:]
         return r
 
-    # K = [Q + Sigma_d, Jf'; Jf, -D]: the pattern once, the diagonal each
-    # iteration.  The factor is of K + diag(reg), the refinement against K
+    # K = [Q + Sigma_d, Jf'; Jf, -D]: the pattern once, in canonical CSC
+    # from the blocks' coordinates, the diagonal each iteration.  The
+    # factor is of K + diag(reg), the refinement against K
     reg = np.concatenate([np.full(nf, 1e-9 * s_q / scale), np.full(mr, -1e-9)])
-    K = sp.bmat([[Q + sp.identity(nf), Jf.T], [Jf, -sp.identity(mr)]],
-                format="csc")
-    K.sum_duplicates()
-    K.sort_indices()
-    diag = np.flatnonzero(K.indices == np.repeat(np.arange(nf + mr),
-                                                 np.diff(K.indptr)))
+    QI, Jc = (Q + sp.identity(nf)).tocoo(), Jf.tocoo()
+    tail = nf + np.arange(mr)   # the -D block's diagonal
+    k_row = np.concatenate([QI.row, Jc.col, nf + Jc.row, tail])
+    k_col = np.concatenate([QI.col, nf + Jc.row, Jc.col, tail])
+    order = np.lexsort((k_row, k_col))
+    k_row, k_col = k_row[order], k_col[order]
+    K = sp.csc_matrix(
+        (np.concatenate([QI.data, Jc.data, Jc.data, -np.ones(mr)])[order],
+         k_row, np.searchsorted(k_col, np.arange(nf + mr + 1))),
+        shape=(nf + mr, nf + mr))
+    diag = np.flatnonzero(k_row == k_col)
     K_diag = np.concatenate([Q.diagonal(), np.zeros(mr)])
+    abs_Q, abs_JfT = abs(Q), abs(JfT)
 
     def refined(solve, rhs):
         """solve(rhs) refined against K while the residual falls, at most
@@ -264,7 +279,7 @@ def _elastic_qp(B: sp.spmatrix, g: np.ndarray, J: sp.spmatrix,
             sol, res = refined(solve, rhs)
         if solve is None or np.abs(res).max() > 1e-10 * np.abs(rhs).max():
             if not pivoted:
-                pivoted.append(spla.splu(sp.csc_matrix(K)))
+                pivoted.append(spla.splu(K))
             sol, _ = refined(pivoted[0].solve, rhs)
         dy = sol[nf:]
         return np.concatenate([sol[:nf], (R_p - dy) / S_p, (R_n + dy) / S_n,
@@ -284,7 +299,7 @@ def _elastic_qp(B: sp.spmatrix, g: np.ndarray, J: sp.spmatrix,
         """Each stationarity residual against the largest term it sums,
         floored at one unit of the problem's objective."""
         terms = np.maximum.reduce([
-            np.abs(cost[:nf]), abs(Q) @ np.abs(x[:nf]), abs(JfT) @ np.abs(y),
+            np.abs(cost[:nf]), abs_Q @ np.abs(x[:nf]), abs_JfT @ np.abs(y),
             np.bincount(idx, z, N)[:nf], np.full(nf, 1.0 / scale)])
         return max(float((np.abs(r_x[:nf]) / terms).max(initial=0.0)),
                    np.abs(r_x[nf:]).max(initial=0.0) * scale / ELASTIC_WEIGHT)
@@ -600,6 +615,7 @@ def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveRep
 
         x, f, c, c_raw, g, J = x_t, f_t, c_t, c_raw_t, g_new, r_diag @ J_new
         y_con, y_bnd = y_new_con, y_new_bnd
+        y_bnd[fixed] = -(g + J.T @ y_con)[fixed]
         record(f, max(_violation(c, c_lo, c_hi), _violation(x, z_lo, z_hi)),
                np.abs(t * d).max())
 

@@ -269,9 +269,18 @@ class _SparsePlan:
     @classmethod
     def build(cls, rows, cols, values, shape) -> "_SparsePlan":
         keys = np.concatenate(rows) * shape[1] + np.concatenate(cols)
-        key, first, slot = np.unique(keys, return_index=True, return_inverse=True)
-        rest = np.setdiff1d(np.arange(len(keys)), first)
-        u_rows, u_cols = np.divmod(key, shape[1])
+        # one stable sort: each run of equal keys starts at its first raw entry
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        starts = np.ones(len(keys), bool)
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+        first = order[starts]
+        slot = np.empty(len(keys), np.intp)
+        slot[order] = np.cumsum(starts) - 1
+        later = np.ones(len(keys), bool)
+        later[first] = False
+        rest = np.flatnonzero(later)
+        u_rows, u_cols = np.divmod(sorted_keys[starts], shape[1])
         return cls(values=values, first=first, rest=rest, rest_slot=slot[rest],
                    rows=u_rows, cols=u_cols,
                    indptr=np.searchsorted(u_rows, np.arange(shape[0] + 1)),

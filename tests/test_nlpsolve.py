@@ -612,4 +612,45 @@ def test_canonical_default_mesh_converges_in_newton_steps(name):
     nlp = transcribe(problem, meshes)
     rep = solve(nlp, canonical.straight_line_guess(nlp),
                 SolverOptions(tolerance=1e-6))
-    assert rep.converged and rep.iterations <= 3
+    assert rep.converged and rep.iterations == 2
+
+
+@pytest.mark.parametrize("name", sorted(canonical.CANONICAL_PROBLEMS))
+def test_canonical_grid_converges_after_one_qp(name):
+    # one QP, then the convergence test at the point the step landed on:
+    # the box-fixed variables' bound multipliers are read there, so no
+    # second QP is spent on them.  The solver's stationarity test holds
+    # in the problem's units too, from fresh evaluations
+    problem, _ = canonical.CANONICAL_PROBLEMS[name]()
+    tol = 1e-6
+    for intervals in (1, 2, 3):
+        for degree in (3, 4, 5, 6):
+            nlp = transcribe(problem, [uniform_mesh(intervals, degree)])
+            rep = solve(nlp, canonical.straight_line_guess(nlp),
+                        SolverOptions(tolerance=tol))
+            assert rep.converged and rep.iterations == 2, (intervals, degree)
+            stat, _, _ = kkt_residuals(nlp, rep.x, rep.multipliers,
+                                       rep.bound_multipliers)
+            ymax = max(np.abs(rep.multipliers).max(),
+                       np.abs(rep.bound_multipliers).max())
+            g = nlp.objective_gradient(rep.x)
+            assert stat <= tol * max(1.0, np.abs(g).max(), ymax), \
+                (intervals, degree)
+
+
+def test_fixed_bound_multipliers_are_the_stationarity_residual_where_the_step_landed():
+    # after one capped iteration: on the box-fixed columns (the pinned
+    # boundary states and the fixed times) the bound multiplier is minus
+    # the stationarity residual of the row multipliers at rep.x
+    problem, meshes = canonical.double_integrator_problem()
+    nlp = transcribe(problem, meshes)
+    rep = solve(nlp, canonical.straight_line_guess(nlp),
+                SolverOptions(tolerance=1e-6, max_iterations=1))
+    assert rep.iterations == 1 and rep.status == "max_iterations"
+    fixed = nlp.z_lo == nlp.z_hi
+    assert fixed.sum() == 6
+    residual = (nlp.objective_gradient(rep.x)
+                + nlp.jacobian(rep.x).T @ rep.multipliers)[fixed]
+    assert np.abs(residual).max() > 1.0
+    assert np.abs(rep.bound_multipliers[fixed] + residual).max() \
+        <= 1e-12 * np.abs(residual).max()

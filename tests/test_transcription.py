@@ -12,8 +12,8 @@ from ascentry.lgr import lgr_rule
 from ascentry.transcription import (Accumulator, BoundaryConstraint,
                                     EvaluationError, IntegralTerm, Linkage,
                                     MeshPhase, MultiPhaseProblem, NLPProblem,
-                                    PathConstraint, PhaseDef, transcribe,
-                                    uniform_mesh)
+                                    PathConstraint, PhaseDef, _SparsePlan,
+                                    transcribe, uniform_mesh)
 
 
 def _node(*columns):
@@ -776,3 +776,30 @@ def test_dump_layout_deterministic():
     doc = json.loads(a)
     assert doc["n_var"] == build().n_var
     assert len(doc["sparsity"]["rows"]) == len(doc["sparsity"]["cols"])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_plan_matches_the_unique_oracle(seed):
+    # random blocks of coordinates with many repeats, against the plan
+    # np.unique and np.setdiff1d give
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+    sizes = rng.integers(0, 30, 5)
+    rows = [rng.integers(0, shape[0], k) for k in sizes]
+    cols = [rng.integers(0, shape[1], k) for k in sizes]
+    values = [rng.standard_normal(k) for k in sizes]
+    plan = _SparsePlan.build(rows, cols, values, shape)
+
+    keys = np.concatenate(rows) * shape[1] + np.concatenate(cols)
+    key, first, slot = np.unique(keys, return_index=True, return_inverse=True)
+    rest = np.setdiff1d(np.arange(len(keys)), first)
+    u_rows, u_cols = np.divmod(key, shape[1])
+    want = {"first": first, "rest": rest, "rest_slot": slot[rest],
+            "rows": u_rows, "cols": u_cols,
+            "indptr": np.searchsorted(u_rows, np.arange(shape[0] + 1))}
+    for name, arr in want.items():
+        assert np.array_equal(getattr(plan, name), arr), name
+    dense = np.zeros(shape)
+    np.add.at(dense, (np.concatenate(rows), np.concatenate(cols)),
+              np.concatenate(values))
+    assert np.allclose(plan.assemble().toarray(), dense, rtol=0, atol=1e-12)
