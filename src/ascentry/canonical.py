@@ -76,10 +76,8 @@ def straight_line_guess(nlp) -> np.ndarray:
     states, controls, times = [], [], []
     for p, ph in enumerate(nlp.problem.phases):
         _, state_tau = nlp.node_taus(p)
-        x0 = np.where(np.isfinite(ph.x0_lo), ph.x0_lo,
-                      0.0) if ph.x0_lo is not None else np.zeros(ph.nx)
-        xf = np.where(np.isfinite(ph.xf_lo), ph.xf_lo,
-                      x0) if ph.xf_lo is not None else x0
+        x0 = np.where(np.isfinite(ph.x0_lo), ph.x0_lo, 0.0)
+        xf = np.where(np.isfinite(ph.xf_lo), ph.xf_lo, x0)
         states.append(x0[None, :] + state_tau[:, None] * (xf - x0)[None, :])
         controls.append(np.zeros((nlp.phase_layout[p].nc, ph.nu)))
         times.append((0.5 * (ph.t0_lo + min(ph.t0_hi, ph.t0_lo + 1e6)),

@@ -4,7 +4,8 @@ Two interchangeable formulations: geodetic angles (flight path gamma,
 azimuth psi, bank sigma), singular in vertical flight, and an Euler-parameter
 form that stays regular there.  Every function takes and returns stacks:
 states are (n, dim) arrays, one row per evaluation point, and altitudes,
-speeds and angles are 1-D arrays of one length.
+speeds and angles are 1-D arrays of one length; the rates, the force model
+and geo_from_vert carry complex stacks.
 
 Units: km, km/s, s, kg, kN, kPa, rad.  The only unit conversion in the force
 model is dynamic pressure, q[kPa] = 500 rho[kg/m^3] v[km/s]^2.
@@ -87,7 +88,7 @@ def aero_env(ctx: PhaseContext, h, v, alpha):
         z = np.zeros_like(q)
         return rho, z, q, z, z
     mach = v / a
-    cl, cd = ctx.aero.lookup(np.degrees(alpha), mach)
+    cl, cd = ctx.aero.lookup(alpha * (180.0 / np.pi), mach)
     return rho, mach, q, q * ctx.ref_area * cl, q * ctx.ref_area * cd
 
 
@@ -225,13 +226,23 @@ def vert_core(y, u, ctx: PhaseContext, lift, drag):
     return out
 
 
+def _arctan2(y, x):
+    """np.arctan2 of the real parts; a complex input's imaginary parts carry
+    its first-order change, as numpy's arctan2 takes no complex."""
+    angle = np.arctan2(np.real(y), np.real(x))
+    if np.iscomplexobj(y) or np.iscomplexobj(x):
+        angle = angle + 1j * ((x.real * y.imag - y.real * x.imag)
+                              / (x.real ** 2 + y.real ** 2))
+    return angle
+
+
 def quat_to_angles(e1, e2, e3, eta):
     """(gamma, psi, sigma) from Euler parameters; psi/sigma degenerate at
     exactly vertical flight and come back as 0 there."""
-    gamma = np.arctan2(0.5 - e2 ** 2 - e3 ** 2,
-                       np.sqrt((e1 ** 2 + eta ** 2) * (e2 ** 2 + e3 ** 2)))
-    psi = np.arctan2(e1 * e2 + e3 * eta, e1 * e3 - e2 * eta)
-    sigma = np.arctan2(-e3 * e1 - e2 * eta, e2 * e1 - e3 * eta)
+    gamma = _arctan2(0.5 - e2 ** 2 - e3 ** 2,
+                     np.sqrt((e1 ** 2 + eta ** 2) * (e2 ** 2 + e3 ** 2)))
+    psi = _arctan2(e1 * e2 + e3 * eta, e1 * e3 - e2 * eta)
+    sigma = _arctan2(-e3 * e1 - e2 * eta, e2 * e1 - e3 * eta)
     return gamma, psi, sigma
 
 

@@ -6,7 +6,8 @@ kg/m^3, sound speed km/s, angles of attack in the aero tables in degrees.
 Every table interpolates by one rule, the PCHIP of Fritsch & Carlson
 (SIAM J. Numer. Anal. 17(2), 1980) with scipy's slopes: beyond its end
 knots each axis evaluates its end interval's cubic, as scipy's PCHIPs do
-by default, so every lookup is C1 across each table edge.
+by default, so every lookup is C1 across each table edge.  Lookups carry
+complex queries: the searches and sign tests read real parts.
 """
 from __future__ import annotations
 
@@ -108,14 +109,14 @@ class _PchipAxis:
     def interval(self, q):
         """Index i with knots[i] <= q < knots[i+1]; the first one below the
         knots and the last from the end knot on: the end cubics continue."""
-        return self.inner.searchsorted(q, side="right")
+        return self.inner.searchsorted(np.real(q), side="right")
 
     def slopes(self, m):
-        """Node slopes along axis 0 from the secants m, shape (n-1, k, p)."""
+        """Node slopes along axis 0 from the secants m, (n-1, k, p), in m's dtype."""
         if len(m) == 1:
             return np.concatenate([m, m])
-        sm = np.sign(m)
-        d = np.empty((len(m) + 1,) + m.shape[1:])
+        sm = np.sign(m.real)
+        d = np.empty((len(m) + 1,) + m.shape[1:], m.dtype)
         # flat entries are discarded; tiny secants overflow to a zero slope
         with np.errstate(all="ignore"):
             d[1:-1] = np.where(sm[1:] * sm[:-1] <= 0, 0.0,
@@ -123,8 +124,8 @@ class _PchipAxis:
         m0, s0 = m[self._EDGE], sm[self._EDGE]
         e = (self.e1 * m0 - self.h0 * m[self._NEXT]) / self.e0
         cap = 3.0 * m0
-        overshoot = (s0 != sm[self._NEXT]) & (np.abs(e) > np.abs(cap))
-        d[self._EDGE] = np.where(np.sign(e) != s0, 0.0,
+        overshoot = (s0 != sm[self._NEXT]) & (np.abs(e.real) > np.abs(cap.real))
+        d[self._EDGE] = np.where(np.sign(e.real) != s0, 0.0,
                                 np.where(overshoot, cap, e))
         return d
 

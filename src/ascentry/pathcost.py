@@ -33,7 +33,7 @@ def heating_rate(rho, v, hp: HeatingParams):
 
 def sensed_load(lift, drag, mass, g0):
     """Aerodynamic load factor in g units."""
-    return np.hypot(lift, drag) / (mass * g0)
+    return np.sqrt(lift * lift + drag * drag) / (mass * g0)
 
 
 def path_quantities(ctx: PhaseContext, h, v, alpha, mass, hp: HeatingParams):

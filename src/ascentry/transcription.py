@@ -4,10 +4,14 @@ Variable layout, per phase: state rows at every collocation node plus the
 final non-collocated endpoint, control rows at collocation nodes only, then
 t0 and tf; shared integral accumulators sit at the end of the vector.
 
-Callbacks are autonomous, pure and batched: each maps a stack of points,
-one row per point, to one output row per point, each from its own input row
-alone, since the derivative probes stack many perturbed copies of a point
-into one call; the derivatives at a point are computed once and reused.  A
+Callbacks are autonomous, pure, batched and analytic: each maps a stack of
+points, one row per point, to one output row per point, each from its own
+input row alone, since the derivative probes stack many perturbed copies of
+a point into one call; the derivatives at a point are computed once and
+reused.  They take complex stacks, and they test, index and branch on real
+parts only: every first partial is a complex step, Im f(v + ih) / h with
+h = 1e-30, exact to rounding (Squire & Trapp, SIAM Rev. 40(1), 1998;
+Martins, Sturdza & Alonso, ACM TOMS 29(3), 2003).  A
 phase's `node(X, U)` returns its rates, path values and integrands as the
 columns of one output, so they share one pass over the nodes (see
 `PhaseDef`); its `cost` is a callback of its own, so the objective runs
@@ -35,12 +39,12 @@ rules.
   integrand partials
 - the cost (not a row): weighted by (tf - t0) times the quadrature weights,
   and a border from its partials
-- boundaries and linkages: a dense block over the group's columns, by
-  second differences of the multiplier-weighted function
+- boundaries and linkages: a dense block over the group's columns
 - duration rows: linear, nothing
-The node blocks, one (nx+nu) block per collocation node, come from one
-stacked second-difference probe per phase, in which the node callback and
-the cost each run only if one of their columns carries a nonzero weight.
+Each block entry is a central difference of a complex-step partial
+(`_hessians`).  The node blocks, one (nx+nu) block per collocation node,
+come from one stacked probe per phase, in which the node callback and the
+cost each run only if one of their columns carries a nonzero weight.
 """
 from __future__ import annotations
 
@@ -52,8 +56,8 @@ import scipy.sparse as sp
 
 from .lgr import barycentric_eval, lgr_rule
 
-_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
-_FD2_STEP = float(np.finfo(float).eps) ** 0.25   # second differences
+_CS_STEP = 1e-30
+_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)   # the Hessian's outer step
 
 
 class EvaluationError(RuntimeError):
@@ -91,9 +95,11 @@ class PhaseDef:
     """One phase.  node(X, U), states (n, nx) and controls (n, nu), returns
     (n, nx + len(path) + len(integrands)): the state rates, then one column
     per path constraint, then one per integrand.  cost(X, U) returns the
-    running cost, (n,).  The endpoint bounds x0_lo/x0_hi and xf_lo/xf_hi
-    tighten the state box x_lo/x_hi at the first and the last node, channel
-    by channel; an infinite one leaves the box as it is."""
+    running cost, (n,).  Both take complex stacks, and test, index and
+    branch on real parts only.  Every bound holds nx values (nu for u_lo
+    and u_hi).  The endpoint bounds x0_lo/x0_hi and xf_lo/xf_hi tighten the
+    state box x_lo/x_hi at the first and the last node, channel by channel;
+    an infinite or missing one leaves its side of the box as it is."""
     name: str
     nx: int
     nu: int
@@ -118,24 +124,38 @@ class PhaseDef:
     control_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        for attr in ("x_lo", "x_hi", "u_lo", "u_hi",
-                     "x0_lo", "x0_hi", "xf_lo", "xf_hi"):
+        free = {"x0_lo": -np.inf, "x0_hi": np.inf, "xf_lo": -np.inf, "xf_hi": np.inf}
+        for attr in ("x_lo", "x_hi", "u_lo", "u_hi", *free):
+            n = self.nu if attr.startswith("u") else self.nx
             v = getattr(self, attr)
-            if v is not None:
-                setattr(self, attr, np.asarray(v, dtype=float))
-        if len(self.x_lo) != self.nx or len(self.u_lo) != self.nu:
-            raise ValueError(f"phase {self.name}: bound dimensions inconsistent")
+            if v is None and attr in free:
+                v = np.full(n, free[attr])
+            v = np.asarray(v, dtype=float)
+            if v.shape != (n,):
+                raise ValueError(f"phase {self.name}: {attr} has shape {v.shape}, "
+                                 f"not ({n},)")
+            setattr(self, attr, v)
         if not self.state_names:
             self.state_names = tuple(f"x{i}" for i in range(self.nx))
         if not self.control_names:
             self.control_names = tuple(f"u{i}" for i in range(self.nu))
 
 
+def _one_length(group):
+    """A linkage's or boundary's lo and hi as 1-D arrays of one length."""
+    lo, hi = (np.atleast_1d(np.asarray(b, dtype=float))
+              for b in (group.lo, group.hi))
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise ValueError(f"{group.name}: lo has shape {lo.shape} and hi {hi.shape}")
+    group.lo, group.hi = lo, hi
+
+
 @dataclass
 class Linkage:
     """Constraint tying phase a's terminal endpoint to phase b's start:
     func(xa, ta, xb, tb), on a's final states (n, nx_a) and times (n,) and
-    b's initial ones, returns (n, len(lo)), one row per endpoint pair."""
+    b's initial ones, returns (n, len(lo)), one row per endpoint pair.  It
+    takes complex stacks, as `PhaseDef`'s callbacks do."""
 
     name: str
     a: int
@@ -144,24 +164,21 @@ class Linkage:
     lo: np.ndarray
     hi: np.ndarray
 
-    def __post_init__(self):
-        self.lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        self.hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+    __post_init__ = _one_length
 
 
 @dataclass
 class BoundaryConstraint:
     """Constraint on one phase's endpoints: func(x0, xf, t0, tf), on initial
-    and final states (n, nx) and times (n,), returns (n, len(lo))."""
+    and final states (n, nx) and times (n,), returns (n, len(lo)).  It takes
+    complex stacks, as `PhaseDef`'s callbacks do."""
     name: str
     phase: int
     func: Callable
     lo: np.ndarray
     hi: np.ndarray
 
-    def __post_init__(self):
-        self.lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        self.hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+    __post_init__ = _one_length
 
 
 @dataclass
@@ -308,55 +325,43 @@ class _PhasePoint:
     dG: np.ndarray | None = None  # (rows, nc, nx+nu)
 
 
-def _probe_stencil(V):
-    """Central-difference stencil of each row of V, (rows, n): the row, then
-    the row with column j moved by +h, then by -h, for j over the columns,
-    h = _FD_STEP * max(1, |v|).  Returns the points, (2n+1, rows, n), and h."""
-    n = V.shape[1]
-    h = _FD_STEP * np.maximum(1.0, np.abs(V))
-    S = np.repeat(V[None], 2 * n + 1, axis=0)
-    j = np.arange(n)
-    S[1 + j, :, j] += h.T
-    S[1 + n + j, :, j] -= h.T
-    return S, h
-
-
-def _cross_stencil(V):
-    """Second-difference stencil of each row of V, (rows, n): for every
-    pair i <= j of columns, the row with columns i and j moved by (+h, +h),
-    (+h, -h), (-h, +h) and (-h, -h), h = _FD2_STEP * max(1, |v|), so
-    2n(n+1) points per row.  Returns the points, (4, pairs, rows, n), and
-    the map from weighted second differences, (pairs, rows), to each row's
-    symmetric Hessian, (rows, n, n).  The weights go on after differencing
-    (`_weighted_cross`), so an output that does not move across the four
-    points adds exactly nothing, whatever its size."""
+def _partials(f, V):
+    """Values, (rows, out), and complex-step partials, (rows, n, out), of
+    the stacked callback f at each row of V, (rows, n).  f runs once, on
+    each row and on the row plus 1j * _CS_STEP in each column: n + 1 points
+    per row.  An overflow is left infinite: the caller reports it."""
     nr, n = V.shape
-    h = _FD2_STEP * np.maximum(1.0, np.abs(V))
+    S = np.tile(V.astype(complex), (n + 1, 1, 1))
+    S[1 + np.arange(n), :, np.arange(n)] += 1j * _CS_STEP
+    out = f(S.reshape(-1, n)).reshape(n + 1, nr, -1)
+    with np.errstate(over="ignore"):
+        return out[0].real.copy(), (out[1:].imag / _CS_STEP).transpose(1, 0, 2)
+
+
+def _hessians(f, V, w):
+    """Hessians, (rows, n, n), of w . f at each row of V, (rows, n), with
+    weights w, (rows, out): for each column pair i <= j, the central
+    difference in column i, step _FD_STEP * max(1, |v|), of the complex-step
+    partial in column j, so f runs once, on 2 points per pair, or not at all
+    if every weight is zero.  The weights go on after differencing, so an
+    output that does not move adds exactly nothing; a non-finite entry is
+    left for the caller to report."""
+    nr, n = V.shape
+    if not np.any(w):
+        return np.zeros((nr, n, n))
+    h = _FD_STEP * np.maximum(1.0, np.abs(V))
     I, J = np.triu_indices(n)
     k = np.arange(len(I))
-    S = np.empty((4, len(I), nr, n))
-    S[...] = V
-    for s, (a, b) in enumerate([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]):
-        S[s, k, :, I] += a * h[:, I].T
-        S[s, k, :, J] += b * h[:, J].T
-    denom = 4.0 * h[:, I] * h[:, J]
-
-    def hessian(d):
-        d = d.T / denom
-        H = np.empty((nr, n, n))
-        H[:, I, J] = d
-        H[:, J, I] = d
-        return H
-    return S, hessian
-
-
-def _weighted_cross(vals, w) -> np.ndarray:
-    """Weighted second differences, (pairs, rows), of outputs at the cross
-    stencil's points, (4, pairs, rows, out), with weights (rows, out).  A
-    non-finite output gives a non-finite difference, quietly: the caller
-    reports it."""
-    with np.errstate(invalid="ignore"):
-        return np.einsum("pko,ko->pk", vals[0] - vals[1] - vals[2] + vals[3], w)
+    S = np.tile(V.astype(complex), (2, len(I), 1, 1))
+    S[0, k, :, I] += h[:, I].T
+    S[1, k, :, I] -= h[:, I].T
+    S[:, k, :, J] += 1j * _CS_STEP
+    out = f(S.reshape(-1, n)).reshape(2, len(I), nr, -1).imag
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = np.einsum("pko,ko->kp", out[0] - out[1], w) / (2.0 * _CS_STEP * h[:, I])
+    H = np.empty((nr, n, n))
+    H[:, I, J] = H[:, J, I] = d
+    return H
 
 
 def _quadrature(wts_tau, t0, tf, vals) -> float:
@@ -404,8 +409,7 @@ class NLPProblem:
             self.phase_layout.append(lay)
             x_lo, x_hi = np.tile(ph.x_lo, (nn, 1)), np.tile(ph.x_hi, (nn, 1))
             for k, a, b in ((0, ph.x0_lo, ph.x0_hi), (-1, ph.xf_lo, ph.xf_hi)):
-                if a is not None:
-                    x_lo[k], x_hi[k] = np.maximum(x_lo[k], a), np.minimum(x_hi[k], b)
+                x_lo[k], x_hi[k] = np.maximum(x_lo[k], a), np.minimum(x_hi[k], b)
             names += [f"p{p}:{ph.name}:x:{name}:n{i}"
                       for i in range(nn) for name in ph.state_names]
             names += [f"p{p}:{ph.name}:u:{name}:n{i}"
@@ -592,33 +596,22 @@ class NLPProblem:
             ends = np.cumsum([np.size(a) for a in args])
             n, m = len(idx), len(g_lo)
 
-            def packed(S):
-                """func on the points S, (..., n) -> (..., m)."""
-                V = S.reshape(-1, n)
+            def packed(V):
+                """func on the points V, (points, n) -> (points, m)."""
                 out = np.asarray(func(*[
                     V[:, e - np.size(a):e] if np.ndim(a) else V[:, e - 1]
                     for a, e in zip(args, ends)]))
                 if out.shape != (len(V), m):
                     raise ValueError(f"{label} returns shape {out.shape} "
                                      f"for {len(V)} points of its {m} bounds")
-                return out.reshape(S.shape[:-1] + (m,))
-
-            def jacobian(z, pts):
-                S, h = _probe_stencil(z[idx][None])
-                out = packed(S)[:, 0]
-                return ((out[1:n + 1] - out[n + 1:]) / (2.0 * h.T)).T
-
-            def hessian(z, y, pts, hs):
-                w = y[row:row + m]
-                if not np.any(w):
-                    return np.zeros((n, n))
-                S, to_hessian = _cross_stencil(z[idx][None])
-                return to_hessian(_weighted_cross(packed(S), w[None]))[0]
+                return out
 
             row = group([f"{label}:{j}" for j in range(m)], g_lo, g_hi,
-                        lambda z, nodes: packed(z[idx]))
-            block(row + np.arange(m)[:, None], idx, jacobian)
-            hblock(idx[:, None], idx, hessian)
+                        lambda z, nodes: packed(z[idx][None])[0])
+            block(row + np.arange(m)[:, None], idx,
+                  lambda z, pts: _partials(packed, z[idx][None])[1][0].T)
+            hblock(idx[:, None], idx, lambda z, y, pts, hs: _hessians(
+                packed, z[idx][None], y[None, row:row + m])[0])
 
         for p in range(len(self.problem.phases)):
             phase_rows(p)
@@ -710,22 +703,34 @@ class NLPProblem:
             raise EvaluationError("objective", -1, "objective")
         return total
 
-    def _per_node(self, p, what, X, U) -> np.ndarray:
-        """Phase p's callback `what`, "node" or "cost", on a stack of nodes,
-        checked to hold one output row per node: (nodes, nx + npath + nint)
-        for the node, (nodes, 1) for the cost."""
+    def _node_points(self, z, p) -> np.ndarray:
+        """Phase p's collocation nodes at z, (nodes, nx+nu)."""
+        return np.hstack([self.states(z, p)[:-1], self.controls(z, p)])
+
+    def _callbacks(self, p, whats):
+        """Phase p's callbacks `whats`, "node" and "cost", side by side as
+        one function of a stack of node points, (points, nx+nu), each
+        checked to hold one output row per point: nx + npath + nint columns
+        for the node, 1 for the cost."""
         ph = self.problem.phases[p]
-        width = ph.nx + len(ph.path) + len(ph.integrands) if what == "node" else 1
-        out = np.asarray(getattr(ph, what)(X, U))
-        if out.size != len(X) * width:
-            raise ValueError(f"p{p}:{ph.name}:{what} returns {out.size} values "
-                             f"for {len(X)} nodes, not {width} per node")
-        return out.reshape(len(X), width)
+        widths = {"node": ph.nx + len(ph.path) + len(ph.integrands), "cost": 1}
+
+        def f(S):
+            X, U = S[:, :ph.nx].copy(), S[:, ph.nx:].copy()
+            outs = []
+            for what in whats:
+                out = np.asarray(getattr(ph, what)(X, U))
+                if out.size != len(S) * widths[what]:
+                    raise ValueError(f"p{p}:{ph.name}:{what} returns {out.size} values "
+                                     f"for {len(S)} nodes, not {widths[what]} per node")
+                outs.append(out.reshape(len(S), -1))
+            return np.hstack(outs)
+        return f
 
     def constraints(self, z: np.ndarray) -> np.ndarray:
         nodes = []   # one nominal node pass per phase
         for p, ph in enumerate(self.problem.phases):
-            N = self._per_node(p, "node", self.states(z, p)[:-1], self.controls(z, p))
+            N = self._callbacks(p, ["node"])(self._node_points(z, p))
             nodes.append(_PhasePoint(*self.times(z, p), F=N[:, :ph.nx],
                                      G=N[:, ph.nx:].T.copy()))
         c = np.empty(self.n_con)
@@ -743,55 +748,34 @@ class NLPProblem:
         """One phase's node values and node-local partials at z.
 
         The node callback and the cost each run once, on the collocation
-        nodes' probe stencil stacked into one batch.  The partials are
-        central differences taken for every node at once.
+        nodes' complex-step probes (`_partials`) stacked into one batch.
         """
         ph = self.problem.phases[p]
-        t0, tf = self.times(z, p)
-        V = np.hstack([self.states(z, p)[:-1], self.controls(z, p)])
-        nc, nin = V.shape
-        S, h = _probe_stencil(V)
-        S = S.reshape(-1, nin)
-        X, U = S[:, :ph.nx].copy(), S[:, ph.nx:].copy()
-        N = self._per_node(p, "node", X, U)
-        if ph.cost is not None:
-            N = np.hstack([N, self._per_node(p, "cost", X, U)])
-        N = N.reshape(2 * nin + 1, nc, -1)
-        F = N[:, :, :ph.nx]
+        N, dN = _partials(self._callbacks(
+            p, ["node"] + ["cost"] * (ph.cost is not None)), self._node_points(z, p))
         # one row per path column, integrand and cost, in C order: the
         # quadratures' dot products sum in an order that depends on it
-        G = np.ascontiguousarray(N[:, :, ph.nx:].transpose(2, 0, 1))
-        inv = (1.0 / (2.0 * h)).T
-        dF = ((F[1:nin + 1] - F[nin + 1:]) * inv[:, :, None]).transpose(1, 0, 2)
-        dG = ((G[:, 1:nin + 1] - G[:, nin + 1:]) * inv).transpose(0, 2, 1)
-        return _PhasePoint(t0=t0, tf=tf, F=F[0], G=G[:, 0], dF=dF, dG=dG)
+        return _PhasePoint(*self.times(z, p), F=N[:, :ph.nx],
+                           G=np.ascontiguousarray(N[:, ph.nx:].T),
+                           dF=dN[:, :, :ph.nx],
+                           dG=dN[:, :, ph.nx:].transpose(2, 0, 1))
 
     def _phase_hessian(self, z, y, p) -> np.ndarray:
         """Phase p's node blocks of the Hessian of f + y.c at z, (nc, n, n)
         with n = nx+nu: at each node, the Hessian of the node terms' weighted
-        sum.  The node callback runs if a node term on its columns has a
-        nonzero weight, the cost if its term does, each once, on one stacked
-        batch of the cross stencil's 2n(n+1) points per node.  The terms'
-        second differences are summed term by term, in declaration order,
-        and a term whose weights are all zero is left out."""
+        sum, by `_hessians`.  The node callback runs if a node term on its
+        columns has a nonzero weight, the cost if its term does, each once,
+        on one stacked batch."""
+        V = self._node_points(z, p)
         ph = self.problem.phases[p]
-        V = np.hstack([self.states(z, p)[:-1], self.controls(z, p)])
-        nc, nin = V.shape
-        terms = [(cols, w) for cols, rule in self._node_terms[p]
-                 for w in [rule(z, y)] if np.any(w)]
-        if not terms:
-            return np.zeros((nc, nin, nin))
-        S, hessian = _cross_stencil(V)
-        batch = S.reshape(-1, nin)
-        X, U = batch[:, :ph.nx].copy(), batch[:, ph.nx:].copy()
-        if any(cols is not None for cols, _ in terms):
-            N = self._per_node(p, "node", X, U).reshape(S.shape[:-1] + (-1,))
-        d = 0.0
-        for cols, w in terms:
-            out = (N[..., cols] if cols is not None else
-                   self._per_node(p, "cost", X, U).reshape(S.shape[:-1] + (1,)))
-            d = d + _weighted_cross(out, w.reshape(nc, -1))
-        return hessian(d)
+        # the weights on the node's columns, then on the cost
+        W = np.zeros((len(V), ph.nx + len(ph.path) + len(ph.integrands) + 1))
+        for cols, rule in self._node_terms[p]:
+            W[:, slice(-1, None) if cols is None else cols] = \
+                rule(z, y).reshape(len(V), -1)
+        on = {"node": W[:, :-1].any(), "cost": W[:, -1].any()}
+        keep = np.append(np.full(W.shape[1] - 1, on["node"]), on["cost"])
+        return _hessians(self._callbacks(p, [k for k in on if on[k]]), V, W[:, keep])
 
     def _derivatives(self, z):
         """(objective gradient, constraint Jacobian) at z from one node probe
@@ -828,17 +812,18 @@ class NLPProblem:
         return self._plan.rows, self._plan.cols
 
     def jacobian(self, z: np.ndarray) -> sp.csr_matrix:
-        """Constraint Jacobian; node-local partials by central differencing,
-        everything structural (differentiation stencil, time scaling,
+        """Constraint Jacobian; node-local and endpoint partials by complex
+        step, everything structural (differentiation stencil, time scaling,
         quadrature weights) assembled analytically from callback values."""
         return self._derivatives(z)[1].copy()
 
     def hessian(self, z: np.ndarray, y: np.ndarray) -> sp.csr_matrix:
         """Sparse Hessian of the Lagrangian f + y.c at z, both triangles, in
         the problem's units, on the pattern the row groups declare (the same
-        at every point): node blocks by second differences of each
-        phase's weighted node terms, the t0/tf borders from the first
-        partials of the derivative pass, and dense endpoint blocks.  A
+        at every point): node blocks and dense endpoint blocks by central
+        differences of complex-step partials of the weighted node terms and
+        endpoint functions, and the t0/tf borders from the first partials
+        of the derivative pass.  A
         non-finite entry raises EvaluationError naming its variable."""
         z = np.asarray(z, dtype=float)
         y = np.asarray(y, dtype=float)

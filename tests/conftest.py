@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from ascentry.transcription import _FD_STEP
+from ascentry.transcription import _CS_STEP
 
 
 def _reference_phase_point(nlp, z, p):
     """The node values and partials of phase p by the per-column loop: the
-    node callback and the cost at the nodes, then two calls each per
-    state/control column j, on the nodes with column j moved by +h and by
-    -h.  G holds the node output's path and integrand columns as rows, then
-    the cost."""
+    node callback and the cost at the nodes, as complex points, then one
+    call each per state/control column j, on the nodes with 1j * _CS_STEP
+    added to column j.  G holds the node output's path and integrand
+    columns as rows, then the cost."""
     ph = nlp.problem.phases[p]
-    X = nlp.states(z, p)[:-1]
-    U = nlp.controls(z, p)
+    X = nlp.states(z, p)[:-1].astype(complex)
+    U = nlp.controls(z, p).astype(complex)
     nc = X.shape[0]
     nin = ph.nx + ph.nu
     nrows = len(ph.path) + len(ph.integrands) + (ph.cost is not None)
@@ -27,27 +27,18 @@ def _reference_phase_point(nlp, z, p):
         return out[:, :ph.nx], gs
 
     for j in range(nin):
+        Xp, Up = X.copy(), U.copy()
         if j < ph.nx:
-            h = _FD_STEP * np.maximum(1.0, np.abs(X[:, j]))
-            Xp, Xm = X.copy(), X.copy()
-            Xp[:, j] += h
-            Xm[:, j] -= h
-            fp, gp = probe(Xp, U)
-            fm, gm = probe(Xm, U)
+            Xp[:, j] += 1j * _CS_STEP
         else:
-            ju = j - ph.nx
-            h = _FD_STEP * np.maximum(1.0, np.abs(U[:, ju]))
-            Up, Um = U.copy(), U.copy()
-            Up[:, ju] += h
-            Um[:, ju] -= h
-            fp, gp = probe(X, Up)
-            fm, gm = probe(X, Um)
-        inv = 1.0 / (2.0 * h)
-        dF[:, j, :] = (fp - fm) * inv[:, None]
+            Up[:, j - ph.nx] += 1j * _CS_STEP
+        fp, gp = probe(Xp, Up)
+        dF[:, j, :] = fp.imag / _CS_STEP
         for i in range(nrows):
-            dG[i, :, j] = (gp[i] - gm[i]) * inv
+            dG[i, :, j] = gp[i].imag / _CS_STEP
     f, gs = probe(X, U)
-    return {"F": f, "G": np.array(gs).reshape(nrows, nc), "dF": dF, "dG": dG}
+    return {"F": f.real, "G": np.array(gs).real.reshape(nrows, nc),
+            "dF": dF, "dG": dG}
 
 
 def _same_bits(a, b):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ascentry import dynamics
+from ascentry import dynamics, mission
 from ascentry.dynamics import (GEO_DIM, VERT_DIM, Geo, PhaseContext, Vert,
                                aero_env, angles_to_quat, geo_core,
                                geo_from_vert, geo_rates, quat_to_angles,
@@ -13,9 +13,10 @@ from ascentry.dynamics import (GEO_DIM, VERT_DIM, Geo, PhaseContext, Vert,
 from ascentry.models import (AtmosphereTable, EarthConstants, _TensorPchip,
                              load_boost_aero, load_default_atmosphere,
                              load_entry_aero)
+from ascentry.mission import GEO_CONTROL_NAMES
 from ascentry.pathcost import (CostWeights, HeatingParams, dynamic_pressure,
                                heating_rate, phugoid_penalty, running_cost_geo,
-                               running_cost_vert)
+                               running_cost_vert, sensed_load)
 
 EARTH = EarthConstants()
 
@@ -317,8 +318,9 @@ def test_fixed_mass_fallback(exo_ctx):
 
 
 def test_table_free_pieces_carry_a_complex_stack(boost_ctx):
-    # complex-step derivatives need every piece that takes no table lookup
-    # to keep an imaginary part: no cast to float anywhere on the way
+    # complex-step derivatives need every callback, and every piece and
+    # lookup under it, to keep an imaginary part: no cast to float anywhere
+    # on the way, and a real part that is the real evaluation
     rng = np.random.default_rng(14)
     geo, vert = _paired_states(rng, 6)
     tiny = 1e-30j
@@ -347,6 +349,47 @@ def test_table_free_pieces_carry_a_complex_stack(boost_ctx):
         "running_cost_vert": (running_cost_vert(yv, uv, w),
                               running_cost_vert(vert, uv.real, w)),
     }
+    # and every callback of the mission, with the lookups under them
+    cfg = mission.default_config()
+    ctx = mission.phase_contexts(cfg)
+    prob = mission.build_mission(cfg)
+    states, controls = [], []
+    for ph in prob.phases:
+        states.append((geo if ph.control_names == GEO_CONTROL_NAMES
+                       else vert)[:, :ph.nx])
+        controls.append(rng.uniform(-0.1, 0.1, (6, ph.nu)))
+    times = rng.uniform(0.0, 3000.0, (2, 6))
+
+    def stack(*arrays):
+        return [a + tiny * rng.standard_normal(np.shape(a)) for a in arrays]
+
+    def pair(func, *arrays):
+        return func(*stack(*arrays)), func(*arrays)
+
+    for p, ph in enumerate(prob.phases):
+        got[f"{ph.name}:node"] = pair(ph.node, states[p], controls[p])
+        got[f"{ph.name}:cost"] = pair(ph.cost, states[p], controls[p])
+    for ln in prob.linkages:
+        got[f"link:{ln.name}"] = pair(ln.func, states[ln.a], times[0],
+                                      states[ln.b], times[1])
+    for bc in prob.boundaries:
+        got[f"bc:{bc.name}"] = pair(bc.func, states[bc.phase],
+                                    states[bc.phase], *times)
+    alpha, mach = rng.uniform(-0.1, 0.45, 6), rng.uniform(0.2, 25.0, 6)
+    h = geo[:, Geo.H]
+    for name, func, args in (
+            ("atmosphere.lookup", ctx[0].atmosphere.lookup, (h,)),
+            ("aero.lookup", ctx[0].aero.lookup, (np.degrees(alpha), mach)),
+            ("entry aero.lookup", ctx[6].aero.lookup,
+             (np.degrees(alpha), mach)),
+            ("aero_env", lambda *a: aero_env(ctx[0], *a),
+             (h, geo[:, Geo.V], alpha)),
+            ("sensed_load", sensed_load, (lift.real, drag.real,
+                                          geo[:, Geo.M], EARTH.g0)),
+            ("geo_from_vert", geo_from_vert, (vert,))):
+        z, x = pair(func, *args)
+        got[name] = np.column_stack(z), np.column_stack(x)
+
     for name, (z, x) in got.items():
         assert np.iscomplexobj(z) and np.any(z.imag != 0.0), name
         assert np.allclose(z.real, x, rtol=1e-13, atol=0.0), name

@@ -10,10 +10,9 @@ import pytest
 from ascentry import cli
 from ascentry import mission as M
 from ascentry import nlpsolve
-from ascentry import transcription as T
 from ascentry.dynamics import Geo, geo_from_vert, vert_from_geo
 from ascentry.meshref import RefinementReport
-from ascentry.transcription import _FD_STEP, transcribe
+from ascentry.transcription import transcribe
 
 
 @pytest.fixture(scope="module")
@@ -342,27 +341,32 @@ def test_guess_derivatives_match_directional_differences(guess_setup):
         assert abs(g @ v - df) <= 1e-5 * (np.abs(g) @ np.abs(v) + abs(df) + 1e-8)
 
 
-def test_guess_jacobian_does_not_depend_on_the_difference_step(
-        cfg, guess_setup, monkeypatch):
-    # the node probes' central differences with 10 and 0.1 times the step
-    # move no Jacobian row by more than 1e-4 of its largest entry, as on a
-    # C1 model; a clamp at a table edge moved 38-41 entry-glide n_max rows by
-    # up to 0.56.  The two rows left above 1e-6 sit at entry-glide node 0,
-    # whose altitude is pinned on the 80 km atmosphere knot, where the
-    # PCHIP's curvature jumps
-    _, z0 = guess_setup
+def test_guess_jacobian_matches_extrapolated_differences(guess_setup):
+    # jacobian @ v against Richardson-extrapolated central differences of
+    # the constraints, (4 D(h/2) - D(h)) / 3, to 1e-9 of each row's scale,
+    # along seeded directions that leave the entry glide's node 0 fixed: its
+    # altitude is pinned on the 80 km atmosphere knot, where the PCHIP's
+    # curvature jumps and differences across it lose their second order.
+    # The complex-step partials take no step, so this checks them against
+    # an independent rule; at 3e-5 the extrapolation's rounding and its
+    # truncation both sit near 1e-10
+    nlp, z0 = guess_setup
+    J = nlp.jacobian(z0)
+    glide0 = np.array([n.startswith("p6:entry_glide:") and n.endswith(":n0")
+                       for n in nlp.var_names])
+    scale = np.maximum(1.0, np.abs(z0))
+    rng = np.random.default_rng(2104)
 
-    def jacobian():
-        # a fresh NLP: the last point's derivatives are kept with it
-        return transcribe(M.build_mission(cfg),
-                          M.default_meshes(cfg)).jacobian(z0)
+    def central(v, h):
+        return (nlp.constraints(z0 + h * v)
+                - nlp.constraints(z0 - h * v)) / (2 * h)
 
-    J = jacobian()
-    row_max = abs(J).max(axis=1).toarray().ravel()
-    for factor in (10.0, 0.1):
-        monkeypatch.setattr(T, "_FD_STEP", factor * _FD_STEP)
-        moved = abs(jacobian() - J).max(axis=1).toarray().ravel()
-        assert np.all(moved <= 1e-4 * row_max)
+    step = 3e-5
+    for _ in range(3):
+        v = ~glide0 * scale * rng.standard_normal(nlp.n_var)
+        dc = (4 * central(v, step / 2) - central(v, step)) / 3
+        row_scale = abs(J) @ np.abs(v) + np.abs(dc)
+        assert np.all(np.abs(J @ v - dc) <= 1e-9 * row_scale)
 
 
 def test_every_mission_state_bound_lies_in_its_phase_box(guess_setup):
@@ -413,42 +417,40 @@ def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup):
     # Hessian at the guess shifted to be semidefinite: the trust box cannot
     # meet the linearized rows, so the elastic step leaves violation at the
     # weight's price; the figures pin the iterate bit for bit, recorded
-    # since the aero tables continue on their end cubics and the endpoint
-    # pins tighten the phase boxes
+    # since the derivatives are complex steps
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=1))
     assert rep.status == "max_iterations" and rep.iterations == 1
-    assert rep.objective == 187.3280695904842
-    assert rep.violation == 54.50270115997618
+    assert rep.objective == 187.32806959381003
+    assert rep.violation == 54.50270116116529
     assert rep.message == ""
 
 
 def test_four_capped_sqp_iterations_from_the_guess(cfg, guess_setup):
     # from the second iteration on the multipliers are nonzero, so every
     # node and endpoint block of the Hessian runs; the iterate must not move
-    # a bit.  Recorded since the aero tables continue on their end cubics
-    # and the endpoint pins tighten the phase boxes
+    # a bit.  Recorded since the derivatives are complex steps
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=4))
     assert rep.status == "max_iterations" and rep.iterations == 4
-    assert rep.objective == 186.27338713763072
-    assert rep.violation == 44.791976423173836
+    assert rep.objective == 186.2733805536643
+    assert rep.violation == 44.7919338481815
     assert hashlib.sha256(rep.x.tobytes()).hexdigest() == (
-        "1a6ba76d398cfc7802ab98c25a51be4f6ae6d17dc53d72ce232ca177a26938f9")
+        "2e6a807302e5f14f8a4d19f26bf90ea691e4fb2925998d664f5e332632fe2891")
 
 
 def test_mission_hessian_at_the_guess_is_pinned_bit_for_bit(guess_setup):
-    # seeded multipliers on every row, recorded since the aero tables
-    # continue on their end cubics
+    # seeded multipliers on every row, recorded since the Hessian is central
+    # differences of complex-step partials
     nlp, z0 = guess_setup
     y = np.random.default_rng(2104).standard_normal(nlp.n_con)
     H = nlp.hessian(z0, y)
     digests = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
                for a in (H.data, H.indices, H.indptr)]
     assert digests == [
-        "cffb89e253c942d6a2ac33ee551a76aab6a6c314c75806452c8f9643a31b0740",
+        "03e713993c3e6c29693b64a21398c24226db300775ef322678adf3c88fea8247",
         "00cce37417097d00cd8fc3614c469221bc33171be82ccfaa46abc267e44e1838",
         "b75036e4d20c34ff7296ca1b74d58b451d8b58302570225257c299b0742468e8"]
 
@@ -583,9 +585,9 @@ def test_guess_is_pinned_bit_for_bit(guess_setup):
 
 
 def test_mission_nlp_at_the_guess_is_pinned_bit_for_bit(guess_setup):
-    # recorded since the aero tables continue on their end cubics and the
-    # endpoint pins tighten the phase boxes: the names, bounds, values and
-    # Jacobian at the guess must not move a bit
+    # recorded since the partials are complex steps and the sensed load a
+    # square root: the names, bounds, values and Jacobian at the guess must
+    # not move a bit
     nlp, z0 = guess_setup
     J = nlp.jacobian(z0)
     assert (nlp.n_var, nlp.n_con, J.nnz) == (1607, 1342, 23612)
@@ -595,7 +597,7 @@ def test_mission_nlp_at_the_guess_is_pinned_bit_for_bit(guess_setup):
               nlp.objective_gradient(z0), J.indptr, J.indices, J.data):
         h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest() == (
-        "a54b87e01f440365024c1f8df8327e73984bf9d9c4adec6e52d80c4827cade9b")
+        "c59d11d4be12390b6cca49f9b1076f6018134ac7175e8e2b8a63690cffa3cc4c")
 
 
 def test_guess_propagates_each_calibrated_kick_once(guess_setup,

@@ -272,17 +272,18 @@ def test_failed_initial_evaluation_reports_the_clipped_start():
 
 
 def test_nonfinite_derivatives_end_the_solve_as_a_failed_evaluation():
-    # xdot = u, but the rate is infinite past x = 0.5; the start point sits
-    # just below, so the constraints are finite and one probe is not
+    # xdot = u + exp(1000 x): at x = 0.709 the rate is finite and its
+    # slope, 1000 times larger, is not, so the constraints evaluate and the
+    # Jacobian does not
     ph = PhaseDef(
         name="scalar", nx=1, nu=1,
-        node=lambda X, U: np.where(X > 0.5, np.inf, U),
+        node=lambda X, U: U + np.exp(1000.0 * X),
         x_lo=np.array([-10.0]), x_hi=np.array([10.0]),
         u_lo=np.array([-10.0]), u_hi=np.array([10.0]),
         t0_lo=0.0, t0_hi=0.0, tf_lo=1.0, tf_hi=1.0,
         cost=lambda X, U: U[:, 0] ** 2)
     nlp = transcribe(MultiPhaseProblem(phases=[ph]), [uniform_mesh(1, 3)])
-    X = np.array([[0.0], [0.5 - 1e-9], [0.0], [0.0]])
+    X = np.array([[0.0], [0.709], [0.0], [0.0]])
     z0 = nlp.pack([X], [np.zeros((3, 1))], [(0.0, 1.0)])
     assert np.all(np.isfinite(nlp.constraints(z0)))
     rep = solve(nlp, z0)

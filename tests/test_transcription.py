@@ -115,6 +115,46 @@ def test_endpoint_pins_tighten_the_phase_box():
     assert np.all(lo[1:-1] == -50.0) and np.all(hi[1:-1] == 50.0)
 
 
+def test_a_one_sided_endpoint_pin_leaves_the_other_side_free():
+    # xf_hi without xf_lo caps the last node; x0_lo without x0_hi lifts
+    # the first; the missing sides keep the box
+    ph = _double_integrator(x0_lo=[-60.0, 3.0], xf_hi=[1.0, 2.0])
+    nlp = transcribe(MultiPhaseProblem([ph]), [uniform_mesh(2, 3)])
+    nn = nlp.phase_layout[0].nn
+    lo = nlp.z_lo[:2 * nn].reshape(nn, 2)
+    hi = nlp.z_hi[:2 * nn].reshape(nn, 2)
+    assert np.array_equal(lo[0], [-50.0, 3.0])
+    assert np.array_equal(hi[0], [50.0, 50.0])
+    assert np.array_equal(lo[-1], [-50.0, -50.0])
+    assert np.array_equal(hi[-1], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("field, override", [
+    ("x0_lo", {"x0_lo": [0.0]}),       # one value for two states
+    ("xf_hi", {"xf_hi": [1.0, 2.0, 3.0]}),
+    ("x_hi", {"x_hi": [50.0] * 3, "u_hi": [10.0] * 2}),
+    ("u_hi", {"u_hi": [10.0] * 2}),
+    ("u_lo", {"u_lo": 0.0}),
+])
+def test_phase_bound_arrays_must_hold_one_value_per_channel(field, override):
+    bounds = dict(x_lo=[-50.0, -50.0], x_hi=[50.0, 50.0], u_lo=[-10.0],
+                  u_hi=[10.0])
+    with pytest.raises(ValueError, match=f"phase cart: {field} has shape"):
+        PhaseDef("cart", 2, 1, _node(_cart_rates), t0_lo=0.0, t0_hi=0.0,
+                 tf_lo=2.0, tf_hi=2.0, **{**bounds, **override})
+
+
+@pytest.mark.parametrize("make", [
+    lambda lo, hi: Linkage("next", 0, 0, lambda xa, ta, xb, tb: xa, lo, hi),
+    lambda lo, hi: BoundaryConstraint("next", 0, lambda x0, xf, t0, tf: x0,
+                                      lo, hi),
+], ids=["linkage", "boundary"])
+def test_endpoint_bounds_must_have_one_length(make):
+    assert make(0.0, 0.0).lo.shape == (1,)
+    with pytest.raises(ValueError, match="next: lo has shape"):
+        make(np.zeros(2), np.zeros(3))
+
+
 def test_node_taus_cover_unit_interval():
     mesh = MeshPhase([0.3, 0.3, 0.4], [2, 5, 3])
     nlp = transcribe(MultiPhaseProblem([_double_integrator()]), [mesh])
@@ -418,7 +458,7 @@ def _nonlinear_phase_problem():
                                             - 0.1 * X[:, 1] ** 3]),
               lambda X, U: X[:, 0] ** 2 + np.exp(0.3 * X[:, 1]),
               lambda X, U: U[:, 0] * X[:, 1] - np.tanh(U[:, 1]),
-              lambda X, U: np.abs(U[:, 0]) ** 1.5 + X[:, 0] * U[:, 1]),
+              lambda X, U: (U[:, 0] ** 2) ** 0.75 + X[:, 0] * U[:, 1]),
         x_lo=[-5.0, -5.0], x_hi=[5.0, 5.0], u_lo=[-2.0, -2.0], u_hi=[2.0, 2.0],
         t0_lo=0.0, t0_hi=0.0, tf_lo=1.0, tf_hi=3.0,
         path=[PathConstraint("energy", 0.0, 10.0),
@@ -477,8 +517,8 @@ def test_each_callback_runs_once_per_phase_per_derivative_pass(name):
 
 
 def test_each_endpoint_callback_runs_once_per_derivative_pass():
-    # the Jacobian's probes and the Hessian's cross stencil each go to a
-    # boundary or linkage function as one stack of points
+    # the Jacobian's probes and the Hessian's stencil each go to a boundary
+    # or linkage function as one stack of points
     prob, meshes = _PROBE_PROBLEMS["two-phase-linked"]()
     calls = Counter()
     points = []
@@ -497,15 +537,16 @@ def test_each_endpoint_callback_runs_once_per_derivative_pass():
     nlp.jacobian(z)
     assert calls == Counter({"handoff": 1, "start_at_rest": 1})
     # a linkage over 2 + 1 + 2 + 1 columns, a boundary over 2 + 2 + 1 + 1:
-    # the point, then its 2 * 6 probes
-    assert sorted(points) == [2 * 6 + 1, 2 * 6 + 1]
+    # the point, then its 6 complex steps
+    assert sorted(points) == [6 + 1, 6 + 1]
     calls.clear()
     nlp.hessian(z, np.zeros(nlp.n_con))
     assert calls == Counter()
     points.clear()
     nlp.hessian(z, np.ones(nlp.n_con))
     assert calls == Counter({"handoff": 1, "start_at_rest": 1})
-    assert sorted(points) == [2 * 6 * 7, 2 * 6 * 7]
+    # 2 points for each of the 6 * 7 / 2 column pairs
+    assert sorted(points) == [6 * 7, 6 * 7]
 
 
 def _bilinear_point(build, seed):
@@ -637,8 +678,8 @@ def test_hessian_runs_only_the_callbacks_with_weight():
 def test_path_output_must_hold_one_value_per_node():
     # a path column that holds one value, not one per node: each of
     # constraints(), jacobian() and hessian() raises, naming the phase's
-    # node callback and the nodes of its stack: 6, or 6 with 2 * 3 probes
-    # each (the Hessian starts with the derivative pass)
+    # node callback and the nodes of its stack: 6, or 6 with 3 complex
+    # steps each (the Hessian starts with the derivative pass)
     ph = _double_integrator(path=[PathConstraint("total", -5.0, 5.0)])
     ph.node = lambda X, U: np.append(_cart_rates(X, U), np.sum(X[:, 0]))
     prob = MultiPhaseProblem([ph])
@@ -647,8 +688,8 @@ def test_path_output_must_hold_one_value_per_node():
     z = nlp.pack([np.ones((7, 2))], [np.zeros((6, 1))], [(0.0, 2.0)])
     y = np.ones(nlp.n_con)
     for evaluate, nodes in ((lambda n: n.constraints(z), 6),
-                            (lambda n: n.jacobian(z), 42),
-                            (lambda n: n.hessian(z, y), 42)):
+                            (lambda n: n.jacobian(z), 24),
+                            (lambda n: n.hessian(z, y), 24)):
         with pytest.raises(ValueError, match=(
                 f"p0:cart:node returns {2 * nodes + 1} values for {nodes} "
                 f"nodes, not 3 per node")):
@@ -718,18 +759,19 @@ def test_nonfinite_callback_is_reported():
     assert "def" in err.value.name
 
 
-def _blows_up_past(limit, value):
-    """inf where value > limit, else value."""
-    return np.where(value > limit, np.inf, value)
+def _steep(x):
+    """exp(1000 x): finite up to x = 0.7097, while its slope, 1000 times as
+    large, overflows from x = 0.7039 on.  A complex step never moves the
+    real point, so only a partial can reach past the limit."""
+    return np.exp(1000.0 * x)
 
 
 def test_nonfinite_jacobian_is_reported_by_row():
     ph = _double_integrator(tf_lo=1.0, tf_hi=4.0)
-    ph.node = lambda X, U: np.column_stack([_blows_up_past(0.5, X[:, 0]),
-                                            U[:, 0]])
+    ph.node = lambda X, U: np.column_stack([_steep(X[:, 0]), U[:, 0]])
     nlp = transcribe(MultiPhaseProblem([ph]), [uniform_mesh(1, 3)])
     X = np.zeros((4, 2))
-    X[1, 0] = 0.5 - 1e-9      # the +h probe of node 1 crosses the limit
+    X[1, 0] = 0.709           # node 1's rate is finite, its slope is not
     z = nlp.pack([X], [np.zeros((3, 1))], [(0.0, 2.0)])
     assert np.all(np.isfinite(nlp.constraints(z)))
     for derivative in (nlp.jacobian, nlp.objective_gradient):
@@ -739,10 +781,10 @@ def test_nonfinite_jacobian_is_reported_by_row():
 
 
 def test_nonfinite_gradient_is_reported_by_variable():
-    ph = _double_integrator(cost=lambda X, U: _blows_up_past(1.0, U[:, 0]) ** 2)
+    ph = _double_integrator(cost=lambda X, U: _steep(U[:, 0]))
     nlp = transcribe(MultiPhaseProblem([ph]), [uniform_mesh(1, 3)])
     U = np.zeros((3, 1))
-    U[2, 0] = 1.0 - 1e-9
+    U[2, 0] = 0.709
     z = nlp.pack([np.zeros((4, 2))], [U], [(0.0, 2.0)])
     assert np.isfinite(nlp.objective(z))
     with pytest.raises(EvaluationError) as err:
@@ -752,18 +794,18 @@ def test_nonfinite_gradient_is_reported_by_variable():
 
 
 def test_nonfinite_hessian_is_reported_by_variable():
-    # the second-difference probe steps further than the first-derivative
-    # probe, so only the Hessian reaches past the limit
-    ph = _double_integrator(cost=lambda X, U: _blows_up_past(1.0, U[:, 0]) ** 2)
+    # a thousandth of the steep cost: its slope is finite and its curvature,
+    # 1000 times larger, is not, so only the Hessian overflows
+    ph = _double_integrator(cost=lambda X, U: _steep(U[:, 0]) / 1000.0)
     nlp = transcribe(MultiPhaseProblem([ph]), [uniform_mesh(1, 3)])
     U = np.zeros((3, 1))
-    U[2, 0] = 1.0 - 5e-5
+    U[2, 0] = 0.709
     z = nlp.pack([np.zeros((4, 2))], [U], [(0.0, 2.0)])
     assert np.all(np.isfinite(nlp.objective_gradient(z)))
     with pytest.raises(EvaluationError) as err:
         nlp.hessian(z, np.zeros(nlp.n_con))
-    # the first row with a non-finite entry: node 2's state, against u0
-    assert err.value.name == "p0:cart:x:x0:n2"
+    # the only non-finite entry: node 2's control against itself
+    assert err.value.name == "p0:cart:u:u0:n2"
 
 
 def test_dump_layout_deterministic():
