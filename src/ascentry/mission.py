@@ -18,6 +18,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+# vert_rates is unused here: bench/tracing.py patches it in this namespace
 from .dynamics import (GEO_DIM, Geo, PhaseContext, Vert, aero_env,
                        geo_core, geo_from_vert, geo_rates, vert_core,
                        vert_from_geo, vert_rates)
@@ -31,8 +32,7 @@ from .pathcost import (CostWeights, HeatingParams, dynamic_pressure,
                        running_cost_vert, sensed_load)
 from .transcription import (Accumulator, BoundaryConstraint, IntegralTerm,
                             Linkage, MeshPhase, MultiPhaseProblem,
-                            PathConstraint, PhaseDef, Solution, transcribe,
-                            uniform_mesh)
+                            PathConstraint, PhaseDef, Solution, uniform_mesh)
 
 DEG = math.pi / 180.0
 SLACK_BOUND = 1.0e-5
@@ -1091,15 +1091,11 @@ def initial_guess(config: MissionConfig, nlp) -> np.ndarray:
             controls.append(np.zeros((len(coll_tau), nu)))
 
     z = nlp.pack(states, controls, times)
-    # balance each accumulator against its own quadrature; the balance row
-    # is affine in the accumulator variable, so two probes pin it down
+    # balance each accumulator against its own quadrature: the balance row
+    # is the accumulator minus the quadrature, so at 0 it reads -quadrature
     for name, idx in nlp.acc_idx.items():
-        row = nlp.con_names.index(f"acc:{name}:balance")
         z[idx] = 0.0
-        g0 = nlp.constraints(z)[row]
-        z[idx] = 1.0
-        slope = nlp.constraints(z)[row] - g0
-        z[idx] = -g0 / slope
+        z[idx] = -nlp.constraints(z)[nlp.con_names.index(f"acc:{name}:balance")]
     return nlp.clip_to_bounds(z)
 
 

@@ -11,14 +11,14 @@ a point into one call; the derivatives at a point are computed once and
 reused.  They take complex stacks, and they test, index and branch on real
 parts only: every first partial is a complex step, Im f(v + ih) / h with
 h = 1e-30, exact to rounding (Squire & Trapp, SIAM Rev. 40(1), 1998;
-Martins, Sturdza & Alonso, ACM TOMS 29(3), 2003).  A
-phase's `node(X, U)` returns its rates, path values and integrands as the
-columns of one output, so they share one pass over the nodes (see
-`PhaseDef`); its `cost` is a callback of its own, so the objective runs
-without the node.  Boundary and linkage functions take stacks of endpoint
-rows.  A mesh carries its own node geometry (rules, interval edges, node
-taus, quadrature weights), built once when the mesh is made, and everything
-that places nodes reads it.
+Martins, Sturdza & Alonso, ACM TOMS 29(3), 2003), and a cast of a stack to
+real raises numpy's ComplexWarning.  A phase's `node(X, U)` returns its
+rates, path values and integrands as the columns of one output, so they
+share one pass over the nodes (see `PhaseDef`); its `cost` is a callback of
+its own, so the objective runs without the node.  Boundary and linkage
+functions take stacks of endpoint rows.  A mesh carries its own node
+geometry (rules, interval edges, node taus, quadrature weights), built once
+when the mesh is made, and everything that places nodes reads it.
 
 Each axis of the NLP is walked once.  `_build_layout` names, bounds and
 places every variable.  `_build_rows` walks the constraint rows once, group
@@ -28,26 +28,24 @@ bounds, value rule, Jacobian blocks and Hessian terms side by side;
 `constraints()` is one nominal node pass per phase plus the groups' value
 rules.
 
-`hessian(z, y)` is the sparse Hessian of f + y.c, row group by row group:
-- defects: the rates weighted by their multipliers times
-  -(tf - t0) frac/2 in the node blocks, and a t0/tf border from the
-  rate partials (the defects are linear in tf - t0, so no tf-tf term)
-- path constraints: their columns weighted by their multipliers in the
-  node blocks
-- accumulator balances: the integrands weighted by the balance multiplier
-  times -(tf - t0) and the quadrature weights, and a border from the
-  integrand partials
-- the cost (not a row): weighted by (tf - t0) times the quadrature weights,
-  and a border from its partials
-- boundaries and linkages: a dense block over the group's columns
-- duration rows: linear, nothing
-Each block entry is a central difference of a complex-step partial
-(`_hessians`).  The node blocks, one (nx+nu) block per collocation node,
-come from one stacked probe per phase, in which the node callback and the
-cost each run only if one of their columns carries a nonzero weight.
+Every row that reads node outputs, and the objective, is a node term: a
+constant coefficient per node times node outputs, times tf - t0 if the
+phase's times scale it.  The defects weigh the rates by -frac/2, a path row
+its column by 1, an accumulator balance each integrand that feeds it by
+minus the quadrature weights, and the objective the cost by plus them.  One
+declaration gives a term's Jacobian (or gradient) node block and t0/tf
+columns, its node weight in the Lagrangian and its Hessian t0/tf border; a
+term is linear in tf - t0, so it has no tf-tf entry.  `hessian(z, y)` sums
+the weighted node terms' second partials in one (nx+nu) block per
+collocation node, from one stacked probe per phase in which the node
+callback and the cost each run only if one of their columns carries a
+nonzero weight; boundaries and linkages add a dense block over their
+columns, and duration rows nothing.  Each entry is a central difference of
+a complex-step partial (`_hessians`).
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -55,6 +53,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lgr import barycentric_eval, lgr_rule
+
+ComplexWarning = getattr(np, "exceptions", np).ComplexWarning  # moved in numpy 1.25
 
 _CS_STEP = 1e-30
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)   # the Hessian's outer step
@@ -314,26 +314,33 @@ class _SparsePlan:
 
 @dataclass
 class _PhasePoint:
-    """One phase's node values at a point, with the node-local partials in
-    the derivative pass.  G holds one row per path column, then one per
-    integrand, then in the derivative pass the cost, if any."""
-    t0: float
-    tf: float
-    F: np.ndarray        # rates (nc, nx)
-    G: np.ndarray        # (rows, nc)
-    dF: np.ndarray | None = None  # (nc, nx+nu, nx)
-    dG: np.ndarray | None = None  # (rows, nc, nx+nu)
+    """One phase's node outputs at a point, with their node-local partials
+    in the derivative pass.  V holds one row per output: the rates, each
+    path column, each integrand, then in the derivative pass the cost, if
+    any.  It is C-ordered, since the quadratures' dot products sum in an
+    order that depends on it."""
+    V: np.ndarray                 # (outputs, nc)
+    dN: np.ndarray | None = None  # (nc, nx+nu, outputs)
+
+
+def _complex_call(f, S):
+    """f on the complex stack S, with numpy's ComplexWarning an error: a
+    callback that casts its input to real would return zero partials."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ComplexWarning)
+        return f(S)
 
 
 def _partials(f, V):
     """Values, (rows, out), and complex-step partials, (rows, n, out), of
     the stacked callback f at each row of V, (rows, n).  f runs once, on
     each row and on the row plus 1j * _CS_STEP in each column: n + 1 points
-    per row.  An overflow is left infinite: the caller reports it."""
+    per row.  An overflow is left infinite: the caller reports it; a cast
+    of the stack to real raises ComplexWarning."""
     nr, n = V.shape
     S = np.tile(V.astype(complex), (n + 1, 1, 1))
     S[1 + np.arange(n), :, np.arange(n)] += 1j * _CS_STEP
-    out = f(S.reshape(-1, n)).reshape(n + 1, nr, -1)
+    out = _complex_call(f, S.reshape(-1, n)).reshape(n + 1, nr, -1)
     with np.errstate(over="ignore"):
         return out[0].real.copy(), (out[1:].imag / _CS_STEP).transpose(1, 0, 2)
 
@@ -356,7 +363,7 @@ def _hessians(f, V, w):
     S[0, k, :, I] += h[:, I].T
     S[1, k, :, I] -= h[:, I].T
     S[:, k, :, J] += 1j * _CS_STEP
-    out = f(S.reshape(-1, n)).reshape(2, len(I), nr, -1).imag
+    out = _complex_call(f, S.reshape(-1, n)).reshape(2, len(I), nr, -1).imag
     with np.errstate(invalid="ignore", over="ignore"):
         d = np.einsum("pko,ko->kp", out[0] - out[1], w) / (2.0 * _CS_STEP * h[:, I])
     H = np.empty((nr, n, n))
@@ -367,15 +374,6 @@ def _hessians(f, V, w):
 def _quadrature(wts_tau, t0, tf, vals) -> float:
     """(tf - t0) * sum(w * v): one integrand's quadrature over a phase."""
     return float((tf - t0) * wts_tau @ np.asarray(vals).reshape(-1))
-
-
-def _quadrature_rows(wts_tau, pt: _PhasePoint, vals, partials) -> np.ndarray:
-    """Partials of (tf - t0) * sum(w * v) over a phase's quadrature columns
-    (node x/u, then t0 and tf), one row per integrand v."""
-    wts = (pt.tf - pt.t0) * wts_tau
-    s = np.array([float(wts_tau @ v) for v in vals])
-    return np.hstack([(wts[:, None] * partials).reshape(len(vals), -1),
-                      np.column_stack([-s, s])])
 
 
 class NLPProblem:
@@ -435,9 +433,9 @@ class NLPProblem:
         is a pair of broadcast (rows, cols) index arrays with a value: a
         constant array, or a rule (z, pts) -> values in the block's shape
         over the phase points of the derivative pass.  A Hessian block is
-        the same with a rule (z, y, pts, node_hessians) -> values; a node
-        term is a phase's node output columns (None for its cost) with a
-        rule (z, y) -> their node weights in the Lagrangian.
+        the same with a rule (z, y, pts, node_hessians) -> values.  A group
+        that reads node outputs, and the objective, declares them as one
+        `node_term`, from which all four of its derivative parts follow.
 
         The groups, in row order: per phase its defects and each path
         constraint, then the accumulator balances, the boundaries, the
@@ -448,15 +446,15 @@ class NLPProblem:
         lo: list[np.ndarray] = []
         hi: list[np.ndarray] = []
         row_values: list = []
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        values: list = []
+        j_rows: list[np.ndarray] = []
+        j_cols: list[np.ndarray] = []
+        j_values: list = []
         h_rows: list[np.ndarray] = []
         h_cols: list[np.ndarray] = []
         h_values: list = []
+        grad: list = []      # the objective's blocks: (columns, rule)
         node_terms: list[list] = [[] for _ in self.problem.phases]
         node_cols_of: list[np.ndarray] = []
-        quad_cols: list[np.ndarray] = []
 
         def group(new_names, g_lo, g_hi, value):
             """Declare rows with their bounds and value rule; their first row."""
@@ -468,10 +466,15 @@ class NLPProblem:
             return first
 
         def block(r, c, v):
+            """Jacobian entries at the broadcast (r, c); with r None, the
+            objective gradient's at c."""
+            if r is None:
+                grad.append((np.ravel(c), v))
+                return
             r, c = np.broadcast_arrays(r, c)
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-            values.append(v)
+            j_rows.append(r.ravel())
+            j_cols.append(c.ravel())
+            j_values.append(v)
 
         def hblock(r, c, v, mirror=False):
             """A Hessian block; with mirror, also at (c, r), same values."""
@@ -482,9 +485,42 @@ class NLPProblem:
                             if mirror else v)
 
         def border(a):
-            """A t0 partial a, one row per node, as a block over [t0, tf]:
-            every node term scales with tf - t0, so the tf partial is -a."""
+            """A t0 partial a as a block over [t0, tf]: a term that scales
+            with tf - t0 has the tf partial -a."""
             return np.stack([a, -a], axis=-1)
+
+        def node_term(p, rows, cols, coef, scaled):
+            """Rows that read phase p's node outputs V[cols], a slice: the
+            constant coef, (nc, 1), times the outputs, times tf - t0 if
+            scaled.  rows is an (nc, len(cols)) index array, one row per node
+            and output; an int, one row that sums the nodes; or None, the
+            objective, which sums them too."""
+            lay = self.phase_layout[p]
+            ends = [lay.t0_idx, lay.tf_idx]
+            at = node_cols_of[p][:, :, None]
+            summed = np.ndim(rows) == 0
+
+            def s(z):
+                return z[ends[1]] - z[ends[0]] if scaled else 1.0
+
+            def mult(y):    # the outputs' multipliers; 1 in the objective
+                return 1.0 if rows is None else y[rows]
+
+            def d_nodes(z, pts):
+                return (coef * s(z))[:, :, None] * pts[p].dN[:, :, cols]
+
+            def d_t0(z, pts):
+                out = pts[p].V[cols].T
+                return border(-coef.T @ out if summed else -coef * out)
+
+            block(rows if summed else rows[:, None, :], at, d_nodes)
+            node_terms[p].append((cols, lambda z, y: coef * s(z) * mult(y)))
+            if scaled:
+                block(rows if summed else rows[:, :, None], ends, d_t0)
+                hblock(at, ends, lambda z, y, pts, hs: border(-coef * np.einsum(
+                    "kjs,ks->kj", pts[p].dN[:, :, cols],
+                    np.broadcast_to(mult(y), (lay.nc, cols.stop - cols.start)))),
+                    mirror=True)
 
         def phase_rows(p):
             ph, mesh, lay = self.problem.phases[p], self.meshes[p], self.phase_layout[p]
@@ -492,34 +528,26 @@ class NLPProblem:
             node = np.arange(nc)[:, None]
             node_cols = np.hstack([lay.x_off + node * nx + np.arange(nx),
                                    lay.u_off + node * ph.nu + np.arange(ph.nu)])
-            quad_cols.append(np.append(node_cols.ravel(), [lay.t0_idx, lay.tf_idx]))
             node_cols_of.append(node_cols)
-            frac = np.repeat(mesh.fractions, mesh.degrees)  # per collocation node
-            wts = mesh.wts_tau
+            frac = np.repeat(mesh.fractions, mesh.degrees)[:, None]  # per node
             t0, tf = lay.t0_idx, lay.tf_idx
             stencils = []   # per interval: matrix, state rows, node rows, fraction
 
             def defects(z, nodes):
                 X = z[lay.x_off:lay.x_off + lay.nn * nx].reshape(lay.nn, nx)
-                dt = nodes[p].tf - nodes[p].t0
-                return np.concatenate([
-                    (D @ X[xs] - dt * f / 2.0 * nodes[p].F[fs]).ravel()
-                    for D, xs, fs, f in stencils])
-
-            # rate coupling at each node, in x and u
-            def rate_values(z, pts):
-                scale = (pts[p].tf - pts[p].t0) * frac / 2.0
-                return (-scale)[:, None, None] * pts[p].dF
-
-            # time columns: d/dt0 = +frac/2 F, d/dtf = -frac/2 F
-            def time_values(z, pts):
-                return border((frac / 2.0)[:, None] * pts[p].F)
+                dt = z[tf] - z[t0]
+                F = nodes[p].V[:nx].T
+                return np.concatenate([(D @ X[xs] - dt * f / 2.0 * F[fs]).ravel()
+                                       for D, xs, fs, f in stencils])
 
             def_rows = group([f"p{p}:{ph.name}:def:k{k}:n{i}:{sn}"
                               for k in range(mesh.n_intervals)
                               for i in range(mesh.degrees[k])
                               for sn in ph.state_names],
                              0.0, 0.0, defects) + node * nx + np.arange(nx)
+            # the node blocks sum every node term of the phase
+            hblock(node_cols[:, :, None], node_cols[:, None, :],
+                   lambda z, y, pts, hs: hs[p])
             # differentiation stencil: channel-diagonal, constant
             for rule, s, f in zip(mesh.rules, mesh.starts, mesh.fractions):
                 n = rule.n
@@ -528,70 +556,45 @@ class NLPProblem:
                 block(def_rows[s:s + n, :, None],
                       lay.x_off + (s + np.arange(n + 1)) * nx + np.arange(nx)[:, None],
                       np.repeat(rule.diff_matrix[:, None, :], nx, axis=1))
-            block(def_rows[:, None, :], node_cols[:, :, None], rate_values)
-            block(def_rows[:, :, None], [lay.t0_idx, lay.tf_idx], time_values)
-            # the node blocks sum every node term of the phase; the defects
-            # weigh the rates by -(tf - t0) frac/2 times their multipliers
-            hblock(node_cols[:, :, None], node_cols[:, None, :],
-                   lambda z, y, pts, hs: hs[p])
-            node_terms[p].append((
-                slice(0, nx),
-                lambda z, y: (-(z[tf] - z[t0]) * frac / 2.0)[:, None] * y[def_rows]))
-            hblock(node_cols[:, :, None], [t0, tf],
-                   lambda z, y, pts, hs: border((frac / 2.0)[:, None] * np.einsum(
-                       "kjs,ks->kj", pts[p].dF, y[def_rows])), mirror=True)
+            # the rates, weighed by -(tf - t0) frac/2
+            node_term(p, def_rows, slice(0, nx), -frac / 2.0, True)
             # the cost, not a row: (tf - t0) times the quadrature weights
             if ph.cost is not None:
-                node_terms[p].append((None, lambda z, y: (z[tf] - z[t0]) * wts))
-                hblock(node_cols[:, :, None], [t0, tf],
-                       lambda z, y, pts, hs: border(-wts[:, None] * pts[p].dG[-1]),
-                       mirror=True)
+                k = nx + len(ph.path) + len(ph.integrands)
+                node_term(p, None, slice(k, k + 1), mesh.wts_tau[:, None], True)
             for i, pc in enumerate(ph.path):
+                k = nx + i
                 row = group([f"p{p}:{ph.name}:path:{pc.name}:n{j}" for j in range(nc)],
-                            pc.lo, pc.hi, lambda z, nodes, i=i: nodes[p].G[i])
-                block(row + node, node_cols, lambda z, pts, i=i: pts[p].dG[i])
-                node_terms[p].append((slice(nx + i, nx + i + 1),
-                                      lambda z, y, row=row: y[row:row + nc]))
+                            pc.lo, pc.hi, lambda z, nodes, k=k: nodes[p].V[k])
+                node_term(p, row + node, slice(k, k + 1), np.ones((nc, 1)), False)
 
         def balance_rows(acc):
             col = self.acc_idx[acc.name]
-            meshes = self.meshes
-            # each feed: a phase and its integrand's row of the G arrays
-            feeds = [(p, len(ph.path) + j) for p, ph in enumerate(self.problem.phases)
+            meshes, layout = self.meshes, self.phase_layout
+            # each feed: a phase and its integrand's row of V
+            feeds = [(p, ph.nx + len(ph.path) + j)
+                     for p, ph in enumerate(self.problem.phases)
                      for j, term in enumerate(ph.integrands)
                      if term.accumulator == acc.name]
 
             def balance(z, nodes):
                 total = 0.0
-                for p, r in feeds:
-                    total += _quadrature(meshes[p].wts_tau, nodes[p].t0,
-                                         nodes[p].tf, nodes[p].G[r])
+                for p, k in feeds:
+                    total += _quadrature(meshes[p].wts_tau, z[layout[p].t0_idx],
+                                         z[layout[p].tf_idx], nodes[p].V[k])
                 return z[col] - total
 
             row = group([f"acc:{acc.name}:balance"], 0.0, 0.0, balance)
             block(row, col, np.ones(1))
-            for p, r in feeds:
-                block(row, quad_cols[p],
-                      lambda z, pts, p=p, r=r: -_quadrature_rows(
-                          meshes[p].wts_tau, pts[p], pts[p].G[r:r + 1],
-                          pts[p].dG[r:r + 1]))
-                # the integrand weighed by -(tf - t0) times the quadrature
-                # weights and the balance multiplier
-                wts = meshes[p].wts_tau
-                t0, tf = quad_cols[p][-2:]
-                k = self.problem.phases[p].nx + r
-                node_terms[p].append((
-                    slice(k, k + 1),
-                    lambda z, y, wts=wts, t0=t0, tf=tf: -y[row] * (z[tf] - z[t0]) * wts))
-                hblock(node_cols_of[p][:, :, None], [t0, tf],
-                       lambda z, y, pts, hs, p=p, r=r, wts=wts: border(
-                           y[row] * wts[:, None] * pts[p].dG[r]), mirror=True)
+            # each integrand, weighed by -(tf - t0) times the quadrature weights
+            for p, k in feeds:
+                node_term(p, row, slice(k, k + 1), -meshes[p].wts_tau[:, None], True)
 
         def endpoint(label, func, args, g_lo, g_hi):
             """Rows func(*args) with dense differenced blocks; each arg is
             given by its columns, an index array for a vector argument or an
             int for a scalar.  Each evaluation is one call on a stack: the
-            point, its probe stencil or its cross stencil."""
+            point, its complex-step probes or its Hessian's."""
             idx = np.concatenate([np.atleast_1d(a) for a in args])
             ends = np.cumsum([np.size(a) for a in args])
             n, m = len(idx), len(g_lo)
@@ -642,9 +645,9 @@ class NLPProblem:
         self.c_hi = np.concatenate(hi)
         self.n_con = len(names)
         self._row_values = row_values
-        self._quad_cols = quad_cols
+        self._grad = grad
         self._node_terms = node_terms
-        self._plan = _SparsePlan.build(rows, cols, values,
+        self._plan = _SparsePlan.build(j_rows, j_cols, j_values,
                                        (self.n_con, self.n_var))
         self._hplan = _SparsePlan.build(h_rows, h_cols, h_values,
                                         (self.n_var, self.n_var))
@@ -728,11 +731,9 @@ class NLPProblem:
         return f
 
     def constraints(self, z: np.ndarray) -> np.ndarray:
-        nodes = []   # one nominal node pass per phase
-        for p, ph in enumerate(self.problem.phases):
-            N = self._callbacks(p, ["node"])(self._node_points(z, p))
-            nodes.append(_PhasePoint(*self.times(z, p), F=N[:, :ph.nx],
-                                     G=N[:, ph.nx:].T.copy()))
+        # one nominal node pass per phase
+        nodes = [_PhasePoint(np.ascontiguousarray(self._callbacks(p, ["node"])(
+            self._node_points(z, p)).T)) for p in range(len(self.problem.phases))]
         c = np.empty(self.n_con)
         for rows, value in self._row_values:
             c[rows] = value(z, nodes)
@@ -750,15 +751,10 @@ class NLPProblem:
         The node callback and the cost each run once, on the collocation
         nodes' complex-step probes (`_partials`) stacked into one batch.
         """
-        ph = self.problem.phases[p]
         N, dN = _partials(self._callbacks(
-            p, ["node"] + ["cost"] * (ph.cost is not None)), self._node_points(z, p))
-        # one row per path column, integrand and cost, in C order: the
-        # quadratures' dot products sum in an order that depends on it
-        return _PhasePoint(*self.times(z, p), F=N[:, :ph.nx],
-                           G=np.ascontiguousarray(N[:, ph.nx:].T),
-                           dF=dN[:, :, :ph.nx],
-                           dG=dN[:, :, ph.nx:].transpose(2, 0, 1))
+            p, ["node"] + ["cost"] * (self.problem.phases[p].cost is not None)),
+            self._node_points(z, p))
+        return _PhasePoint(np.ascontiguousarray(N.T), dN)
 
     def _phase_hessian(self, z, y, p) -> np.ndarray:
         """Phase p's node blocks of the Hessian of f + y.c at z, (nc, n, n)
@@ -768,13 +764,13 @@ class NLPProblem:
         on one stacked batch."""
         V = self._node_points(z, p)
         ph = self.problem.phases[p]
-        # the weights on the node's columns, then on the cost
-        W = np.zeros((len(V), ph.nx + len(ph.path) + len(ph.integrands) + 1))
+        # the weights on the node's columns, then on the cost, if any
+        width = ph.nx + len(ph.path) + len(ph.integrands)
+        W = np.zeros((len(V), width + (ph.cost is not None)))
         for cols, rule in self._node_terms[p]:
-            W[:, slice(-1, None) if cols is None else cols] = \
-                rule(z, y).reshape(len(V), -1)
-        on = {"node": W[:, :-1].any(), "cost": W[:, -1].any()}
-        keep = np.append(np.full(W.shape[1] - 1, on["node"]), on["cost"])
+            W[:, cols] = rule(z, y)
+        on = {"node": W[:, :width].any(), "cost": W[:, width:].any()}
+        keep = np.repeat([on["node"], on["cost"]], [width, W.shape[1] - width])
         return _hessians(self._callbacks(p, [k for k in on if on[k]]), V, W[:, keep])
 
     def _derivatives(self, z):
@@ -787,11 +783,8 @@ class NLPProblem:
             pts = [self._phase_point(z, p) for p in range(len(self.problem.phases))]
             J = self._plan.assemble(z, pts)
             g = np.zeros(self.n_var)
-            for ph, pt, mesh, cols in zip(self.problem.phases, pts, self.meshes,
-                                          self._quad_cols):
-                if ph.cost is not None:
-                    g[cols] += _quadrature_rows(
-                        mesh.wts_tau, pt, pt.G[-1:], pt.dG[-1:])[0]
+            for cols, rule in self._grad:
+                g[cols] += np.ravel(rule(z, pts))
             bad = np.flatnonzero(~np.isfinite(J.data))
             if len(bad):
                 i = int(np.searchsorted(J.indptr, bad[0], side="right")) - 1
@@ -822,9 +815,9 @@ class NLPProblem:
         the problem's units, on the pattern the row groups declare (the same
         at every point): node blocks and dense endpoint blocks by central
         differences of complex-step partials of the weighted node terms and
-        endpoint functions, and the t0/tf borders from the first partials
-        of the derivative pass.  A
-        non-finite entry raises EvaluationError naming its variable."""
+        endpoint functions, and the node terms' t0/tf borders from the first
+        partials of the derivative pass.  A non-finite entry raises
+        EvaluationError naming its variable."""
         z = np.asarray(z, dtype=float)
         y = np.asarray(y, dtype=float)
         self._derivatives(z)

@@ -1,5 +1,6 @@
 import gc
 import json
+import warnings
 import weakref
 from collections import Counter
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ascentry.canonical import CANONICAL_PROBLEMS, straight_line_guess
 from ascentry.lgr import lgr_rule
+from ascentry.nlpsolve import SolverOptions, solve
 from ascentry.transcription import (Accumulator, BoundaryConstraint,
                                     EvaluationError, IntegralTerm, Linkage,
                                     MeshPhase, MultiPhaseProblem, NLPProblem,
@@ -806,6 +808,30 @@ def test_nonfinite_hessian_is_reported_by_variable():
         nlp.hessian(z, np.zeros(nlp.n_con))
     # the only non-finite entry: node 2's control against itself
     assert err.value.name == "p0:cart:u:u0:n2"
+
+
+@pytest.mark.parametrize("cast", [False, True])
+def test_a_callback_that_casts_its_stack_to_real_raises(cast):
+    # numpy only warns when a complex stack is cast to float, and the cast
+    # drops every complex step: the defect's x partial at node 0 would read
+    # D[0, 0] = -1.25 alone, where D[0, 0] - (tf - t0) x = -2.75 is right
+    def node(X, U):
+        return (np.asarray(X, float) if cast else X) ** 2 + U
+
+    ph = PhaseDef("cast", 1, 1, node, x_lo=[-5.0], x_hi=[5.0], u_lo=[-5.0],
+                  u_hi=[5.0], t0_lo=0.0, t0_hi=0.0, tf_lo=1.0, tf_hi=1.0)
+    nlp = transcribe(MultiPhaseProblem([ph]), [uniform_mesh(1, 2)])
+    z = nlp.pack([np.full((3, 1), 1.5)], [np.zeros((2, 1))], [(0.0, 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if cast:
+            with pytest.raises(Warning, match="imaginary part"):
+                nlp.jacobian(z)
+            rep = solve(nlp, z, SolverOptions(max_iterations=1))
+            assert rep.status == "numerical_failure"
+        else:
+            J = nlp.jacobian(z).toarray()
+            assert J[0, 0] == pytest.approx(-2.75, abs=1e-12)
 
 
 def test_dump_layout_deterministic():
