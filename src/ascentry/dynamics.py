@@ -184,10 +184,10 @@ def _frame_rates(y, ctx: PhaseContext, lift):
 
 
 def vert_rates(y, u, ctx: PhaseContext):
-    """Euler-parameter state rates; u = (u_alpha, w1, u1, u2).
+    """Euler-parameter state rates; u = (u_alpha, w1).
 
-    u1, u2 are the defect slacks on the e2/e3 kinematics; the quaternion
-    norm is invariant only where they vanish.
+    w1 is the velocity frame's roll rate, which stands in for the bank rate;
+    the kinematics keep the quaternion norm for any control.
     """
     lift, drag = aero_env(ctx, y[:, Vert.H], y[:, Vert.V], y[:, Vert.ALPHA])[3:]
     return vert_core(y, u, ctx, lift, drag)
@@ -217,8 +217,8 @@ def vert_core(y, u, ctx: PhaseContext, lift, drag):
                       + r * e.omega ** 2 * ct
                       * (ct * sg - 2.0 * st * (e1 * e3 - e2 * eta)))
     out[:, Vert.E1] = 0.5 * (eta * w1 - e3 * w2 + e2 * w3)
-    out[:, Vert.E2] = 0.5 * (e3 * w1 + eta * w2 - e1 * w3) + u[:, 2]
-    out[:, Vert.E3] = 0.5 * (-e2 * w1 + e1 * w2 + eta * w3) + u[:, 3]
+    out[:, Vert.E2] = 0.5 * (e3 * w1 + eta * w2 - e1 * w3)
+    out[:, Vert.E3] = 0.5 * (-e2 * w1 + e1 * w2 + eta * w3)
     out[:, Vert.ETA] = -0.5 * (e1 * w1 + e2 * w2 + e3 * w3)
     out[:, Vert.ALPHA] = u[:, 0]
     if y.shape[1] > VERT_DIM:

@@ -35,12 +35,11 @@ from .transcription import (Accumulator, BoundaryConstraint, IntegralTerm,
                             PathConstraint, PhaseDef, Solution, uniform_mesh)
 
 DEG = math.pi / 180.0
-SLACK_BOUND = 1.0e-5
 
 GEO_STATE_NAMES = ("h", "phi", "theta", "v", "gamma", "psi", "alpha", "sigma")
 VERT_STATE_NAMES = ("h", "phi", "theta", "v", "e1", "e2", "e3", "eta", "alpha")
 GEO_CONTROL_NAMES = ("u_alpha", "u_sigma")
-VERT_CONTROL_NAMES = ("u_alpha", "w1", "u1", "u2")
+VERT_CONTROL_NAMES = ("u_alpha", "w1")
 
 
 class ConfigError(ValueError):
@@ -605,10 +604,7 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
     w_glide = replace(w_boost, alpha_bar=cw.alpha_bar_entry)
     w_dive = replace(w_glide, k=cw.k)
 
-    u_geo = np.array([cw.u_alpha_max, cw.u_sigma_max])
-    u_vert_lo = np.array([-cw.u_alpha_max, -cw.u_sigma_max,
-                          -SLACK_BOUND, -SLACK_BOUND])
-    u_vert_hi = -u_vert_lo
+    u_max = np.array([cw.u_alpha_max, cw.u_sigma_max])
 
     def node(c, core, acol, outputs=()):
         """A phase's node callback: the rates, then one column per name in
@@ -651,8 +647,8 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
                               (7, 1.0, 1.0), (8, 0.0, 0.0),
                               (9, bc.m0, bc.m0)])
     phases.append(PhaseDef(
-        "boost1", 10, 4, node(ctx[0], vert_core, Vert.ALPHA, ("q",)),
-        x_lo, x_hi, u_vert_lo, u_vert_hi, bc.t0, bc.t0, t1, t1,
+        "boost1", 10, 2, node(ctx[0], vert_core, Vert.ALPHA, ("q",)),
+        x_lo, x_hi, -u_max, u_max, bc.t0, bc.t0, t1, t1,
         x0_lo=x0_lo, x0_hi=x0_hi,
         path=[PathConstraint("q_max", -np.inf, lm.q_max)],
         cost=vert_cost(w_boost),
@@ -673,7 +669,7 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
         x0_lo, x0_hi = _pins(9, [(8, mpin, mpin)])
         phases.append(PhaseDef(
             name, 9, 2, node(ctx[p], geo_core, Geo.ALPHA),
-            x_lo, x_hi, -u_geo, u_geo, span[0], span[0], span[1], span[1],
+            x_lo, x_hi, -u_max, u_max, span[0], span[0], span[1], span[1],
             x0_lo=x0_lo, x0_hi=x0_hi, cost=geo_cost(w_boost),
             state_names=GEO_STATE_NAMES + ("m",),
             control_names=GEO_CONTROL_NAMES))
@@ -685,7 +681,7 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
                      math.pi, 4800.0])
     phases.append(PhaseDef(
         "exo_burn", 9, 2, node(ctx[3], geo_core, Geo.ALPHA),
-        x_lo, x_hi, -u_geo, u_geo, t3, t3, t4, t4, cost=geo_cost(w_boost),
+        x_lo, x_hi, -u_max, u_max, t3, t3, t4, t4, cost=geo_cost(w_boost),
         state_names=GEO_STATE_NAMES + ("m",), control_names=GEO_CONTROL_NAMES))
 
     # phase 5: coast up to the peak, payload still attached
@@ -697,7 +693,7 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
                              (4, 0.0, 0.0), (6, 0.0, 0.0), (7, 0.0, 0.0)])
     phases.append(PhaseDef(
         "coast_up", 8, 2, node(ctx[4], geo_core, Geo.ALPHA),
-        coast_lo, coast_hi, -u_geo, u_geo, t4, t4, t4 + 10.0, 2600.0,
+        coast_lo, coast_hi, -u_max, u_max, t4, t4, t4 + 10.0, 2600.0,
         xf_lo=xf_lo, xf_hi=xf_hi, cost=geo_cost(w_coast), min_duration=5.0,
         state_names=GEO_STATE_NAMES, control_names=GEO_CONTROL_NAMES))
 
@@ -707,7 +703,7 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
     xf_lo, xf_hi = _pins(8, [(0, lm.h_atm, lm.h_atm)])
     phases.append(PhaseDef(
         "coast_down", 8, 2, node(ctx[5], geo_core, Geo.ALPHA),
-        coast_lo, coast_hi, -u_geo, u_geo, t4 + 10.0, 2600.0, t4 + 20.0, 4200.0,
+        coast_lo, coast_hi, -u_max, u_max, t4 + 10.0, 2600.0, t4 + 20.0, 4200.0,
         x0_lo=x0_lo, x0_hi=x0_hi, xf_lo=xf_lo, xf_hi=xf_hi,
         cost=geo_cost(w_coast), min_duration=5.0,
         state_names=GEO_STATE_NAMES, control_names=GEO_CONTROL_NAMES))
@@ -719,7 +715,7 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
     x0_lo, x0_hi = _pins(8, [(0, lm.h_atm, lm.h_atm)])
     phases.append(PhaseDef(
         "entry_glide", 8, 2, node(ctx[6], geo_core, Geo.ALPHA, entry_outputs),
-        x_lo, x_hi, -u_geo, u_geo, t4 + 20.0, 4200.0, t4 + 30.0, 6500.0,
+        x_lo, x_hi, -u_max, u_max, t4 + 20.0, 4200.0, t4 + 30.0, 6500.0,
         x0_lo=x0_lo, x0_hi=x0_hi,
         path=[PathConstraint("n_max", -np.inf, lm.n_max),
               PathConstraint("q_split", -np.inf, lm.q_split)] + heat_row,
@@ -736,8 +732,8 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
                              (2, bc.latf, bc.latf), (3, bc.vf, bc.vf),
                              (4, 0.0, 0.0), (7, 0.0, 0.0), (8, 0.0, 0.0)])
     phases.append(PhaseDef(
-        "entry_dive", 9, 4, node(ctx[7], vert_core, Vert.ALPHA, entry_outputs),
-        x_lo, x_hi, u_vert_lo, u_vert_hi, t4 + 30.0, 6500.0, t4 + 60.0, 9000.0,
+        "entry_dive", 9, 2, node(ctx[7], vert_core, Vert.ALPHA, entry_outputs),
+        x_lo, x_hi, -u_max, u_max, t4 + 30.0, 6500.0, t4 + 60.0, 9000.0,
         xf_lo=xf_lo, xf_hi=xf_hi,
         path=[PathConstraint("n_max", -np.inf, lm.n_max),
               PathConstraint("q_floor", lm.q_split, np.inf)] + heat_row,

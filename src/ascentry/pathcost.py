@@ -81,7 +81,7 @@ def running_cost_geo(y, u, w: CostWeights):
 
 
 def running_cost_vert(y, u, w: CostWeights):
-    # w1 takes the place of the bank rate in the vertical-flight phases
+    # u = (u_alpha, w1): the frame's roll rate w1 is charged as a bank rate
     out = (u[:, 0] / w.u_alpha_max) ** 2 + (u[:, 1] / w.u_sigma_max) ** 2
     if w.include_alpha:
         out = out + ((y[:, Vert.ALPHA] - w.alpha_bar) / w.alpha_max) ** 2

@@ -68,8 +68,8 @@ def test_transcribe_only_writes_the_mission_layout(tmp_path):
     code = cli.main(["--command", "transcribe-only", "--out", str(out)])
     assert code == cli.EXIT_OK
     layout = json.loads((out / "layout.json").read_text())
-    assert (layout["n_var"], layout["n_con"]) == (1607, 1342)
-    assert len(layout["variables"]) == 1607
+    assert (layout["n_var"], layout["n_con"]) == (1511, 1342)
+    assert len(layout["variables"]) == 1511
     assert len(layout["constraints"]) == 1342
 
 

@@ -166,11 +166,11 @@ def test_batched_rates_match_row_by_row(boost_ctx):
         rng.uniform(-1.0, 1.4, 8), rng.uniform(-3.0, 3.0, 8),
         rng.uniform(-0.1, 0.35, 8), rng.uniform(-1.2, 1.2, 8),
         rng.uniform(15000.0, 80000.0, 8)])
-    U = rng.uniform(-0.1, 0.1, (8, 4))
+    U = rng.uniform(-0.1, 0.1, (8, 2))
     V = vert_from_geo(Y)
     # each row of a stack is that row evaluated as a one-row stack, bit for
     # bit: the contract the stacked derivative probes rely on
-    stacks = [(lambda y, u: geo_rates(y, u[:, :2], boost_ctx), Y),
+    stacks = [(lambda y, u: geo_rates(y, u, boost_ctx), Y),
               (lambda y, u: vert_rates(y, u, boost_ctx), V),
               (lambda y, u: vert_from_geo(y), Y),
               (lambda y, u: geo_from_vert(y), V)]
@@ -210,25 +210,16 @@ def test_quat_degenerate_vertical_flight():
 
 
 @settings(max_examples=60, deadline=None)
-@given(angles, st.floats(min_value=-0.3, max_value=0.3),
-       st.floats(min_value=-0.3, max_value=0.3))
-def test_quaternion_norm_invariant_with_zero_slacks(abc, w1, ualpha):
+@given(angles, st.floats(min_value=-2.0, max_value=2.0),
+       st.floats(min_value=-2.0, max_value=2.0))
+def test_quaternion_norm_invariant_for_any_control(abc, w1, ualpha):
     gamma, psi, sigma = abc
     ctx = PhaseContext(earth=EARTH, fixed_mass=907.186)
     e1, e2, e3, eta = angles_to_quat(gamma, psi, sigma)
     y = np.array([60.0, -2.0, 0.4, 3.0, e1, e2, e3, eta, 0.1])
-    dy = vert_rates(y[None], np.array([ualpha, w1, 0.0, 0.0]), ctx)[0]
+    dy = vert_rates(y[None], np.array([ualpha, w1]), ctx)[0]
     norm_rate = 2.0 * float(y[4:8] @ dy[4:8])
     assert abs(norm_rate) < 1e-12
-
-
-def test_defect_slacks_break_norm_invariance():
-    ctx = PhaseContext(earth=EARTH, fixed_mass=907.186)
-    e1, e2, e3, eta = angles_to_quat(0.2, 1.0, 0.1)
-    y = np.array([60.0, -2.0, 0.4, 3.0, e1, e2, e3, eta, 0.1])
-    dy = vert_rates(y[None], np.array([0.0, 0.0, 1e-3, -1e-3]), ctx)[0]
-    norm_rate = 2.0 * float(y[4:8] @ dy[4:8])
-    assert abs(norm_rate) > 1e-7
 
 
 def _paired_states(rng, n, with_mass=True):
@@ -272,8 +263,7 @@ def test_position_velocity_rates_agree_between_formulations(boost_ctx):
     ualpha = rng.uniform(-0.15, 0.15, 25)
     us = _bank_rate(vert, w1, boost_ctx)
     gdot = geo_rates(geo, np.column_stack([ualpha, us]), boost_ctx)
-    vdot = vert_rates(vert, np.column_stack(
-        [ualpha, w1, np.zeros(25), np.zeros(25)]), boost_ctx)
+    vdot = vert_rates(vert, np.column_stack([ualpha, w1]), boost_ctx)
     assert np.allclose(gdot[:, :4], vdot[:, :4], rtol=1e-9, atol=1e-12)
     assert np.allclose(gdot[:, Geo.M], vdot[:, Vert.M], rtol=1e-14)
 
@@ -286,8 +276,7 @@ def test_angle_rates_match_quaternion_flow(boost_ctx):
     w1 = rng.uniform(-0.3, 0.3, 12)
     us = _bank_rate(vert, w1, boost_ctx)
     gdot = geo_rates(geo, np.column_stack([np.zeros(12), us]), boost_ctx)
-    vdot = vert_rates(vert, np.column_stack(
-        [np.zeros(12), w1, np.zeros(12), np.zeros(12)]), boost_ctx)
+    vdot = vert_rates(vert, np.column_stack([np.zeros(12), w1]), boost_ctx)
     d = 1e-7
     ap = quat_to_angles(*(vert[:, 4:8] + d * vdot[:, 4:8]).T)
     am = quat_to_angles(*(vert[:, 4:8] - d * vdot[:, 4:8]).T)
@@ -304,7 +293,7 @@ def test_vertical_flight_rates_stay_finite():
                        atmosphere=load_default_atmosphere())
     y = np.array([[0.167, math.radians(-120.63), math.radians(34.58), 0.04,
                    0.0, 1e-4, 1e-4, 1.0, 0.0, 85743.0]])
-    dy = vert_rates(y, np.zeros(4), ctx)
+    dy = vert_rates(y, np.zeros(2), ctx)
     assert np.all(np.isfinite(dy))
 
 
@@ -327,7 +316,7 @@ def test_table_free_pieces_carry_a_complex_stack(boost_ctx):
     yg = geo + tiny * rng.standard_normal(geo.shape)
     yv = vert + tiny * rng.standard_normal(vert.shape)
     ug = rng.uniform(-0.1, 0.1, (6, 2)) + tiny
-    uv = rng.uniform(-0.1, 0.1, (6, 4)) + tiny
+    uv = rng.uniform(-0.1, 0.1, (6, 2)) + tiny
     lift, drag = rng.uniform(1.0, 50.0, (2, 6)) + tiny
     rho, v = rng.uniform(1e-5, 1.0, 6) + tiny, geo[:, Geo.V] + tiny
     w = CostWeights(alpha_bar=0.2, alpha_max=0.42, u_alpha_max=0.17,

@@ -10,7 +10,7 @@ import pytest
 from ascentry import cli
 from ascentry import mission as M
 from ascentry import nlpsolve
-from ascentry.dynamics import Geo, geo_from_vert, vert_from_geo
+from ascentry.dynamics import Geo, Vert, geo_from_vert, vert_from_geo
 from ascentry.meshref import RefinementReport
 from ascentry.transcription import transcribe
 
@@ -203,8 +203,13 @@ def test_build_mission_structure(cfg):
     assert names == ["boost1", "boost2", "boost3", "exo_burn", "coast_up",
                      "coast_down", "entry_glide", "entry_dive"]
     dims = [(p.nx, p.nu) for p in prob.phases]
-    assert dims == [(10, 4), (9, 2), (9, 2), (9, 2), (8, 2), (8, 2),
-                    (8, 2), (9, 4)]
+    assert dims == [(10, 2), (9, 2), (9, 2), (9, 2), (8, 2), (8, 2),
+                    (8, 2), (9, 2)]
+    # every phase has the same control box, the two Euler-parameter phases'
+    # roll rate w1 under the bank rate's limit
+    u_max = [cfg.cost.u_alpha_max, cfg.cost.u_sigma_max]
+    for p in prob.phases:
+        assert list(p.u_lo) == [-x for x in u_max] and list(p.u_hi) == u_max
     hops = [(lk.name, lk.a, lk.b) for lk in prob.linkages]
     assert hops == [("stage1_sep", 0, 1), ("stage2_sep", 1, 2),
                     ("fairing_drop", 2, 3), ("burnout", 3, 4),
@@ -214,6 +219,22 @@ def test_build_mission_structure(cfg):
     acc = prob.accumulators[0]
     assert acc.name == "heat_load" and acc.lo == 0.0
     assert acc.hi == cfg.limits.q_heat_max
+
+
+def test_vertical_phase_nodes_keep_the_euler_parameter_norm(cfg):
+    # the Euler-parameter kinematics are e' = Omega(w) e / 2 with Omega
+    # skew, so e . e' vanishes for any state and control in the box: the
+    # transcribed rates add nothing that lets the norm drift
+    prob = M.build_mission(cfg)
+    rng = np.random.default_rng(2104)
+    for p in (0, 7):
+        ph = prob.phases[p]
+        X = rng.uniform(ph.x_lo, ph.x_hi, (200, ph.nx))
+        U = rng.uniform(ph.u_lo, ph.u_hi, (200, ph.nu))
+        e = X[:, Vert.E1:Vert.ETA + 1]
+        de = ph.node(X, U)[:, Vert.E1:Vert.ETA + 1]
+        scale = np.linalg.norm(e, axis=1) * np.linalg.norm(de, axis=1)
+        assert np.all(np.abs(np.sum(e * de, axis=1)) <= 1e-12 * scale), ph.name
 
 
 def test_heating_limit_toggles_path_rows(cfg):
@@ -295,7 +316,7 @@ def test_guess_jacobian_structure_is_the_declared_sparsity(guess_setup):
     nlp, z0 = guess_setup
     J = nlp.jacobian(z0).tocoo()
     rows, cols = nlp.sparsity()
-    assert J.nnz == 23612
+    assert J.nnz == 22492
     assert np.array_equal(J.row, rows) and np.array_equal(J.col, cols)
 
 
@@ -417,44 +438,45 @@ def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup):
     # Hessian at the guess shifted to be semidefinite: the trust box cannot
     # meet the linearized rows, so the elastic step leaves violation at the
     # weight's price; the figures pin the iterate bit for bit, recorded
-    # since the derivatives are complex steps
+    # since the Euler-parameter phases lost their defect slacks (from
+    # objective 187.328, violation 54.503 on the 1607-variable NLP)
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=1))
     assert rep.status == "max_iterations" and rep.iterations == 1
-    assert rep.objective == 187.32806959381003
-    assert rep.violation == 54.50270116116529
+    assert rep.objective == 195.44048767846903
+    assert rep.violation == 53.86867475768578
     assert rep.message == ""
 
 
 def test_four_capped_sqp_iterations_from_the_guess(cfg, guess_setup):
     # from the second iteration on the multipliers are nonzero, so every
     # node and endpoint block of the Hessian runs; the iterate must not move
-    # a bit.  Recorded since the accumulator feeds' Hessian terms are node
-    # terms: x moved by at most 1.7e-18, objective and violation held
+    # a bit.  Recorded since the Euler-parameter phases lost their defect
+    # slacks (from objective 186.273, violation 44.792)
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=4))
     assert rep.status == "max_iterations" and rep.iterations == 4
-    assert rep.objective == 186.2733805536643
-    assert rep.violation == 44.7919338481815
+    assert rep.objective == 192.1549210081941
+    assert rep.violation == 40.745425630325585
     assert hashlib.sha256(rep.x.tobytes()).hexdigest() == (
-        "f83a8c43ac1a1024b513158e9de68b229e51ee0424908241e3e07fe601ec1f12")
+        "a2cd5bb0644c6e3b86d5d82c959d997d5a432454be7f7fe3ad2af210e4963915")
 
 
 def test_mission_hessian_at_the_guess_is_pinned_bit_for_bit(guess_setup):
-    # seeded multipliers on every row, recorded since the accumulator feeds'
-    # Hessian terms are node terms: 187 of the 26121 entries moved, by at
-    # most 1.3e-15 relative, and the pattern held
+    # seeded multipliers on every row, recorded since the Euler-parameter
+    # phases lost their defect slacks: 23369 entries where there were 26121,
+    # and every entry off the slack rows and columns kept its bits
     nlp, z0 = guess_setup
     y = np.random.default_rng(2104).standard_normal(nlp.n_con)
     H = nlp.hessian(z0, y)
     digests = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
                for a in (H.data, H.indices, H.indptr)]
     assert digests == [
-        "3b13b5f771d67c45e3182d8aed7da0b680836917e0f9751d408f365eb80b5013",
-        "00cce37417097d00cd8fc3614c469221bc33171be82ccfaa46abc267e44e1838",
-        "b75036e4d20c34ff7296ca1b74d58b451d8b58302570225257c299b0742468e8"]
+        "be3a46aa5a924348e3dadfef2154c210e427abf8916f2b0fca96f3192d541ef2",
+        "ed2ad091bd06bce4ffc9c03b376df7dc4fb3d7cdd0fe294439980ae218bf2abf",
+        "7722b3de997ab6d4006507bf8da7842a99197dd4743b1cf574f8489b80825857"]
 
 
 def test_each_evaluation_looks_the_environment_up_once_per_phase(
@@ -576,30 +598,29 @@ def test_first_step_stays_in_the_trust_box(cfg, guess_setup, monkeypatch):
 
 
 def test_guess_is_pinned_bit_for_bit(guess_setup):
-    # recorded since the aero tables continue on their end cubics: three
-    # boost3 collocation nodes above Mach 20 (at most Mach 23.25) read CD
-    # 0.20802-0.20904 where the clamp held 0.208
+    # recorded since the Euler-parameter phases lost their defect slacks:
+    # the 96 slack entries, all 0, went and every other entry kept its bits
     nlp, z0 = guess_setup
-    assert z0.dtype == np.float64 and z0.shape == (1607,)
+    assert z0.dtype == np.float64 and z0.shape == (1511,)
     assert nlp.objective(z0) == 194.21595570910353
     assert hashlib.sha256(z0.tobytes()).hexdigest() == (
-        "70d28d5ba4161708c383334fb1bc255c3c347602e8f5fa4ec8877f7789188150")
+        "262b666dd1d849d98b857816edd73bf756f5a7a56fbc312d1b06663effba74a4")
 
 
 def test_mission_nlp_at_the_guess_is_pinned_bit_for_bit(guess_setup):
-    # recorded since the partials are complex steps and the sensed load a
-    # square root: the names, bounds, values and Jacobian at the guess must
-    # not move a bit
+    # the names, bounds, values and Jacobian at the guess must not move a
+    # bit; recorded since the Euler-parameter phases lost their defect
+    # slacks: the 96 slack columns went, every other entry kept its bits
     nlp, z0 = guess_setup
     J = nlp.jacobian(z0)
-    assert (nlp.n_var, nlp.n_con, J.nnz) == (1607, 1342, 23612)
+    assert (nlp.n_var, nlp.n_con, J.nnz) == (1511, 1342, 22492)
     h = hashlib.sha256("\n".join(nlp.var_names + nlp.con_names).encode())
     for a in (nlp.z_lo, nlp.z_hi, nlp.c_lo, nlp.c_hi,
               np.float64(nlp.objective(z0)), nlp.constraints(z0),
               nlp.objective_gradient(z0), J.indptr, J.indices, J.data):
         h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest() == (
-        "c59d11d4be12390b6cca49f9b1076f6018134ac7175e8e2b8a63690cffa3cc4c")
+        "47e4f93ef66386c4cd310bff5bb96c2147cdea3dd82f9937015069801c606eb1")
 
 
 def test_guess_propagates_each_calibrated_kick_once(guess_setup,

@@ -154,7 +154,7 @@ def test_running_cost_vert_adds_phugoid_only_with_k():
     y = np.zeros((1, 10))
     y[:, 4:8] = np.column_stack([e1, e2, e3, eta])
     y[0, 8] = w0.alpha_bar
-    u = np.zeros((1, 4))
+    u = np.zeros((1, 2))
     base = running_cost_vert(y, u, w0)[0]
     assert base == 0.0
     got = running_cost_vert(y, u, wk)[0]
@@ -164,8 +164,7 @@ def test_running_cost_vert_adds_phugoid_only_with_k():
 
 def test_running_cost_vert_uses_w1_slot():
     w = _weights(include_alpha=False)
-    u = np.array([[0.0, w.u_sigma_max, 5.0, -5.0]])
-    # slots 2 and 3 are defect slacks and must not be charged
+    u = np.array([[0.0, w.u_sigma_max]])
     assert running_cost_vert(np.zeros((1, 10)), u, w)[0] == pytest.approx(
         1.0, rel=1e-12)
 
@@ -174,7 +173,7 @@ def test_running_costs_batch():
     w = _weights(k=2.0)
     rng = np.random.default_rng(1)
     Y = rng.normal(size=(6, 10)) * 0.3
-    U = rng.normal(size=(6, 4)) * 0.05
+    U = rng.normal(size=(6, 2)) * 0.05
     out = running_cost_vert(Y, U, w)
     assert out.shape == (6,)
     # each row of the stack is that row evaluated as a one-row stack
