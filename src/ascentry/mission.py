@@ -15,8 +15,6 @@ from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 # vert_rates is unused here: bench/tracing.py patches it in this namespace
 from .dynamics import (GEO_DIM, Geo, PhaseContext, Vert, aero_env,
@@ -494,6 +492,25 @@ def default_config() -> MissionConfig:
     cfg = MissionConfig()
     cfg.validate()
     return cfg
+
+
+# --------------------------------------------------------------------------
+# scipy's integrator and root finder, imported on first call: only the
+# guess and the tower clearance use them, and scipy.integrate (which loads
+# scipy.optimize) would otherwise load with every canonical run and
+# transcription, costing memory and start-up time they never use
+
+
+def brentq(f, a, b, **kwargs):
+    """scipy.optimize.brentq, imported on first call."""
+    from scipy.optimize import brentq
+    return brentq(f, a, b, **kwargs)
+
+
+def solve_ivp(fun, t_span, y0, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first call."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(fun, t_span, y0, **kwargs)
 
 
 # --------------------------------------------------------------------------
