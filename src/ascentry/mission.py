@@ -16,7 +16,8 @@ from operator import attrgetter
 
 import numpy as np
 
-# vert_rates is unused here: bench/tracing.py patches it in this namespace
+# geo_rates and vert_rates are unused here: bench/tracing.py patches both
+# in this namespace
 from .dynamics import (GEO_DIM, Geo, PhaseContext, Vert, aero_env,
                        geo_core, geo_from_vert, geo_rates, vert_core,
                        vert_from_geo, vert_rates)
@@ -30,7 +31,8 @@ from .pathcost import (CostWeights, HeatingParams, dynamic_pressure,
                        running_cost_vert, sensed_load)
 from .transcription import (Accumulator, BoundaryConstraint, IntegralTerm,
                             Linkage, MeshPhase, MultiPhaseProblem,
-                            PathConstraint, PhaseDef, Solution, uniform_mesh)
+                            PathConstraint, PhaseDef, Solution, fly,
+                            uniform_mesh)
 
 DEG = math.pi / 180.0
 
@@ -495,22 +497,15 @@ def default_config() -> MissionConfig:
 
 
 # --------------------------------------------------------------------------
-# scipy's integrator and root finder, imported on first call: only the
-# guess and the tower clearance use them, and scipy.integrate (which loads
-# scipy.optimize) would otherwise load with every canonical run and
-# transcription, costing memory and start-up time they never use
+# scipy's root finder, imported on first call: only the kick calibration and
+# the tower clearance use it, and a canonical run or a transcription would
+# otherwise pay for loading it
 
 
 def brentq(f, a, b, **kwargs):
     """scipy.optimize.brentq, imported on first call."""
     from scipy.optimize import brentq
     return brentq(f, a, b, **kwargs)
-
-
-def solve_ivp(fun, t_span, y0, **kwargs):
-    """scipy.integrate.solve_ivp, imported on first call."""
-    from scipy.integrate import solve_ivp
-    return solve_ivp(fun, t_span, y0, **kwargs)
 
 
 # --------------------------------------------------------------------------
@@ -816,89 +811,79 @@ def default_meshes(config: MissionConfig) -> list[MeshPhase]:
 # initial guess
 
 
-def _reset(y, mass):
-    y = y.copy()
-    y[Geo.M] = mass
-    return y
+def _event(f, direction, terminal=True):
+    """f(t, y) as a solve_ivp event: a crossing of 0 upward (direction 1)
+    or downward (-1), which ends the flight if terminal."""
+    f.direction, f.terminal = direction, terminal
+    return f
 
 
-def _propagate_ascent(config: MissionConfig, ctx, kick: float,
+def _joined(legs):
+    """(states, controls) at ascending times t along flights flown end to
+    end, (n, nx) and (n, nu); a time past the last flight reads its end."""
+    ends = np.array([leg.t[-1] for leg in legs])
+
+    def at(t):
+        t = np.minimum(t, ends[-1])
+        k = np.searchsorted(ends[:-1], t)
+        return tuple(np.vstack(part) for part in zip(*[
+            (legs[j].sol(t[k == j]).T, legs[j].controls(t[k == j]))
+            for j in np.unique(k)]))
+    return at
+
+
+def _propagate_ascent(config: MissionConfig, phases, kick: float,
                       psi0: float) -> dict:
-    """Zero-incidence ascent from the tower with a small pitch kick.
+    """Zero-incidence ascent from the tower with a small pitch kick, flown
+    on the phases' node callbacks: boost1 on its Euler-parameter state with
+    both controls at zero, handed over by the stage1_sep linkage's map,
+    geo_from_vert.  The upper stages slew the bank it hands over, about
+    -3e-3 rad, back to the 0 that the apogee pins need; the coasts, where
+    it is down to the integrator's tolerance, fly with both controls at
+    zero, since the slew's 2-s time constant would bound an explicit
+    integrator's steps over their 1000-s arcs.  Returns the flights of
+    phases 0-5 in order, to apogee and to the atmosphere edge, and the
+    apogee; an arc that tops out inside the atmosphere is incomplete."""
+    bc, lm, cw = config.bc, config.limits, config.cost
+    opts = {"method": "RK45", "rtol": 1.0e-8, "atol": 1.0e-8}
 
-    Returns the per-segment dense interpolants plus the apogee and pierce
-    events of the ballistic arc; segments are keyed by phase index.
-    """
-    bc = config.bc
-    y0 = np.array([bc.h0, bc.lon0, bc.lat0, bc.v0, 0.5 * math.pi - kick,
-                   psi0, 0.0, 0.0, bc.m0])
-    u0 = np.zeros(2)
-    segs: dict[int, object] = {}
+    def hold(t, y):
+        return np.zeros(2)
 
-    def rhs(c):
-        return lambda t, y: geo_rates(y[None], u0, c)[0]
+    def level(t, y):
+        return np.array([0.0, np.clip(-y[Geo.SIGMA] / 2.0, -cw.u_sigma_max,
+                                      cw.u_sigma_max)])
 
-    spans = [(bc.t0, config.t_s1), (config.t_s1, config.t_s2),
-             (config.t_s2, config.t_fairing), (config.t_fairing, config.t_s3)]
-    y = y0
-    for p, (a, b) in enumerate(spans):
-        if p == 1:
-            y = _reset(y, config.m_s2)
-        elif p == 2:
-            y = _reset(y, config.m_s3)
-        elif p == 3:
-            y = _reset(y, y[Geo.M] - config.fairing_mass)
-        out = solve_ivp(rhs(ctx[p]), (a, b), y, method="RK45", rtol=1.0e-8,
-                        atol=1.0e-8, dense_output=True)
-        if not out.success:
-            raise RuntimeError(f"ascent guess integration failed: {out.message}")
-        segs[p] = out
-        y = out.y[:, -1]
+    kicked = np.array([bc.h0, bc.lon0, bc.lat0, bc.v0, 0.5 * math.pi - kick,
+                       psi0, 0.0, 0.0, bc.m0])
+    flights = [fly(phases[0], vert_from_geo(kicked[None])[0], bc.t0,
+                   config.t_s1, hold, **opts)]
+    y = geo_from_vert(flights[0].y[:, -1][None])[0]
+    for p, (a, b) in enumerate([(config.t_s1, config.t_s2),
+                                (config.t_s2, config.t_fairing),
+                                (config.t_fairing, config.t_s3)], start=1):
+        # the mass after each stage separation, then after the fairing drop
+        mass = (config.m_s2, config.m_s3, y[Geo.M] - config.fairing_mass)[p - 1]
+        flights.append(fly(phases[p], np.append(y[:GEO_DIM], mass), a, b,
+                           level, **opts))
+        y = flights[p].y[:, -1]
 
-    coast = y[:GEO_DIM].copy()
-
-    def apogee_ev(t, y):
-        return y[Geo.GAMMA]
-    apogee_ev.terminal = True
-    apogee_ev.direction = -1.0
-
-    def ground_ev(t, y):
-        return y[Geo.H]
-    ground_ev.terminal = True
-    ground_ev.direction = -1.0
-
-    out5 = solve_ivp(rhs(ctx[4]), (config.t_s3, config.t_s3 + 4000.0), coast,
-                     method="RK45", rtol=1.0e-8, atol=1.0e-8,
-                     dense_output=True, events=[apogee_ev, ground_ev])
-    if not out5.success:
-        raise RuntimeError(f"coast guess integration failed: {out5.message}")
-    if out5.t_events[0].size == 0:
-        # over-kicked: the path noses over during the burn already
-        return {"segs": segs, "apogee": float(np.max(out5.y[Geo.H])),
-                "complete": False}
-    t_apo = float(out5.t_events[0][0])
-    y_apo = out5.y_events[0][0]
-    if y_apo[Geo.H] <= config.limits.h_atm + 1.0:
-        # arc tops out inside the atmosphere; report it for the calibrator
-        return {"segs": segs, "apogee": float(y_apo[Geo.H]),
-                "complete": False}
-    segs[4] = out5
-
-    def pierce_ev(t, y):
-        return y[Geo.H] - config.limits.h_atm
-    pierce_ev.terminal = True
-    pierce_ev.direction = -1.0
-
-    out6 = solve_ivp(rhs(ctx[5]), (t_apo, t_apo + 5000.0), y_apo,
-                     method="RK45", rtol=1.0e-8, atol=1.0e-8,
-                     dense_output=True, events=pierce_ev)
-    if not out6.success or out6.t_events[0].size == 0:
+    coast = fly(phases[4], y[:GEO_DIM], config.t_s3, config.t_s3 + 4000.0,
+                hold, [_event(lambda t, y: y[Geo.GAMMA], -1.0),
+                       _event(lambda t, y: y[Geo.H], -1.0)], **opts)
+    topped = coast.t_events[0].size > 0
+    apogee = float(coast.y[Geo.H, -1] if topped else np.max(coast.y[Geo.H]))
+    if not topped or apogee <= lm.h_atm + 1.0:
+        # over-kicked, the path noses over during the burn already; or the
+        # arc tops out inside the atmosphere: report it for the calibrator
+        return {"flights": flights, "apogee": apogee, "complete": False}
+    flights += [coast, fly(phases[5], coast.y[:, -1], coast.t[-1],
+                           coast.t[-1] + 5000.0, hold,
+                           [_event(lambda t, y: y[Geo.H] - lm.h_atm, -1.0)],
+                           **opts)]
+    if flights[5].t_events[0].size == 0:
         raise RuntimeError("ballistic arc never returns to the atmosphere edge")
-    segs[5] = out6
-    return {"segs": segs, "apogee": float(y_apo[Geo.H]), "complete": True,
-            "t_apo": t_apo, "y_apo": y_apo,
-            "t_pierce": float(out6.t_events[0][0]),
-            "y_pierce": out6.y_events[0][0]}
+    return {"flights": flights, "apogee": apogee, "complete": True}
 
 
 def _bearing(lon0, lat0, lon1, lat1) -> float:
@@ -915,14 +900,10 @@ def _wrap_pi(x: float) -> float:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _launch_azimuth(bc: BoundaryData) -> float:
-    return _bearing(bc.lon0, bc.lat0, bc.lonf, bc.latf)
-
-
-def calibrate_kick(config: MissionConfig, ctx=None,
+def calibrate_kick(config: MissionConfig, phases=None,
                    psi0=None) -> tuple[float, dict]:
     """Pitch-over kick angle whose gravity turn peaks near guess_apogee,
-    with the ascent propagated from it.
+    with the ascent flown from it on the mission's phases.
 
     Each kick is propagated once: brentq evaluates the bracket ends again,
     and returns its latest kick or the latest one on the other side of the
@@ -930,14 +911,16 @@ def calibrate_kick(config: MissionConfig, ctx=None,
     root's arc is taken from it.  A root found in neither is propagated
     again.
     """
-    ctx = ctx or phase_contexts(config)
-    psi0 = _launch_azimuth(config.bc) if psi0 is None else psi0
+    phases = phases or build_mission(config).phases
+    bc = config.bc
+    if psi0 is None:
+        psi0 = _bearing(bc.lon0, bc.lat0, bc.lonf, bc.latf)
     target = config.guess_apogee
     misses, arcs = {}, {}           # arcs: (kick, arc) by side of target
 
     def apogee(kick):
         if kick not in misses:
-            arc = _propagate_ascent(config, ctx, kick, psi0)
+            arc = _propagate_ascent(config, phases, kick, psi0)
             misses[kick] = arc["apogee"] - target
             arcs[misses[kick] < 0.0] = kick, arc
         return misses[kick]
@@ -956,42 +939,35 @@ def calibrate_kick(config: MissionConfig, ctx=None,
     for root, arc in arcs.values():
         if root == kick:
             return kick, arc
-    return kick, _propagate_ascent(config, ctx, kick, psi0)
+    return kick, _propagate_ascent(config, phases, kick, psi0)
 
 
-def _entry_profile(config: MissionConfig, ctx: PhaseContext, y_pierce,
-                   t_pierce):
-    """Entry arc propagated with the glide-phase dynamics under a feedback
-    steering law: incidence from inverting the lift needed to track a
-    reference slope tied to the nominal glide pressure, bank held off until
-    the pull-out completes and then weaving the heading to spend the range
-    surplus, everything released once the speed is spent.  The arc is split
-    at the first upward crossing of the bank-effectiveness pressure level,
-    so the capture dip and the dense glide both land in the final phase."""
+def _entry_profile(config: MissionConfig, ctx: PhaseContext, phase: PhaseDef,
+                   y_pierce, t_pierce):
+    """Entry arc flown on the glide phase's node under a feedback steering
+    law: incidence from inverting the lift needed to track a reference slope
+    tied to the nominal glide pressure, bank held off until the pull-out
+    captures the slope and then weaving the heading to spend the range
+    surplus, everything released once the speed is spent.  The capture and
+    each bank reversal end a leg of the flight, so each leg's law is a
+    function of (t, y); the ground or the stall ends the flight.  The
+    arc is split at the first upward crossing of the bank-effectiveness
+    pressure level, so the capture dip and the dense glide both land in the
+    final phase.
+
+    Returns `_joined` over the legs, the split time and the end time."""
     bc, lm, cw = config.bc, config.limits, config.cost
-    e = ctx.earth
-    m = ctx.fixed_mass
-    dt = 1.0
-    y = np.array(y_pierce[:GEO_DIM], dtype=float)
-    y[Geo.ALPHA] = min(max(y[Geo.ALPHA], 0.0), cw.alpha_max)
-    mode = {"sign": 1.0, "captured": False}
-    ab = cw.alpha_bar_entry
-    q_nom = 30.0
+    e, m = ctx.earth, ctx.fixed_mass
+    ab, q_nom = cw.alpha_bar_entry, 30.0
 
-    def law(y):
+    def guidance(y):
+        """(incidence command, bearing error, crab angle, q) at y."""
         v, gamma = float(y[Geo.V]), float(y[Geo.GAMMA])
-        if v <= 1.35:
-            # spent: drop the lift and fall out ballistically
-            return 0.0, 0.0
-        h = float(y[Geo.H])
         rho, a = ctx.atmosphere.lookup(y[[Geo.H]])
         q = dynamic_pressure(rho, y[[Geo.V]])[0]
         cl, cd = ctx.aero.lookup(np.array([ab / DEG]), y[[Geo.V]] / a)
-        cl_trim, cd_trim = cl[0], cd[0]
-        r = e.re + h
+        r = e.re + float(y[Geo.H])
         grav = e.mu / (r * r)
-        if gamma > -1.2 * DEG:
-            mode["captured"] = True
         togo = r * math.acos(np.clip(
             math.sin(y[Geo.THETA]) * math.sin(bc.latf)
             + math.cos(y[Geo.THETA]) * math.cos(bc.latf)
@@ -1003,105 +979,100 @@ def _entry_profile(config: MissionConfig, ctx: PhaseContext, y_pierce,
                                   -0.045, 0.008))
         need = m * ((grav - v * v / r) * math.cos(gamma)
                     + v * (gamma_ref - gamma) / 40.0)
-        cl_slope = max(float(cl_trim), 0.05) / ab
+        cl_slope = max(float(cl[0]), 0.05) / ab
         cos_bank = max(math.cos(float(y[Geo.SIGMA])), 0.3)
         cl_req = need / (max(q, 0.2) * ctx.ref_area * cos_bank)
         alpha_cmd = float(np.clip(cl_req / cl_slope, 0.0, cw.alpha_max))
         # lateral: the trim glide at q_nom overshoots the field, so weave:
         # crab away from the bearing by the angle whose cosine spends the
         # range surplus, and reverse when the bearing error swings past
-        est = m * (v * v - 1.8) / (2.0 * ctx.ref_area * float(cd_trim)
-                                   * q_nom)
+        est = m * (v * v - 1.8) / (2.0 * ctx.ref_area * float(cd[0]) * q_nom)
         delta = math.acos(float(np.clip(togo / max(est, 1.0), 0.2, 1.0)))
         err = _wrap_pi(_bearing(float(y[Geo.PHI]), float(y[Geo.THETA]),
                                 bc.lonf, bc.latf) - float(y[Geo.PSI]))
-        if abs(err) > delta + 20.0 * DEG:
-            mode["sign"] = math.copysign(1.0, err)
-        head_err = _wrap_pi(err + mode["sign"] * delta)
-        if q > 1.5 and mode["captured"]:
-            mag = float(np.clip(2.5 * head_err, -75.0 * DEG, 75.0 * DEG))
-        else:
-            mag = 0.0
-        return alpha_cmd, mag
+        return alpha_cmd, err, delta, q
 
-    rows, us, ts = [y.copy()], [], [0.0]
-    while ts[-1] < 4500.0:
-        alpha_cmd, sigma_cmd = law(y)
-        u = np.array([
-            np.clip((alpha_cmd - y[Geo.ALPHA]) / 1.5,
-                    -cw.u_alpha_max, cw.u_alpha_max),
-            np.clip(_wrap_pi(sigma_cmd - y[Geo.SIGMA]) / 2.0,
-                    -cw.u_sigma_max, cw.u_sigma_max)])
+    def steering(captured, sign):
+        def law(t, y):
+            alpha_cmd = bank = 0.0
+            # spent: drop the lift and fall out ballistically
+            if y[Geo.V] > 1.35:
+                alpha_cmd, err, delta, q = guidance(y)
+                if q > 1.5 and captured:
+                    bank = float(np.clip(2.5 * _wrap_pi(err + sign * delta),
+                                         -75.0 * DEG, 75.0 * DEG))
+            return np.array([
+                np.clip((alpha_cmd - y[Geo.ALPHA]) / 1.5,
+                        -cw.u_alpha_max, cw.u_alpha_max),
+                np.clip(_wrap_pi(bank - y[Geo.SIGMA]) / 2.0,
+                        -cw.u_sigma_max, cw.u_sigma_max)])
+        return law
 
-        def f(yy):
-            return geo_rates(yy[None], u, ctx)[0]
+    def swing(y, sign):
+        """Positive once the bearing error swings 20 deg past the crab
+        angle, on the side away from the weave's."""
+        _, err, delta, _ = guidance(y)
+        return -sign * err - delta - 20.0 * DEG
 
-        k1 = f(y)
-        k2 = f(y + 0.5 * dt * k1)
-        k3 = f(y + 0.5 * dt * k2)
-        k4 = f(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        us.append(u)
-        ts.append(ts[-1] + dt)
-        rows.append(y.copy())
-        if y[Geo.H] <= 0.02 or y[Geo.V] <= 0.65:
+    # the flight's ends and its split, then each leg's mode switches
+    ends = [_event(lambda t, y: y[Geo.H] - 0.02, -1.0),
+            _event(lambda t, y: y[Geo.V] - 0.65, -1.0),
+            _event(lambda t, y: dynamic_pressure(ctx.atmosphere.density(
+                y[[Geo.H]]), y[[Geo.V]])[0] - lm.q_split, 1.0, False)]
+    y = np.array(y_pierce[:GEO_DIM], dtype=float)
+    y[Geo.ALPHA] = min(max(y[Geo.ALPHA], 0.0), cw.alpha_max)
+    t, legs = t_pierce, []
+    captured = y[Geo.GAMMA] > -1.2 * DEG
+    sign = -1.0 if swing(y, 1.0) > 0.0 else 1.0
+    while True:
+        switches = [_event(lambda t, y, s=sign: swing(y, s), 1.0)] + [
+            _event(lambda t, y: y[Geo.GAMMA] + 1.2 * DEG, 1.0)] * (not captured)
+        legs.append(fly(phase, y, t, t_pierce + 4500.0,
+                        steering(captured, sign), ends + switches,
+                        method="RK23"))
+        t, y = legs[-1].t[-1], legs[-1].y[:, -1]
+        fired = [te.size > 0 for te in legs[-1].t_events]
+        if legs[-1].status == 0 or fired[0] or fired[1]:
             break
+        if fired[3]:        # the bank reversal
+            sign = -sign
+        else:               # the capture
+            captured = True
 
-    t_rel = np.array(ts)
-    Y = np.vstack(rows)
-    U = np.vstack(us + [us[-1]])
-    q = dynamic_pressure(ctx.atmosphere.density(Y[:, Geo.H]), Y[:, Geo.V])
-    up = np.nonzero((q[:-1] < lm.q_split) & (q[1:] >= lm.q_split))[0]
-    if up.size == 0:
+    splits = [te for leg in legs for te in leg.t_events[2]]
+    if not splits:
         raise RuntimeError("descent profile never reaches the bank threshold")
-    i = int(up[0])
-    frac = (lm.q_split - q[i]) / (q[i + 1] - q[i])
-    t_split = max(float(t_rel[i] + frac * dt), 10.0)
-    t_total = max(float(t_rel[-1]), t_split + 40.0)
-
-    def states_at(t):
-        tq = t - t_pierce
-        return np.column_stack([np.interp(tq, t_rel, Y[:, j])
-                                for j in range(GEO_DIM)])
-
-    def controls_at(t):
-        tq = t - t_pierce
-        return np.column_stack([np.interp(tq, t_rel, U[:, j])
-                                for j in range(2)])
-
-    return states_at, controls_at, t_pierce + t_split, t_pierce + t_total
+    t_split = max(float(splits[0]) - t_pierce, 10.0)
+    t_total = max(float(t) - t_pierce, t_split + 40.0)
+    return _joined(legs), t_pierce + t_split, t_pierce + t_total
 
 
 def initial_guess(config: MissionConfig, nlp) -> np.ndarray:
     """Packed first iterate: powered gravity turn, ballistic coast, and a
-    feedback-steered glide, clipped into the variable boxes."""
-    ctx = phase_contexts(config)
-    _, arc = calibrate_kick(config, ctx)
+    feedback-steered glide, each flown on its phase's node callback and
+    clipped into the variable boxes."""
+    phases = nlp.problem.phases
+    _, arc = calibrate_kick(config, phases)
     if not arc["complete"]:
         raise RuntimeError("calibrated ascent guess lost its ballistic arc")
-    segs = arc["segs"]
-
-    glide_at, glide_u_at, t_split, t_end = _entry_profile(
-        config, ctx[6], arc["y_pierce"], arc["t_pierce"])
-
-    times = [(config.bc.t0, config.t_s1), (config.t_s1, config.t_s2),
-             (config.t_s2, config.t_fairing), (config.t_fairing, config.t_s3),
-             (config.t_s3, arc["t_apo"]), (arc["t_apo"], arc["t_pierce"]),
-             (arc["t_pierce"], t_split), (t_split, t_end)]
+    ascent = arc["flights"]
+    t_pierce = ascent[5].t[-1]
+    entry, t_split, t_end = _entry_profile(
+        config, phase_contexts(config)[6], phases[6], ascent[5].y[:, -1],
+        t_pierce)
+    flown = [_joined([f]) for f in ascent] + [entry, entry]
+    times = [(f.t[0], f.t[-1]) for f in ascent] + [(t_pierce, t_split),
+                                                   (t_split, t_end)]
 
     states, controls = [], []
     for p, (t0, tf) in enumerate(times):
-        coll_tau, state_tau = nlp.node_taus(p)
-        ts = t0 + state_tau * (tf - t0)
-        ys = segs[p].sol(ts).T if p <= 5 else glide_at(ts)
-        if p in (0, 7):
-            ys = vert_from_geo(ys)
+        # the collocation nodes are the state nodes but the last
+        ys, us = flown[p](t0 + nlp.node_taus(p)[1] * (tf - t0))
+        if p == 7:
+            # the dive is flown in geodetic form, its controls left at zero
+            ys, us = vert_from_geo(ys), np.zeros_like(us)
         states.append(ys)
-        nu = nlp.problem.phases[p].nu
-        if p == 6:
-            controls.append(glide_u_at(t0 + coll_tau * (tf - t0)))
-        else:
-            controls.append(np.zeros((len(coll_tau), nu)))
+        controls.append(us[:-1])
 
     z = nlp.pack(states, controls, times)
     # balance each accumulator against its own quadrature: the balance row

@@ -41,7 +41,8 @@ collocation node, from one stacked probe per phase in which the node
 callback and the cost each run only if one of their columns carries a
 nonzero weight; boundaries and linkages add a dense block over their
 columns, and duration rows nothing.  Each entry is a central difference of
-a complex-step partial (`_hessians`).
+a complex-step partial (`_hessians`).  `fly` integrates a phase's node
+rates under a control law: a first guess flown on the problem's dynamics.
 """
 from __future__ import annotations
 
@@ -933,3 +934,27 @@ class Solution:
 def transcribe(problem: MultiPhaseProblem,
                meshes: Sequence[MeshPhase]) -> NLPProblem:
     return NLPProblem(problem, meshes)
+
+
+def fly(phase: PhaseDef, x0, t0: float, tf: float, law: Callable, events=(),
+        **integrator):
+    """Fly a phase from x0 at t0 toward tf: scipy's solve_ivp, with dense
+    output, on the rates, the first nx columns of
+    phase.node(x[None], law(t, x)[None]).  events (functions of (t, x))
+    and the integrator options pass through.  Returns solve_ivp's result
+    plus `controls(t)`, the law's (len(t), nu) controls along its dense
+    states `sol`; a failed integration raises RuntimeError."""
+    # imported here: a transcription or a solve never flies, and
+    # scipy.integrate loads scipy.optimize with it
+    from scipy.integrate import solve_ivp
+
+    def rates(t, x):
+        return phase.node(x[None], np.asarray(law(t, x))[None])[0, :phase.nx]
+
+    out = solve_ivp(rates, (t0, tf), np.asarray(x0, dtype=float),
+                    events=events, dense_output=True, **integrator)
+    if not out.success:
+        raise RuntimeError(f"phase {phase.name}: flight failed: {out.message}")
+    out.controls = lambda t: np.array(
+        [law(s, x) for s, x in zip(t, out.sol(t).T)]).reshape(len(t), phase.nu)
+    return out

@@ -33,9 +33,9 @@ def guess_setup(cfg, guess_propagations):
     nlp = transcribe(M.build_mission(cfg), M.default_meshes(cfg))
     propagate, brentq = M._propagate_ascent, M.brentq
 
-    def propagated(config, ctx, kick, psi0):
+    def propagated(config, phases, kick, psi0):
         guess_propagations["propagated"].append(kick)
-        return propagate(config, ctx, kick, psi0)
+        return propagate(config, phases, kick, psi0)
 
     def counted_brentq(f, *args, **kwargs):
         def g(kick):
@@ -438,43 +438,43 @@ def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup):
     # Hessian at the guess shifted to be semidefinite: the trust box cannot
     # meet the linearized rows, so the elastic step leaves violation at the
     # weight's price; the figures pin the iterate bit for bit, recorded
-    # since the Euler-parameter phases lost their defect slacks (from
-    # objective 187.328, violation 54.503 on the 1607-variable NLP)
+    # since the guess flies the phases' own node callbacks (from objective
+    # 195.440, violation 53.869)
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=1))
     assert rep.status == "max_iterations" and rep.iterations == 1
-    assert rep.objective == 195.44048767846903
-    assert rep.violation == 53.86867475768578
+    assert rep.objective == 194.62831150634392
+    assert rep.violation == 53.87045355878401
     assert rep.message == ""
 
 
 def test_four_capped_sqp_iterations_from_the_guess(cfg, guess_setup):
     # from the second iteration on the multipliers are nonzero, so every
     # node and endpoint block of the Hessian runs; the iterate must not move
-    # a bit.  Recorded since the Euler-parameter phases lost their defect
-    # slacks (from objective 186.273, violation 44.792)
+    # a bit.  Recorded since the guess flies the phases' own node
+    # callbacks (from objective 192.155, violation 40.745)
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=4))
     assert rep.status == "max_iterations" and rep.iterations == 4
-    assert rep.objective == 192.1549210081941
-    assert rep.violation == 40.745425630325585
+    assert rep.objective == 189.6244530348239
+    assert rep.violation == 33.56043638012734
     assert hashlib.sha256(rep.x.tobytes()).hexdigest() == (
-        "a2cd5bb0644c6e3b86d5d82c959d997d5a432454be7f7fe3ad2af210e4963915")
+        "1650a7bc15995b03e7b1b2123bf9c3f428462fd37ed2fee89ec8bce6a7a14dad")
 
 
 def test_mission_hessian_at_the_guess_is_pinned_bit_for_bit(guess_setup):
-    # seeded multipliers on every row, recorded since the Euler-parameter
-    # phases lost their defect slacks: 23369 entries where there were 26121,
-    # and every entry off the slack rows and columns kept its bits
+    # seeded multipliers on every row, recorded since the guess flies the
+    # phases' own node callbacks: the values moved with the guess, the
+    # pattern of 23369 entries kept its bits
     nlp, z0 = guess_setup
     y = np.random.default_rng(2104).standard_normal(nlp.n_con)
     H = nlp.hessian(z0, y)
     digests = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
                for a in (H.data, H.indices, H.indptr)]
     assert digests == [
-        "be3a46aa5a924348e3dadfef2154c210e427abf8916f2b0fca96f3192d541ef2",
+        "69d59971f285ee5430273e597b79d38aa91d846d19ed4a9ce2d1a8bbfcdc6ff7",
         "ed2ad091bd06bce4ffc9c03b376df7dc4fb3d7cdd0fe294439980ae218bf2abf",
         "7722b3de997ab6d4006507bf8da7842a99197dd4743b1cf574f8489b80825857"]
 
@@ -598,19 +598,20 @@ def test_first_step_stays_in_the_trust_box(cfg, guess_setup, monkeypatch):
 
 
 def test_guess_is_pinned_bit_for_bit(guess_setup):
-    # recorded since the Euler-parameter phases lost their defect slacks:
-    # the 96 slack entries, all 0, went and every other entry kept its bits
+    # recorded since the guess flies the phases' own node callbacks (from
+    # objective 194.216): boost1 on its Euler-parameter node, the entry
+    # under event-switched steering legs
     nlp, z0 = guess_setup
     assert z0.dtype == np.float64 and z0.shape == (1511,)
-    assert nlp.objective(z0) == 194.21595570910353
+    assert nlp.objective(z0) == 193.20818039128633
     assert hashlib.sha256(z0.tobytes()).hexdigest() == (
-        "262b666dd1d849d98b857816edd73bf756f5a7a56fbc312d1b06663effba74a4")
+        "ce0e6fc6eece68f9cb0bc91193d62be3be3fb2c1d81669351e6946f32a17ab8a")
 
 
 def test_mission_nlp_at_the_guess_is_pinned_bit_for_bit(guess_setup):
     # the names, bounds, values and Jacobian at the guess must not move a
-    # bit; recorded since the Euler-parameter phases lost their defect
-    # slacks: the 96 slack columns went, every other entry kept its bits
+    # bit; recorded since the guess flies the phases' own node callbacks:
+    # the values at the guess moved with it, the names and bounds did not
     nlp, z0 = guess_setup
     J = nlp.jacobian(z0)
     assert (nlp.n_var, nlp.n_con, J.nnz) == (1511, 1342, 22492)
@@ -620,7 +621,7 @@ def test_mission_nlp_at_the_guess_is_pinned_bit_for_bit(guess_setup):
               nlp.objective_gradient(z0), J.indptr, J.indices, J.data):
         h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest() == (
-        "47e4f93ef66386c4cd310bff5bb96c2147cdea3dd82f9937015069801c606eb1")
+        "5e68407d54bead3911a4c4e8afc926541df0f3577dd039635c87799be7d194de")
 
 
 def test_guess_propagates_each_calibrated_kick_once(guess_setup,
@@ -640,24 +641,41 @@ def test_calibrate_kick_returns_the_roots_arc(cfg, monkeypatch):
     # every kick brentq evaluated is propagated once more, not looked up
     propagated = []
 
-    def ascent(config, ctx, kick, psi0):
+    def ascent(config, phases, kick, psi0):
         propagated.append(kick)
         return {"kick": kick,
                 "apogee": config.guess_apogee - 40.0 * math.tan(kick - 0.09)}
 
     brentq = M.brentq
     monkeypatch.setattr(M, "_propagate_ascent", ascent)
-    kick, arc = M.calibrate_kick(cfg, ctx=[None], psi0=0.0)
+    kick, arc = M.calibrate_kick(cfg, phases=[None], psi0=0.0)
     assert arc["kick"] == kick and kick in propagated
     assert len(propagated) == len(set(propagated)) >= 5
     n = len(propagated)
 
     propagated.clear()
     monkeypatch.setattr(M, "brentq", lambda *a, **k: brentq(*a, **k) + 1e-7)
-    moved, arc = M.calibrate_kick(cfg, ctx=[None], psi0=0.0)
+    moved, arc = M.calibrate_kick(cfg, phases=[None], psi0=0.0)
     assert moved == kick + 1e-7 and arc["kick"] == moved
     assert propagated == sorted(set(propagated), key=propagated.index)
     assert len(propagated) == n + 1 and propagated[-1] == moved
+
+
+def test_entry_flight_ends_at_its_ground_event(cfg):
+    # the entry is flown to its terminal ground event, 20 m up, and its
+    # unclipped final state sits there; the fixed-step loop it replaced
+    # stepped 515 m below the ground, which the clip to the box then hid
+    phases = M.build_mission(cfg).phases
+    _, arc = M.calibrate_kick(cfg, phases)
+    pierce = arc["flights"][5]
+    flown, t_split, t_end = M._entry_profile(
+        cfg, M.phase_contexts(cfg)[6], phases[6], pierce.y[:, -1],
+        pierce.t[-1])
+    states, _ = flown(np.array([pierce.t[-1], t_split, t_end]))
+    assert states[-1, Geo.H] == pytest.approx(0.02, abs=1e-9)
+    assert states[-1, Geo.V] > 0.65
+    assert states[0, Geo.H] == pytest.approx(cfg.limits.h_atm)
+    assert pierce.t[-1] < t_split < t_end
 
 
 def test_trajectory_table_and_csv(cfg, guess_setup, tmp_path):

@@ -14,7 +14,7 @@ from ascentry.nlpsolve import SolverOptions, solve
 from ascentry.transcription import (Accumulator, BoundaryConstraint,
                                     EvaluationError, IntegralTerm, Linkage,
                                     MeshPhase, MultiPhaseProblem, NLPProblem,
-                                    PathConstraint, PhaseDef, _SparsePlan,
+                                    PathConstraint, PhaseDef, _SparsePlan, fly,
                                     transcribe, uniform_mesh)
 
 
@@ -744,6 +744,49 @@ def test_solution_sampling_rejects_out_of_span():
     sol = nlp.solution_from(z)
     with pytest.raises(ValueError):
         sol.phases[0].sample_states([2.5])
+
+
+def test_fly_reproduces_the_double_integrators_closed_form():
+    # under u = 6 - 12 t from rest the double integrator runs the optimal
+    # slew x = 3 t^2 - 2 t^3, x' = 6 t - 6 t^2, and fly hands back the law's
+    # controls along it
+    ph = CANONICAL_PROBLEMS["double-integrator"]()[0].phases[0]
+    out = fly(ph, [0.0, 0.0], 0.0, 1.0,
+              lambda t, x: np.array([6.0 - 12.0 * t]), rtol=1e-12, atol=1e-12)
+    t = np.linspace(0.0, 1.0, 11)
+    want = np.column_stack([3 * t ** 2 - 2 * t ** 3, 6 * t - 6 * t ** 2])
+    assert np.allclose(out.sol(t).T, want, rtol=0, atol=1e-8)
+    assert np.allclose(out.y[:, -1], [1.0, 0.0], rtol=0, atol=1e-8)
+    assert np.array_equal(out.controls(t), (6.0 - 12.0 * t)[:, None])
+
+
+def test_fly_integrates_only_the_rate_columns():
+    # the node's path and integrand columns ride along in the output, but
+    # only its first nx columns are the state's rates
+    plain = _double_integrator()
+    carried = _double_integrator(
+        columns=[lambda X, U: X[:, 0] ** 2, lambda X, U: U[:, 0] ** 2],
+        path=[PathConstraint("reach", -1.0, 1.0)],
+        integrands=[IntegralTerm("effort")])
+    law = lambda t, x: np.array([np.cos(t)])
+    a, b = (fly(ph, [0.5, -0.2], 0.0, 2.0, law, rtol=1e-10, atol=1e-12)
+            for ph in (plain, carried))
+    assert a.y.shape == b.y.shape == (2, len(a.t))
+    assert np.array_equal(a.t, b.t) and np.array_equal(a.y, b.y)
+
+
+def test_a_solved_double_integrator_flown_under_its_controls_meets_its_pins():
+    # the converged collocation solution, flown from its first state under
+    # its own interpolated controls, ends at its xf pins to the solve's
+    # tolerance
+    prob, meshes = CANONICAL_PROBLEMS["double-integrator"]()
+    nlp = transcribe(prob, meshes)
+    rep = solve(nlp, straight_line_guess(nlp), SolverOptions(tolerance=1e-8))
+    assert rep.status == "converged"
+    ph, sol = prob.phases[0], nlp.solution_from(rep.x).phases[0]
+    out = fly(ph, sol.states[0], sol.t0, sol.tf,
+              lambda t, x: sol.sample_controls([t])[0], rtol=1e-12, atol=1e-12)
+    assert np.allclose(out.y[:, -1], ph.xf_lo, rtol=0, atol=1e-8)
 
 
 def test_nonfinite_callback_is_reported():
