@@ -438,13 +438,13 @@ def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup):
     # Hessian at the guess shifted to be semidefinite: the trust box cannot
     # meet the linearized rows, so the elastic step leaves violation at the
     # weight's price; the figures pin the iterate bit for bit, recorded
-    # since the guess flies the phases' own node callbacks (from objective
-    # 195.440, violation 53.869)
+    # since the symmetric factors run one-column panels (the objective
+    # moved in its last bits, from 194.62831150634392)
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=1))
     assert rep.status == "max_iterations" and rep.iterations == 1
-    assert rep.objective == 194.62831150634392
+    assert rep.objective == 194.62831150634383
     assert rep.violation == 53.87045355878401
     assert rep.message == ""
 
@@ -452,16 +452,17 @@ def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup):
 def test_four_capped_sqp_iterations_from_the_guess(cfg, guess_setup):
     # from the second iteration on the multipliers are nonzero, so every
     # node and endpoint block of the Hessian runs; the iterate must not move
-    # a bit.  Recorded since the guess flies the phases' own node
-    # callbacks (from objective 192.155, violation 40.745)
+    # a bit.  Recorded since the symmetric factors run one-column panels
+    # (from objective 189.6244530348239, violation 33.56043638012734:
+    # rounding only)
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=4))
     assert rep.status == "max_iterations" and rep.iterations == 4
-    assert rep.objective == 189.6244530348239
-    assert rep.violation == 33.56043638012734
+    assert rep.objective == 189.62445303482522
+    assert rep.violation == 33.5604363801357
     assert hashlib.sha256(rep.x.tobytes()).hexdigest() == (
-        "1650a7bc15995b03e7b1b2123bf9c3f428462fd37ed2fee89ec8bce6a7a14dad")
+        "f6a36790e72c3401f15076a33637aa6d04fdf37469182736eba995f8ebcc6667")
 
 
 def test_mission_hessian_at_the_guess_is_pinned_bit_for_bit(guess_setup):
@@ -522,7 +523,7 @@ def _capped_subproblems(cfg, nlp, z0, monkeypatch):
         return lu
 
     def recorded_splu(A, **kwargs):
-        if inside and not kwargs:
+        if inside and not kwargs:     # only the pivoted fallback has none
             pivoted.append(A)
         return real_splu(A, **kwargs)
 
@@ -559,30 +560,48 @@ def test_qp_factors_of_the_capped_iteration_have_the_kkt_inertia(
 def test_capped_iteration_orders_its_subproblem_once(cfg, guess_setup,
                                                      monkeypatch):
     # K keeps its pattern through the subproblem: its first factor makes
-    # the one minimum-degree order, every later one reuses it
+    # the one minimum-degree order, every later one reuses it.  Every
+    # symmetric factor, the subproblem's and the shift ladder's rungs, runs
+    # one-column panels with supernodes relaxed to 2 columns; the pivoted
+    # fallback keeps SuperLU's defaults and no keyword argument, the marker
+    # `_capped_subproblems` finds it by
     nlp, z0 = guess_setup
     real_qp, real_splu = nlpsolve._elastic_qp, nlpsolve.spla.splu
-    inside, orders, solves = [], [], []
+    inside, calls, solves = [], [], []
 
     def marked(*args):
         inside.append(True)
         try:
-            solves.append(real_qp(*args))
+            solves.append((args, real_qp(*args)))
         finally:
             inside.pop()
-        return solves[-1]
+        return solves[-1][1]
 
     def recorded_splu(A, **kwargs):
-        if inside:
-            orders.append(kwargs.get("permc_spec"))
+        calls.append((bool(inside), kwargs))
         return real_splu(A, **kwargs)
 
     monkeypatch.setattr(nlpsolve, "_elastic_qp", marked)
     monkeypatch.setattr(nlpsolve.spla, "splu", recorded_splu)
     nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=1))
-    [qp] = solves
+    [(args, qp)] = solves
+    orders = [kwargs.get("permc_spec") for qp_call, kwargs in calls if qp_call]
     assert orders == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (qp.iterations - 1)
+    assert any(not qp_call for qp_call, _ in calls)     # the shift's rungs
+    assert all(kwargs["panel_size"] == 1 and kwargs["relax"] == 2
+               for _, kwargs in calls)
+
+    # every symmetric factor of a one-iteration subproblem loses a pivot,
+    # so its Newton steps fall back on the pivoted factor
+    def lost(*args):
+        raise RuntimeError("a pivot lost to cancellation")
+
+    calls.clear()
+    monkeypatch.setattr(nlpsolve, "_symmetric_lu", lost)
+    monkeypatch.setattr(nlpsolve, "QP_ITERATIONS", 1)
+    real_qp(*args)
+    assert calls == [(False, {})]
 
 
 def test_first_step_stays_in_the_trust_box(cfg, guess_setup, monkeypatch):

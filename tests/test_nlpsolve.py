@@ -4,6 +4,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -442,7 +443,9 @@ def _quasi_definite_sequence(n, m, steps, seed):
 def test_ordered_factor_matches_a_freshly_ordered_one():
     # one minimum-degree order, from the sequence's first matrix, serves
     # every later one: the same fill, the same pivot signs (n positive, m
-    # negative) and the same solve as ordering each matrix afresh
+    # negative) and the same solve as ordering each matrix afresh.  The
+    # one-column panels change only rounding: SuperLU's default panels and
+    # relaxation give the same pivot signs and the same solve
     n, m = 40, 25
     Ks = list(_quasi_definite_sequence(n, m, 6, seed=3))
     first = nlpsolve._symmetric_lu(Ks[0])
@@ -452,14 +455,19 @@ def test_ordered_factor_matches_a_freshly_ordered_one():
         assert np.array_equal(K.indptr, Ks[0].indptr)
         assert np.array_equal(K.indices, Ks[0].indices)
         fresh = nlpsolve._symmetric_lu(K)
+        wide = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True))
         lu, solve = factor(K)
         assert lu.L.nnz + lu.U.nnz == fresh.L.nnz + fresh.U.nnz
         signs = np.sign(lu.U.diagonal())
         assert np.array_equal(signs, np.sign(fresh.U.diagonal()))
+        assert np.array_equal(np.sign(fresh.U.diagonal()),
+                              np.sign(wide.U.diagonal()))
         assert np.sum(signs < 0) == m and np.sum(signs > 0) == n
         b = rng.standard_normal(n + m)
-        x, x_fresh = solve(b), fresh.solve(b)
+        x, x_fresh, x_wide = solve(b), fresh.solve(b), wide.solve(b)
         assert np.abs(x - x_fresh).max() <= 1e-12 * np.abs(x_fresh).max()
+        assert np.abs(x_wide - x_fresh).max() <= 1e-12 * np.abs(x_fresh).max()
         assert np.abs(K @ x - b).max() <= 1e-9 * np.abs(b).max()
 
 
