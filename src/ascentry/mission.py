@@ -851,8 +851,8 @@ def _propagate_ascent(config: MissionConfig, phases, kick: float,
         return np.zeros(2)
 
     def level(t, y):
-        return np.array([0.0, np.clip(-y[Geo.SIGMA] / 2.0, -cw.u_sigma_max,
-                                      cw.u_sigma_max)])
+        return np.array([0.0, min(max(-y[Geo.SIGMA] / 2.0, -cw.u_sigma_max),
+                                  cw.u_sigma_max)])
 
     kicked = np.array([bc.h0, bc.lon0, bc.lat0, bc.v0, 0.5 * math.pi - kick,
                        psi0, 0.0, 0.0, bc.m0])
@@ -968,26 +968,26 @@ def _entry_profile(config: MissionConfig, ctx: PhaseContext, phase: PhaseDef,
         cl, cd = ctx.aero.lookup(np.array([ab / DEG]), y[[Geo.V]] / a)
         r = e.re + float(y[Geo.H])
         grav = e.mu / (r * r)
-        togo = r * math.acos(np.clip(
+        togo = r * math.acos(min(max(
             math.sin(y[Geo.THETA]) * math.sin(bc.latf)
             + math.cos(y[Geo.THETA]) * math.cos(bc.latf)
-            * math.cos(bc.lonf - y[Geo.PHI]), -1.0, 1.0))
+            * math.cos(bc.lonf - y[Geo.PHI]), -1.0), 1.0))
         # vertical: invert the lift that steers the slope toward a reference
         # tied to the nominal glide pressure; the climb side of the reference
         # is kept soft so the pull-out cannot float back out of dense air
-        gamma_ref = float(np.clip(0.026 * math.log(max(q, 1e-3) / q_nom),
-                                  -0.045, 0.008))
+        gamma_ref = min(max(0.026 * math.log(max(q, 1e-3) / q_nom), -0.045),
+                        0.008)
         need = m * ((grav - v * v / r) * math.cos(gamma)
                     + v * (gamma_ref - gamma) / 40.0)
         cl_slope = max(float(cl[0]), 0.05) / ab
         cos_bank = max(math.cos(float(y[Geo.SIGMA])), 0.3)
         cl_req = need / (max(q, 0.2) * ctx.ref_area * cos_bank)
-        alpha_cmd = float(np.clip(cl_req / cl_slope, 0.0, cw.alpha_max))
+        alpha_cmd = float(min(max(cl_req / cl_slope, 0.0), cw.alpha_max))
         # lateral: the trim glide at q_nom overshoots the field, so weave:
         # crab away from the bearing by the angle whose cosine spends the
         # range surplus, and reverse when the bearing error swings past
         est = m * (v * v - 1.8) / (2.0 * ctx.ref_area * float(cd[0]) * q_nom)
-        delta = math.acos(float(np.clip(togo / max(est, 1.0), 0.2, 1.0)))
+        delta = math.acos(min(max(togo / max(est, 1.0), 0.2), 1.0))
         err = _wrap_pi(_bearing(float(y[Geo.PHI]), float(y[Geo.THETA]),
                                 bc.lonf, bc.latf) - float(y[Geo.PSI]))
         return alpha_cmd, err, delta, q
@@ -999,13 +999,13 @@ def _entry_profile(config: MissionConfig, ctx: PhaseContext, phase: PhaseDef,
             if y[Geo.V] > 1.35:
                 alpha_cmd, err, delta, q = guidance(y)
                 if q > 1.5 and captured:
-                    bank = float(np.clip(2.5 * _wrap_pi(err + sign * delta),
-                                         -75.0 * DEG, 75.0 * DEG))
+                    bank = min(max(2.5 * _wrap_pi(err + sign * delta),
+                                   -75.0 * DEG), 75.0 * DEG)
             return np.array([
-                np.clip((alpha_cmd - y[Geo.ALPHA]) / 1.5,
-                        -cw.u_alpha_max, cw.u_alpha_max),
-                np.clip(_wrap_pi(bank - y[Geo.SIGMA]) / 2.0,
-                        -cw.u_sigma_max, cw.u_sigma_max)])
+                min(max((alpha_cmd - y[Geo.ALPHA]) / 1.5, -cw.u_alpha_max),
+                    cw.u_alpha_max),
+                min(max(_wrap_pi(bank - y[Geo.SIGMA]) / 2.0, -cw.u_sigma_max),
+                    cw.u_sigma_max)])
         return law
 
     def swing(y, sign):
