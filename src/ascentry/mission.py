@@ -832,23 +832,24 @@ def _joined(legs):
     return at
 
 
-def _propagate_ascent(config: MissionConfig, phases, kick: float,
-                      psi0: float) -> dict:
-    """Zero-incidence ascent from the tower with a small pitch kick, flown
-    on the phases' node callbacks: boost1 on its Euler-parameter state with
-    both controls at zero, handed over by the stage1_sep linkage's map,
-    geo_from_vert.  The upper stages slew the bank it hands over, about
-    -3e-3 rad, back to the 0 that the apogee pins need; the coasts, where
-    it is down to the integrator's tolerance, fly with both controls at
-    zero, since the slew's 2-s time constant would bound an explicit
-    integrator's steps over their 1000-s arcs.  Returns the flights of
-    phases 0-5 in order, to apogee and to the atmosphere edge, and the
-    apogee; an arc that tops out inside the atmosphere is incomplete."""
-    bc, lm, cw = config.bc, config.limits, config.cost
-    opts = {"method": "RK45", "rtol": 1.0e-8, "atol": 1.0e-8}
+def _hold(t, y):
+    return np.zeros(2)
 
-    def hold(t, y):
-        return np.zeros(2)
+
+def _propagate_ascent(config: MissionConfig, phases, kick: float,
+                      psi0: float, tol: float) -> dict:
+    """Zero-incidence ascent from the tower with a small pitch kick, flown
+    on the phases' node callbacks at rtol = atol = tol: boost1 on its
+    Euler-parameter state with both controls at zero, handed over by the
+    stage1_sep linkage's map, geo_from_vert.  The upper stages slew the
+    bank it hands over, about -3e-3 rad, back to the 0 that the apogee pins
+    need; coast_up, where it is down to the integrator's tolerance, flies
+    with both controls at zero, since the slew's 2-s time constant would
+    bound an explicit integrator's steps over its 1000-s arc.  Returns the
+    flights of phases 0-4, the coast ending at its apogee, and the apogee:
+    the coast's highest altitude if it never tops out (over-kicked)."""
+    bc, cw = config.bc, config.cost
+    opts = {"method": "RK45", "rtol": tol, "atol": tol}
 
     def level(t, y):
         return np.array([0.0, min(max(-y[Geo.SIGMA] / 2.0, -cw.u_sigma_max),
@@ -857,7 +858,7 @@ def _propagate_ascent(config: MissionConfig, phases, kick: float,
     kicked = np.array([bc.h0, bc.lon0, bc.lat0, bc.v0, 0.5 * math.pi - kick,
                        psi0, 0.0, 0.0, bc.m0])
     flights = [fly(phases[0], vert_from_geo(kicked[None])[0], bc.t0,
-                   config.t_s1, hold, **opts)]
+                   config.t_s1, _hold, **opts)]
     y = geo_from_vert(flights[0].y[:, -1][None])[0]
     for p, (a, b) in enumerate([(config.t_s1, config.t_s2),
                                 (config.t_s2, config.t_fairing),
@@ -869,21 +870,12 @@ def _propagate_ascent(config: MissionConfig, phases, kick: float,
         y = flights[p].y[:, -1]
 
     coast = fly(phases[4], y[:GEO_DIM], config.t_s3, config.t_s3 + 4000.0,
-                hold, [_event(lambda t, y: y[Geo.GAMMA], -1.0),
-                       _event(lambda t, y: y[Geo.H], -1.0)], **opts)
+                _hold, [_event(lambda t, y: y[Geo.GAMMA], -1.0),
+                        _event(lambda t, y: y[Geo.H], -1.0)], **opts)
     topped = coast.t_events[0].size > 0
-    apogee = float(coast.y[Geo.H, -1] if topped else np.max(coast.y[Geo.H]))
-    if not topped or apogee <= lm.h_atm + 1.0:
-        # over-kicked, the path noses over during the burn already; or the
-        # arc tops out inside the atmosphere: report it for the calibrator
-        return {"flights": flights, "apogee": apogee, "complete": False}
-    flights += [coast, fly(phases[5], coast.y[:, -1], coast.t[-1],
-                           coast.t[-1] + 5000.0, hold,
-                           [_event(lambda t, y: y[Geo.H] - lm.h_atm, -1.0)],
-                           **opts)]
-    if flights[5].t_events[0].size == 0:
-        raise RuntimeError("ballistic arc never returns to the atmosphere edge")
-    return {"flights": flights, "apogee": apogee, "complete": True}
+    return {"flights": flights + [coast],
+            "apogee": float(coast.y[Geo.H, -1] if topped
+                            else np.max(coast.y[Geo.H]))}
 
 
 def _bearing(lon0, lat0, lon1, lat1) -> float:
@@ -900,46 +892,55 @@ def _wrap_pi(x: float) -> float:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
+# a kick the calibration tries only steers its root finder: it flies to
+# apogee at the loose tolerance, and the root's kept ascent at the tight one
+CALIBRATION_TOL = 1.0e-5
+ASCENT_TOL = 1.0e-8
+
+
 def calibrate_kick(config: MissionConfig, phases=None,
                    psi0=None) -> tuple[float, dict]:
     """Pitch-over kick angle whose gravity turn peaks near guess_apogee,
     with the ascent flown from it on the mission's phases.
 
-    Each kick is propagated once: brentq evaluates the bracket ends again,
-    and returns its latest kick or the latest one on the other side of the
-    target, so the arc of the latest kick on each side is kept and the
-    root's arc is taken from it.  A root found in neither is propagated
-    again.
+    Each kick brentq tries flies to its apogee at CALIBRATION_TOL, and
+    brentq finds the root of log(apogee / guess_apogee), which is nearer
+    linear in the kick than the difference.  The root's ascent alone is
+    flown at ASCENT_TOL, then coasts down to the atmosphere edge: the arc
+    returned holds those flights of phases 0-5.
     """
     phases = phases or build_mission(config).phases
-    bc = config.bc
+    bc, lm = config.bc, config.limits
     if psi0 is None:
         psi0 = _bearing(bc.lon0, bc.lat0, bc.lonf, bc.latf)
     target = config.guess_apogee
-    misses, arcs = {}, {}           # arcs: (kick, arc) by side of target
 
-    def apogee(kick):
-        if kick not in misses:
-            arc = _propagate_ascent(config, phases, kick, psi0)
-            misses[kick] = arc["apogee"] - target
-            arcs[misses[kick] < 0.0] = kick, arc
-        return misses[kick]
+    def miss(kick):
+        # an over-kicked path that noses over into the ground can read an
+        # apogee at or below 0: the floor keeps its miss finite and negative
+        arc = _propagate_ascent(config, phases, kick, psi0, CALIBRATION_TOL)
+        return math.log(max(arc["apogee"], 1.0e-3 * target) / target)
 
     lo, hi = 0.2 * DEG, 12.0 * DEG
-    flo = apogee(lo)
-    if flo < 0.0:
+    if miss(lo) < 0.0:
         raise RuntimeError("even a minimal pitch kick under-lofts the arc")
-    fhi = apogee(hi)
+    fhi = miss(hi)
     while fhi > 0.0 and hi < 40.0 * DEG:
         hi *= 1.5
-        fhi = apogee(hi)
+        fhi = miss(hi)
     if fhi > 0.0:
         raise RuntimeError("pitch kick calibration failed to bracket the apogee")
-    kick = brentq(apogee, lo, hi, xtol=1.0e-5)
-    for root, arc in arcs.values():
-        if root == kick:
-            return kick, arc
-    return kick, _propagate_ascent(config, phases, kick, psi0)
+    kick = brentq(miss, lo, hi, xtol=1.0e-5)
+
+    arc = _propagate_ascent(config, phases, kick, psi0, ASCENT_TOL)
+    coast = arc["flights"][-1]
+    arc["flights"].append(fly(
+        phases[5], coast.y[:, -1], coast.t[-1], coast.t[-1] + 5000.0, _hold,
+        [_event(lambda t, y: y[Geo.H] - lm.h_atm, -1.0)],
+        method="RK45", rtol=ASCENT_TOL, atol=ASCENT_TOL))
+    if arc["flights"][-1].t_events[0].size == 0:
+        raise RuntimeError("ballistic arc never returns to the atmosphere edge")
+    return kick, arc
 
 
 def _entry_profile(config: MissionConfig, ctx: PhaseContext, phase: PhaseDef,
@@ -1052,10 +1053,7 @@ def initial_guess(config: MissionConfig, nlp) -> np.ndarray:
     feedback-steered glide, each flown on its phase's node callback and
     clipped into the variable boxes."""
     phases = nlp.problem.phases
-    _, arc = calibrate_kick(config, phases)
-    if not arc["complete"]:
-        raise RuntimeError("calibrated ascent guess lost its ballistic arc")
-    ascent = arc["flights"]
+    ascent = calibrate_kick(config, phases)[1]["flights"]
     t_pierce = ascent[5].t[-1]
     entry, t_split, t_end = _entry_profile(
         config, phase_contexts(config)[6], phases[6], ascent[5].y[:, -1],

@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import astuple, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,31 +22,39 @@ def cfg():
 
 
 @pytest.fixture(scope="module")
-def guess_propagations():
-    """Every kick the shared guess propagated an ascent from, in order,
-    and every kick the calibration's root finder evaluated."""
-    return {"propagated": [], "brentq": []}
+def guess_flights():
+    """What the shared guess flew: every ascent, as (kick, tolerance, arc)
+    in order; every kick the calibration's root finder evaluated, and the
+    root it returned; every phase flight, as (phase name, rtol)."""
+    return {"ascents": [], "brentq": [], "root": None, "flown": []}
 
 
 @pytest.fixture(scope="module")
-def guess_setup(cfg, guess_propagations):
+def guess_setup(cfg, guess_flights):
     """One transcription plus calibrated guess, shared across tests."""
     nlp = transcribe(M.build_mission(cfg), M.default_meshes(cfg))
-    propagate, brentq = M._propagate_ascent, M.brentq
+    propagate, brentq, fly = M._propagate_ascent, M.brentq, M.fly
 
-    def propagated(config, phases, kick, psi0):
-        guess_propagations["propagated"].append(kick)
-        return propagate(config, phases, kick, psi0)
+    def propagated(config, phases, kick, psi0, tol):
+        arc = propagate(config, phases, kick, psi0, tol)
+        guess_flights["ascents"].append((kick, tol, arc))
+        return arc
 
     def counted_brentq(f, *args, **kwargs):
         def g(kick):
-            guess_propagations["brentq"].append(kick)
+            guess_flights["brentq"].append(kick)
             return f(kick)
-        return brentq(g, *args, **kwargs)
+        guess_flights["root"] = brentq(g, *args, **kwargs)
+        return guess_flights["root"]
+
+    def flown(phase, *args, **kwargs):
+        guess_flights["flown"].append((phase.name, kwargs.get("rtol")))
+        return fly(phase, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(M, "_propagate_ascent", propagated)
         mp.setattr(M, "brentq", counted_brentq)
+        mp.setattr(M, "fly", flown)
         z0 = M.initial_guess(cfg, nlp)
     return nlp, z0
 
@@ -438,44 +447,44 @@ def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup):
     # Hessian at the guess shifted to be semidefinite: the trust box cannot
     # meet the linearized rows, so the elastic step leaves violation at the
     # weight's price; the figures pin the iterate bit for bit, recorded
-    # since the symmetric factors run one-column panels (the objective
-    # moved in its last bits, from 194.62831150634392)
+    # since the kick is calibrated on trial flights to apogee (the guess
+    # moved: from objective 194.62831150634383, violation 53.87045355878401)
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=1))
     assert rep.status == "max_iterations" and rep.iterations == 1
-    assert rep.objective == 194.62831150634383
-    assert rep.violation == 53.87045355878401
+    assert rep.objective == 194.571725895778
+    assert rep.violation == 53.876497811751435
     assert rep.message == ""
 
 
 def test_four_capped_sqp_iterations_from_the_guess(cfg, guess_setup):
     # from the second iteration on the multipliers are nonzero, so every
     # node and endpoint block of the Hessian runs; the iterate must not move
-    # a bit.  Recorded since the symmetric factors run one-column panels
-    # (from objective 189.6244530348239, violation 33.56043638012734:
-    # rounding only)
+    # a bit.  Recorded since the kick is calibrated on trial flights to
+    # apogee (from objective 189.62445303482522, violation 33.5604363801357:
+    # the guess moved)
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=4))
     assert rep.status == "max_iterations" and rep.iterations == 4
-    assert rep.objective == 189.62445303482522
-    assert rep.violation == 33.5604363801357
+    assert rep.objective == 189.53305810950553
+    assert rep.violation == 33.56910245740231
     assert hashlib.sha256(rep.x.tobytes()).hexdigest() == (
-        "f6a36790e72c3401f15076a33637aa6d04fdf37469182736eba995f8ebcc6667")
+        "0b70b1a41a123a818800ced6d0d187af58f780cc55966fa453c4f6886e3698e6")
 
 
 def test_mission_hessian_at_the_guess_is_pinned_bit_for_bit(guess_setup):
-    # seeded multipliers on every row, recorded since the guess flies the
-    # phases' own node callbacks: the values moved with the guess, the
-    # pattern of 23369 entries kept its bits
+    # seeded multipliers on every row, recorded since the kick is
+    # calibrated on trial flights to apogee: the values moved with the
+    # guess, the pattern of 23369 entries kept its bits
     nlp, z0 = guess_setup
     y = np.random.default_rng(2104).standard_normal(nlp.n_con)
     H = nlp.hessian(z0, y)
     digests = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
                for a in (H.data, H.indices, H.indptr)]
     assert digests == [
-        "69d59971f285ee5430273e597b79d38aa91d846d19ed4a9ce2d1a8bbfcdc6ff7",
+        "23a14bf7ad93953bdd0ffea1d5b2ee5eea2371160a9c4c9757f23018262f6c86",
         "ed2ad091bd06bce4ffc9c03b376df7dc4fb3d7cdd0fe294439980ae218bf2abf",
         "7722b3de997ab6d4006507bf8da7842a99197dd4743b1cf574f8489b80825857"]
 
@@ -617,20 +626,21 @@ def test_first_step_stays_in_the_trust_box(cfg, guess_setup, monkeypatch):
 
 
 def test_guess_is_pinned_bit_for_bit(guess_setup):
-    # recorded since the guess flies the phases' own node callbacks (from
-    # objective 194.216): boost1 on its Euler-parameter node, the entry
-    # under event-switched steering legs
+    # recorded since the kick is calibrated on trial flights to apogee
+    # (from objective 193.20818039128633, sha256 ce0e6fc6...): the root
+    # moved by 5.7e-6 rad, and the ascent flown from it tops out 36 m lower
     nlp, z0 = guess_setup
     assert z0.dtype == np.float64 and z0.shape == (1511,)
-    assert nlp.objective(z0) == 193.20818039128633
+    assert nlp.objective(z0) == 193.13088018510336
     assert hashlib.sha256(z0.tobytes()).hexdigest() == (
-        "ce0e6fc6eece68f9cb0bc91193d62be3be3fb2c1d81669351e6946f32a17ab8a")
+        "415cdd903f7bc37fec2073a6aac97606ca2203e33b48a71bf3b24d9621b323b2")
 
 
 def test_mission_nlp_at_the_guess_is_pinned_bit_for_bit(guess_setup):
     # the names, bounds, values and Jacobian at the guess must not move a
-    # bit; recorded since the guess flies the phases' own node callbacks:
-    # the values at the guess moved with it, the names and bounds did not
+    # bit; recorded since the kick is calibrated on trial flights to
+    # apogee: the values at the guess moved with it, the names and bounds
+    # did not
     nlp, z0 = guess_setup
     J = nlp.jacobian(z0)
     assert (nlp.n_var, nlp.n_con, J.nnz) == (1511, 1342, 22492)
@@ -640,44 +650,95 @@ def test_mission_nlp_at_the_guess_is_pinned_bit_for_bit(guess_setup):
               nlp.objective_gradient(z0), J.indptr, J.indices, J.data):
         h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest() == (
-        "5e68407d54bead3911a4c4e8afc926541df0f3577dd039635c87799be7d194de")
+        "6f05a50cd33f9fc9448f288fd0b85f594d6f34c5008d510499385f351c11f185")
 
 
-def test_guess_propagates_each_calibrated_kick_once(guess_setup,
-                                                    guess_propagations):
-    # brentq evaluates the bracket ends again and returns one of the kicks
-    # it evaluated; neither those nor the guess's own ascent, from the
-    # root, propagate a kick a second time
-    kicks, evaluated = (guess_propagations["propagated"],
-                        guess_propagations["brentq"])
-    assert len(evaluated) >= 3
-    assert len(kicks) == len(set(kicks))
-    assert set(evaluated) <= set(kicks)
+def test_guess_flies_its_trial_kicks_to_apogee_and_the_root_in_full(
+        guess_setup, guess_flights):
+    # every kick the calibration tries flies boost1 to coast_up's apogee at
+    # the loose tolerance, and no trial coasts down; then the root's ascent
+    # alone flies at the tight one, coasts down once, and the entry follows
+    ascents, flown = guess_flights["ascents"], guess_flights["flown"]
+    trials = ascents[:-1]
+    assert len(guess_flights["brentq"]) >= 3
+    assert [tol for _, tol, _ in ascents] == (
+        [M.CALIBRATION_TOL] * len(trials) + [M.ASCENT_TOL])
+    assert ascents[-1][0] == guess_flights["root"]
+    assert set(guess_flights["brentq"]) <= {kick for kick, _, _ in trials}
+    up = ["boost1", "boost2", "boost3", "exo_burn", "coast_up"]
+    n = 5 * len(trials)
+    assert flown[:n] == [(p, M.CALIBRATION_TOL) for _ in trials for p in up]
+    assert flown[n:n + 6] == [(p, M.ASCENT_TOL) for p in up + ["coast_down"]]
+    assert {p for p, _ in flown[n + 6:]} == {"entry_glide"}
+    # the root's arc carries its down-coast, appended after its ascent
+    assert [len(arc["flights"]) for _, _, arc in ascents] == (
+        [5] * len(trials) + [6])
+    for _, _, arc in ascents:
+        coast = arc["flights"][4]
+        assert coast.status == 1
+        if coast.t_events[0].size:
+            assert coast.y[Geo.GAMMA, -1] == pytest.approx(0.0, abs=1e-9)
+            assert arc["apogee"] == coast.y[Geo.H, -1]
+    # the kicks near the root top out; only an over-kicked bracket end may not
+    assert sum(arc["flights"][4].t_events[0].size
+               for _, _, arc in ascents) >= len(ascents) - 2
+
+
+def test_guess_ascent_tops_out_near_the_target_apogee(cfg, guess_setup,
+                                                      guess_flights):
+    # the trial flights' loose tolerance moves the root's apogee, flown at
+    # the tight one, by tens of meters only
+    kick, tol, arc = guess_flights["ascents"][-1]
+    assert tol == M.ASCENT_TOL
+    assert arc["apogee"] == pytest.approx(cfg.guess_apogee, abs=1.0)
 
 
 def test_calibrate_kick_returns_the_roots_arc(cfg, monkeypatch):
-    # a stand-in ascent whose apogee falls with the kick; a root moved off
-    # every kick brentq evaluated is propagated once more, not looked up
-    propagated = []
+    # a stand-in ascent whose apogee falls with the kick, through 0 km past
+    # 0.15 rad: each kick tried flies at the calibration tolerance, the
+    # root alone at the guess's, and it alone coasts down; the floor keeps
+    # the log miss of a trial at or below 0 km finite and negative
+    ascents, downs, misses = [], [], []
 
-    def ascent(config, phases, kick, psi0):
-        propagated.append(kick)
-        return {"kick": kick,
-                "apogee": config.guess_apogee - 40.0 * math.tan(kick - 0.09)}
+    def ascent(config, phases, kick, psi0, tol):
+        ascents.append((kick, tol))
+        coast = SimpleNamespace(t=np.array([0.0, 1.0]), y=np.zeros((8, 2)),
+                                t_events=[np.array([1.0]), np.array([])])
+        return {"kick": kick, "tol": tol, "flights": [coast],
+                "apogee": config.guess_apogee * (0.15 - kick) / 0.06}
+
+    def coast_down(phase, x0, t0, tf, law, events, **opts):
+        downs.append(SimpleNamespace(t_events=[np.array([t0 + 1.0])],
+                                     rtol=opts["rtol"]))
+        return downs[-1]
 
     brentq = M.brentq
-    monkeypatch.setattr(M, "_propagate_ascent", ascent)
-    kick, arc = M.calibrate_kick(cfg, phases=[None], psi0=0.0)
-    assert arc["kick"] == kick and kick in propagated
-    assert len(propagated) == len(set(propagated)) >= 5
-    n = len(propagated)
 
-    propagated.clear()
+    def recorded(f, *args, **kwargs):
+        def g(kick):
+            misses.append((kick, f(kick)))
+            return misses[-1][1]
+        return brentq(g, *args, **kwargs)
+
+    monkeypatch.setattr(M, "_propagate_ascent", ascent)
+    monkeypatch.setattr(M, "fly", coast_down)
+    monkeypatch.setattr(M, "brentq", recorded)
+    kick, arc = M.calibrate_kick(cfg, phases=[None] * 6, psi0=0.0)
+    assert kick == pytest.approx(0.09, abs=1e-5)
+    assert ascents[-1] == (kick, M.ASCENT_TOL)
+    assert all(tol == M.CALIBRATION_TOL for _, tol in ascents[:-1])
+    assert (arc["kick"], arc["tol"]) == (kick, M.ASCENT_TOL)
+    assert arc["flights"][-1] is downs[0] and len(downs) == 1
+    assert downs[0].rtol == M.ASCENT_TOL
+    grounded = [m for k, m in misses if k >= 0.15]
+    assert grounded and all(math.isfinite(m) and m < 0.0 for m in grounded)
+
+    # a root moved off every kick tried is the one flown in full
+    ascents.clear()
     monkeypatch.setattr(M, "brentq", lambda *a, **k: brentq(*a, **k) + 1e-7)
-    moved, arc = M.calibrate_kick(cfg, phases=[None], psi0=0.0)
-    assert moved == kick + 1e-7 and arc["kick"] == moved
-    assert propagated == sorted(set(propagated), key=propagated.index)
-    assert len(propagated) == n + 1 and propagated[-1] == moved
+    moved, arc = M.calibrate_kick(cfg, phases=[None] * 6, psi0=0.0)
+    assert moved == kick + 1e-7 and ascents[-1] == (moved, M.ASCENT_TOL)
+    assert (arc["kick"], arc["tol"]) == (moved, M.ASCENT_TOL)
 
 
 def test_entry_flight_ends_at_its_ground_event(cfg):
