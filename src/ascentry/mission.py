@@ -905,7 +905,8 @@ def calibrate_kick(config: MissionConfig, phases=None,
 
     Each kick brentq tries flies to its apogee at CALIBRATION_TOL, and
     brentq finds the root of log(apogee / guess_apogee), which is nearer
-    linear in the kick than the difference.  The root's ascent alone is
+    linear in the kick than the difference, once per kick: brentq's second
+    look at its bracket ends flies nothing.  The root's ascent alone is
     flown at ASCENT_TOL, then coasts down to the atmosphere edge: the arc
     returned holds those flights of phases 0-5.
     """
@@ -914,12 +915,17 @@ def calibrate_kick(config: MissionConfig, phases=None,
     if psi0 is None:
         psi0 = _bearing(bc.lon0, bc.lat0, bc.lonf, bc.latf)
     target = config.guess_apogee
+    misses = {}
 
     def miss(kick):
         # an over-kicked path that noses over into the ground can read an
         # apogee at or below 0: the floor keeps its miss finite and negative
-        arc = _propagate_ascent(config, phases, kick, psi0, CALIBRATION_TOL)
-        return math.log(max(arc["apogee"], 1.0e-3 * target) / target)
+        if kick not in misses:
+            arc = _propagate_ascent(config, phases, kick, psi0,
+                                    CALIBRATION_TOL)
+            misses[kick] = math.log(max(arc["apogee"], 1.0e-3 * target)
+                                    / target)
+        return misses[kick]
 
     lo, hi = 0.2 * DEG, 12.0 * DEG
     if miss(lo) < 0.0:

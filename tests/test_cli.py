@@ -92,7 +92,8 @@ def test_canonical_solve_writes_its_outputs(tmp_path):
     for entry in history:
         assert entry["sqp"]
         assert set(entry["sqp"][0]) == {"iteration", "objective",
-                                        "feasibility", "step_norm"}
+                                        "feasibility", "step_norm",
+                                        "qp_iterations"}
 
 
 def _reject_constant(token):

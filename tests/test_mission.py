@@ -447,31 +447,37 @@ def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup):
     # Hessian at the guess shifted to be semidefinite: the trust box cannot
     # meet the linearized rows, so the elastic step leaves violation at the
     # weight's price; the figures pin the iterate bit for bit, recorded
-    # since the kick is calibrated on trial flights to apogee (the guess
-    # moved: from objective 194.62831150634383, violation 53.87045355878401)
+    # since the subproblem starts its elastic multipliers at their price and
+    # runs one Gondzio corrector per factor (the subproblem's answer moved
+    # by rounding: from objective 194.571725895778, the violation kept its
+    # bits).  That subproblem converges in 19 interior-point iterations
+    # (27 before)
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=1))
     assert rep.status == "max_iterations" and rep.iterations == 1
-    assert rep.objective == 194.571725895778
+    assert rep.objective == 194.57172589577675
     assert rep.violation == 53.876497811751435
     assert rep.message == ""
+    [row] = rep.log
+    assert row["qp_iterations"] <= 19
 
 
 def test_four_capped_sqp_iterations_from_the_guess(cfg, guess_setup):
     # from the second iteration on the multipliers are nonzero, so every
     # node and endpoint block of the Hessian runs; the iterate must not move
-    # a bit.  Recorded since the kick is calibrated on trial flights to
-    # apogee (from objective 189.62445303482522, violation 33.5604363801357:
-    # the guess moved)
+    # a bit.  Recorded since the subproblem starts its elastic multipliers
+    # at their price and runs one Gondzio corrector per factor (from
+    # objective 189.53305810950553, violation 33.56910245740231: the
+    # subproblems' answers moved by rounding)
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=4))
     assert rep.status == "max_iterations" and rep.iterations == 4
-    assert rep.objective == 189.53305810950553
-    assert rep.violation == 33.56910245740231
+    assert rep.objective == 189.53305810948578
+    assert rep.violation == 33.56910245738668
     assert hashlib.sha256(rep.x.tobytes()).hexdigest() == (
-        "0b70b1a41a123a818800ced6d0d187af58f780cc55966fa453c4f6886e3698e6")
+        "4fbf45739ca56e49c0d2636787c8ab582fd81da1e2827e076fa652a7f55b3eff")
 
 
 def test_mission_hessian_at_the_guess_is_pinned_bit_for_bit(guess_setup):
@@ -665,6 +671,8 @@ def test_guess_flies_its_trial_kicks_to_apogee_and_the_root_in_full(
         [M.CALIBRATION_TOL] * len(trials) + [M.ASCENT_TOL])
     assert ascents[-1][0] == guess_flights["root"]
     assert set(guess_flights["brentq"]) <= {kick for kick, _, _ in trials}
+    # each kick tried flies once, brentq's bracket ends too
+    assert len({kick for kick, _, _ in trials}) == len(trials)
     up = ["boost1", "boost2", "boost3", "exo_burn", "coast_up"]
     n = 5 * len(trials)
     assert flown[:n] == [(p, M.CALIBRATION_TOL) for _ in trials for p in up]
@@ -739,6 +747,37 @@ def test_calibrate_kick_returns_the_roots_arc(cfg, monkeypatch):
     moved, arc = M.calibrate_kick(cfg, phases=[None] * 6, psi0=0.0)
     assert moved == kick + 1e-7 and ascents[-1] == (moved, M.ASCENT_TOL)
     assert (arc["kick"], arc["tol"]) == (moved, M.ASCENT_TOL)
+
+
+def test_calibrate_kick_flies_each_kick_once(cfg, monkeypatch):
+    # brentq looks at its bracket ends again, after the bracket search has
+    # flown them: the calibration answers from the misses it has, so no
+    # (kick, tolerance) pair flies twice
+    flown, looked = [], []
+
+    def ascent(config, phases, kick, psi0, tol):
+        flown.append((kick, tol))
+        coast = SimpleNamespace(t=np.array([0.0, 1.0]), y=np.zeros((8, 2)),
+                                t_events=[np.array([1.0]), np.array([])])
+        return {"flights": [coast],
+                "apogee": config.guess_apogee * (0.15 - kick) / 0.06}
+
+    def coast_down(phase, x0, t0, tf, law, events, **opts):
+        return SimpleNamespace(t_events=[np.array([t0 + 1.0])])
+
+    brentq = M.brentq
+
+    def recorded(f, a, b, **kwargs):
+        looked.append(({a, b}, {kick for kick, _ in flown}))
+        return brentq(f, a, b, **kwargs)
+
+    monkeypatch.setattr(M, "_propagate_ascent", ascent)
+    monkeypatch.setattr(M, "fly", coast_down)
+    monkeypatch.setattr(M, "brentq", recorded)
+    M.calibrate_kick(cfg, phases=[None] * 6, psi0=0.0)
+    [(ends, flown_before)] = looked
+    assert ends <= flown_before
+    assert len(set(flown)) == len(flown)
 
 
 def test_entry_flight_ends_at_its_ground_event(cfg):
