@@ -195,13 +195,14 @@ def _cmd_check(args, data: dict) -> int:
     for s in cfg.stages:
         print(f"  {s.name}: burn {s.burn_time:.1f} s, thrust {s.thrust:.1f} kN,"
               f" Isp {s.isp:.0f} s, flow {s.mass_rate(g0):.2f} kg/s,"
-              f" fuel {s.fuel_mass:,.0f} kg, empty {s.empty_mass:,.0f} kg")
+              f" fuel {s.mass_rate(g0) * s.burn_time:,.0f} kg,"
+              f" empty {s.empty_mass:,.0f} kg")
     print(f"  mass after stage 1 sep {cfg.m_s2:,.1f} kg")
     print(f"  mass after stage 2 sep {cfg.m_s3:,.1f} kg")
     print(f"  coast stack            {cfg.coast_mass:,.1f} kg")
     print(f"  entry vehicle          {cfg.entry_mass:,.3f} kg,"
           f" area {cfg.entry_area} m^2")
-    print(f"  staging timeline       {cfg.bc.t0} -> {cfg.t_s1} -> {cfg.t_s2}"
+    print(f"  staging timeline       {tc.time:.3f} -> {cfg.t_s1} -> {cfg.t_s2}"
           f" -> {cfg.t_fairing} -> {cfg.t_s3} s")
     print(f"  tower clear            t={tc.time:.3f} s, v={tc.speed:.4f} km/s,"
           f" m={tc.mass:,.1f} kg")

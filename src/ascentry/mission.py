@@ -57,7 +57,6 @@ class VehicleStage:
     name: str
     burn_time: float
     empty_mass: float
-    fuel_mass: float
     ref_area: float
     isp: float
     thrust: float
@@ -67,13 +66,13 @@ class VehicleStage:
             if f.name != "name" and getattr(self, f.name) <= 0.0:
                 raise ConfigError(f"stage {self.name}: {f.name} must be positive")
 
-    @property
-    def total_mass(self) -> float:
-        return self.empty_mass + self.fuel_mass
-
     def mass_rate(self, g0: float) -> float:
         """Propellant consumption kg/s for standard gravity g0 in km/s^2."""
         return self.thrust / (self.isp * g0)
+
+    def total_mass(self, g0: float) -> float:
+        """Empty mass plus the propellant the burn consumes."""
+        return self.empty_mass + self.mass_rate(g0) * self.burn_time
 
 
 @dataclass
@@ -101,14 +100,10 @@ class CostParams:
 
 @dataclass
 class BoundaryData:
-    """Endpoint data: km, km/s, rad, kg, s."""
+    """Endpoint data: km, km/s, rad; boost1 starts at the tower top."""
 
-    t0: float = 2.52
-    h0: float = 0.167
     lon0: float = -120.63 * DEG
     lat0: float = 34.58 * DEG
-    v0: float = 0.040
-    m0: float = 85743.0
     hf: float = 0.0
     lonf: float = -192.30 * DEG
     latf: float = 8.70 * DEG
@@ -117,10 +112,15 @@ class BoundaryData:
     tower_height: float = 0.05
 
 
+# the flight corridor, rad: every phase's longitude and latitude box, which
+# the launch and target points must lie in
+CORRIDOR = {"lon": (-3.6, -1.8), "lat": (0.05, 0.75)}
+
+
 def _default_stages() -> tuple[VehicleStage, VehicleStage, VehicleStage]:
-    return (VehicleStage("stage1", 56.4, 3630.0, 45360.0, 4.307, 282.0, 2224.1),
-            VehicleStage("stage2", 60.7, 3170.0, 24500.0, 4.307, 309.0, 1222.9),
-            VehicleStage("stage3", 72.0, 630.0, 7080.0, 4.307, 300.0, 289.1))
+    return (VehicleStage("stage1", 56.4, 3630.0, 4.307, 282.0, 2224.1),
+            VehicleStage("stage2", 60.7, 3170.0, 4.307, 309.0, 1222.9),
+            VehicleStage("stage3", 72.0, 630.0, 4.307, 300.0, 289.1))
 
 
 def _default_mesh() -> tuple[tuple[int, int], ...]:
@@ -170,19 +170,20 @@ class MissionConfig:
 
     @property
     def ignition_mass(self) -> float:
-        return (sum(s.total_mass for s in self.stages)
+        return (sum(s.total_mass(self.earth.g0) for s in self.stages)
                 + self.fairing_mass + self.payload_mass)
 
     @property
     def m_s2(self) -> float:
         """Vehicle mass right after first-stage separation."""
-        return (sum(s.total_mass for s in self.stages[1:])
+        return (sum(s.total_mass(self.earth.g0) for s in self.stages[1:])
                 + self.fairing_mass + self.payload_mass)
 
     @property
     def m_s3(self) -> float:
         """Vehicle mass right after second-stage separation."""
-        return self.stages[2].total_mass + self.fairing_mass + self.payload_mass
+        return (self.stages[2].total_mass(self.earth.g0) + self.fairing_mass
+                + self.payload_mass)
 
     @property
     def coast_mass(self) -> float:
@@ -191,24 +192,27 @@ class MissionConfig:
 
     def validate(self) -> None:
         """Each field's own range rule (its `CONFIG_FIELDS` row), the mesh
-        rule, then the bookkeeping that ties fields together."""
+        rule, the bookkeeping that ties fields together and the tower
+        clearance."""
         bad: list[str] = []
         if len(self.stages) != 3:
             raise ConfigError("exactly three booster stages are required")
         for f in CONFIG_FIELDS:
             f.check(attrgetter(f.attr)(self))
         check_mesh(self.mesh, 8)
-        if not 0.0 < self.bc.t0 < self.t_s1 < self.t_s2 < self.t_fairing < self.t_s3:
-            bad.append("staging times must satisfy t0 < t_s1 < t_s2 < t_fairing < t_s3")
-        for s in self.stages:
-            ideal = s.thrust * s.burn_time / (s.isp * self.earth.g0)
-            if abs(ideal - s.fuel_mass) > 0.01 * s.fuel_mass:
-                bad.append(f"{s.name} fuel load {s.fuel_mass} is inconsistent "
-                           f"with thrust*burn/(Isp*g0) = {ideal:.1f}")
+        if not self.t_s1 < self.t_s2 < self.t_fairing < self.t_s3:
+            bad.append("staging times must satisfy t_s1 < t_s2 < t_fairing < t_s3")
+        for key in ("lon0", "lat0", "lonf", "latf"):
+            lo, hi = CORRIDOR[key[:3]]
+            if not lo <= getattr(self.bc, key) <= hi:
+                bad.append(f"boundary.{key}_deg lies outside the flight "
+                           f"corridor, {lo / DEG:.2f} to {hi / DEG:.2f} deg")
         for label, v in (("fairing_mass", self.fairing_mass),
                          ("payload_mass", self.payload_mass),
                          ("entry_mass", self.entry_mass),
-                         ("entry_area", self.entry_area)):
+                         ("entry_area", self.entry_area),
+                         ("tower_height", self.bc.tower_height),
+                         ("g0", self.earth.g0)):
             if v <= 0.0:
                 bad.append(f"{label} must be positive")
         if self.entry_mass >= self.payload_mass:
@@ -223,14 +227,11 @@ class MissionConfig:
         c = self.cost
         if min(c.alpha_max, c.u_alpha_max, c.u_sigma_max) <= 0.0 or c.k <= 0.0:
             bad.append("cost normalizations and k must be positive")
-        if not 0.0 < self.bc.v0 < 1.0 or self.bc.m0 <= 0.0:
-            bad.append("initial speed/mass out of range")
-        if self.bc.m0 > self.ignition_mass:
-            bad.append("initial mass exceeds the ignition mass budget")
         if not self.guess_apogee >= lm.h_peak_lo:
             bad.append("guess apogee must sit inside the peak window")
         if bad:
             raise ConfigError("; ".join(bad))
+        tower_clear_propagate(self)
 
     # -- serialization
 
@@ -403,12 +404,8 @@ CONFIG_FIELDS = (
     ConfigField("cost", "u_alpha_max_deg", "cost.u_alpha_max", DEG),
     ConfigField("cost", "u_sigma_max_deg", "cost.u_sigma_max", DEG),
     ConfigField("cost", "k", "cost.k"),
-    ConfigField("boundary", "t0", "bc.t0"),
-    ConfigField("boundary", "h0", "bc.h0"),
     ConfigField("boundary", "lon0_deg", "bc.lon0", DEG),
     ConfigField("boundary", "lat0_deg", "bc.lat0", DEG),
-    ConfigField("boundary", "v0", "bc.v0"),
-    ConfigField("boundary", "m0", "bc.m0"),
     ConfigField("boundary", "hf", "bc.hf"),
     ConfigField("boundary", "lonf_deg", "bc.lonf", DEG),
     ConfigField("boundary", "latf_deg", "bc.latf", DEG),
@@ -497,9 +494,9 @@ def default_config() -> MissionConfig:
 
 
 # --------------------------------------------------------------------------
-# scipy's root finder, imported on first call: only the kick calibration and
-# the tower clearance use it, and a canonical run or a transcription would
-# otherwise pay for loading it
+# scipy's root finder, imported on first call: only the kick calibration
+# uses it, and a canonical run or a transcription would otherwise pay for
+# loading it
 
 
 def brentq(f, a, b, **kwargs):
@@ -523,8 +520,10 @@ class TowerClear:
 
 
 def tower_clear_propagate(config: MissionConfig) -> TowerClear:
-    """Integrate the vertical rise hdd = T/m - g0 from rest at the pad and
-    report the crossing of the tower top.  Thrust must beat pad weight."""
+    """The vertical rise hdd = T/m - g0 from rest at the pad, in closed
+    form, to the tower top: boost1's start.  Thrust must beat pad weight.
+    The climb is convex and the constant-acceleration estimate lies right of
+    the crossing, so Newton's steps from it fall until rounding stops them."""
     s1 = config.stages[0]
     g0 = config.earth.g0
     m0 = config.ignition_mass
@@ -534,18 +533,24 @@ def tower_clear_propagate(config: MissionConfig) -> TowerClear:
         raise ConfigError("thrust does not exceed the pad weight; "
                           "the vehicle cannot lift off")
 
-    def gain(t):
-        m = m0 - mdot * t
-        return ve * (t - m / mdot * math.log(m0 / m)) - 0.5 * g0 * t * t
+    def burnt(t):       # log(m0 / m), without rounding m0 / m first
+        return -math.log1p(-mdot * t / m0)
 
+    def gain(t):
+        return ve * (t - (m0 / mdot - t) * burnt(t)) - 0.5 * g0 * t * t
+
+    def speed(t):
+        return ve * burnt(t) - g0 * t
+
+    # the stage's empty mass is left at burnout, so the log stays finite
     target = config.bc.tower_height
-    hi = min(s1.burn_time, 0.98 * m0 / mdot)
-    if gain(hi) < target:
+    if gain(s1.burn_time) < target:
         raise ConfigError("vehicle does not clear the tower within the burn")
-    t = brentq(lambda x: gain(x) - target, 1.0e-9, hi, xtol=1.0e-12)
-    m = m0 - mdot * t
-    v = ve * math.log(m0 / m) - g0 * t
-    return TowerClear(time=t, speed=v, mass=m,
+    t = min(math.sqrt(2.0 * target / (s1.thrust / m0 - g0)), s1.burn_time)
+    last = math.inf
+    while t < last:
+        t, last = t - (gain(t) - target) / speed(t), t
+    return TowerClear(time=t, speed=speed(t), mass=m0 - mdot * t,
                       altitude=config.bc.pad_elevation + target)
 
 
@@ -607,6 +612,8 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
     config.validate()
     ctx = phase_contexts(config)
     lm, cw, bc = config.limits, config.cost, config.bc
+    tc = tower_clear_propagate(config)
+    (lon_lo, lon_hi), (lat_lo, lat_hi) = CORRIDOR["lon"], CORRIDOR["lat"]
     hp = config.heating
     t1, t2, t3, t4 = config.t_s1, config.t_s2, config.t_fairing, config.t_s3
 
@@ -648,28 +655,29 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
 
     phases = []
 
-    # phase 1: first stage, Euler parameters, mass flowing
-    x_lo, x_hi = (np.array([0.05, -3.6, 0.05, 0.005, -1.001, -1.001, -1.001,
-                            -1.001, -cw.alpha_max, 0.4 * bc.m0]),
-                  np.array([90.0, -1.8, 0.75, 3.5, 1.001, 1.001, 1.001,
-                            1.001, cw.alpha_max, 1.1 * bc.m0]))
-    x0_lo, x0_hi = _pins(10, [(0, bc.h0, bc.h0), (1, bc.lon0, bc.lon0),
-                              (2, bc.lat0, bc.lat0), (3, bc.v0, bc.v0),
+    # phase 1: first stage, Euler parameters, mass flowing, from the tower top
+    x_lo, x_hi = (np.array([0.05, lon_lo, lat_lo, 0.005, -1.001, -1.001,
+                            -1.001, -1.001, -cw.alpha_max, 0.4 * tc.mass]),
+                  np.array([90.0, lon_hi, lat_hi, 3.5, 1.001, 1.001, 1.001,
+                            1.001, cw.alpha_max, 1.1 * tc.mass]))
+    x0_lo, x0_hi = _pins(10, [(0, tc.altitude, tc.altitude),
+                              (1, bc.lon0, bc.lon0), (2, bc.lat0, bc.lat0),
+                              (3, tc.speed, tc.speed),
                               (4, 0.0, 0.0), (5, 0.0, 0.0), (6, 0.0, 0.0),
                               (7, 1.0, 1.0), (8, 0.0, 0.0),
-                              (9, bc.m0, bc.m0)])
+                              (9, tc.mass, tc.mass)])
     phases.append(PhaseDef(
         "boost1", 10, 2, node(ctx[0], vert_core, Vert.ALPHA, ("q",)),
-        x_lo, x_hi, -u_max, u_max, bc.t0, bc.t0, t1, t1,
+        x_lo, x_hi, -u_max, u_max, tc.time, tc.time, t1, t1,
         x0_lo=x0_lo, x0_hi=x0_hi,
         path=[PathConstraint("q_max", -np.inf, lm.q_max)],
         cost=vert_cost(w_boost),
         state_names=VERT_STATE_NAMES + ("m",), control_names=VERT_CONTROL_NAMES))
 
     # phases 2-3: upper stages in the atmosphere, geodetic angles
-    geo_lo = np.array([5.0, -3.6, 0.05, 0.3, -1.5690, -3.3, -cw.alpha_max,
-                       -math.pi])
-    geo_hi = np.array([160.0, -1.8, 0.75, 6.5, 1.5690, 0.5, cw.alpha_max,
+    geo_lo = np.array([5.0, lon_lo, lat_lo, 0.3, -1.5690, -3.3,
+                       -cw.alpha_max, -math.pi])
+    geo_hi = np.array([160.0, lon_hi, lat_hi, 6.5, 1.5690, 0.5, cw.alpha_max,
                        math.pi])
     for name, p, span, mpin, m_lo, m_hi in (
             ("boost2", 1, (t1, t2), config.m_s2, 13000.0, 39000.0),
@@ -687,9 +695,9 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
             control_names=GEO_CONTROL_NAMES))
 
     # phase 4: third stage above the sensible atmosphere
-    x_lo = np.array([lm.h_atm, -3.6, 0.05, 5.0, -1.5690, -3.3, -cw.alpha_max,
-                     -math.pi, 3400.0])
-    x_hi = np.array([230.0, -1.8, 0.75, 9.0, 1.5690, 0.5, cw.alpha_max,
+    x_lo = np.array([lm.h_atm, lon_lo, lat_lo, 5.0, -1.5690, -3.3,
+                     -cw.alpha_max, -math.pi, 3400.0])
+    x_hi = np.array([230.0, lon_hi, lat_hi, 9.0, 1.5690, 0.5, cw.alpha_max,
                      math.pi, 4800.0])
     phases.append(PhaseDef(
         "exo_burn", 9, 2, node(ctx[3], geo_core, Geo.ALPHA),
@@ -697,10 +705,10 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
         state_names=GEO_STATE_NAMES + ("m",), control_names=GEO_CONTROL_NAMES))
 
     # phase 5: coast up to the peak, payload still attached
-    coast_lo = np.array([lm.h_atm, -3.6, 0.05, 4.0, -1.5690, -3.3,
+    coast_lo = np.array([lm.h_atm, lon_lo, lat_lo, 4.0, -1.5690, -3.3,
                          -0.5 * math.pi, -math.pi])
-    coast_hi = np.array([lm.h_peak_hi + 30.0, -1.8, 0.75, 9.0, 1.5690, 0.5,
-                         0.5 * math.pi, math.pi])
+    coast_hi = np.array([lm.h_peak_hi + 30.0, lon_hi, lat_hi, 9.0, 1.5690,
+                         0.5, 0.5 * math.pi, math.pi])
     xf_lo, xf_hi = _pins(8, [(0, lm.h_peak_lo, lm.h_peak_hi),
                              (4, 0.0, 0.0), (6, 0.0, 0.0), (7, 0.0, 0.0)])
     phases.append(PhaseDef(
@@ -721,8 +729,9 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
         state_names=GEO_STATE_NAMES, control_names=GEO_CONTROL_NAMES))
 
     # phase 7: thin-air glide down to the bank-effectiveness boundary
-    x_lo = np.array([40.0, -3.6, 0.05, 4.5, -1.5690, -3.3, 0.0, -math.pi])
-    x_hi = np.array([lm.h_atm + 1.0, -1.8, 0.75, 8.5, 0.35, 0.5,
+    x_lo = np.array([40.0, lon_lo, lat_lo, 4.5, -1.5690, -3.3, 0.0,
+                     -math.pi])
+    x_hi = np.array([lm.h_atm + 1.0, lon_hi, lat_hi, 8.5, 0.35, 0.5,
                      cw.alpha_max, math.pi])
     x0_lo, x0_hi = _pins(8, [(0, lm.h_atm, lm.h_atm)])
     phases.append(PhaseDef(
@@ -736,9 +745,9 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
         state_names=GEO_STATE_NAMES, control_names=GEO_CONTROL_NAMES))
 
     # phase 8: dense-air descent, Euler parameters, terminal target
-    x_lo = np.array([-0.01, -3.6, 0.05, 0.3, -1.001, -1.001, -1.001, -1.001,
-                     0.0])
-    x_hi = np.array([70.0, -1.8, 0.75, 8.5, 1.001, 1.001, 1.001, 1.001,
+    x_lo = np.array([-0.01, lon_lo, lat_lo, 0.3, -1.001, -1.001, -1.001,
+                     -1.001, 0.0])
+    x_hi = np.array([70.0, lon_hi, lat_hi, 8.5, 1.001, 1.001, 1.001, 1.001,
                      cw.alpha_max])
     xf_lo, xf_hi = _pins(9, [(0, bc.hf, bc.hf), (1, bc.lonf, bc.lonf),
                              (2, bc.latf, bc.latf), (3, bc.vf, bc.vf),
@@ -848,16 +857,16 @@ def _propagate_ascent(config: MissionConfig, phases, kick: float,
     bound an explicit integrator's steps over its 1000-s arc.  Returns the
     flights of phases 0-4, the coast ending at its apogee, and the apogee:
     the coast's highest altitude if it never tops out (over-kicked)."""
-    bc, cw = config.bc, config.cost
+    cw, start = config.cost, phases[0].x0_lo
     opts = {"method": "RK45", "rtol": tol, "atol": tol}
 
     def level(t, y):
         return np.array([0.0, min(max(-y[Geo.SIGMA] / 2.0, -cw.u_sigma_max),
                                   cw.u_sigma_max)])
 
-    kicked = np.array([bc.h0, bc.lon0, bc.lat0, bc.v0, 0.5 * math.pi - kick,
-                       psi0, 0.0, 0.0, bc.m0])
-    flights = [fly(phases[0], vert_from_geo(kicked[None])[0], bc.t0,
+    kicked = np.concatenate([start[:Vert.E1], [0.5 * math.pi - kick, psi0,
+                                               0.0, 0.0, start[Vert.M]]])
+    flights = [fly(phases[0], vert_from_geo(kicked[None])[0], phases[0].t0_lo,
                    config.t_s1, _hold, **opts)]
     y = geo_from_vert(flights[0].y[:, -1][None])[0]
     for p, (a, b) in enumerate([(config.t_s1, config.t_s2),

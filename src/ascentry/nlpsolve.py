@@ -88,7 +88,12 @@ converge in 60 iterations, and scaled by W, 4 of 400 small random QPs
 (weights 10 to 1e10) did not, against none with s.  A subproblem stops at
 relative KKT residuals and average complementarity of `QP_TOLERANCE`, or
 at `QP_ITERATIONS` with its last iterate flagged, and the report's message
-counts the accepted steps that came from one.
+counts the accepted steps that came from one.  It also stops, flagged the
+same way, once 1 - mu s rounds to 1: tau is then 1, the step puts a
+blocking gap on 0, and Sigma = z / w divides by it.  A row whose
+coefficients are about 1e9 does that: its rounding floor keeps the primal
+residual above `QP_TOLERANCE` while mu falls past 1e-16 / s.  Where every
+factor of K is lost, `solve` ends with status "numerical_failure".
 """
 from __future__ import annotations
 
@@ -139,7 +144,7 @@ class SolveReport:
 
 class _QPResult:
     def __init__(self, d, y, y_bnd, iterations, primal_res, dual_res,
-                 converged):
+                 converged, factor_lost):
         self.d = d
         self.y = y
         self.y_bnd = y_bnd
@@ -147,6 +152,7 @@ class _QPResult:
         self.primal_res = primal_res
         self.dual_res = dual_res
         self.converged = converged  # met its tolerance before its cap
+        self.factor_lost = factor_lost  # every factor of K lost a pivot
 
 
 def _symmetric_lu(M: sp.spmatrix, permc_spec: str = "MMD_AT_PLUS_A"):
@@ -294,18 +300,19 @@ def _elastic_qp(B: sp.spmatrix, g: np.ndarray, J: sp.spmatrix,
 
     def refined(solve, rhs):
         """solve(rhs) refined against K while the residual falls, at most
-        three times and not past 1e-14 of rhs, and its residual."""
+        three times, and whether it solves K to 1e-10 of rhs."""
         sol = solve(rhs)
         res = rhs - K @ sol
+        goal = 1e-10 * np.abs(rhs).max()
         for _ in range(3):
-            if np.abs(res).max() <= 1e-14 * np.abs(rhs).max():
+            if np.abs(res).max() <= goal:
                 break
             better = sol + solve(res)
             res_better = rhs - K @ better
             if not np.abs(res_better).max() < np.abs(res).max():
                 break
             sol, res = better, res_better
-        return sol, res
+        return sol, np.abs(res).max() <= goal
 
     def newton(solve, pivoted, Sigma, R_x, R_y):
         """(dx, dy) from [Q + Sigma, A'; A, 0] (dx, dy) = (R_x, R_y), A the
@@ -320,9 +327,10 @@ def _elastic_qp(B: sp.spmatrix, g: np.ndarray, J: sp.spmatrix,
         rhs_y = R_y - R_p / S_p + R_n / S_n
         rhs_y[slack] += R_s / S_s
         rhs = np.concatenate([R_x[:nf], rhs_y])
+        solved = False
         if solve is not None:
-            sol, res = refined(solve, rhs)
-        if solve is None or np.abs(res).max() > 1e-10 * np.abs(rhs).max():
+            sol, solved = refined(solve, rhs)
+        if not solved:
             if not pivoted:
                 pivoted.append(spla.splu(K + sp.diags(reg)))
             sol, _ = refined(pivoted[0].solve, rhs)
@@ -390,7 +398,7 @@ def _elastic_qp(B: sp.spmatrix, g: np.ndarray, J: sp.spmatrix,
                 a *= 0.5
         return a, (dx, dy, dw, dz)
 
-    converged = False
+    converged = factor_lost = False
     reorder = None      # factor() in the order of the first symmetric factor
     for it in range(QP_ITERATIONS + 1):
         ATy = np.concatenate([JfT @ y, y, -y, -y[slack]])
@@ -407,7 +415,8 @@ def _elastic_qp(B: sp.spmatrix, g: np.ndarray, J: sp.spmatrix,
                 and dual_residual(r_x) <= QP_TOLERANCE:
             converged = True
             break
-        if it == QP_ITERATIONS:
+        # past 1 - mu s == 1 the fraction to the boundary is 1 (see above)
+        if it == QP_ITERATIONS or 1.0 - mu * scale == 1.0:
             break
         Sigma = np.bincount(idx, z / w, N)
         D = 1.0 / Sigma[nf:nf + mr] + 1.0 / Sigma[nf + mr:at]
@@ -438,6 +447,7 @@ def _elastic_qp(B: sp.spmatrix, g: np.ndarray, J: sp.spmatrix,
             else:
                 a, (dx, dy, dw, dz) = corrected_step(direction, mu)
         except RuntimeError:    # the pivoted factor lost a pivot too
+            factor_lost = True
             break
         if it == 0:
             # Mehrotra's start: the affine step's target from the neutral
@@ -469,7 +479,7 @@ def _elastic_qp(B: sp.spmatrix, g: np.ndarray, J: sp.spmatrix,
     y_bnd = -(B @ d + g + J.T @ y_con)
     y_bnd[free] = scale * (z[nf:2 * nf] - z[:nf])
     return _QPResult(d, y_con, y_bnd, it, primal, dual_residual(r_x),
-                     converged)
+                     converged, factor_lost)
 
 
 def _violation(c, c_lo, c_hi):
@@ -622,6 +632,9 @@ def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveRep
         if mu > 100.0 * (2.0 * y_prev + 1.0):
             mu = 10.0 * (2.0 * y_prev + 1.0)
         qp = _elastic_qp(B, g, J, c_lo - c, c_hi - c, bl, bu)
+        if qp.factor_lost:
+            return report("numerical_failure", "every factor of a QP "
+                          "subproblem's KKT matrix lost a pivot")
         d = qp.d
         v_lin = _violation_l1(c + J @ d, c_lo, c_hi)
         y_new_con, y_new_bnd = qp.y, qp.y_bnd

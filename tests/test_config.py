@@ -34,8 +34,7 @@ def _every_field_config() -> M.MissionConfig:
                           alpha_bar_entry=12.0 * DEG, alpha_max=24.0 * DEG,
                           u_alpha_max=9.0 * DEG, u_sigma_max=29.0 * DEG,
                           k=4.0),
-        bc=M.BoundaryData(t0=2.5, h0=0.16, lon0=-120.5 * DEG,
-                          lat0=34.5 * DEG, v0=0.041, m0=85700.0, hf=0.01,
+        bc=M.BoundaryData(lon0=-120.5 * DEG, lat0=34.5 * DEG, hf=0.01,
                           lonf=-192.25 * DEG, latf=8.75 * DEG, vf=1.2,
                           pad_elevation=0.11, tower_height=0.06),
         heating=HeatingParams(kappa=200.0, rho0=1.2, v_circ=7.9,
@@ -77,6 +76,13 @@ def test_defaults_need_no_file():
     ({"tables": {"atmos": "a.csv"}}, "'atmos'"),
     ({"stages": [dict(M.MissionConfig().to_dict()["stages"][0], mass=1.0)]},
      "stages[0]"),
+    # the liftoff state and the stages' propellant follow from the vehicle
+    ({"boundary": {"t0": 2.52}}, "'t0'"),
+    ({"boundary": {"h0": 0.167}}, "'h0'"),
+    ({"boundary": {"v0": 0.04}}, "'v0'"),
+    ({"boundary": {"m0": 85743.0}}, "'m0'"),
+    ({"stages": [dict(M.MissionConfig().to_dict()["stages"][0],
+                      fuel_mass=45360.0)]}, "stages[0]"),
 ])
 def test_unknown_sections_and_keys_are_rejected(doc, names):
     with pytest.raises(M.ConfigError, match="unknown|keys") as err:
@@ -93,7 +99,7 @@ def test_unknown_sections_and_keys_are_rejected(doc, names):
     ("heating", "kappa", math.nan),
     ("heating", "kappa", -math.inf),
     ("cost", "alpha_max_deg", math.inf),
-    ("boundary", "m0", "heavy"),
+    ("boundary", "lat0_deg", "heavy"),
 ])
 def test_non_finite_numbers_are_rejected(section, key, value):
     with pytest.raises(M.ConfigError, match=f"{section}.{key}"):
@@ -197,3 +203,14 @@ def test_readme_documents_every_config_field():
         row = (f"| `{f.section}` |" if f.key is None
                else f"| `{f.section}` | `{f.key}` |")
         assert row in section, row
+
+
+@pytest.mark.parametrize("key, value", [("lon0_deg", -80.0),
+                                        ("lat0_deg", 60.0),
+                                        ("lonf_deg", -220.0),
+                                        ("latf_deg", 0.0)])
+def test_launch_and_target_points_must_lie_in_the_flight_corridor(key, value):
+    # every phase's longitude and latitude box is the corridor: a point
+    # outside it would leave its pinned node an empty box
+    with pytest.raises(M.ConfigError, match=f"boundary.{key} lies outside"):
+        M.MissionConfig.from_dict({"boundary": {key: value}})

@@ -9,10 +9,9 @@ from ascentry import mission as M
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # a fresh interpreter: the transcription module, the CLI module, a canonical
-# solve through refine_loop on its default mesh and the mission
-# transcription on its default meshes must not load scipy's integrator or
-# root finder; the tower clearance then loads the root finder and nothing of
-# scipy.integrate, and a flight loads the integrator
+# solve through refine_loop on its default mesh, the mission transcription
+# on its default meshes and the tower clearance must not load scipy's
+# integrator or root finder; a flight loads the integrator
 _AUDIT = """
 import json, sys
 
@@ -51,7 +50,7 @@ def test_canonical_solve_and_transcription_skip_scipy_integrate_and_optimize():
     out = json.loads(run.stdout.splitlines()[-1])
     assert out["converged"] and out["n_var"] > 0
     assert out["imported"] == out["before"] == []
-    assert out["after"] == ["scipy.optimize"]
+    assert out["after"] == []
     assert out["flown"] == ["scipy.integrate", "scipy.optimize"]
     assert abs(out["x_end"] - 1.0) < 1e-9
     tc = M.tower_clear_propagate(M.default_config())

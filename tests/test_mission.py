@@ -60,14 +60,15 @@ def guess_setup(cfg, guess_flights):
 
 
 def test_mass_ledger(cfg):
-    assert cfg.ignition_mass == pytest.approx(87770.0)
-    assert cfg.m_s2 == pytest.approx(38780.0)
-    assert cfg.m_s3 == pytest.approx(11110.0)
+    # each stage carries the propellant its burn consumes
+    assert cfg.ignition_mass == pytest.approx(87760.5, abs=0.05)
+    assert cfg.m_s2 == pytest.approx(38771.5, abs=0.05)
+    assert cfg.m_s3 == pytest.approx(11105.2, abs=0.05)
     assert cfg.coast_mass == pytest.approx(3630.0)
-    assert cfg.bc.m0 == 85743.0
-    # the liftoff mass is the ignition stack less the pre-release burn
-    burn = cfg.stages[0].mass_rate(cfg.earth.g0) * cfg.bc.t0
-    assert cfg.ignition_mass - burn == pytest.approx(cfg.bc.m0, abs=1.0)
+    # the liftoff mass is the ignition stack less the burn to the tower top
+    tc = M.tower_clear_propagate(cfg)
+    burn = cfg.stages[0].mass_rate(cfg.earth.g0) * tc.time
+    assert tc.mass == pytest.approx(cfg.ignition_mass - burn, rel=1e-15)
 
 
 def test_stage_mass_rates(cfg):
@@ -76,31 +77,34 @@ def test_stage_mass_rates(cfg):
     assert s1.mass_rate(g0) == pytest.approx(s1.thrust / (s1.isp * g0),
                                              rel=1e-14)
     assert s2.mass_rate(g0) == pytest.approx(403.56338, abs=1e-4)
-    # fuel loads match the fixed burn windows
-    for s in (s1, s2, s3):
-        assert s.mass_rate(g0) * s.burn_time == pytest.approx(s.fuel_mass,
-                                                              rel=0.01)
+    # the loads the burns consume are the paper's propellant masses
+    for s, load in zip((s1, s2, s3), (45360.0, 24500.0, 7080.0)):
+        assert s.total_mass(g0) - s.empty_mass == pytest.approx(load,
+                                                                rel=0.01)
 
 
 def test_stage_rejects_nonpositive_fields():
     with pytest.raises(M.ConfigError):
-        M.VehicleStage("bad", 10.0, 100.0, -1.0, 4.3, 300.0, 1000.0)
+        M.VehicleStage("bad", 10.0, 100.0, -1.0, 300.0, 1000.0)
 
 
 @pytest.mark.parametrize("mutate", [
     lambda c: replace(c, stages=c.stages[:2]),
-    # a longer second-stage burn, fuel matched, separates after the fairing
+    # a longer second-stage burn separates after the fairing
     lambda c: replace(c, stages=(c.stages[0],
-                                 replace(c.stages[1], burn_time=125.0,
-                                         fuel_mass=50445.0),
+                                 replace(c.stages[1], burn_time=125.0),
                                  c.stages[2])),
     lambda c: replace(c, limits=replace(c.limits, q_split=200.0)),
     lambda c: replace(c, limits=replace(c.limits, h_peak_lo=10.0)),
     lambda c: replace(c, entry_mass=5000.0),
-    lambda c: replace(c, bc=replace(c.bc, m0=1.0e6)),
+    # a launch point outside the flight corridor
+    lambda c: replace(c, bc=replace(c.bc, lon0=-80.0 * M.DEG)),
     lambda c: replace(c, mesh=c.mesh[:5]),
     lambda c: replace(c, guess_apogee=50.0),
     lambda c: replace(c, solver_tolerance=-1.0),
+    # the tower clearance needs a tower to clear, and the loads a g0
+    lambda c: replace(c, bc=replace(c.bc, tower_height=0.0)),
+    lambda c: replace(c, earth=replace(c.earth, g0=0.0)),
 ])
 def test_validate_rejections(cfg, mutate):
     with pytest.raises(M.ConfigError):
@@ -173,12 +177,12 @@ def test_tower_clear_matches_integration(cfg):
 
 
 def test_tower_clear_needs_liftoff_thrust(cfg):
-    s1 = cfg.stages[0]
-    weak = replace(cfg, stages=(M.VehicleStage(
-        s1.name, s1.burn_time, s1.empty_mass, s1.fuel_mass, s1.ref_area,
-        s1.isp, 100.0),) + cfg.stages[1:])
-    with pytest.raises(M.ConfigError):
+    weak = replace(cfg, stages=(replace(cfg.stages[0], thrust=100.0),)
+                   + cfg.stages[1:])
+    with pytest.raises(M.ConfigError, match="cannot lift off"):
         M.tower_clear_propagate(weak)
+    with pytest.raises(M.ConfigError, match="cannot lift off"):
+        weak.validate()
 
 
 def test_json_roundtrip(cfg):
@@ -195,7 +199,7 @@ def test_from_dict_partial_override(cfg):
                                       "guess": {"apogee": 120.0}})
     assert over.limits.qdot_max == 1.5
     assert over.guess_apogee == 120.0
-    assert over.bc.m0 == cfg.bc.m0
+    assert over.bc.lon0 == cfg.bc.lon0
     assert over.limits.q_max == cfg.limits.q_max
 
 
@@ -228,6 +232,22 @@ def test_build_mission_structure(cfg):
     acc = prob.accumulators[0]
     assert acc.name == "heat_load" and acc.lo == 0.0
     assert acc.hi == cfg.limits.q_heat_max
+
+
+@pytest.mark.parametrize("payload, mass", [(3000.0, 85732.97),
+                                            (2500.0, 85242.35)])
+def test_boost1_starts_where_the_tower_clearance_puts_it(cfg, payload, mass):
+    # boost1's start time, altitude, speed and mass follow from the
+    # vehicle: a lighter payload lifts off lighter
+    c = replace(cfg, payload_mass=payload)
+    tc = M.tower_clear_propagate(c)
+    assert tc.mass == pytest.approx(mass, abs=0.005)
+    boost1 = M.build_mission(c).phases[0]
+    assert boost1.t0_lo == boost1.t0_hi == tc.time
+    pins = {Vert.H: tc.altitude, Vert.PHI: c.bc.lon0, Vert.THETA: c.bc.lat0,
+            Vert.V: tc.speed, Vert.M: tc.mass}
+    for i, value in pins.items():
+        assert boost1.x0_lo[i] == boost1.x0_hi[i] == value
 
 
 def test_vertical_phase_nodes_keep_the_euler_parameter_norm(cfg):
@@ -310,7 +330,7 @@ def test_initial_guess_packs_cleanly(cfg, guess_setup):
     assert np.all(z0 >= nlp.z_lo - 1e-9)
     assert np.all(z0 <= nlp.z_hi + 1e-9)
     m0_idx = nlp.var_names.index("p0:boost1:x:m:n0")
-    assert z0[m0_idx] == pytest.approx(cfg.bc.m0)
+    assert z0[m0_idx] == M.tower_clear_propagate(cfg).mass
     c = nlp.constraints(z0)
     row = nlp.con_names.index("acc:heat_load:balance")
     acc = z0[nlp.acc_idx["heat_load"]]
@@ -447,50 +467,48 @@ def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup):
     # Hessian at the guess shifted to be semidefinite: the trust box cannot
     # meet the linearized rows, so the elastic step leaves violation at the
     # weight's price; the figures pin the iterate bit for bit, recorded
-    # since the subproblem starts its elastic multipliers at their price and
-    # runs one Gondzio corrector per factor (the subproblem's answer moved
-    # by rounding: from objective 194.571725895778, the violation kept its
-    # bits).  That subproblem converges in 19 interior-point iterations
-    # (27 before)
+    # since boost1 starts where the tower clearance puts it, from the guess
+    # flown from there (from objective 194.57172589577675, violation
+    # 53.876497811751435).  That subproblem converges in 20 interior-point
+    # iterations (19 from the guess before)
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=1))
     assert rep.status == "max_iterations" and rep.iterations == 1
-    assert rep.objective == 194.57172589577675
-    assert rep.violation == 53.876497811751435
+    assert rep.objective == 194.71126037672
+    assert rep.violation == 53.98086604961118
     assert rep.message == ""
     [row] = rep.log
-    assert row["qp_iterations"] <= 19
+    assert row["qp_iterations"] <= 20
 
 
 def test_four_capped_sqp_iterations_from_the_guess(cfg, guess_setup):
     # from the second iteration on the multipliers are nonzero, so every
     # node and endpoint block of the Hessian runs; the iterate must not move
-    # a bit.  Recorded since the subproblem starts its elastic multipliers
-    # at their price and runs one Gondzio corrector per factor (from
-    # objective 189.53305810950553, violation 33.56910245740231: the
-    # subproblems' answers moved by rounding)
+    # a bit.  Recorded since boost1 starts where the tower clearance puts
+    # it, from the guess flown from there (from objective
+    # 189.53305810948578, violation 33.56910245738668, sha256 4fbf4573...)
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=4))
     assert rep.status == "max_iterations" and rep.iterations == 4
-    assert rep.objective == 189.53305810948578
-    assert rep.violation == 33.56910245738668
+    assert rep.objective == 189.80575919628146
+    assert rep.violation == 33.620800729450124
     assert hashlib.sha256(rep.x.tobytes()).hexdigest() == (
-        "4fbf45739ca56e49c0d2636787c8ab582fd81da1e2827e076fa652a7f55b3eff")
+        "9203aa9a8d2e96e53f472e8e7a9c5d0707e546a21aa25cc44640c7f5418aba64")
 
 
 def test_mission_hessian_at_the_guess_is_pinned_bit_for_bit(guess_setup):
-    # seeded multipliers on every row, recorded since the kick is
-    # calibrated on trial flights to apogee: the values moved with the
-    # guess, the pattern of 23369 entries kept its bits
+    # seeded multipliers on every row, recorded since boost1 starts where
+    # the tower clearance puts it: the values moved with the guess (from
+    # sha256 23a14bf7...), the pattern of 23369 entries kept its bits
     nlp, z0 = guess_setup
     y = np.random.default_rng(2104).standard_normal(nlp.n_con)
     H = nlp.hessian(z0, y)
     digests = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
                for a in (H.data, H.indices, H.indptr)]
     assert digests == [
-        "23a14bf7ad93953bdd0ffea1d5b2ee5eea2371160a9c4c9757f23018262f6c86",
+        "97521be7d50280903ecb6d1ad54811b3137a36c21107431cafb889bdf5cc375b",
         "ed2ad091bd06bce4ffc9c03b376df7dc4fb3d7cdd0fe294439980ae218bf2abf",
         "7722b3de997ab6d4006507bf8da7842a99197dd4743b1cf574f8489b80825857"]
 
@@ -632,21 +650,23 @@ def test_first_step_stays_in_the_trust_box(cfg, guess_setup, monkeypatch):
 
 
 def test_guess_is_pinned_bit_for_bit(guess_setup):
-    # recorded since the kick is calibrated on trial flights to apogee
-    # (from objective 193.20818039128633, sha256 ce0e6fc6...): the root
-    # moved by 5.7e-6 rad, and the ascent flown from it tops out 36 m lower
+    # recorded since boost1 starts where the tower clearance puts it (from
+    # objective 193.13088018510336, sha256 415cdd90...): the derived loads
+    # make the stack 9.5 kg lighter, and the ascent starts 10 kg lighter,
+    # 1.1 ms later and 0.08 m/s slower
     nlp, z0 = guess_setup
     assert z0.dtype == np.float64 and z0.shape == (1511,)
-    assert nlp.objective(z0) == 193.13088018510336
+    assert nlp.objective(z0) == 193.40165402709854
     assert hashlib.sha256(z0.tobytes()).hexdigest() == (
-        "415cdd903f7bc37fec2073a6aac97606ca2203e33b48a71bf3b24d9621b323b2")
+        "a0634f6d65a1297f10e34a18eaf3a7e8e99c8c0a0002a06b77b1bb6d3ccc46d0")
 
 
 def test_mission_nlp_at_the_guess_is_pinned_bit_for_bit(guess_setup):
     # the names, bounds, values and Jacobian at the guess must not move a
-    # bit; recorded since the kick is calibrated on trial flights to
-    # apogee: the values at the guess moved with it, the names and bounds
-    # did not
+    # bit; recorded since boost1 starts where the tower clearance puts it
+    # (from sha256 6f05a50c...): boost1's start time, speed and mass pins
+    # and mass box, and boost2's and boost3's mass pins moved, every other
+    # bound kept its bits, and the values at the guess moved with it
     nlp, z0 = guess_setup
     J = nlp.jacobian(z0)
     assert (nlp.n_var, nlp.n_con, J.nnz) == (1511, 1342, 22492)
@@ -656,7 +676,7 @@ def test_mission_nlp_at_the_guess_is_pinned_bit_for_bit(guess_setup):
               nlp.objective_gradient(z0), J.indptr, J.indices, J.data):
         h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest() == (
-        "6f05a50cd33f9fc9448f288fd0b85f594d6f34c5008d510499385f351c11f185")
+        "0d3dbcde383d81bb57f10feac992ca86e42164e4ec09c69961ec5cd356102ae8")
 
 
 def test_guess_flies_its_trial_kicks_to_apogee_and_the_root_in_full(
@@ -776,7 +796,7 @@ def test_trajectory_table_and_csv(cfg, guess_setup, tmp_path):
     assert table.shape[1] == len(M.TRAJECTORY_COLUMNS)
     t = table[:, 0]
     assert np.all(np.diff(t) >= -1e-9)
-    assert t[0] == pytest.approx(cfg.bc.t0)
+    assert t[0] == M.tower_clear_propagate(cfg).time
     assert np.all(table[:, 9] > 0.0)          # mass column
     assert np.all(table[:, 10] >= 0.0)        # dynamic pressure
     assert np.all(np.diff(table[:, 13]) >= -1e-9)   # heat load accumulates

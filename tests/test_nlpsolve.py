@@ -439,15 +439,48 @@ def test_elastic_qp_ends_unconverged_where_every_factor_is_lost(monkeypatch):
     # subproblem ends with its last iterate, flagged, as at its cap
     _lose_every_factor(monkeypatch)
     qp = nlpsolve._elastic_qp(*_box_qp())
-    assert not qp.converged and qp.iterations == 0
+    assert not qp.converged and qp.factor_lost and qp.iterations == 0
     assert np.all(np.isfinite(qp.d)) and np.all(np.isfinite(qp.y))
 
 
 def test_solve_reports_a_status_where_every_factor_is_lost(monkeypatch):
+    # the subproblem says its factors were lost, and the solve ends on it
     _lose_every_factor(monkeypatch)
     rep = solve(_equality_qp(), np.array([3.0, -1.0]))
-    assert not rep.converged and rep.status in {"infeasible", "max_iterations"}
-    assert rep.iterations >= 1 and np.all(np.isfinite(rep.x))
+    assert rep.status == "numerical_failure" and rep.iterations == 1
+    assert rep.message == ("every factor of a QP subproblem's KKT matrix "
+                           "lost a pivot")
+    assert np.all(np.isfinite(rep.x))
+
+
+@pytest.mark.parametrize("J, bl, bu", [
+    ([[1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0],
+      [0.0, 1e7, 5e8, -8.5e8, 3.5e8, 0.0, -0.5]],
+     [-0.55, -1.0, -0.64, -1.6, -1.0, -0.55, -1.5],
+     [0.15, 1.0, 1.36, 0.39, 1.0, 0.15, 0.5]),
+    ([[1.0, -1.0, 0.0, 0.0, 0.0, 0.0],
+      [0.0, 0.0, 1e7, 5e8, -8.5e8, 3.5e8]],
+     [-0.55, -0.55, -1.0, -0.64, -1.6, -1.0],
+     [0.15, 0.15, 1.0, 1.36, 0.39, 1.0]),
+], ids=["gap_on_zero", "mu_vanishes"])
+def test_elastic_qp_stops_where_the_fraction_to_the_boundary_rounds_to_one(
+        J, bl, bu):
+    # two rows of a mission subproblem with a zero objective, B = 0 and
+    # g = 0, rounded: the second row's coefficients near 1e9 leave a
+    # rounding floor in its residual above QP_TOLERANCE, so the primal test
+    # never passes while mu falls past 1e-16 / s.  There tau = 1 - mu s is
+    # 1, and a step that puts a blocking gap on 0 made Sigma = z / w divide
+    # by 0 (the first case) or mu vanish (the second).  The subproblem ends
+    # there instead, with its last iterate, flagged as at its cap
+    n = len(bl)
+    qp = nlpsolve._elastic_qp(sp.csr_matrix((n, n)), np.zeros(n),
+                              sp.csr_matrix(J), np.array([0.0, 0.06]),
+                              np.array([0.0, 0.06]), np.array(bl),
+                              np.array(bu))
+    assert not qp.converged and not qp.factor_lost
+    assert qp.iterations < nlpsolve.QP_ITERATIONS
+    assert np.all(np.isfinite(qp.d)) and np.all(np.isfinite(qp.y))
+    assert np.all(np.array(bl) <= qp.d) and np.all(qp.d <= np.array(bu))
 
 
 def _quasi_definite_sequence(n, m, steps, seed):
