@@ -207,28 +207,16 @@ class MissionConfig:
             if not lo <= getattr(self.bc, key) <= hi:
                 bad.append(f"boundary.{key}_deg lies outside the flight "
                            f"corridor, {lo / DEG:.2f} to {hi / DEG:.2f} deg")
-        for label, v in (("fairing_mass", self.fairing_mass),
-                         ("payload_mass", self.payload_mass),
-                         ("entry_mass", self.entry_mass),
-                         ("entry_area", self.entry_area),
-                         ("tower_height", self.bc.tower_height),
-                         ("g0", self.earth.g0)):
-            if v <= 0.0:
-                bad.append(f"{label} must be positive")
         if self.entry_mass >= self.payload_mass:
             bad.append("entry vehicle must be lighter than the payload stack")
         lm = self.limits
-        if not 0.0 < lm.q_split < lm.q_max:
-            bad.append("need 0 < q_split < q_max")
-        if lm.n_max <= 0.0 or lm.h_atm <= 0.0:
-            bad.append("n_max and h_atm must be positive")
+        if not lm.q_split < lm.q_max:
+            bad.append("need q_split < q_max")
         if not lm.h_atm <= lm.h_peak_lo < lm.h_peak_hi:
             bad.append("peak altitude window must sit above the atmosphere edge")
-        c = self.cost
-        if min(c.alpha_max, c.u_alpha_max, c.u_sigma_max) <= 0.0 or c.k <= 0.0:
-            bad.append("cost normalizations and k must be positive")
-        if not self.guess_apogee >= lm.h_peak_lo:
-            bad.append("guess apogee must sit inside the peak window")
+        if not lm.h_peak_lo <= self.guess_apogee <= lm.h_peak_hi:
+            bad.append("guess.apogee must sit inside the peak window, "
+                       "h_peak_lo to h_peak_hi")
         if bad:
             raise ConfigError("; ".join(bad))
         tower_clear_propagate(self)
@@ -319,9 +307,10 @@ class ConfigField:
     """One entry of the config file: `key` of JSON `section` holds the
     MissionConfig attribute at dotted path `attr`, divided by `unit`.
 
-    kind "number" is a finite float, "limit" a positive bound written as
-    null when infinite, "count" a whole number, "raw" any JSON value kept as
-    given; "stages" and "mesh" fill a whole section (key None) with a list.
+    kind "number" is a finite float, "positive" one above 0, "limit" a
+    positive bound written as null when infinite, "count" a whole number,
+    "raw" any JSON value kept as given; "stages" and "mesh" fill a whole
+    section (key None) with a list.
     `option` names the SolverOptions or RefinementOptions field whose
     constructor owns the value's range."""
 
@@ -356,9 +345,10 @@ class ConfigField:
     def check(self, v, where: str | None = None) -> None:
         """The value's range rule, if the row has one."""
         where = where or self.where
-        if self.kind == "limit" and not v > 0.0:
-            raise ConfigError(f"{where} must be positive (null lifts it), "
-                              f"got {v!r}")
+        if self.kind in ("positive", "limit") and not v > 0.0:
+            lifts = " (null lifts it)" if self.kind == "limit" else ""
+            raise ConfigError(f"{where} must be positive{lifts}, "
+                              f"got {v / self.unit!r}")
         if self.option is not None:
             owner, name = self.option
             try:
@@ -380,41 +370,44 @@ class ConfigField:
 
 
 CONFIG_FIELDS = (
-    ConfigField("earth", "mu", "earth.mu"),
-    ConfigField("earth", "re", "earth.re"),
+    ConfigField("earth", "mu", "earth.mu", kind="positive"),
+    ConfigField("earth", "re", "earth.re", kind="positive"),
     ConfigField("earth", "omega", "earth.omega"),
-    ConfigField("earth", "g0", "earth.g0"),
+    ConfigField("earth", "g0", "earth.g0", kind="positive"),
     ConfigField("stages", None, "stages", kind="stages"),
-    ConfigField("vehicle", "fairing_mass", "fairing_mass"),
-    ConfigField("vehicle", "payload_mass", "payload_mass"),
-    ConfigField("vehicle", "entry_mass", "entry_mass"),
-    ConfigField("vehicle", "entry_area", "entry_area"),
+    ConfigField("vehicle", "fairing_mass", "fairing_mass", kind="positive"),
+    ConfigField("vehicle", "payload_mass", "payload_mass", kind="positive"),
+    ConfigField("vehicle", "entry_mass", "entry_mass", kind="positive"),
+    ConfigField("vehicle", "entry_area", "entry_area", kind="positive"),
     ConfigField("times", "t_fairing", "t_fairing"),
-    ConfigField("limits", "q_max", "limits.q_max"),
-    ConfigField("limits", "q_split", "limits.q_split"),
-    ConfigField("limits", "n_max", "limits.n_max"),
-    ConfigField("limits", "h_atm", "limits.h_atm"),
+    ConfigField("limits", "q_max", "limits.q_max", kind="positive"),
+    ConfigField("limits", "q_split", "limits.q_split", kind="positive"),
+    ConfigField("limits", "n_max", "limits.n_max", kind="positive"),
+    ConfigField("limits", "h_atm", "limits.h_atm", kind="positive"),
     ConfigField("limits", "h_peak_lo", "limits.h_peak_lo"),
     ConfigField("limits", "h_peak_hi", "limits.h_peak_hi"),
     ConfigField("limits", "qdot_max", "limits.qdot_max", kind="limit"),
     ConfigField("limits", "q_heat_max", "limits.q_heat_max", kind="limit"),
     ConfigField("cost", "alpha_bar_boost_deg", "cost.alpha_bar_boost", DEG),
     ConfigField("cost", "alpha_bar_entry_deg", "cost.alpha_bar_entry", DEG),
-    ConfigField("cost", "alpha_max_deg", "cost.alpha_max", DEG),
-    ConfigField("cost", "u_alpha_max_deg", "cost.u_alpha_max", DEG),
-    ConfigField("cost", "u_sigma_max_deg", "cost.u_sigma_max", DEG),
-    ConfigField("cost", "k", "cost.k"),
+    ConfigField("cost", "alpha_max_deg", "cost.alpha_max", DEG,
+                kind="positive"),
+    ConfigField("cost", "u_alpha_max_deg", "cost.u_alpha_max", DEG,
+                kind="positive"),
+    ConfigField("cost", "u_sigma_max_deg", "cost.u_sigma_max", DEG,
+                kind="positive"),
+    ConfigField("cost", "k", "cost.k", kind="positive"),
     ConfigField("boundary", "lon0_deg", "bc.lon0", DEG),
     ConfigField("boundary", "lat0_deg", "bc.lat0", DEG),
     ConfigField("boundary", "hf", "bc.hf"),
     ConfigField("boundary", "lonf_deg", "bc.lonf", DEG),
     ConfigField("boundary", "latf_deg", "bc.latf", DEG),
-    ConfigField("boundary", "vf", "bc.vf"),
+    ConfigField("boundary", "vf", "bc.vf", kind="positive"),
     ConfigField("boundary", "pad_elevation", "bc.pad_elevation"),
-    ConfigField("boundary", "tower_height", "bc.tower_height"),
-    ConfigField("heating", "kappa", "heating.kappa"),
-    ConfigField("heating", "rho0", "heating.rho0"),
-    ConfigField("heating", "v_circ", "heating.v_circ"),
+    ConfigField("boundary", "tower_height", "bc.tower_height", kind="positive"),
+    ConfigField("heating", "kappa", "heating.kappa", kind="positive"),
+    ConfigField("heating", "rho0", "heating.rho0", kind="positive"),
+    ConfigField("heating", "v_circ", "heating.v_circ", kind="positive"),
     ConfigField("heating", "exp_rho", "heating.exp_rho"),
     ConfigField("heating", "exp_v", "heating.exp_v"),
     ConfigField("mesh", None, "mesh", kind="mesh"),
@@ -854,11 +847,14 @@ def _propagate_ascent(config: MissionConfig, phases, kick: float,
     bank it hands over, about -3e-3 rad, back to the 0 that the apogee pins
     need; coast_up, where it is down to the integrator's tolerance, flies
     with both controls at zero, since the slew's 2-s time constant would
-    bound an explicit integrator's steps over its 1000-s arc.  Returns the
-    flights of phases 0-4, the coast ending at its apogee, and the apogee:
-    the coast's highest altitude if it never tops out (over-kicked)."""
+    bound an explicit integrator's steps over its 1000-s arc.  Every flight
+    ends at the ground.  Returns the flights of phases 0-4, the coast ending
+    at its apogee, and the apogee: the coast's highest altitude if it never
+    tops out (over-kicked), 0 if a powered flight reaches the ground, which
+    ends the flights there."""
     cw, start = config.cost, phases[0].x0_lo
     opts = {"method": "RK45", "rtol": tol, "atol": tol}
+    ground = _event(lambda t, y: y[Geo.H], -1.0)    # Vert.H is Geo.H
 
     def level(t, y):
         return np.array([0.0, min(max(-y[Geo.SIGMA] / 2.0, -cw.u_sigma_max),
@@ -867,20 +863,23 @@ def _propagate_ascent(config: MissionConfig, phases, kick: float,
     kicked = np.concatenate([start[:Vert.E1], [0.5 * math.pi - kick, psi0,
                                                0.0, 0.0, start[Vert.M]]])
     flights = [fly(phases[0], vert_from_geo(kicked[None])[0], phases[0].t0_lo,
-                   config.t_s1, _hold, **opts)]
+                   config.t_s1, _hold, [ground], **opts)]
     y = geo_from_vert(flights[0].y[:, -1][None])[0]
     for p, (a, b) in enumerate([(config.t_s1, config.t_s2),
                                 (config.t_s2, config.t_fairing),
                                 (config.t_fairing, config.t_s3)], start=1):
+        if flights[-1].t_events[0].size:
+            break
         # the mass after each stage separation, then after the fairing drop
         mass = (config.m_s2, config.m_s3, y[Geo.M] - config.fairing_mass)[p - 1]
         flights.append(fly(phases[p], np.append(y[:GEO_DIM], mass), a, b,
-                           level, **opts))
+                           level, [ground], **opts))
         y = flights[p].y[:, -1]
+    if flights[-1].t_events[0].size:
+        return {"flights": flights, "apogee": 0.0}
 
     coast = fly(phases[4], y[:GEO_DIM], config.t_s3, config.t_s3 + 4000.0,
-                _hold, [_event(lambda t, y: y[Geo.GAMMA], -1.0),
-                        _event(lambda t, y: y[Geo.H], -1.0)], **opts)
+                _hold, [_event(lambda t, y: y[Geo.GAMMA], -1.0), ground], **opts)
     topped = coast.t_events[0].size > 0
     return {"flights": flights + [coast],
             "apogee": float(coast.y[Geo.H, -1] if topped

@@ -24,31 +24,33 @@ Each axis of the NLP is walked once.  `_build_layout` names, bounds and
 places every variable.  `_build_rows` walks the constraint rows once, group
 by group (a phase's defects, each path constraint, each accumulator balance,
 boundary, duration row and linkage), and declares each group's names,
-bounds, value rule, Jacobian blocks and Hessian terms side by side;
-`constraints()` is one nominal node pass per phase plus the groups' value
-rules.
+bounds, Jacobian blocks, node terms and Hessian terms side by side.  A row's
+value follows from them: `constraints()` is the node terms on one nominal
+node pass per phase, plus the constant blocks as one affine matrix times z,
+plus the boundary and linkage functions, the only groups with a function.
 
 Every row that reads node outputs, and the objective, is a node term: a
 constant coefficient per node times node outputs, times tf - t0 if the
 phase's times scale it.  The defects weigh the rates by -frac/2, a path row
 its column by 1, an accumulator balance each integrand that feeds it by
 minus the quadrature weights, and the objective the cost by plus them.  One
-declaration gives a term's Jacobian (or gradient) node block and t0/tf
-columns, its node weight in the Lagrangian and its Hessian t0/tf border; a
-term is linear in tf - t0, so it has no tf-tf entry.  `hessian(z, y)` sums
-the weighted node terms' second partials in one (nx+nu) block per
-collocation node, from one stacked probe per phase in which the node
-callback and the cost each run only if one of their columns carries a
-nonzero weight; boundaries and linkages add a dense block over their
-columns, and duration rows nothing.  Each entry is a central difference of
-a complex-step partial (`_hessians`).  `fly` integrates a phase's node
-rates under a control law: a first guess flown on the problem's dynamics.
+declaration gives a term's value, its Jacobian (or gradient) node block and
+t0/tf columns, its node weight in the Lagrangian and its Hessian t0/tf
+border; a term is linear in tf - t0, so it has no tf-tf entry.
+`hessian(z, y)` sums the weighted node terms' second partials in one
+(nx+nu) block per collocation node, from one stacked probe per phase in
+which the node callback and the cost each run only if one of their columns
+carries a nonzero weight; boundaries and linkages add a dense block over
+their columns, and duration rows nothing.  Each entry is a central
+difference of a complex-step partial (`_hessians`).  `fly` integrates a
+phase's node rates under a control law: a first guess flown on the
+problem's dynamics.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -315,13 +317,12 @@ class _SparsePlan:
 
 @dataclass
 class _PhasePoint:
-    """One phase's node outputs at a point, with their node-local partials
-    in the derivative pass.  V holds one row per output: the rates, each
-    path column, each integrand, then in the derivative pass the cost, if
-    any.  It is C-ordered, since the quadratures' dot products sum in an
-    order that depends on it."""
-    V: np.ndarray                 # (outputs, nc)
-    dN: np.ndarray | None = None  # (nc, nx+nu, outputs)
+    """One phase's node outputs and their node-local partials at a point,
+    from the derivative pass.  V holds one row per output: the rates, each
+    path column, each integrand, then the cost, if any.  C-ordered: the
+    quadratures' dot products sum in an order that depends on it."""
+    V: np.ndarray    # (outputs, nc)
+    dN: np.ndarray   # (nc, nx+nu, outputs)
 
 
 def _complex_call(f, S):
@@ -372,9 +373,28 @@ def _hessians(f, V, w):
     return H
 
 
-def _quadrature(wts_tau, t0, tf, vals) -> float:
-    """(tf - t0) * sum(w * v): one integrand's quadrature over a phase."""
-    return float((tf - t0) * wts_tau @ np.asarray(vals).reshape(-1))
+class _NodeTerm(NamedTuple):
+    """Rows that read phase p's node outputs V[cols], a slice: the constant
+    coef, (nc, 1), times the outputs, times tf - t0 if ends (t0's and tf's
+    columns) is given.  rows is an (nc, len(cols)) index array, one row per
+    node and output; an int, one row that sums the nodes; or None, the
+    objective, which sums them too."""
+    p: int
+    rows: np.ndarray | int | None
+    cols: slice
+    coef: np.ndarray
+    ends: tuple[int, int] | None
+
+    def scale(self, z):
+        return z[self.ends[1]] - z[self.ends[0]] if self.ends else 1.0
+
+    def multipliers(self, y):   # 1 in the objective
+        return 1.0 if self.rows is None else y[self.rows]
+
+
+def _quadrature(scale, coef, v) -> float:
+    """A summed term's value, (scale * coef) @ v, for one output row v."""
+    return float((scale * coef.ravel()) @ np.ravel(v))
 
 
 class NLPProblem:
@@ -429,14 +449,14 @@ class NLPProblem:
 
     def _build_rows(self):
         """Declare every constraint row once, group by group: its names, its
-        bounds, a value rule (z, nodes) -> values over the nominal phase
-        points, its Jacobian blocks and its Hessian terms.  A Jacobian block
-        is a pair of broadcast (rows, cols) index arrays with a value: a
-        constant array, or a rule (z, pts) -> values in the block's shape
-        over the phase points of the derivative pass.  A Hessian block is
-        the same with a rule (z, y, pts, node_hessians) -> values.  A group
-        that reads node outputs, and the objective, declares them as one
-        `node_term`, from which all four of its derivative parts follow.
+        bounds, its Jacobian blocks, its node terms and its Hessian terms.
+        A Jacobian block is a pair of broadcast (rows, cols) index arrays
+        with a value: a constant array, or a rule (z, pts) -> values in the
+        block's shape over the phase points of the derivative pass.  A
+        Hessian block is the same with a rule (z, y, pts, node_hessians) ->
+        values.  A group that reads node outputs, and the objective, declares
+        them as one `node_term`.  A row's value is its node terms plus its
+        constant blocks times z; only the endpoint groups carry a function.
 
         The groups, in row order: per phase its defects and each path
         constraint, then the accumulator balances, the boundaries, the
@@ -446,7 +466,7 @@ class NLPProblem:
         names: list[str] = []
         lo: list[np.ndarray] = []
         hi: list[np.ndarray] = []
-        row_values: list = []
+        endpoints: list = []  # (rows, z -> values) per endpoint group
         j_rows: list[np.ndarray] = []
         j_cols: list[np.ndarray] = []
         j_values: list = []
@@ -454,16 +474,15 @@ class NLPProblem:
         h_cols: list[np.ndarray] = []
         h_values: list = []
         grad: list = []      # the objective's blocks: (columns, rule)
-        node_terms: list[list] = [[] for _ in self.problem.phases]
+        node_terms: list[list[_NodeTerm]] = [[] for _ in self.problem.phases]
         node_cols_of: list[np.ndarray] = []
 
-        def group(new_names, g_lo, g_hi, value):
-            """Declare rows with their bounds and value rule; their first row."""
+        def group(new_names, g_lo, g_hi):
+            """Declare rows with their bounds; their first row."""
             first = len(names)
             names.extend(new_names)
             lo.append(np.broadcast_to(np.asarray(g_lo, float), len(new_names)))
             hi.append(np.broadcast_to(np.asarray(g_hi, float), len(new_names)))
-            row_values.append((slice(first, len(names)), value))
             return first
 
         def block(r, c, v):
@@ -491,36 +510,28 @@ class NLPProblem:
             return np.stack([a, -a], axis=-1)
 
         def node_term(p, rows, cols, coef, scaled):
-            """Rows that read phase p's node outputs V[cols], a slice: the
-            constant coef, (nc, 1), times the outputs, times tf - t0 if
-            scaled.  rows is an (nc, len(cols)) index array, one row per node
-            and output; an int, one row that sums the nodes; or None, the
-            objective, which sums them too."""
+            """Declare a `_NodeTerm` of phase p with its derivative blocks."""
             lay = self.phase_layout[p]
-            ends = [lay.t0_idx, lay.tf_idx]
+            ends = (lay.t0_idx, lay.tf_idx)
+            term = _NodeTerm(p, rows, cols, coef, ends if scaled else None)
+            node_terms[p].append(term)
             at = node_cols_of[p][:, :, None]
             summed = np.ndim(rows) == 0
 
-            def s(z):
-                return z[ends[1]] - z[ends[0]] if scaled else 1.0
-
-            def mult(y):    # the outputs' multipliers; 1 in the objective
-                return 1.0 if rows is None else y[rows]
-
             def d_nodes(z, pts):
-                return (coef * s(z))[:, :, None] * pts[p].dN[:, :, cols]
+                return (coef * term.scale(z))[:, :, None] * pts[p].dN[:, :, cols]
 
             def d_t0(z, pts):
                 out = pts[p].V[cols].T
                 return border(-coef.T @ out if summed else -coef * out)
 
             block(rows if summed else rows[:, None, :], at, d_nodes)
-            node_terms[p].append((cols, lambda z, y: coef * s(z) * mult(y)))
             if scaled:
                 block(rows if summed else rows[:, :, None], ends, d_t0)
                 hblock(at, ends, lambda z, y, pts, hs: border(-coef * np.einsum(
                     "kjs,ks->kj", pts[p].dN[:, :, cols],
-                    np.broadcast_to(mult(y), (lay.nc, cols.stop - cols.start)))),
+                    np.broadcast_to(term.multipliers(y),
+                                    (lay.nc, cols.stop - cols.start)))),
                     mirror=True)
 
         def phase_rows(p):
@@ -531,29 +542,17 @@ class NLPProblem:
                                    lay.u_off + node * ph.nu + np.arange(ph.nu)])
             node_cols_of.append(node_cols)
             frac = np.repeat(mesh.fractions, mesh.degrees)[:, None]  # per node
-            t0, tf = lay.t0_idx, lay.tf_idx
-            stencils = []   # per interval: matrix, state rows, node rows, fraction
-
-            def defects(z, nodes):
-                X = z[lay.x_off:lay.x_off + lay.nn * nx].reshape(lay.nn, nx)
-                dt = z[tf] - z[t0]
-                F = nodes[p].V[:nx].T
-                return np.concatenate([(D @ X[xs] - dt * f / 2.0 * F[fs]).ravel()
-                                       for D, xs, fs, f in stencils])
-
             def_rows = group([f"p{p}:{ph.name}:def:k{k}:n{i}:{sn}"
                               for k in range(mesh.n_intervals)
                               for i in range(mesh.degrees[k])
                               for sn in ph.state_names],
-                             0.0, 0.0, defects) + node * nx + np.arange(nx)
+                             0.0, 0.0) + node * nx + np.arange(nx)
             # the node blocks sum every node term of the phase
             hblock(node_cols[:, :, None], node_cols[:, None, :],
                    lambda z, y, pts, hs: hs[p])
             # differentiation stencil: channel-diagonal, constant
-            for rule, s, f in zip(mesh.rules, mesh.starts, mesh.fractions):
+            for rule, s in zip(mesh.rules, mesh.starts):
                 n = rule.n
-                stencils.append((rule.diff_matrix, slice(s, s + n + 1),
-                                 slice(s, s + n), f))
                 block(def_rows[s:s + n, :, None],
                       lay.x_off + (s + np.arange(n + 1)) * nx + np.arange(nx)[:, None],
                       np.repeat(rule.diff_matrix[:, None, :], nx, axis=1))
@@ -566,30 +565,19 @@ class NLPProblem:
             for i, pc in enumerate(ph.path):
                 k = nx + i
                 row = group([f"p{p}:{ph.name}:path:{pc.name}:n{j}" for j in range(nc)],
-                            pc.lo, pc.hi, lambda z, nodes, k=k: nodes[p].V[k])
+                            pc.lo, pc.hi)
                 node_term(p, row + node, slice(k, k + 1), np.ones((nc, 1)), False)
 
         def balance_rows(acc):
-            col = self.acc_idx[acc.name]
-            meshes, layout = self.meshes, self.phase_layout
-            # each feed: a phase and its integrand's row of V
-            feeds = [(p, ph.nx + len(ph.path) + j)
-                     for p, ph in enumerate(self.problem.phases)
-                     for j, term in enumerate(ph.integrands)
-                     if term.accumulator == acc.name]
-
-            def balance(z, nodes):
-                total = 0.0
-                for p, k in feeds:
-                    total += _quadrature(meshes[p].wts_tau, z[layout[p].t0_idx],
-                                         z[layout[p].tf_idx], nodes[p].V[k])
-                return z[col] - total
-
-            row = group([f"acc:{acc.name}:balance"], 0.0, 0.0, balance)
-            block(row, col, np.ones(1))
-            # each integrand, weighed by -(tf - t0) times the quadrature weights
-            for p, k in feeds:
-                node_term(p, row, slice(k, k + 1), -meshes[p].wts_tau[:, None], True)
+            row = group([f"acc:{acc.name}:balance"], 0.0, 0.0)
+            block(row, self.acc_idx[acc.name], np.ones(1))
+            # each integrand it sums, by -(tf - t0) times the quadrature weights
+            for p, ph in enumerate(self.problem.phases):
+                for j, term in enumerate(ph.integrands):
+                    if term.accumulator == acc.name:
+                        k = ph.nx + len(ph.path) + j
+                        node_term(p, row, slice(k, k + 1),
+                                  -self.meshes[p].wts_tau[:, None], True)
 
         def endpoint(label, func, args, g_lo, g_hi):
             """Rows func(*args) with dense differenced blocks; each arg is
@@ -610,8 +598,9 @@ class NLPProblem:
                                      f"for {len(V)} points of its {m} bounds")
                 return out
 
-            row = group([f"{label}:{j}" for j in range(m)], g_lo, g_hi,
-                        lambda z, nodes: packed(z[idx][None])[0])
+            row = group([f"{label}:{j}" for j in range(m)], g_lo, g_hi)
+            endpoints.append((slice(row, row + m),
+                              lambda z: packed(z[idx][None])[0]))
             block(row + np.arange(m)[:, None], idx,
                   lambda z, pts: _partials(packed, z[idx][None])[1][0].T)
             hblock(idx[:, None], idx, lambda z, y, pts, hs: _hessians(
@@ -629,10 +618,8 @@ class NLPProblem:
                      bc.lo, bc.hi)
         for p, (ph, lay) in enumerate(zip(self.problem.phases, self.phase_layout)):
             if ph.min_duration > 0.0 and (ph.t0_lo < ph.t0_hi or ph.tf_lo < ph.tf_hi):
-                ends = [lay.t0_idx, lay.tf_idx]
-                row = group([f"p{p}:{ph.name}:duration"], ph.min_duration, np.inf,
-                            lambda z, nodes, ends=ends: z[ends[1]] - z[ends[0]])
-                block(row, ends, np.array([-1.0, 1.0]))
+                row = group([f"p{p}:{ph.name}:duration"], ph.min_duration, np.inf)
+                block(row, [lay.t0_idx, lay.tf_idx], np.array([-1.0, 1.0]))
         for ln in self.problem.linkages:
             pha, laya = self.problem.phases[ln.a], self.phase_layout[ln.a]
             phb, layb = self.problem.phases[ln.b], self.phase_layout[ln.b]
@@ -645,11 +632,15 @@ class NLPProblem:
         self.c_lo = np.concatenate(lo)
         self.c_hi = np.concatenate(hi)
         self.n_con = len(names)
-        self._row_values = row_values
+        self._endpoints = endpoints
         self._grad = grad
         self._node_terms = node_terms
-        self._plan = _SparsePlan.build(j_rows, j_cols, j_values,
-                                       (self.n_con, self.n_var))
+        self._costs = [t for terms in node_terms for t in terms if t.rows is None]
+        shape = (self.n_con, self.n_var)
+        self._plan = _SparsePlan.build(j_rows, j_cols, j_values, shape)
+        const = [k for k, v in enumerate(j_values) if not callable(v)]
+        self._affine = _SparsePlan.build(*([a[k] for k in const] for a in (
+            j_rows, j_cols, j_values)), shape).assemble()   # the constant blocks
         self._hplan = _SparsePlan.build(h_rows, h_cols, h_values,
                                         (self.n_var, self.n_var))
 
@@ -697,12 +688,11 @@ class NLPProblem:
     # ----- evaluation -----
 
     def objective(self, z: np.ndarray) -> float:
+        """The cost's node terms, each on its own call of the phase's cost."""
         total = 0.0
-        for p, (ph, mesh) in enumerate(zip(self.problem.phases, self.meshes)):
-            if ph.cost is not None:
-                t0, tf = self.times(z, p)
-                total += _quadrature(mesh.wts_tau, t0, tf, ph.cost(
-                    self.states(z, p)[:-1], self.controls(z, p)))
+        for t in self._costs:
+            total += _quadrature(t.scale(z), t.coef, self.problem.phases[t.p].cost(
+                self.states(z, t.p)[:-1], self.controls(z, t.p)))
         if not np.isfinite(total):
             raise EvaluationError("objective", -1, "objective")
         return total
@@ -732,12 +722,19 @@ class NLPProblem:
         return f
 
     def constraints(self, z: np.ndarray) -> np.ndarray:
-        # one nominal node pass per phase
-        nodes = [_PhasePoint(np.ascontiguousarray(self._callbacks(p, ["node"])(
-            self._node_points(z, p)).T)) for p in range(len(self.problem.phases))]
-        c = np.empty(self.n_con)
-        for rows, value in self._row_values:
-            c[rows] = value(z, nodes)
+        """The node terms, plus the affine part, plus the endpoint functions."""
+        c = np.zeros(self.n_con)
+        for p, terms in enumerate(self._node_terms):
+            V = np.ascontiguousarray(self._callbacks(p, ["node"])(
+                self._node_points(z, p)).T)
+            for t in terms:
+                if np.ndim(t.rows):
+                    c[t.rows] += t.coef * t.scale(z) * V[t.cols].T
+                elif t.rows is not None:    # one summed row; None is the objective
+                    c[t.rows] += _quadrature(t.scale(z), t.coef, V[t.cols])
+        c += self._affine @ z
+        for rows, value in self._endpoints:
+            c[rows] = value(z)
         bad = np.flatnonzero(~np.isfinite(c))
         if len(bad):
             i = int(bad[0])
@@ -768,8 +765,8 @@ class NLPProblem:
         # the weights on the node's columns, then on the cost, if any
         width = ph.nx + len(ph.path) + len(ph.integrands)
         W = np.zeros((len(V), width + (ph.cost is not None)))
-        for cols, rule in self._node_terms[p]:
-            W[:, cols] = rule(z, y)
+        for t in self._node_terms[p]:
+            W[:, t.cols] = t.coef * t.scale(z) * t.multipliers(y)
         on = {"node": W[:, :width].any(), "cost": W[:, width:].any()}
         keep = np.repeat([on["node"], on["cost"]], [width, W.shape[1] - width])
         return _hessians(self._callbacks(p, [k for k in on if on[k]]), V, W[:, keep])

@@ -259,6 +259,15 @@ def test_flag_text_that_is_not_a_number_names_the_flag(tmp_path, capsys,
     ({"limits": {"n_max": " 12 "}}, "limits.n_max must be a number"),
     ({"solver": {"max_iterations": "7"}},
      "solver.max_iterations must be a number"),
+    # values out of range: rho0 = 0 divides the heating correlation by zero
+    # and vf = 0 the vertical-flight rates, so each is a configuration
+    # error, not a failed solve
+    ({"guess": {"apogee": 250}}, "guess.apogee must sit inside the peak window"),
+    ({"heating": {"rho0": 0}}, "heating.rho0 must be positive, got 0.0"),
+    ({"heating": {"kappa": 0}}, "heating.kappa must be positive"),
+    ({"heating": {"v_circ": -7.9}}, "heating.v_circ must be positive, got -7.9"),
+    ({"boundary": {"vf": 0}}, "boundary.vf must be positive"),
+    ({"earth": {"mu": -1}}, "earth.mu must be positive"),
 ])
 def test_check_rejects_ignored_or_malformed_input(tmp_path, capsys, doc,
                                                   message):

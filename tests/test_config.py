@@ -177,6 +177,22 @@ def test_heating_limits_must_be_positive(limit):
             M.PathLimits(), **{limit: -1.0})).validate()
 
 
+@pytest.mark.parametrize("row", [f for f in M.CONFIG_FIELDS
+                                 if f.kind == "positive"], ids=lambda f: f.where)
+def test_positive_rows_reject_zero_by_key(row):
+    # the row's own rule, read from the file and on a built config alike
+    with pytest.raises(M.ConfigError, match=f"^{row.where} must be positive"):
+        M.MissionConfig.from_dict({row.section: {row.key: 0.0}})
+    cfg = M.MissionConfig()
+    head, _, attr = row.attr.rpartition(".")
+    if head:
+        setattr(cfg, head, replace(getattr(cfg, head), **{attr: -1.0}))
+    else:
+        setattr(cfg, attr, -1.0)
+    with pytest.raises(M.ConfigError, match=f"^{row.where} must be positive"):
+        cfg.validate()
+
+
 def test_whole_counts_may_be_written_as_floats():
     cfg = M.MissionConfig.from_dict({"mesh": [[4.0, 4]] * 8,
                                      "solver": {"max_iterations": 30.0}})

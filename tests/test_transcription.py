@@ -184,6 +184,43 @@ def test_defects_vanish_on_representable_polynomial(degree, nseg):
     assert np.max(np.abs(c)) < 1e-12
 
 
+def test_rows_match_their_per_interval_forms():
+    # the rows' values come from their node terms and the affine matrix;
+    # the per-interval forms are the reference: each defect is
+    # D X - (tf - t0) frac / 2 F, to a few roundings of its terms, since D X
+    # is summed in another order; a path row is its node column and the
+    # balance z - (tf - t0) w . v, bit for bit
+    rng = np.random.default_rng(7)
+    mesh = MeshPhase([0.2, 0.5, 0.3], [3, 5, 2])
+    ph = _double_integrator(tf_lo=1.0, tf_hi=4.0, min_duration=0.5,
+                            path=[PathConstraint("speed", -1.0, 1.0)],
+                            integrands=[IntegralTerm("effort")],
+                            columns=[lambda X, U: X[:, 1] * U[:, 0],
+                                     lambda X, U: U[:, 0] ** 2])
+    nlp = transcribe(MultiPhaseProblem([ph], accumulators=[
+        Accumulator("effort", 0.0, 100.0)]), [mesh])
+    z = rng.uniform(-3.0, 3.0, nlp.n_var)
+    z[nlp.phase_layout[0].t0_idx], z[nlp.phase_layout[0].tf_idx] = 0.3, 2.9
+    c = nlp.constraints(z)
+    X, U = nlp.states(z, 0), nlp.controls(z, 0)
+    V = ph.node(X[:-1], U)
+    dt = 2.9 - 0.3
+    for k, (rule, start) in enumerate(zip(mesh.rules, mesh.starts)):
+        n = rule.n
+        DX = rule.diff_matrix @ X[start:start + n + 1]
+        rates = dt * mesh.fractions[k] / 2.0 * V[start:start + n, :2]
+        rows = [nlp.con_names.index(f"p0:cart:def:k{k}:n{i}:{name}")
+                for i in range(n) for name in ph.state_names]
+        tol = 8 * np.finfo(float).eps * (np.abs(DX).max() + np.abs(rates).max())
+        assert np.abs(c[rows] - (DX - rates).ravel()).max() <= tol
+    path = [i for i, name in enumerate(nlp.con_names) if ":path:speed:" in name]
+    assert c[path].tobytes() == V[:, 2].tobytes()
+    balance = nlp.con_names.index("acc:effort:balance")
+    assert c[balance] == z[nlp.acc_idx["effort"]] - float(
+        (dt * mesh.wts_tau) @ np.ascontiguousarray(V[:, 3]))
+    assert c[nlp.con_names.index("p0:cart:duration")] == 2.9 - 0.3
+
+
 def test_defects_nonzero_for_unrepresentable_curve():
     mesh = uniform_mesh(1, 3)
     nlp = transcribe(MultiPhaseProblem([_double_integrator()]), [mesh])
