@@ -21,8 +21,16 @@ EXIT_CONFIG = 1
 EXIT_NO_CONVERGENCE = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error: exit 1, not argparse's 2,
+    which the exit codes keep for a run that did not converge."""
+
+    def error(self, message):
+        raise M.ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="ascentry",
         description="Combined launch-to-entry trajectory optimization.")
     p.add_argument("--command", default="solve",
@@ -32,30 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "(omitted: built-in nominal mission)")
     p.add_argument("--out", default="ascentry_out",
                    help="output directory (created if missing)")
-    p.add_argument("--qdot-max", help="heating-rate bound MW/m^2; a comma "
-                                      "list opens sweep branches; 'inf' lifts")
-    p.add_argument("--q-max", help="heat-load bound MJ/m^2; comma list sweeps")
-    p.add_argument("--k", type=float, help="entry-oscillation penalty steepness")
-    p.add_argument("--max-refinements", type=int,
-                   help="cap on mesh refinement rounds")
     return p
-
-
-def _flag_lists(args) -> dict[str, list[float]]:
-    """The heating-limit flags, loaded as the config's sweep lists: 'inf'
-    or 'none' stands for null, which lifts the limit."""
-    lists = {}
-    for key, flag, text in (("qdot_max", "--qdot-max", args.qdot_max),
-                            ("q_heat_max", "--q-max", args.q_max)):
-        if text is not None:
-            parts = [p.strip() for p in text.split(",") if p.strip()]
-            try:
-                lists[key] = [None if p.lower() in ("inf", "none")
-                              else float(p) for p in parts]
-            except ValueError:
-                raise M.ConfigError(f"{flag} must list numbers, got "
-                                    f"{text!r}") from None
-    return M.load_sweep(lists)
 
 
 def _load_config(args) -> tuple[str, dict]:
@@ -77,27 +62,6 @@ def _load_config(args) -> tuple[str, dict]:
         known = ", ".join(["mission"] + sorted(CANONICAL_PROBLEMS))
         raise M.ConfigError(f"unknown problem {problem!r}; known: {known}")
     return problem, data
-
-
-def _with_flags(args, data: dict,
-                sections=("limits", "cost", "refinement")) -> dict:
-    """The config file with the flags laid over those of `sections` they
-    set; a heating-limit list stands for its first value."""
-    over = {"limits": {key: None if math.isinf(v[0]) else v[0]
-                       for key, v in _flag_lists(args).items()},
-            "cost": {} if args.k is None else {"k": args.k},
-            "refinement": {} if args.max_refinements is None
-            else {"max_refinements": args.max_refinements}}
-    merged = dict(data)
-    for section in sections:
-        body = merged.get(section, {})
-        if over[section] and isinstance(body, dict):
-            merged[section] = {**body, **over[section]}
-    return merged
-
-
-def _mission_config(args, data: dict) -> M.MissionConfig:
-    return M.MissionConfig.from_dict(_with_flags(args, data))
 
 
 def _outdir(args) -> Path:
@@ -185,9 +149,9 @@ def emit_sweep_plots(out: Path, results) -> list[Path]:
 # commands
 
 
-def _cmd_check(args, data: dict) -> int:
-    cfg = _mission_config(args, data)
-    M.resolve_tables(cfg)
+def _cmd_check(cfg: M.MissionConfig) -> int:
+    # the assembly resolves the tables and refuses a phase box left empty
+    M.build_mission(cfg)
     tc = M.tower_clear_propagate(cfg)
     g0 = cfg.earth.g0
     print("mission bookkeeping")
@@ -221,13 +185,12 @@ CANONICAL_DEFAULTS = {"solver_tolerance": 1e-8, "solver_max_iterations": 200,
                       "mesh_tolerance": 1e-6, "max_refinements": 6}
 
 
-def _canonical_setup(args, problem: str, data: dict):
+def _canonical_setup(problem: str, data: dict):
     """A test problem with its `mesh`, `solver` and `refinement` sections,
     loaded by the mission's rows; any other section is an error."""
     prob, meshes = CANONICAL_PROBLEMS[problem]()
     given = {**CANONICAL_DEFAULTS,
-             **M.load_fields(_with_flags(args, data, ("refinement",)),
-                             {"mesh", "solver", "refinement"})}
+             **M.load_fields(data, {"mesh", "solver", "refinement"})}
     if "mesh" in given:
         M.check_mesh(given["mesh"], len(prob.phases))
         meshes = [uniform_mesh(n, d) for n, d in given["mesh"]]
@@ -250,13 +213,11 @@ def _write_canonical_outputs(out: Path, report) -> None:
     write_csv(out / "trajectory.csv", header, np.vstack(blocks))
 
 
-def _cmd_solve(args, problem: str, data: dict, out: Path) -> int:
+def _cmd_solve(problem: str, data: dict, cfg, out: Path) -> int:
     if problem == "mission":
-        cfg = _mission_config(args, data)
         report = M.solve_mission(cfg)
     else:
-        prob, meshes, solver, refinement = _canonical_setup(args, problem,
-                                                            data)
+        prob, meshes, solver, refinement = _canonical_setup(problem, data)
         report = refine_loop(prob, meshes, straight_line_guess, refinement,
                              solver)
     write_json(out / "mesh_history.json", report.history, indent=1)
@@ -279,14 +240,10 @@ def _cmd_solve(args, problem: str, data: dict, out: Path) -> int:
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
-def _cmd_sweep(args, problem: str, data: dict, out: Path) -> int:
-    if problem != "mission":
-        raise M.ConfigError("sweep applies to the mission problem only")
-    cfg = _mission_config(args, data)
-    sweep = {**M.load_sweep(data.get("sweep", {})), **_flag_lists(args)}
+def _cmd_sweep(cfg: M.MissionConfig, sweep: dict, out: Path) -> int:
     if not sweep:
-        raise M.ConfigError("sweep needs --qdot-max/--q-max lists or a "
-                            "config sweep section")
+        raise M.ConfigError("sweep needs a qdot_max or q_heat_max list in "
+                            "the config's sweep section")
 
     def progress(r):
         print(f"  qdot_max={r.qdot_max:g} q_heat_max={r.q_heat_max:g}: "
@@ -302,12 +259,11 @@ def _cmd_sweep(args, problem: str, data: dict, out: Path) -> int:
     return EXIT_OK if ok else EXIT_NO_CONVERGENCE
 
 
-def _cmd_transcribe(args, problem: str, data: dict, out: Path) -> int:
+def _cmd_transcribe(problem: str, data: dict, cfg, out: Path) -> int:
     if problem == "mission":
-        cfg = _mission_config(args, data)
         prob, meshes = M.build_mission(cfg), M.default_meshes(cfg)
     else:
-        prob, meshes, _, _ = _canonical_setup(args, problem, data)
+        prob, meshes, _, _ = _canonical_setup(problem, data)
     nlp = transcribe(prob, meshes)
     write_json(out / "layout.json", nlp.layout())
     print(f"{problem}: {nlp.n_var} variables, {nlp.n_con} constraints")
@@ -315,19 +271,26 @@ def _cmd_transcribe(args, problem: str, data: dict, out: Path) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         problem, data = _load_config(args)
+        cfg = sweep = None
+        if problem == "mission":
+            # every mission command reads the sweep section, so a fault in
+            # it is an error whatever the command
+            cfg = M.MissionConfig.from_dict(data)
+            sweep = M.load_sweep(data.get("sweep", {}))
+        elif args.command in ("check", "sweep"):
+            raise M.ConfigError(f"{args.command} applies to the mission "
+                                "problem only")
         if args.command == "check":
-            if problem != "mission":
-                raise M.ConfigError("check applies to the mission problem only")
-            return _cmd_check(args, data)
+            return _cmd_check(cfg)
         out = _outdir(args)
         if args.command == "solve":
-            return _cmd_solve(args, problem, data, out)
+            return _cmd_solve(problem, data, cfg, out)
         if args.command == "sweep":
-            return _cmd_sweep(args, problem, data, out)
-        return _cmd_transcribe(args, problem, data, out)
+            return _cmd_sweep(cfg, sweep, out)
+        return _cmd_transcribe(problem, data, cfg, out)
     except M.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

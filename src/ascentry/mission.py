@@ -802,7 +802,10 @@ def build_mission(config: MissionConfig) -> MultiPhaseProblem:
 
     boundaries = [BoundaryConstraint("dive_unit_quat", 7, unit_quat, 0.0, 0.0)]
     accumulators = [Accumulator("heat_load", 0.0, lm.q_heat_max)]
-    return MultiPhaseProblem(phases, linkages, boundaries, accumulators)
+    try:
+        return MultiPhaseProblem(phases, linkages, boundaries, accumulators)
+    except ValueError as exc:   # a phase box the config left empty
+        raise ConfigError(str(exc)) from None
 
 
 def default_meshes(config: MissionConfig) -> list[MeshPhase]:

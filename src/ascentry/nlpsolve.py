@@ -75,9 +75,9 @@ on a factor costs about 0.17 ms against 3.8 ms for the refactor:
 - The fraction to the boundary is tau = max(0.995, 1 - mu s) (Waechter
   and Biegler, Math. Prog. 106, 2006): a fixed 0.995 caps each
   iteration's cut in the complementarity at 200x in the tail.
-With them the first mission subproblem takes 19 iterations (27 without),
+With them the first mission subproblem takes 20 iterations (27 without),
 every subproblem of a canonical default-mesh solve 7 (13), and 40 capped
-SQP iterations from the mission guess 973 in all (1,127).  The later ones
+SQP iterations from the mission guess 972 in all (1,127).  The later ones
 still take 22-27: a Hessian shifted by about 1e12 leaves a complementarity
 path of about 34 decades.
 A corrected step that does not cut the complementarity gives way to a

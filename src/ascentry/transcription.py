@@ -206,6 +206,19 @@ class MultiPhaseProblem:
         for bc in self.boundaries:
             if not 0 <= bc.phase < len(self.phases):
                 raise ValueError(f"boundary {bc.name} references invalid phase")
+        # an end node's bounds are the state box cut by the endpoint bounds;
+        # where they cross, the NLP has a variable it cannot place
+        for ph in self.phases:
+            for end, lo, hi in (("first", ph.x0_lo, ph.x0_hi),
+                                ("last", ph.xf_lo, ph.xf_hi)):
+                empty = np.maximum(ph.x_lo, lo) > np.minimum(ph.x_hi, hi)
+                if empty.any():
+                    i = int(np.argmax(empty))
+                    raise ValueError(
+                        f"phase {ph.name}: state {ph.state_names[i]} has no "
+                        f"value at its {end} node: box [{ph.x_lo[i]:.10g}, "
+                        f"{ph.x_hi[i]:.10g}], {end}-node bounds "
+                        f"[{lo[i]:.10g}, {hi[i]:.10g}]")
 
 
 @dataclass

@@ -159,22 +159,6 @@ def test_mission_solve_on_an_unconverged_mesh_exits_unconverged(tmp_path,
     assert (out / "trajectory.csv").exists()
 
 
-def test_solve_flags_reach_the_mission_config(tmp_path, captured):
-    path = _write(tmp_path, {"limits": {"qdot_max": 5.0, "q_heat_max": 400},
-                             "cost": {"k": 2.0}})
-    with pytest.raises(_Captured):
-        cli.main(["--config", path, "--out", str(tmp_path / "out"),
-                  "--qdot-max", "2,1", "--q-max", "300", "--k", "4.5",
-                  "--max-refinements", "3"])
-    cfg = captured["config"]
-    assert cfg.limits.qdot_max == 2.0
-    assert cfg.limits.q_heat_max == 300.0
-    assert cfg.cost.k == 4.5
-    assert cfg.max_refinements == 3
-    # untouched fields keep the file's or the built-in values
-    assert cfg.limits.q_max == M.MissionConfig().limits.q_max
-
-
 def test_solve_without_flags_uses_the_file(tmp_path, captured):
     path = _write(tmp_path, {"limits": {"qdot_max": 5.0, "q_heat_max": None},
                              "refinement": {"max_refinements": 4}})
@@ -184,26 +168,6 @@ def test_solve_without_flags_uses_the_file(tmp_path, captured):
     assert cfg.limits.qdot_max == 5.0
     assert math.isinf(cfg.limits.q_heat_max)
     assert cfg.max_refinements == 4
-
-
-def test_inf_flag_lifts_a_heating_limit(tmp_path, captured):
-    path = _write(tmp_path, {"limits": {"q_heat_max": 400}})
-    with pytest.raises(_Captured):
-        cli.main(["--config", path, "--out", str(tmp_path / "out"),
-                  "--q-max", "inf"])
-    assert math.isinf(captured["config"].limits.q_heat_max)
-
-
-def test_sweep_lists_from_flags(tmp_path, captured):
-    code = cli.main(["--command", "sweep", "--out", str(tmp_path / "out"),
-                     "--qdot-max", "3, 2,1", "--q-max", "inf,300",
-                     "--k", "4.5", "--max-refinements", "2"])
-    assert code == cli.EXIT_OK
-    assert captured["sweep"] == {"qdot_max": [3.0, 2.0, 1.0],
-                                 "q_heat_max": [math.inf, 300.0]}
-    assert captured["config"].cost.k == 4.5
-    assert captured["config"].max_refinements == 2
-    assert (tmp_path / "out" / "study.csv").exists()
 
 
 def test_sweep_lists_from_the_config_section(tmp_path, captured):
@@ -216,36 +180,26 @@ def test_sweep_lists_from_the_config_section(tmp_path, captured):
     assert captured["sweep"] == {"qdot_max": [math.inf, 2.0, 1.5],
                                  "q_heat_max": [math.inf]}
     assert captured["config"].cost.k == 2.5
-
-
-def test_sweep_flag_replaces_the_config_list(tmp_path, captured):
-    path = _write(tmp_path, {"sweep": {"qdot_max": [None, 2]}})
-    cli.main(["--command", "sweep", "--config", path,
-              "--out", str(tmp_path / "out"), "--qdot-max", "1.5"])
-    assert captured["sweep"] == {"qdot_max": [1.5]}
+    assert (tmp_path / "out" / "study.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [
     ["--command", "sweep"],
-    ["--command", "sweep", "--qdot-max", "2,-1"],
-    ["--command", "sweep", "--q-max", ","],
-    ["--command", "check", "--qdot-max", "0"],
+    ["--command", "sweep", "--config", {"sweep": {"qdot_max": [2, -1]}}],
+    ["--command", "sweep", "--config", {"sweep": {}}],
+    ["--command", "check", "--config", {"limits": {"qdot_max": 0}}],
 ])
 def test_bad_sweep_lists_exit_with_a_config_error(tmp_path, captured, argv):
+    # a config document in argv stands for a file holding it
+    argv = [_write(tmp_path, a) if isinstance(a, dict) else a for a in argv]
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     assert "sweep" not in captured
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["--command", "check", "--qdot-max", "abc"], "--qdot-max"),
-    (["--command", "sweep", "--q-max", "300,x"], "--q-max"),
-])
-def test_flag_text_that_is_not_a_number_names_the_flag(tmp_path, capsys,
-                                                       captured, argv, flag):
-    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
-    assert f"configuration error: {flag} must list numbers" \
-        in capsys.readouterr().err
-    assert "sweep" not in captured
+def _stage2_empty_mass(mass):
+    stages = M.MissionConfig().to_dict()["stages"]
+    stages[1]["empty_mass"] = mass
+    return stages
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -268,6 +222,20 @@ def test_flag_text_that_is_not_a_number_names_the_flag(tmp_path, capsys,
     ({"heating": {"v_circ": -7.9}}, "heating.v_circ must be positive, got -7.9"),
     ({"boundary": {"vf": 0}}, "boundary.vf must be positive"),
     ({"earth": {"mu": -1}}, "earth.mu must be positive"),
+    # each leaves a phase's state box empty at an endpoint, a variable's
+    # lower bound above its upper one; a solve would clip into the empty
+    # box and hand the QP bl > bu
+    ({"stages": _stage2_empty_mass(3500)},
+     "phase boost2: state m has no value at its first node: "
+     "box [13000, 39000], first-node bounds [39101.49899, 39101.49899]"),
+    ({"boundary": {"vf": 9.0}},
+     "phase entry_dive: state v has no value at its last node: "
+     "box [0.3, 8.5], last-node bounds [9, 9]"),
+    ({"boundary": {"hf": 75}},
+     "phase entry_dive: state h has no value at its last node"),
+    ({"limits": {"h_atm": 30}},
+     "phase entry_glide: state h has no value at its first node: "
+     "box [40, 31]"),
 ])
 def test_check_rejects_ignored_or_malformed_input(tmp_path, capsys, doc,
                                                   message):
@@ -338,15 +306,39 @@ def test_unreadable_table_file_is_a_config_error(tmp_path, capsys, command,
     ({"q_heat_max": 300}, "sweep.q_heat_max"),
     ({"qdot_max": [True]}, "sweep.qdot_max must be a number"),
     ({"qdot_max": ["1.5"]}, "sweep.qdot_max must be a number"),
+    ({"qdot_max": ["abc"]}, "sweep.qdot_max must be a number"),
 ])
-def test_sweep_section_is_checked_like_the_flags(tmp_path, capsys, captured,
-                                                 sweep, message):
+@pytest.mark.parametrize("command", ["sweep", "check", "solve",
+                                     "transcribe-only"])
+def test_sweep_section_is_checked_like_the_limits(tmp_path, capsys, captured,
+                                                  command, sweep, message):
+    # every mission command reads the section, so a fault in it is an
+    # error whatever the command
     path = _write(tmp_path, {"sweep": sweep})
-    code = cli.main(["--command", "sweep", "--config", path,
+    code = cli.main(["--command", command, "--config", path,
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
-    assert "sweep" not in captured
+    assert captured == {}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--command", "solv"], "invalid choice: 'solv'"),
+    (["--qdot-max", "1"], "unrecognized arguments: --qdot-max 1"),
+    (["--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_usage_error_is_a_config_error(capsys, captured, argv, message):
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert captured == {}
+
+
+def test_help_exits_ok(capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["--help"])
+    assert stop.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_plot_files_text_is_pinned(tmp_path):

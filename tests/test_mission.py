@@ -859,6 +859,29 @@ def test_summarize_run(cfg, guess_setup):
     assert out.peak_altitude == res.peak_altitude
 
 
+def test_solve_mission_runs_cold_then_warm_from_its_own_solution(
+        cfg, monkeypatch):
+    # capped at one SQP iteration and one refinement round: cold from the
+    # built-in guess, the solve is the capped iteration pinned above
+    one = replace(cfg, solver_max_iterations=1, max_refinements=1)
+    cold = M.solve_mission(one)
+    assert cold.status == "max_iterations" and cold.iterations == 1
+    assert cold.last_solve.objective == 194.71126037671993
+    assert cold.last_solve.violation == 53.98086604961118
+
+    def no_guess(config, nlp):
+        raise AssertionError("a warm start flies no guess")
+
+    monkeypatch.setattr(M, "initial_guess", no_guess)
+    warm = M.solve_mission(one, warm=cold.solution)
+    assert warm.status == "max_iterations" and warm.iterations == 1
+    assert len(warm.solve_reports) == 1
+    assert warm.last_solve.violation < cold.last_solve.violation
+    for report in (cold, warm):
+        for ph, (n, d) in zip(report.solution.phases, cfg.mesh):
+            assert ph.mesh.degrees.tolist() == [d] * n
+
+
 def _study_with(monkeypatch, cfg, failing):
     """run_study over two branches of three cells, with stub solves that
     converge for heat loads of 10 and more and end as `failing` below;

@@ -172,6 +172,35 @@ def test_contradictory_equalities_reported_infeasible():
     assert rep.violation > 0.1
 
 
+# a derivative given with the wrong sign points every step uphill: the line
+# search rejects each one, the trust box is quartered, a zero-step row is
+# logged, and the eighth rejection ends the solve, judged by feasibility
+# against sqrt(tol)
+@pytest.mark.parametrize("nlp, z0, status, violation", [
+    (FunctionNLP(2, lambda z: float(z @ z), gradient=lambda z: -2 * z),
+     np.array([1.0, -0.5]), "max_iterations", 0.0),
+    (FunctionNLP(1, lambda z: 0.0, constraints=lambda z: z ** 2, c_lo=4.0,
+                 c_hi=4.0, jacobian=lambda z: -2 * z),
+     np.array([1.0]), "infeasible", 3.0),
+])
+def test_rejected_steps_quarter_the_trust_box_until_the_search_stalls(
+        monkeypatch, nlp, z0, status, violation):
+    boxes = []
+    elastic_qp = nlpsolve._elastic_qp
+
+    def recorded(B, g, J, lo, hi, bl, bu):
+        boxes.append(bu.max())
+        return elastic_qp(B, g, J, lo, hi, bl, bu)
+
+    monkeypatch.setattr(nlpsolve, "_elastic_qp", recorded)
+    rep = solve(nlp, z0)
+    assert (rep.status, rep.message) == (status, "line search stalled")
+    assert rep.iterations == 8 and rep.violation == violation
+    assert np.array_equal(rep.x, z0)
+    assert [row["step_norm"] for row in rep.log] == [0.0] * 8
+    assert boxes == [1e3 * 0.25 ** k for k in range(8)]
+
+
 def test_deterministic_repeat():
     def obj(z):
         return (z[0] - 0.3) ** 2 + 2.0 * (z[1] + 0.4) ** 2 + z[0] * z[1]
