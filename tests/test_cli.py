@@ -298,7 +298,7 @@ def test_unreadable_table_file_is_a_config_error(tmp_path, capsys, command,
     assert "configuration valid" not in out
 
 
-@pytest.mark.parametrize("sweep, message", [
+_SWEEP_FAULTS = [
     ({"qdot_mx": [2.0]}, "'qdot_mx'"),
     ({"qdot_max": [2.0, 0.0]}, "sweep.qdot_max"),
     ({"qdot_max": [2.0, "nan"]}, "sweep.qdot_max"),
@@ -307,19 +307,33 @@ def test_unreadable_table_file_is_a_config_error(tmp_path, capsys, command,
     ({"qdot_max": [True]}, "sweep.qdot_max must be a number"),
     ({"qdot_max": ["1.5"]}, "sweep.qdot_max must be a number"),
     ({"qdot_max": ["abc"]}, "sweep.qdot_max must be a number"),
-])
-@pytest.mark.parametrize("command", ["sweep", "check", "solve",
-                                     "transcribe-only"])
-def test_sweep_section_is_checked_like_the_limits(tmp_path, capsys, captured,
-                                                  command, sweep, message):
-    # every mission command reads the section, so a fault in it is an
-    # error whatever the command
+]
+
+
+def _assert_sweep_fault(tmp_path, capsys, captured, command, sweep, message):
     path = _write(tmp_path, {"sweep": sweep})
     code = cli.main(["--command", command, "--config", path,
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert captured == {}
+
+
+@pytest.mark.parametrize("sweep, message", _SWEEP_FAULTS)
+def test_sweep_section_is_checked_like_the_flags(tmp_path, capsys, captured,
+                                                 sweep, message):
+    # each list entry is read by the limits row of its key, as the
+    # heating-limit values were when they also came as flags
+    _assert_sweep_fault(tmp_path, capsys, captured, "sweep", sweep, message)
+
+
+@pytest.mark.parametrize("sweep, message", _SWEEP_FAULTS)
+@pytest.mark.parametrize("command", ["check", "solve", "transcribe-only"])
+def test_sweep_section_is_checked_like_the_limits(tmp_path, capsys, captured,
+                                                  command, sweep, message):
+    # every mission command reads the section, so a fault in it is an
+    # error whatever the command
+    _assert_sweep_fault(tmp_path, capsys, captured, command, sweep, message)
 
 
 @pytest.mark.parametrize("argv, message", [
