@@ -241,10 +241,6 @@ def _cmd_solve(problem: str, data: dict, cfg, out: Path) -> int:
 
 
 def _cmd_sweep(cfg: M.MissionConfig, sweep: dict, out: Path) -> int:
-    if not sweep:
-        raise M.ConfigError("sweep needs a qdot_max or q_heat_max list in "
-                            "the config's sweep section")
-
     def progress(r):
         print(f"  qdot_max={r.qdot_max:g} q_heat_max={r.q_heat_max:g}: "
               f"{r.status}, objective {r.objective:.6g}")

@@ -846,15 +846,19 @@ def _propagate_ascent(config: MissionConfig, phases, kick: float,
     """Zero-incidence ascent from the tower with a small pitch kick, flown
     on the phases' node callbacks at rtol = atol = tol: boost1 on its
     Euler-parameter state with both controls at zero, handed over by the
-    stage1_sep linkage's map, geo_from_vert.  The upper stages slew the
-    bank it hands over, about -3e-3 rad, back to the 0 that the apogee pins
-    need; coast_up, where it is down to the integrator's tolerance, flies
-    with both controls at zero, since the slew's 2-s time constant would
-    bound an explicit integrator's steps over its 1000-s arc.  Every flight
-    ends at the ground.  Returns the flights of phases 0-4, the coast ending
-    at its apogee, and the apogee: the coast's highest altitude if it never
-    tops out (over-kicked), 0 if a powered flight reaches the ground, which
-    ends the flights there."""
+    stage1_sep linkage's map, geo_from_vert, which leaves a bank of about
+    -3e-3 rad.  The kept ascent, flown at ASCENT_TOL, slews that bank back
+    to the 0 that the apogee pins need during the upper stages; a trial,
+    flown at any looser tolerance, holds it, since at zero incidence the
+    boost CL table and thrust * sin(alpha) read 0, so the bank turns no
+    force and cannot move the apogee a trial measures, while the slew's
+    2-s time constant bounds an explicit integrator's steps.  coast_up
+    flies with both controls at zero, the bank there down to the
+    integrator's tolerance or held.  Every flight ends at the ground.
+    Returns the flights of phases 0-4, the coast ending at its apogee, and
+    the apogee: the coast's highest altitude if it never tops out
+    (over-kicked), 0 if a powered flight reaches the ground, which ends the
+    flights there."""
     cw, start = config.cost, phases[0].x0_lo
     opts = {"method": "RK45", "rtol": tol, "atol": tol}
     ground = _event(lambda t, y: y[Geo.H], -1.0)    # Vert.H is Geo.H
@@ -862,6 +866,8 @@ def _propagate_ascent(config: MissionConfig, phases, kick: float,
     def level(t, y):
         return np.array([0.0, min(max(-y[Geo.SIGMA] / 2.0, -cw.u_sigma_max),
                                   cw.u_sigma_max)])
+
+    bank = level if tol <= ASCENT_TOL else _hold
 
     kicked = np.concatenate([start[:Vert.E1], [0.5 * math.pi - kick, psi0,
                                                0.0, 0.0, start[Vert.M]]])
@@ -876,7 +882,7 @@ def _propagate_ascent(config: MissionConfig, phases, kick: float,
         # the mass after each stage separation, then after the fairing drop
         mass = (config.m_s2, config.m_s3, y[Geo.M] - config.fairing_mass)[p - 1]
         flights.append(fly(phases[p], np.append(y[:GEO_DIM], mass), a, b,
-                           level, [ground], **opts))
+                           bank, [ground], **opts))
         y = flights[p].y[:, -1]
     if flights[-1].t_events[0].size:
         return {"flights": flights, "apogee": 0.0}
@@ -914,12 +920,15 @@ def calibrate_kick(config: MissionConfig, phases=None,
     """Pitch-over kick angle whose gravity turn peaks near guess_apogee,
     with the ascent flown from it on the mission's phases.
 
-    Each kick brentq tries flies to its apogee at CALIBRATION_TOL, and
-    brentq finds the root of log(apogee / guess_apogee), which is nearer
-    linear in the kick than the difference, once per kick: brentq's second
-    look at its bracket ends flies nothing.  The root's ascent alone is
-    flown at ASCENT_TOL, then coasts down to the atmosphere edge: the arc
-    returned holds those flights of phases 0-5.
+    Each kick tried flies to its apogee at CALIBRATION_TOL, once per kick:
+    brentq's second look at its bracket ends flies nothing.  The bracket
+    starts at 12 deg and walks outward: up by half again while the arc
+    over-lofts (to 18 deg by default), or down to 0.2 deg if 12 deg
+    under-lofts.  brentq then finds the root of log(apogee / guess_apogee),
+    which is nearer linear in the kick than the difference, between the
+    last two kicks flown.  The root's ascent alone is flown at ASCENT_TOL,
+    then coasts down to the atmosphere edge: the arc returned holds those
+    flights of phases 0-5.
     """
     phases = phases or build_mission(config).phases
     bc, lm = config.bc, config.limits
@@ -938,16 +947,17 @@ def calibrate_kick(config: MissionConfig, phases=None,
                                     / target)
         return misses[kick]
 
-    lo, hi = 0.2 * DEG, 12.0 * DEG
-    if miss(lo) < 0.0:
-        raise RuntimeError("even a minimal pitch kick under-lofts the arc")
-    fhi = miss(hi)
-    while fhi > 0.0 and hi < 40.0 * DEG:
-        hi *= 1.5
-        fhi = miss(hi)
-    if fhi > 0.0:
-        raise RuntimeError("pitch kick calibration failed to bracket the apogee")
-    kick = brentq(miss, lo, hi, xtol=1.0e-5)
+    kicks = [12.0 * DEG]
+    if miss(kicks[0]) <= 0.0:
+        kicks.insert(0, 0.2 * DEG)
+        if miss(kicks[0]) < 0.0:
+            raise RuntimeError("even a minimal pitch kick under-lofts the arc")
+    while miss(kicks[-1]) > 0.0:
+        if kicks[-1] >= 40.0 * DEG:
+            raise RuntimeError("pitch kick calibration failed to bracket the "
+                               "apogee")
+        kicks.append(1.5 * kicks[-1])
+    kick = brentq(miss, kicks[-2], kicks[-1], xtol=1.0e-5)
 
     arc = _propagate_ascent(config, phases, kick, psi0, ASCENT_TOL)
     coast = arc["flights"][-1]
@@ -966,12 +976,14 @@ def _entry_profile(config: MissionConfig, ctx: PhaseContext, phase: PhaseDef,
     law: incidence from inverting the lift needed to track a reference slope
     tied to the nominal glide pressure, bank held off until the pull-out
     captures the slope and then weaving the heading to spend the range
-    surplus, everything released once the speed is spent.  The capture and
-    each bank reversal end a leg of the flight, so each leg's law is a
-    function of (t, y); the ground or the stall ends the flight.  The
-    arc is split at the first upward crossing of the bank-effectiveness
-    pressure level, so the capture dip and the dense glide both land in the
-    final phase.
+    surplus, everything released once the speed is spent.  The capture,
+    each bank reversal and the release (the first downward crossing of
+    1.35 km/s) end a leg of the flight, so each leg's law is a function of
+    (t, y); once released, the law commands zero incidence and bank to the
+    end, with no reversal or capture left to watch for.  The ground or the
+    stall ends the flight.  The arc is split at the first upward crossing
+    of the bank-effectiveness pressure level, so the capture dip and the
+    dense glide both land in the final phase.
 
     Returns `_joined` over the legs, the split time and the end time."""
     bc, lm, cw = config.bc, config.limits, config.cost
@@ -1010,21 +1022,27 @@ def _entry_profile(config: MissionConfig, ctx: PhaseContext, phase: PhaseDef,
                                 bc.lonf, bc.latf) - float(y[Geo.PSI]))
         return alpha_cmd, err, delta, q
 
+    def track(y, alpha_cmd, bank):
+        """Controls slewing incidence and bank toward their commands."""
+        return np.array([
+            min(max((alpha_cmd - y[Geo.ALPHA]) / 1.5, -cw.u_alpha_max),
+                cw.u_alpha_max),
+            min(max(_wrap_pi(bank - y[Geo.SIGMA]) / 2.0, -cw.u_sigma_max),
+                cw.u_sigma_max)])
+
     def steering(captured, sign):
         def law(t, y):
-            alpha_cmd = bank = 0.0
-            # spent: drop the lift and fall out ballistically
-            if y[Geo.V] > 1.35:
-                alpha_cmd, err, delta, q = guidance(y)
-                if q > 1.5 and captured:
-                    bank = min(max(2.5 * _wrap_pi(err + sign * delta),
-                                   -75.0 * DEG), 75.0 * DEG)
-            return np.array([
-                min(max((alpha_cmd - y[Geo.ALPHA]) / 1.5, -cw.u_alpha_max),
-                    cw.u_alpha_max),
-                min(max(_wrap_pi(bank - y[Geo.SIGMA]) / 2.0, -cw.u_sigma_max),
-                    cw.u_sigma_max)])
+            alpha_cmd, err, delta, q = guidance(y)
+            bank = 0.0
+            if q > 1.5 and captured:
+                bank = min(max(2.5 * _wrap_pi(err + sign * delta),
+                               -75.0 * DEG), 75.0 * DEG)
+            return track(y, alpha_cmd, bank)
         return law
+
+    def released(t, y):
+        # spent: drop the lift and fall out ballistically
+        return track(y, 0.0, 0.0)
 
     def swing(y, sign):
         """Positive once the bearing error swings 20 deg past the crab
@@ -1032,27 +1050,37 @@ def _entry_profile(config: MissionConfig, ctx: PhaseContext, phase: PhaseDef,
         _, err, delta, _ = guidance(y)
         return -sign * err - delta - 20.0 * DEG
 
-    # the flight's ends and its split, then each leg's mode switches
+    # the flight's ends and its split, then each leg's mode switches: the
+    # release, the bank reversal and the capture
     ends = [_event(lambda t, y: y[Geo.H] - 0.02, -1.0),
             _event(lambda t, y: y[Geo.V] - 0.65, -1.0),
             _event(lambda t, y: dynamic_pressure(ctx.atmosphere.density(
                 y[[Geo.H]]), y[[Geo.V]])[0] - lm.q_split, 1.0, False)]
+    release = _event(lambda t, y: y[Geo.V] - 1.35, -1.0)
     y = np.array(y_pierce[:GEO_DIM], dtype=float)
     y[Geo.ALPHA] = min(max(y[Geo.ALPHA], 0.0), cw.alpha_max)
     t, legs = t_pierce, []
     captured = y[Geo.GAMMA] > -1.2 * DEG
     sign = -1.0 if swing(y, 1.0) > 0.0 else 1.0
+    spent = y[Geo.V] <= 1.35
     while True:
-        switches = [_event(lambda t, y, s=sign: swing(y, s), 1.0)] + [
-            _event(lambda t, y: y[Geo.GAMMA] + 1.2 * DEG, 1.0)] * (not captured)
-        legs.append(fly(phase, y, t, t_pierce + 4500.0,
-                        steering(captured, sign), ends + switches,
+        if spent:
+            law, switches = released, []
+        else:
+            law = steering(captured, sign)
+            switches = [release, _event(lambda t, y, s=sign: swing(y, s), 1.0)]
+            if not captured:
+                switches.append(_event(lambda t, y: y[Geo.GAMMA] + 1.2 * DEG,
+                                       1.0))
+        legs.append(fly(phase, y, t, t_pierce + 4500.0, law, ends + switches,
                         method="RK23"))
         t, y = legs[-1].t[-1], legs[-1].y[:, -1]
         fired = [te.size > 0 for te in legs[-1].t_events]
         if legs[-1].status == 0 or fired[0] or fired[1]:
             break
-        if fired[3]:        # the bank reversal
+        if fired[3]:        # the release
+            spent = True
+        elif fired[4]:      # the bank reversal
             sign = -sign
         else:               # the capture
             captured = True
@@ -1104,8 +1132,7 @@ def initial_guess(config: MissionConfig, nlp) -> np.ndarray:
 
 def solve_mission(config: MissionConfig, *,
                   warm: Solution | None = None) -> RefinementReport:
-    config.validate()
-    problem = build_mission(config)
+    problem = build_mission(config)     # validates the config
     meshes = default_meshes(config)
     solver_options = SolverOptions(tolerance=config.solver_tolerance,
                                    max_iterations=config.solver_max_iterations)
@@ -1175,10 +1202,11 @@ def run_study(config: MissionConfig, sweep: dict, *,
 
     sweep holds "qdot_max" and/or "q_heat_max" value lists.  With both, every
     qdot value opens a branch over the heat-load list (row-major order)."""
+    if not sweep.get("qdot_max") and not sweep.get("q_heat_max"):
+        raise ConfigError("sweep needs a qdot_max or q_heat_max list in "
+                          "the config's sweep section")
     qd_list = list(sweep.get("qdot_max", [])) or [config.limits.qdot_max]
     ql_list = list(sweep.get("q_heat_max", [])) or [config.limits.q_heat_max]
-    if not sweep.get("qdot_max") and not sweep.get("q_heat_max"):
-        raise ConfigError("sweep needs a qdot_max or q_heat_max list")
 
     results: list[StudyResult] = []
     for qd in qd_list:

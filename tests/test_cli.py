@@ -189,11 +189,39 @@ def test_sweep_lists_from_the_config_section(tmp_path, captured):
     ["--command", "sweep", "--config", {"sweep": {}}],
     ["--command", "check", "--config", {"limits": {"qdot_max": 0}}],
 ])
-def test_bad_sweep_lists_exit_with_a_config_error(tmp_path, captured, argv):
-    # a config document in argv stands for a file holding it
+def test_bad_sweep_lists_exit_with_a_config_error(tmp_path, capsys,
+                                                  monkeypatch, argv):
+    # a config document in argv stands for a file holding it; run_study
+    # refuses a sweep with no list before its first solve, so none starts
+    solves = []
+    monkeypatch.setattr(M, "solve_mission",
+                        lambda config, **kwargs: solves.append(config))
     argv = [_write(tmp_path, a) if isinstance(a, dict) else a for a in argv]
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
-    assert "sweep" not in captured
+    assert solves == []
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [None, {"sweep": {}}])
+def test_a_sweep_with_no_list_is_refused_by_run_study(tmp_path, capsys,
+                                                      monkeypatch, doc):
+    # the one check of an empty sweep is run_study's, which the command
+    # line reaches with the section's lists (none without a section)
+    studies = []
+    run_study = M.run_study
+
+    def study(config, sweep, **kwargs):
+        studies.append(sweep)
+        return run_study(config, sweep, **kwargs)
+
+    monkeypatch.setattr(M, "run_study", study)
+    argv = ["--command", "sweep", "--out", str(tmp_path / "out")]
+    if doc is not None:
+        argv += ["--config", _write(tmp_path, doc)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert studies == [{}]
+    assert ("configuration error: sweep needs a qdot_max or q_heat_max list "
+            "in the config's sweep section") in capsys.readouterr().err
 
 
 def _stage2_empty_mass(mass):

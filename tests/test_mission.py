@@ -25,8 +25,11 @@ def cfg():
 def guess_flights():
     """What the shared guess flew: every ascent, as (kick, tolerance, arc)
     in order; every kick the calibration's root finder evaluated, and the
-    root it returned; every phase flight, as (phase name, rtol)."""
-    return {"ascents": [], "brentq": [], "root": None, "flown": []}
+    root it returned; every phase flight, as (phase name, rtol), and its
+    node evaluations (solve_ivp's nfev); the entry, as its pierce time and
+    what `_entry_profile` returned."""
+    return {"ascents": [], "brentq": [], "root": None, "flown": [],
+            "nfev": [], "entry": None}
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +37,7 @@ def guess_setup(cfg, guess_flights):
     """One transcription plus calibrated guess, shared across tests."""
     nlp = transcribe(M.build_mission(cfg), M.default_meshes(cfg))
     propagate, brentq, fly = M._propagate_ascent, M.brentq, M.fly
+    entry_profile = M._entry_profile
 
     def propagated(config, phases, kick, psi0, tol):
         arc = propagate(config, phases, kick, psi0, tol)
@@ -49,10 +53,18 @@ def guess_setup(cfg, guess_flights):
 
     def flown(phase, *args, **kwargs):
         guess_flights["flown"].append((phase.name, kwargs.get("rtol")))
-        return fly(phase, *args, **kwargs)
+        out = fly(phase, *args, **kwargs)
+        guess_flights["nfev"].append(out.nfev)
+        return out
+
+    def entry(config, ctx, phase, y_pierce, t_pierce):
+        out = entry_profile(config, ctx, phase, y_pierce, t_pierce)
+        guess_flights["entry"] = (t_pierce, out)
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(M, "_propagate_ascent", propagated)
+        mp.setattr(M, "_entry_profile", entry)
         mp.setattr(M, "brentq", counted_brentq)
         mp.setattr(M, "fly", flown)
         z0 = M.initial_guess(cfg, nlp)
@@ -472,13 +484,18 @@ def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup):
     # 53.876497811751435).  That subproblem converges in 20 interior-point
     # iterations (19 from the guess before).  Re-pinned since the defect
     # rows read D X as a sparse product (from objective 194.71126037672;
-    # the defects moved by at most 3.7e-11, the violation kept its bits)
+    # the defects moved by at most 3.7e-11, the violation kept its bits).
+    # Re-pinned since the trial ascents hold the bank and the entry's
+    # release latches (from objective 194.71126037671993, violation
+    # 53.98086604961118): the root kick moved by 9.4e-7 rad and the entry
+    # falls from v = 1.35 km/s instead of sliding along it, so the guess
+    # moved; the subproblem still takes 20 interior-point iterations
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=1))
     assert rep.status == "max_iterations" and rep.iterations == 1
-    assert rep.objective == 194.71126037671993
-    assert rep.violation == 53.98086604961118
+    assert rep.objective == 188.6961239633872
+    assert rep.violation == 53.98153571885008
     assert rep.message == ""
     [row] = rep.log
     assert row["qp_iterations"] <= 20
@@ -492,28 +509,35 @@ def test_four_capped_sqp_iterations_from_the_guess(cfg, guess_setup):
     # 189.53305810948578, violation 33.56910245738668, sha256 4fbf4573...).
     # Re-pinned since the defect rows read D X as a sparse product (from
     # objective 189.80575919628146, violation 33.620800729450124, sha256
-    # 9203aa9a...): the defects at the guess moved by rounding alone
+    # 9203aa9a...): the defects at the guess moved by rounding alone.
+    # Re-pinned since the trial ascents hold the bank and the entry's
+    # release latches (from objective 189.80575919628325, violation
+    # 33.6208007294622, sha256 99d55f30...): the guess moved with the root
+    # kick and the entry
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=4))
     assert rep.status == "max_iterations" and rep.iterations == 4
-    assert rep.objective == 189.80575919628325
-    assert rep.violation == 33.6208007294622
+    assert rep.objective == 185.96901009735572
+    assert rep.violation == 33.62397120218189
     assert hashlib.sha256(rep.x.tobytes()).hexdigest() == (
-        "99d55f30f284ac924fc720ab8eaf72bbd7208b06866d415eeb174c43cbf277dc")
+        "0faab68b345bc178e3f4e6b67b320292e728fb39fba75ab1a8fabe9d50ca2239")
 
 
 def test_mission_hessian_at_the_guess_is_pinned_bit_for_bit(guess_setup):
     # seeded multipliers on every row, recorded since boost1 starts where
     # the tower clearance puts it: the values moved with the guess (from
-    # sha256 23a14bf7...), the pattern of 23369 entries kept its bits
+    # sha256 23a14bf7...), the pattern of 23369 entries kept its bits.
+    # Re-pinned since the trial ascents hold the bank and the entry's
+    # release latches: the values moved with the guess (from sha256
+    # 97521be7...), the pattern kept its bits
     nlp, z0 = guess_setup
     y = np.random.default_rng(2104).standard_normal(nlp.n_con)
     H = nlp.hessian(z0, y)
     digests = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
                for a in (H.data, H.indices, H.indptr)]
     assert digests == [
-        "97521be7d50280903ecb6d1ad54811b3137a36c21107431cafb889bdf5cc375b",
+        "641e64f24504f54fd872753159b22785c74276fab4f05c55625476192abd4ab7",
         "ed2ad091bd06bce4ffc9c03b376df7dc4fb3d7cdd0fe294439980ae218bf2abf",
         "7722b3de997ab6d4006507bf8da7842a99197dd4743b1cf574f8489b80825857"]
 
@@ -658,12 +682,16 @@ def test_guess_is_pinned_bit_for_bit(guess_setup):
     # recorded since boost1 starts where the tower clearance puts it (from
     # objective 193.13088018510336, sha256 415cdd90...): the derived loads
     # make the stack 9.5 kg lighter, and the ascent starts 10 kg lighter,
-    # 1.1 ms later and 0.08 m/s slower
+    # 1.1 ms later and 0.08 m/s slower.  Re-pinned since the trial
+    # ascents hold the bank and the entry's release latches (from
+    # objective 193.40165402709854, sha256 a0634f6d...): the root kick
+    # moved from 15.389663 to 15.389717 deg, inside brentq's xtol, and the
+    # entry falls from v = 1.35 km/s instead of sliding along it
     nlp, z0 = guess_setup
     assert z0.dtype == np.float64 and z0.shape == (1511,)
-    assert nlp.objective(z0) == 193.40165402709854
+    assert nlp.objective(z0) == 189.3482340025788
     assert hashlib.sha256(z0.tobytes()).hexdigest() == (
-        "a0634f6d65a1297f10e34a18eaf3a7e8e99c8c0a0002a06b77b1bb6d3ccc46d0")
+        "5261c91cd9bdefec0bea64f4cc32454c2dd517429946591cf48e4a0d6e89c323")
 
 
 def test_mission_nlp_at_the_guess_is_pinned_bit_for_bit(guess_setup):
@@ -675,7 +703,10 @@ def test_mission_nlp_at_the_guess_is_pinned_bit_for_bit(guess_setup):
     # Re-pinned since the defect rows read D X as a sparse product (from
     # sha256 0d3dbcde...): 985 of the 1160 defect values moved, by at most
     # 3.7e-11; every other row, the objective, the gradient and the
-    # Jacobian kept their bits
+    # Jacobian kept their bits.  Re-pinned since the trial ascents hold
+    # the bank and the entry's release latches (from sha256 d9535627...):
+    # the names and bounds kept their bits, the values at the guess moved
+    # with it
     nlp, z0 = guess_setup
     J = nlp.jacobian(z0)
     assert (nlp.n_var, nlp.n_con, J.nnz) == (1511, 1342, 22492)
@@ -685,7 +716,7 @@ def test_mission_nlp_at_the_guess_is_pinned_bit_for_bit(guess_setup):
               nlp.objective_gradient(z0), J.indptr, J.indices, J.data):
         h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest() == (
-        "d9535627aa804b8afc6edce9f64f5365652781910cd01afff052ae473f271d12")
+        "eed7d39fd135be56560b694b24d0f3edfd51fa8cd4f6951f0da0cd61f1718405")
 
 
 def test_guess_flies_its_trial_kicks_to_apogee_and_the_root_in_full(
@@ -719,6 +750,65 @@ def test_guess_flies_its_trial_kicks_to_apogee_and_the_root_in_full(
     # the kicks near the root top out; only an over-kicked bracket end may not
     assert sum(arc["flights"][4].t_events[0].size
                for _, _, arc in ascents) >= len(ascents) - 2
+    # the bracket is 12 and 18 deg; brentq needs six more trials
+    assert len(trials) == 8
+    assert [kick for kick, _, _ in trials[:2]] == [12.0 * M.DEG,
+                                                  18.0 * M.DEG]
+    # every trial flies at zero incidence and holds the bank boost1 hands
+    # over; the kept ascent slews it to 0 by burnout
+    for kick, tol, arc in ascents:
+        boost1, *upper, coast = arc["flights"][:5]
+        assert np.all(boost1.y[Vert.ALPHA] == 0.0)
+        assert all(np.all(f.y[Geo.ALPHA] == 0.0) for f in upper + [coast])
+        sigma = upper[0].y[Geo.SIGMA, 0]
+        assert 0.0 < abs(sigma) < 1e-2
+        if tol == M.CALIBRATION_TOL:
+            assert all(np.all(f.y[Geo.SIGMA] == sigma) for f in upper)
+            assert all(np.all(f.controls(f.t) == 0.0) for f in upper)
+        else:
+            assert abs(upper[-1].y[Geo.SIGMA, -1]) < 1e-4
+
+
+def test_guess_node_evaluations_are_pinned(guess_setup, guess_flights):
+    # the sum of solve_ivp's nfev over the guess's flights, the count the
+    # benchmark's guess_node_evaluations reports: 5,887 before the trials
+    # held the bank (boost2 and boost3 took 86-92 evaluations per trial,
+    # now 32-38), the bracket started at 12 deg (10 trials, now 8) and the
+    # entry's release latched (2,385 evaluations, now 1,526)
+    flown, nfev = guess_flights["flown"], guess_flights["nfev"]
+    assert sum(nfev) == 3538
+    assert sum(n for (p, _), n in zip(flown, nfev)
+               if p == "entry_glide") == 1526
+
+
+def test_trial_ascent_holds_the_bank_and_keeps_the_slewed_apogee(
+        cfg, monkeypatch):
+    # at zero incidence the bank turns no force, so the held bank reaches
+    # the slewed bank's apogee within the trial tolerance's scale: they
+    # differ by 6.7 m at a kick near the root, where the trial tolerance
+    # itself moves the apogee by 28 m against the kept ascent's
+    phases = M.build_mission(cfg).phases
+    psi0 = M._bearing(cfg.bc.lon0, cfg.bc.lat0, cfg.bc.lonf, cfg.bc.latf)
+    kick = 15.39 * M.DEG
+    held = M._propagate_ascent(cfg, phases, kick, psi0, M.CALIBRATION_TOL)
+    with monkeypatch.context() as mp:
+        # the kept ascent's bank law, at the trial tolerance
+        mp.setattr(M, "ASCENT_TOL", M.CALIBRATION_TOL)
+        slewed = M._propagate_ascent(cfg, phases, kick, psi0,
+                                     M.CALIBRATION_TOL)
+    for arc in (held, slewed):
+        boost1, *rest = arc["flights"]
+        assert np.all(boost1.y[Vert.ALPHA] == 0.0)
+        assert all(np.all(f.y[Geo.ALPHA] == 0.0) for f in rest)
+    upper = held["flights"][1:4]
+    assert all(np.all(f.y[Geo.SIGMA] == upper[0].y[Geo.SIGMA, 0])
+               for f in upper)
+    assert abs(slewed["flights"][3].y[Geo.SIGMA, -1]) < 1e-4
+    assert held["apogee"] == pytest.approx(slewed["apogee"],
+                                           rel=10 * M.CALIBRATION_TOL)
+    # the held bank spares the upper stages' steps
+    assert (sum(f.nfev for f in upper)
+            < sum(f.nfev for f in slewed["flights"][1:4]) / 2)
 
 
 def test_guess_ascent_tops_out_near_the_target_apogee(cfg, guess_setup,
@@ -731,18 +821,23 @@ def test_guess_ascent_tops_out_near_the_target_apogee(cfg, guess_setup,
 
 
 def test_calibrate_kick_returns_the_roots_arc(cfg, monkeypatch):
-    # a stand-in ascent whose apogee falls with the kick, through 0 km past
-    # 0.15 rad: each kick tried flies at the calibration tolerance, the
-    # root alone at the guess's, and it alone coasts down; the floor keeps
-    # the log miss of a trial at or below 0 km finite and negative
-    ascents, downs, misses = [], [], []
+    # stand-in ascents whose apogee falls linearly with the kick, through
+    # the target at `root` rad and through 0 km at `ground`: the bracket
+    # starts at 12 deg and walks outward, up to 18 deg for a root above
+    # 12 deg and down to 0.2 deg for one below it; each kick tried flies at
+    # the calibration tolerance, the root alone at the guess's, and it
+    # alone coasts down; the floor keeps the log miss of a trial at or
+    # below 0 km finite and negative
+    ascents, downs, misses, brackets = [], [], [], []
+    line = {}
 
     def ascent(config, phases, kick, psi0, tol):
         ascents.append((kick, tol))
         coast = SimpleNamespace(t=np.array([0.0, 1.0]), y=np.zeros((8, 2)),
                                 t_events=[np.array([1.0]), np.array([])])
         return {"kick": kick, "tol": tol, "flights": [coast],
-                "apogee": config.guess_apogee * (0.15 - kick) / 0.06}
+                "apogee": config.guess_apogee * (line["ground"] - kick)
+                / (line["ground"] - line["root"])}
 
     def coast_down(phase, x0, t0, tf, law, events, **opts):
         downs.append(SimpleNamespace(t_events=[np.array([t0 + 1.0])],
@@ -751,34 +846,66 @@ def test_calibrate_kick_returns_the_roots_arc(cfg, monkeypatch):
 
     brentq = M.brentq
 
-    def recorded(f, *args, **kwargs):
+    def recorded(f, a, b, **kwargs):
+        brackets.append((a, b))
+
         def g(kick):
             misses.append((kick, f(kick)))
             return misses[-1][1]
-        return brentq(g, *args, **kwargs)
+        return brentq(g, a, b, **kwargs)
+
+    def calibrated(root, ground):
+        for seen in (ascents, downs, misses, brackets):
+            seen.clear()
+        line.update(root=root, ground=ground)
+        return M.calibrate_kick(cfg, phases=[None] * 6, psi0=0.0)
 
     monkeypatch.setattr(M, "_propagate_ascent", ascent)
     monkeypatch.setattr(M, "fly", coast_down)
     monkeypatch.setattr(M, "brentq", recorded)
-    kick, arc = M.calibrate_kick(cfg, phases=[None] * 6, psi0=0.0)
-    assert kick == pytest.approx(0.09, abs=1e-5)
-    assert ascents[-1] == (kick, M.ASCENT_TOL)
-    assert all(tol == M.CALIBRATION_TOL for _, tol in ascents[:-1])
-    assert (arc["kick"], arc["tol"]) == (kick, M.ASCENT_TOL)
-    assert arc["flights"][-1] is downs[0] and len(downs) == 1
-    assert downs[0].rtol == M.ASCENT_TOL
-    grounded = [m for k, m in misses if k >= 0.15]
-    assert grounded and all(math.isfinite(m) and m < 0.0 for m in grounded)
-    # brentq looks at its bracket ends again, after the bracket search has
-    # flown them: the misses flown answer, so no (kick, tol) pair flies twice
-    assert len(set(ascents)) == len(ascents)
+    least, twelve, eighteen = 0.2 * M.DEG, 12.0 * M.DEG, 18.0 * M.DEG
+    for root, ground, bracket in [(0.09, 0.15, (least, twelve)),
+                                  (0.29, 0.30, (twelve, eighteen))]:
+        kick, arc = calibrated(root, ground)
+        assert kick == pytest.approx(root, abs=1e-5)
+        # brentq gets the last two kicks flown; 0.2 deg flies only when
+        # 12 deg under-lofts
+        trials = [k for k, _ in ascents[:-1]]
+        assert trials[:2] == [twelve, bracket[0] if root < twelve
+                              else bracket[1]]
+        assert brackets == [bracket]
+        assert (least in trials) == (root < twelve)
+        assert ascents[-1] == (kick, M.ASCENT_TOL)
+        assert all(tol == M.CALIBRATION_TOL for _, tol in ascents[:-1])
+        assert (arc["kick"], arc["tol"]) == (kick, M.ASCENT_TOL)
+        assert arc["flights"][-1] is downs[0] and len(downs) == 1
+        assert downs[0].rtol == M.ASCENT_TOL
+        grounded = [m for k, m in misses if k >= ground]
+        assert grounded and all(math.isfinite(m) and m < 0.0
+                                for m in grounded)
+        # brentq looks at its bracket ends again, after the bracket search
+        # has flown them: the misses flown answer, so no (kick, tol) pair
+        # flies twice
+        assert len(set(ascents)) == len(ascents)
 
     # a root moved off every kick tried is the one flown in full
-    ascents.clear()
-    monkeypatch.setattr(M, "brentq", lambda *a, **k: brentq(*a, **k) + 1e-7)
-    moved, arc = M.calibrate_kick(cfg, phases=[None] * 6, psi0=0.0)
+    monkeypatch.setattr(M, "brentq", lambda *a, **k: recorded(*a, **k) + 1e-7)
+    moved, arc = calibrated(0.29, 0.30)
     assert moved == kick + 1e-7 and ascents[-1] == (moved, M.ASCENT_TOL)
     assert (arc["kick"], arc["tol"]) == (moved, M.ASCENT_TOL)
+
+    # no root: every kick under-lofts, down to 0.2 deg, or every kick up to
+    # 40.5 deg over-lofts
+    with pytest.raises(RuntimeError,
+                       match="even a minimal pitch kick under-lofts the arc"):
+        calibrated(0.001, 0.002)
+    assert [k for k, _ in ascents] == [twelve, least]
+    with pytest.raises(RuntimeError, match="pitch kick calibration failed "
+                                           "to bracket the apogee"):
+        calibrated(1.0, 2.0)
+    assert [k for k, _ in ascents] == pytest.approx(
+        [twelve, eighteen, 27.0 * M.DEG, 40.5 * M.DEG], rel=1e-15)
+    assert downs == []
 
 
 @pytest.mark.parametrize("kick_deg, flown", [(27.0, 2), (40.5, 1)])
@@ -813,6 +940,25 @@ def test_entry_flight_ends_at_its_ground_event(cfg):
     assert states[-1, Geo.V] > 0.65
     assert states[0, Geo.H] == pytest.approx(cfg.limits.h_atm)
     assert pierce.t[-1] < t_split < t_end
+
+
+def test_entry_release_latches_once_the_speed_is_spent(cfg, guess_setup,
+                                                       guess_flights):
+    # from the first time v reaches 1.35 km/s, the entry commands zero
+    # incidence and zero bank to the end: the release used to be a state
+    # rule, switching back to steering at every crossing, so the flight
+    # slid along 1.35 km/s for about 60 s before it fell
+    t_pierce, (flown, _, t_end) = guess_flights["entry"]
+    states, controls = flown(np.linspace(t_pierce, t_end, 20001))
+    spent = int(np.argmax(states[:, Geo.V] <= 1.35))
+    assert spent > 0 and states[spent, Geo.V] <= 1.35
+    y, u = states[spent:], controls[spent:]
+    cw = cfg.cost
+    assert np.array_equal(u[:, 0], np.clip(-y[:, Geo.ALPHA] / 1.5,
+                                           -cw.u_alpha_max, cw.u_alpha_max))
+    bank = np.array([M._wrap_pi(-s) for s in y[:, Geo.SIGMA]]) / 2.0
+    assert np.array_equal(u[:, 1], np.clip(bank, -cw.u_sigma_max,
+                                           cw.u_sigma_max))
 
 
 def test_trajectory_table_and_csv(cfg, guess_setup, tmp_path):
@@ -863,11 +1009,14 @@ def test_solve_mission_runs_cold_then_warm_from_its_own_solution(
         cfg, monkeypatch):
     # capped at one SQP iteration and one refinement round: cold from the
     # built-in guess, the solve is the capped iteration pinned above
+    # (re-pinned with it, from objective 194.71126037671993, violation
+    # 53.98086604961118, since the trial ascents hold the bank and the
+    # entry's release latches)
     one = replace(cfg, solver_max_iterations=1, max_refinements=1)
     cold = M.solve_mission(one)
     assert cold.status == "max_iterations" and cold.iterations == 1
-    assert cold.last_solve.objective == 194.71126037671993
-    assert cold.last_solve.violation == 53.98086604961118
+    assert cold.last_solve.objective == 188.6961239633872
+    assert cold.last_solve.violation == 53.98153571885008
 
     def no_guess(config, nlp):
         raise AssertionError("a warm start flies no guess")
@@ -880,6 +1029,23 @@ def test_solve_mission_runs_cold_then_warm_from_its_own_solution(
     for report in (cold, warm):
         for ph, (n, d) in zip(report.solution.phases, cfg.mesh):
             assert ph.mesh.degrees.tolist() == [d] * n
+
+
+def test_solve_mission_validates_its_config_once(cfg, monkeypatch):
+    # build_mission validates, and solve_mission adds no check of its own:
+    # each validation solves the tower clearance again
+    validated = []
+    validate = M.MissionConfig.validate
+
+    def counted(config):
+        validated.append(config)
+        validate(config)
+
+    monkeypatch.setattr(M.MissionConfig, "validate", counted)
+    monkeypatch.setattr(M, "refine_loop", lambda problem, *args: problem)
+    problem = M.solve_mission(cfg)
+    assert len(validated) == 1 and validated[0] is cfg
+    assert len(problem.phases) == 8
 
 
 def _study_with(monkeypatch, cfg, failing):
