@@ -847,18 +847,16 @@ def _propagate_ascent(config: MissionConfig, phases, kick: float,
     on the phases' node callbacks at rtol = atol = tol: boost1 on its
     Euler-parameter state with both controls at zero, handed over by the
     stage1_sep linkage's map, geo_from_vert, which leaves a bank of about
-    -3e-3 rad.  The kept ascent, flown at ASCENT_TOL, slews that bank back
-    to the 0 that the apogee pins need during the upper stages; a trial,
-    flown at any looser tolerance, holds it, since at zero incidence the
-    boost CL table and thrust * sin(alpha) read 0, so the bank turns no
-    force and cannot move the apogee a trial measures, while the slew's
-    2-s time constant bounds an explicit integrator's steps.  coast_up
-    flies with both controls at zero, the bank there down to the
-    integrator's tolerance or held.  Every flight ends at the ground.
-    Returns the flights of phases 0-4, the coast ending at its apogee, and
-    the apogee: the coast's highest altitude if it never tops out
-    (over-kicked), 0 if a powered flight reaches the ground, which ends the
-    flights there."""
+    -3e-3 rad.  The kept ascent (tol at ASCENT_TOL) slews it in the upper
+    stages back to the 0 that the apogee pins need; a trial holds it: at
+    zero incidence the bank turns no force (the boost CL table and
+    thrust * sin(alpha) read 0), so it cannot move the apogee a trial
+    measures, while the slew's 2-s time constant bounds an explicit
+    integrator's steps.  coast_up flies with both controls at zero.  Every
+    flight ends at the ground.  Returns the flights of phases 0-4, the
+    coast ending at its apogee, and the apogee: the coast's highest
+    altitude if it never tops out (over-kicked), 0 if a powered flight
+    reaches the ground, which ends the flights there."""
     cw, start = config.cost, phases[0].x0_lo
     opts = {"method": "RK45", "rtol": tol, "atol": tol}
     ground = _event(lambda t, y: y[Geo.H], -1.0)    # Vert.H is Geo.H
@@ -1022,27 +1020,21 @@ def _entry_profile(config: MissionConfig, ctx: PhaseContext, phase: PhaseDef,
                                 bc.lonf, bc.latf) - float(y[Geo.PSI]))
         return alpha_cmd, err, delta, q
 
-    def track(y, alpha_cmd, bank):
-        """Controls slewing incidence and bank toward their commands."""
-        return np.array([
-            min(max((alpha_cmd - y[Geo.ALPHA]) / 1.5, -cw.u_alpha_max),
-                cw.u_alpha_max),
-            min(max(_wrap_pi(bank - y[Geo.SIGMA]) / 2.0, -cw.u_sigma_max),
-                cw.u_sigma_max)])
-
-    def steering(captured, sign):
+    def steering(captured, sign, spent):
         def law(t, y):
-            alpha_cmd, err, delta, q = guidance(y)
-            bank = 0.0
-            if q > 1.5 and captured:
-                bank = min(max(2.5 * _wrap_pi(err + sign * delta),
-                               -75.0 * DEG), 75.0 * DEG)
-            return track(y, alpha_cmd, bank)
+            alpha_cmd = bank = 0.0
+            # spent: drop the lift and fall out ballistically
+            if not spent:
+                alpha_cmd, err, delta, q = guidance(y)
+                if q > 1.5 and captured:
+                    bank = min(max(2.5 * _wrap_pi(err + sign * delta),
+                                   -75.0 * DEG), 75.0 * DEG)
+            return np.array([
+                min(max((alpha_cmd - y[Geo.ALPHA]) / 1.5, -cw.u_alpha_max),
+                    cw.u_alpha_max),
+                min(max(_wrap_pi(bank - y[Geo.SIGMA]) / 2.0, -cw.u_sigma_max),
+                    cw.u_sigma_max)])
         return law
-
-    def released(t, y):
-        # spent: drop the lift and fall out ballistically
-        return track(y, 0.0, 0.0)
 
     def swing(y, sign):
         """Positive once the bearing error swings 20 deg past the crab
@@ -1057,6 +1049,7 @@ def _entry_profile(config: MissionConfig, ctx: PhaseContext, phase: PhaseDef,
             _event(lambda t, y: dynamic_pressure(ctx.atmosphere.density(
                 y[[Geo.H]]), y[[Geo.V]])[0] - lm.q_split, 1.0, False)]
     release = _event(lambda t, y: y[Geo.V] - 1.35, -1.0)
+    capture = _event(lambda t, y: y[Geo.GAMMA] + 1.2 * DEG, 1.0)
     y = np.array(y_pierce[:GEO_DIM], dtype=float)
     y[Geo.ALPHA] = min(max(y[Geo.ALPHA], 0.0), cw.alpha_max)
     t, legs = t_pierce, []
@@ -1064,15 +1057,11 @@ def _entry_profile(config: MissionConfig, ctx: PhaseContext, phase: PhaseDef,
     sign = -1.0 if swing(y, 1.0) > 0.0 else 1.0
     spent = y[Geo.V] <= 1.35
     while True:
-        if spent:
-            law, switches = released, []
-        else:
-            law = steering(captured, sign)
-            switches = [release, _event(lambda t, y, s=sign: swing(y, s), 1.0)]
-            if not captured:
-                switches.append(_event(lambda t, y: y[Geo.GAMMA] + 1.2 * DEG,
-                                       1.0))
-        legs.append(fly(phase, y, t, t_pierce + 4500.0, law, ends + switches,
+        switches = [] if spent else [
+            release, _event(lambda t, y, s=sign: swing(y, s), 1.0)
+        ] + [capture] * (not captured)
+        legs.append(fly(phase, y, t, t_pierce + 4500.0,
+                        steering(captured, sign, spent), ends + switches,
                         method="RK23"))
         t, y = legs[-1].t[-1], legs[-1].y[:, -1]
         fired = [te.size > 0 for te in legs[-1].t_events]
