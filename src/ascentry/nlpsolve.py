@@ -10,6 +10,14 @@ was judged on.  Derivatives come from the problem object's
 `objective_gradient`, `jacobian` and `hessian(z, y)`, the last once per
 iteration.
 
+Each Jacobian and Hessian the problem returns is copied once into
+canonical CSR (rows sorted by column, duplicates summed, explicit zeros
+dropped); every scaling, masking and shift writes into the copy's `data`,
+and the subproblem cuts its blocks from the copy's arrays.  So `solve`
+never writes into a matrix the problem returned, the iterates do not
+depend on how it stores its entries, and scaled rows sum in ascending
+column order.
+
 The subproblem's Hessian B is that Hessian in the scaled units, with the
 rows and columns of box-fixed variables zeroed (their step is held at 0, so
 those entries change no subproblem's answer), plus delta I: delta is the
@@ -194,24 +202,88 @@ def _ordered_lu(K: sp.csc_matrix, perm: np.ndarray):
     return factor
 
 
-def _shift(B: sp.spmatrix) -> float:
+def _entry_rows(A: sp.csr_matrix) -> np.ndarray:
+    """The row of each stored entry of a CSR matrix."""
+    return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+
+
+def _row_scale(J: sp.csr_matrix) -> np.ndarray:
+    """1 / max(1, the row's largest |entry|) for each row of a CSR J."""
+    row_max = np.zeros(J.shape[0])
+    np.maximum.at(row_max, _entry_rows(J), np.abs(J.data))
+    return 1.0 / np.maximum(1.0, row_max)
+
+
+def _canonical_copy(A) -> sp.csr_matrix:
+    """A copy of A in canonical CSR (each row's entries sorted by column,
+    duplicates summed) without explicit zeros: `solve` scales it in place
+    and never writes into a matrix the problem returned."""
+    A = sp.csr_matrix(A, copy=True)
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    return A
+
+
+def _submatrix(A: sp.csr_matrix, rows: np.ndarray,
+               cols: np.ndarray) -> sp.csr_matrix:
+    """A[rows][:, cols] of a CSR matrix A for boolean masks rows and cols,
+    cut from its arrays by one mask over its entries: each row keeps its
+    entries in A's order."""
+    keep = np.repeat(rows, np.diff(A.indptr)) & cols[A.indices]
+    # the kept entries before each row boundary; a row not kept adds none,
+    # so leaving out its end leaves the kept rows' boundaries
+    before = np.zeros(len(keep) + 1, A.indptr.dtype)
+    np.cumsum(keep, out=before[1:])
+    indptr = before[A.indptr[np.concatenate([[True], rows])]]
+    column = np.cumsum(cols, dtype=A.indices.dtype) - 1
+    return sp.csr_matrix((A.data[keep], column[A.indices[keep]], indptr),
+                         shape=(len(indptr) - 1, int(cols.sum())))
+
+
+def _with_diagonal(B: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
+    """B (square, canonical CSR) on its pattern plus the whole diagonal,
+    0 where B stores no diagonal entry, and the position of each diagonal
+    entry in its data.  B itself is returned where it stores them all."""
+    n = B.shape[0]
+    rows = _entry_rows(B)
+    has = np.bincount(rows[B.indices == rows], minlength=n) > 0
+    indptr = B.indptr.copy()
+    indptr[1:] += np.cumsum(~has)
+    diag = indptr[:-1] + np.bincount(rows[B.indices < rows], minlength=n)
+    if has.all():
+        return B, diag
+    old = np.ones(indptr[-1], bool)
+    old[diag] = has
+    data = np.zeros(indptr[-1])
+    data[old] = B.data
+    indices = np.empty(indptr[-1], B.indices.dtype)
+    indices[old] = B.indices
+    indices[diag] = np.arange(n)
+    return sp.csr_matrix((data, indices, indptr), shape=B.shape), diag
+
+
+def _shift(B: sp.csr_matrix, diag: np.ndarray) -> float:
     """The least delta on the ladder 0, 1e-8 b, 1e-7 b, ... (b the largest
     |B| entry, at least 1) such that B + delta I has no negative or zero
     pivot in its symmetric factor.  The factor tested is of
     B + (delta + 1e-12 b) I, so that a singular positive-semidefinite B
     passes at 0.  The ladder ends at the Gershgorin bound, untested: from
-    there on the matrix is diagonally dominant, so positive definite."""
+    there on the matrix is diagonally dominant, so positive definite.
+    B stores its whole diagonal, at `diag` in its data (`_with_diagonal`);
+    each rung writes B_ii plus its shift into a copy of that pattern."""
     if not np.all(np.isfinite(B.data)):
         raise ValueError("non-finite Hessian entry")
-    b = max(1.0, float(np.abs(B.data).max(initial=0.0)))
-    absB = abs(B)
-    gershgorin = float((np.asarray(absB.sum(axis=1)).ravel()
-                        - absB.diagonal() - B.diagonal()).max(initial=0.0))
-    eye = sp.identity(B.shape[0], format="csc")
+    abs_data = np.abs(B.data)
+    b = max(1.0, float(abs_data.max(initial=0.0)))
+    on_diag = B.data[diag]
+    gershgorin = float((np.bincount(_entry_rows(B), abs_data, len(diag))
+                        - abs_data[diag] - on_diag).max(initial=0.0))
+    M = B.copy()
     delta = 0.0
     while delta < gershgorin:
+        M.data[diag] = on_diag + (delta + 1e-12 * b)
         try:
-            pivots = _symmetric_lu(B + (delta + 1e-12 * b) * eye).U.diagonal()
+            pivots = _symmetric_lu(M).U.diagonal()
             if np.all(pivots > 0.0):
                 return delta
         except RuntimeError:    # an exactly zero pivot
@@ -220,7 +292,7 @@ def _shift(B: sp.spmatrix) -> float:
     return delta
 
 
-def _elastic_qp(B: sp.spmatrix, g: np.ndarray, J: sp.spmatrix,
+def _elastic_qp(B: sp.csr_matrix, g: np.ndarray, J: sp.csr_matrix,
                 lo: np.ndarray, hi: np.ndarray, bl: np.ndarray,
                 bu: np.ndarray) -> _QPResult:
     """The elastic subproblem
@@ -229,9 +301,9 @@ def _elastic_qp(B: sp.spmatrix, g: np.ndarray, J: sp.spmatrix,
         s.t. lo <= J d + p - n <= hi,  bl <= d <= bu,  p, n >= 0,
 
     W = `ELASTIC_WEIGHT`, by Mehrotra's primal-dual predictor-corrector
-    method, for B positive semidefinite and a finite box.  Returns the
-    step d, the row multipliers y (|y| <= W) and the box multipliers
-    y_bnd, signed as in `_residuals`: B d + g + J'y + y_bnd = 0.
+    method, for B positive semidefinite and a finite box, B and J in CSR.
+    Returns the step d, the row multipliers y (|y| <= W) and the box
+    multipliers y_bnd, signed as in `_residuals`: B d + g + J'y + y_bnd = 0.
 
     The unknowns are x = (d_f, p, n, s): d_f the variables the box does not
     fix, and a slack s in [lo, hi] for each row that is not tied, so every
@@ -243,22 +315,24 @@ def _elastic_qp(B: sp.spmatrix, g: np.ndarray, J: sp.spmatrix,
     so the fraction-to-boundary rule keeps them positive in floating point.
     """
     free = bl < bu
-    rows = np.flatnonzero(np.isfinite(lo) | np.isfinite(hi))
+    sided = np.isfinite(lo) | np.isfinite(hi)
+    rows = np.flatnonzero(sided)
     lo_r, hi_r = lo[rows], hi[rows]
     tied = lo_r == hi_r
     slack = np.flatnonzero(~tied)
     nf, mr = int(free.sum()), len(rows)
     at = nf + 2 * mr            # the first slack in x
     N = at + len(slack)
-    Jf = sp.csr_matrix(J)[rows][:, free]
-    JfT = Jf.T.tocsr()
+    Jf = _submatrix(J, sided, free)
+    JfT = Jf.T      # a CSC view
 
     # the objective over its scale s, a third of the way (on the log
     # scale) from the quadratic part's magnitude to the weight
     s_q = max(1.0, float(np.abs(g).max(initial=0.0)),
               float(np.abs(B.data).max(initial=0.0)))
     scale = s_q ** (2.0 / 3.0) * ELASTIC_WEIGHT ** (1.0 / 3.0)
-    Q = sp.csr_matrix(B)[free][:, free] / scale
+    Q = _submatrix(B, free, free)
+    Q.data *= 1.0 / scale
     cost = np.concatenate([g[free] / scale,
                            np.full(2 * mr, ELASTIC_WEIGHT / scale),
                            np.zeros(len(slack))])
@@ -284,14 +358,18 @@ def _elastic_qp(B: sp.spmatrix, g: np.ndarray, J: sp.spmatrix,
     # from the blocks' coordinates, the diagonal each iteration.  The
     # factor is of K + diag(reg), the refinement against K
     reg = np.concatenate([np.full(nf, 1e-9 * s_q / scale), np.full(mr, -1e-9)])
-    QI, Jc = (Q + sp.identity(nf)).tocoo(), Jf.tocoo()
-    tail = nf + np.arange(mr)   # the -D block's diagonal
-    k_row = np.concatenate([QI.row, Jc.col, nf + Jc.row, tail])
-    k_col = np.concatenate([QI.col, nf + Jc.row, Jc.col, tail])
+    # Q's nonzeros off the diagonal, Jf's entries twice and the whole
+    # diagonal, whose values are set before each factor
+    q_row, j_row = _entry_rows(Q), nf + _entry_rows(Jf)
+    off = (Q.data != 0.0) & (Q.indices != q_row)
+    whole = np.arange(nf + mr)
+    k_row = np.concatenate([q_row[off], Jf.indices, j_row, whole])
+    k_col = np.concatenate([Q.indices[off], j_row, Jf.indices, whole])
     order = np.lexsort((k_row, k_col))
     k_row, k_col = k_row[order], k_col[order]
     K = sp.csc_matrix(
-        (np.concatenate([QI.data, Jc.data, Jc.data, -np.ones(mr)])[order],
+        (np.concatenate([Q.data[off], Jf.data, Jf.data,
+                         np.zeros(nf + mr)])[order],
          k_row, np.searchsorted(k_col, np.arange(nf + mr + 1))),
         shape=(nf + mr, nf + mr))
     diag = np.flatnonzero(k_row == k_col)
@@ -540,8 +618,14 @@ def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveRep
     x = np.clip(np.asarray(x0, float) / s, z_lo, z_hi)
 
     def derivatives(x):
-        return (s * nlp.objective_gradient(s * x),
-                nlp.jacobian(s * x).multiply(s[None, :]).tocsr())
+        # the gradient, and a canonical copy of the Jacobian with its
+        # columns scaled by s and its rows by r_scale (ones until the first
+        # Jacobian has set it)
+        g = s * nlp.objective_gradient(s * x)
+        J = _canonical_copy(nlp.jacobian(s * x))
+        J.data *= s[J.indices]
+        J.data *= r_scale[_entry_rows(J)]
+        return g, J
 
     log: list[dict] = []
     it, f, J = 0, np.nan, None
@@ -577,13 +661,11 @@ def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveRep
     # equilibrate constraint rows once, from the first Jacobian, so the
     # merit function and the convergence test see rows of comparable size;
     # c_raw keeps the rows in the problem's units for the report
-    row_inf = np.abs(J).max(axis=1).toarray().ravel()
-    r_scale = 1.0 / np.maximum(1.0, row_inf)
+    r_scale = _row_scale(J)
     c_lo = r_scale * nlp.c_lo
     c_hi = r_scale * nlp.c_hi
-    r_diag = sp.diags(r_scale)
     c = r_scale * c_raw
-    J = r_diag @ J
+    J.data *= r_scale[_entry_rows(J)]
 
     # a box-fixed variable's step is held at 0, so its Hessian row and
     # column change no subproblem's answer
@@ -612,13 +694,13 @@ def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveRep
         # scaled units, fixed rows and columns zeroed, shifted to be
         # semidefinite
         try:
-            H = sp.csr_matrix(nlp.hessian(s * x, r_scale * y_con))
-            H.data *= s[H.indices] * np.repeat(s, np.diff(H.indptr))
-            B = H.tocoo()
-            B.data[fixed[B.row] | fixed[B.col]] = 0.0
-            B = B.tocsr()
+            B = _canonical_copy(nlp.hessian(s * x, r_scale * y_con))
+            rows = _entry_rows(B)
+            B.data *= s[B.indices] * s[rows]
+            B.data[fixed[B.indices] | fixed[rows]] = 0.0
             B.eliminate_zeros()
-            B = B + _shift(B) * sp.identity(n, format="csr")
+            B, diag = _with_diagonal(B)
+            B.data[diag] += _shift(B, diag)
         except Exception as e:
             return report("numerical_failure",
                           f"Hessian evaluation failed: {e}")
@@ -704,7 +786,7 @@ def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveRep
             return report("numerical_failure",
                           f"derivative evaluation failed: {e}")
 
-        x, f, c, c_raw, g, J = x_t, f_t, c_t, c_raw_t, g_new, r_diag @ J_new
+        x, f, c, c_raw, g, J = x_t, f_t, c_t, c_raw_t, g_new, J_new
         y_con, y_bnd = y_new_con, y_new_bnd
         y_bnd[fixed] = -(g + J.T @ y_con)[fixed]
         record(f, max(_violation(c, c_lo, c_hi), _violation(x, z_lo, z_hi)),

@@ -489,13 +489,18 @@ def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup):
     # release latches (from objective 194.71126037671993, violation
     # 53.98086604961118): the root kick moved by 9.4e-7 rad and the entry
     # falls from v = 1.35 km/s instead of sliding along it, so the guess
-    # moved; the subproblem still takes 20 interior-point iterations
+    # moved; the subproblem still takes 20 interior-point iterations.
+    # Re-pinned since the solver scales the Jacobian in place (from
+    # objective 188.6961239633872, violation 53.98153571885008): the
+    # scaled Jacobian's rows now sum in ascending column order, where the
+    # sparse product that scaled them stored them descending; still 20
+    # interior-point iterations
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=1))
     assert rep.status == "max_iterations" and rep.iterations == 1
-    assert rep.objective == 188.6961239633872
-    assert rep.violation == 53.98153571885008
+    assert rep.objective == 188.69612396338718
+    assert rep.violation == 53.98153571885017
     assert rep.message == ""
     [row] = rep.log
     assert row["qp_iterations"] <= 20
@@ -513,15 +518,19 @@ def test_four_capped_sqp_iterations_from_the_guess(cfg, guess_setup):
     # Re-pinned since the trial ascents hold the bank and the entry's
     # release latches (from objective 189.80575919628325, violation
     # 33.6208007294622, sha256 99d55f30...): the guess moved with the root
-    # kick and the entry
+    # kick and the entry.  Re-pinned since the solver scales the Jacobian
+    # in place (from objective 185.96901009735572, violation
+    # 33.62397120218189, sha256 0faab68b...): the scaled Jacobian's rows
+    # now sum in ascending column order, not descending; the four
+    # subproblems still take 20, 21, 24 and 23 interior-point iterations
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=4))
     assert rep.status == "max_iterations" and rep.iterations == 4
-    assert rep.objective == 185.96901009735572
-    assert rep.violation == 33.62397120218189
+    assert rep.objective == 185.9690100973584
+    assert rep.violation == 33.62397120219789
     assert hashlib.sha256(rep.x.tobytes()).hexdigest() == (
-        "0faab68b345bc178e3f4e6b67b320292e728fb39fba75ab1a8fabe9d50ca2239")
+        "ff9de2bde969c5db9089249aa58bdf0f9b4881ea7fc478e845a6757683ff735a")
 
 
 def test_mission_hessian_at_the_guess_is_pinned_bit_for_bit(guess_setup):
@@ -1007,12 +1016,14 @@ def test_solve_mission_runs_cold_then_warm_from_its_own_solution(
     # built-in guess, the solve is the capped iteration pinned above
     # (re-pinned with it, from objective 194.71126037671993, violation
     # 53.98086604961118, since the trial ascents hold the bank and the
-    # entry's release latches)
+    # entry's release latches; from objective 188.6961239633872, violation
+    # 53.98153571885008, since the scaled Jacobian's rows sum in ascending
+    # column order)
     one = replace(cfg, solver_max_iterations=1, max_refinements=1)
     cold = M.solve_mission(one)
     assert cold.status == "max_iterations" and cold.iterations == 1
-    assert cold.last_solve.objective == 188.6961239633872
-    assert cold.last_solve.violation == 53.98153571885008
+    assert cold.last_solve.objective == 188.69612396338718
+    assert cold.last_solve.violation == 53.98153571885017
 
     def no_guess(config, nlp):
         raise AssertionError("a warm start flies no guess")

@@ -680,8 +680,8 @@ def test_shift_leaves_a_semidefinite_hessian_alone():
     F[:, 4] = 0.0
     B = sp.csr_matrix(F.T @ F)
     assert np.linalg.eigvalsh(B.toarray()).min() > -1e-12
-    assert nlpsolve._shift(B) == 0.0
-    assert nlpsolve._shift(sp.csr_matrix((4, 4))) == 0.0
+    assert nlpsolve._shift(*nlpsolve._with_diagonal(B)) == 0.0
+    assert nlpsolve._shift(*nlpsolve._with_diagonal(sp.csr_matrix((4, 4)))) == 0.0
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -690,7 +690,7 @@ def test_shift_removes_the_negative_eigenvalues(seed):
     Q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
     lam = np.concatenate([-10.0 ** rng.uniform(-6, 3, 2), rng.uniform(0, 5, 5)])
     B = sp.csr_matrix((Q * lam) @ Q.T)
-    delta = nlpsolve._shift(B)
+    delta = nlpsolve._shift(*nlpsolve._with_diagonal(B))
     assert delta >= -lam.min()
     assert np.linalg.eigvalsh(B.toarray() + delta * np.eye(7)).min() >= 0.0
     # a rung of the ladder, and the lowest that does: the rung below
@@ -752,3 +752,157 @@ def test_fixed_bound_multipliers_are_the_stationarity_residual_where_the_step_la
     assert np.abs(residual).max() > 1.0
     assert np.abs(rep.bound_multipliers[fixed] + residual).max() \
         <= 1e-12 * np.abs(residual).max()
+
+
+class _CachedDerivatives(FunctionNLP):
+    """A FunctionNLP that returns one CSR Jacobian object and one CSR
+    Hessian object on every call, or fresh copies of them."""
+
+    def __init__(self, *args, J, H, fresh=False, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.J, self.H, self.fresh = J, H, fresh
+
+    def jacobian(self, z):
+        return self.J.copy() if self.fresh else self.J
+
+    def hessian(self, z, y):
+        return self.H.copy() if self.fresh else self.H
+
+
+def _quartic_bowl(fresh):
+    # sum (z - a)^4 / 4 + z'Pz / 2 under two linear rows, in a box of +-5
+    # (so the bound scale is 5); the Hessian returned is the constant
+    # P + 3 I, not the exact one, so the solve takes several steps
+    a = np.array([3.0, -2.0, 1.0, 4.0])
+    P = np.array([[2.0, 0.5, 0.0, 0.0], [0.5, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.5]])
+    A = np.array([[1.0, 1.0, 1.0, 1.0], [2.0, 0.0, -3.0, 0.0]])
+    return _CachedDerivatives(
+        4, lambda z: np.sum((z - a) ** 4) / 4 + z @ P @ z / 2,
+        z_lo=np.full(4, -5.0), z_hi=np.full(4, 5.0),
+        gradient=lambda z: (z - a) ** 3 + P @ z, constraints=lambda z: A @ z,
+        c_lo=[2.0, -np.inf], c_hi=[2.0, 1.5], J=sp.csr_matrix(A),
+        H=sp.csr_matrix(P + 3.0 * np.eye(4)), fresh=fresh)
+
+
+def test_solve_writes_into_no_matrix_the_problem_returns():
+    cached, fresh = _quartic_bowl(False), _quartic_bowl(True)
+    kept = [(M.data.copy(), M.indices.copy(), M.indptr.copy())
+            for M in (cached.J, cached.H)]
+    rep = solve(cached, np.zeros(4))
+    ref = solve(fresh, np.zeros(4))
+    assert ref.converged and ref.iterations > 3
+    assert rep.iterations == ref.iterations
+    assert rep.x.tobytes() == ref.x.tobytes()
+    for M, arrays in zip((cached.J, cached.H), kept):
+        for now, before in zip((M.data, M.indices, M.indptr), arrays):
+            assert np.array_equal(now, before)
+
+
+@st.composite
+def _csr_cuts(draw):
+    """A CSR matrix with empty rows and explicit zeros, and row and column
+    masks: none kept, all kept or drawn."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    stored = rng.random((m, n)) < draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    values = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.8)
+    A = sp.csr_matrix((values[stored], np.nonzero(stored)[1],
+                       np.concatenate([[0], np.cumsum(stored.sum(axis=1))])),
+                      shape=(m, n))
+
+    def mask(k):
+        kind = draw(st.sampled_from(["none", "all", "drawn"]))
+        return {"none": np.zeros(k, bool), "all": np.ones(k, bool),
+                "drawn": rng.random(k) < 0.5}[kind]
+    return A, mask(m), mask(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csr_cuts())
+def test_submatrix_is_scipys_row_then_column_cut(case):
+    A, rows, cols = case
+    got = nlpsolve._submatrix(A, rows, cols)
+    expect = A[np.flatnonzero(rows)][:, cols]
+    assert got.shape == expect.shape
+    for mine, theirs in ((got.indptr, expect.indptr),
+                         (got.indices, expect.indices),
+                         (got.data, expect.data)):
+        assert np.array_equal(mine, theirs)
+
+
+class _Restored:
+    """A problem whose Jacobian is stored another way: `store` maps the
+    problem's CSR Jacobian to the one returned."""
+
+    def __init__(self, nlp, store):
+        self._nlp, self._store = nlp, store
+
+    def __getattr__(self, name):
+        return getattr(self._nlp, name)
+
+    def jacobian(self, z):
+        return self._store(self._nlp.jacobian(z))
+
+
+def _reversed_rows(J):
+    """Each row's entries in reversed column order."""
+    order = np.concatenate([np.arange(b - 1, a - 1, -1)
+                            for a, b in zip(J.indptr[:-1], J.indptr[1:])]
+                           + [np.zeros(0, int)])
+    return sp.csr_matrix((J.data[order], J.indices[order], J.indptr),
+                         shape=J.shape)
+
+
+def _split_entries(J):
+    """Each entry stored twice, as two halves (which sum to it exactly)."""
+    counts = np.diff(J.indptr)
+    return sp.csr_matrix((np.repeat(0.5 * J.data, 2),
+                          np.repeat(J.indices, 2),
+                          np.concatenate([[0], np.cumsum(2 * counts)])),
+                         shape=J.shape)
+
+
+@pytest.mark.parametrize("name", sorted(canonical.CANONICAL_PROBLEMS))
+def test_iterates_do_not_depend_on_how_the_jacobian_is_stored(name):
+    problem, meshes = canonical.CANONICAL_PROBLEMS[name]()
+    nlp = transcribe(problem, meshes)
+    x0 = canonical.straight_line_guess(nlp)
+    options = SolverOptions(tolerance=1e-6)
+    ref = solve(nlp, x0, options)
+    assert ref.converged
+    for store in (_reversed_rows, _split_entries):
+        J = store(nlp.jacobian(x0))
+        assert not J.has_canonical_format
+        rep = solve(_Restored(nlp, store), x0, options)
+        assert rep.iterations == ref.iterations and rep.status == ref.status
+        assert rep.x.tobytes() == ref.x.tobytes()
+
+
+def test_row_scale_is_one_over_the_rows_largest_entry_floored_at_one():
+    J = sp.csr_matrix(np.array([[0.5, -3.0, 0.0], [0.0, 0.0, 0.0],
+                                [2.0, 0.0, -7.0], [0.0, 0.2, 0.0]]))
+    J.data[J.data == 2.0] = 0.0     # an explicit zero, in a row kept
+    expect = 1.0 / np.maximum(1.0, abs(J).max(axis=1).toarray().ravel())
+    assert np.array_equal(nlpsolve._row_scale(J), expect)
+    assert np.array_equal(expect, [1.0 / 3.0, 1.0, 1.0 / 7.0, 1.0])
+    assert nlpsolve._row_scale(sp.csr_matrix((0, 3))).shape == (0,)
+    assert nlpsolve._row_scale(sp.csr_matrix((2, 0))).tolist() == [1.0, 1.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csr_cuts())
+def test_with_diagonal_stores_the_whole_diagonal_and_nothing_else(case):
+    A, _, _ = case
+    n = min(A.shape)
+    A = A[:n][:, :n].tocsr()
+    A.sum_duplicates()
+    B, diag = nlpsolve._with_diagonal(A)
+    assert B.has_canonical_format and np.array_equal(B.toarray(), A.toarray())
+    # each row's diagonal entry, inside that row
+    assert np.array_equal(B.indices[diag], np.arange(n))
+    assert np.all((B.indptr[:-1] <= diag) & (diag < B.indptr[1:]))
+    on = A.indices == nlpsolve._entry_rows(A)
+    assert B.nnz == A.nnz + n - on.sum()
+    assert np.array_equal(B.data[diag], A.diagonal())
+    assert (B is A) == (on.sum() == n)
