@@ -54,23 +54,47 @@ one solve.  The merit weight follows the returned multipliers.
 
 `_elastic_qp` solves it by Mehrotra's predictor-corrector (SIAM J. Optim.
 2(4), 1992).  Eliminating p, n and the row slacks leaves the quasi-definite
-matrix [B_f + Sigma, J'; J, -D] with D > 0 (Vanderbei, SIAM J. Optim. 5,
-1995), which `_symmetric_lu` factors without pivoting; its U has exactly
-one negative pivot per row.  K's pattern is the same in every iteration of
-a subproblem, so its first factor makes the one minimum-degree order and
-the later ones factor K, permuted into that order, as it stands
-(`_ordered_lu`).  Every symmetric factor runs one-column SuperLU panels
-with supernodes relaxed to 2 columns: the LGR interval blocks give K
-narrow supernodes, and on the mission's K (n = 2,817) a refactor takes
-3.8 ms with these settings against 5.4 ms with SuperLU's wide-supernode
-defaults, for the same fill and pivot signs.  Where a symmetric factor,
-refined, misses K by more than 1e-10, a partially pivoted factor of
-K + diag(reg), the symmetric factor's regularization, at SuperLU's
-defaults, takes over for the iteration; where that loses a pivot too, the
-subproblem ends with its last iterate, flagged as at its cap.
+matrix K = [B_f + Sigma, J'; J, -D] with D > 0 (Vanderbei, SIAM J. Optim.
+5, 1995), which factors stably under symmetric pivoting.  Its order n picks
+how a subproblem factors it, once:
+- n <= `DENSE_KKT_MAX`: K is a dense array, and each iteration factors
+  K + diag(reg) by Bunch-Kaufman (LAPACK dsytrf; Bunch and Kaufman, Math.
+  Comp. 31, 1977), back-solves with dsytrs and refines against K with a
+  dense product.  That factor pivots already, so it is its own fallback:
+  an exactly zero pivot ends the subproblem as the loss of every sparse
+  factor does.  It is chosen over LU with partial pivoting (dgetrf) for
+  its block diagonal, which gives K's inertia on this path too, at little
+  cost: over the 67 subproblems of the canonical grid's solves, dsytrf
+  took 29% less time than SuperLU and dgetrf 30% less, for the same
+  interior-point iterations and steps equal to 1.1e-15 relative.
+- Above, `_symmetric_lu` factors K without pivoting; its U has exactly one
+  negative pivot per row.  K's pattern is the same in every iteration of a
+  subproblem, so its first factor makes the one minimum-degree order and
+  the later ones factor K, permuted into that order, as it stands
+  (`_ordered_lu`).  Every symmetric factor runs one-column SuperLU panels
+  with supernodes relaxed to 2 columns: the LGR interval blocks give K
+  narrow supernodes, and on the mission's K (n = 2,817) a natural-order
+  factor takes 3.3-4.1 ms with these settings against 5.1-6.1 ms with
+  SuperLU's wide-supernode defaults, for the same fill and pivot signs.
+  Where a symmetric factor, refined, misses K by more than 1e-10, a
+  partially pivoted factor of K + diag(reg), the symmetric factor's
+  regularization, at SuperLU's defaults, takes over for the iteration;
+  where that loses a pivot too, the subproblem ends with its last
+  iterate, flagged as at its cap.
+The two paths cost the same per interior-point iteration (factor, its
+back-solves and the products) at n of about 140, where `DENSE_KKT_MAX`
+sits.  On the first subproblem of canonical solves from uniform meshes,
+with one BLAS thread (medians of 15 alternating repetitions), the dense
+iteration took 0.64-0.86 of the sparse one's time at n = 53-89, 0.85-0.91
+at n = 98-125, 0.91-1.13 at n = 143-161, 1.12-1.18 at n = 178-208 and
+1.4-1.6 at n = 238-268; in best-of-5 timings it took 2.2-2.9 times as long
+at n = 287-359, where dsytrf's n^3 takes over.  The canonical problems' K,
+refined from every start mesh of the benchmark's grid, have n = 8-88
+(median 32); the mission's has 2,817.
 
-Three choices cut the iterations, and so the factors, since a back-solve
-on a factor costs about 0.17 ms against 3.8 ms for the refactor:
+Three choices cut the iterations, and so the factors, since on the
+mission's K a back-solve on a factor costs 0.14-0.26 ms against 3.8-5.0 ms
+for the refactor (its gather into the first factor's order and SuperLU):
 - The elastic pairs' multipliers start at their price W/s, their
   stationarity value at y = 0, not at 1, about 1e10/s below it.
 - After Mehrotra's corrector, one Gondzio corrector (Comput. Optim. Appl.
@@ -110,11 +134,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 ELASTIC_WEIGHT = 1e10   # the price of a unit of linearized row violation
 QP_TOLERANCE = 1e-9     # relative KKT residuals of a converged subproblem,
                         # and its mean complementarity in objective units
 QP_ITERATIONS = 60      # interior-point iterations per subproblem
+DENSE_KKT_MAX = 140     # the largest KKT order factored densely
 
 
 @dataclass
@@ -172,8 +198,8 @@ def _symmetric_lu(M: sp.spmatrix, permc_spec: str = "MMD_AT_PLUS_A"):
     made for wide supernodes, cost time there.  The settings change only
     the order of the floating-point operations, not the fill or the pivot
     signs.  On the capped mission subproblem (n = 2,817, one BLAS thread)
-    a natural-order refactor takes 3.8 ms against 5.4 ms at the defaults,
-    the first minimum-degree factor 8.6 against 9.6 ms."""
+    a natural-order factor takes 3.3-4.1 ms against 5.1-6.1 ms at the
+    defaults, the first minimum-degree factor 7.4-8.9 against 10.3 ms."""
     return spla.splu(M.tocsc(), permc_spec=permc_spec,
                      diag_pivot_thresh=0.0, panel_size=1, relax=2,
                      options=dict(SymmetricMode=True))
@@ -200,6 +226,19 @@ def _ordered_lu(K: sp.csc_matrix, perm: np.ndarray):
         return lu, lambda rhs: lu.solve(rhs.take(inv)).take(perm)
 
     return factor
+
+
+def _bunch_kaufman(A: np.ndarray):
+    """The solve of a dense symmetric A (its lower triangle read) by the
+    Bunch-Kaufman factor P A P' = L D L', D block diagonal with 1x1 and 2x2
+    blocks (LAPACK dsytrf, blocked in the workspace it asks for, and
+    dsytrs).  An exactly singular block of D raises RuntimeError, as
+    SuperLU does."""
+    lwork = int(lapack.dsytrf_lwork(A.shape[0], lower=1)[0])
+    ldu, ipiv, info = lapack.dsytrf(A, lower=1, lwork=lwork)
+    if info > 0:
+        raise RuntimeError("Factor is exactly singular")
+    return lambda rhs: lapack.dsytrs(ldu, ipiv, rhs, lower=1)[0]
 
 
 def _entry_rows(A: sp.csr_matrix) -> np.ndarray:
@@ -354,25 +393,66 @@ def _elastic_qp(B: sp.csr_matrix, g: np.ndarray, J: sp.csr_matrix,
         r[slack] -= x[at:]
         return r
 
-    # K = [Q + Sigma_d, Jf'; Jf, -D]: the pattern once, in canonical CSC
-    # from the blocks' coordinates, the diagonal each iteration.  The
-    # factor is of K + diag(reg), the refinement against K
+    # K = [Q + Sigma_d, Jf'; Jf, -D], its off-diagonal entries once and its
+    # diagonal each iteration: the factor is of K + diag(reg), the
+    # refinement against K
     reg = np.concatenate([np.full(nf, 1e-9 * s_q / scale), np.full(mr, -1e-9)])
-    # Q's nonzeros off the diagonal, Jf's entries twice and the whole
-    # diagonal, whose values are set before each factor
     q_row, j_row = _entry_rows(Q), nf + _entry_rows(Jf)
-    off = (Q.data != 0.0) & (Q.indices != q_row)
-    whole = np.arange(nf + mr)
-    k_row = np.concatenate([q_row[off], Jf.indices, j_row, whole])
-    k_col = np.concatenate([Q.indices[off], j_row, Jf.indices, whole])
-    order = np.lexsort((k_row, k_col))
-    k_row, k_col = k_row[order], k_col[order]
-    K = sp.csc_matrix(
-        (np.concatenate([Q.data[off], Jf.data, Jf.data,
-                         np.zeros(nf + mr)])[order],
-         k_row, np.searchsorted(k_col, np.arange(nf + mr + 1))),
-        shape=(nf + mr, nf + mr))
-    diag = np.flatnonzero(k_row == k_col)
+    n_k = nf + mr
+    if n_k <= DENSE_KKT_MAX:
+        K = np.zeros((n_k, n_k))
+        K[q_row, Q.indices] = Q.data
+        K[j_row, Jf.indices] = Jf.data
+        K[Jf.indices, j_row] = Jf.data
+        K_values, diag = K.reshape(-1), np.arange(n_k) * (n_k + 1)
+
+        def factor():
+            """The Bunch-Kaufman factor's solve, refined against K."""
+            solve = _bunch_kaufman(K)
+            return lambda rhs: refined(solve, rhs)[0]
+    else:
+        # the pattern once, in canonical CSC from the blocks' coordinates:
+        # Q's nonzeros off the diagonal, Jf's entries twice and the whole
+        # diagonal
+        off = (Q.data != 0.0) & (Q.indices != q_row)
+        whole = np.arange(n_k)
+        k_row = np.concatenate([q_row[off], Jf.indices, j_row, whole])
+        k_col = np.concatenate([Q.indices[off], j_row, Jf.indices, whole])
+        order = np.lexsort((k_row, k_col))
+        k_row, k_col = k_row[order], k_col[order]
+        K = sp.csc_matrix(
+            (np.concatenate([Q.data[off], Jf.data, Jf.data,
+                             np.zeros(n_k)])[order],
+             k_row, np.searchsorted(k_col, np.arange(n_k + 1))),
+            shape=(n_k, n_k))
+        K_values, diag = K.data, np.flatnonzero(k_row == k_col)
+        reorder = None  # factor() in the order of the first symmetric factor
+
+        def factor():
+            """The symmetric factor's refined solve where it solves K to
+            1e-10, else a partially pivoted factor of K + diag(reg), made
+            on the iteration's first such solve and refined against K."""
+            nonlocal reorder
+            solve = None
+            try:
+                if reorder is None:
+                    lu = _symmetric_lu(K)
+                    reorder, solve = _ordered_lu(K, lu.perm_c), lu.solve
+                else:
+                    solve = reorder(K)[1]
+            except RuntimeError:    # a pivot lost to cancellation
+                pass
+            pivoted = []
+
+            def solve_or_pivot(rhs):
+                if solve is not None:
+                    sol, solved = refined(solve, rhs)
+                    if solved:
+                        return sol
+                if not pivoted:
+                    pivoted.append(spla.splu(K + sp.diags(reg)))
+                return refined(pivoted[0].solve, rhs)[0]
+            return solve_or_pivot
     K_diag = np.concatenate([Q.diagonal(), np.zeros(mr)])
     abs_Q, abs_JfT = abs(Q), abs(JfT)
 
@@ -392,26 +472,16 @@ def _elastic_qp(B: sp.csr_matrix, g: np.ndarray, J: sp.csr_matrix,
             sol, res = better, res_better
         return sol, np.abs(res).max() <= goal
 
-    def newton(solve, pivoted, Sigma, R_x, R_y):
+    def newton(solve, Sigma, R_x, R_y):
         """(dx, dy) from [Q + Sigma, A'; A, 0] (dx, dy) = (R_x, R_y), A the
-        rows' matrix, with p, n and s eliminated.  The symmetric factor's
-        answer (its solve, or None where it failed) stands if it solves K
-        to 1e-10; otherwise, where pivots without row exchanges lost it, a
-        partially pivoted factor of K + diag(reg) answers, made once per
-        iteration and refined against K.  Its RuntimeError, where it loses
-        a pivot too, ends the subproblem."""
+        rows' matrix, with p, n and s eliminated, by the iteration's solve
+        of K.  A RuntimeError from it, where every factor lost a pivot, ends
+        the subproblem."""
         S_p, S_n, S_s = Sigma[nf:nf + mr], Sigma[nf + mr:at], Sigma[at:]
         R_p, R_n, R_s = R_x[nf:nf + mr], R_x[nf + mr:at], R_x[at:]
         rhs_y = R_y - R_p / S_p + R_n / S_n
         rhs_y[slack] += R_s / S_s
-        rhs = np.concatenate([R_x[:nf], rhs_y])
-        solved = False
-        if solve is not None:
-            sol, solved = refined(solve, rhs)
-        if not solved:
-            if not pivoted:
-                pivoted.append(spla.splu(K + sp.diags(reg)))
-            sol, _ = refined(pivoted[0].solve, rhs)
+        sol = solve(np.concatenate([R_x[:nf], rhs_y]))
         dy = sol[nf:]
         return np.concatenate([sol[:nf], (R_p - dy) / S_p, (R_n + dy) / S_n,
                                (R_s + dy[slack]) / S_s]), dy
@@ -477,7 +547,6 @@ def _elastic_qp(B: sp.csr_matrix, g: np.ndarray, J: sp.csr_matrix,
         return a, (dx, dy, dw, dz)
 
     converged = factor_lost = False
-    reorder = None      # factor() in the order of the first symmetric factor
     for it in range(QP_ITERATIONS + 1):
         ATy = np.concatenate([JfT @ y, y, -y, -y[slack]])
         Qd = Q @ x[:nf]
@@ -499,32 +568,24 @@ def _elastic_qp(B: sp.csr_matrix, g: np.ndarray, J: sp.csr_matrix,
         Sigma = np.bincount(idx, z / w, N)
         D = 1.0 / Sigma[nf:nf + mr] + 1.0 / Sigma[nf + mr:at]
         D[slack] += 1.0 / Sigma[at:]
-        K.data[diag] = K_diag + np.concatenate([Sigma[:nf], -D]) + reg
+        K_values[diag] = K_diag + np.concatenate([Sigma[:nf], -D]) + reg
         # the last iteration's factors go before the next is made
-        lu = solve = None
-        pivoted = []
-        try:
-            if reorder is None:
-                lu = _symmetric_lu(K)
-                reorder, solve = _ordered_lu(K, lu.perm_c), lu.solve
-            else:
-                lu, solve = reorder(K)
-        except RuntimeError:    # a pivot lost to cancellation
-            pass
-        K.data[diag] -= reg
+        solve = None
 
         def direction(rc):
             R_x = np.bincount(idx, sg * (rc + z * r_w) / w, N) - r_x
-            dx, dy = newton(solve, pivoted, Sigma, R_x, -r_y)
+            dx, dy = newton(solve, Sigma, R_x, -r_y)
             dw = sg * dx[idx] - r_w
             return dx, dy, dw, (rc - z * dw) / w
 
         try:
+            solve = factor()
+            K_values[diag] -= reg
             if it == 0:
                 dx, dy, dw, dz = direction(-w * z)
             else:
                 a, (dx, dy, dw, dz) = corrected_step(direction, mu)
-        except RuntimeError:    # the pivoted factor lost a pivot too
+        except RuntimeError:    # every factor of K lost a pivot
             factor_lost = True
             break
         if it == 0:

@@ -804,6 +804,8 @@ class NLPProblem:
             if len(bad):
                 j = int(bad[0])
                 raise EvaluationError("gradient", j, self.var_names[j])
+            for a in (J.data, J.indices, J.indptr):
+                a.flags.writeable = False
             self._last = (z.copy(), g, J, pts)
         return self._last[1], self._last[2]
 
@@ -818,8 +820,10 @@ class NLPProblem:
     def jacobian(self, z: np.ndarray) -> sp.csr_matrix:
         """Constraint Jacobian; node-local and endpoint partials by complex
         step, everything structural (differentiation stencil, time scaling,
-        quadrature weights) assembled analytically from callback values."""
-        return self._derivatives(z)[1].copy()
+        quadrature weights) assembled analytically from callback values.
+        A new matrix on the kept Jacobian's arrays, which are read-only: a
+        caller copies it to change it, and cannot change the kept one."""
+        return sp.csr_matrix(self._derivatives(z)[1])
 
     def hessian(self, z: np.ndarray, y: np.ndarray) -> sp.csr_matrix:
         """Sparse Hessian of the Lagrangian f + y.c at z, both triangles, in

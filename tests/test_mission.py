@@ -8,12 +8,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ascentry import cli
+from ascentry import canonical, cli
 from ascentry import mission as M
 from ascentry import nlpsolve
 from ascentry.dynamics import Geo, Vert, geo_from_vert, vert_from_geo
-from ascentry.meshref import RefinementReport
-from ascentry.transcription import transcribe
+from ascentry.meshref import RefinementOptions, RefinementReport, refine_loop
+from ascentry.transcription import MeshPhase, transcribe
 
 
 @pytest.fixture(scope="module")
@@ -571,6 +571,14 @@ def test_each_evaluation_looks_the_environment_up_once_per_phase(
         assert calls == {"atmosphere": 5, "aero": 5}
 
 
+def _canonical_mesh_grid():
+    """canonical-solve's start meshes: 1-3 intervals of degree 3-6, evenly
+    spaced or graded 1:2, one phase each."""
+    return [[MeshPhase(w / w.sum(), np.full(k, degree))]
+            for k in (1, 2, 3) for degree in (3, 4, 5, 6)
+            for w in ([np.ones(k)] + [np.linspace(1.0, 2.0, k)] * (k > 1))]
+
+
 def _capped_subproblems(cfg, nlp, z0, monkeypatch):
     """The capped iteration's subproblem: its arguments, its answer, the
     symmetric factors its iterations made and the pivoted ones."""
@@ -626,6 +634,60 @@ def test_qp_factors_of_the_capped_iteration_have_the_kkt_inertia(
         assert np.sum(pivots < 0.0) == 1342
         assert np.sum(pivots > 0.0) == n_free
         assert lu.L.nnz + lu.U.nnz < 100_000
+
+
+def test_the_benchmark_keeps_a_subproblem_on_each_side_of_the_dense_size(
+        cfg, guess_setup, monkeypatch):
+    # canonical-solve's subproblems (every problem refined from every mesh
+    # of its 1-3 interval, degree 3-6 grid at 1e-6, and from its default
+    # mesh at 1e-8) have K of order 8-88: each of their interior-point
+    # iterations makes one dense factor and none makes a sparse one.
+    # mission-sqp's K (order 2,817) takes SuperLU, and its first factor
+    # keeps one negative pivot per row
+    real_qp, real_bk = nlpsolve._elastic_qp, nlpsolve._bunch_kaufman
+    orders, iterations, dense = [], [], []
+
+    def recorded(B, g, J, lo, hi, bl, bu):
+        orders.append(int(np.sum(bl < bu))
+                      + int(np.sum(np.isfinite(lo) | np.isfinite(hi))))
+        qp = real_qp(B, g, J, lo, hi, bl, bu)
+        iterations.append(qp.iterations)
+        return qp
+
+    def counted(*args):
+        dense.append(True)
+        return real_bk(*args)
+
+    def refused(*args):
+        raise AssertionError("a canonical K took the sparse factor")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nlpsolve, "_elastic_qp", recorded)
+        mp.setattr(nlpsolve, "_bunch_kaufman", counted)
+        mp.setattr(nlpsolve, "_ordered_lu", refused)
+        grid = _canonical_mesh_grid()
+        assert len(grid) == 20
+        for make in canonical.CANONICAL_PROBLEMS.values():
+            problem, default = make()
+            starts = [(mesh, 1e-6) for mesh in grid] + [(default, 1e-8)]
+            for mesh, tol in starts:
+                refine_loop(problem, mesh, canonical.straight_line_guess,
+                            RefinementOptions(mesh_tolerance=tol,
+                                              max_refinements=6),
+                            nlpsolve.SolverOptions(tolerance=tol,
+                                                   max_iterations=200))
+    assert len(orders) >= 3 * 21
+    assert min(orders) == 8 and max(orders) == 88
+    assert max(orders) <= nlpsolve.DENSE_KKT_MAX
+    assert len(dense) == sum(iterations)
+
+    nlp, z0 = guess_setup
+    (B, g, J, lo, hi, bl, bu), qp, factors, pivoted = _capped_subproblems(
+        cfg, nlp, z0, monkeypatch)
+    assert int(np.sum(bl < bu)) + J.shape[0] == 2817
+    assert 2817 > 10 * nlpsolve.DENSE_KKT_MAX
+    assert len(factors) == qp.iterations and pivoted == []
+    assert np.sum(factors[0].U.diagonal() < 0.0) == J.shape[0]
 
 
 def test_capped_iteration_orders_its_subproblem_once(cfg, guess_setup,

@@ -431,8 +431,10 @@ def test_elastic_qp_does_not_cycle_on_an_interior_optimum(monkeypatch):
 
 
 def test_elastic_qp_falls_back_to_the_pivoted_factor(monkeypatch):
-    # a symmetric factor that fails every time: each iteration tries to
-    # order K afresh, and the partially pivoted factor answers instead
+    # on the sparse path, a symmetric factor that fails every time: each
+    # iteration tries to order K afresh, and the partially pivoted factor
+    # answers instead
+    monkeypatch.setattr(nlpsolve, "DENSE_KKT_MAX", 0)
     ordered, pivoted = [], []
     real_splu = nlpsolve.spla.splu
 
@@ -455,18 +457,29 @@ def test_elastic_qp_falls_back_to_the_pivoted_factor(monkeypatch):
     assert pivoted == [{}] * qp.iterations
 
 
-def _lose_every_factor(monkeypatch):
+def _lose_every_factor(monkeypatch, path):
+    """Every factor of K on the path loses a pivot: on the sparse path the
+    symmetric factor and the pivoted one raise, on the dense path LAPACK
+    factors a zero matrix in K's place, so its first pivot is exactly 0."""
     def lost(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(nlpsolve, "_symmetric_lu", lost)
-    monkeypatch.setattr(nlpsolve.spla, "splu", lost)
+    def zero(A, **kwargs):
+        return real_sytrf(np.zeros_like(A), **kwargs)
+
+    real_sytrf = nlpsolve.lapack.dsytrf
+    if path == "sparse":
+        monkeypatch.setattr(nlpsolve, "DENSE_KKT_MAX", 0)
+        monkeypatch.setattr(nlpsolve, "_symmetric_lu", lost)
+        monkeypatch.setattr(nlpsolve.spla, "splu", lost)
+    else:
+        monkeypatch.setattr(nlpsolve.lapack, "dsytrf", zero)
 
 
 def test_elastic_qp_ends_unconverged_where_every_factor_is_lost(monkeypatch):
     # the symmetric factor and the pivoted one both lose a pivot: the
     # subproblem ends with its last iterate, flagged, as at its cap
-    _lose_every_factor(monkeypatch)
+    _lose_every_factor(monkeypatch, "sparse")
     qp = nlpsolve._elastic_qp(*_box_qp())
     assert not qp.converged and qp.factor_lost and qp.iterations == 0
     assert np.all(np.isfinite(qp.d)) and np.all(np.isfinite(qp.y))
@@ -474,12 +487,29 @@ def test_elastic_qp_ends_unconverged_where_every_factor_is_lost(monkeypatch):
 
 def test_solve_reports_a_status_where_every_factor_is_lost(monkeypatch):
     # the subproblem says its factors were lost, and the solve ends on it
-    _lose_every_factor(monkeypatch)
+    _lose_every_factor(monkeypatch, "sparse")
     rep = solve(_equality_qp(), np.array([3.0, -1.0]))
     assert rep.status == "numerical_failure" and rep.iterations == 1
     assert rep.message == ("every factor of a QP subproblem's KKT matrix "
                            "lost a pivot")
     assert np.all(np.isfinite(rep.x))
+
+
+def test_a_zero_pivot_of_the_dense_factor_ends_the_subproblem_and_the_solve(
+        monkeypatch):
+    # the dense Bunch-Kaufman factor pivots already, so it has no fallback:
+    # an exactly zero pivot ends the subproblem as a lost factor does on
+    # the sparse path, and the solve as "numerical_failure"
+    with pytest.raises(RuntimeError):
+        nlpsolve._bunch_kaufman(np.ones((2, 2)))
+    _lose_every_factor(monkeypatch, "dense")
+    qp = nlpsolve._elastic_qp(*_box_qp())
+    assert not qp.converged and qp.factor_lost and qp.iterations == 0
+    assert np.all(np.isfinite(qp.d)) and np.all(np.isfinite(qp.y))
+    rep = solve(_equality_qp(), np.array([3.0, -1.0]))
+    assert rep.status == "numerical_failure" and rep.iterations == 1
+    assert rep.message == ("every factor of a QP subproblem's KKT matrix "
+                           "lost a pivot")
 
 
 @pytest.mark.parametrize("J, bl, bu", [
@@ -559,11 +589,27 @@ def test_ordered_factor_matches_a_freshly_ordered_one():
         assert np.abs(K @ x - b).max() <= 1e-9 * np.abs(b).max()
 
 
+def _take_kkt_path(monkeypatch, path):
+    """Send every subproblem's K to the sparse factor, by a dense size of
+    0, or refuse the sparse factor to a subproblem, so that the small ones
+    here must take the dense one."""
+    def refused(*args):
+        raise AssertionError("a small K took the sparse factor")
+
+    if path == "sparse":
+        monkeypatch.setattr(nlpsolve, "DENSE_KKT_MAX", 0)
+    else:
+        monkeypatch.setattr(nlpsolve, "_symmetric_lu", refused)
+
+
 # positive definite, no multiple of I, every variable coupled
 _COUPLED = np.array([[2.0, 0.5, 0.0], [0.5, 1.5, 0.4], [0.0, 0.4, 3.0]])
 
 
-def test_elastic_qp_with_a_coupled_hessian_reaches_the_dense_kkt_solution():
+@pytest.mark.parametrize("path", ["sparse", "dense"])
+def test_elastic_qp_with_a_coupled_hessian_reaches_the_dense_kkt_solution(
+        path, monkeypatch):
+    _take_kkt_path(monkeypatch, path)
     _, g, J, lo, hi, bl, bu = _box_qp()
     assert np.linalg.eigvalsh(_COUPLED).min() > 0.0
     # the box QP's active set: the sum row and d0 on its upper bound
@@ -619,11 +665,13 @@ def _elastic_subproblems(draw):
     return weight, (B, g, J, lo, hi, bl, bu)
 
 
+@pytest.mark.parametrize("path", ["sparse", "dense"])
 @settings(max_examples=200, deadline=None)
 @given(_elastic_subproblems())
-def test_elastic_qp_meets_the_elastic_kkt_conditions(case):
+def test_elastic_qp_meets_the_elastic_kkt_conditions(path, case):
     weight, (B, g, J, lo, hi, bl, bu) = case
     with pytest.MonkeyPatch.context() as mp:
+        _take_kkt_path(mp, path)
         mp.setattr(nlpsolve, "ELASTIC_WEIGHT", weight)
         qp = nlpsolve._elastic_qp(B, g, J, lo, hi, bl, bu)
     assert qp.converged

@@ -472,9 +472,11 @@ def test_gradient_and_jacobian_share_one_node_probe(monkeypatch):
     g = nlp.objective_gradient(z)
     J = nlp.jacobian(z)
     assert len(calls) == len(meshes)
-    # results are copies: editing them leaves the kept pair intact
+    # the gradient is a copy and the Jacobian's arrays are read-only:
+    # neither edit reaches the kept pair
     g[:] = 0.0
-    J.data[:] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        J.data[:] = 0.0
     assert np.any(nlp.objective_gradient(z) != 0.0)
     assert nlp.jacobian(z).count_nonzero() > 0
     assert len(calls) == len(meshes)
@@ -486,6 +488,27 @@ def test_gradient_and_jacobian_share_one_node_probe(monkeypatch):
     assert np.array_equal(nlp.objective_gradient(z), fresh.objective_gradient(z))
     assert len(calls) == 3 * len(meshes)
 
+
+
+def test_jacobian_shares_the_kept_arrays_and_cannot_change_them():
+    # each call hands out the kept Jacobian's arrays on a new matrix, so an
+    # evaluation copies nothing; the arrays are read-only, so an edit in
+    # place raises, and rebinding one changes the caller's matrix alone
+    nlp = transcribe(_two_phase_linked(), [uniform_mesh(2, 3)] * 2)
+    z = _linked_point(nlp, 2)
+    J, again = nlp.jacobian(z), nlp.jacobian(z)
+    assert J is not again
+    kept = J.toarray()
+    for mine, theirs in zip((J.data, J.indices, J.indptr),
+                            (again.data, again.indices, again.indptr)):
+        assert np.shares_memory(mine, theirs) and not mine.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mine[:1] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        J *= 2.0
+    J.data = np.zeros_like(J.data)
+    assert np.array_equal(nlp.jacobian(z).toarray(), kept)
+    assert np.array_equal(again.toarray(), kept)
 
 def _nonlinear_phase_problem():
     """One phase with nonlinear dynamics, two path rows, an integrand and a
