@@ -1,4 +1,4 @@
-"""Desk-scale sparse NLP solver.
+"""Desk-scale NLP solver, sparse for large problems and dense for small ones.
 
 The method is a line-search Newton SQP: the Hessian of the Lagrangian at
 the current multipliers, one elastic quadratic subproblem per iteration
@@ -10,13 +10,27 @@ was judged on.  Derivatives come from the problem object's
 `objective_gradient`, `jacobian` and `hessian(z, y)`, the last once per
 iteration.
 
-Each Jacobian and Hessian the problem returns is copied once into
-canonical CSR (rows sorted by column, duplicates summed, explicit zeros
-dropped); every scaling, masking and shift writes into the copy's `data`,
-and the subproblem cuts its blocks from the copy's arrays.  So `solve`
-never writes into a matrix the problem returned, the iterates do not
-depend on how it stores its entries, and scaled rows sum in ascending
-column order.
+Each Jacobian and Hessian the problem returns is copied once, and every
+scaling, masking and shift writes into the copy, so `solve` never writes
+into a matrix the problem returned and the iterates do not depend on how
+it stores its entries.  The problem's size picks the copy's form, once per
+solve:
+- n_var + n_con <= `DENSE_KKT_MAX`: a dense array (`toarray()`, which sums
+  duplicates).  The whole iteration runs on such arrays: the scaling by
+  broadcasting, the box-fixed rows and columns zeroed by index, the shift's
+  rungs tested by Cholesky, the subproblem's blocks cut by index and K
+  assembled from them, and every product a BLAS one.  At these sizes
+  scipy.sparse's Python layer costs more than the arithmetic: over one
+  seed-1 round of the benchmark's canonical solves (n_var + n_con = 12-94),
+  the CSR path made 2,405 sparse products and 1,560 sparse-matrix
+  constructions, the dense path 130 and 390, all of them in the problem's
+  own evaluations.
+- Above: canonical CSR (rows sorted by column, duplicates summed, explicit
+  zeros dropped), scaled and masked in its `data`, the subproblem's blocks
+  cut from its arrays; scaled rows sum in ascending column order.
+The two take the same steps to rounding: on every canonical start of the
+benchmark's grid, the same rounds, SQP and interior-point iterations and
+statuses, and final iterates within 6e-16 of their max norm.
 
 The subproblem's Hessian B is that Hessian in the scaled units, with the
 rows and columns of box-fixed variables zeroed (their step is held at 0, so
@@ -57,10 +71,12 @@ one solve.  The merit weight follows the returned multipliers.
 matrix K = [B_f + Sigma, J'; J, -D] with D > 0 (Vanderbei, SIAM J. Optim.
 5, 1995), which factors stably under symmetric pivoting.  Its order n picks
 how a subproblem factors it, once:
-- n <= `DENSE_KKT_MAX`: K is a dense array, and each iteration factors
-  K + diag(reg) by Bunch-Kaufman (LAPACK dsytrf; Bunch and Kaufman, Math.
-  Comp. 31, 1977), back-solves with dsytrs and refines against K with a
-  dense product.  That factor pivots already, so it is its own fallback:
+- n <= `DENSE_KKT_MAX`: K is a dense array, assembled from the dense
+  blocks B_f and J_f (cut from CSR ones first where `solve` holds CSR);
+  every subproblem of a dense solve is one, since n <= n_var + n_con.
+  Each iteration factors K + diag(reg) by Bunch-Kaufman (LAPACK dsytrf;
+  Bunch and Kaufman, Math. Comp. 31, 1977), back-solves with dsytrs and
+  refines against K with a dense product.  That factor pivots already, so it is its own fallback:
   an exactly zero pivot ends the subproblem as the loss of every sparse
   factor does.  It is chosen over LU with partial pivoting (dgetrf) for
   its block diagonal, which gives K's inertia on this path too, at little
@@ -129,6 +145,7 @@ factor of K is lost, `solve` ends with status "numerical_failure".
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,7 +157,8 @@ ELASTIC_WEIGHT = 1e10   # the price of a unit of linearized row violation
 QP_TOLERANCE = 1e-9     # relative KKT residuals of a converged subproblem,
                         # and its mean complementarity in objective units
 QP_ITERATIONS = 60      # interior-point iterations per subproblem
-DENSE_KKT_MAX = 140     # the largest KKT order factored densely
+DENSE_KKT_MAX = 140     # the largest KKT order factored densely, and the
+                        # largest n_var + n_con solved on dense arrays
 
 
 @dataclass
@@ -228,14 +246,21 @@ def _ordered_lu(K: sp.csc_matrix, perm: np.ndarray):
     return factor
 
 
+@functools.cache
+def _sytrf_lwork(n: int) -> int:
+    """dsytrf's optimal workspace for order n, asked of LAPACK once per
+    order (at most `DENSE_KKT_MAX` + 1 of them in a solve)."""
+    return int(lapack.dsytrf_lwork(n, lower=1)[0])
+
+
 def _bunch_kaufman(A: np.ndarray):
     """The solve of a dense symmetric A (its lower triangle read) by the
     Bunch-Kaufman factor P A P' = L D L', D block diagonal with 1x1 and 2x2
     blocks (LAPACK dsytrf, blocked in the workspace it asks for, and
     dsytrs).  An exactly singular block of D raises RuntimeError, as
     SuperLU does."""
-    lwork = int(lapack.dsytrf_lwork(A.shape[0], lower=1)[0])
-    ldu, ipiv, info = lapack.dsytrf(A, lower=1, lwork=lwork)
+    ldu, ipiv, info = lapack.dsytrf(A, lower=1,
+                                    lwork=_sytrf_lwork(A.shape[0]))
     if info > 0:
         raise RuntimeError("Factor is exactly singular")
     return lambda rhs: lapack.dsytrs(ldu, ipiv, rhs, lower=1)[0]
@@ -246,11 +271,24 @@ def _entry_rows(A: sp.csr_matrix) -> np.ndarray:
     return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
 
 
-def _row_scale(J: sp.csr_matrix) -> np.ndarray:
-    """1 / max(1, the row's largest |entry|) for each row of a CSR J."""
-    row_max = np.zeros(J.shape[0])
-    np.maximum.at(row_max, _entry_rows(J), np.abs(J.data))
+def _row_scale(J) -> np.ndarray:
+    """1 / max(1, the row's largest |entry|) for each row of J, a dense
+    array or CSR."""
+    if sp.issparse(J):
+        row_max = np.zeros(J.shape[0])
+        np.maximum.at(row_max, _entry_rows(J), np.abs(J.data))
+    else:
+        row_max = np.abs(J).max(axis=1, initial=0.0)
     return 1.0 / np.maximum(1.0, row_max)
+
+
+def _scale_rows(A, r: np.ndarray):
+    """A, a dense array or CSR, with each row i times r[i], in place."""
+    if sp.issparse(A):
+        A.data *= r[_entry_rows(A)]
+    else:
+        A *= r[:, None]
+    return A
 
 
 def _canonical_copy(A) -> sp.csr_matrix:
@@ -301,46 +339,59 @@ def _with_diagonal(B: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
     return sp.csr_matrix((data, indices, indptr), shape=B.shape), diag
 
 
-def _shift(B: sp.csr_matrix, diag: np.ndarray) -> float:
+def _shift(B, diag: np.ndarray | None = None) -> float:
     """The least delta on the ladder 0, 1e-8 b, 1e-7 b, ... (b the largest
     |B| entry, at least 1) such that B + delta I has no negative or zero
     pivot in its symmetric factor.  The factor tested is of
     B + (delta + 1e-12 b) I, so that a singular positive-semidefinite B
     passes at 0.  The ladder ends at the Gershgorin bound, untested: from
     there on the matrix is diagonally dominant, so positive definite.
-    B stores its whole diagonal, at `diag` in its data (`_with_diagonal`);
-    each rung writes B_ii plus its shift into a copy of that pattern."""
-    if not np.all(np.isfinite(B.data)):
+    B is a dense array, or canonical CSR storing its whole diagonal at
+    `diag` in its data (`_with_diagonal`).  Each rung writes B_ii plus its
+    shift into a copy of B and factors it: a dense one by Cholesky (LAPACK
+    dpotrf, whose info is 0 exactly where every pivot is positive), a
+    sparse one by `_symmetric_lu`, whose U diagonal is read."""
+    sparse = sp.issparse(B)
+    values = B.data if sparse else B.reshape(-1)
+    if not np.all(np.isfinite(values)):
         raise ValueError("non-finite Hessian entry")
-    abs_data = np.abs(B.data)
-    b = max(1.0, float(abs_data.max(initial=0.0)))
-    on_diag = B.data[diag]
-    gershgorin = float((np.bincount(_entry_rows(B), abs_data, len(diag))
-                        - abs_data[diag] - on_diag).max(initial=0.0))
+    if not sparse:
+        diag = np.arange(len(B)) * (len(B) + 1)
+    abs_values = np.abs(values)
+    b = max(1.0, float(abs_values.max(initial=0.0)))
+    on_diag = values[diag]
+    row_sums = (np.bincount(_entry_rows(B), abs_values, len(diag)) if sparse
+                else abs_values.reshape(B.shape).sum(axis=1))
+    gershgorin = float((row_sums - abs_values[diag] - on_diag)
+                       .max(initial=0.0))
     M = B.copy()
+    rung = M.data if sparse else M.reshape(-1)
     delta = 0.0
     while delta < gershgorin:
-        M.data[diag] = on_diag + (delta + 1e-12 * b)
-        try:
-            pivots = _symmetric_lu(M).U.diagonal()
-            if np.all(pivots > 0.0):
+        rung[diag] = on_diag + (delta + 1e-12 * b)
+        if not sparse:
+            if lapack.dpotrf(M, lower=1)[1] == 0:
                 return delta
-        except RuntimeError:    # an exactly zero pivot
-            pass
+        else:
+            try:
+                if np.all(_symmetric_lu(M).U.diagonal() > 0.0):
+                    return delta
+            except RuntimeError:    # an exactly zero pivot
+                pass
         delta = max(10.0 * delta, 1e-8 * b)
     return delta
 
 
-def _elastic_qp(B: sp.csr_matrix, g: np.ndarray, J: sp.csr_matrix,
-                lo: np.ndarray, hi: np.ndarray, bl: np.ndarray,
-                bu: np.ndarray) -> _QPResult:
+def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
+                bl: np.ndarray, bu: np.ndarray) -> _QPResult:
     """The elastic subproblem
 
         min 1/2 d'Bd + g'd + W sum(p + n)
         s.t. lo <= J d + p - n <= hi,  bl <= d <= bu,  p, n >= 0,
 
     W = `ELASTIC_WEIGHT`, by Mehrotra's primal-dual predictor-corrector
-    method, for B positive semidefinite and a finite box, B and J in CSR.
+    method, for B positive semidefinite and a finite box, B and J both
+    dense arrays or both CSR.
     Returns the step d, the row multipliers y (|y| <= W) and the box
     multipliers y_bnd, signed as in `_residuals`: B d + g + J'y + y_bnd = 0.
 
@@ -362,16 +413,22 @@ def _elastic_qp(B: sp.csr_matrix, g: np.ndarray, J: sp.csr_matrix,
     nf, mr = int(free.sum()), len(rows)
     at = nf + 2 * mr            # the first slack in x
     N = at + len(slack)
-    Jf = _submatrix(J, sided, free)
-    JfT = Jf.T      # a CSC view
+    n_k = nf + mr               # K's order
+    # the blocks, dense where K is (a CSR B and J are cut first)
+    if sp.issparse(B):
+        Q, Jf = _submatrix(B, free, free), _submatrix(J, sided, free)
+        if n_k <= DENSE_KKT_MAX:
+            Q, Jf = Q.toarray(), Jf.toarray()
+    else:
+        Q, Jf = B[np.ix_(free, free)], J[np.ix_(sided, free)]
+    JfT = Jf.T      # a view
 
     # the objective over its scale s, a third of the way (on the log
     # scale) from the quadratic part's magnitude to the weight
     s_q = max(1.0, float(np.abs(g).max(initial=0.0)),
-              float(np.abs(B.data).max(initial=0.0)))
+              float(np.abs(B.data if sp.issparse(B) else B).max(initial=0.0)))
     scale = s_q ** (2.0 / 3.0) * ELASTIC_WEIGHT ** (1.0 / 3.0)
-    Q = _submatrix(B, free, free)
-    Q.data *= 1.0 / scale
+    Q *= 1.0 / scale
     cost = np.concatenate([g[free] / scale,
                            np.full(2 * mr, ELASTIC_WEIGHT / scale),
                            np.zeros(len(slack))])
@@ -397,13 +454,11 @@ def _elastic_qp(B: sp.csr_matrix, g: np.ndarray, J: sp.csr_matrix,
     # diagonal each iteration: the factor is of K + diag(reg), the
     # refinement against K
     reg = np.concatenate([np.full(nf, 1e-9 * s_q / scale), np.full(mr, -1e-9)])
-    q_row, j_row = _entry_rows(Q), nf + _entry_rows(Jf)
-    n_k = nf + mr
-    if n_k <= DENSE_KKT_MAX:
+    if not sp.issparse(Q):
         K = np.zeros((n_k, n_k))
-        K[q_row, Q.indices] = Q.data
-        K[j_row, Jf.indices] = Jf.data
-        K[Jf.indices, j_row] = Jf.data
+        K[:nf, :nf] = Q
+        K[nf:, :nf] = Jf
+        K[:nf, nf:] = JfT
         K_values, diag = K.reshape(-1), np.arange(n_k) * (n_k + 1)
 
         def factor():
@@ -414,6 +469,7 @@ def _elastic_qp(B: sp.csr_matrix, g: np.ndarray, J: sp.csr_matrix,
         # the pattern once, in canonical CSC from the blocks' coordinates:
         # Q's nonzeros off the diagonal, Jf's entries twice and the whole
         # diagonal
+        q_row, j_row = _entry_rows(Q), nf + _entry_rows(Jf)
         off = (Q.data != 0.0) & (Q.indices != q_row)
         whole = np.arange(n_k)
         k_row = np.concatenate([q_row[off], Jf.indices, j_row, whole])
@@ -461,16 +517,17 @@ def _elastic_qp(B: sp.csr_matrix, g: np.ndarray, J: sp.csr_matrix,
         three times, and whether it solves K to 1e-10 of rhs."""
         sol = solve(rhs)
         res = rhs - K @ sol
-        goal = 1e-10 * np.abs(rhs).max()
+        size, goal = np.abs(res).max(), 1e-10 * np.abs(rhs).max()
         for _ in range(3):
-            if np.abs(res).max() <= goal:
+            if size <= goal:
                 break
             better = sol + solve(res)
             res_better = rhs - K @ better
-            if not np.abs(res_better).max() < np.abs(res).max():
+            size_better = np.abs(res_better).max()
+            if not size_better < size:
                 break
-            sol, res = better, res_better
-        return sol, np.abs(res).max() <= goal
+            sol, res, size = better, res_better, size_better
+        return sol, size <= goal
 
     def newton(solve, Sigma, R_x, R_y):
         """(dx, dy) from [Q + Sigma, A'; A, 0] (dx, dy) = (R_x, R_y), A the
@@ -495,8 +552,11 @@ def _elastic_qp(B: sp.csr_matrix, g: np.ndarray, J: sp.csr_matrix,
     def boundary_step(dw, dz):
         a = 1.0     # w and z in turn: no stacked copies at the peak of RSS
         for v, dv in ((w, dw), (z, dz)):
+            # -v / dv where dv < 0 only, so nothing divides by zero; the
+            # reduction reads no other entry of the uninitialized quotient
             down = dv < 0.0
-            a = min(a, float((-v[down] / dv[down]).min(initial=np.inf)))
+            a = min(a, float(np.divide(-v, dv, out=None, where=down).min(
+                initial=np.inf, where=down)))
         return a
 
     def dual_residual(r_x):
@@ -669,6 +729,32 @@ def _bound_scale(nlp) -> np.ndarray:
 
 
 def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveReport:
+    """Solve `nlp` from x0 by the SQP method the module describes.
+
+    The iterates are the variables over their scale s: each variable's
+    larger finite bound magnitude in its own box, floored at 1, so an
+    endpoint pin, which tightens its node's box, sets that node's scale.
+    The start is clipped into the box.  Each constraint row is then
+    divided by its largest |entry| in the first Jacobian (at the clipped
+    start, its columns scaled by s), floored at 1: the merit function and
+    the convergence test see rows of comparable size, and the row scale
+    holds for the whole solve.  The Jacobian and Hessian are held as dense
+    arrays where nlp.n_var + nlp.n_con <= `DENSE_KKT_MAX` and as canonical
+    CSR above, decided once (see the module docstring).  The report is in
+    the problem's units, at the last iterate, with the objective and
+    violation it was judged on, and one of these statuses:
+    - "converged": feasibility, stationarity and complementarity met
+      `options.tolerance` (stationarity and complementarity relative to
+      the gradient's and the multipliers' sizes).
+    - "max_iterations": `options.max_iterations` ran out, or the solve
+      stopped without progress at a point within the tolerance's
+      feasibility (within its square root for a stalled line search).
+    - "infeasible": three subproblems gave no step, or the line search
+      stalled, at a point violating the constraints by more than that.
+    - "numerical_failure": evaluating the start point, a Hessian or the
+      derivatives raised, or every factor of a subproblem's KKT matrix lost
+      a pivot; the message says which.
+    """
     options = options or SolverOptions()
     tol = options.tolerance
     n, m = nlp.n_var, nlp.n_con
@@ -678,15 +764,21 @@ def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveRep
     z_lo, z_hi = nlp.z_lo / s, nlp.z_hi / s
     x = np.clip(np.asarray(x0, float) / s, z_lo, z_hi)
 
+    dense = n + m <= DENSE_KKT_MAX
+
     def derivatives(x):
-        # the gradient, and a canonical copy of the Jacobian with its
-        # columns scaled by s and its rows by r_scale (ones until the first
-        # Jacobian has set it)
+        # the gradient, and a copy of the Jacobian with its columns scaled
+        # by s and its rows by r_scale (ones until the first Jacobian has
+        # set it)
         g = s * nlp.objective_gradient(s * x)
-        J = _canonical_copy(nlp.jacobian(s * x))
-        J.data *= s[J.indices]
-        J.data *= r_scale[_entry_rows(J)]
-        return g, J
+        J = nlp.jacobian(s * x)
+        if dense:
+            J = J.toarray()
+            J *= s
+        else:
+            J = _canonical_copy(J)
+            J.data *= s[J.indices]
+        return g, _scale_rows(J, r_scale)
 
     log: list[dict] = []
     it, f, J = 0, np.nan, None
@@ -726,7 +818,7 @@ def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveRep
     c_lo = r_scale * nlp.c_lo
     c_hi = r_scale * nlp.c_hi
     c = r_scale * c_raw
-    J.data *= r_scale[_entry_rows(J)]
+    _scale_rows(J, r_scale)
 
     # a box-fixed variable's step is held at 0, so its Hessian row and
     # column change no subproblem's answer
@@ -755,13 +847,21 @@ def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveRep
         # scaled units, fixed rows and columns zeroed, shifted to be
         # semidefinite
         try:
-            B = _canonical_copy(nlp.hessian(s * x, r_scale * y_con))
-            rows = _entry_rows(B)
-            B.data *= s[B.indices] * s[rows]
-            B.data[fixed[B.indices] | fixed[rows]] = 0.0
-            B.eliminate_zeros()
-            B, diag = _with_diagonal(B)
-            B.data[diag] += _shift(B, diag)
+            H = nlp.hessian(s * x, r_scale * y_con)
+            if dense:
+                B = H.toarray()
+                B *= s * s[:, None]
+                B[fixed] = 0.0
+                B[:, fixed] = 0.0
+                B[np.diag_indices(n)] += _shift(B)
+            else:
+                B = _canonical_copy(H)
+                rows = _entry_rows(B)
+                B.data *= s[B.indices] * s[rows]
+                B.data[fixed[B.indices] | fixed[rows]] = 0.0
+                B.eliminate_zeros()
+                B, diag = _with_diagonal(B)
+                B.data[diag] += _shift(B, diag)
         except Exception as e:
             return report("numerical_failure",
                           f"Hessian evaluation failed: {e}")

@@ -643,9 +643,21 @@ def test_the_benchmark_keeps_a_subproblem_on_each_side_of_the_dense_size(
     # mesh at 1e-8) have K of order 8-88: each of their interior-point
     # iterations makes one dense factor and none makes a sparse one.
     # mission-sqp's K (order 2,817) takes SuperLU, and its first factor
-    # keeps one negative pivot per row
+    # keeps one negative pivot per row.  A canonical solve holds its
+    # matrices as dense arrays throughout and makes no CSR copy, cut or
+    # diagonal; the mission solve (n_var + n_con = 2,853) makes all three
     real_qp, real_bk = nlpsolve._elastic_qp, nlpsolve._bunch_kaufman
     orders, iterations, dense = [], [], []
+    csr_helpers, csr_calls = ("_canonical_copy", "_submatrix",
+                              "_with_diagonal"), []
+
+    def spied(name):
+        real = getattr(nlpsolve, name)
+
+        def call(*args):
+            csr_calls.append(name)
+            return real(*args)
+        return call
 
     def recorded(B, g, J, lo, hi, bl, bu):
         orders.append(int(np.sum(bl < bu))
@@ -665,6 +677,8 @@ def test_the_benchmark_keeps_a_subproblem_on_each_side_of_the_dense_size(
         mp.setattr(nlpsolve, "_elastic_qp", recorded)
         mp.setattr(nlpsolve, "_bunch_kaufman", counted)
         mp.setattr(nlpsolve, "_ordered_lu", refused)
+        for name in csr_helpers:
+            mp.setattr(nlpsolve, name, spied(name))
         grid = _canonical_mesh_grid()
         assert len(grid) == 20
         for make in canonical.CANONICAL_PROBLEMS.values():
@@ -680,14 +694,19 @@ def test_the_benchmark_keeps_a_subproblem_on_each_side_of_the_dense_size(
     assert min(orders) == 8 and max(orders) == 88
     assert max(orders) <= nlpsolve.DENSE_KKT_MAX
     assert len(dense) == sum(iterations)
+    assert csr_calls == []
 
     nlp, z0 = guess_setup
+    for name in csr_helpers:
+        monkeypatch.setattr(nlpsolve, name, spied(name))
     (B, g, J, lo, hi, bl, bu), qp, factors, pivoted = _capped_subproblems(
         cfg, nlp, z0, monkeypatch)
     assert int(np.sum(bl < bu)) + J.shape[0] == 2817
     assert 2817 > 10 * nlpsolve.DENSE_KKT_MAX
     assert len(factors) == qp.iterations and pivoted == []
     assert np.sum(factors[0].U.diagonal() < 0.0) == J.shape[0]
+    assert nlp.n_var + nlp.n_con > nlpsolve.DENSE_KKT_MAX
+    assert set(csr_calls) == set(csr_helpers)
 
 
 def test_capped_iteration_orders_its_subproblem_once(cfg, guess_setup,

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from ascentry import canonical, nlpsolve
 from ascentry.nlpsolve import SolverOptions, kkt_residuals, solve
-from ascentry.transcription import (_FD_STEP, MultiPhaseProblem, PhaseDef,
-                                    transcribe, uniform_mesh)
+from ascentry.meshref import RefinementOptions, refine_loop
+from ascentry.transcription import (_FD_STEP, MeshPhase, MultiPhaseProblem,
+                                    PhaseDef, transcribe, uniform_mesh)
 
 
 def _fd_vector(func, x, dim_out):
@@ -721,24 +722,39 @@ def test_canonical_subproblems_converge(name, monkeypatch):
     assert max(qp.iterations for qp in solved) <= 7
 
 
-def test_shift_leaves_a_semidefinite_hessian_alone():
+def _shift_of(B, form):
+    """`_shift` of the CSR matrix B, handed over as CSR storing its whole
+    diagonal or as a dense array, and the delta of the other form."""
+    csr = nlpsolve._shift(*nlpsolve._with_diagonal(B))
+    dense = nlpsolve._shift(B.toarray())
+    return (csr, dense) if form == "csr" else (dense, csr)
+
+
+@pytest.mark.parametrize("form", ["csr", "dense"])
+def test_shift_leaves_a_semidefinite_hessian_alone(form):
     # singular and positive semidefinite, with an empty row and column
     rng = np.random.default_rng(5)
     F = rng.standard_normal((3, 6))
     F[:, 4] = 0.0
     B = sp.csr_matrix(F.T @ F)
     assert np.linalg.eigvalsh(B.toarray()).min() > -1e-12
-    assert nlpsolve._shift(*nlpsolve._with_diagonal(B)) == 0.0
-    assert nlpsolve._shift(*nlpsolve._with_diagonal(sp.csr_matrix((4, 4)))) == 0.0
+    delta, other = _shift_of(B, form)
+    assert delta == 0.0 and other == delta
+    delta, other = _shift_of(sp.csr_matrix((4, 4)), form)
+    assert delta == 0.0 and other == delta
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_shift_removes_the_negative_eigenvalues(seed):
+@pytest.mark.parametrize("seed, form", [
+    pytest.param(seed, form,
+                 id=str(seed) if form == "csr" else f"{seed}-dense")
+    for form in ("csr", "dense") for seed in range(5)])
+def test_shift_removes_the_negative_eigenvalues(seed, form):
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
     lam = np.concatenate([-10.0 ** rng.uniform(-6, 3, 2), rng.uniform(0, 5, 5)])
     B = sp.csr_matrix((Q * lam) @ Q.T)
-    delta = nlpsolve._shift(*nlpsolve._with_diagonal(B))
+    delta, other = _shift_of(B, form)
+    assert other == delta
     assert delta >= -lam.min()
     assert np.linalg.eigvalsh(B.toarray() + delta * np.eye(7)).min() >= 0.0
     # a rung of the ladder, and the lowest that does: the rung below
@@ -800,6 +816,53 @@ def test_fixed_bound_multipliers_are_the_stationarity_residual_where_the_step_la
     assert np.abs(residual).max() > 1.0
     assert np.abs(rep.bound_multipliers[fixed] + residual).max() \
         <= 1e-12 * np.abs(residual).max()
+
+
+def _canonical_starts():
+    """canonical-solve's starts: each problem from every mesh of 1-3
+    intervals of degree 3-6, evenly spaced or graded 1:2, at 1e-6, and from
+    its default mesh at 1e-8."""
+    grid = [[MeshPhase(w / w.sum(), np.full(k, degree))]
+            for k in (1, 2, 3) for degree in (3, 4, 5, 6)
+            for w in ([np.ones(k)] + [np.linspace(1.0, 2.0, k)] * (k > 1))]
+    for name in sorted(canonical.CANONICAL_PROBLEMS):
+        problem, default = canonical.CANONICAL_PROBLEMS[name]()
+        for mesh, tol in [(mesh, 1e-6) for mesh in grid] + [(default, 1e-8)]:
+            yield problem, mesh, tol
+
+
+def test_dense_and_csr_solves_take_the_same_steps(monkeypatch):
+    # every canonical NLP has n_var + n_con <= DENSE_KKT_MAX, so its whole
+    # iteration runs on dense arrays; with DENSE_KKT_MAX at 0 it runs on
+    # canonical CSR.  The two sum their products in other orders and test
+    # the shift's rungs by other factors, and that is all: every start takes
+    # the same rounds, SQP and interior-point iterations, to the same status
+    # and iterates equal to rounding
+    def refined_from_every_start():
+        return [refine_loop(problem, mesh, canonical.straight_line_guess,
+                            RefinementOptions(mesh_tolerance=tol,
+                                              max_refinements=6),
+                            SolverOptions(tolerance=tol, max_iterations=200))
+                for problem, mesh, tol in _canonical_starts()]
+
+    def refused(A):
+        raise AssertionError("a canonical solve took the CSR path")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nlpsolve, "_canonical_copy", refused)
+        dense = refined_from_every_start()
+    monkeypatch.setattr(nlpsolve, "DENSE_KKT_MAX", 0)
+    csr = refined_from_every_start()
+    assert len(dense) == len(csr) == 3 * 21
+    for a, b in zip(dense, csr):
+        assert a.status == b.status
+        assert len(a.solve_reports) == len(b.solve_reports)
+        for ra, rb in zip(a.solve_reports, b.solve_reports):
+            assert (ra.status, ra.iterations) == (rb.status, rb.iterations)
+            assert [row["qp_iterations"] for row in ra.log] \
+                == [row["qp_iterations"] for row in rb.log]
+        x_a, x_b = a.last_solve.x, b.last_solve.x
+        assert np.abs(x_a - x_b).max() <= 1e-13 * np.abs(x_b).max()
 
 
 class _CachedDerivatives(FunctionNLP):
