@@ -23,8 +23,8 @@ solve:
   scipy.sparse's Python layer costs more than the arithmetic: over one
   seed-1 round of the benchmark's canonical solves (n_var + n_con = 12-94),
   the CSR path made 2,405 sparse products and 1,560 sparse-matrix
-  constructions, the dense path 130 and 390, all of them in the problem's
-  own evaluations.
+  constructions, the dense path 130 and 390, all of them the problem's
+  own (its transcription and evaluations).
 - Above: canonical CSR (rows sorted by column, duplicates summed, explicit
   zeros dropped), scaled and masked in its `data`, the subproblem's blocks
   cut from its arrays; scaled rows sum in ascending column order.
@@ -369,15 +369,14 @@ def _shift(B, diag: np.ndarray | None = None) -> float:
     delta = 0.0
     while delta < gershgorin:
         rung[diag] = on_diag + (delta + 1e-12 * b)
-        if not sparse:
-            if lapack.dpotrf(M, lower=1)[1] == 0:
-                return delta
-        else:
+        if sparse:
             try:
                 if np.all(_symmetric_lu(M).U.diagonal() > 0.0):
                     return delta
             except RuntimeError:    # an exactly zero pivot
                 pass
+        elif lapack.dpotrf(M, lower=1)[1] == 0:
+            return delta
         delta = max(10.0 * delta, 1e-8 * b)
     return delta
 
