@@ -223,6 +223,13 @@ def _symmetric_lu(M: sp.spmatrix, permc_spec: str = "MMD_AT_PLUS_A"):
                      options=dict(SymmetricMode=True))
 
 
+def _column_order(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """The permutation that sorts unique coordinates of an n x n matrix by
+    column, then row: one sort of the keys col * n + row, which on the
+    mission's K takes about a third of lexsort's time."""
+    return np.argsort(cols.astype(np.int64) * n + rows, kind="stable")
+
+
 def _ordered_lu(K: sp.csc_matrix, perm: np.ndarray):
     """factor(M) for matrices M on K's pattern (canonical CSC, both
     triangles): the symmetric factor of P M P' in the natural order, P the
@@ -232,7 +239,7 @@ def _ordered_lu(K: sp.csc_matrix, perm: np.ndarray):
     n = K.shape[0]
     rows = perm[K.indices]
     cols = np.repeat(perm, np.diff(K.indptr))
-    src = np.lexsort((rows, cols))
+    src = _column_order(rows, cols, n)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
     PMP = sp.csc_matrix((K.data[src], rows[src], indptr), shape=K.shape)
     inv = np.empty_like(perm)   # a scatter: argsort would add 0.2 MB of RSS
@@ -450,8 +457,8 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
         return r
 
     # K = [Q + Sigma_d, Jf'; Jf, -D], its off-diagonal entries once and its
-    # diagonal each iteration: the factor is of K + diag(reg), the
-    # refinement against K
+    # diagonal each iteration; every solve is refined against K.  The
+    # unpivoted factor is of K + diag(reg), a pivoting one of K itself
     reg = np.concatenate([np.full(nf, 1e-9 * s_q / scale), np.full(mr, -1e-9)])
     if not sp.issparse(Q):
         K = np.zeros((n_k, n_k))
@@ -461,8 +468,12 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
         K_values, diag = K.reshape(-1), np.arange(n_k) * (n_k + 1)
 
         def factor():
-            """The Bunch-Kaufman factor's solve, refined against K."""
-            solve = _bunch_kaufman(K)
+            """The Bunch-Kaufman factor's solve of K, or of K + diag(reg)
+            where K has an exactly zero pivot, refined against K."""
+            try:
+                solve = _bunch_kaufman(K)
+            except RuntimeError:
+                solve = _bunch_kaufman(K + np.diag(reg))
             return lambda rhs: refined(solve, rhs)[0]
     else:
         # the pattern once, in canonical CSC from the blocks' coordinates:
@@ -473,7 +484,7 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
         whole = np.arange(n_k)
         k_row = np.concatenate([q_row[off], Jf.indices, j_row, whole])
         k_col = np.concatenate([Q.indices[off], j_row, Jf.indices, whole])
-        order = np.lexsort((k_row, k_col))
+        order = _column_order(k_row, k_col, n_k)
         k_row, k_col = k_row[order], k_col[order]
         K = sp.csc_matrix(
             (np.concatenate([Q.data[off], Jf.data, Jf.data,
@@ -484,11 +495,13 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
         reorder = None  # factor() in the order of the first symmetric factor
 
         def factor():
-            """The symmetric factor's refined solve where it solves K to
-            1e-10, else a partially pivoted factor of K + diag(reg), made
-            on the iteration's first such solve and refined against K."""
+            """The symmetric factor of K + diag(reg)'s refined solve where
+            it solves K to 1e-10, else a partially pivoted factor of
+            K + diag(reg), made on the iteration's first such solve and
+            refined against K."""
             nonlocal reorder
             solve = None
+            K_values[diag] += reg
             try:
                 if reorder is None:
                     lu = _symmetric_lu(K)
@@ -497,6 +510,7 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
                     solve = reorder(K)[1]
             except RuntimeError:    # a pivot lost to cancellation
                 pass
+            K_values[diag] -= reg
             pivoted = []
 
             def solve_or_pivot(rhs):
@@ -570,8 +584,8 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
     def corrected_step(direction, mu):
         """The step length and direction of an iteration: the affine
         direction, Mehrotra's corrector, then one Gondzio corrector on the
-        same factor, or a centring step where neither cuts w'z.  At most
-        two directions are alive at once."""
+        same factor where its step could be kept, or a centring step where
+        neither cuts w'z.  At most two directions are alive at once."""
         dx, dy, dw, dz = direction(-w * z)
         a = boundary_step(dw, dz)
         mu_aff = float((w + a * dw) @ (z + a * dz)) / len(idx)
@@ -579,18 +593,21 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
         rc = sigma * mu - w * z - dw * dz
         dx, dy, dw, dz = direction(rc)
         a = boundary_step(dw, dz)
-        # the products a longer step would reach, pulled into [0.1, 10]
-        # sigma mu, each cut by at most 10 sigma mu
-        a_t = min(1.0, 1.5 * a + 0.3)
-        wz_t = (w + a_t * dw) * (z + a_t * dz)
-        rc += np.maximum(np.clip(wz_t, 0.1 * sigma * mu, 10.0 * sigma * mu)
-                         - wz_t, -10.0 * sigma * mu)
-        del wz_t
-        gondzio = direction(rc)
-        a_g = boundary_step(gondzio[2], gondzio[3])
-        if a_g >= 1.01 * a:
-            (dx, dy, dw, dz), a = gondzio, a_g
-        del gondzio
+        # a Gondzio step is kept at 1.01 a or more, and no step exceeds 1
+        if 1.01 * a <= 1.0:
+            # the products a longer step would reach, pulled into [0.1, 10]
+            # sigma mu, each cut by at most 10 sigma mu
+            a_t = min(1.0, 1.5 * a + 0.3)
+            wz_t = (w + a_t * dw) * (z + a_t * dz)
+            rc += np.maximum(np.clip(wz_t, 0.1 * sigma * mu,
+                                     10.0 * sigma * mu) - wz_t,
+                             -10.0 * sigma * mu)
+            del wz_t
+            gondzio = direction(rc)
+            a_g = boundary_step(gondzio[2], gondzio[3])
+            if a_g >= 1.01 * a:
+                (dx, dy, dw, dz), a = gondzio, a_g
+            del gondzio
         tau = max(0.995, 1.0 - mu * scale)     # the fraction to the boundary
         a *= tau
         # a corrected step that does not cut w'z by a tenth of its length
@@ -617,17 +634,19 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
         primal = max(np.abs(r_y).max(initial=0.0),
                      np.abs(r_w).max(initial=0.0)) / max(
             1.0, np.abs(b).max(initial=0.0), np.abs(x).max(initial=0.0))
-        if max(primal, mu * scale) <= QP_TOLERANCE \
-                and dual_residual(r_x) <= QP_TOLERANCE:
-            converged = True
-            break
+        dual = None     # computed where the other tests pass, and kept
+        if max(primal, mu * scale) <= QP_TOLERANCE:
+            dual = dual_residual(r_x)
+            if dual <= QP_TOLERANCE:
+                converged = True
+                break
         # past 1 - mu s == 1 the fraction to the boundary is 1 (see above)
         if it == QP_ITERATIONS or 1.0 - mu * scale == 1.0:
             break
         Sigma = np.bincount(idx, z / w, N)
         D = 1.0 / Sigma[nf:nf + mr] + 1.0 / Sigma[nf + mr:at]
         D[slack] += 1.0 / Sigma[at:]
-        K_values[diag] = K_diag + np.concatenate([Sigma[:nf], -D]) + reg
+        K_values[diag] = K_diag + np.concatenate([Sigma[:nf], -D])
         # the last iteration's factors go before the next is made
         solve = None
 
@@ -639,7 +658,6 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
 
         try:
             solve = factor()
-            K_values[diag] -= reg
             if it == 0:
                 dx, dy, dw, dz = direction(-w * z)
             else:
@@ -676,8 +694,11 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
     y_con[rows] = scale * y
     y_bnd = -(B @ d + g + J.T @ y_con)
     y_bnd[free] = scale * (z[nf:2 * nf] - z[:nf])
-    return _QPResult(d, y_con, y_bnd, it, primal, dual_residual(r_x),
-                     converged, factor_lost)
+    # every exit leaves the loop at the point its head tested
+    if dual is None:
+        dual = dual_residual(r_x)
+    return _QPResult(d, y_con, y_bnd, it, primal, dual, converged,
+                     factor_lost)
 
 
 def _violation(c, c_lo, c_hi):
@@ -789,13 +810,15 @@ def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveRep
                     "step_norm": float(step_norm),
                     "qp_iterations": qp.iterations})
 
-    def report(status, message):
-        # at x, in the problem's units, from the evaluations x was judged on
+    def report(status, message, stat=None):
+        # at x, in the problem's units, from the evaluations x was judged
+        # on; stat, where given, is the loop head's at x
         if J is None:   # the start point did not evaluate
             stat = violation = np.inf
         else:
-            stat = _residuals(g, c, J, x, y_con, y_bnd,
-                              c_lo, c_hi, z_lo, z_hi)[0]
+            if stat is None:
+                stat = _residuals(g, c, J, x, y_con, y_bnd,
+                                  c_lo, c_hi, z_lo, z_hi)[0]
             violation = max(_violation(c_raw, nlp.c_lo, nlp.c_hi),
                             _violation(s * x, nlp.z_lo, nlp.z_hi))
         return SolveReport(status=status, iterations=it, objective=f,
@@ -957,4 +980,6 @@ def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveRep
                    "from a QP subproblem that stopped at its iteration cap "
                    f"(last primal residual {last_rough.primal_res:.3g}, "
                    f"dual residual {last_rough.dual_res:.3g})")
-    return report(status, message)
+    # a converged solve ends at the point its loop head judged
+    return report(status, message,
+                  stat if status == "converged" else None)

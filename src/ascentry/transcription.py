@@ -288,7 +288,10 @@ class _SparsePlan:
     `values` holds one value rule per block, in enumeration order; the raw
     entries they produce map onto the CSR data vector through `first` (the
     first raw entry of each slot) and `rest`/`rest_slot` (later entries on a
-    taken coordinate, summed onto it in raw order).
+    taken coordinate, summed onto it in raw order).  The coordinates and
+    `indptr` are read-only, and `cols` and `indptr` are int32, scipy's
+    index type at these sizes: every assembled matrix shares them as they
+    are, with no conversion, and none can change the plan.
     """
     values: list
     first: np.ndarray
@@ -314,10 +317,13 @@ class _SparsePlan:
         later[first] = False
         rest = np.flatnonzero(later)
         u_rows, u_cols = np.divmod(sorted_keys[starts], shape[1])
+        u_cols = u_cols.astype(np.int32)
+        indptr = np.searchsorted(u_rows, np.arange(shape[0] + 1)).astype(
+            np.int32)
+        for a in (u_rows, u_cols, indptr):
+            a.flags.writeable = False
         return cls(values=values, first=first, rest=rest, rest_slot=slot[rest],
-                   rows=u_rows, cols=u_cols,
-                   indptr=np.searchsorted(u_rows, np.arange(shape[0] + 1)),
-                   shape=shape)
+                   rows=u_rows, cols=u_cols, indptr=indptr, shape=shape)
 
     def assemble(self, *args) -> sp.csr_matrix:
         """The matrix from the value rules applied to args."""
