@@ -74,39 +74,46 @@ how a subproblem factors it, once:
 - n <= `DENSE_KKT_MAX`: K is a dense array, assembled from the dense
   blocks B_f and J_f (cut from CSR ones first where `solve` holds CSR);
   every subproblem of a dense solve is one, since n <= n_var + n_con.
-  Each iteration factors K + diag(reg) by Bunch-Kaufman (LAPACK dsytrf;
-  Bunch and Kaufman, Math. Comp. 31, 1977), back-solves with dsytrs and
-  refines against K with a dense product.  That factor pivots already, so it is its own fallback:
-  an exactly zero pivot ends the subproblem as the loss of every sparse
-  factor does.  It is chosen over LU with partial pivoting (dgetrf) for
-  its block diagonal, which gives K's inertia on this path too, at little
-  cost: over the 67 subproblems of the canonical grid's solves, dsytrf
-  took 29% less time than SuperLU and dgetrf 30% less, for the same
-  interior-point iterations and steps equal to 1.1e-15 relative.
-- Above, `_symmetric_lu` factors K without pivoting; its U has exactly one
-  negative pivot per row.  K's pattern is the same in every iteration of a
-  subproblem, so its first factor makes the one minimum-degree order and
-  the later ones factor K, permuted into that order, as it stands
-  (`_ordered_lu`).  Every symmetric factor runs one-column SuperLU panels
-  with supernodes relaxed to 2 columns: the LGR interval blocks give K
-  narrow supernodes, and on the mission's K (n = 2,817) a natural-order
-  factor takes 3.3-4.1 ms with these settings against 5.1-6.1 ms with
-  SuperLU's wide-supernode defaults, for the same fill and pivot signs.
-  Where a symmetric factor, refined, misses K by more than 1e-10, a
-  partially pivoted factor of K + diag(reg), the symmetric factor's
-  regularization, at SuperLU's defaults, takes over for the iteration;
+  Each iteration factors K itself by Bunch-Kaufman (LAPACK dsytrf; Bunch
+  and Kaufman, Math. Comp. 31, 1977), back-solves with dsytrs and checks
+  each solve against K with a dense product, refining where it misses by
+  more than 1e-10.  The factor pivots, so K needs no regularization here,
+  and each direction's first solve meets 1e-10: one back-solve per
+  direction, where a factor of K + diag(reg) would miss K and refine with
+  a second.  Only where K has an exactly zero pivot is K + diag(reg)
+  factored; where that has one too, the subproblem ends as the loss of
+  every sparse factor does.  It is chosen over LU with partial pivoting
+  (dgetrf) for its block diagonal, which gives K's inertia on this path
+  too, at little cost: over the 67 subproblems of the canonical grid's
+  solves, dsytrf took 29% less time than SuperLU and dgetrf 30% less, for
+  the same interior-point iterations and steps equal to 1.1e-15 relative.
+- Above, `_symmetric_lu` factors K + diag(reg) without pivoting, reg
+  1e-9 times the quadratic part's magnitude on the variables' block and
+  -1e-9 on the rows'; its U has exactly one negative pivot per row.  K's
+  pattern is the same in every iteration of a subproblem, so its first
+  factor makes the one minimum-degree order and the later ones factor
+  K + diag(reg), permuted into that order, as it stands (`_ordered_lu`).
+  Every symmetric factor runs one-column SuperLU panels with supernodes
+  relaxed to 2 columns: the LGR interval blocks give K narrow supernodes,
+  and on the mission's K (n = 2,817) a natural-order factor takes
+  3.3-4.1 ms with these settings against 5.1-6.1 ms with SuperLU's
+  wide-supernode defaults, for the same fill and pivot signs.
+  Each solve is refined against K.  Where a symmetric factor, refined,
+  misses K by more than 1e-10, a partially pivoted factor of
+  K + diag(reg), at SuperLU's defaults, takes over for the iteration;
   where that loses a pivot too, the subproblem ends with its last
   iterate, flagged as at its cap.
 The two paths cost the same per interior-point iteration (factor, its
 back-solves and the products) at n of about 140, where `DENSE_KKT_MAX`
-sits.  On the first subproblem of canonical solves from uniform meshes,
-with one BLAS thread (medians of 15 alternating repetitions), the dense
-iteration took 0.64-0.86 of the sparse one's time at n = 53-89, 0.85-0.91
-at n = 98-125, 0.91-1.13 at n = 143-161, 1.12-1.18 at n = 178-208 and
-1.4-1.6 at n = 238-268; in best-of-5 timings it took 2.2-2.9 times as long
-at n = 287-359, where dsytrf's n^3 takes over.  The canonical problems' K,
-refined from every start mesh of the benchmark's grid, have n = 8-88
-(median 32); the mission's has 2,817.
+sits, as measured while the dense path factored K + diag(reg) and so made
+two back-solves per direction.  On the first subproblem of canonical solves
+from uniform meshes, with one BLAS thread (medians of 15 alternating
+repetitions), the dense iteration took 0.64-0.86 of the sparse one's time
+at n = 53-89, 0.85-0.91 at n = 98-125, 0.91-1.13 at n = 143-161, 1.12-1.18
+at n = 178-208 and 1.4-1.6 at n = 238-268; in best-of-5 timings it took
+2.2-2.9 times as long at n = 287-359, where dsytrf's n^3 takes over.  The
+canonical problems' K, refined from every start mesh of the benchmark's
+grid, have n = 8-88 (median 32); the mission's has 2,817.
 
 Three choices cut the iterations, and so the factors, since on the
 mission's K a back-solve on a factor costs 0.14-0.26 ms against 3.8-5.0 ms
@@ -118,8 +125,12 @@ for the refactor (its gather into the first factor's order and SuperLU):
   length: the products w z that step would reach are pulled into
   [0.1, 10] sigma mu, none cut by more than 10 sigma mu, and one more
   back-solve on the same factor gives the direction, kept only where its
-  step is at least 1.01 a.  Without it the middle iterations are poorly
-  centred: steps of 0.3-0.8, the complementarity falling 2-4x each.
+  step is at least 1.01 a.  So it is computed only where 1.01 a <= 1, as
+  no step exceeds 1: in 359 of the 390 corrected steps of one seed-1
+  round of the benchmark's canonical solves it could not be kept, and in
+  5 of the 19 of the capped mission subproblem.  Without it the middle
+  iterations are poorly centred: steps of 0.3-0.8, the complementarity
+  falling 2-4x each.
 - The fraction to the boundary is tau = max(0.995, 1 - mu s) (Waechter
   and Biegler, Math. Prog. 106, 2006): a fixed 0.995 caps each
   iteration's cut in the complementarity at 200x in the tail.
@@ -457,8 +468,8 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
         return r
 
     # K = [Q + Sigma_d, Jf'; Jf, -D], its off-diagonal entries once and its
-    # diagonal each iteration; every solve is refined against K.  The
-    # unpivoted factor is of K + diag(reg), a pivoting one of K itself
+    # diagonal each iteration; every solve is refined against K.  The dense
+    # factor is of K itself, the sparse ones of K + diag(reg)
     reg = np.concatenate([np.full(nf, 1e-9 * s_q / scale), np.full(mr, -1e-9)])
     if not sp.issparse(Q):
         K = np.zeros((n_k, n_k))

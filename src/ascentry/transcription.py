@@ -820,7 +820,7 @@ class NLPProblem:
 
     def sparsity(self) -> tuple[np.ndarray, np.ndarray]:
         """Structural nonzeros of the constraint Jacobian as COO coordinates,
-        each listed once, in row-major order."""
+        each listed once, in row-major order: the plan's read-only arrays."""
         return self._plan.rows, self._plan.cols
 
     def jacobian(self, z: np.ndarray) -> sp.csr_matrix:

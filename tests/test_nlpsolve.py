@@ -498,9 +498,11 @@ def test_solve_reports_a_status_where_every_factor_is_lost(monkeypatch):
 
 def test_a_zero_pivot_of_the_dense_factor_ends_the_subproblem_and_the_solve(
         monkeypatch):
-    # the dense Bunch-Kaufman factor pivots already, so it has no fallback:
-    # an exactly zero pivot ends the subproblem as a lost factor does on
-    # the sparse path, and the solve as "numerical_failure"
+    # the dense Bunch-Kaufman factor pivots, so it factors K itself; where
+    # K has an exactly zero pivot it factors K + diag(reg), and where that
+    # has one too (here LAPACK factors a zero matrix both times), the
+    # subproblem ends as a lost factor does on the sparse path, and the
+    # solve as "numerical_failure"
     with pytest.raises(RuntimeError):
         nlpsolve._bunch_kaufman(np.ones((2, 2)))
     _lose_every_factor(monkeypatch, "dense")
@@ -863,6 +865,35 @@ def test_dense_and_csr_solves_take_the_same_steps(monkeypatch):
                 == [row["qp_iterations"] for row in rb.log]
         x_a, x_b = a.last_solve.x, b.last_solve.x
         assert np.abs(x_a - x_b).max() <= 1e-13 * np.abs(x_b).max()
+
+
+def test_each_dense_direction_takes_one_back_solve(monkeypatch):
+    # the dense factor is of K itself, so each direction's first back-solve
+    # meets the refinement's goal, 1e-10 of its right-hand side against K,
+    # and no second one is made.  A factor serves the affine direction,
+    # Mehrotra's corrector and at most one of a Gondzio corrector (computed
+    # only where its step could be kept) and a centring step
+    real = nlpsolve._bunch_kaufman
+    back_solves = []    # per factor
+
+    def counted(A):
+        solve, K = real(A), A.copy()
+        back_solves.append(0)
+
+        def counted_solve(rhs):
+            back_solves[-1] += 1
+            sol = solve(rhs)
+            assert np.abs(rhs - K @ sol).max() <= 1e-10 * np.abs(rhs).max()
+            return sol
+        return counted_solve
+
+    monkeypatch.setattr(nlpsolve, "_bunch_kaufman", counted)
+    for problem, mesh, tol in _canonical_starts():
+        refine_loop(problem, mesh, canonical.straight_line_guess,
+                    RefinementOptions(mesh_tolerance=tol, max_refinements=6),
+                    SolverOptions(tolerance=tol, max_iterations=200))
+    assert len(back_solves) > 0
+    assert 1 <= min(back_solves) and max(back_solves) <= 3
 
 
 class _CachedDerivatives(FunctionNLP):

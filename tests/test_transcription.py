@@ -973,4 +973,9 @@ def test_sparse_plan_matches_the_unique_oracle(seed):
     dense = np.zeros(shape)
     np.add.at(dense, (np.concatenate(rows), np.concatenate(cols)),
               np.concatenate(values))
-    assert np.allclose(plan.assemble().toarray(), dense, rtol=0, atol=1e-12)
+    A = plan.assemble()
+    assert np.allclose(A.toarray(), dense, rtol=0, atol=1e-12)
+    # every assembled matrix shares the plan's index arrays, unconverted,
+    # and none can change them
+    for mine, plans in ((A.indices, plan.cols), (A.indptr, plan.indptr)):
+        assert np.shares_memory(mine, plans) and not mine.flags.writeable
