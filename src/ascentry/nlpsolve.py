@@ -81,8 +81,12 @@ how a subproblem factors it, once:
   and each direction's first solve meets 1e-10: one back-solve per
   direction, where a factor of K + diag(reg) would miss K and refine with
   a second.  Only where K has an exactly zero pivot is K + diag(reg)
-  factored; where that has one too, the subproblem ends as the loss of
-  every sparse factor does.  It is chosen over LU with partial pivoting
+  factored.  A rank-deficient B_f makes one once Sigma falls below its
+  rounding, as it does on the variables a wide box leaves far from their
+  bounds: B = [[1, 1], [1, 1]] in a box of +-1e6 does at its 12th
+  iteration, and its factor of K + diag(reg) carries the subproblem on to
+  convergence.  Where that factor has one too, the subproblem ends as the
+  loss of every sparse factor does.  It is chosen over LU with partial pivoting
   (dgetrf) for its block diagonal, which gives K's inertia on this path
   too, at little cost: over the 67 subproblems of the canonical grid's
   solves, dsytrf took 29% less time than SuperLU and dgetrf 30% less, for
@@ -645,12 +649,10 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
         primal = max(np.abs(r_y).max(initial=0.0),
                      np.abs(r_w).max(initial=0.0)) / max(
             1.0, np.abs(b).max(initial=0.0), np.abs(x).max(initial=0.0))
-        dual = None     # computed where the other tests pass, and kept
-        if max(primal, mu * scale) <= QP_TOLERANCE:
-            dual = dual_residual(r_x)
-            if dual <= QP_TOLERANCE:
-                converged = True
-                break
+        if max(primal, mu * scale) <= QP_TOLERANCE \
+                and dual_residual(r_x) <= QP_TOLERANCE:
+            converged = True
+            break
         # past 1 - mu s == 1 the fraction to the boundary is 1 (see above)
         if it == QP_ITERATIONS or 1.0 - mu * scale == 1.0:
             break
@@ -705,11 +707,8 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
     y_con[rows] = scale * y
     y_bnd = -(B @ d + g + J.T @ y_con)
     y_bnd[free] = scale * (z[nf:2 * nf] - z[:nf])
-    # every exit leaves the loop at the point its head tested
-    if dual is None:
-        dual = dual_residual(r_x)
-    return _QPResult(d, y_con, y_bnd, it, primal, dual, converged,
-                     factor_lost)
+    return _QPResult(d, y_con, y_bnd, it, primal, dual_residual(r_x),
+                     converged, factor_lost)
 
 
 def _violation(c, c_lo, c_hi):
@@ -821,15 +820,13 @@ def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveRep
                     "step_norm": float(step_norm),
                     "qp_iterations": qp.iterations})
 
-    def report(status, message, stat=None):
-        # at x, in the problem's units, from the evaluations x was judged
-        # on; stat, where given, is the loop head's at x
+    def report(status, message):
+        # at x, in the problem's units, from the evaluations x was judged on
         if J is None:   # the start point did not evaluate
             stat = violation = np.inf
         else:
-            if stat is None:
-                stat = _residuals(g, c, J, x, y_con, y_bnd,
-                                  c_lo, c_hi, z_lo, z_hi)[0]
+            stat = _residuals(g, c, J, x, y_con, y_bnd,
+                              c_lo, c_hi, z_lo, z_hi)[0]
             violation = max(_violation(c_raw, nlp.c_lo, nlp.c_hi),
                             _violation(s * x, nlp.z_lo, nlp.z_hi))
         return SolveReport(status=status, iterations=it, objective=f,
@@ -991,6 +988,4 @@ def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveRep
                    "from a QP subproblem that stopped at its iteration cap "
                    f"(last primal residual {last_rough.primal_res:.3g}, "
                    f"dual residual {last_rough.dual_res:.3g})")
-    # a converged solve ends at the point its loop head judged
-    return report(status, message,
-                  stat if status == "converged" else None)
+    return report(status, message)

@@ -838,7 +838,10 @@ class NLPProblem:
         differences of complex-step partials of the weighted node terms and
         endpoint functions, and the node terms' t0/tf borders from the first
         partials of the derivative pass.  A non-finite entry raises
-        EvaluationError naming its variable."""
+        EvaluationError naming its variable.  The data is the matrix's own;
+        its `indices` and `indptr` are the sparsity plan's, read-only and
+        shared by every Hessian the problem returns: a caller copies the
+        matrix to change its pattern in place (`eliminate_zeros`, say)."""
         z = np.asarray(z, dtype=float)
         y = np.asarray(y, dtype=float)
         self._derivatives(z)

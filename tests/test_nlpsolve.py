@@ -515,6 +515,37 @@ def test_a_zero_pivot_of_the_dense_factor_ends_the_subproblem_and_the_solve(
                            "lost a pivot")
 
 
+def test_a_zero_pivot_of_k_alone_is_passed_by_the_factor_of_k_plus_reg(
+        monkeypatch):
+    # B = [[1, 1], [1, 1]] is semidefinite, so the shift leaves it alone;
+    # in a box of +-1e6 the multipliers' Sigma falls below the rounding of
+    # B's scaled entries, K = B/s + Sigma rounds to a singular matrix, and
+    # its Bunch-Kaufman factor meets an exactly zero pivot.  The factor of
+    # K + diag(reg) takes over for that iteration and the subproblem goes
+    # on to the minimum nearest the middle of the box, d1 + d2 = 1
+    real = nlpsolve._bunch_kaufman
+    factored = []
+
+    def recorded(A):
+        try:
+            solve = real(A)
+        except RuntimeError:
+            factored.append(False)
+            raise
+        factored.append(True)
+        return solve
+
+    monkeypatch.setattr(nlpsolve, "_bunch_kaufman", recorded)
+    qp = nlpsolve._elastic_qp(np.ones((2, 2)), np.full(2, -1.0),
+                              np.zeros((0, 2)), np.zeros(0), np.zeros(0),
+                              np.full(2, -1e6), np.full(2, 1e6))
+    assert qp.converged and not qp.factor_lost
+    assert factored.count(False) == 1
+    assert factored[factored.index(False) + 1]
+    assert np.allclose(qp.d, [0.5, 0.5], rtol=0.0, atol=1e-8)
+    assert np.abs(qp.y_bnd).max() < 1e-8
+
+
 @pytest.mark.parametrize("J, bl, bu", [
     ([[1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0],
       [0.0, 1e7, 5e8, -8.5e8, 3.5e8, 0.0, -0.5]],
@@ -850,29 +881,11 @@ def test_dense_and_csr_solves_take_the_same_steps(monkeypatch):
     def refused(A):
         raise AssertionError("a canonical solve took the CSR path")
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nlpsolve, "_canonical_copy", refused)
-        dense = refined_from_every_start()
-    monkeypatch.setattr(nlpsolve, "DENSE_KKT_MAX", 0)
-    csr = refined_from_every_start()
-    assert len(dense) == len(csr) == 3 * 21
-    for a, b in zip(dense, csr):
-        assert a.status == b.status
-        assert len(a.solve_reports) == len(b.solve_reports)
-        for ra, rb in zip(a.solve_reports, b.solve_reports):
-            assert (ra.status, ra.iterations) == (rb.status, rb.iterations)
-            assert [row["qp_iterations"] for row in ra.log] \
-                == [row["qp_iterations"] for row in rb.log]
-        x_a, x_b = a.last_solve.x, b.last_solve.x
-        assert np.abs(x_a - x_b).max() <= 1e-13 * np.abs(x_b).max()
-
-
-def test_each_dense_direction_takes_one_back_solve(monkeypatch):
-    # the dense factor is of K itself, so each direction's first back-solve
+    # the dense path factors K itself, so each direction's first back-solve
     # meets the refinement's goal, 1e-10 of its right-hand side against K,
-    # and no second one is made.  A factor serves the affine direction,
-    # Mehrotra's corrector and at most one of a Gondzio corrector (computed
-    # only where its step could be kept) and a centring step
+    # and no second one is made.  Over the grid a factor serves 1-3
+    # directions (the affine one, Mehrotra's corrector and one more); 3 is
+    # what the grid shows, not a bound of the code
     real = nlpsolve._bunch_kaufman
     back_solves = []    # per factor
 
@@ -887,13 +900,24 @@ def test_each_dense_direction_takes_one_back_solve(monkeypatch):
             return sol
         return counted_solve
 
-    monkeypatch.setattr(nlpsolve, "_bunch_kaufman", counted)
-    for problem, mesh, tol in _canonical_starts():
-        refine_loop(problem, mesh, canonical.straight_line_guess,
-                    RefinementOptions(mesh_tolerance=tol, max_refinements=6),
-                    SolverOptions(tolerance=tol, max_iterations=200))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nlpsolve, "_canonical_copy", refused)
+        mp.setattr(nlpsolve, "_bunch_kaufman", counted)
+        dense = refined_from_every_start()
     assert len(back_solves) > 0
     assert 1 <= min(back_solves) and max(back_solves) <= 3
+    monkeypatch.setattr(nlpsolve, "DENSE_KKT_MAX", 0)
+    csr = refined_from_every_start()
+    assert len(dense) == len(csr) == 3 * 21
+    for a, b in zip(dense, csr):
+        assert a.status == b.status
+        assert len(a.solve_reports) == len(b.solve_reports)
+        for ra, rb in zip(a.solve_reports, b.solve_reports):
+            assert (ra.status, ra.iterations) == (rb.status, rb.iterations)
+            assert [row["qp_iterations"] for row in ra.log] \
+                == [row["qp_iterations"] for row in rb.log]
+        x_a, x_b = a.last_solve.x, b.last_solve.x
+        assert np.abs(x_a - x_b).max() <= 1e-13 * np.abs(x_b).max()
 
 
 class _CachedDerivatives(FunctionNLP):

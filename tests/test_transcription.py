@@ -510,6 +510,28 @@ def test_jacobian_shares_the_kept_arrays_and_cannot_change_them():
     assert np.array_equal(nlp.jacobian(z).toarray(), kept)
     assert np.array_equal(again.toarray(), kept)
 
+
+def test_hessian_shares_the_plans_index_arrays_and_cannot_change_them():
+    # each Hessian has data of its own on the sparsity plan's indices and
+    # indptr, which every Hessian shares read-only: an in-place change of
+    # the pattern raises, and a copy's pattern is the caller's
+    nlp = transcribe(_two_phase_linked(), [uniform_mesh(2, 3)] * 2)
+    z = _linked_point(nlp, 2)
+    y = np.ones(nlp.n_con)
+    H, again = nlp.hessian(z, y), nlp.hessian(z, y)
+    assert H.data.flags.writeable
+    assert not np.shares_memory(H.data, again.data)
+    for mine, theirs in ((H.indices, again.indices), (H.indptr, again.indptr)):
+        assert np.shares_memory(mine, theirs) and not mine.flags.writeable
+    kept = H.toarray()
+    with pytest.raises(ValueError, match="read-only"):
+        H.eliminate_zeros()
+    C = H.copy()
+    C.eliminate_zeros()
+    assert np.array_equal(C.toarray(), kept)
+    assert np.array_equal(nlp.hessian(z, y).toarray(), kept)
+
+
 def _nonlinear_phase_problem():
     """One phase with nonlinear dynamics, two path rows, an integrand and a
     running cost, each mixing states and controls."""
