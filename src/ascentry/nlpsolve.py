@@ -28,9 +28,12 @@ solve:
 - Above: canonical CSR (rows sorted by column, duplicates summed, explicit
   zeros dropped), scaled and masked in its `data`, the subproblem's blocks
   cut from its arrays; scaled rows sum in ascending column order.
-The two take the same steps to rounding: on every canonical start of the
-benchmark's grid, the same rounds, SQP and interior-point iterations and
-statuses, and final iterates within 6e-16 of their max norm.
+With the direct step (below) refused, the two take the same steps to
+rounding: on every canonical start of the benchmark's grid, the same
+rounds, SQP and interior-point iterations and statuses, and final iterates
+within 8e-16 of their max norm.  The dense path takes the direct step on
+every subproblem of that grid, the same rounds, SQP iterations and
+statuses, with final iterates within 2.9e-10 of the interior-point ones.
 
 The subproblem's Hessian B is that Hessian in the scaled units, with the
 rows and columns of box-fixed variables zeroed (their step is held at 0, so
@@ -66,11 +69,36 @@ violation, its violated rows' multipliers at +-W.  That is the answer an
 elastic-weight climb from 10 to a cap of 1e10 ends on in either case, in
 one solve.  The merit weight follows the returned multipliers.
 
-`_elastic_qp` solves it by Mehrotra's predictor-corrector (SIAM J. Optim.
-2(4), 1992).  Eliminating p, n and the row slacks leaves the quasi-definite
-matrix K = [B_f + Sigma, J'; J, -D] with D > 0 (Vanderbei, SIAM J. Optim.
-5, 1995), which factors stably under symmetric pivoting.  Its order n picks
-how a subproblem factors it, once:
+Where no bound, untied row or elastic variable is active at the answer,
+the answer is the equality-constrained Newton step: one solve of the KKT
+system over the free variables and the tied rows (Nocedal and Wright,
+Numerical Optimization, 2nd ed., 2006, sec. 16.1), the step an active-set
+method takes from an empty working set.  So on the dense path below
+(K's order n <= `DENSE_KKT_MAX`) `_elastic_qp` first solves
+[B_f, J_t'; J_t, 0] (d, y) = (-g, b_t) by one Bunch-Kaufman factor
+(`_direct_step`).  It keeps the step where the solve's residuals, measured
+as the interior-point loop measures its own, are within 1e-10, bl < d < bu
+strictly, every untied row lies strictly inside its sides and |y| < W.
+Those are the subproblem's KKT conditions with p = n = 0, the slacks inside
+and every bound multiplier 0, so for the convex B the step is the
+subproblem's solution, and it is returned as converged after 0
+interior-point iterations.  Every canonical subproblem is such a case: over
+a seed-1 round of the benchmark's canonical solves all 65 keep the step,
+and the round's 455 interior-point iterations fall to 0.  Elsewhere the
+interior-point loop runs as before.  On the dense path a refused step
+costs little: its factor takes 8 us at the canonical grid's median order
+of 32 (46 us at most), against about 170 us per interior-point iteration.
+The sparse path does not try it.  There one more factor would cost about a
+twentieth of the mission's subproblem, which factors K in each of its 20
+iterations, and the step would be refused: it leaves the box on 66 of the
+capped subproblem's 1,475 free variables and puts 4 of its 124 untied rows
+outside their sides.
+
+Otherwise `_elastic_qp` solves it by Mehrotra's predictor-corrector (SIAM
+J. Optim. 2(4), 1992).  Eliminating p, n and the row slacks leaves the
+quasi-definite matrix K = [B_f + Sigma, J'; J, -D] with D > 0 (Vanderbei,
+SIAM J. Optim. 5, 1995), which factors stably under symmetric pivoting.
+Its order n picks how a subproblem factors it, once:
 - n <= `DENSE_KKT_MAX`: K is a dense array, assembled from the dense
   blocks B_f and J_f (cut from CSR ones first where `solve` holds CSR);
   every subproblem of a dense solve is one, since n <= n_var + n_con.
@@ -139,10 +167,10 @@ for the refactor (its gather into the first factor's order and SuperLU):
   and Biegler, Math. Prog. 106, 2006): a fixed 0.995 caps each
   iteration's cut in the complementarity at 200x in the tail.
 With them the first mission subproblem takes 20 iterations (27 without),
-every subproblem of a canonical default-mesh solve 7 (13), and 40 capped
-SQP iterations from the mission guess 972 in all (1,127).  The later ones
-still take 22-27: a Hessian shifted by about 1e12 leaves a complementarity
-path of about 34 decades.
+every subproblem of a canonical default-mesh solve 7 (13) where the direct
+step is refused, and 40 capped SQP iterations from the mission guess 972 in
+all (1,127).  The later ones still take 22-27: a Hessian shifted by about
+1e12 leaves a complementarity path of about 34 decades.
 A corrected step that does not cut the complementarity gives way to a
 centring step.  The objective is divided by s = s_q^(2/3) W^(1/3),
 s_q = max(1, |g|, max |B|), so that neither the weight nor the quadratic
@@ -201,7 +229,8 @@ class SolveReport:
     message: str = ""
     # one row per SQP iteration that tried a step: iteration, objective,
     # feasibility, the accepted step's max norm (0 when rejected) and the
-    # subproblem's interior-point iterations
+    # subproblem's interior-point iterations (0 where it took the direct
+    # step)
     log: list[dict] = field(default_factory=list)
 
     @property
@@ -372,7 +401,10 @@ def _shift(B, diag: np.ndarray | None = None) -> float:
     `diag` in its data (`_with_diagonal`).  Each rung writes B_ii plus its
     shift into a copy of B and factors it: a dense one by Cholesky (LAPACK
     dpotrf, whose info is 0 exactly where every pivot is positive), a
-    sparse one by `_symmetric_lu`, whose U diagonal is read."""
+    sparse one by `_symmetric_lu`, whose U diagonal is read.  A rung that
+    leaves a diagonal entry <= 0 fails either factor, so it is skipped
+    unfactored: on the capped mission subproblem's Hessian that leaves 4
+    of its 10 sparse factors."""
     sparse = sp.issparse(B)
     values = B.data if sparse else B.reshape(-1)
     if not np.all(np.isfinite(values)):
@@ -390,17 +422,73 @@ def _shift(B, diag: np.ndarray | None = None) -> float:
     rung = M.data if sparse else M.reshape(-1)
     delta = 0.0
     while delta < gershgorin:
-        rung[diag] = on_diag + (delta + 1e-12 * b)
-        if sparse:
-            try:
-                if np.all(_symmetric_lu(M).U.diagonal() > 0.0):
-                    return delta
-            except RuntimeError:    # an exactly zero pivot
-                pass
-        elif lapack.dpotrf(M, lower=1)[1] == 0:
-            return delta
+        shifted = on_diag + (delta + 1e-12 * b)
+        # a rung with a diagonal entry <= 0 cannot pass, so it is not
+        # factored: a Cholesky pivot is that entry less a sum of squares,
+        # and a symmetric factor with every pivot positive would make the
+        # matrix positive definite
+        if shifted.min() > 0.0:
+            rung[diag] = shifted
+            if sparse:
+                try:
+                    if np.all(_symmetric_lu(M).U.diagonal() > 0.0):
+                        return delta
+                except RuntimeError:    # an exactly zero pivot
+                    pass
+            elif lapack.dpotrf(M, lower=1)[1] == 0:
+                return delta
         delta = max(10.0 * delta, 1e-8 * b)
     return delta
+
+
+def _direct_step(Q: np.ndarray, g: np.ndarray, Jf: np.ndarray,
+                 tied: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 bl: np.ndarray, bu: np.ndarray):
+    """The elastic subproblem's answer where no bound, untied row or
+    elastic variable is active at it, else None.  Over the free variables
+    (Q, g, Jf, bl and bu cut to them, lo and hi to Jf's rows), the step d
+    and the tied rows' multipliers y solve
+
+        [Q, Jt'; Jt, 0] (d, y) = (-g, lo_t),  Jt = Jf[tied],
+
+    by one Bunch-Kaufman factor.  They are kept where the solve's residual
+    against that matrix is within 1e-10 as the interior-point loop measures
+    it, bl < d < bu, every untied row lies strictly inside (lo, hi) and
+    |y| < W: then d, with p = n = 0, the slacks at the untied rows' values
+    and every bound multiplier 0, meets the subproblem's KKT conditions,
+    which for a convex Q are its solution.  Returns d, y and the relative
+    primal and dual residuals."""
+    nf, nt = len(g), int(tied.sum())
+    if nf == 0:
+        return None
+    Jt = Jf[tied]
+    A = np.zeros((nf + nt, nf + nt))
+    A[:nf, :nf] = Q
+    A[nf:, :nf] = Jt
+    A[:nf, nf:] = Jt.T
+    rhs = np.concatenate([-g, lo[tied]])
+    try:
+        sol = _bunch_kaufman(A)(rhs)
+    except RuntimeError:    # an exactly zero pivot
+        return None
+    res = rhs - A @ sol
+    d, y = sol[:nf], sol[nf:]
+    r = Jf[~tied] @ d
+    # the rows' residual against the largest of 1, the tie values and the
+    # unknowns, and the stationarity's against the largest term it sums,
+    # floored at one: each is at its rounding floor however large y is
+    # against the right-hand side
+    primal = np.abs(res[nf:]).max(initial=0.0) / max(
+        1.0, np.abs(rhs[nf:]).max(initial=0.0), np.abs(d).max(),
+        np.abs(r).max(initial=0.0))
+    terms = np.maximum.reduce([np.abs(g), np.abs(Q) @ np.abs(d),
+                               np.abs(Jt.T) @ np.abs(y), np.ones(nf)])
+    dual = float((np.abs(res[:nf]) / terms).max())
+    if not (max(primal, dual) <= 1e-10 and np.all(bl < d) and np.all(d < bu)
+            and np.all(lo[~tied] < r) and np.all(r < hi[~tied])
+            and np.all(np.abs(y) < ELASTIC_WEIGHT)):
+        return None
+    return d, y, primal, dual
 
 
 def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
@@ -410,9 +498,13 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
         min 1/2 d'Bd + g'd + W sum(p + n)
         s.t. lo <= J d + p - n <= hi,  bl <= d <= bu,  p, n >= 0,
 
-    W = `ELASTIC_WEIGHT`, by Mehrotra's primal-dual predictor-corrector
-    method, for B positive semidefinite and a finite box, B and J both
-    dense arrays or both CSR.
+    W = `ELASTIC_WEIGHT`, for B positive semidefinite and a finite box, B
+    and J both dense arrays or both CSR.  Where K (below) is dense, the
+    equality-constrained Newton step over the free variables and the tied
+    rows is tried first (`_direct_step`); where it is the answer it is
+    returned as converged after 0 iterations.  Otherwise, and where K is
+    sparse, it is solved by Mehrotra's primal-dual predictor-corrector
+    method.
     Returns the step d, the row multipliers y (|y| <= W) and the box
     multipliers y_bnd, signed as in `_residuals`: B d + g + J'y + y_bnd = 0.
 
@@ -443,6 +535,27 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
     else:
         Q, Jf = B[np.ix_(free, free)], J[np.ix_(sided, free)]
     JfT = Jf.T      # a view
+
+    def answer(d_f, y_r, y_free, *rest):
+        """The result in the problem's units: d from its free part, the
+        rows' multipliers y and the free variables' bound multipliers, the
+        fixed ones' from stationarity."""
+        d = np.zeros(len(g))
+        d[free] = d_f
+        y_con = np.zeros(len(lo))
+        y_con[rows] = y_r
+        y_bnd = -(B @ d + g + J.T @ y_con)
+        y_bnd[free] = y_free
+        return _QPResult(d, y_con, y_bnd, *rest)
+
+    if not sp.issparse(Q):
+        direct = _direct_step(Q, g[free], Jf, tied, lo_r, hi_r, bl[free],
+                              bu[free])
+        if direct is not None:
+            d_f, y_t, primal, dual = direct
+            y_r = np.zeros(mr)
+            y_r[tied] = y_t
+            return answer(d_f, y_r, 0.0, 0, primal, dual, True, False)
 
     # the objective over its scale s, a third of the way (on the log
     # scale) from the quadratic part's magnitude to the weight
@@ -701,14 +814,9 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
         w += a * dw
         z += a * dz
 
-    d = np.zeros(len(g))
-    d[free] = np.clip(x[:nf], bl[free], bu[free])
-    y_con = np.zeros(len(lo))
-    y_con[rows] = scale * y
-    y_bnd = -(B @ d + g + J.T @ y_con)
-    y_bnd[free] = scale * (z[nf:2 * nf] - z[:nf])
-    return _QPResult(d, y_con, y_bnd, it, primal, dual_residual(r_x),
-                     converged, factor_lost)
+    return answer(np.clip(x[:nf], bl[free], bu[free]), scale * y,
+                  scale * (z[nf:2 * nf] - z[:nf]), it, primal,
+                  dual_residual(r_x), converged, factor_lost)
 
 
 def _violation(c, c_lo, c_hi):

@@ -640,14 +640,16 @@ def test_the_benchmark_keeps_a_subproblem_on_each_side_of_the_dense_size(
         cfg, guess_setup, monkeypatch):
     # canonical-solve's subproblems (every problem refined from every mesh
     # of its 1-3 interval, degree 3-6 grid at 1e-6, and from its default
-    # mesh at 1e-8) have K of order 8-88: each of their interior-point
-    # iterations makes one dense factor and none makes a sparse one.
+    # mesh at 1e-8) have K of order 8-88: each direct step they try and
+    # each of their interior-point iterations makes one dense factor, and
+    # none makes a sparse one.
     # mission-sqp's K (order 2,817) takes SuperLU, and its first factor
     # keeps one negative pivot per row.  A canonical solve holds its
     # matrices as dense arrays throughout and makes no CSR copy, cut or
     # diagonal; the mission solve (n_var + n_con = 2,853) makes all three
     real_qp, real_bk = nlpsolve._elastic_qp, nlpsolve._bunch_kaufman
-    orders, iterations, dense = [], [], []
+    real_direct = nlpsolve._direct_step
+    orders, iterations, dense, direct = [], [], [], []
     csr_helpers, csr_calls = ("_canonical_copy", "_submatrix",
                               "_with_diagonal"), []
 
@@ -670,12 +672,17 @@ def test_the_benchmark_keeps_a_subproblem_on_each_side_of_the_dense_size(
         dense.append(True)
         return real_bk(*args)
 
+    def tried(Q, g, *args):
+        direct.append(len(g) > 0)   # with no free variable, no factor
+        return real_direct(Q, g, *args)
+
     def refused(*args):
         raise AssertionError("a canonical K took the sparse factor")
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nlpsolve, "_elastic_qp", recorded)
         mp.setattr(nlpsolve, "_bunch_kaufman", counted)
+        mp.setattr(nlpsolve, "_direct_step", tried)
         mp.setattr(nlpsolve, "_ordered_lu", refused)
         for name in csr_helpers:
             mp.setattr(nlpsolve, name, spied(name))
@@ -693,7 +700,8 @@ def test_the_benchmark_keeps_a_subproblem_on_each_side_of_the_dense_size(
     assert len(orders) >= 3 * 21
     assert min(orders) == 8 and max(orders) == 88
     assert max(orders) <= nlpsolve.DENSE_KKT_MAX
-    assert len(dense) == sum(iterations)
+    assert len(direct) == len(orders)
+    assert len(dense) == sum(iterations) + sum(direct)
     assert csr_calls == []
 
     nlp, z0 = guess_setup

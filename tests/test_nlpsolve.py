@@ -217,14 +217,27 @@ def test_iteration_log():
     assert rep.converged and rep.log
     assert all(set(row) == {"iteration", "objective", "feasibility",
                             "step_norm", "qp_iterations"} for row in rep.log)
-    assert all(0 < row["qp_iterations"] <= nlpsolve.QP_ITERATIONS
-               for row in rep.log)
+    # no bound binds in its subproblems: each takes the direct step, which
+    # counts no interior-point iteration
+    assert all(row["qp_iterations"] == 0 for row in rep.log)
     its = [row["iteration"] for row in rep.log]
     assert its[0] == 1 and its == sorted(set(its)) and its[-1] <= rep.iterations
     # each row is taken after its step: the last is the solver's answer
     last = rep.log[-1]
     assert last["objective"] == pytest.approx(rep.objective, abs=1e-12)
     assert last["feasibility"] <= 1e-6 < rep.log[0]["step_norm"]
+    # the first step of a bounded problem whose bound binds runs the
+    # interior-point method
+    box = solve(_bound_quadratic(), np.array([0.5]))
+    assert box.converged and box.log
+    assert 0 < box.log[0]["qp_iterations"] <= nlpsolve.QP_ITERATIONS
+
+
+def _bound_quadratic():
+    """min (z - 3)^2 in 0 <= z <= 2: the answer sits on the upper bound."""
+    return FunctionNLP(1, lambda z: float((z[0] - 3.0) ** 2),
+                       gradient=lambda z: 2.0 * (z - 3.0),
+                       z_lo=np.array([0.0]), z_hi=np.array([2.0]))
 
 
 def test_auto_scaling_from_bounds():
@@ -406,12 +419,19 @@ def test_elastic_qp_reaches_the_closed_form():
     assert np.allclose(qp.y_bnd, [1.75, 0.0, 0.0], rtol=0.0, atol=1e-8)
 
 
+def _refuse_direct_step(monkeypatch):
+    """Every subproblem runs the interior-point method."""
+    monkeypatch.setattr(nlpsolve, "_direct_step", lambda *args: None)
+
+
 def test_elastic_qp_stopped_at_its_cap_is_not_converged(monkeypatch):
     monkeypatch.setattr(nlpsolve, "QP_ITERATIONS", 3)
     qp = nlpsolve._elastic_qp(*_box_qp())
     assert qp.iterations == 3
     assert not qp.converged
-    # the solve takes such steps, and says so
+    # the solve takes such steps, and says so; its subproblems have no
+    # binding bound, so the direct step is refused to reach the cap
+    _refuse_direct_step(monkeypatch)
     rep = solve(_equality_qp(), np.array([3.0, -1.0]),
                 SolverOptions(max_iterations=2))
     assert rep.message.startswith("2 of 2 accepted steps came from a QP "
@@ -535,6 +555,7 @@ def test_a_zero_pivot_of_k_alone_is_passed_by_the_factor_of_k_plus_reg(
         factored.append(True)
         return solve
 
+    _refuse_direct_step(monkeypatch)
     monkeypatch.setattr(nlpsolve, "_bunch_kaufman", recorded)
     qp = nlpsolve._elastic_qp(np.ones((2, 2)), np.full(2, -1.0),
                               np.zeros((0, 2)), np.zeros(0), np.zeros(0),
@@ -736,7 +757,9 @@ def test_elastic_qp_meets_the_elastic_kkt_conditions(path, case):
 def test_canonical_subproblems_converge(name, monkeypatch):
     # every subproblem of a default-mesh solve meets its tolerance in at
     # most 7 interior-point iterations (13 before the elastic multipliers
-    # started at their price and the Gondzio corrector)
+    # started at their price and the Gondzio corrector), the direct step
+    # refused: it would take each of them in none
+    _refuse_direct_step(monkeypatch)
     real = nlpsolve._elastic_qp
     solved = []
 
@@ -864,6 +887,14 @@ def _canonical_starts():
             yield problem, mesh, tol
 
 
+def _refined_from_every_start():
+    return [refine_loop(problem, mesh, canonical.straight_line_guess,
+                        RefinementOptions(mesh_tolerance=tol,
+                                          max_refinements=6),
+                        SolverOptions(tolerance=tol, max_iterations=200))
+            for problem, mesh, tol in _canonical_starts()]
+
+
 def test_dense_and_csr_solves_take_the_same_steps(monkeypatch):
     # every canonical NLP has n_var + n_con <= DENSE_KKT_MAX, so its whole
     # iteration runs on dense arrays; with DENSE_KKT_MAX at 0 it runs on
@@ -871,17 +902,11 @@ def test_dense_and_csr_solves_take_the_same_steps(monkeypatch):
     # the shift's rungs by other factors, and that is all: every start takes
     # the same rounds, SQP and interior-point iterations, to the same status
     # and iterates equal to rounding
-    def refined_from_every_start():
-        return [refine_loop(problem, mesh, canonical.straight_line_guess,
-                            RefinementOptions(mesh_tolerance=tol,
-                                              max_refinements=6),
-                            SolverOptions(tolerance=tol, max_iterations=200))
-                for problem, mesh, tol in _canonical_starts()]
-
     def refused(A):
         raise AssertionError("a canonical solve took the CSR path")
 
-    # the dense path factors K itself, so each direction's first back-solve
+    # both run the interior-point method: the direct step is refused.  The
+    # dense path factors K itself, so each direction's first back-solve
     # meets the refinement's goal, 1e-10 of its right-hand side against K,
     # and no second one is made.  Over the grid a factor serves 1-3
     # directions (the affine one, Mehrotra's corrector and one more); 3 is
@@ -900,14 +925,15 @@ def test_dense_and_csr_solves_take_the_same_steps(monkeypatch):
             return sol
         return counted_solve
 
+    _refuse_direct_step(monkeypatch)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nlpsolve, "_canonical_copy", refused)
         mp.setattr(nlpsolve, "_bunch_kaufman", counted)
-        dense = refined_from_every_start()
+        dense = _refined_from_every_start()
     assert len(back_solves) > 0
     assert 1 <= min(back_solves) and max(back_solves) <= 3
     monkeypatch.setattr(nlpsolve, "DENSE_KKT_MAX", 0)
-    csr = refined_from_every_start()
+    csr = _refined_from_every_start()
     assert len(dense) == len(csr) == 3 * 21
     for a, b in zip(dense, csr):
         assert a.status == b.status
@@ -1072,3 +1098,119 @@ def test_with_diagonal_stores_the_whole_diagonal_and_nothing_else(case):
     assert B.nnz == A.nnz + n - on.sum()
     assert np.array_equal(B.data[diag], A.diagonal())
     assert (B is A) == (on.sum() == n)
+
+
+def test_every_grid_subproblem_takes_the_direct_step(monkeypatch):
+    # the canonical problems are linear-quadratic with only tied rows, and
+    # from every start of the grid each subproblem's equality-constrained
+    # step lies inside its box with multipliers below the weight: all 71
+    # take the direct step and no interior-point iteration.  Refused, the
+    # interior-point method takes the same rounds, SQP iterations and
+    # statuses, to final iterates within 1e-9 relative
+    real = nlpsolve._direct_step
+    kept = []
+
+    def recorded(*args):
+        step = real(*args)
+        kept.append(step is not None)
+        return step
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nlpsolve, "_direct_step", recorded)
+        direct = _refined_from_every_start()
+    assert kept == [True] * 71
+    _refuse_direct_step(monkeypatch)
+    interior = _refined_from_every_start()
+    assert len(direct) == len(interior) == 3 * 21
+    for a, b in zip(direct, interior):
+        assert a.status == b.status
+        assert len(a.solve_reports) == len(b.solve_reports)
+        for ra, rb in zip(a.solve_reports, b.solve_reports):
+            assert (ra.status, ra.iterations) == (rb.status, rb.iterations)
+            assert all(row["qp_iterations"] == 0 for row in ra.log)
+            assert all(row["qp_iterations"] > 0 for row in rb.log)
+        x_a, x_b = a.last_solve.x, b.last_solve.x
+        assert np.abs(x_a - x_b).max() <= 1e-9 * np.abs(x_b).max()
+
+
+def _elastic_qp_both_ways(monkeypatch, args):
+    """_elastic_qp(*args) as it runs, the direct step's return in it, and
+    _elastic_qp(*args) with the direct step refused."""
+    real = nlpsolve._direct_step
+    steps = []
+
+    def recorded(*inner):
+        steps.append(real(*inner))
+        return steps[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nlpsolve, "_direct_step", recorded)
+        qp = nlpsolve._elastic_qp(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        _refuse_direct_step(mp)
+        interior = nlpsolve._elastic_qp(*args)
+    return qp, steps, interior
+
+
+def test_the_direct_step_is_the_interior_point_answer_where_nothing_binds(
+        monkeypatch):
+    # min d'd + g'd with d0 + d1 = 1 tied, in a box of +-10: the answer is
+    # the Newton-KKT step, well inside the box, which takes no
+    # interior-point iteration
+    args = (sp.csr_matrix(2.0 * np.eye(2)), np.array([1.0, -1.0]),
+            sp.csr_matrix(np.ones((1, 2))), np.array([1.0]), np.array([1.0]),
+            np.full(2, -10.0), np.full(2, 10.0))
+    qp, steps, interior = _elastic_qp_both_ways(monkeypatch, args)
+    assert len(steps) == 1 and steps[0] is not None
+    assert qp.converged and not qp.factor_lost and qp.iterations == 0
+    assert max(qp.primal_res, qp.dual_res) <= 1e-10
+    # 2 d + g + y = 0 and d0 + d1 = 1: d = (0, 1), y = -1
+    assert np.allclose(qp.d, [0.0, 1.0], rtol=0.0, atol=1e-14)
+    assert np.allclose(qp.y, [-1.0], rtol=0.0, atol=1e-14)
+    assert np.array_equal(qp.y_bnd, np.zeros(2))
+    assert interior.converged and interior.iterations > 0
+    assert np.allclose(qp.d, interior.d, rtol=0.0, atol=1e-9)
+    assert np.allclose(qp.y, interior.y, rtol=0.0, atol=1e-9)
+
+
+def _active_row():
+    # min 1/2|d|^2 - d0 s.t. d0 + d1 <= 0.5 in a box of +-2: the Newton
+    # step (1, 0) breaks the row, the answer (0.75, -0.25) sits on it
+    return (sp.identity(2, format="csr"), np.array([-1.0, 0.0]),
+            sp.csr_matrix(np.ones((1, 2))), np.array([-np.inf]),
+            np.array([0.5]), np.full(2, -2.0), np.full(2, 2.0))
+
+
+def _elastic_tie():
+    # 1/2 1e11 d^2 with d = 1 tied, in a box of +-10: the tie's multiplier
+    # would be -1e11, past the weight, so the row is left short at d = 0.1
+    return (sp.csr_matrix([[1e11]]), np.zeros(1), sp.csr_matrix([[1.0]]),
+            np.array([1.0]), np.array([1.0]), np.array([-10.0]),
+            np.array([10.0]))
+
+
+def _singular():
+    # B = [[1, 1], [1, 1]] and no rows: the KKT matrix is B, singular
+    return (np.ones((2, 2)), np.full(2, -1.0), np.zeros((0, 2)), np.zeros(0),
+            np.zeros(0), np.full(2, -1e6), np.full(2, 1e6))
+
+
+def _all_fixed():
+    # every variable fixed by its box, so nothing is free to step
+    return (sp.identity(2, format="csr"), np.array([1.0, -1.0]),
+            sp.csr_matrix([[1.0, 2.0]]), np.array([0.5]), np.array([0.5]),
+            np.zeros(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("make", [_box_qp, _active_row, _elastic_tie,
+                                  _singular, _all_fixed],
+                         ids=["active_bound", "active_row", "elastic_tie",
+                              "singular", "all_fixed"])
+def test_a_refused_direct_step_falls_through_to_the_interior_point_answer(
+        monkeypatch, make):
+    qp, steps, interior = _elastic_qp_both_ways(monkeypatch, make())
+    assert steps == [None]
+    assert qp.converged and qp.iterations > 0
+    assert qp.iterations == interior.iterations
+    for name in ("d", "y", "y_bnd"):
+        assert np.array_equal(getattr(qp, name), getattr(interior, name))
