@@ -159,8 +159,8 @@ for the refactor (its gather into the first factor's order and SuperLU):
   back-solve on the same factor gives the direction, kept only where its
   step is at least 1.01 a.  So it is computed only where 1.01 a <= 1, as
   no step exceeds 1: in 359 of the 390 corrected steps of one seed-1
-  round of the benchmark's canonical solves it could not be kept, and in
-  5 of the 19 of the capped mission subproblem.  Without it the middle
+  round of the benchmark's canonical solves, the direct step refused, it
+  could not be kept, and in 5 of the 19 of the capped mission subproblem.  Without it the middle
   iterations are poorly centred: steps of 0.3-0.8, the complementarity
   falling 2-4x each.
 - The fraction to the boundary is tau = max(0.995, 1 - mu s) (Waechter

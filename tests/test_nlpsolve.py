@@ -822,6 +822,33 @@ def test_shift_removes_the_negative_eigenvalues(seed, form):
         assert np.linalg.eigvalsh(B.toarray() + delta / 10 * np.eye(7)).min() < 0
 
 
+@pytest.mark.parametrize("form", ["csr", "dense"])
+def test_shift_factors_no_rung_that_leaves_a_diagonal_entry_at_or_below_0(
+        form, monkeypatch):
+    # B_00 = -1e-3: the rungs 0 and 1e-8 to 1e-4 leave it <= 0, so no
+    # factor can pass them and none is made; 1e-3, 1e-2 and 1e-1 are
+    # factored and fail, and 1 passes the Gershgorin bound (0.501) untested
+    B = sp.csr_matrix([[-1e-3, 0.5], [0.5, 1.0]])
+    diagonals = []
+    real_lu, real_potrf = nlpsolve._symmetric_lu, nlpsolve.lapack.dpotrf
+
+    def lu(M, *args):
+        diagonals.append(M.diagonal())
+        return real_lu(M, *args)
+
+    def potrf(M, **kwargs):
+        diagonals.append(M.diagonal().copy())
+        return real_potrf(M, **kwargs)
+
+    monkeypatch.setattr(nlpsolve, "_symmetric_lu", lu)
+    monkeypatch.setattr(nlpsolve.lapack, "dpotrf", potrf)
+    delta = (nlpsolve._shift(*nlpsolve._with_diagonal(B)) if form == "csr"
+             else nlpsolve._shift(B.toarray()))
+    assert delta == 1.0
+    assert len(diagonals) == 3
+    assert all(np.all(diagonal > 0.0) for diagonal in diagonals)
+
+
 @pytest.mark.parametrize("name", sorted(canonical.CANONICAL_PROBLEMS))
 def test_canonical_default_mesh_converges_in_newton_steps(name):
     # the canonical problems are linear-quadratic, so the Newton step on
@@ -1133,7 +1160,7 @@ def test_every_grid_subproblem_takes_the_direct_step(monkeypatch):
         assert np.abs(x_a - x_b).max() <= 1e-9 * np.abs(x_b).max()
 
 
-def _elastic_qp_both_ways(monkeypatch, args):
+def _elastic_qp_both_ways(args):
     """_elastic_qp(*args) as it runs, the direct step's return in it, and
     _elastic_qp(*args) with the direct step refused."""
     real = nlpsolve._direct_step
@@ -1152,15 +1179,14 @@ def _elastic_qp_both_ways(monkeypatch, args):
     return qp, steps, interior
 
 
-def test_the_direct_step_is_the_interior_point_answer_where_nothing_binds(
-        monkeypatch):
+def test_the_direct_step_is_the_interior_point_answer_where_nothing_binds():
     # min d'd + g'd with d0 + d1 = 1 tied, in a box of +-10: the answer is
     # the Newton-KKT step, well inside the box, which takes no
     # interior-point iteration
     args = (sp.csr_matrix(2.0 * np.eye(2)), np.array([1.0, -1.0]),
             sp.csr_matrix(np.ones((1, 2))), np.array([1.0]), np.array([1.0]),
             np.full(2, -10.0), np.full(2, 10.0))
-    qp, steps, interior = _elastic_qp_both_ways(monkeypatch, args)
+    qp, steps, interior = _elastic_qp_both_ways(args)
     assert len(steps) == 1 and steps[0] is not None
     assert qp.converged and not qp.factor_lost and qp.iterations == 0
     assert max(qp.primal_res, qp.dual_res) <= 1e-10
@@ -1195,6 +1221,15 @@ def _singular():
             np.zeros(0), np.full(2, -1e6), np.full(2, 1e6))
 
 
+def _rounding_floor():
+    # one tie whose coefficients near 1e9 nearly cancel: the solve misses
+    # it by 2.4e-9 (its step and tie are below 1), past 1e-10, and the
+    # interior-point method, on the same rounding floor, stops unconverged
+    return (sp.identity(3, format="csr"), np.array([-0.3, 0.05, 0.4]),
+            sp.csr_matrix([[1e9, -1e9 * (1 + 1e-9), 3.0]]), np.array([0.06]),
+            np.array([0.06]), np.full(3, -1.0), np.full(3, 1.0))
+
+
 def _all_fixed():
     # every variable fixed by its box, so nothing is free to step
     return (sp.identity(2, format="csr"), np.array([1.0, -1.0]),
@@ -1203,14 +1238,16 @@ def _all_fixed():
 
 
 @pytest.mark.parametrize("make", [_box_qp, _active_row, _elastic_tie,
-                                  _singular, _all_fixed],
+                                  _singular, _rounding_floor, _all_fixed],
                          ids=["active_bound", "active_row", "elastic_tie",
-                              "singular", "all_fixed"])
+                              "singular", "rounding_floor", "all_fixed"])
 def test_a_refused_direct_step_falls_through_to_the_interior_point_answer(
-        monkeypatch, make):
-    qp, steps, interior = _elastic_qp_both_ways(monkeypatch, make())
+        make):
+    qp, steps, interior = _elastic_qp_both_ways(make())
     assert steps == [None]
-    assert qp.converged and qp.iterations > 0
-    assert qp.iterations == interior.iterations
+    assert qp.iterations > 0
+    assert qp.converged == (make is not _rounding_floor)
+    assert (qp.iterations, qp.converged) \
+        == (interior.iterations, interior.converged)
     for name in ("d", "y", "y_bnd"):
         assert np.array_equal(getattr(qp, name), getattr(interior, name))
