@@ -16,23 +16,26 @@ into a matrix the problem returned and the iterates do not depend on how
 it stores its entries.  The problem's size picks the copy's form, once per
 solve:
 - n_var + n_con <= `DENSE_KKT_MAX`: a dense array (`toarray()`, which sums
-  duplicates).  The whole iteration runs on such arrays: the scaling by
+  duplicates).  The SQP iteration runs on such arrays: the scaling by
   broadcasting, the box-fixed rows and columns zeroed by index, the shift's
-  rungs tested by Cholesky, the subproblem's blocks cut by index and K
-  assembled from them, and every product a BLAS one.  At these sizes
-  scipy.sparse's Python layer costs more than the arithmetic: over one
-  seed-1 round of the benchmark's canonical solves (n_var + n_con = 12-94),
-  the CSR path made 2,405 sparse products and 1,560 sparse-matrix
-  constructions, the dense path 130 and 390, all of them the problem's
-  own (its transcription and evaluations).
+  rungs tested by Cholesky, the subproblem's blocks cut by index and its
+  direct step (below) solved on them, and every product a BLAS one.  At
+  these sizes scipy.sparse's Python layer costs more than the arithmetic:
+  over one seed-1 round of the benchmark's canonical solves
+  (n_var + n_con = 12-94), the CSR path made 2,405 sparse products and
+  1,560 sparse-matrix constructions, the dense path 130 and 390, all of
+  them the problem's own (its transcription and evaluations).
 - Above: canonical CSR (rows sorted by column, duplicates summed, explicit
   zeros dropped), scaled and masked in its `data`, the subproblem's blocks
   cut from its arrays; scaled rows sum in ascending column order.
-With the direct step (below) refused, the two take the same steps to
-rounding: on every canonical start of the benchmark's grid, the same
-rounds, SQP and interior-point iterations and statuses, and final iterates
-within 8e-16 of their max norm.  The dense path takes the direct step on
-every subproblem of that grid, the same rounds, SQP iterations and
+`_elastic_qp` follows the form it is handed.  Its interior-point loop runs
+on CSR blocks in both: a dense subproblem whose direct step is refused
+hands it CSR copies of its blocks.  With the direct step refused, the two
+forms take the same steps to rounding: on every canonical start of the
+benchmark's grid, the same rounds, SQP and interior-point iterations and
+statuses, and the same final iterates (equal with one BLAS thread, within
+1e-13 of their max norm as tested).  The dense form takes the direct step
+on every subproblem of that grid, the same rounds, SQP iterations and
 statuses, with final iterates within 2.9e-10 of the interior-point ones.
 
 The subproblem's Hessian B is that Hessian in the scaled units, with the
@@ -73,79 +76,49 @@ Where no bound, untied row or elastic variable is active at the answer,
 the answer is the equality-constrained Newton step: one solve of the KKT
 system over the free variables and the tied rows (Nocedal and Wright,
 Numerical Optimization, 2nd ed., 2006, sec. 16.1), the step an active-set
-method takes from an empty working set.  So on the dense path below
-(K's order n <= `DENSE_KKT_MAX`) `_elastic_qp` first solves
-[B_f, J_t'; J_t, 0] (d, y) = (-g, b_t) by one Bunch-Kaufman factor
-(`_direct_step`).  It keeps the step where the solve's residuals, measured
-as the interior-point loop measures its own, are within 1e-10, bl < d < bu
-strictly, every untied row lies strictly inside its sides and |y| < W.
-Those are the subproblem's KKT conditions with p = n = 0, the slacks inside
-and every bound multiplier 0, so for the convex B the step is the
-subproblem's solution, and it is returned as converged after 0
-interior-point iterations.  Every canonical subproblem is such a case: over
-a seed-1 round of the benchmark's canonical solves all 65 keep the step,
-and the round's 455 interior-point iterations fall to 0.  Elsewhere the
-interior-point loop runs as before.  On the dense path a refused step
-costs little: its factor takes 8 us at the canonical grid's median order
-of 32 (46 us at most), against about 170 us per interior-point iteration.
-The sparse path does not try it.  There one more factor would cost about a
-twentieth of the mission's subproblem, which factors K in each of its 20
-iterations, and the step would be refused: it leaves the box on 66 of the
-capped subproblem's 1,475 free variables and puts 4 of its 124 untied rows
-outside their sides.
+method takes from an empty working set.  So where `solve` holds dense
+arrays `_elastic_qp` first solves [B_f, J_t'; J_t, 0] (d, y) = (-g, b_t)
+by one Bunch-Kaufman factor (LAPACK dsytrf; Bunch and Kaufman, Math. Comp.
+31, 1977; `_direct_step`).  It keeps the step where the solve's residuals,
+measured as the interior-point loop measures its own, are within 1e-10,
+bl < d < bu strictly, every untied row lies strictly inside its sides and
+|y| < W.  Those are the subproblem's KKT conditions with p = n = 0, the
+slacks inside and every bound multiplier 0, so for the convex B the step
+is the subproblem's solution, and it is returned as converged after 0
+interior-point iterations.  Every canonical subproblem is such a case:
+over a seed-1 round of the benchmark's canonical solves all 65 keep the
+step, and the round's 455 interior-point iterations fall to 0.  Elsewhere
+the interior-point loop runs as before.  A refused step costs little: its
+factor takes 8 us at the canonical grid's median order of 32 (46 us at
+most).  A CSR solve does not try it.  There one more factor would cost
+about a twentieth of the mission's subproblem, which factors K in each of
+its 20 iterations, and the step would be refused: it leaves the box on 66
+of the capped subproblem's 1,475 free variables and puts 4 of its 124
+untied rows outside their sides.
 
 Otherwise `_elastic_qp` solves it by Mehrotra's predictor-corrector (SIAM
 J. Optim. 2(4), 1992).  Eliminating p, n and the row slacks leaves the
 quasi-definite matrix K = [B_f + Sigma, J'; J, -D] with D > 0 (Vanderbei,
 SIAM J. Optim. 5, 1995), which factors stably under symmetric pivoting.
-Its order n picks how a subproblem factors it, once:
-- n <= `DENSE_KKT_MAX`: K is a dense array, assembled from the dense
-  blocks B_f and J_f (cut from CSR ones first where `solve` holds CSR);
-  every subproblem of a dense solve is one, since n <= n_var + n_con.
-  Each iteration factors K itself by Bunch-Kaufman (LAPACK dsytrf; Bunch
-  and Kaufman, Math. Comp. 31, 1977), back-solves with dsytrs and checks
-  each solve against K with a dense product, refining where it misses by
-  more than 1e-10.  The factor pivots, so K needs no regularization here,
-  and each direction's first solve meets 1e-10: one back-solve per
-  direction, where a factor of K + diag(reg) would miss K and refine with
-  a second.  Only where K has an exactly zero pivot is K + diag(reg)
-  factored.  A rank-deficient B_f makes one once Sigma falls below its
-  rounding, as it does on the variables a wide box leaves far from their
-  bounds: B = [[1, 1], [1, 1]] in a box of +-1e6 does at its 12th
-  iteration, and its factor of K + diag(reg) carries the subproblem on to
-  convergence.  Where that factor has one too, the subproblem ends as the
-  loss of every sparse factor does.  It is chosen over LU with partial pivoting
-  (dgetrf) for its block diagonal, which gives K's inertia on this path
-  too, at little cost: over the 67 subproblems of the canonical grid's
-  solves, dsytrf took 29% less time than SuperLU and dgetrf 30% less, for
-  the same interior-point iterations and steps equal to 1.1e-15 relative.
-- Above, `_symmetric_lu` factors K + diag(reg) without pivoting, reg
-  1e-9 times the quadratic part's magnitude on the variables' block and
-  -1e-9 on the rows'; its U has exactly one negative pivot per row.  K's
-  pattern is the same in every iteration of a subproblem, so its first
-  factor makes the one minimum-degree order and the later ones factor
-  K + diag(reg), permuted into that order, as it stands (`_ordered_lu`).
-  Every symmetric factor runs one-column SuperLU panels with supernodes
-  relaxed to 2 columns: the LGR interval blocks give K narrow supernodes,
-  and on the mission's K (n = 2,817) a natural-order factor takes
-  3.3-4.1 ms with these settings against 5.1-6.1 ms with SuperLU's
-  wide-supernode defaults, for the same fill and pivot signs.
-  Each solve is refined against K.  Where a symmetric factor, refined,
-  misses K by more than 1e-10, a partially pivoted factor of
-  K + diag(reg), at SuperLU's defaults, takes over for the iteration;
-  where that loses a pivot too, the subproblem ends with its last
-  iterate, flagged as at its cap.
-The two paths cost the same per interior-point iteration (factor, its
-back-solves and the products) at n of about 140, where `DENSE_KKT_MAX`
-sits, as measured while the dense path factored K + diag(reg) and so made
-two back-solves per direction.  On the first subproblem of canonical solves
-from uniform meshes, with one BLAS thread (medians of 15 alternating
-repetitions), the dense iteration took 0.64-0.86 of the sparse one's time
-at n = 53-89, 0.85-0.91 at n = 98-125, 0.91-1.13 at n = 143-161, 1.12-1.18
-at n = 178-208 and 1.4-1.6 at n = 238-268; in best-of-5 timings it took
-2.2-2.9 times as long at n = 287-359, where dsytrf's n^3 takes over.  The
-canonical problems' K, refined from every start mesh of the benchmark's
-grid, have n = 8-88 (median 32); the mission's has 2,817.
+Its n x n pattern, one CSC matrix, is the same in every iteration of a
+subproblem.  `_symmetric_lu` factors K + diag(reg) without pivoting, reg
+1e-9 times the quadratic part's magnitude on the variables' block and
+-1e-9 on the rows'; its U has exactly one negative pivot per row.  The
+first factor makes the one minimum-degree order and the later ones factor
+K + diag(reg), permuted into that order, as it stands (`_ordered_lu`).
+Every symmetric factor runs one-column SuperLU panels with supernodes
+relaxed to 2 columns: the LGR interval blocks give K narrow supernodes,
+and on the mission's K (n = 2,817) a natural-order factor takes 3.3-4.1 ms
+with these settings against 5.1-6.1 ms with SuperLU's wide-supernode
+defaults, for the same fill and pivot signs.  Each solve is refined
+against K.  Where a symmetric factor, refined, misses K by more than
+1e-10, a partially pivoted factor of K + diag(reg), at SuperLU's defaults,
+takes over for the iteration; where that loses a pivot too, the subproblem
+ends with its last iterate, flagged as at its cap.  The regularization
+also carries a rank-deficient B_f past the iterations where Sigma falls
+below its rounding and K itself is singular, as it does on the variables a
+wide box leaves far from their bounds: B = [[1, 1], [1, 1]] in a box of
++-1e6 converges in 12 iterations.
 
 Three choices cut the iterations, and so the factors, since on the
 mission's K a back-solve on a factor costs 0.14-0.26 ms against 3.8-5.0 ms
@@ -200,8 +173,9 @@ ELASTIC_WEIGHT = 1e10   # the price of a unit of linearized row violation
 QP_TOLERANCE = 1e-9     # relative KKT residuals of a converged subproblem,
                         # and its mean complementarity in objective units
 QP_ITERATIONS = 60      # interior-point iterations per subproblem
-DENSE_KKT_MAX = 140     # the largest KKT order factored densely, and the
-                        # largest n_var + n_con solved on dense arrays
+DENSE_KKT_MAX = 140     # the largest n_var + n_con that `solve` holds as
+                        # dense arrays, where its subproblems try the
+                        # direct step
 
 
 @dataclass
@@ -499,12 +473,13 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
         s.t. lo <= J d + p - n <= hi,  bl <= d <= bu,  p, n >= 0,
 
     W = `ELASTIC_WEIGHT`, for B positive semidefinite and a finite box, B
-    and J both dense arrays or both CSR.  Where K (below) is dense, the
+    and J both dense arrays or both CSR: `solve` picks the form by the
+    problem's size, and this follows it.  Dense blocks try the
     equality-constrained Newton step over the free variables and the tied
-    rows is tried first (`_direct_step`); where it is the answer it is
-    returned as converged after 0 iterations.  Otherwise, and where K is
-    sparse, it is solved by Mehrotra's primal-dual predictor-corrector
-    method.
+    rows first (`_direct_step`); where it is the answer it is returned as
+    converged after 0 iterations.  Otherwise, and for CSR blocks, it is
+    solved by Mehrotra's primal-dual predictor-corrector method, on CSR
+    blocks (copied from dense ones) and one sparse factor of K.
     Returns the step d, the row multipliers y (|y| <= W) and the box
     multipliers y_bnd, signed as in `_residuals`: B d + g + J'y + y_bnd = 0.
 
@@ -527,14 +502,12 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
     at = nf + 2 * mr            # the first slack in x
     N = at + len(slack)
     n_k = nf + mr               # K's order
-    # the blocks, dense where K is (a CSR B and J are cut first)
-    if sp.issparse(B):
-        Q, Jf = _submatrix(B, free, free), _submatrix(J, sided, free)
-        if n_k <= DENSE_KKT_MAX:
-            Q, Jf = Q.toarray(), Jf.toarray()
-    else:
+    # the blocks, cut in B's form
+    dense = not sp.issparse(B)
+    if dense:
         Q, Jf = B[np.ix_(free, free)], J[np.ix_(sided, free)]
-    JfT = Jf.T      # a view
+    else:
+        Q, Jf = _submatrix(B, free, free), _submatrix(J, sided, free)
 
     def answer(d_f, y_r, y_free, *rest):
         """The result in the problem's units: d from its free part, the
@@ -548,7 +521,7 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
         y_bnd[free] = y_free
         return _QPResult(d, y_con, y_bnd, *rest)
 
-    if not sp.issparse(Q):
+    if dense:
         direct = _direct_step(Q, g[free], Jf, tied, lo_r, hi_r, bl[free],
                               bu[free])
         if direct is not None:
@@ -556,11 +529,13 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
             y_r = np.zeros(mr)
             y_r[tied] = y_t
             return answer(d_f, y_r, 0.0, 0, primal, dual, True, False)
+        Q, Jf = sp.csr_matrix(Q), sp.csr_matrix(Jf)
+    JfT = Jf.T
 
     # the objective over its scale s, a third of the way (on the log
     # scale) from the quadratic part's magnitude to the weight
     s_q = max(1.0, float(np.abs(g).max(initial=0.0)),
-              float(np.abs(B.data if sp.issparse(B) else B).max(initial=0.0)))
+              float(np.abs(B if dense else B.data).max(initial=0.0)))
     scale = s_q ** (2.0 / 3.0) * ELASTIC_WEIGHT ** (1.0 / 3.0)
     Q *= 1.0 / scale
     cost = np.concatenate([g[free] / scale,
@@ -585,71 +560,53 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
         return r
 
     # K = [Q + Sigma_d, Jf'; Jf, -D], its off-diagonal entries once and its
-    # diagonal each iteration; every solve is refined against K.  The dense
-    # factor is of K itself, the sparse ones of K + diag(reg)
+    # diagonal each iteration; each factor is of K + diag(reg), and every
+    # solve is refined against K
     reg = np.concatenate([np.full(nf, 1e-9 * s_q / scale), np.full(mr, -1e-9)])
-    if not sp.issparse(Q):
-        K = np.zeros((n_k, n_k))
-        K[:nf, :nf] = Q
-        K[nf:, :nf] = Jf
-        K[:nf, nf:] = JfT
-        K_values, diag = K.reshape(-1), np.arange(n_k) * (n_k + 1)
+    # the pattern once, in canonical CSC from the blocks' coordinates: Q's
+    # nonzeros off the diagonal, Jf's entries twice and the whole diagonal
+    q_row, j_row = _entry_rows(Q), nf + _entry_rows(Jf)
+    off = (Q.data != 0.0) & (Q.indices != q_row)
+    whole = np.arange(n_k)
+    k_row = np.concatenate([q_row[off], Jf.indices, j_row, whole])
+    k_col = np.concatenate([Q.indices[off], j_row, Jf.indices, whole])
+    order = _column_order(k_row, k_col, n_k)
+    k_row, k_col = k_row[order], k_col[order]
+    K = sp.csc_matrix(
+        (np.concatenate([Q.data[off], Jf.data, Jf.data, np.zeros(n_k)])[order],
+         k_row, np.searchsorted(k_col, np.arange(n_k + 1))),
+        shape=(n_k, n_k))
+    K_values, diag = K.data, np.flatnonzero(k_row == k_col)
+    reorder = None  # factor() in the order of the first symmetric factor
 
-        def factor():
-            """The Bunch-Kaufman factor's solve of K, or of K + diag(reg)
-            where K has an exactly zero pivot, refined against K."""
-            try:
-                solve = _bunch_kaufman(K)
-            except RuntimeError:
-                solve = _bunch_kaufman(K + np.diag(reg))
-            return lambda rhs: refined(solve, rhs)[0]
-    else:
-        # the pattern once, in canonical CSC from the blocks' coordinates:
-        # Q's nonzeros off the diagonal, Jf's entries twice and the whole
-        # diagonal
-        q_row, j_row = _entry_rows(Q), nf + _entry_rows(Jf)
-        off = (Q.data != 0.0) & (Q.indices != q_row)
-        whole = np.arange(n_k)
-        k_row = np.concatenate([q_row[off], Jf.indices, j_row, whole])
-        k_col = np.concatenate([Q.indices[off], j_row, Jf.indices, whole])
-        order = _column_order(k_row, k_col, n_k)
-        k_row, k_col = k_row[order], k_col[order]
-        K = sp.csc_matrix(
-            (np.concatenate([Q.data[off], Jf.data, Jf.data,
-                             np.zeros(n_k)])[order],
-             k_row, np.searchsorted(k_col, np.arange(n_k + 1))),
-            shape=(n_k, n_k))
-        K_values, diag = K.data, np.flatnonzero(k_row == k_col)
-        reorder = None  # factor() in the order of the first symmetric factor
+    def factor():
+        """The symmetric factor of K + diag(reg)'s refined solve where it
+        solves K to 1e-10, else a partially pivoted factor of K + diag(reg),
+        made on the iteration's first such solve and refined against K."""
+        nonlocal reorder
+        solve = None
+        K_values[diag] += reg
+        try:
+            if reorder is None:
+                lu = _symmetric_lu(K)
+                reorder, solve = _ordered_lu(K, lu.perm_c), lu.solve
+            else:
+                solve = reorder(K)[1]
+        except RuntimeError:    # a pivot lost to cancellation
+            pass
+        K_values[diag] -= reg
+        pivoted = []
 
-        def factor():
-            """The symmetric factor of K + diag(reg)'s refined solve where
-            it solves K to 1e-10, else a partially pivoted factor of
-            K + diag(reg), made on the iteration's first such solve and
-            refined against K."""
-            nonlocal reorder
-            solve = None
-            K_values[diag] += reg
-            try:
-                if reorder is None:
-                    lu = _symmetric_lu(K)
-                    reorder, solve = _ordered_lu(K, lu.perm_c), lu.solve
-                else:
-                    solve = reorder(K)[1]
-            except RuntimeError:    # a pivot lost to cancellation
-                pass
-            K_values[diag] -= reg
-            pivoted = []
+        def solve_or_pivot(rhs):
+            if solve is not None:
+                sol, solved = refined(solve, rhs)
+                if solved:
+                    return sol
+            if not pivoted:
+                pivoted.append(spla.splu(K + sp.diags(reg)))
+            return refined(pivoted[0].solve, rhs)[0]
+        return solve_or_pivot
 
-            def solve_or_pivot(rhs):
-                if solve is not None:
-                    sol, solved = refined(solve, rhs)
-                    if solved:
-                        return sol
-                if not pivoted:
-                    pivoted.append(spla.splu(K + sp.diags(reg)))
-                return refined(pivoted[0].solve, rhs)[0]
-            return solve_or_pivot
     K_diag = np.concatenate([Q.diagonal(), np.zeros(mr)])
     abs_Q, abs_JfT = abs(Q), abs(JfT)
 

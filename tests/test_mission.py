@@ -640,9 +640,10 @@ def test_the_benchmark_keeps_a_subproblem_on_each_side_of_the_dense_size(
         cfg, guess_setup, monkeypatch):
     # canonical-solve's subproblems (every problem refined from every mesh
     # of its 1-3 interval, degree 3-6 grid at 1e-6, and from its default
-    # mesh at 1e-8) have K of order 8-88: each direct step they try and
-    # each of their interior-point iterations makes one dense factor, and
-    # none makes a sparse one.
+    # mesh at 1e-8) have K of order 8-88: each takes the direct step, which
+    # makes one dense factor, and none runs an interior-point iteration or
+    # makes a sparse factor.  This is why the interior-point loop has one,
+    # sparse, factor: no canonical subproblem reaches it.
     # mission-sqp's K (order 2,817) takes SuperLU, and its first factor
     # keeps one negative pivot per row.  A canonical solve holds its
     # matrices as dense arrays throughout and makes no CSR copy, cut or
@@ -701,7 +702,8 @@ def test_the_benchmark_keeps_a_subproblem_on_each_side_of_the_dense_size(
     assert min(orders) == 8 and max(orders) == 88
     assert max(orders) <= nlpsolve.DENSE_KKT_MAX
     assert len(direct) == len(orders)
-    assert len(dense) == sum(iterations) + sum(direct)
+    assert sum(iterations) == 0
+    assert len(dense) == sum(direct)
     assert csr_calls == []
 
     nlp, z0 = guess_setup

@@ -240,6 +240,34 @@ def _bound_quadratic():
                        z_lo=np.array([0.0]), z_hi=np.array([2.0]))
 
 
+def test_a_refused_direct_step_hands_the_dense_solve_to_the_csr_loop(
+        monkeypatch):
+    # the bound binds, so the dense solve's first subproblem refuses the
+    # direct step and runs the interior-point loop on CSR copies of its
+    # blocks; it takes the steps of the same solve held as CSR throughout,
+    # which tries no direct step
+    real = nlpsolve._direct_step
+    kept = []
+
+    def recorded(*args):
+        step = real(*args)
+        kept.append(step is not None)
+        return step
+
+    monkeypatch.setattr(nlpsolve, "_direct_step", recorded)
+    dense = solve(_bound_quadratic(), np.array([0.5]))
+    assert dense.converged and kept[0] is False
+    assert dense.log[0]["qp_iterations"] > 0
+    tried = len(kept)
+    monkeypatch.setattr(nlpsolve, "DENSE_KKT_MAX", 0)
+    csr = solve(_bound_quadratic(), np.array([0.5]))
+    assert len(kept) == tried
+    assert (dense.status, dense.iterations) == (csr.status, csr.iterations)
+    assert [row["qp_iterations"] for row in dense.log] \
+        == [row["qp_iterations"] for row in csr.log]
+    assert np.abs(dense.x - csr.x).max() <= 1e-13 * np.abs(csr.x).max()
+
+
 def test_auto_scaling_from_bounds():
     # same badly scaled objective, but the boxes reveal the magnitudes
     def obj(z):
@@ -452,10 +480,8 @@ def test_elastic_qp_does_not_cycle_on_an_interior_optimum(monkeypatch):
 
 
 def test_elastic_qp_falls_back_to_the_pivoted_factor(monkeypatch):
-    # on the sparse path, a symmetric factor that fails every time: each
-    # iteration tries to order K afresh, and the partially pivoted factor
-    # answers instead
-    monkeypatch.setattr(nlpsolve, "DENSE_KKT_MAX", 0)
+    # a symmetric factor that fails every time: each iteration tries to
+    # order K afresh, and the partially pivoted factor answers instead
     ordered, pivoted = [], []
     real_splu = nlpsolve.spla.splu
 
@@ -478,29 +504,22 @@ def test_elastic_qp_falls_back_to_the_pivoted_factor(monkeypatch):
     assert pivoted == [{}] * qp.iterations
 
 
-def _lose_every_factor(monkeypatch, path):
-    """Every factor of K on the path loses a pivot: on the sparse path the
-    symmetric factor and the pivoted one raise, on the dense path LAPACK
-    factors a zero matrix in K's place, so its first pivot is exactly 0."""
+def _lose_every_factor(monkeypatch):
+    """Every factor of K loses a pivot: the symmetric factor and the
+    pivoted one raise.  A solve holds CSR, so its subproblems try no
+    direct step and run the interior-point loop."""
     def lost(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    def zero(A, **kwargs):
-        return real_sytrf(np.zeros_like(A), **kwargs)
-
-    real_sytrf = nlpsolve.lapack.dsytrf
-    if path == "sparse":
-        monkeypatch.setattr(nlpsolve, "DENSE_KKT_MAX", 0)
-        monkeypatch.setattr(nlpsolve, "_symmetric_lu", lost)
-        monkeypatch.setattr(nlpsolve.spla, "splu", lost)
-    else:
-        monkeypatch.setattr(nlpsolve.lapack, "dsytrf", zero)
+    monkeypatch.setattr(nlpsolve, "DENSE_KKT_MAX", 0)
+    monkeypatch.setattr(nlpsolve, "_symmetric_lu", lost)
+    monkeypatch.setattr(nlpsolve.spla, "splu", lost)
 
 
 def test_elastic_qp_ends_unconverged_where_every_factor_is_lost(monkeypatch):
     # the symmetric factor and the pivoted one both lose a pivot: the
     # subproblem ends with its last iterate, flagged, as at its cap
-    _lose_every_factor(monkeypatch, "sparse")
+    _lose_every_factor(monkeypatch)
     qp = nlpsolve._elastic_qp(*_box_qp())
     assert not qp.converged and qp.factor_lost and qp.iterations == 0
     assert np.all(np.isfinite(qp.d)) and np.all(np.isfinite(qp.y))
@@ -508,7 +527,7 @@ def test_elastic_qp_ends_unconverged_where_every_factor_is_lost(monkeypatch):
 
 def test_solve_reports_a_status_where_every_factor_is_lost(monkeypatch):
     # the subproblem says its factors were lost, and the solve ends on it
-    _lose_every_factor(monkeypatch, "sparse")
+    _lose_every_factor(monkeypatch)
     rep = solve(_equality_qp(), np.array([3.0, -1.0]))
     assert rep.status == "numerical_failure" and rep.iterations == 1
     assert rep.message == ("every factor of a QP subproblem's KKT matrix "
@@ -516,53 +535,28 @@ def test_solve_reports_a_status_where_every_factor_is_lost(monkeypatch):
     assert np.all(np.isfinite(rep.x))
 
 
-def test_a_zero_pivot_of_the_dense_factor_ends_the_subproblem_and_the_solve(
-        monkeypatch):
-    # the dense Bunch-Kaufman factor pivots, so it factors K itself; where
-    # K has an exactly zero pivot it factors K + diag(reg), and where that
-    # has one too (here LAPACK factors a zero matrix both times), the
-    # subproblem ends as a lost factor does on the sparse path, and the
-    # solve as "numerical_failure"
-    with pytest.raises(RuntimeError):
-        nlpsolve._bunch_kaufman(np.ones((2, 2)))
-    _lose_every_factor(monkeypatch, "dense")
-    qp = nlpsolve._elastic_qp(*_box_qp())
-    assert not qp.converged and qp.factor_lost and qp.iterations == 0
-    assert np.all(np.isfinite(qp.d)) and np.all(np.isfinite(qp.y))
-    rep = solve(_equality_qp(), np.array([3.0, -1.0]))
-    assert rep.status == "numerical_failure" and rep.iterations == 1
-    assert rep.message == ("every factor of a QP subproblem's KKT matrix "
-                           "lost a pivot")
-
-
 def test_a_zero_pivot_of_k_alone_is_passed_by_the_factor_of_k_plus_reg(
         monkeypatch):
     # B = [[1, 1], [1, 1]] is semidefinite, so the shift leaves it alone;
     # in a box of +-1e6 the multipliers' Sigma falls below the rounding of
-    # B's scaled entries, K = B/s + Sigma rounds to a singular matrix, and
-    # its Bunch-Kaufman factor meets an exactly zero pivot.  The factor of
-    # K + diag(reg) takes over for that iteration and the subproblem goes
-    # on to the minimum nearest the middle of the box, d1 + d2 = 1
-    real = nlpsolve._bunch_kaufman
-    factored = []
+    # B's scaled entries and K = B/s + Sigma rounds to a singular matrix.
+    # Each symmetric factor is of K + diag(reg), which carries the
+    # subproblem, with no pivoted factor, to the minimum nearest the middle
+    # of the box, d1 + d2 = 1
+    real_splu = nlpsolve.spla.splu
+    pivoted = []
 
-    def recorded(A):
-        try:
-            solve = real(A)
-        except RuntimeError:
-            factored.append(False)
-            raise
-        factored.append(True)
-        return solve
+    def recorded_splu(A, **kwargs):
+        pivoted.append(not kwargs)
+        return real_splu(A, **kwargs)
 
-    _refuse_direct_step(monkeypatch)
-    monkeypatch.setattr(nlpsolve, "_bunch_kaufman", recorded)
-    qp = nlpsolve._elastic_qp(np.ones((2, 2)), np.full(2, -1.0),
-                              np.zeros((0, 2)), np.zeros(0), np.zeros(0),
+    monkeypatch.setattr(nlpsolve.spla, "splu", recorded_splu)
+    qp = nlpsolve._elastic_qp(sp.csr_matrix(np.ones((2, 2))), np.full(2, -1.0),
+                              sp.csr_matrix((0, 2)), np.zeros(0), np.zeros(0),
                               np.full(2, -1e6), np.full(2, 1e6))
     assert qp.converged and not qp.factor_lost
-    assert factored.count(False) == 1
-    assert factored[factored.index(False) + 1]
+    assert qp.iterations == 12
+    assert len(pivoted) == qp.iterations and not any(pivoted)
     assert np.allclose(qp.d, [0.5, 0.5], rtol=0.0, atol=1e-8)
     assert np.abs(qp.y_bnd).max() < 1e-8
 
@@ -644,27 +638,20 @@ def test_ordered_factor_matches_a_freshly_ordered_one():
         assert np.abs(K @ x - b).max() <= 1e-9 * np.abs(b).max()
 
 
-def _take_kkt_path(monkeypatch, path):
-    """Send every subproblem's K to the sparse factor, by a dense size of
-    0, or refuse the sparse factor to a subproblem, so that the small ones
-    here must take the dense one."""
-    def refused(*args):
-        raise AssertionError("a small K took the sparse factor")
-
-    if path == "sparse":
-        monkeypatch.setattr(nlpsolve, "DENSE_KKT_MAX", 0)
-    else:
-        monkeypatch.setattr(nlpsolve, "_symmetric_lu", refused)
+def _in_form(form, *matrices):
+    """The matrices as dense arrays ("dense"), which try the direct step
+    before the interior-point loop, or as CSR ("sparse"), which go straight
+    to it."""
+    return [M.toarray() if form == "dense" else M for M in matrices]
 
 
 # positive definite, no multiple of I, every variable coupled
 _COUPLED = np.array([[2.0, 0.5, 0.0], [0.5, 1.5, 0.4], [0.0, 0.4, 3.0]])
 
 
-@pytest.mark.parametrize("path", ["sparse", "dense"])
+@pytest.mark.parametrize("form", ["sparse", "dense"])
 def test_elastic_qp_with_a_coupled_hessian_reaches_the_dense_kkt_solution(
-        path, monkeypatch):
-    _take_kkt_path(monkeypatch, path)
+        form):
     _, g, J, lo, hi, bl, bu = _box_qp()
     assert np.linalg.eigvalsh(_COUPLED).min() > 0.0
     # the box QP's active set: the sum row and d0 on its upper bound
@@ -673,7 +660,8 @@ def test_elastic_qp_with_a_coupled_hessian_reaches_the_dense_kkt_solution(
     sol = np.linalg.solve(kkt, np.concatenate([-g, [lo[0], bu[0]]]))
     d, nu = sol[:3], sol[3:]
     assert np.all(np.abs(d[1:]) < 0.5) and nu[1] > 0.0
-    qp = nlpsolve._elastic_qp(sp.csr_matrix(_COUPLED), g, J, lo, hi, bl, bu)
+    B, J = _in_form(form, sp.csr_matrix(_COUPLED), J)
+    qp = nlpsolve._elastic_qp(B, g, J, lo, hi, bl, bu)
     assert qp.converged
     assert np.allclose(qp.d, d, rtol=0.0, atol=1e-8)
     assert np.allclose(qp.y, nu[:1], rtol=0.0, atol=1e-8)
@@ -720,14 +708,14 @@ def _elastic_subproblems(draw):
     return weight, (B, g, J, lo, hi, bl, bu)
 
 
-@pytest.mark.parametrize("path", ["sparse", "dense"])
+@pytest.mark.parametrize("form", ["sparse", "dense"])
 @settings(max_examples=200, deadline=None)
 @given(_elastic_subproblems())
-def test_elastic_qp_meets_the_elastic_kkt_conditions(path, case):
+def test_elastic_qp_meets_the_elastic_kkt_conditions(form, case):
     weight, (B, g, J, lo, hi, bl, bu) = case
     with pytest.MonkeyPatch.context() as mp:
-        _take_kkt_path(mp, path)
         mp.setattr(nlpsolve, "ELASTIC_WEIGHT", weight)
+        B, J = _in_form(form, B, J)
         qp = nlpsolve._elastic_qp(B, g, J, lo, hi, bl, bu)
     assert qp.converged
     d, y, y_bnd = qp.d, qp.y, qp.y_bnd
@@ -925,40 +913,19 @@ def _refined_from_every_start():
 def test_dense_and_csr_solves_take_the_same_steps(monkeypatch):
     # every canonical NLP has n_var + n_con <= DENSE_KKT_MAX, so its whole
     # iteration runs on dense arrays; with DENSE_KKT_MAX at 0 it runs on
-    # canonical CSR.  The two sum their products in other orders and test
-    # the shift's rungs by other factors, and that is all: every start takes
-    # the same rounds, SQP and interior-point iterations, to the same status
-    # and iterates equal to rounding
+    # canonical CSR.  Both run the interior-point method, the direct step
+    # refused, on CSR blocks: the dense solve's copied from its arrays.
+    # The two sum their products in other orders and test the shift's rungs
+    # by other factors, and that is all: every start takes the same rounds,
+    # SQP and interior-point iterations, to the same status and iterates
+    # equal to rounding
     def refused(A):
         raise AssertionError("a canonical solve took the CSR path")
-
-    # both run the interior-point method: the direct step is refused.  The
-    # dense path factors K itself, so each direction's first back-solve
-    # meets the refinement's goal, 1e-10 of its right-hand side against K,
-    # and no second one is made.  Over the grid a factor serves 1-3
-    # directions (the affine one, Mehrotra's corrector and one more); 3 is
-    # what the grid shows, not a bound of the code
-    real = nlpsolve._bunch_kaufman
-    back_solves = []    # per factor
-
-    def counted(A):
-        solve, K = real(A), A.copy()
-        back_solves.append(0)
-
-        def counted_solve(rhs):
-            back_solves[-1] += 1
-            sol = solve(rhs)
-            assert np.abs(rhs - K @ sol).max() <= 1e-10 * np.abs(rhs).max()
-            return sol
-        return counted_solve
 
     _refuse_direct_step(monkeypatch)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nlpsolve, "_canonical_copy", refused)
-        mp.setattr(nlpsolve, "_bunch_kaufman", counted)
         dense = _refined_from_every_start()
-    assert len(back_solves) > 0
-    assert 1 <= min(back_solves) and max(back_solves) <= 3
     monkeypatch.setattr(nlpsolve, "DENSE_KKT_MAX", 0)
     csr = _refined_from_every_start()
     assert len(dense) == len(csr) == 3 * 21
@@ -1161,8 +1128,10 @@ def test_every_grid_subproblem_takes_the_direct_step(monkeypatch):
 
 
 def _elastic_qp_both_ways(args):
-    """_elastic_qp(*args) as it runs, the direct step's return in it, and
-    _elastic_qp(*args) with the direct step refused."""
+    """_elastic_qp on args, its CSR matrices handed over as dense arrays
+    (which try the direct step), as it runs, the direct step's return in
+    it, and _elastic_qp on them with the direct step refused."""
+    args = [a.toarray() if sp.issparse(a) else a for a in args]
     real = nlpsolve._direct_step
     steps = []
 
@@ -1183,9 +1152,9 @@ def test_the_direct_step_is_the_interior_point_answer_where_nothing_binds():
     # min d'd + g'd with d0 + d1 = 1 tied, in a box of +-10: the answer is
     # the Newton-KKT step, well inside the box, which takes no
     # interior-point iteration
-    args = (sp.csr_matrix(2.0 * np.eye(2)), np.array([1.0, -1.0]),
-            sp.csr_matrix(np.ones((1, 2))), np.array([1.0]), np.array([1.0]),
-            np.full(2, -10.0), np.full(2, 10.0))
+    args = (2.0 * np.eye(2), np.array([1.0, -1.0]), np.ones((1, 2)),
+            np.array([1.0]), np.array([1.0]), np.full(2, -10.0),
+            np.full(2, 10.0))
     qp, steps, interior = _elastic_qp_both_ways(args)
     assert len(steps) == 1 and steps[0] is not None
     assert qp.converged and not qp.factor_lost and qp.iterations == 0
@@ -1243,6 +1212,10 @@ def _all_fixed():
                               "singular", "rounding_floor", "all_fixed"])
 def test_a_refused_direct_step_falls_through_to_the_interior_point_answer(
         make):
+    if make is _singular:
+        # its KKT matrix has an exactly zero pivot
+        with pytest.raises(RuntimeError):
+            nlpsolve._bunch_kaufman(np.ones((2, 2)))
     qp, steps, interior = _elastic_qp_both_ways(make())
     assert steps == [None]
     assert qp.iterations > 0
