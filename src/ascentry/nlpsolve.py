@@ -10,11 +10,11 @@ was judged on.  Derivatives come from the problem object's
 `objective_gradient`, `jacobian` and `hessian(z, y)`, the last once per
 iteration.
 
-Each Jacobian and Hessian the problem returns is copied once, and every
-scaling, masking and shift writes into the copy, so `solve` never writes
-into a matrix the problem returned and the iterates do not depend on how
-it stores its entries.  The problem's size picks the copy's form, once per
-solve:
+Each Jacobian and Hessian the problem returns is copied once, every
+scaling and masking writes into the copy and the shift adds to it, so
+`solve` never writes into a matrix the problem returned and the iterates
+do not depend on how it stores its entries.  The problem's size picks the
+copy's form, once per solve:
 - n_var + n_con <= `DENSE_KKT_MAX`: a dense array (`toarray()`, which sums
   duplicates).  The SQP iteration runs on such arrays: the scaling by
   broadcasting, the box-fixed rows and columns zeroed by index, the shift's
@@ -26,8 +26,9 @@ solve:
   1,560 sparse-matrix constructions, the dense path 130 and 390, all of
   them the problem's own (its transcription and evaluations).
 - Above: canonical CSR (rows sorted by column, duplicates summed, explicit
-  zeros dropped), scaled and masked in its `data`, the subproblem's blocks
-  cut from its arrays; scaled rows sum in ascending column order.
+  zeros dropped), scaled and masked in its `data`, shifted by one sparse
+  add of delta I, and the subproblem's blocks cut by scipy's row-then-column
+  indexing; scaled rows sum in ascending column order.
 `_elastic_qp` follows the form it is handed.  Its interior-point loop runs
 on CSR blocks in both: a dense subproblem whose direct step is refused
 hands it CSR copies of its blocks.  With the direct step refused, the two
@@ -326,83 +327,40 @@ def _canonical_copy(A) -> sp.csr_matrix:
     return A
 
 
-def _submatrix(A: sp.csr_matrix, rows: np.ndarray,
-               cols: np.ndarray) -> sp.csr_matrix:
-    """A[rows][:, cols] of a CSR matrix A for boolean masks rows and cols,
-    cut from its arrays by one mask over its entries: each row keeps its
-    entries in A's order."""
-    keep = np.repeat(rows, np.diff(A.indptr)) & cols[A.indices]
-    # the kept entries before each row boundary; a row not kept adds none,
-    # so leaving out its end leaves the kept rows' boundaries
-    before = np.zeros(len(keep) + 1, A.indptr.dtype)
-    np.cumsum(keep, out=before[1:])
-    indptr = before[A.indptr[np.concatenate([[True], rows])]]
-    column = np.cumsum(cols, dtype=A.indices.dtype) - 1
-    return sp.csr_matrix((A.data[keep], column[A.indices[keep]], indptr),
-                         shape=(len(indptr) - 1, int(cols.sum())))
-
-
-def _with_diagonal(B: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
-    """B (square, canonical CSR) on its pattern plus the whole diagonal,
-    0 where B stores no diagonal entry, and the position of each diagonal
-    entry in its data.  B itself is returned where it stores them all."""
-    n = B.shape[0]
-    rows = _entry_rows(B)
-    has = np.bincount(rows[B.indices == rows], minlength=n) > 0
-    indptr = B.indptr.copy()
-    indptr[1:] += np.cumsum(~has)
-    diag = indptr[:-1] + np.bincount(rows[B.indices < rows], minlength=n)
-    if has.all():
-        return B, diag
-    old = np.ones(indptr[-1], bool)
-    old[diag] = has
-    data = np.zeros(indptr[-1])
-    data[old] = B.data
-    indices = np.empty(indptr[-1], B.indices.dtype)
-    indices[old] = B.indices
-    indices[diag] = np.arange(n)
-    return sp.csr_matrix((data, indices, indptr), shape=B.shape), diag
-
-
-def _shift(B, diag: np.ndarray | None = None) -> float:
+def _shift(B) -> float:
     """The least delta on the ladder 0, 1e-8 b, 1e-7 b, ... (b the largest
     |B| entry, at least 1) such that B + delta I has no negative or zero
     pivot in its symmetric factor.  The factor tested is of
     B + (delta + 1e-12 b) I, so that a singular positive-semidefinite B
     passes at 0.  The ladder ends at the Gershgorin bound, untested: from
     there on the matrix is diagonally dominant, so positive definite.
-    B is a dense array, or canonical CSR storing its whole diagonal at
-    `diag` in its data (`_with_diagonal`).  Each rung writes B_ii plus its
-    shift into a copy of B and factors it: a dense one by Cholesky (LAPACK
-    dpotrf, whose info is 0 exactly where every pivot is positive), a
-    sparse one by `_symmetric_lu`, whose U diagonal is read.  A rung that
-    leaves a diagonal entry <= 0 fails either factor, so it is skipped
-    unfactored: on the capped mission subproblem's Hessian that leaves 4
-    of its 10 sparse factors."""
+    B is a dense array or canonical CSR, read as it is.  Each rung adds
+    (delta + 1e-12 b) I, I in B's form, and factors the sum: a dense one by
+    Cholesky (LAPACK dpotrf, whose info is 0 exactly where every pivot is
+    positive), a sparse one by `_symmetric_lu`, whose U diagonal is read.
+    A rung that leaves a diagonal entry <= 0 fails either factor, so it is
+    skipped unfactored: on the capped mission subproblem's Hessian that
+    leaves 4 of its 10 sparse factors."""
     sparse = sp.issparse(B)
-    values = B.data if sparse else B.reshape(-1)
+    values = B.data if sparse else B
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite Hessian entry")
-    if not sparse:
-        diag = np.arange(len(B)) * (len(B) + 1)
-    abs_values = np.abs(values)
-    b = max(1.0, float(abs_values.max(initial=0.0)))
-    on_diag = values[diag]
-    row_sums = (np.bincount(_entry_rows(B), abs_values, len(diag)) if sparse
-                else abs_values.reshape(B.shape).sum(axis=1))
-    gershgorin = float((row_sums - abs_values[diag] - on_diag)
+    b = max(1.0, float(np.abs(values).max(initial=0.0)))
+    on_diag = B.diagonal()
+    row_sums = np.asarray(abs(B).sum(axis=1)).ravel()
+    gershgorin = float((row_sums - np.abs(on_diag) - on_diag)
                        .max(initial=0.0))
-    M = B.copy()
-    rung = M.data if sparse else M.reshape(-1)
+    n = len(on_diag)
+    I = sp.identity(n, format="csr") if sparse else np.eye(n)
     delta = 0.0
     while delta < gershgorin:
-        shifted = on_diag + (delta + 1e-12 * b)
+        c = delta + 1e-12 * b
         # a rung with a diagonal entry <= 0 cannot pass, so it is not
         # factored: a Cholesky pivot is that entry less a sum of squares,
         # and a symmetric factor with every pivot positive would make the
         # matrix positive definite
-        if shifted.min() > 0.0:
-            rung[diag] = shifted
+        if (on_diag + c).min() > 0.0:
+            M = B + c * I
             if sparse:
                 try:
                     if np.all(_symmetric_lu(M).U.diagonal() > 0.0):
@@ -507,7 +465,7 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
     if dense:
         Q, Jf = B[np.ix_(free, free)], J[np.ix_(sided, free)]
     else:
-        Q, Jf = _submatrix(B, free, free), _submatrix(J, sided, free)
+        Q, Jf = B[free][:, free], J[sided][:, free]
 
     def answer(d_f, y_r, y_free, *rest):
         """The result in the problem's units: d from its free part, the
@@ -955,8 +913,7 @@ def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveRep
                 B.data *= s[B.indices] * s[rows]
                 B.data[fixed[B.indices] | fixed[rows]] = 0.0
                 B.eliminate_zeros()
-                B, diag = _with_diagonal(B)
-                B.data[diag] += _shift(B, diag)
+                B = B + _shift(B) * sp.identity(n, format="csr")
         except Exception as e:
             return report("numerical_failure",
                           f"Hessian evaluation failed: {e}")

@@ -646,21 +646,16 @@ def test_the_benchmark_keeps_a_subproblem_on_each_side_of_the_dense_size(
     # sparse, factor: no canonical subproblem reaches it.
     # mission-sqp's K (order 2,817) takes SuperLU, and its first factor
     # keeps one negative pivot per row.  A canonical solve holds its
-    # matrices as dense arrays throughout and makes no CSR copy, cut or
-    # diagonal; the mission solve (n_var + n_con = 2,853) makes all three
+    # matrices as dense arrays throughout and makes no CSR copy; the
+    # mission solve (n_var + n_con = 2,853) copies its Jacobian and Hessian
     real_qp, real_bk = nlpsolve._elastic_qp, nlpsolve._bunch_kaufman
     real_direct = nlpsolve._direct_step
     orders, iterations, dense, direct = [], [], [], []
-    csr_helpers, csr_calls = ("_canonical_copy", "_submatrix",
-                              "_with_diagonal"), []
+    real_copy, csr_calls = nlpsolve._canonical_copy, []
 
-    def spied(name):
-        real = getattr(nlpsolve, name)
-
-        def call(*args):
-            csr_calls.append(name)
-            return real(*args)
-        return call
+    def copied(A):
+        csr_calls.append(A.shape)
+        return real_copy(A)
 
     def recorded(B, g, J, lo, hi, bl, bu):
         orders.append(int(np.sum(bl < bu))
@@ -685,8 +680,7 @@ def test_the_benchmark_keeps_a_subproblem_on_each_side_of_the_dense_size(
         mp.setattr(nlpsolve, "_bunch_kaufman", counted)
         mp.setattr(nlpsolve, "_direct_step", tried)
         mp.setattr(nlpsolve, "_ordered_lu", refused)
-        for name in csr_helpers:
-            mp.setattr(nlpsolve, name, spied(name))
+        mp.setattr(nlpsolve, "_canonical_copy", copied)
         grid = _canonical_mesh_grid()
         assert len(grid) == 20
         for make in canonical.CANONICAL_PROBLEMS.values():
@@ -707,8 +701,7 @@ def test_the_benchmark_keeps_a_subproblem_on_each_side_of_the_dense_size(
     assert csr_calls == []
 
     nlp, z0 = guess_setup
-    for name in csr_helpers:
-        monkeypatch.setattr(nlpsolve, name, spied(name))
+    monkeypatch.setattr(nlpsolve, "_canonical_copy", copied)
     (B, g, J, lo, hi, bl, bu), qp, factors, pivoted = _capped_subproblems(
         cfg, nlp, z0, monkeypatch)
     assert int(np.sum(bl < bu)) + J.shape[0] == 2817
@@ -716,7 +709,7 @@ def test_the_benchmark_keeps_a_subproblem_on_each_side_of_the_dense_size(
     assert len(factors) == qp.iterations and pivoted == []
     assert np.sum(factors[0].U.diagonal() < 0.0) == J.shape[0]
     assert nlp.n_var + nlp.n_con > nlpsolve.DENSE_KKT_MAX
-    assert set(csr_calls) == set(csr_helpers)
+    assert set(csr_calls) == {(nlp.n_con, nlp.n_var), (nlp.n_var, nlp.n_var)}
 
 
 def test_capped_iteration_orders_its_subproblem_once(cfg, guess_setup,

@@ -767,9 +767,9 @@ def test_canonical_subproblems_converge(name, monkeypatch):
 
 
 def _shift_of(B, form):
-    """`_shift` of the CSR matrix B, handed over as CSR storing its whole
-    diagonal or as a dense array, and the delta of the other form."""
-    csr = nlpsolve._shift(*nlpsolve._with_diagonal(B))
+    """`_shift` of the CSR matrix B, handed over as it is or as a dense
+    array, and the delta of the other form."""
+    csr = nlpsolve._shift(B)
     dense = nlpsolve._shift(B.toarray())
     return (csr, dense) if form == "csr" else (dense, csr)
 
@@ -830,11 +830,41 @@ def test_shift_factors_no_rung_that_leaves_a_diagonal_entry_at_or_below_0(
 
     monkeypatch.setattr(nlpsolve, "_symmetric_lu", lu)
     monkeypatch.setattr(nlpsolve.lapack, "dpotrf", potrf)
-    delta = (nlpsolve._shift(*nlpsolve._with_diagonal(B)) if form == "csr"
-             else nlpsolve._shift(B.toarray()))
+    delta = nlpsolve._shift(B if form == "csr" else B.toarray())
     assert delta == 1.0
     assert len(diagonals) == 3
     assert all(np.all(diagonal > 0.0) for diagonal in diagonals)
+
+
+def test_a_hessian_storing_no_diagonal_entry_is_shifted_alike_in_both_forms(
+        monkeypatch):
+    # min z0 z1 in a box of +-1: B = [[0, 1], [1, 0]] stores no diagonal
+    # entry and has the eigenvalue -1, so the ladder runs to the Gershgorin
+    # bound, 1; the CSR solve's B + delta I stores the whole diagonal
+    H = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert H.nnz == 2
+    assert nlpsolve._shift(H) == nlpsolve._shift(H.toarray()) == 1.0
+    real = nlpsolve._elastic_qp
+    handed = []
+
+    def recorded(B, *args):
+        handed.append(B)
+        return real(B, *args)
+
+    monkeypatch.setattr(nlpsolve, "_elastic_qp", recorded)
+    nlp = _CachedDerivatives(
+        2, lambda z: z[0] * z[1], gradient=lambda z: z[::-1].copy(),
+        z_lo=np.full(2, -1.0), z_hi=np.full(2, 1.0),
+        J=sp.csr_matrix((0, 2)), H=H)
+    options = SolverOptions(max_iterations=1)
+    solve(nlp, np.array([0.5, -0.25]), options)
+    monkeypatch.setattr(nlpsolve, "DENSE_KKT_MAX", 0)
+    solve(nlp, np.array([0.5, -0.25]), options)
+    dense, csr = handed
+    assert isinstance(dense, np.ndarray) and sp.isspmatrix_csr(csr)
+    assert csr.nnz == 4
+    assert np.array_equal(csr.toarray(), dense)
+    assert np.array_equal(dense, [[1.0, 1.0], [1.0, 1.0]])
 
 
 @pytest.mark.parametrize("name", sorted(canonical.CANONICAL_PROBLEMS))
@@ -971,7 +1001,16 @@ def _quartic_bowl(fresh):
         H=sp.csr_matrix(P + 3.0 * np.eye(4)), fresh=fresh)
 
 
-def test_solve_writes_into_no_matrix_the_problem_returns():
+def _hold_as(form, monkeypatch):
+    """Make `solve` hold its matrices as dense arrays ("dense", every
+    canonical size) or as canonical CSR ("csr")."""
+    if form == "csr":
+        monkeypatch.setattr(nlpsolve, "DENSE_KKT_MAX", 0)
+
+
+@pytest.mark.parametrize("form", ["dense", "csr"])
+def test_solve_writes_into_no_matrix_the_problem_returns(form, monkeypatch):
+    _hold_as(form, monkeypatch)
     cached, fresh = _quartic_bowl(False), _quartic_bowl(True)
     kept = [(M.data.copy(), M.indices.copy(), M.indptr.copy())
             for M in (cached.J, cached.H)]
@@ -985,36 +1024,17 @@ def test_solve_writes_into_no_matrix_the_problem_returns():
             assert np.array_equal(now, before)
 
 
-@st.composite
-def _csr_cuts(draw):
-    """A CSR matrix with empty rows and explicit zeros, and row and column
-    masks: none kept, all kept or drawn."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
-    stored = rng.random((m, n)) < draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
-    values = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.8)
-    A = sp.csr_matrix((values[stored], np.nonzero(stored)[1],
-                       np.concatenate([[0], np.cumsum(stored.sum(axis=1))])),
-                      shape=(m, n))
-
-    def mask(k):
-        kind = draw(st.sampled_from(["none", "all", "drawn"]))
-        return {"none": np.zeros(k, bool), "all": np.ones(k, bool),
-                "drawn": rng.random(k) < 0.5}[kind]
-    return A, mask(m), mask(n)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_csr_cuts())
-def test_submatrix_is_scipys_row_then_column_cut(case):
-    A, rows, cols = case
-    got = nlpsolve._submatrix(A, rows, cols)
-    expect = A[np.flatnonzero(rows)][:, cols]
-    assert got.shape == expect.shape
-    for mine, theirs in ((got.indptr, expect.indptr),
-                         (got.indices, expect.indices),
-                         (got.data, expect.data)):
-        assert np.array_equal(mine, theirs)
+@pytest.mark.parametrize("form", ["dense", "csr"])
+def test_a_nonfinite_hessian_entry_ends_the_solve_at_its_first_iteration(
+        form, monkeypatch):
+    _hold_as(form, monkeypatch)
+    nlp = _quartic_bowl(False)
+    H = nlp.H.toarray()
+    H[0, 1] = H[1, 0] = np.nan
+    nlp.H = sp.csr_matrix(H)
+    rep = solve(nlp, np.zeros(4))
+    assert rep.status == "numerical_failure" and rep.iterations == 1
+    assert rep.message == "Hessian evaluation failed: non-finite Hessian entry"
 
 
 class _Restored:
@@ -1049,8 +1069,13 @@ def _split_entries(J):
                          shape=J.shape)
 
 
-@pytest.mark.parametrize("name", sorted(canonical.CANONICAL_PROBLEMS))
-def test_iterates_do_not_depend_on_how_the_jacobian_is_stored(name):
+@pytest.mark.parametrize("name, form", [
+    pytest.param(name, form, id=name if form == "dense" else f"{name}-csr")
+    for form in ("dense", "csr")
+    for name in sorted(canonical.CANONICAL_PROBLEMS)])
+def test_iterates_do_not_depend_on_how_the_jacobian_is_stored(
+        name, form, monkeypatch):
+    _hold_as(form, monkeypatch)
     problem, meshes = canonical.CANONICAL_PROBLEMS[name]()
     nlp = transcribe(problem, meshes)
     x0 = canonical.straight_line_guess(nlp)
@@ -1074,24 +1099,6 @@ def test_row_scale_is_one_over_the_rows_largest_entry_floored_at_one():
     assert np.array_equal(expect, [1.0 / 3.0, 1.0, 1.0 / 7.0, 1.0])
     assert nlpsolve._row_scale(sp.csr_matrix((0, 3))).shape == (0,)
     assert nlpsolve._row_scale(sp.csr_matrix((2, 0))).tolist() == [1.0, 1.0]
-
-
-@settings(max_examples=200, deadline=None)
-@given(_csr_cuts())
-def test_with_diagonal_stores_the_whole_diagonal_and_nothing_else(case):
-    A, _, _ = case
-    n = min(A.shape)
-    A = A[:n][:, :n].tocsr()
-    A.sum_duplicates()
-    B, diag = nlpsolve._with_diagonal(A)
-    assert B.has_canonical_format and np.array_equal(B.toarray(), A.toarray())
-    # each row's diagonal entry, inside that row
-    assert np.array_equal(B.indices[diag], np.arange(n))
-    assert np.all((B.indptr[:-1] <= diag) & (diag < B.indptr[1:]))
-    on = A.indices == nlpsolve._entry_rows(A)
-    assert B.nnz == A.nnz + n - on.sum()
-    assert np.array_equal(B.data[diag], A.diagonal())
-    assert (B is A) == (on.sum() == n)
 
 
 def test_every_grid_subproblem_takes_the_direct_step(monkeypatch):
