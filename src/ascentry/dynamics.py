@@ -93,11 +93,12 @@ def aero_env(ctx: PhaseContext, h, v, alpha):
 
 
 def _mass_of(y, ctx, dim):
+    """The mass column of y where the phase carries one, else fixed_mass."""
     if y.shape[1] > dim:
         return y[:, dim]
-    if ctx.fixed_mass is not None:
-        return np.full(y.shape[0], ctx.fixed_mass)
-    return np.ones(y.shape[0])
+    if ctx.fixed_mass is None:
+        raise ValueError("a phase with no mass state needs fixed_mass")
+    return np.full(y.shape[0], ctx.fixed_mass)
 
 
 def geo_rates(y, u, ctx: PhaseContext):

@@ -10,25 +10,23 @@ was judged on.  Derivatives come from the problem object's
 `objective_gradient`, `jacobian` and `hessian(z, y)`, the last once per
 iteration.
 
-Each Jacobian and Hessian the problem returns is copied once, every
-scaling and masking writes into the copy and the shift adds to it, so
-`solve` never writes into a matrix the problem returned and the iterates
-do not depend on how it stores its entries.  The problem's size picks the
-copy's form, once per solve:
+Each Jacobian and Hessian the problem returns is copied once and every
+scaling writes into the copy, so `solve` never writes into a matrix the
+problem returned and the iterates do not depend on how it stores its
+entries.  The problem's size picks the copy's form, once per solve:
 - n_var + n_con <= `DENSE_KKT_MAX`: a dense array (`toarray()`, which sums
   duplicates).  The SQP iteration runs on such arrays: the scaling by
-  broadcasting, the box-fixed rows and columns zeroed by index, the shift's
-  rungs tested by Cholesky, the subproblem's blocks cut by index and its
-  direct step (below) solved on them, and every product a BLAS one.  At
-  these sizes scipy.sparse's Python layer costs more than the arithmetic:
-  over one seed-1 round of the benchmark's canonical solves
-  (n_var + n_con = 12-94), the CSR path made 2,405 sparse products and
-  1,560 sparse-matrix constructions, the dense path 130 and 390, all of
-  them the problem's own (its transcription and evaluations).
+  broadcasting, the subproblem's blocks cut by index, the shift's rungs
+  tested by Cholesky and the direct step (below) solved on them, and every
+  product a BLAS one.  At these sizes scipy.sparse's Python layer costs
+  more than the arithmetic: over one seed-1 round of the benchmark's
+  canonical solves (n_var + n_con = 12-94), the CSR path made 2,405 sparse
+  products and 1,560 sparse-matrix constructions, the dense path 130 and
+  390, all of them the problem's own (its transcription and evaluations).
 - Above: canonical CSR (rows sorted by column, duplicates summed, explicit
-  zeros dropped), scaled and masked in its `data`, shifted by one sparse
-  add of delta I, and the subproblem's blocks cut by scipy's row-then-column
-  indexing; scaled rows sum in ascending column order.
+  zeros dropped), scaled in its `data`, the subproblem's blocks cut by
+  scipy's row-then-column indexing and the free block shifted by one sparse
+  add of delta I; scaled rows sum in ascending column order.
 `_elastic_qp` follows the form it is handed.  Its interior-point loop runs
 on CSR blocks in both: a dense subproblem whose direct step is refused
 hands it CSR copies of its blocks.  With the direct step refused, the two
@@ -39,29 +37,31 @@ statuses, and the same final iterates (equal with one BLAS thread, within
 on every subproblem of that grid, the same rounds, SQP iterations and
 statuses, with final iterates within 2.9e-10 of the interior-point ones.
 
-The subproblem's Hessian B is that Hessian in the scaled units, with the
-rows and columns of box-fixed variables zeroed (their step is held at 0, so
-those entries change no subproblem's answer), plus delta I: delta is the
-least value on the ladder 0, 1e-8 b, 1e-7 b, ... (b the largest |B| entry,
-at least 1) for which the symmetric factor of B + delta I, tested with a
-further 1e-12 b on the diagonal, has no negative or zero pivot.  The
-ladder ends at the Gershgorin bound without a factor: from there on the
-matrix is diagonally dominant, and on the mission that saves the last of
-the 11 rungs' factors.  So every subproblem is convex.  On a
-linear-quadratic problem the Hessian is exact and the first step is the
-Newton step.
+`solve` hands the subproblem that Hessian B in the scaled units, whole.
+The subproblem cuts the block B_f of the variables the box does not fix
+(the fixed ones' step is 0, so their rows and columns change no answer) and
+adds delta I to it: delta is the least value on the ladder 0, 1e-8 b,
+1e-7 b, ... (b the largest |B_f| entry, at least 1) for which the
+symmetric factor of B_f + delta I, tested with a further 1e-12 b on the
+diagonal, has no negative or zero pivot.  The ladder ends at the
+Gershgorin bound without a factor: from there on the matrix is diagonally
+dominant, and on the mission that saves the last of the 11 rungs' factors.
+So every subproblem is convex.  On a linear-quadratic problem the Hessian
+is exact and the first step is the Newton step.
 
-After an accepted step, the bound multiplier of a box-fixed variable is
-its stationarity residual where the step landed: y_bnd = -(g + J'y) on
-those columns, at the new g and J.  The subproblem's own value is taken at
-the old point against B, whose fixed rows and columns are zeroed, so it
-misses H[fixed, :] d, and a converged Newton step would read as
-unconverged until one more subproblem refreshed it.  Only the convergence
-test and the report read y_bnd, so the iterates do not depend on it.
+The bound multiplier of a box-fixed variable is its stationarity residual
+at the point the solve holds: y_bnd = -(g + J'y) on those columns, with the
+subproblem's y, at the old g and J right after the subproblem and at the
+new ones after an accepted step.  The subproblem's own value,
+-((B + delta I) d + g + J'y), is the residual of its model at x + d, which
+neither point's test reads: after an accepted step a converged Newton step
+would read as unconverged until one more subproblem refreshed it.  Only
+the convergence test and the report read y_bnd, so the iterates do not
+depend on it.
 
 The subproblem is elastic in every row:
 
-    min 1/2 d'Bd + g'd + W sum(p + n)
+    min 1/2 d'(B + delta I)d + g'd + W sum(p + n)
     s.t. c_lo - c <= J d + p - n <= c_hi - c,  bl <= d <= bu,  p, n >= 0,
 
 with the box the trust region cut by the variable bounds, so it has a
@@ -78,24 +78,27 @@ the answer is the equality-constrained Newton step: one solve of the KKT
 system over the free variables and the tied rows (Nocedal and Wright,
 Numerical Optimization, 2nd ed., 2006, sec. 16.1), the step an active-set
 method takes from an empty working set.  So where `solve` holds dense
-arrays `_elastic_qp` first solves [B_f, J_t'; J_t, 0] (d, y) = (-g, b_t)
-by one Bunch-Kaufman factor (LAPACK dsytrf; Bunch and Kaufman, Math. Comp.
-31, 1977; `_direct_step`).  It keeps the step where the solve's residuals,
-measured as the interior-point loop measures its own, are within 1e-10,
-bl < d < bu strictly, every untied row lies strictly inside its sides and
-|y| < W.  Those are the subproblem's KKT conditions with p = n = 0, the
-slacks inside and every bound multiplier 0, so for the convex B the step
-is the subproblem's solution, and it is returned as converged after 0
-interior-point iterations.  Every canonical subproblem is such a case:
-over a seed-1 round of the benchmark's canonical solves all 65 keep the
-step, and the round's 455 interior-point iterations fall to 0.  Elsewhere
-the interior-point loop runs as before.  A refused step costs little: its
-factor takes 8 us at the canonical grid's median order of 32 (46 us at
-most).  A CSR solve does not try it.  There one more factor would cost
-about a twentieth of the mission's subproblem, which factors K in each of
-its 20 iterations, and the step would be refused: it leaves the box on 66
-of the capped subproblem's 1,475 free variables and puts 4 of its 124
-untied rows outside their sides.
+arrays `_elastic_qp` first solves [B_f, J_t'; J_t, 0] (d, y) = (-g, b_t),
+in the interior-point loop's scaled units, by one Bunch-Kaufman factor
+(LAPACK dsytrf; Bunch and Kaufman, Math. Comp. 31, 1977; `_direct_step`).
+It makes the step an iterate of the loop: p = n = 0, each slack at its
+row's value, every bound multiplier 0 and each elastic multiplier at its
+stationarity value W +- y.  It keeps the iterate where every box and slack
+gap is positive, every multiplier is non-negative (|y| <= W) and the
+loop's own convergence test passes at it.  Those are the subproblem's KKT
+conditions, so for the convex B_f the step is the subproblem's solution,
+and it is returned as converged after 0 interior-point iterations.  One
+test judges every subproblem, taken directly or by the loop.  Every
+canonical subproblem is such a case: over a seed-1 round of the
+benchmark's canonical solves all 65 keep the step, and the round's 455
+interior-point iterations fall to 0.  Elsewhere the interior-point loop
+runs as before.  A refused step costs little: its factor takes 8 us at the
+canonical grid's median order of 32 (46 us at most).  A CSR solve does not
+try it.  There one more factor would cost about a twentieth of the
+mission's subproblem, which factors K in each of its 20 iterations, and
+the step would be refused: it leaves the box on 66 of the capped
+subproblem's 1,475 free variables and puts 4 of its 124 untied rows
+outside their sides.
 
 Otherwise `_elastic_qp` solves it by Mehrotra's predictor-corrector (SIAM
 J. Optim. 2(4), 1992).  Eliminating p, n and the row slacks leaves the
@@ -140,10 +143,10 @@ for the refactor (its gather into the first factor's order and SuperLU):
 - The fraction to the boundary is tau = max(0.995, 1 - mu s) (Waechter
   and Biegler, Math. Prog. 106, 2006): a fixed 0.995 caps each
   iteration's cut in the complementarity at 200x in the tail.
-With them the first mission subproblem takes 20 iterations (27 without),
+With them the first mission subproblem takes 20 iterations (25 without),
 every subproblem of a canonical default-mesh solve 7 (13) where the direct
-step is refused, and 40 capped SQP iterations from the mission guess 972 in
-all (1,127).  The later ones still take 22-27: a Hessian shifted by about
+step is refused, and 40 capped SQP iterations from the mission guess 981 in
+all (1,130).  The later ones still take 22-27: a Hessian shifted by about
 1e12 leaves a complementarity path of about 34 decades.
 A corrected step that does not cut the complementarity gives way to a
 centring step.  The objective is divided by s = s_q^(2/3) W^(1/3),
@@ -334,18 +337,16 @@ def _shift(B) -> float:
     B + (delta + 1e-12 b) I, so that a singular positive-semidefinite B
     passes at 0.  The ladder ends at the Gershgorin bound, untested: from
     there on the matrix is diagonally dominant, so positive definite.
-    B is a dense array or canonical CSR, read as it is.  Each rung adds
-    (delta + 1e-12 b) I, I in B's form, and factors the sum: a dense one by
-    Cholesky (LAPACK dpotrf, whose info is 0 exactly where every pivot is
-    positive), a sparse one by `_symmetric_lu`, whose U diagonal is read.
-    A rung that leaves a diagonal entry <= 0 fails either factor, so it is
-    skipped unfactored: on the capped mission subproblem's Hessian that
-    leaves 4 of its 10 sparse factors."""
+    B, finite, is a dense array or canonical CSR, read as it is: the
+    subproblem's free block.  Each rung adds (delta + 1e-12 b) I, I in B's
+    form, and factors the sum: a dense one by Cholesky (LAPACK dpotrf,
+    whose info is 0 exactly where every pivot is positive), a sparse one by
+    `_symmetric_lu`, whose U diagonal is read.  A rung that leaves a
+    diagonal entry <= 0 fails either factor, so it is skipped unfactored:
+    on the capped mission subproblem's free block that leaves 4 of its 10
+    sparse factors."""
     sparse = sp.issparse(B)
-    values = B.data if sparse else B
-    if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite Hessian entry")
-    b = max(1.0, float(np.abs(values).max(initial=0.0)))
+    b = max(1.0, float(np.abs(B.data if sparse else B).max(initial=0.0)))
     on_diag = B.diagonal()
     row_sums = np.asarray(abs(B).sum(axis=1)).ravel()
     gershgorin = float((row_sums - np.abs(on_diag) - on_diag)
@@ -373,78 +374,53 @@ def _shift(B) -> float:
     return delta
 
 
-def _direct_step(Q: np.ndarray, g: np.ndarray, Jf: np.ndarray,
-                 tied: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 bl: np.ndarray, bu: np.ndarray):
-    """The elastic subproblem's answer where no bound, untied row or
-    elastic variable is active at it, else None.  Over the free variables
-    (Q, g, Jf, bl and bu cut to them, lo and hi to Jf's rows), the step d
-    and the tied rows' multipliers y solve
-
-        [Q, Jt'; Jt, 0] (d, y) = (-g, lo_t),  Jt = Jf[tied],
-
-    by one Bunch-Kaufman factor.  They are kept where the solve's residual
-    against that matrix is within 1e-10 as the interior-point loop measures
-    it, bl < d < bu, every untied row lies strictly inside (lo, hi) and
-    |y| < W: then d, with p = n = 0, the slacks at the untied rows' values
-    and every bound multiplier 0, meets the subproblem's KKT conditions,
-    which for a convex Q are its solution.  Returns d, y and the relative
-    primal and dual residuals."""
-    nf, nt = len(g), int(tied.sum())
+def _direct_step(Q: np.ndarray, c: np.ndarray, Jt: np.ndarray,
+                 b_t: np.ndarray):
+    """The solve of [Q, Jt'; Jt, 0] (d, y) = (-c, b_t) by one Bunch-Kaufman
+    factor: the equality-constrained Newton step d over the free variables
+    (Q, c and Jt's columns cut to them) and the tied rows' multipliers y.
+    Returns (d, y), or None where no variable is free or a pivot is exactly
+    zero.  Whether the step answers the subproblem is `_elastic_qp`'s test."""
+    nf, nt = len(c), len(b_t)
     if nf == 0:
         return None
-    Jt = Jf[tied]
     A = np.zeros((nf + nt, nf + nt))
     A[:nf, :nf] = Q
     A[nf:, :nf] = Jt
     A[:nf, nf:] = Jt.T
-    rhs = np.concatenate([-g, lo[tied]])
     try:
-        sol = _bunch_kaufman(A)(rhs)
+        sol = _bunch_kaufman(A)(np.concatenate([-c, b_t]))
     except RuntimeError:    # an exactly zero pivot
         return None
-    res = rhs - A @ sol
-    d, y = sol[:nf], sol[nf:]
-    r = Jf[~tied] @ d
-    # the rows' residual against the largest of 1, the tie values and the
-    # unknowns, and the stationarity's against the largest term it sums,
-    # floored at one: each is at its rounding floor however large y is
-    # against the right-hand side
-    primal = np.abs(res[nf:]).max(initial=0.0) / max(
-        1.0, np.abs(rhs[nf:]).max(initial=0.0), np.abs(d).max(),
-        np.abs(r).max(initial=0.0))
-    terms = np.maximum.reduce([np.abs(g), np.abs(Q) @ np.abs(d),
-                               np.abs(Jt.T) @ np.abs(y), np.ones(nf)])
-    dual = float((np.abs(res[:nf]) / terms).max())
-    if not (max(primal, dual) <= 1e-10 and np.all(bl < d) and np.all(d < bu)
-            and np.all(lo[~tied] < r) and np.all(r < hi[~tied])
-            and np.all(np.abs(y) < ELASTIC_WEIGHT)):
-        return None
-    return d, y, primal, dual
+    return sol[:nf], sol[nf:]
 
 
 def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
                 bl: np.ndarray, bu: np.ndarray) -> _QPResult:
     """The elastic subproblem
 
-        min 1/2 d'Bd + g'd + W sum(p + n)
+        min 1/2 d'(B + delta I)d + g'd + W sum(p + n)
         s.t. lo <= J d + p - n <= hi,  bl <= d <= bu,  p, n >= 0,
 
-    W = `ELASTIC_WEIGHT`, for B positive semidefinite and a finite box, B
-    and J both dense arrays or both CSR: `solve` picks the form by the
-    problem's size, and this follows it.  Dense blocks try the
-    equality-constrained Newton step over the free variables and the tied
-    rows first (`_direct_step`); where it is the answer it is returned as
-    converged after 0 iterations.  Otherwise, and for CSR blocks, it is
-    solved by Mehrotra's primal-dual predictor-corrector method, on CSR
-    blocks (copied from dense ones) and one sparse factor of K.
-    Returns the step d, the row multipliers y (|y| <= W) and the box
-    multipliers y_bnd, signed as in `_residuals`: B d + g + J'y + y_bnd = 0.
+    W = `ELASTIC_WEIGHT`, for any symmetric B and a finite box, B and J
+    both dense arrays or both CSR: `solve` picks the form by the problem's
+    size, and this follows it.  The block B_f of the variables the box does
+    not fix is cut in B's form and shifted by delta = `_shift(B_f)`, so the
+    subproblem is convex; the fixed variables' step is 0, and their rows and
+    columns of B change no answer.  Dense blocks try the equality-
+    constrained Newton step over the free variables and the tied rows first
+    (`_direct_step`), as an iterate of the interior-point loop; where it
+    passes the loop's convergence test it is returned after 0 iterations.
+    Otherwise, and for CSR blocks, the subproblem is solved by Mehrotra's
+    primal-dual predictor-corrector method, on CSR blocks (copied from dense
+    ones) and one sparse factor of K.  Returns the step d, the row
+    multipliers y (|y| <= W) and the box multipliers y_bnd, signed as in
+    `_residuals`: (B + delta I) d + g + J'y + y_bnd = 0.
 
-    The unknowns are x = (d_f, p, n, s): d_f the variables the box does not
-    fix, and a slack s in [lo, hi] for each row that is not tied, so every
-    row reads J d + p - n - s = b (b the tie's value, or 0).  A row with no
-    finite side binds nothing and is left out, and a fixed variable's bound
+    The unknowns are x = (d_f, p, n, s): d_f the free variables, and a slack
+    s in [lo, hi] for each row that is not tied, so every row reads
+    J d + p - n - s = b (b the tie's value, or 0).  A row with no finite
+    side binds nothing and is left out, and a fixed variable's bound
     multiplier comes from stationarity.  Each finite bound on x is one
     complementarity pair (gap w, multiplier z >= 0), all in one stacked
     vector.  The gaps are iterates of their own, tied to x by a residual,
@@ -460,12 +436,14 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
     at = nf + 2 * mr            # the first slack in x
     N = at + len(slack)
     n_k = nf + mr               # K's order
-    # the blocks, cut in B's form
+    # the blocks, cut in B's form, and the free block shifted to be convex
+    Q, Jf = B[free][:, free], J[sided][:, free]
     dense = not sp.issparse(B)
     if dense:
-        Q, Jf = B[np.ix_(free, free)], J[np.ix_(sided, free)]
+        Q[np.diag_indices(nf)] += _shift(Q)
     else:
-        Q, Jf = B[free][:, free], J[sided][:, free]
+        Q = Q + _shift(Q) * sp.identity(nf, format="csr")
+    JfT = Jf.T
 
     def answer(d_f, y_r, y_free, *rest):
         """The result in the problem's units: d from its free part, the
@@ -479,21 +457,10 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
         y_bnd[free] = y_free
         return _QPResult(d, y_con, y_bnd, *rest)
 
-    if dense:
-        direct = _direct_step(Q, g[free], Jf, tied, lo_r, hi_r, bl[free],
-                              bu[free])
-        if direct is not None:
-            d_f, y_t, primal, dual = direct
-            y_r = np.zeros(mr)
-            y_r[tied] = y_t
-            return answer(d_f, y_r, 0.0, 0, primal, dual, True, False)
-        Q, Jf = sp.csr_matrix(Q), sp.csr_matrix(Jf)
-    JfT = Jf.T
-
     # the objective over its scale s, a third of the way (on the log
     # scale) from the quadratic part's magnitude to the weight
     s_q = max(1.0, float(np.abs(g).max(initial=0.0)),
-              float(np.abs(B if dense else B.data).max(initial=0.0)))
+              float(np.abs(Q if dense else Q.data).max(initial=0.0)))
     scale = s_q ** (2.0 / 3.0) * ELASTIC_WEIGHT ** (1.0 / 3.0)
     Q *= 1.0 / scale
     cost = np.concatenate([g[free] / scale,
@@ -508,14 +475,59 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
                           at + np.flatnonzero(has_hi)])
     bnd = np.concatenate([bl[free], bu[free], np.zeros(2 * mr),
                           lo_r[slack][has_lo], hi_r[slack][has_hi]])
-    sg = np.concatenate([np.ones(nf), -np.ones(nf), np.ones(2 * mr),
-                         np.ones(int(has_lo.sum())),
-                         -np.ones(int(has_hi.sum()))])
+    sg = np.repeat([1.0, -1.0, 1.0, 1.0, -1.0],
+                   [nf, nf, 2 * mr, has_lo.sum(), has_hi.sum()])
+    elastic = slice(2 * nf, 2 * (nf + mr))  # p's and n's pairs
 
     def row_values(x):
         r = Jf @ x[:nf] + x[nf:nf + mr] - x[nf + mr:at]
         r[slack] -= x[at:]
         return r
+
+    def dual_residual(r_x):
+        """Each stationarity residual against the largest term it sums,
+        floored at one unit of the problem's objective."""
+        terms = np.maximum.reduce([
+            np.abs(cost[:nf]), abs(Q) @ np.abs(x[:nf]), abs(JfT) @ np.abs(y),
+            np.bincount(idx, z, N)[:nf], np.full(nf, 1.0 / scale)])
+        return max(float((np.abs(r_x[:nf]) / terms).max(initial=0.0)),
+                   np.abs(r_x[nf:]).max(initial=0.0) * scale / ELASTIC_WEIGHT)
+
+    def residuals():
+        """The KKT residuals of the iterate (x, y, w, z): r_x, r_y, r_w, the
+        mean complementarity mu, the relative primal residual and, where
+        mu s and that meet `QP_TOLERANCE`, the dual one (else inf).  The
+        iterate answers the subproblem where the dual one meets it too."""
+        ATy = np.concatenate([JfT @ y, y, -y, -y[slack]])
+        r_x = cost + ATy - np.bincount(idx, sg * z, N)
+        r_x[:nf] += Q @ x[:nf]
+        r_y = row_values(x) - b
+        r_w = w - sg * (x[idx] - bnd)
+        mu = float(w @ z) / max(len(idx), 1)
+        primal = max(np.abs(r_y).max(initial=0.0),
+                     np.abs(r_w).max(initial=0.0)) / max(
+            1.0, np.abs(b).max(initial=0.0), np.abs(x).max(initial=0.0))
+        dual = (dual_residual(r_x) if max(primal, mu * scale) <= QP_TOLERANCE
+                else np.inf)
+        return r_x, r_y, r_w, mu, primal, dual
+
+    if dense:
+        # the direct step as an iterate of the loop (see the module
+        # docstring); the p and n gaps are 0, the others must be positive
+        step = _direct_step(Q, cost[:nf], Jf[tied], b[tied])
+        if step is not None:
+            x, y = np.zeros(N), np.zeros(mr)
+            x[:nf], y[tied] = step
+            x[at:] = row_values(x)[slack]
+            w, z = sg * (x[idx] - bnd), np.zeros(len(idx))
+            z[elastic] = ELASTIC_WEIGHT / scale + np.concatenate([y, -y])
+            _, _, _, _, primal, dual = residuals()
+            if (dual <= QP_TOLERANCE and np.all(w[:2 * nf] > 0.0)
+                    and np.all(w[elastic.stop:] > 0.0) and np.all(z >= 0.0)):
+                return answer(x[:nf], scale * y, 0.0, 0, primal, dual, True,
+                              False)
+        Q, Jf = sp.csr_matrix(Q), sp.csr_matrix(Jf)
+        JfT = Jf.T
 
     # K = [Q + Sigma_d, Jf'; Jf, -D], its off-diagonal entries once and its
     # diagonal each iteration; each factor is of K + diag(reg), and every
@@ -566,7 +578,6 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
         return solve_or_pivot
 
     K_diag = np.concatenate([Q.diagonal(), np.zeros(mr)])
-    abs_Q, abs_JfT = abs(Q), abs(JfT)
 
     def refined(solve, rhs):
         """solve(rhs) refined against K while the residual falls, at most
@@ -603,7 +614,7 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
     y = np.zeros(mr)
     w = np.ones(len(idx))
     z = np.ones(len(idx))
-    z[2 * nf:2 * (nf + mr)] = ELASTIC_WEIGHT / scale    # p and n at their price
+    z[elastic] = ELASTIC_WEIGHT / scale    # p and n at their price
 
     def boundary_step(dw, dz):
         a = 1.0     # w and z in turn: no stacked copies at the peak of RSS
@@ -614,15 +625,6 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
             a = min(a, float(np.divide(-v, dv, out=None, where=down).min(
                 initial=np.inf, where=down)))
         return a
-
-    def dual_residual(r_x):
-        """Each stationarity residual against the largest term it sums,
-        floored at one unit of the problem's objective."""
-        terms = np.maximum.reduce([
-            np.abs(cost[:nf]), abs_Q @ np.abs(x[:nf]), abs_JfT @ np.abs(y),
-            np.bincount(idx, z, N)[:nf], np.full(nf, 1.0 / scale)])
-        return max(float((np.abs(r_x[:nf]) / terms).max(initial=0.0)),
-                   np.abs(r_x[nf:]).max(initial=0.0) * scale / ELASTIC_WEIGHT)
 
     def corrected_step(direction, mu):
         """The step length and direction of an iteration: the affine
@@ -665,21 +667,11 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
                 a *= 0.5
         return a, (dx, dy, dw, dz)
 
-    converged = factor_lost = False
+    factor_lost = False
     for it in range(QP_ITERATIONS + 1):
-        ATy = np.concatenate([JfT @ y, y, -y, -y[slack]])
-        Qd = Q @ x[:nf]
-        r_x = cost + ATy - np.bincount(idx, sg * z, N)
-        r_x[:nf] += Qd
-        r_y = row_values(x) - b
-        r_w = w - sg * (x[idx] - bnd)
-        mu = float(w @ z) / max(len(idx), 1)
-        primal = max(np.abs(r_y).max(initial=0.0),
-                     np.abs(r_w).max(initial=0.0)) / max(
-            1.0, np.abs(b).max(initial=0.0), np.abs(x).max(initial=0.0))
-        if max(primal, mu * scale) <= QP_TOLERANCE \
-                and dual_residual(r_x) <= QP_TOLERANCE:
-            converged = True
+        r_x, r_y, r_w, mu, primal, dual = residuals()
+        converged = dual <= QP_TOLERANCE
+        if converged:
             break
         # past 1 - mu s == 1 the fraction to the boundary is 1 (see above)
         if it == QP_ITERATIONS or 1.0 - mu * scale == 1.0:
@@ -873,8 +865,8 @@ def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveRep
     c = r_scale * c_raw
     _scale_rows(J, r_scale)
 
-    # a box-fixed variable's step is held at 0, so its Hessian row and
-    # column change no subproblem's answer
+    # a box-fixed variable's bound multiplier is its stationarity residual
+    # at the point the solve holds
     fixed = z_lo == z_hi
     mu = 10.0
     delta = 1e3
@@ -897,23 +889,17 @@ def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveRep
             break
 
         # the Lagrangian Hessian at the current multipliers, S H S in the
-        # scaled units, fixed rows and columns zeroed, shifted to be
-        # semidefinite
+        # scaled units; the subproblem shifts its free block
         try:
             H = nlp.hessian(s * x, r_scale * y_con)
             if dense:
                 B = H.toarray()
                 B *= s * s[:, None]
-                B[fixed] = 0.0
-                B[:, fixed] = 0.0
-                B[np.diag_indices(n)] += _shift(B)
             else:
                 B = _canonical_copy(H)
-                rows = _entry_rows(B)
-                B.data *= s[B.indices] * s[rows]
-                B.data[fixed[B.indices] | fixed[rows]] = 0.0
-                B.eliminate_zeros()
-                B = B + _shift(B) * sp.identity(n, format="csr")
+                B.data *= s[B.indices] * s[_entry_rows(B)]
+            if not np.all(np.isfinite(B if dense else B.data)):
+                raise ValueError("non-finite Hessian entry")
         except Exception as e:
             return report("numerical_failure",
                           f"Hessian evaluation failed: {e}")
@@ -930,13 +916,13 @@ def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveRep
         if qp.factor_lost:
             return report("numerical_failure", "every factor of a QP "
                           "subproblem's KKT matrix lost a pivot")
+        y_con, y_bnd = qp.y, qp.y_bnd
+        y_bnd[fixed] = -(g + J.T @ y_con)[fixed]
         d = qp.d
         v_lin = _violation_l1(c + J @ d, c_lo, c_hi)
-        y_new_con, y_new_bnd = qp.y, qp.y_bnd
 
         step_norm = float(np.abs(d).max())
         if step_norm < 1e-14:
-            y_con, y_bnd = y_new_con, y_new_bnd
             no_progress += 1
             if no_progress >= 3:
                 if feas > tol:
@@ -946,7 +932,7 @@ def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveRep
             continue
 
         # ratchet the penalty with the multipliers the subproblem returned
-        y_soft = float(np.abs(y_new_con).max(initial=0.0))
+        y_soft = float(np.abs(y_con).max(initial=0.0))
         mu = min(max(mu, 2.0 * y_soft + 1.0), 1e12)
         phi0 = f + mu * v1
         dphi = float(g @ d) + mu * (v_lin - v1)
@@ -974,7 +960,6 @@ def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveRep
         if not accepted:
             delta = max(delta * 0.25, 1e-8)
             no_progress += 1
-            y_con, y_bnd = y_new_con, y_new_bnd
             record(f, feas, 0.0, qp)
             if no_progress >= 8:
                 status = "infeasible" if feas > np.sqrt(tol) else "max_iterations"
@@ -1000,7 +985,6 @@ def solve(nlp, x0: np.ndarray, options: SolverOptions | None = None) -> SolveRep
                           f"derivative evaluation failed: {e}")
 
         x, f, c, c_raw, g, J = x_t, f_t, c_t, c_raw_t, g_new, J_new
-        y_con, y_bnd = y_new_con, y_new_bnd
         y_bnd[fixed] = -(g + J.T @ y_con)[fixed]
         record(f, max(_violation(c, c_lo, c_hi), _violation(x, z_lo, z_hi)),
                np.abs(t * d).max(), qp)

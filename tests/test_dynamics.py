@@ -306,6 +306,21 @@ def test_fixed_mass_fallback(exo_ctx):
     assert np.allclose(geo_rates(y9, np.zeros(2), exo_ctx)[:, :GEO_DIM], dy)
 
 
+def test_a_phase_with_neither_a_mass_state_nor_a_fixed_mass_raises():
+    # no phase flies a default mass: without a mass column or fixed_mass
+    # the rates have no mass to divide by
+    ctx = PhaseContext(earth=EARTH)
+    y8 = np.array([[100.0, -2.0, 0.3, 7.0, 0.05, -1.9, 0.0, 0.0]])
+    assert y8.shape[1] == GEO_DIM
+    with pytest.raises(ValueError, match="fixed_mass"):
+        geo_rates(y8, np.zeros(2), ctx)
+    e1, e2, e3, eta = angles_to_quat(0.05, -1.9, 0.0)
+    yv = np.array([[60.0, -2.0, 0.4, 3.0, e1, e2, e3, eta, 0.1]])
+    assert yv.shape[1] == VERT_DIM
+    with pytest.raises(ValueError, match="fixed_mass"):
+        vert_rates(yv, np.zeros(2), ctx)
+
+
 def test_table_free_pieces_carry_a_complex_stack(boost_ctx):
     # complex-step derivatives need every callback, and every piece and
     # lookup under it, to keep an imaginary part: no cast to float anywhere

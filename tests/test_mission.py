@@ -579,9 +579,15 @@ def _canonical_mesh_grid():
             for w in ([np.ones(k)] + [np.linspace(1.0, 2.0, k)] * (k > 1))]
 
 
+def _kkt_order(bl, bu, lo, hi):
+    """The order of a subproblem's K: its free variables and sided rows."""
+    return int(np.sum(bl < bu)) + int(np.sum(np.isfinite(lo) | np.isfinite(hi)))
+
+
 def _capped_subproblems(cfg, nlp, z0, monkeypatch):
     """The capped iteration's subproblem: its arguments, its answer, the
-    symmetric factors its iterations made and the pivoted ones."""
+    symmetric factors of K its iterations made (not the shift's rungs,
+    which factor the free block alone) and the pivoted ones."""
     real_qp, real_lu = nlpsolve._elastic_qp, nlpsolve._symmetric_lu
     real_splu = nlpsolve.spla.splu
     inside, factors, pivoted, solves = [], [], [], []
@@ -612,7 +618,9 @@ def _capped_subproblems(cfg, nlp, z0, monkeypatch):
     nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=1))
     [(args, qp)] = solves
-    return args, qp, factors, pivoted
+    B, g, J, lo, hi, bl, bu = args
+    n_k = _kkt_order(bl, bu, lo, hi)
+    return args, qp, [lu for lu in factors if lu.shape[0] == n_k], pivoted
 
 
 def test_qp_factors_of_the_capped_iteration_have_the_kkt_inertia(
@@ -714,12 +722,12 @@ def test_the_benchmark_keeps_a_subproblem_on_each_side_of_the_dense_size(
 
 def test_capped_iteration_orders_its_subproblem_once(cfg, guess_setup,
                                                      monkeypatch):
-    # K keeps its pattern through the subproblem: its first factor makes
-    # the one minimum-degree order, every later one reuses it.  Every
-    # symmetric factor, the subproblem's and the shift ladder's rungs, runs
-    # one-column panels with supernodes relaxed to 2 columns; the pivoted
-    # fallback keeps SuperLU's defaults and no keyword argument, the marker
-    # `_capped_subproblems` finds it by
+    # K (order 2,817) keeps its pattern through the subproblem: its first
+    # factor makes the one minimum-degree order, every later one reuses it.
+    # Every symmetric factor, K's and the shift ladder's rungs on the free
+    # block, runs one-column panels with supernodes relaxed to 2 columns;
+    # the pivoted fallback keeps SuperLU's defaults and no keyword
+    # argument, the marker `_capped_subproblems` finds it by
     nlp, z0 = guess_setup
     real_qp, real_splu = nlpsolve._elastic_qp, nlpsolve.spla.splu
     inside, calls, solves = [], [], []
@@ -733,7 +741,7 @@ def test_capped_iteration_orders_its_subproblem_once(cfg, guess_setup,
         return solves[-1][1]
 
     def recorded_splu(A, **kwargs):
-        calls.append((bool(inside), kwargs))
+        calls.append((bool(inside), A.shape[0], kwargs))
         return real_splu(A, **kwargs)
 
     monkeypatch.setattr(nlpsolve, "_elastic_qp", marked)
@@ -741,11 +749,16 @@ def test_capped_iteration_orders_its_subproblem_once(cfg, guess_setup,
     nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=1))
     [(args, qp)] = solves
-    orders = [kwargs.get("permc_spec") for qp_call, kwargs in calls if qp_call]
+    B, g, J, lo, hi, bl, bu = args
+    n_k, n_free = _kkt_order(bl, bu, lo, hi), int(np.sum(bl < bu))
+    assert n_k == 2817
+    # the solve makes no factor outside its subproblem, which owns the shift
+    assert all(qp_call for qp_call, _, _ in calls)
+    orders = [kwargs.get("permc_spec") for _, n, kwargs in calls if n == n_k]
     assert orders == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (qp.iterations - 1)
-    assert any(not qp_call for qp_call, _ in calls)     # the shift's rungs
+    assert any(n == n_free for _, n, _ in calls)     # the shift's rungs
     assert all(kwargs["panel_size"] == 1 and kwargs["relax"] == 2
-               for _, kwargs in calls)
+               for _, _, kwargs in calls)
 
     # every symmetric factor of a one-iteration subproblem loses a pivot,
     # so its Newton steps fall back on the pivoted factor
@@ -756,7 +769,7 @@ def test_capped_iteration_orders_its_subproblem_once(cfg, guess_setup,
     monkeypatch.setattr(nlpsolve, "_symmetric_lu", lost)
     monkeypatch.setattr(nlpsolve, "QP_ITERATIONS", 1)
     real_qp(*args)
-    assert calls == [(False, {})]
+    assert calls == [(False, n_k, {})]
 
 
 def test_first_step_stays_in_the_trust_box(cfg, guess_setup, monkeypatch):

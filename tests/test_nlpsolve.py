@@ -242,26 +242,25 @@ def _bound_quadratic():
 
 def test_a_refused_direct_step_hands_the_dense_solve_to_the_csr_loop(
         monkeypatch):
-    # the bound binds, so the dense solve's first subproblem refuses the
-    # direct step and runs the interior-point loop on CSR copies of its
-    # blocks; it takes the steps of the same solve held as CSR throughout,
-    # which tries no direct step
+    # the bound binds, so the dense solve's first subproblem tries the
+    # direct step, refuses it and runs the interior-point loop on CSR
+    # copies of its blocks; it takes the steps of the same solve held as
+    # CSR throughout, which tries no direct step
     real = nlpsolve._direct_step
-    kept = []
+    tried = []
 
     def recorded(*args):
-        step = real(*args)
-        kept.append(step is not None)
-        return step
+        tried.append(True)
+        return real(*args)
 
     monkeypatch.setattr(nlpsolve, "_direct_step", recorded)
     dense = solve(_bound_quadratic(), np.array([0.5]))
-    assert dense.converged and kept[0] is False
+    assert dense.converged and tried
     assert dense.log[0]["qp_iterations"] > 0
-    tried = len(kept)
+    calls = len(tried)
     monkeypatch.setattr(nlpsolve, "DENSE_KKT_MAX", 0)
     csr = solve(_bound_quadratic(), np.array([0.5]))
-    assert len(kept) == tried
+    assert len(tried) == calls
     assert (dense.status, dense.iterations) == (csr.status, csr.iterations)
     assert [row["qp_iterations"] for row in dense.log] \
         == [row["qp_iterations"] for row in csr.log]
@@ -343,6 +342,50 @@ def test_failed_initial_evaluation_reports_the_clipped_start():
     np.testing.assert_allclose(rep.x, [2e4, 0.3], rtol=1e-15, atol=0.0)
     assert np.isnan(rep.objective) and rep.violation == np.inf
     assert not rep.log
+
+
+def test_failed_derivatives_after_an_accepted_step_end_the_solve():
+    # the gradient evaluates at the start and raises where the first step
+    # landed: the solve ends there, at the point it held, with the
+    # subproblem's multipliers (the tie's -1) and no row for the step
+    calls = []
+
+    def gradient(z):
+        calls.append(z.copy())
+        if len(calls) > 1:
+            raise RuntimeError("gradient blew up")
+        return 2 * z
+
+    nlp = _CachedDerivatives(
+        2, lambda z: z[0] ** 2 + z[1] ** 2, gradient=gradient,
+        constraints=lambda z: np.array([z[0] + z[1]]), c_lo=[1.0], c_hi=[1.0],
+        J=sp.csr_matrix(np.ones((1, 2))), H=sp.csr_matrix(2.0 * np.eye(2)))
+    rep = solve(nlp, np.array([3.0, -1.0]))
+    assert rep.status == "numerical_failure" and rep.iterations == 1
+    assert rep.message == "derivative evaluation failed: gradient blew up"
+    assert np.array_equal(rep.x, [3.0, -1.0]) and not rep.log
+    assert np.allclose(calls[1], [0.5, 0.5], rtol=0.0, atol=1e-12)
+    assert rep.multipliers == pytest.approx([-1.0], abs=1e-12)
+
+
+def test_a_trial_point_that_fails_to_evaluate_halves_the_step():
+    # min (z - 3)^2 from 0, its objective raising past z = 2: the Newton
+    # step's trial point, 3, counts as an infinite merit, and its half, 1.5,
+    # is accepted
+    tried = []
+
+    def objective(z):
+        tried.append(float(z[0]))
+        if z[0] > 2.0:
+            raise ValueError("outside the model")
+        return (z[0] - 3.0) ** 2
+
+    nlp = FunctionNLP(1, objective, gradient=lambda z: 2.0 * (z - 3.0))
+    rep = solve(nlp, np.zeros(1), SolverOptions(max_iterations=1))
+    assert rep.status == "max_iterations" and rep.iterations == 1
+    assert tried == pytest.approx([0.0, 3.0, 1.5], rel=0.0, abs=1e-9)
+    assert rep.x == pytest.approx([1.5], rel=0.0, abs=1e-9)
+    assert rep.log[0]["step_norm"] == pytest.approx(1.5, rel=0.0, abs=1e-9)
 
 
 def test_nonfinite_derivatives_end_the_solve_as_a_failed_evaluation():
@@ -840,18 +883,28 @@ def test_a_hessian_storing_no_diagonal_entry_is_shifted_alike_in_both_forms(
         monkeypatch):
     # min z0 z1 in a box of +-1: B = [[0, 1], [1, 0]] stores no diagonal
     # entry and has the eigenvalue -1, so the ladder runs to the Gershgorin
-    # bound, 1; the CSR solve's B + delta I stores the whole diagonal
+    # bound, 1.  The subproblem hands its free block to `_shift` in the
+    # form the solve holds, and the CSR block plus I stores the whole
+    # diagonal: from (0.5, -0.25) both forms take the step of
+    # min 1/2 d'[[1, 1], [1, 1]]d + g'd in the trust box, g = (-0.25, 0.5),
+    # which is its corner (0.5, -0.75) (the saddle of B alone is inside it)
     H = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert H.nnz == 2
     assert nlpsolve._shift(H) == nlpsolve._shift(H.toarray()) == 1.0
-    real = nlpsolve._elastic_qp
-    handed = []
+    real_shift, real_qp = nlpsolve._shift, nlpsolve._elastic_qp
+    blocks, steps = [], []
 
-    def recorded(B, *args):
-        handed.append(B)
-        return real(B, *args)
+    def recorded_shift(Q):
+        blocks.append((Q.copy(), real_shift(Q)))
+        return blocks[-1][1]
 
-    monkeypatch.setattr(nlpsolve, "_elastic_qp", recorded)
+    def recorded_qp(*args):
+        qp = real_qp(*args)
+        steps.append(qp.d)
+        return qp
+
+    monkeypatch.setattr(nlpsolve, "_shift", recorded_shift)
+    monkeypatch.setattr(nlpsolve, "_elastic_qp", recorded_qp)
     nlp = _CachedDerivatives(
         2, lambda z: z[0] * z[1], gradient=lambda z: z[::-1].copy(),
         z_lo=np.full(2, -1.0), z_hi=np.full(2, 1.0),
@@ -860,11 +913,39 @@ def test_a_hessian_storing_no_diagonal_entry_is_shifted_alike_in_both_forms(
     solve(nlp, np.array([0.5, -0.25]), options)
     monkeypatch.setattr(nlpsolve, "DENSE_KKT_MAX", 0)
     solve(nlp, np.array([0.5, -0.25]), options)
-    dense, csr = handed
+    (dense, dense_delta), (csr, csr_delta) = blocks
     assert isinstance(dense, np.ndarray) and sp.isspmatrix_csr(csr)
-    assert csr.nnz == 4
-    assert np.array_equal(csr.toarray(), dense)
-    assert np.array_equal(dense, [[1.0, 1.0], [1.0, 1.0]])
+    assert csr.nnz == 2 and np.array_equal(csr.toarray(), dense)
+    assert np.array_equal(dense, H.toarray())
+    assert dense_delta == csr_delta == 1.0
+    assert len(steps) == 2
+    for d in steps:
+        assert np.allclose(d, [0.5, -0.75], rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("form", ["sparse", "dense"])
+def test_an_indefinite_hessian_is_solved_shifted_on_its_free_block(form):
+    # B is indefinite on the free block of z0 and z1, and z2 is fixed: the
+    # subproblem is the one of B_f + _shift(B_f) I, here B_f + I, on its
+    # free block, and its answer the box corner (1, -1), not the saddle of
+    # B_f alone inside the box
+    B = sp.csr_matrix([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0], [2.0, 0.0, -3.0]])
+    g = np.array([-0.25, 0.5, 7.0])
+    J, lo, hi = sp.csr_matrix([[1.0, -1.0, 5.0]]), np.array([-np.inf]), \
+        np.array([10.0])
+    bl, bu = np.array([-1.0, -1.0, 0.0]), np.array([1.0, 1.0, 0.0])
+    free = bl < bu
+    delta = nlpsolve._shift(B.toarray()[np.ix_(free, free)])
+    assert delta == 1.0
+    shifted = B + sp.diags(np.where(free, delta, 0.0))
+    qp = nlpsolve._elastic_qp(*_in_form(form, B), g, *_in_form(form, J),
+                              lo, hi, bl, bu)
+    ref = nlpsolve._elastic_qp(*_in_form(form, sp.csr_matrix(shifted)), g,
+                               *_in_form(form, J), lo, hi, bl, bu)
+    assert qp.converged and qp.iterations == ref.iterations
+    for name in ("d", "y", "y_bnd"):
+        assert np.array_equal(getattr(qp, name), getattr(ref, name))
+    assert np.allclose(qp.d, [1.0, -1.0, 0.0], rtol=0.0, atol=1e-8)
 
 
 @pytest.mark.parametrize("name", sorted(canonical.CANONICAL_PROBLEMS))
@@ -1185,7 +1266,8 @@ def _active_row():
 
 def _elastic_tie():
     # 1/2 1e11 d^2 with d = 1 tied, in a box of +-10: the tie's multiplier
-    # would be -1e11, past the weight, so the row is left short at d = 0.1
+    # would be -1e11, past the weight (an elastic multiplier below 0), so
+    # the row is left short at d = 0.1
     return (sp.csr_matrix([[1e11]]), np.zeros(1), sp.csr_matrix([[1.0]]),
             np.array([1.0]), np.array([1.0]), np.array([-10.0]),
             np.array([10.0]))
@@ -1199,8 +1281,9 @@ def _singular():
 
 def _rounding_floor():
     # one tie whose coefficients near 1e9 nearly cancel: the solve misses
-    # it by 2.4e-9 (its step and tie are below 1), past 1e-10, and the
-    # interior-point method, on the same rounding floor, stops unconverged
+    # it by 7.3e-9 (its step and tie are below 1), past QP_TOLERANCE, and
+    # the interior-point method, on the same rounding floor, stops
+    # unconverged
     return (sp.identity(3, format="csr"), np.array([-0.3, 0.05, 0.4]),
             sp.csr_matrix([[1e9, -1e9 * (1 + 1e-9), 3.0]]), np.array([0.06]),
             np.array([0.06]), np.full(3, -1.0), np.full(3, 1.0))
@@ -1219,12 +1302,16 @@ def _all_fixed():
                               "singular", "rounding_floor", "all_fixed"])
 def test_a_refused_direct_step_falls_through_to_the_interior_point_answer(
         make):
+    # each tries the direct step once; it is refused, so the loop runs.
+    # The singular case's KKT matrix has an exactly zero pivot and the
+    # fixed one no free variable, so neither has a step; the others' steps
+    # fail the loop's test at their iterate
     if make is _singular:
-        # its KKT matrix has an exactly zero pivot
         with pytest.raises(RuntimeError):
             nlpsolve._bunch_kaufman(np.ones((2, 2)))
     qp, steps, interior = _elastic_qp_both_ways(make())
-    assert steps == [None]
+    assert len(steps) == 1
+    assert (steps[0] is None) == (make in (_singular, _all_fixed))
     assert qp.iterations > 0
     assert qp.converged == (make is not _rounding_floor)
     assert (qp.iterations, qp.converged) \
