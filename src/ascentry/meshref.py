@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lgr import barycentric_eval
-from .nlpsolve import SolveReport, SolverOptions, solve
+from .nlpsolve import SolveReport, SolverOptions, _is_integer, solve
 from .transcription import (MeshPhase, MultiPhaseProblem, PhaseSolution,
                             Solution, transcribe)
 
@@ -29,8 +29,12 @@ class RefinementOptions:
     max_refinements: int = 10
 
     def __post_init__(self):
+        if not math.isfinite(self.mesh_tolerance):
+            raise ValueError("mesh_tolerance must be finite")
         if self.mesh_tolerance <= 0:
             raise ValueError("mesh_tolerance must be positive")
+        if not _is_integer(self.max_refinements):
+            raise ValueError("max_refinements must be an integer")
         if self.max_refinements < 1:
             raise ValueError("max_refinements must be at least 1")
 

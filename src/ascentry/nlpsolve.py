@@ -107,9 +107,21 @@ SIAM J. Optim. 5, 1995), which factors stably under symmetric pivoting.
 Its n x n pattern, one CSC matrix, is the same in every iteration of a
 subproblem.  `_symmetric_lu` factors K + diag(reg) without pivoting, reg
 1e-9 times the quadratic part's magnitude on the variables' block and
--1e-9 on the rows'; its U has exactly one negative pivot per row.  The
-first factor makes the one minimum-degree order and the later ones factor
-K + diag(reg), permuted into that order, as it stands (`_ordered_lu`).
+-1e-9 on the rows', 1e-3 of that while mu s is above 1e3 (below); its U
+has exactly one negative pivot per row.  What the pattern alone decides is
+worked out once per pattern and kept (`_kkt_analysis`): the sort of K's
+coordinates into CSC, its diagonal's positions, the minimum-degree order
+of a first symmetric factor, and the plan that gathers K into that order
+(`_ordered_lu`).  Every factor of K, a subproblem's first included, is of
+K + diag(reg) permuted into that order, as it stands, so no answer depends
+on whether its analysis was kept; where it was not, the minimum-degree
+factor is one more.  The four most recently used analyses are kept, keyed
+by the blocks' patterns: the 40 capped SQP iterations from the mission
+guess put 2 patterns into their 40 subproblems, and a solve of one NLP
+again, as each capped benchmark request after the first is, finds its
+patterns analyzed.  On the mission's K (28k entries) a kept analysis
+holds about 1 MB and spares a minimum-degree factor (7-8 ms) and the
+gather plan (1.2-1.7 ms); a factor in a known order takes 3.3-4.8 ms.
 Every symmetric factor runs one-column SuperLU panels with supernodes
 relaxed to 2 columns: the LGR interval blocks give K narrow supernodes,
 and on the mission's K (n = 2,817) a natural-order factor takes 3.3-4.1 ms
@@ -118,15 +130,28 @@ defaults, for the same fill and pivot signs.  Each solve is refined
 against K.  Where a symmetric factor, refined, misses K by more than
 1e-10, a partially pivoted factor of K + diag(reg), at SuperLU's defaults,
 takes over for the iteration; where that loses a pivot too, the subproblem
-ends with its last iterate, flagged as at its cap.  The regularization
-also carries a rank-deficient B_f past the iterations where Sigma falls
-below its rounding and K itself is singular, as it does on the variables a
-wide box leaves far from their bounds: B = [[1, 1], [1, 1]] in a box of
-+-1e6 converges in 12 iterations.
+ends with its last iterate, flagged as at its cap.
+
+The size of reg sets how many back-solves a direction takes: a first
+back-solve misses K by about reg times its answer.  At 1e-9 throughout,
+each of the 27 directions of the capped mission subproblem's iterations
+0-9 (mu s from 5e10 down to 2e6) missed 1e-10 and took a second back-solve
+that removed only reg's own error: 80 back-solves for its 53 directions.
+With reg at 1e-3 of that while mu s is above 1e3, each direction takes
+one.  Near the answer reg stays at 1e-9, and with it the second
+back-solve, which the last steps need.  Over 80,000 small random QPs drawn
+like the property test's, 3 did not converge with this rule and 7 with
+1e-9 throughout.  Over the first 40,000, 1e-3 of 1e-9 throughout left
+98 unconverged and the rows' reg at 1e-10 throughout 12, against 0 for
+this rule and 2 for 1e-9.
+The regularization also carries a rank-deficient B_f past the iterations
+where Sigma falls below its rounding and K itself is singular, as it does
+on the variables a wide box leaves far from their bounds: B = [[1, 1],
+[1, 1]] in a box of +-1e6 converges in 12 iterations.
 
 Three choices cut the iterations, and so the factors, since on the
 mission's K a back-solve on a factor costs 0.14-0.26 ms against 3.8-5.0 ms
-for the refactor (its gather into the first factor's order and SuperLU):
+for the refactor (its gather into the analysis's order and SuperLU):
 - The elastic pairs' multipliers start at their price W/s, their
   stationarity value at y = 0, not at 1, about 1e10/s below it.
 - After Mehrotra's corrector, one Gondzio corrector (Comput. Optim. Appl.
@@ -166,6 +191,8 @@ factor of K is lost, `solve` ends with status "numerical_failure".
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,10 +215,19 @@ class SolverOptions:
     max_iterations: int = 500
 
     def __post_init__(self):
+        if not math.isfinite(self.tolerance):
+            raise ValueError("tolerance must be finite")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if not _is_integer(self.max_iterations):
+            raise ValueError("max_iterations must be an integer")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+
+
+def _is_integer(n) -> bool:
+    """Whether n is an integer, a bool not counting as one."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
 @dataclass
@@ -255,9 +291,12 @@ def _column_order(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
 def _ordered_lu(K: sp.csc_matrix, perm: np.ndarray):
     """factor(M) for matrices M on K's pattern (canonical CSC, both
     triangles): the symmetric factor of P M P' in the natural order, P the
-    symmetric permutation that moves row and column i to perm[i] (a first
-    factor's `perm_c`), and its solve of M.  The permuted pattern, and where
-    each of its entries sits in M.data, are worked out here once."""
+    symmetric permutation that moves row and column i to perm[i] (the
+    minimum-degree factor's `perm_c`), and its solve of M.  The permuted
+    pattern, and where each of its entries sits in M.data, are worked out
+    here once per pattern: `_kkt_analysis` keeps the returned factor() with
+    the pattern, and every factor of K, a subproblem's first included, is
+    made by it."""
     n = K.shape[0]
     rows = perm[K.indices]
     cols = np.repeat(perm, np.diff(K.indptr))
@@ -273,6 +312,72 @@ def _ordered_lu(K: sp.csc_matrix, perm: np.ndarray):
         return lu, lambda rhs: lu.solve(rhs.take(inv)).take(perm)
 
     return factor
+
+
+class _KKTAnalysis:
+    """What K's pattern alone decides, worked out once per pattern (`key`,
+    the blocks' patterns): where each entry of K in canonical CSC comes
+    from in Q's and Jf's data, its `indices` and `indptr`, the positions of
+    its diagonal and, once a minimum-degree factor of K has succeeded, the
+    factor() `_ordered_lu` makes in that order."""
+
+    def __init__(self, key: tuple, Q: sp.csr_matrix, Jf: sp.csr_matrix):
+        self.key = key
+        nf, mr = Q.shape[0], Jf.shape[0]
+        n_k = nf + mr
+        # Q's entries off the diagonal, Jf's twice and the whole diagonal,
+        # whose values each iteration sets
+        q_row, j_row = _entry_rows(Q), nf + _entry_rows(Jf)
+        off = np.flatnonzero(Q.indices != q_row)
+        whole = np.arange(n_k)
+        k_row = np.concatenate([q_row[off], Jf.indices, j_row, whole])
+        k_col = np.concatenate([Q.indices[off], j_row, Jf.indices, whole])
+        order = _column_order(k_row, k_col, n_k)
+        k_row, k_col = k_row[order], k_col[order]
+        j = Q.nnz + np.arange(Jf.nnz)
+        # each entry's place in (Q.data, Jf.data, 0)
+        self.source = np.concatenate(
+            [off, j, j, np.full(n_k, Q.nnz + Jf.nnz)])[order]
+        # int32 where it fits, as scipy's constructor would convert them
+        K = sp.csc_matrix((np.zeros(len(k_row)), k_row,
+                           np.searchsorted(k_col, np.arange(n_k + 1))),
+                          shape=(n_k, n_k))
+        self.indices, self.indptr, self.shape = K.indices, K.indptr, K.shape
+        self.diag = np.flatnonzero(k_row == k_col)
+        self.factor = None
+
+    def matrix(self, Q: sp.csr_matrix, Jf: sp.csr_matrix) -> sp.csc_matrix:
+        """K with Q's and Jf's values off its diagonal and 0 on it."""
+        values = np.concatenate([Q.data, Jf.data, [0.0]])[self.source]
+        return sp.csc_matrix((values, self.indices, self.indptr),
+                             shape=self.shape)
+
+
+# K's analyses by pattern, the most recently used last: the consecutive
+# SQP iterations of a solve, and solves of one NLP from nearby points, put
+# the same K pattern into their subproblems
+_ANALYSES: dict[tuple, _KKTAnalysis] = {}
+ANALYSES_KEPT = 4
+
+
+def _kkt_analysis(Q: sp.csr_matrix, Jf: sp.csr_matrix) -> _KKTAnalysis:
+    """The analysis kept for the blocks' patterns, else a new one, which
+    `_keep_analysis` stores once its minimum-degree factor succeeds."""
+    key = (Q.shape[0], Jf.shape[0], Q.indptr.tobytes(), Q.indices.tobytes(),
+           Jf.indptr.tobytes(), Jf.indices.tobytes())
+    analysis = _ANALYSES.pop(key, None)
+    if analysis is None:
+        return _KKTAnalysis(key, Q, Jf)
+    _ANALYSES[key] = analysis
+    return analysis
+
+
+def _keep_analysis(analysis: _KKTAnalysis) -> None:
+    """Store `analysis`, dropping the least recently used past
+    `ANALYSES_KEPT`."""
+    _ANALYSES[analysis.key] = analysis
+    while len(_ANALYSES) > ANALYSES_KEPT:
+        del _ANALYSES[next(iter(_ANALYSES))]
 
 
 @functools.cache
@@ -435,7 +540,6 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
     nf, mr = int(free.sum()), len(rows)
     at = nf + 2 * mr            # the first slack in x
     N = at + len(slack)
-    n_k = nf + mr               # K's order
     # the blocks, cut in B's form, and the free block shifted to be convex
     Q, Jf = B[free][:, free], J[sided][:, free]
     dense = not sp.issparse(B)
@@ -531,37 +635,28 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
 
     # K = [Q + Sigma_d, Jf'; Jf, -D], its off-diagonal entries once and its
     # diagonal each iteration; each factor is of K + diag(reg), and every
-    # solve is refined against K
-    reg = np.concatenate([np.full(nf, 1e-9 * s_q / scale), np.full(mr, -1e-9)])
-    # the pattern once, in canonical CSC from the blocks' coordinates: Q's
-    # nonzeros off the diagonal, Jf's entries twice and the whole diagonal
-    q_row, j_row = _entry_rows(Q), nf + _entry_rows(Jf)
-    off = (Q.data != 0.0) & (Q.indices != q_row)
-    whole = np.arange(n_k)
-    k_row = np.concatenate([q_row[off], Jf.indices, j_row, whole])
-    k_col = np.concatenate([Q.indices[off], j_row, Jf.indices, whole])
-    order = _column_order(k_row, k_col, n_k)
-    k_row, k_col = k_row[order], k_col[order]
-    K = sp.csc_matrix(
-        (np.concatenate([Q.data[off], Jf.data, Jf.data, np.zeros(n_k)])[order],
-         k_row, np.searchsorted(k_col, np.arange(n_k + 1))),
-        shape=(n_k, n_k))
-    K_values, diag = K.data, np.flatnonzero(k_row == k_col)
-    reorder = None  # factor() in the order of the first symmetric factor
+    # solve is refined against K.  reg is 1e-9 of the quadratic part's
+    # magnitude on the variables' block and -1e-9 on the rows', times 1e-3
+    # while mu s is above 1e3 (see the module docstring)
+    reg_near = np.concatenate([np.full(nf, 1e-9 * s_q / scale),
+                               np.full(mr, -1e-9)])
+    analysis = _kkt_analysis(Q, Jf)
+    K = analysis.matrix(Q, Jf)
+    K_values, diag = K.data, analysis.diag
 
-    def factor():
+    def factor(reg):
         """The symmetric factor of K + diag(reg)'s refined solve where it
         solves K to 1e-10, else a partially pivoted factor of K + diag(reg),
-        made on the iteration's first such solve and refined against K."""
-        nonlocal reorder
+        made on the iteration's first such solve and refined against K.  The
+        symmetric factor is always made in the analysis's order: where the
+        pattern has none yet, a minimum-degree factor finds it first."""
         solve = None
         K_values[diag] += reg
         try:
-            if reorder is None:
-                lu = _symmetric_lu(K)
-                reorder, solve = _ordered_lu(K, lu.perm_c), lu.solve
-            else:
-                solve = reorder(K)[1]
+            if analysis.factor is None:
+                analysis.factor = _ordered_lu(K, _symmetric_lu(K).perm_c)
+                _keep_analysis(analysis)
+            solve = analysis.factor(K)[1]
         except RuntimeError:    # a pivot lost to cancellation
             pass
         K_values[diag] -= reg
@@ -619,11 +714,9 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
     def boundary_step(dw, dz):
         a = 1.0     # w and z in turn: no stacked copies at the peak of RSS
         for v, dv in ((w, dw), (z, dz)):
-            # -v / dv where dv < 0 only, so nothing divides by zero; the
-            # reduction reads no other entry of the uninitialized quotient
+            # -v / dv where dv < 0 only, so nothing divides by zero
             down = dv < 0.0
-            a = min(a, float(np.divide(-v, dv, out=None, where=down).min(
-                initial=np.inf, where=down)))
+            a = min(a, float((-v[down] / dv[down]).min(initial=np.inf)))
         return a
 
     def corrected_step(direction, mu):
@@ -690,7 +783,7 @@ def _elastic_qp(B, g: np.ndarray, J, lo: np.ndarray, hi: np.ndarray,
             return dx, dy, dw, (rc - z * dw) / w
 
         try:
-            solve = factor()
+            solve = factor(reg_near * (1e-3 if mu * scale > 1e3 else 1.0))
             if it == 0:
                 dx, dy, dw, dz = direction(-w * z)
             else:

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
+from ascentry import nlpsolve
 from ascentry.transcription import _CS_STEP
+
+
+@pytest.fixture(autouse=True)
+def _no_kept_kkt_analysis():
+    """Each test starts with no K analysis kept from an earlier one, so a
+    test that counts factors does not depend on the order tests run in."""
+    nlpsolve._ANALYSES.clear()
 
 
 def _reference_phase_point(nlp, z, p):

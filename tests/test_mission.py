@@ -494,13 +494,16 @@ def test_capped_sqp_iteration_from_the_guess(cfg, guess_setup):
     # objective 188.6961239633872, violation 53.98153571885008): the
     # scaled Jacobian's rows now sum in ascending column order, where the
     # sparse product that scaled them stored them descending; still 20
-    # interior-point iterations
+    # interior-point iterations.  Re-pinned since every factor of K is made
+    # in its analysis's order and the regularization is 1e-3 as large while
+    # mu s is above 1e3 (from objective 188.69612396338718, violation
+    # 53.98153571885017); still 20
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=1))
     assert rep.status == "max_iterations" and rep.iterations == 1
-    assert rep.objective == 188.69612396338718
-    assert rep.violation == 53.98153571885017
+    assert rep.objective == 188.69612396338712
+    assert rep.violation == 53.98153571885008
     assert rep.message == ""
     [row] = rep.log
     assert row["qp_iterations"] <= 20
@@ -522,15 +525,20 @@ def test_four_capped_sqp_iterations_from_the_guess(cfg, guess_setup):
     # in place (from objective 185.96901009735572, violation
     # 33.62397120218189, sha256 0faab68b...): the scaled Jacobian's rows
     # now sum in ascending column order, not descending; the four
-    # subproblems still take 20, 21, 24 and 23 interior-point iterations
+    # subproblems still take 20, 21, 24 and 23 interior-point iterations.
+    # Re-pinned since every factor of K is made in its analysis's order and
+    # the regularization is 1e-3 as large while mu s is above 1e3 (from
+    # objective 185.9690100973584, violation 33.62397120219789, sha256
+    # ff9de2bd...); still 20, 21, 24 and 23
     nlp, z0 = guess_setup
     rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
         tolerance=cfg.solver_tolerance, max_iterations=4))
     assert rep.status == "max_iterations" and rep.iterations == 4
-    assert rep.objective == 185.9690100973584
-    assert rep.violation == 33.62397120219789
+    assert rep.objective == 185.96901009735524
+    assert rep.violation == 33.623971202182005
     assert hashlib.sha256(rep.x.tobytes()).hexdigest() == (
-        "ff9de2bde969c5db9089249aa58bdf0f9b4881ea7fc478e845a6757683ff735a")
+        "b9539a594a9ad9f8a0dfbbb69174c4b2f39628556b5804c4231ee3207db57131")
+    assert [row["qp_iterations"] for row in rep.log] == [20, 21, 24, 23]
 
 
 def test_mission_hessian_at_the_guess_is_pinned_bit_for_bit(guess_setup):
@@ -586,8 +594,9 @@ def _kkt_order(bl, bu, lo, hi):
 
 def _capped_subproblems(cfg, nlp, z0, monkeypatch):
     """The capped iteration's subproblem: its arguments, its answer, the
-    symmetric factors of K its iterations made (not the shift's rungs,
-    which factor the free block alone) and the pivoted ones."""
+    symmetric factors of K its iterations made, in the analysis's order
+    (not the minimum-degree factor that finds the order, nor the shift's
+    rungs, which factor the free block alone), and the pivoted ones."""
     real_qp, real_lu = nlpsolve._elastic_qp, nlpsolve._symmetric_lu
     real_splu = nlpsolve.spla.splu
     inside, factors, pivoted, solves = [], [], [], []
@@ -603,7 +612,7 @@ def _capped_subproblems(cfg, nlp, z0, monkeypatch):
 
     def recorded(M, *args):
         lu = real_lu(M, *args)
-        if inside:
+        if inside and args == ("NATURAL",):
             factors.append(lu)
         return lu
 
@@ -722,12 +731,14 @@ def test_the_benchmark_keeps_a_subproblem_on_each_side_of_the_dense_size(
 
 def test_capped_iteration_orders_its_subproblem_once(cfg, guess_setup,
                                                      monkeypatch):
-    # K (order 2,817) keeps its pattern through the subproblem: its first
-    # factor makes the one minimum-degree order, every later one reuses it.
-    # Every symmetric factor, K's and the shift ladder's rungs on the free
-    # block, runs one-column panels with supernodes relaxed to 2 columns;
-    # the pivoted fallback keeps SuperLU's defaults and no keyword
-    # argument, the marker `_capped_subproblems` finds it by
+    # K (order 2,817) keeps its pattern through the subproblem: one
+    # minimum-degree factor finds its order, and every iteration factors K
+    # in that order.  The analysis is kept, so the same capped solve again
+    # makes no minimum-degree factor of K.  Every symmetric factor, K's and
+    # the shift ladder's rungs on the free block, runs one-column panels
+    # with supernodes relaxed to 2 columns; the pivoted fallback keeps
+    # SuperLU's defaults and no keyword argument, the marker
+    # `_capped_subproblems` finds it by
     nlp, z0 = guess_setup
     real_qp, real_splu = nlpsolve._elastic_qp, nlpsolve.spla.splu
     inside, calls, solves = [], [], []
@@ -755,10 +766,15 @@ def test_capped_iteration_orders_its_subproblem_once(cfg, guess_setup,
     # the solve makes no factor outside its subproblem, which owns the shift
     assert all(qp_call for qp_call, _, _ in calls)
     orders = [kwargs.get("permc_spec") for _, n, kwargs in calls if n == n_k]
-    assert orders == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (qp.iterations - 1)
+    assert orders == ["MMD_AT_PLUS_A"] + ["NATURAL"] * qp.iterations
     assert any(n == n_free for _, n, _ in calls)     # the shift's rungs
     assert all(kwargs["panel_size"] == 1 and kwargs["relax"] == 2
                for _, _, kwargs in calls)
+    calls.clear()
+    nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
+        tolerance=cfg.solver_tolerance, max_iterations=1))
+    orders = [kwargs.get("permc_spec") for _, n, kwargs in calls if n == n_k]
+    assert orders == ["NATURAL"] * qp.iterations
 
     # every symmetric factor of a one-iteration subproblem loses a pivot,
     # so its Newton steps fall back on the pivoted factor
@@ -770,6 +786,56 @@ def test_capped_iteration_orders_its_subproblem_once(cfg, guess_setup,
     monkeypatch.setattr(nlpsolve, "QP_ITERATIONS", 1)
     real_qp(*args)
     assert calls == [(False, n_k, {})]
+
+
+def test_the_capped_subproblem_back_solves_once_per_direction(
+        cfg, guess_setup, monkeypatch):
+    # its 20 iterations take 53 directions: the start's, each later
+    # iteration's affine and corrected ones, and 14 Gondzio or centring
+    # ones.  Each is one back-solve on the iteration's factor that meets
+    # the 1e-10 refinement test.  With the regularization at 1e-9 in every
+    # iteration, the 27 directions of iterations 0-9 took a second one
+    # (80 in all)
+    nlp, z0 = guess_setup
+    real_lu = nlpsolve._symmetric_lu
+    back_solves = []
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            back_solves.append(len(rhs))
+            return self.lu.solve(rhs)
+
+    def counted(M, *args):
+        lu = real_lu(M, *args)
+        return Counted(lu) if args == ("NATURAL",) else lu
+
+    monkeypatch.setattr(nlpsolve, "_symmetric_lu", counted)
+    rep = nlpsolve.solve(nlp, z0, nlpsolve.SolverOptions(
+        tolerance=cfg.solver_tolerance, max_iterations=1))
+    assert rep.log[0]["qp_iterations"] == 20
+    assert back_solves == [2817] * 53
+
+
+def test_capped_solve_ends_on_the_same_bytes_from_a_kept_analysis(
+        cfg, guess_setup):
+    # every factor of K is made in its analysis's order, so a solve that
+    # finds K analyzed (each capped benchmark request after the first) ends
+    # on the bytes of the solve that analyzed it
+    nlp, z0 = guess_setup
+    options = nlpsolve.SolverOptions(tolerance=cfg.solver_tolerance,
+                                     max_iterations=1)
+    cold = nlpsolve.solve(nlp, z0, options)
+    assert len(nlpsolve._ANALYSES) == 1
+    warm = nlpsolve.solve(nlp, z0, options)
+    for rep in (cold, warm):
+        assert rep.log[0]["qp_iterations"] == 20
+    for a, b in ((cold.x, warm.x), (cold.multipliers, warm.multipliers),
+                 (cold.bound_multipliers, warm.bound_multipliers)):
+        assert a.tobytes() == b.tobytes()
+    assert repr(cold.log) == repr(warm.log)
 
 
 def test_first_step_stays_in_the_trust_box(cfg, guess_setup, monkeypatch):
@@ -1115,12 +1181,14 @@ def test_solve_mission_runs_cold_then_warm_from_its_own_solution(
     # 53.98086604961118, since the trial ascents hold the bank and the
     # entry's release latches; from objective 188.6961239633872, violation
     # 53.98153571885008, since the scaled Jacobian's rows sum in ascending
-    # column order)
+    # column order; from objective 188.69612396338718, violation
+    # 53.98153571885017, since every factor of K is made in its analysis's
+    # order and the regularization is 1e-3 as large while mu s is above 1e3)
     one = replace(cfg, solver_max_iterations=1, max_refinements=1)
     cold = M.solve_mission(one)
     assert cold.status == "max_iterations" and cold.iterations == 1
-    assert cold.last_solve.objective == 188.69612396338718
-    assert cold.last_solve.violation == 53.98153571885017
+    assert cold.last_solve.objective == 188.69612396338712
+    assert cold.last_solve.violation == 53.98153571885008
 
     def no_guess(config, nlp):
         raise AssertionError("a warm start flies no guess")

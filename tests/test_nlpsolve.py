@@ -82,6 +82,32 @@ def test_options_validation():
         SolverOptions(max_iterations=0)
 
 
+@pytest.mark.parametrize("make, rule", [
+    # an infinite tolerance passed every test: double-integrator from zeros
+    # reported "converged" after 1 iteration at violation 5.52
+    (lambda: SolverOptions(tolerance=np.inf), "tolerance must be finite"),
+    (lambda: SolverOptions(tolerance=np.nan), "tolerance must be finite"),
+    (lambda: SolverOptions(max_iterations=2.5),
+     "max_iterations must be an integer"),
+    (lambda: SolverOptions(max_iterations=3.0),
+     "max_iterations must be an integer"),
+    (lambda: SolverOptions(max_iterations=True),
+     "max_iterations must be an integer"),
+    (lambda: RefinementOptions(mesh_tolerance=np.nan),
+     "mesh_tolerance must be finite"),
+    (lambda: RefinementOptions(mesh_tolerance=np.inf),
+     "mesh_tolerance must be finite"),
+    (lambda: RefinementOptions(max_refinements=1.5),
+     "max_refinements must be an integer"),
+])
+def test_options_reject_nonfinite_and_fractional_values(make, rule):
+    with pytest.raises(ValueError, match=f"^{rule}$"):
+        make()
+    # a numpy integer passes
+    assert SolverOptions(max_iterations=np.int64(3)).max_iterations == 3
+    assert RefinementOptions(max_refinements=np.int64(2)).max_refinements == 2
+
+
 def test_function_nlp_differences_a_banded_jacobian():
     n = 9
 
@@ -524,7 +550,8 @@ def test_elastic_qp_does_not_cycle_on_an_interior_optimum(monkeypatch):
 
 def test_elastic_qp_falls_back_to_the_pivoted_factor(monkeypatch):
     # a symmetric factor that fails every time: each iteration tries to
-    # order K afresh, and the partially pivoted factor answers instead
+    # order K afresh, since no order is kept from a lost factor, and the
+    # partially pivoted factor answers instead
     ordered, pivoted = [], []
     real_splu = nlpsolve.spla.splu
 
@@ -545,6 +572,7 @@ def test_elastic_qp_falls_back_to_the_pivoted_factor(monkeypatch):
     assert np.allclose(qp.y_bnd, [1.75, 0.0, 0.0], rtol=0.0, atol=1e-8)
     assert ordered == [()] * qp.iterations
     assert pivoted == [{}] * qp.iterations
+    assert nlpsolve._ANALYSES == {}
 
 
 def _lose_every_factor(monkeypatch):
@@ -585,12 +613,14 @@ def test_a_zero_pivot_of_k_alone_is_passed_by_the_factor_of_k_plus_reg(
     # B's scaled entries and K = B/s + Sigma rounds to a singular matrix.
     # Each symmetric factor is of K + diag(reg), which carries the
     # subproblem, with no pivoted factor, to the minimum nearest the middle
-    # of the box, d1 + d2 = 1
+    # of the box, d1 + d2 = 1.  The first iteration orders K by minimum
+    # degree, and every iteration factors K in that order
     real_splu = nlpsolve.spla.splu
-    pivoted = []
+    pivoted, orders = [], []
 
     def recorded_splu(A, **kwargs):
         pivoted.append(not kwargs)
+        orders.append(kwargs.get("permc_spec"))
         return real_splu(A, **kwargs)
 
     monkeypatch.setattr(nlpsolve.spla, "splu", recorded_splu)
@@ -599,9 +629,131 @@ def test_a_zero_pivot_of_k_alone_is_passed_by_the_factor_of_k_plus_reg(
                               np.full(2, -1e6), np.full(2, 1e6))
     assert qp.converged and not qp.factor_lost
     assert qp.iterations == 12
-    assert len(pivoted) == qp.iterations and not any(pivoted)
+    assert not any(pivoted)
+    assert orders == ["MMD_AT_PLUS_A"] + ["NATURAL"] * qp.iterations
     assert np.allclose(qp.d, [0.5, 0.5], rtol=0.0, atol=1e-8)
     assert np.abs(qp.y_bnd).max() < 1e-8
+
+
+def test_the_last_steps_keep_the_regularization_that_refines_them(
+        monkeypatch):
+    # a draw of the property test's kind (two variables fixed, weight 1e7)
+    # whose last steps need the second back-solve that reg at 1e-9 forces:
+    # with reg at 1e-12 in every iteration each solve meets its 1e-10 test
+    # after one back-solve, and the dual residual stalls at 2e-8, above
+    # QP_TOLERANCE, when 1 - mu s rounds to 1.  reg is cut to 1e-3 of 1e-9
+    # only while mu s is above 1e3
+    monkeypatch.setattr(nlpsolve, "ELASTIC_WEIGHT", 1e7)
+    B = sp.csr_matrix([[4.3, 1.8, 1.5, 0.96, -1.4],
+                       [1.8, 2.1, 0.15, 1.7, -2.2],
+                       [1.5, 0.15, 0.76, -0.17, 0.16],
+                       [0.96, 1.7, -0.17, 1.5, -2.0],
+                       [-1.4, -2.2, 0.16, -2.0, 2.6]])
+    g = np.array([0.52, -0.98, -1.0, -2.3, 0.041])
+    J = sp.csr_matrix([[0.0, 0.87, -1.8, 0.0, 0.0],
+                       [1.3, -1.5, 0.0, 1.1, 0.64],
+                       [0.51, 0.29, -0.19, 0.0, 0.0],
+                       [-0.98, 0.0, 0.0, 2.0, 2.0]])
+    lo = np.array([-np.inf, -1.0, 0.78, -8.5])
+    hi = np.array([4.4, -1.0, 2.8, np.inf])
+    bl = np.array([0.0, 0.0, -0.62, -0.86, -0.77])
+    bu = np.array([0.0, 0.0, 0.46, 0.66, 0.94])
+    qp = nlpsolve._elastic_qp(B, g, J, lo, hi, bl, bu)
+    assert qp.converged and qp.iterations == 12
+    assert qp.dual_res <= 1e-12
+
+
+def _orders_made(monkeypatch):
+    """The order of each K (or free block) SuperLU orders by minimum degree,
+    recorded as it is asked for."""
+    real_splu = nlpsolve.spla.splu
+    made = []
+
+    def recorded_splu(A, **kwargs):
+        if kwargs.get("permc_spec") == "MMD_AT_PLUS_A":
+            made.append(A.shape[0])
+        return real_splu(A, **kwargs)
+
+    monkeypatch.setattr(nlpsolve.spla, "splu", recorded_splu)
+    return made
+
+
+def _qp_bytes(qp):
+    return ([np.asarray(a).tobytes() for a in (qp.d, qp.y, qp.y_bnd)]
+            + [qp.iterations, qp.converged])
+
+
+def test_a_kept_analysis_serves_its_pattern_and_a_changed_free_set_misses(
+        monkeypatch):
+    # the box QP's K (order 4) is ordered once: solved again, it makes no
+    # new order and gives the same bytes.  Fixing a variable cuts another
+    # free block, so K has another pattern (order 3) and is ordered afresh
+    made = _orders_made(monkeypatch)
+    B, g, J, lo, hi, bl, bu = _box_qp()
+    first = nlpsolve._elastic_qp(B, g, J, lo, hi, bl, bu)
+    again = nlpsolve._elastic_qp(B, g, J, lo, hi, bl, bu)
+    assert first.converged and made == [4]
+    assert _qp_bytes(again) == _qp_bytes(first)
+    bl[2] = bu[2] = 0.0
+    fixed = nlpsolve._elastic_qp(B, g, J, lo, hi, bl, bu)
+    assert fixed.converged and made == [4, 3]
+    assert len(nlpsolve._ANALYSES) == 2
+
+
+def test_kept_analyses_stay_bounded(monkeypatch):
+    # one K pattern per number of fixed variables: past ANALYSES_KEPT
+    # patterns the least recently used is dropped, and a pattern used
+    # again outlives older ones
+    made = _orders_made(monkeypatch)
+    kept = nlpsolve.ANALYSES_KEPT
+    n = kept + 3
+    B, g = sp.identity(n, format="csr"), -np.ones(n)
+    J = sp.csr_matrix(np.ones((1, n)))
+
+    def fixing(k):
+        bl, bu = np.full(n, -1.0), np.full(n, 0.5)
+        bl[:k] = bu[:k] = 0.0
+        assert nlpsolve._elastic_qp(B, g, J, np.ones(1), np.ones(1),
+                                    bl, bu).converged
+
+    for k in range(n):
+        fixing(k)
+        assert len(nlpsolve._ANALYSES) == min(k + 1, kept)
+    assert len(made) == n
+    oldest = n - kept
+    fixing(oldest)      # kept, and now the most recently used
+    assert len(made) == n
+    fixing(0)           # dropped: ordered afresh, dropping oldest + 1
+    assert len(made) == n + 1 and len(nlpsolve._ANALYSES) == kept
+    fixing(oldest)
+    assert len(made) == n + 1
+    fixing(oldest + 1)
+    assert len(made) == n + 2
+
+
+def _report_bytes(rep):
+    return ([a.tobytes() for a in (rep.x, rep.multipliers,
+                                   rep.bound_multipliers)]
+            + [rep.status, rep.iterations, repr(rep.log)])
+
+
+def test_a_csr_solve_ends_on_the_same_bytes_from_a_kept_analysis(
+        monkeypatch):
+    # double-integrator held as CSR runs the interior-point loop in every
+    # subproblem; solved again from the same start it finds each K pattern
+    # analyzed, makes no minimum-degree order, and ends on the same bytes:
+    # every factor of K is made in the analysis's order either way
+    _hold_as("csr", monkeypatch)
+    made = _orders_made(monkeypatch)
+    problem, meshes = canonical.CANONICAL_PROBLEMS["double-integrator"]()
+    nlp = transcribe(problem, meshes)
+    x0 = canonical.straight_line_guess(nlp)
+    cold = solve(nlp, x0)
+    ordered = len(made)
+    warm = solve(nlp, x0)
+    assert cold.converged and sum(row["qp_iterations"] for row in cold.log)
+    assert 1 <= ordered <= len(cold.log) and len(made) == ordered
+    assert _report_bytes(warm) == _report_bytes(cold)
 
 
 @pytest.mark.parametrize("J, bl, bu", [
@@ -877,6 +1029,38 @@ def test_shift_factors_no_rung_that_leaves_a_diagonal_entry_at_or_below_0(
     assert delta == 1.0
     assert len(diagonals) == 3
     assert all(np.all(diagonal > 0.0) for diagonal in diagonals)
+
+
+@pytest.mark.parametrize("form", ["csr", "dense"])
+def test_shift_ends_its_ladder_at_the_gershgorin_bound_unfactored(
+        form, monkeypatch):
+    # B = [[1, 5], [5, 1]] has the eigenvalue -4 and the Gershgorin bound 4
+    # (a row's off-diagonal sum less its diagonal); b = 5, so the rungs
+    # below the bound are 0 and 5e-8 to 0.5, each factored, each failing.
+    # The next rung, 5, is the first at or above the bound: it is returned
+    # without a factor
+    B = sp.csr_matrix([[1.0, 5.0], [5.0, 1.0]])
+    shifts = []
+    real_lu, real_potrf = nlpsolve._symmetric_lu, nlpsolve.lapack.dpotrf
+
+    def lu(M, *args):
+        shifts.append(M.diagonal()[0] - 1.0)
+        return real_lu(M, *args)
+
+    def potrf(M, **kwargs):
+        shifts.append(M[0, 0] - 1.0)
+        return real_potrf(M, **kwargs)
+
+    monkeypatch.setattr(nlpsolve, "_symmetric_lu", lu)
+    monkeypatch.setattr(nlpsolve.lapack, "dpotrf", potrf)
+    delta = nlpsolve._shift(B if form == "csr" else B.toarray())
+    rungs = [0.0] + [5e-8 * 10.0 ** k for k in range(8)]
+    assert shifts == pytest.approx([r + 5e-12 for r in rungs], rel=1e-9)
+    assert delta == pytest.approx(5.0, rel=1e-12) and delta >= 4.0
+    assert rungs[-1] < 4.0
+    assert all(np.linalg.eigvalsh(B.toarray() + c * np.eye(2)).min() < 0.0
+               for c in shifts)
+    assert np.linalg.eigvalsh(B.toarray() + delta * np.eye(2)).min() > 0.0
 
 
 def test_a_hessian_storing_no_diagonal_entry_is_shifted_alike_in_both_forms(
